@@ -1,5 +1,5 @@
-//! Per-phase transform throughput over a representative suite module —
-//! the cost of one PSS step's compiler work.
+//! Per-phase sandboxed throughput over a representative suite module —
+//! the cost of one PSS step's compiler work (snapshot, transform, verify).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_passes::PassManager;
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(phase, |b| {
             b.iter(|| {
                 let mut m = black_box(program.module.clone());
-                pm.run_phase(&mut m, phase).unwrap();
+                pm.run_phase_sandboxed(&mut m, phase, None, phase).unwrap();
                 black_box(m)
             })
         });

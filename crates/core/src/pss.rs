@@ -5,7 +5,7 @@ use crate::estimator::PerfEstimator;
 use mlcomp_ir::Module;
 use mlcomp_ml::preprocess::{Pca, StandardScaler};
 use mlcomp_ml::{Preprocessor, TrainError};
-use mlcomp_passes::{registry, PassManager};
+use mlcomp_passes::{registry, PassManager, PhaseOutcome};
 use mlcomp_platform::DynamicFeatures;
 use mlcomp_rl::{Env, PolicyNet, ReinforceTrainer, TrainingStats};
 use mlcomp_suites::BenchProgram;
@@ -168,7 +168,6 @@ pub struct CompilerEnv<'a> {
     /// Reward shaping weights.
     pub weights: RewardWeights,
     max_inactive: usize,
-    pm: PassManager,
     rng: rand::rngs::StdRng,
     module: Option<Module>,
     last_pred: DynamicFeatures,
@@ -193,7 +192,6 @@ impl<'a> CompilerEnv<'a> {
             projector,
             weights,
             max_inactive,
-            pm: PassManager::new(),
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             module: None,
             last_pred: DynamicFeatures::from_array([0.0; 4]),
@@ -230,14 +228,12 @@ impl Env for CompilerEnv<'_> {
     fn step(&mut self, action: usize) -> (Vec<f64>, f64, bool) {
         let mut module = self.module.take().expect("step before reset");
         let phase = registry::PHASE_NAMES[action];
-        let before = module.clone();
-        // Sandboxed: a panicking or IR-corrupting phase is rolled back, so
-        // it lands in the `module == before` branch below and is scored
-        // like any other inactive phase — training survives it.
-        self.pm
+        // Sandboxed: a panicking or IR-corrupting phase is rolled back and
+        // scored like any other inactive phase — training survives it.
+        let outcome = PassManager::new()
             .run_phase_sandboxed(&mut module, phase, None, phase)
             .expect("registry names are valid");
-        if module == before {
+        if outcome != PhaseOutcome::Changed {
             // The phase did nothing: small cost, episode ends after a run
             // of `max_inactive` such steps (the Table V limit).
             self.inactive += 1;
@@ -446,13 +442,13 @@ impl PhaseSequenceSelector {
             let mut progressed = false;
             for &action in ranked.iter().take(self.config.max_inactive) {
                 let phase = registry::PHASE_NAMES[action];
-                let before = current.clone();
-                // Sandboxed: a quarantined phase rolls back to `before`
-                // and falls through to the next-best action, exactly like
-                // an inactive phase in the paper's fallback model.
-                pm.run_phase_sandboxed(&mut current, phase, None, phase)
+                // Sandboxed: a quarantined phase rolls back and falls
+                // through to the next-best action, exactly like an
+                // inactive phase in the paper's fallback model.
+                let outcome = pm
+                    .run_phase_sandboxed(&mut current, phase, None, phase)
                     .expect("registry names are valid");
-                if current != before {
+                if outcome == PhaseOutcome::Changed {
                     applied.push(phase);
                     progressed = true;
                     break;

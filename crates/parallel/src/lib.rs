@@ -173,7 +173,8 @@ impl WorkerPool {
     }
 
     /// Like [`WorkerPool::map`], but *supervised*: a panic in `f` fails only
-    /// its own item instead of tearing down the whole map.
+    /// its own item instead of tearing down the whole map. It runs through
+    /// `map` itself, so both share one spawn loop and its telemetry.
     ///
     /// Each item gets up to `attempts` tries (values below 1 are treated as
     /// 1); every try runs under [`std::panic::catch_unwind`], and the first
@@ -235,61 +236,7 @@ impl WorkerPool {
                 reason,
             })
         };
-        if self.num_threads <= 1 || items.len() <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| run_item(i, t))
-                .collect();
-        }
-        let workers = self.num_threads.min(items.len());
-        let cursor = AtomicUsize::new(0);
-        let tracing = trace::enabled();
-        let mut tagged: Vec<(usize, Result<R, ItemFailure>)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let run_item = &run_item;
-                    scope.spawn(move || {
-                        let mut span = trace::span("pool.worker");
-                        let mut busy_ns = 0u64;
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(idx) else { break };
-                            if tracing {
-                                trace::gauge(
-                                    "pool.queue_depth",
-                                    items.len().saturating_sub(idx + 1) as f64,
-                                );
-                            }
-                            let started = tracing.then(Instant::now);
-                            local.push((idx, run_item(idx, item)));
-                            if let Some(started) = started {
-                                busy_ns += started.elapsed().as_nanos() as u64;
-                            }
-                        }
-                        if span.is_recording() {
-                            span.field("worker", w);
-                            span.field("items", local.len());
-                            span.field("busy_ns", busy_ns);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => tagged.extend(local),
-                    // Unreachable for panics in `f` (they are caught per
-                    // attempt), but a non-unwinding abort still surfaces.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        tagged.sort_by_key(|&(idx, _)| idx);
-        tagged.into_iter().map(|(_, r)| r).collect()
+        self.map(items, run_item)
     }
 }
 
@@ -434,6 +381,24 @@ mod tests {
         let pool = WorkerPool::new(8);
         assert_eq!(pool.map(&[] as &[u8], |_, &x| x), Vec::<u8>::new());
         assert_eq!(pool.map(&[7u8], |_, &x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn map_propagates_panics_from_f() {
+        let items: Vec<u32> = (0..16).collect();
+        for threads in [1, 4] {
+            let caught = catch_unwind(|| {
+                WorkerPool::new(threads).map(&items, |i, &x| {
+                    assert!(i != 9, "item 9 dies");
+                    x
+                })
+            })
+            .expect_err("the panic must reach the caller");
+            assert!(
+                payload_reason(caught.as_ref()).contains("item 9 dies"),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

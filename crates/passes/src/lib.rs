@@ -12,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use mlcomp_passes::PassManager;
+//! use mlcomp_passes::{PassManager, PhaseOutcome};
 //! use mlcomp_ir::{ModuleBuilder, Type};
 //!
 //! let mut mb = ModuleBuilder::new("m");
@@ -27,8 +27,8 @@
 //! let mut m = mb.build();
 //!
 //! let pm = PassManager::new();
-//! let changed = pm.run_phase(&mut m, "mem2reg").unwrap();
-//! assert!(changed);
+//! let outcome = pm.run_phase_sandboxed(&mut m, "mem2reg", None, "mem2reg").unwrap();
+//! assert_eq!(outcome, PhaseOutcome::Changed);
 //! assert_eq!(m.functions[0].live_inst_count(), 0); // promoted away
 //! ```
 

@@ -88,6 +88,7 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
                 None => {
                     ensure_preheader(f, l.header, &l.blocks);
                     hoisted = true; // CFG changed; restart analysis
+                    changed = true;
                     break;
                 }
             };

@@ -17,7 +17,7 @@
 //! Deterministic fault injection plugs in through an optional
 //! [`mlcomp_faults::FaultPlan`]; with `None` the sandbox adds nothing but
 //! the per-phase verification, and the module trajectory is bit-identical
-//! to [`PassManager::run_sequence`] on healthy phases.
+//! to the raw transforms ([`crate::run_phase_on`]) on healthy phases.
 
 use crate::registry::{is_registered, run_phase_on};
 use mlcomp_faults::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
@@ -275,40 +275,6 @@ pub enum PhaseOutcome {
     Quarantined(QuarantineReason),
 }
 
-/// IR-delta statistics of one sandboxed phase run, as returned by
-/// [`PassManager::phase_stats`]. This is the same per-phase record the
-/// tracer attaches to `"phase"` spans, exposed as a first-class API so
-/// tests and tools can assert on it without a sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Phase name.
-    pub phase: String,
-    /// What the sandbox decided.
-    pub outcome: PhaseOutcome,
-    /// Live instructions in the module before the phase ran.
-    pub insts_before: usize,
-    /// Live instructions after (equal to `insts_before` on rollback).
-    pub insts_after: usize,
-    /// Basic blocks across defined functions before the phase ran.
-    pub blocks_before: usize,
-    /// Basic blocks after (equal to `blocks_before` on rollback).
-    pub blocks_after: usize,
-    /// Wall-clock time of the post-phase verifier run, in nanoseconds.
-    pub verify_ns: u64,
-}
-
-impl PhaseStats {
-    /// Net live instructions removed (negative when the phase grew code).
-    pub fn insts_removed(&self) -> i64 {
-        self.insts_before as i64 - self.insts_after as i64
-    }
-
-    /// Net basic blocks removed (negative when the phase grew the CFG).
-    pub fn blocks_removed(&self) -> i64 {
-        self.blocks_before as i64 - self.blocks_after as i64
-    }
-}
-
 /// Basic blocks across defined (non-declaration) functions.
 fn total_blocks(m: &Module) -> usize {
     m.functions
@@ -328,15 +294,15 @@ pub struct SandboxReport {
     pub quarantine: Quarantine,
 }
 
-/// Runs phases and pipelines over modules, optionally verifying the IR
-/// after every phase (used pervasively in tests; cheap enough to leave on
-/// for experiments too).
+/// Runs phases and pipelines over modules. Every phase runs inside the
+/// sandbox: panics are caught, the module is verified afterwards, and a
+/// failure rolls it back. There is no unsandboxed path.
 ///
 /// # Examples
 ///
 /// ```
 /// use mlcomp_ir::{ModuleBuilder, Type};
-/// use mlcomp_passes::PassManager;
+/// use mlcomp_passes::{PassManager, PhaseOutcome};
 ///
 /// let mut mb = ModuleBuilder::new("demo");
 /// mb.begin_function("double", vec![Type::I64], Type::I64);
@@ -350,78 +316,36 @@ pub struct SandboxReport {
 /// mb.finish_function();
 /// let mut module = mb.build();
 ///
-/// let pm = PassManager::verifying();
-/// let changed = pm.run_sequence(&mut module, ["mem2reg", "simplifycfg"]).unwrap();
-/// assert!(changed >= 1, "mem2reg promotes the stack slot");
+/// let pm = PassManager::new();
+/// let report = pm
+///     .run_sequence_sandboxed(&mut module, ["mem2reg", "simplifycfg"], None, "demo")
+///     .unwrap();
+/// assert!(report.changed >= 1, "mem2reg promotes the stack slot");
+/// assert!(report.quarantine.is_empty());
+/// // A second promotion finds nothing left to do.
+/// let outcome = pm.run_phase_sandboxed(&mut module, "mem2reg", None, "demo").unwrap();
+/// assert_eq!(outcome, PhaseOutcome::Unchanged);
 /// // Unknown names are rejected before any phase runs.
-/// assert!(pm.run_sequence(&mut module, ["mem2reg", "nope"]).is_err());
+/// assert!(pm
+///     .run_sequence_sandboxed(&mut module, ["mem2reg", "nope"], None, "demo")
+///     .is_err());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct PassManager {
-    /// Verify IR well-formedness after every phase, panicking on breakage.
-    pub verify_each: bool,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassManager;
 
 impl PassManager {
-    /// Creates a manager that does not verify between phases.
+    /// Creates a manager.
     pub fn new() -> PassManager {
-        PassManager::default()
-    }
-
-    /// Creates a manager that verifies the module after every phase.
-    pub fn verifying() -> PassManager {
-        PassManager { verify_each: true }
-    }
-
-    /// Runs a single phase by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPhaseError`] if the name is not registered.
-    ///
-    /// # Panics
-    ///
-    /// With [`PassManager::verifying`], panics if the phase produces
-    /// ill-formed IR.
-    pub fn run_phase(&self, m: &mut Module, name: &str) -> Result<bool, UnknownPhaseError> {
-        let changed =
-            run_phase_on(m, name).ok_or_else(|| UnknownPhaseError(name.to_string()))?;
-        if self.verify_each {
-            if let Err(e) = mlcomp_ir::verify(m) {
-                panic!("phase `{name}` produced invalid IR: {e}");
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Runs a sequence of phases; returns the number that reported changes.
-    ///
-    /// The whole sequence is validated against the registry *before* any
-    /// phase runs, so an unknown name can never leave the module
-    /// half-optimized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPhaseError`] naming the first unregistered phase;
-    /// the module is untouched in that case.
-    pub fn run_sequence<'a>(
-        &self,
-        m: &mut Module,
-        names: impl IntoIterator<Item = &'a str>,
-    ) -> Result<usize, UnknownPhaseError> {
-        let names = validate_sequence(names)?;
-        let mut changed = 0;
-        for name in names {
-            if self.run_phase(m, name)? {
-                changed += 1;
-            }
-        }
-        Ok(changed)
+        PassManager
     }
 
     /// Runs one phase inside the sandbox: panics are caught, the module is
     /// verified afterwards, and any failure rolls the module back to its
     /// pre-phase state.
+    ///
+    /// [`PhaseOutcome::Changed`] holds exactly when the module differs
+    /// from its pre-phase state (debug builds assert it), so callers
+    /// branch on the outcome instead of cloning and comparing modules.
     ///
     /// `plan` is the deterministic fault-injection hook (`None` injects
     /// nothing); `site_key` identifies this phase occurrence for the plan —
@@ -439,79 +363,16 @@ impl PassManager {
         plan: Option<&FaultPlan>,
         site_key: &str,
     ) -> Result<PhaseOutcome, UnknownPhaseError> {
-        if !trace::enabled() {
-            return self
-                .sandboxed_phase_inner(m, name, plan, site_key, false)
-                .map(|(outcome, _)| outcome);
-        }
-        let mut span = trace::span("phase");
-        let insts_before = m.total_insts();
-        let blocks_before = total_blocks(m);
-        let (outcome, verify_ns) =
-            self.sandboxed_phase_inner(m, name, plan, site_key, true)?;
-        span.field("phase", name);
-        span.field("insts_before", insts_before);
-        span.field("insts_after", m.total_insts());
-        span.field("blocks_before", blocks_before);
-        span.field("blocks_after", total_blocks(m));
-        span.field("verify_ns", verify_ns);
-        span.field("changed", matches!(outcome, PhaseOutcome::Changed));
-        if let PhaseOutcome::Quarantined(reason) = &outcome {
-            span.field("rollback", true);
-            trace::counter("passes.rollbacks", 1);
-            match reason {
-                QuarantineReason::Panic(_) => trace::counter("passes.rollback.panic", 1),
-                QuarantineReason::VerifierReject(_) => {
-                    trace::counter("passes.rollback.verifier_reject", 1)
-                }
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Runs one phase under the sandbox and returns stats of what it did
-    /// to the IR: instruction/block deltas and verifier time. Rollbacks
-    /// leave the module untouched, so deltas are zero for quarantined
-    /// phases.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPhaseError`] if the name is not registered (the
-    /// module is untouched).
-    pub fn phase_stats(
-        &self,
-        m: &mut Module,
-        name: &str,
-    ) -> Result<PhaseStats, UnknownPhaseError> {
-        let insts_before = m.total_insts();
-        let blocks_before = total_blocks(m);
-        let (outcome, verify_ns) = self.sandboxed_phase_inner(m, name, None, name, true)?;
-        Ok(PhaseStats {
-            phase: name.to_string(),
-            outcome,
-            insts_before,
-            insts_after: m.total_insts(),
-            blocks_before,
-            blocks_after: total_blocks(m),
-            verify_ns,
-        })
-    }
-
-    /// The sandbox core shared by [`PassManager::run_phase_sandboxed`] and
-    /// [`PassManager::phase_stats`]. `time_verify` gates the verifier
-    /// clock reads so the zero-instrumentation path stays free; with it
-    /// `false` the returned `verify_ns` is 0.
-    fn sandboxed_phase_inner(
-        &self,
-        m: &mut Module,
-        name: &str,
-        plan: Option<&FaultPlan>,
-        site_key: &str,
-        time_verify: bool,
-    ) -> Result<(PhaseOutcome, u64), UnknownPhaseError> {
         if !is_registered(name) {
             return Err(UnknownPhaseError(name.to_string()));
         }
+        let mut span = trace::span("phase");
+        let recording = span.is_recording();
+        let (insts_before, blocks_before) = if recording {
+            (m.total_insts(), total_blocks(m))
+        } else {
+            (0, 0)
+        };
         let snapshot = m.clone();
         // AssertUnwindSafe: on unwind the module may be mid-transform, but
         // the only thing we do with it afterwards is overwrite it with the
@@ -522,44 +383,62 @@ impl PassManager {
             }
             run_phase_on(m, name).expect("name validated against registry")
         }));
-        match ran {
+        let mut verify_ns = 0;
+        let outcome = match ran {
+            Err(payload) => PhaseOutcome::Quarantined(QuarantineReason::Panic(
+                mlcomp_faults::panic_reason(payload.as_ref()),
+            )),
             Ok(changed) => {
-                let verify_start = time_verify.then(Instant::now);
+                let verify_start = recording.then(Instant::now);
                 let verdict = mlcomp_ir::verify(m);
-                let verify_ns = verify_start
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
-                let rejection = match verdict {
-                    Err(e) => Some(e.to_string()),
-                    Ok(()) if plan.is_some_and(|p| p.fires(FaultKind::VerifierCorrupt, site_key)) => {
-                        Some(format!(
-                            "{INJECTED_PANIC_PREFIX} verifier corruption at `{site_key}`"
-                        ))
+                if let Some(t) = verify_start {
+                    verify_ns = t.elapsed().as_nanos() as u64;
+                }
+                match verdict {
+                    Err(e) => {
+                        PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(e.to_string()))
                     }
-                    Ok(()) => None,
-                };
-                if let Some(msg) = rejection {
-                    *m = snapshot;
-                    Ok((
-                        PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(msg)),
-                        verify_ns,
-                    ))
-                } else if changed {
-                    Ok((PhaseOutcome::Changed, verify_ns))
-                } else {
-                    Ok((PhaseOutcome::Unchanged, verify_ns))
+                    Ok(())
+                        if plan.is_some_and(|p| p.fires(FaultKind::VerifierCorrupt, site_key)) =>
+                    {
+                        PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(format!(
+                            "{INJECTED_PANIC_PREFIX} verifier corruption at `{site_key}`"
+                        )))
+                    }
+                    Ok(()) if changed => PhaseOutcome::Changed,
+                    Ok(()) => PhaseOutcome::Unchanged,
                 }
             }
-            Err(payload) => {
-                *m = snapshot;
-                Ok((
-                    PhaseOutcome::Quarantined(QuarantineReason::Panic(
-                        mlcomp_faults::panic_reason(payload.as_ref()),
-                    )),
-                    0,
-                ))
+        };
+        if matches!(outcome, PhaseOutcome::Quarantined(_)) {
+            *m = snapshot;
+        } else {
+            debug_assert!(
+                (outcome == PhaseOutcome::Changed) == (*m != snapshot),
+                "phase `{name}` reported {outcome:?}, which disagrees with \
+                 comparing the module to its pre-phase snapshot"
+            );
+        }
+        if recording {
+            span.field("phase", name);
+            span.field("insts_before", insts_before);
+            span.field("insts_after", m.total_insts());
+            span.field("blocks_before", blocks_before);
+            span.field("blocks_after", total_blocks(m));
+            span.field("verify_ns", verify_ns);
+            span.field("changed", outcome == PhaseOutcome::Changed);
+            if let PhaseOutcome::Quarantined(reason) = &outcome {
+                span.field("rollback", true);
+                trace::counter("passes.rollbacks", 1);
+                match reason {
+                    QuarantineReason::Panic(_) => trace::counter("passes.rollback.panic", 1),
+                    QuarantineReason::VerifierReject(_) => {
+                        trace::counter("passes.rollback.verifier_reject", 1)
+                    }
+                }
             }
         }
+        Ok(outcome)
     }
 
     /// Runs a phase sequence with every phase sandboxed: a panicking or
@@ -567,9 +446,8 @@ impl PassManager {
     /// [`Quarantine`], and the sequence *continues* — the semantics of
     /// "this phase was inactive", matching the paper's fallback model.
     ///
-    /// The sequence is validated up front; with `plan = None` and healthy
-    /// phases the module ends up bit-identical to
-    /// [`PassManager::run_sequence`].
+    /// The sequence is validated up front, so an unknown name can never
+    /// leave the module half-optimized.
     ///
     /// # Errors
     ///
@@ -607,9 +485,9 @@ impl PassManager {
         Ok(report)
     }
 
-    /// Runs a standard pipeline level.
-    pub fn run_level(&self, m: &mut Module, level: PipelineLevel) -> usize {
-        self.run_sequence(m, level.phases().iter().copied())
+    /// Runs a standard pipeline level, sandboxed.
+    pub fn run_level(&self, m: &mut Module, level: PipelineLevel) -> SandboxReport {
+        self.run_sequence_sandboxed(m, level.phases().iter().copied(), None, level.flag())
             .expect("pipeline levels only use registered phases")
     }
 }
@@ -665,13 +543,23 @@ mod tests {
         (out.ret, out.counts)
     }
 
+    /// Runs `phase` sandboxed and returns its outcome plus the net live
+    /// instructions it removed (negative when it grew code).
+    fn outcome_and_insts_removed(m: &mut Module, phase: &str) -> (PhaseOutcome, i64) {
+        let before = m.total_insts() as i64;
+        let outcome = PassManager::new()
+            .run_phase_sandboxed(m, phase, None, phase)
+            .unwrap();
+        (outcome, before - m.total_insts() as i64)
+    }
+
     #[test]
     fn all_levels_preserve_behaviour() {
         let reference = run_main(&workload(), 37).0;
         for level in PipelineLevel::ALL {
             let mut m = workload();
-            let pm = PassManager::verifying();
-            pm.run_level(&mut m, level);
+            let report = PassManager::new().run_level(&mut m, level);
+            assert!(report.quarantine.is_empty(), "{level}: {report:?}");
             verify(&m).unwrap();
             assert_eq!(
                 run_main(&m, 37).0,
@@ -710,7 +598,9 @@ mod tests {
     fn unknown_phase_is_an_error() {
         let mut m = workload();
         let pm = PassManager::new();
-        let err = pm.run_phase(&mut m, "fuse-everything").unwrap_err();
+        let err = pm
+            .run_phase_sandboxed(&mut m, "fuse-everything", None, "t")
+            .unwrap_err();
         assert_eq!(err, UnknownPhaseError("fuse-everything".into()));
         assert!(err.to_string().contains("fuse-everything"));
     }
@@ -723,11 +613,10 @@ mod tests {
         let pristine = m.clone();
         let pm = PassManager::new();
         let err = pm
-            .run_sequence(&mut m, ["mem2reg", "fuse-everything", "sccp"])
+            .run_sequence_sandboxed(&mut m, ["mem2reg", "fuse-everything", "sccp"], None, "t")
             .unwrap_err();
         assert_eq!(err, UnknownPhaseError("fuse-everything".into()));
         assert_eq!(m, pristine, "no phase may run when validation fails");
-        // Same contract for the sandboxed variant.
         let err = pm
             .run_sequence_sandboxed(&mut m, ["gvn", "nope"], None, "t")
             .unwrap_err();
@@ -741,7 +630,10 @@ mod tests {
         let mut sandboxed = workload();
         let pm = PassManager::new();
         let seq: Vec<&str> = PipelineLevel::O2.phases().to_vec();
-        let changed = pm.run_sequence(&mut plain, seq.iter().copied()).unwrap();
+        let changed = seq
+            .iter()
+            .filter(|name| run_phase_on(&mut plain, name).unwrap())
+            .count();
         let report = pm
             .run_sequence_sandboxed(&mut sandboxed, seq.iter().copied(), None, "w")
             .unwrap();
@@ -855,64 +747,58 @@ mod tests {
     }
 
     #[test]
-    fn phase_stats_reports_ir_deltas_for_dce_cse_and_sccp() {
+    fn sandbox_reports_ir_deltas_for_dce_cse_and_sccp() {
         // The registry's DCE/CSE/SCCP phases are named `adce`,
         // `early-cse`, and `sccp`.
         for phase in ["adce", "early-cse", "sccp"] {
             let mut m = delta_fixture();
-            let insts_before = m.total_insts();
-            let stats = PassManager::new().phase_stats(&mut m, phase).unwrap();
-            assert_eq!(stats.phase, phase);
-            assert_eq!(stats.outcome, PhaseOutcome::Changed, "{phase}");
-            assert_eq!(stats.insts_before, insts_before, "{phase}");
-            assert_eq!(stats.insts_after, m.total_insts(), "{phase}");
+            assert_eq!(total_blocks(&m), 1, "{phase}");
+            let (outcome, removed) = outcome_and_insts_removed(&mut m, phase);
+            assert_eq!(outcome, PhaseOutcome::Changed, "{phase}");
             assert!(
-                stats.insts_removed() > 0,
-                "{phase} should remove instructions from the fixture: {stats:?}"
+                removed > 0,
+                "{phase} should remove instructions from the fixture: {removed}"
             );
-            assert_eq!(stats.blocks_before, 1, "{phase}");
-            assert_eq!(stats.blocks_after, 1, "{phase}");
+            assert_eq!(total_blocks(&m), 1, "{phase}");
             verify(&m).unwrap();
         }
     }
 
     #[test]
-    fn phase_stats_exact_counts_on_the_fixture() {
+    fn sandbox_exact_deltas_on_the_fixture() {
         // adce kills exactly the one dead multiply.
-        let mut m = delta_fixture();
-        let stats = PassManager::new().phase_stats(&mut m, "adce").unwrap();
-        assert_eq!(stats.insts_removed(), 1, "{stats:?}");
+        let (_, removed) = outcome_and_insts_removed(&mut delta_fixture(), "adce");
+        assert_eq!(removed, 1);
         // early-cse folds the duplicated `p0 + 5`, and its trivial-DCE
         // sweep also picks up the dead multiply: two instructions gone.
-        let mut m = delta_fixture();
-        let stats = PassManager::new().phase_stats(&mut m, "early-cse").unwrap();
-        assert_eq!(stats.insts_removed(), 2, "{stats:?}");
+        let (_, removed) = outcome_and_insts_removed(&mut delta_fixture(), "early-cse");
+        assert_eq!(removed, 2);
         // sccp folds the constant `2 * 3` and, like early-cse, sweeps the
         // trivially dead multiply afterwards.
-        let mut m = delta_fixture();
-        let stats = PassManager::new().phase_stats(&mut m, "sccp").unwrap();
-        assert_eq!(stats.insts_removed(), 2, "{stats:?}");
+        let (_, removed) = outcome_and_insts_removed(&mut delta_fixture(), "sccp");
+        assert_eq!(removed, 2);
     }
 
     #[test]
-    fn phase_stats_unchanged_and_unknown_phases() {
+    fn sandbox_unchanged_and_unknown_phases() {
         let mut m = delta_fixture();
         let pristine = m.clone();
         // `globaldce` has nothing to do on a module with only `main`.
-        let stats = PassManager::new().phase_stats(&mut m, "globaldce").unwrap();
-        assert_eq!(stats.outcome, PhaseOutcome::Unchanged);
-        assert_eq!(stats.insts_removed(), 0);
+        let (outcome, removed) = outcome_and_insts_removed(&mut m, "globaldce");
+        assert_eq!(outcome, PhaseOutcome::Unchanged);
+        assert_eq!(removed, 0);
         assert_eq!(m, pristine);
-        let err = PassManager::new().phase_stats(&mut m, "nope").unwrap_err();
+        let err = PassManager::new()
+            .run_phase_sandboxed(&mut m, "nope", None, "nope")
+            .unwrap_err();
         assert_eq!(err, UnknownPhaseError("nope".into()));
     }
 
     #[test]
-    fn phase_stats_records_rollback_deltas_as_zero() {
+    fn sandbox_records_rollback_deltas_as_zero() {
         use mlcomp_faults::{FaultKind, FaultPlan};
-        // Quarantined phases must report a zero IR delta (the rollback
-        // restored the snapshot); exercised via run_phase_sandboxed so the
-        // fault plan applies, then cross-checked against module state.
+        // Quarantined phases must leave a zero IR delta (the rollback
+        // restored the snapshot).
         let plan = FaultPlan::from_seed(3).with_rate(FaultKind::PhasePanic, 1.0);
         let mut m = delta_fixture();
         let pristine = m.clone();
@@ -934,13 +820,20 @@ mod tests {
         let mut state = 0x9E3779B97F4A7C15u64;
         for trial in 0..12 {
             let mut m = workload();
-            let pm = PassManager::verifying();
+            let pm = PassManager::new();
             for _ in 0..10 {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let idx = (state >> 33) as usize % names.len();
-                pm.run_phase(&mut m, names[idx]).unwrap();
+                let outcome = pm
+                    .run_phase_sandboxed(&mut m, names[idx], None, "t")
+                    .unwrap();
+                assert!(
+                    !matches!(outcome, PhaseOutcome::Quarantined(_)),
+                    "trial {trial}: `{}` {outcome:?}",
+                    names[idx]
+                );
             }
             assert_eq!(
                 run_main(&m, 23).0,

@@ -1456,7 +1456,12 @@ mod tests {
             let reference = p.run_default().unwrap();
             for level in [PipelineLevel::O2, PipelineLevel::O3, PipelineLevel::Oz] {
                 let mut opt = p.clone();
-                PassManager::verifying().run_level(&mut opt.module, level);
+                let report = PassManager::new().run_level(&mut opt.module, level);
+                assert!(
+                    report.quarantine.is_empty(),
+                    "{} under {level}: {report:?}",
+                    p.name
+                );
                 let got = opt
                     .run_default()
                     .unwrap_or_else(|e| panic!("{} trapped after {level}: {e}", p.name));

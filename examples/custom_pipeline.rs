@@ -76,7 +76,8 @@ fn main() {
         "loop-vectorize",
         "simplifycfg",
     ] {
-        pm.run_phase(&mut hand, phase).expect("known phase");
+        pm.run_phase_sandboxed(&mut hand, phase, None, phase)
+            .expect("known phase");
         profile(&hand, &format!("  after {phase}"));
     }
 

@@ -2,8 +2,14 @@
 //! random sequences, and in the standard pipelines — must preserve the
 //! observable behaviour (checksum) of every benchmark program and keep the
 //! IR verifier-clean.
+//!
+//! Every phase run here also checks the sandbox's `changed` bit: the
+//! deployed selector treats a phase as inactive exactly when it reports
+//! anything but `Changed`, so `Changed` must hold exactly when the module
+//! differs from its pre-phase state.
 
-use mlcomp::passes::{registry, PassManager, PipelineLevel};
+use mlcomp::ir::Module;
+use mlcomp::passes::{registry, PassManager, PhaseOutcome, PipelineLevel};
 use mlcomp::suites::BenchProgram;
 use proptest::prelude::*;
 
@@ -27,24 +33,78 @@ fn sample_programs() -> Vec<BenchProgram> {
         .collect()
 }
 
+/// Runs `phase` sandboxed and checks its outcome: the phase must not be
+/// quarantined (a panic or verifier rejection fails the caller), and it
+/// must report `Changed` exactly when the module differs from a clone
+/// taken before it ran. `context` names the program state in messages.
+fn run_checked(module: &mut Module, phase: &str, context: &str) -> PhaseOutcome {
+    let before = module.clone();
+    let outcome = PassManager::new()
+        .run_phase_sandboxed(module, phase, None, phase)
+        .expect("phase exists");
+    assert!(
+        !matches!(outcome, PhaseOutcome::Quarantined(_)),
+        "{context}: `{phase}` was quarantined: {outcome:?}"
+    );
+    let differs = *module != before;
+    assert_eq!(
+        outcome == PhaseOutcome::Changed,
+        differs,
+        "{context}: `{phase}` reported {outcome:?}; module differs from its pre-phase clone: {differs}"
+    );
+    outcome
+}
+
+/// [`run_checked`] over every phase of a standard pipeline level.
+fn run_level_checked(module: &mut Module, level: PipelineLevel, context: &str) {
+    for phase in level.phases() {
+        run_checked(module, phase, &format!("{context} in {level}"));
+    }
+}
+
 #[test]
 fn every_single_phase_preserves_behaviour() {
-    let pm = PassManager::verifying();
+    // Pristine modules plus two states the selector reaches in one step:
+    // rotated loops (what `licm` feeds on) and a simplified CFG.
+    let prefixes: [&[&str]; 3] = [&[], &["loop-rotate"], &["simplifycfg"]];
     for program in sample_programs() {
         let reference = program.run_default().expect("baseline executes");
-        for phase in registry::all_phase_names() {
-            let mut variant = program.clone();
-            pm.run_phase(&mut variant.module, phase)
-                .expect("phase exists");
-            let got = variant
-                .run_default()
-                .unwrap_or_else(|e| panic!("{}/{phase} trapped: {e}", program.name));
-            assert_eq!(
-                got, reference,
-                "{}: phase `{phase}` changed the checksum",
-                program.name
-            );
+        for prefix in prefixes {
+            let context = format!("{} after {prefix:?}", program.name);
+            let mut state = program.clone();
+            for phase in prefix {
+                run_checked(&mut state.module, phase, &context);
+            }
+            for phase in registry::all_phase_names() {
+                let mut variant = state.clone();
+                run_checked(&mut variant.module, phase, &context);
+                let got = variant
+                    .run_default()
+                    .unwrap_or_else(|e| panic!("{context}, `{phase}` trapped: {e}"));
+                assert_eq!(
+                    got, reference,
+                    "{context}: phase `{phase}` changed the checksum"
+                );
+            }
         }
+    }
+}
+
+#[test]
+fn licm_reports_preheader_insertion_as_a_change() {
+    // Inserting a missing preheader edits the module, so `licm` must report
+    // it; otherwise the selector takes the edited module for an inactive step.
+    for (program, prefix) in [("dedup", "loop-rotate"), ("streamcluster", "simplifycfg")] {
+        let mut module = mlcomp::suites::program(program)
+            .expect("suite program")
+            .module;
+        let context = format!("{program} after {prefix}");
+        run_checked(&mut module, prefix, &context);
+        assert_eq!(
+            run_checked(&mut module, "licm", &context),
+            PhaseOutcome::Changed,
+            "{context}"
+        );
     }
 }
 
@@ -55,13 +115,12 @@ fn every_phase_is_deterministic() {
     // states each time) must yield *identical* modules, arena order
     // included — the property that makes trained-selector reloads and
     // dataset extraction bit-reproducible.
-    let pm = PassManager::new();
     for program in sample_programs() {
         for phase in registry::all_phase_names() {
             let mut a = program.module.clone();
             let mut b = program.module.clone();
-            pm.run_phase(&mut a, phase).expect("phase exists");
-            pm.run_phase(&mut b, phase).expect("phase exists");
+            run_checked(&mut a, phase, program.name);
+            run_checked(&mut b, phase, program.name);
             assert_eq!(
                 a, b,
                 "{}: phase `{phase}` is nondeterministic",
@@ -71,15 +130,14 @@ fn every_phase_is_deterministic() {
         // And the composed -O3 pipeline.
         let mut a = program.module.clone();
         let mut b = program.module.clone();
-        pm.run_level(&mut a, PipelineLevel::O3);
-        pm.run_level(&mut b, PipelineLevel::O3);
+        run_level_checked(&mut a, PipelineLevel::O3, program.name);
+        run_level_checked(&mut b, PipelineLevel::O3, program.name);
         assert_eq!(a, b, "{}: -O3 is nondeterministic", program.name);
     }
 }
 
 #[test]
 fn standard_pipelines_preserve_behaviour_everywhere() {
-    let pm = PassManager::verifying();
     for program in mlcomp::suites::parsec_suite()
         .into_iter()
         .chain(mlcomp::suites::beebs_suite())
@@ -87,7 +145,7 @@ fn standard_pipelines_preserve_behaviour_everywhere() {
         let reference = program.run_default().expect("baseline executes");
         for level in PipelineLevel::ALL {
             let mut variant = program.clone();
-            pm.run_level(&mut variant.module, level);
+            run_level_checked(&mut variant.module, level, program.name);
             let got = variant
                 .run_default()
                 .unwrap_or_else(|e| panic!("{}/{level} trapped: {e}", program.name));
@@ -117,18 +175,18 @@ proptest! {
         let programs = sample_programs();
         let program = &programs[program_idx];
         let reference = program.run_default().expect("baseline executes");
-        let pm = PassManager::verifying();
         let mut variant = program.clone();
         let names: Vec<&str> = phase_indices
             .iter()
             .map(|&i| registry::PHASE_NAMES[i])
             .collect();
+        let context = format!("{} under {names:?}", program.name);
         for phase in &names {
-            pm.run_phase(&mut variant.module, phase).expect("phase exists");
+            run_checked(&mut variant.module, phase, &context);
         }
         let got = variant
             .run_default()
-            .unwrap_or_else(|e| panic!("{} under {names:?} trapped: {e}", program.name));
+            .unwrap_or_else(|e| panic!("{context} trapped: {e}"));
         prop_assert_eq!(
             got,
             reference,
