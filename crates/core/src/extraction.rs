@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`variants_per_app`](DataExtraction::variants_per_app) | §IV-B, Fig. 2 box ① | Phase-sequence variants compiled and profiled per application. The paper collects 200–600 data points per platform; `13 apps × 30` (PARSEC, [`Default`]) and `24 × 20` (BEEBS, [`DataExtraction::beebs_default`]) land inside that range. |
 //! | [`min_phases`](DataExtraction::min_phases) / [`max_phases`](DataExtraction::max_phases) | Table VI | Length range of the random permutations drawn from the phase registry (the Table VI pass list). |
-//! | [`seed`](DataExtraction::seed) | §IV-B | Root of *all* extraction randomness. Every `(app, variant)` work item derives its own RNG stream from `(seed, app name, variant index)`, so the dataset is a pure function of this value — independent of thread count, scheduling, and cache hits. |
+//! | [`seed`](DataExtraction::seed) | §IV-B | Root of *all* extraction randomness. Every `(app, variant)` work item derives its own RNG stream from `(seed, app name, variant index)`, so the dataset is a pure function of this value — independent of thread count and scheduling. |
 //! | [`noise`](DataExtraction::noise) | §IV-A (RAPL / hardware counters) | Relative jitter applied to the measured time/energy, emulating real profiling variance. Seeded per `(app, sequence)`, so repeated measurements of the same variant agree. |
 //! | [`num_threads`](DataExtraction::num_threads) | — (this reproduction) | Fan-out width of the worker pool; `0` = host parallelism. Results are bit-identical at any value. |
 //! | [`retry_attempts`](DataExtraction::retry_attempts) | — (robustness) | Bounded per-item retry budget for worker attempts that panic. |
@@ -24,12 +24,9 @@
 //! # Parallel execution
 //!
 //! Extraction fans out at `(app, variant)` granularity on a
-//! [`mlcomp_parallel::WorkerPool`] and deduplicates compile+profile work
-//! through a [`mlcomp_parallel::MemoCache`] keyed by `(app, canonical
-//! phase sequence)` — random permutations collide often at small
-//! [`max_phases`](DataExtraction::max_phases), and anchors repeat across
-//! runs. See `DESIGN.md` for why per-variant seed derivation keeps the
-//! output byte-identical to a sequential run.
+//! [`mlcomp_parallel::WorkerPool`]; each item compiles and profiles its
+//! variant exactly once. See `DESIGN.md` for why per-variant seed
+//! derivation keeps the output byte-identical to a sequential run.
 //!
 //! # Failure handling
 //!
@@ -49,7 +46,7 @@
 use crate::dataset::{Dataset, FailedPoint, FailureReport, QuarantinedPhase, Sample};
 use mlcomp_faults::{quiet_injected_panics, FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
 use mlcomp_ir::InterpConfig;
-use mlcomp_parallel::{seed, MemoCache, WorkerPool};
+use mlcomp_parallel::{seed, WorkerPool};
 use mlcomp_passes::{registry, PassManager, QuarantineEntry};
 use mlcomp_platform::{DynamicFeatures, Profiler, TargetPlatform, Workload};
 use mlcomp_suites::BenchProgram;
@@ -327,7 +324,6 @@ impl DataExtraction {
             quiet_injected_panics();
         }
         let mut run_span = trace::span("extraction");
-        let phases = registry::all_phase_names();
         let pool = WorkerPool::new(self.num_threads);
         // One work item per (app, variant); the pool returns results in
         // item order, which is exactly the sequential sample order.
@@ -354,10 +350,6 @@ impl DataExtraction {
             run_span.field("threads", pool.num_threads());
         }
 
-        // Compile+profile outcomes are pure functions of (app, sequence):
-        // duplicate sequences — frequent for random permutations at small
-        // max_phases — are computed once and served from the cache.
-        let cache: MemoCache<(usize, String), ProfileOutcome> = MemoCache::new();
         let pending: Vec<usize> = (0..items.len()).filter(|&i| outcomes[i].is_none()).collect();
         let budget = if self.max_items_per_run == 0 {
             pending.len()
@@ -394,11 +386,8 @@ impl DataExtraction {
                         );
                     }
                 }
-                let sequence = self.variant_sequence(app, v, phases);
-                let canonical = sequence.join(" ");
-                let outcome = cache.get_or_insert_with((a, canonical), || {
-                    self.compile_and_profile(platform, app, &sequence)
-                });
+                let sequence = self.variant_sequence(app, v);
+                let outcome = self.compile_and_profile(platform, app, &sequence);
                 if item_span.is_recording() {
                     item_span.field("outcome", if outcome.is_ok() { "ok" } else { "failed" });
                 }
@@ -520,8 +509,6 @@ impl DataExtraction {
             run_span.field("samples", dataset.len());
             run_span.field("failed", dataset.failures.failed.len());
             run_span.field("quarantined", dataset.failures.quarantined.len());
-            trace::counter("extraction.cache_hits", cache.hits());
-            trace::counter("extraction.cache_misses", cache.misses());
         }
         Ok(dataset)
     }
@@ -558,7 +545,7 @@ impl DataExtraction {
     /// The phase sequence of one variant: anchors for `v < 3`, then random
     /// permutations drawn from an RNG seeded by the item's identity
     /// `(seed, app, v)` — never from a shared sequential stream.
-    fn variant_sequence(&self, app: &BenchProgram, v: usize, phases: &[&'static str]) -> Vec<String> {
+    fn variant_sequence(&self, app: &BenchProgram, v: usize) -> Vec<String> {
         match v {
             0 => Vec::new(),
             1 => mlcomp_passes::PipelineLevel::O2
@@ -579,16 +566,20 @@ impl DataExtraction {
                 ));
                 let len = rng.gen_range(self.min_phases..=self.max_phases);
                 (0..len)
-                    .map(|_| phases.choose(&mut rng).expect("registry non-empty").to_string())
+                    .map(|_| {
+                        registry::PHASE_NAMES
+                            .choose(&mut rng)
+                            .expect("registry non-empty")
+                            .to_string()
+                    })
                     .collect()
             }
         }
     }
 
     /// Compiles `app` under `sequence` (inside the pass sandbox) and
-    /// profiles it: a pure function of `(self, app, sequence)`, which is
-    /// what makes it memoisable — including the fault decisions, which are
-    /// keyed by `(app, canonical sequence)` exactly like the memo cache.
+    /// profiles it: a pure function of `(self, app, sequence)`, including
+    /// the fault decisions, which are keyed by `(app, canonical sequence)`.
     fn compile_and_profile<P: TargetPlatform + ?Sized>(
         &self,
         platform: &P,
@@ -619,8 +610,7 @@ impl DataExtraction {
         }
         let profiler = if self.noise > 0.0 {
             // Noise is seeded by (seed, app, sequence) — not by sample
-            // position — so repeated profiles of the same variant agree
-            // and the memo cache stays semantics-preserving.
+            // position — so repeated profiles of the same variant agree.
             let noise_seed = seed::combine(
                 seed::combine(self.seed, seed::hash_str(app.name)),
                 seed::hash_str(&canonical),
@@ -771,6 +761,35 @@ mod tests {
             noisy.targets("instructions"),
             "counts stay exact"
         );
+    }
+
+    #[test]
+    fn repeated_sequences_profile_identically() {
+        // compile_and_profile is a pure function of (app, sequence), noise
+        // included: every item profiles its variant itself, so equal
+        // sequences must still yield equal samples.
+        let platform = X86Platform::new();
+        let apps = vec![mlcomp_suites::program("dedup").expect("suite program")];
+        let ds = DataExtraction {
+            variants_per_app: 23,
+            min_phases: 1,
+            max_phases: 1,
+            noise: 0.01,
+            ..DataExtraction::quick()
+        }
+        .run(&platform, &apps)
+        .unwrap();
+        let mut duplicates = 0;
+        for (i, a) in ds.samples.iter().enumerate() {
+            for b in &ds.samples[i + 1..] {
+                if a.sequence == b.sequence {
+                    duplicates += 1;
+                    assert_eq!(a.features, b.features, "{:?}", a.sequence);
+                    assert_eq!(a.metrics, b.metrics, "{:?}", a.sequence);
+                }
+            }
+        }
+        assert!(duplicates > 0, "fixture must draw a repeated sequence");
     }
 
     #[test]

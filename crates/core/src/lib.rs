@@ -32,10 +32,6 @@
 //! ```
 
 pub mod dataset;
-/// Deterministic parallelism primitives (re-export of [`mlcomp_parallel`]):
-/// the scoped [`pool::WorkerPool`], [`pool::MemoCache`] and the
-/// [`pool::seed`] derivation helpers used by [`extraction`].
-pub use mlcomp_parallel as pool;
 pub mod estimator;
 pub mod extraction;
 pub mod mlcomp;

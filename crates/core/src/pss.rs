@@ -660,6 +660,26 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), a.len());
+
+        // Serving contract: the served phases are `optimize`'s first-round
+        // candidates, so its first applied phase is the first served phase
+        // that changes the module, and it applies nothing if none does.
+        let pm = PassManager::new();
+        let mut programs = mlcomp_suites::parsec_suite();
+        programs.extend(mlcomp_suites::beebs_suite());
+        assert_eq!(programs.len(), 37, "all suite programs are checked");
+        for program in &programs {
+            let module = &program.module;
+            let served = selector.select_from_features(&mlcomp_features::extract(module).values);
+            let first_changing = served.iter().copied().find(|&phase| {
+                let outcome = pm
+                    .run_phase_sandboxed(&mut module.clone(), phase, None, phase)
+                    .expect("registry names are valid");
+                outcome == PhaseOutcome::Changed
+            });
+            let (_, applied) = selector.optimize(module);
+            assert_eq!(applied.first().copied(), first_changing, "{}", program.name);
+        }
     }
 
     #[test]

@@ -167,14 +167,6 @@ impl LoopForest {
         LoopForest { loops }
     }
 
-    /// The innermost loop containing `b`, if any.
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops
-            .iter()
-            .filter(|l| l.blocks.contains(&b))
-            .max_by_key(|l| l.depth)
-    }
-
     /// Maximum nesting depth across the function.
     pub fn max_depth(&self) -> u32 {
         self.loops.iter().map(|l| l.depth).max().unwrap_or(0)

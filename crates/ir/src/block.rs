@@ -105,11 +105,6 @@ impl Terminator {
             Terminator::Ret(_) | Terminator::Unreachable => {}
         }
     }
-
-    /// Returns `true` for `Ret`.
-    pub fn is_return(&self) -> bool {
-        matches!(self, Terminator::Ret(_))
-    }
 }
 
 /// A basic block: a straight-line instruction sequence ended by a

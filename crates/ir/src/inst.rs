@@ -579,14 +579,6 @@ impl InstKind {
         )
     }
 
-    /// Returns `true` if the instruction reads memory.
-    pub fn reads_memory(&self) -> bool {
-        matches!(
-            self,
-            InstKind::Load { .. } | InstKind::Call { .. } | InstKind::Memcpy { .. }
-        )
-    }
-
     /// Returns `true` if re-executing the instruction with the same operands
     /// yields the same result and no side effects (candidates for CSE and
     /// hoisting). Loads are excluded; the memory-aware phases handle them.

@@ -190,11 +190,6 @@ impl DynCounts {
             + self.mem_intrinsic
     }
 
-    /// Total memory operations.
-    pub fn memory_ops(&self) -> u64 {
-        self.load + self.store
-    }
-
     /// Adds another count set into this one.
     pub fn merge(&mut self, o: &DynCounts) {
         self.int_alu += o.int_alu;

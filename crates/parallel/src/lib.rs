@@ -5,7 +5,7 @@
 //! and Algorithm 1's model search (fitting up to 21 × 9 model/preprocessor
 //! pipelines) — are embarrassingly parallel *per work item*, but the
 //! reproduction promises **bit-identical results regardless of thread
-//! count**. This crate provides the three pieces that make that promise
+//! count**. This crate provides the two pieces that make that promise
 //! cheap to keep:
 //!
 //! * [`WorkerPool`] — a [`std::thread::scope`]-based fork/join pool whose
@@ -17,19 +17,15 @@
 //! * [`seed`] — stateless seed-derivation helpers so each work item owns an
 //!   independent RNG stream derived from `(base_seed, item identity)`
 //!   rather than a position in a shared sequential stream.
-//! * [`MemoCache`] — a thread-safe memoisation table for pure
-//!   `key → value` computations (profile/feature extraction results).
 //!
 //! No external dependencies and no unsafe code; work distribution uses an
 //! atomic cursor and per-worker result buffers that are merged and sorted
 //! by item index after the scope joins.
 
 use mlcomp_trace as trace;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 pub mod seed;
@@ -258,103 +254,6 @@ impl Default for WorkerPool {
     }
 }
 
-/// A thread-safe memoisation table for pure `key → value` computations.
-///
-/// Used to deduplicate profiling/feature-extraction work: random phase
-/// sequences collide often on small `max_phases`, and the anchor variants
-/// (`unopt`/`-O2`/`-O3`) repeat across runs. Because values must depend
-/// only on their key, a race where two threads compute the same key
-/// concurrently is benign — both compute the same value, one insertion
-/// wins, and `hits`/`misses` counters stay consistent under the same lock.
-///
-/// # Examples
-///
-/// ```
-/// use mlcomp_parallel::MemoCache;
-///
-/// let cache: MemoCache<String, u64> = MemoCache::new();
-/// let v1 = cache.get_or_insert_with("dedup|mem2reg gvn".to_string(), || 42);
-/// let v2 = cache.get_or_insert_with("dedup|mem2reg gvn".to_string(), || unreachable!());
-/// assert_eq!((v1, v2), (42, 42));
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
-/// ```
-#[derive(Debug, Default)]
-pub struct MemoCache<K, V> {
-    inner: Mutex<CacheInner<K, V>>,
-}
-
-#[derive(Debug)]
-struct CacheInner<K, V> {
-    map: HashMap<K, V>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<K, V> Default for CacheInner<K, V> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl<K, V> MemoCache<K, V>
-where
-    K: std::hash::Hash + Eq + Clone,
-    V: Clone,
-{
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(CacheInner::default()),
-        }
-    }
-
-    /// Returns the cached value for `key`, computing and storing it with
-    /// `compute` on a miss.
-    ///
-    /// `compute` runs *outside* the lock so concurrent lookups of other
-    /// keys are never blocked by a slow computation; `compute` must
-    /// therefore be a pure function of `key`.
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        {
-            let mut inner = self.inner.lock().expect("memo cache poisoned");
-            if let Some(v) = inner.map.get(&key) {
-                let v = v.clone();
-                inner.hits += 1;
-                return v;
-            }
-        }
-        let value = compute();
-        let mut inner = self.inner.lock().expect("memo cache poisoned");
-        inner.misses += 1;
-        inner.map.entry(key).or_insert_with(|| value.clone());
-        value
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("memo cache poisoned").hits
-    }
-
-    /// Number of lookups that had to compute their value.
-    pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("memo cache poisoned").misses
-    }
-
-    /// Number of distinct keys currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("memo cache poisoned").map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,25 +371,5 @@ mod tests {
             x
         });
         assert_eq!(out, vec![Ok(1), Ok(2)]);
-    }
-
-    #[test]
-    fn memo_cache_deduplicates() {
-        let cache: MemoCache<u32, u32> = MemoCache::new();
-        let calls = AtomicUsize::new(0);
-        let pool = WorkerPool::new(4);
-        let keys: Vec<u32> = (0..64).map(|i| i % 8).collect();
-        let out = pool.map(&keys, |_, &k| {
-            cache.get_or_insert_with(k, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                k * 10
-            })
-        });
-        assert!(out.iter().zip(&keys).all(|(v, k)| *v == k * 10));
-        assert_eq!(cache.len(), 8);
-        // Benign-race caveat: a key may be computed more than once, but
-        // never more often than it is looked up.
-        assert!(calls.load(Ordering::Relaxed) >= 8);
-        assert!(cache.hits() + cache.misses() == 64);
     }
 }

@@ -26,15 +26,22 @@ pub fn combine(a: u64, b: u64) -> u64 {
     mix(a ^ mix(b ^ 0x6C62_272E_07BB_0142))
 }
 
-/// FNV-1a hash of a string, for folding names into seed material.
+/// FNV-1a 64-bit hash of a byte string — the workspace's one content hash
+/// (seed material, the phase-registry hash, artifact-bundle fingerprints).
 #[inline]
-pub fn hash_str(s: &str) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in s.as_bytes() {
-        h ^= u64::from(*byte);
+    for &byte in bytes {
+        h ^= u64::from(byte);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// FNV-1a hash of a string, for folding names into seed material.
+#[inline]
+pub fn hash_str(s: &str) -> u64 {
+    fnv1a(s.as_bytes())
 }
 
 /// Derives the RNG seed for one `(app, variant)` extraction work item.

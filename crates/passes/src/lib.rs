@@ -50,4 +50,4 @@ pub use manager::{
     PassManager, PhaseOutcome, PipelineLevel, Quarantine, QuarantineEntry, QuarantineReason,
     SandboxReport, UnknownPhaseError,
 };
-pub use registry::{all_phase_names, is_registered, run_phase_on, PHASE_COUNT};
+pub use registry::{is_registered, run_phase_on, PHASE_COUNT};

@@ -816,7 +816,7 @@ mod tests {
         // A light fuzz: fixed pseudo-random phase orders must never change
         // what the program computes.
         let reference = run_main(&workload(), 23).0;
-        let names = crate::registry::all_phase_names();
+        let names = crate::registry::PHASE_NAMES;
         let mut state = 0x9E3779B97F4A7C15u64;
         for trial in 0..12 {
             let mut m = workload();

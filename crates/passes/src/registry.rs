@@ -58,12 +58,6 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "tailcallelim",
 ];
 
-/// All implemented phase names (identical to [`PHASE_NAMES`]; exists so
-/// callers can iterate without knowing the array length).
-pub fn all_phase_names() -> &'static [&'static str] {
-    &PHASE_NAMES
-}
-
 /// Whether `name` is a registered phase — the cheap pre-flight check the
 /// pass manager uses to validate whole sequences before mutating a module.
 pub fn is_registered(name: &str) -> bool {
@@ -87,21 +81,18 @@ pub fn is_registered(name: &str) -> bool {
 /// assert_eq!(registry::registry_hash(), registry::registry_hash());
 /// ```
 pub fn registry_hash() -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(&(PHASE_COUNT as u64).to_le_bytes());
-    for name in PHASE_NAMES {
-        eat(name.as_bytes());
-        eat(&[0]); // separator so renames cannot alias across boundaries
+    hash_names(&PHASE_NAMES)
+}
+
+/// FNV-1a over the name count (little-endian `u64`) followed by each name
+/// and a `0` separator, so renames cannot alias across name boundaries.
+fn hash_names(names: &[&str]) -> u64 {
+    let mut bytes = (names.len() as u64).to_le_bytes().to_vec();
+    for name in names {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0);
     }
-    h
+    mlcomp_parallel::seed::fnv1a(&bytes)
 }
 
 /// Runs one phase by name over a module. Returns `Some(changed)` or `None`
@@ -219,23 +210,9 @@ mod tests {
     fn registry_hash_is_stable_and_order_sensitive() {
         assert_eq!(registry_hash(), registry_hash());
         // Recompute with two names swapped: the hash must differ.
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
         let mut swapped = PHASE_NAMES;
         swapped.swap(0, 1);
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&(PHASE_COUNT as u64).to_le_bytes());
-        for name in swapped {
-            eat(name.as_bytes());
-            eat(&[0]);
-        }
-        assert_ne!(registry_hash(), h);
+        assert_ne!(registry_hash(), hash_names(&swapped));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use mlcomp_ir::analysis::{Cfg, DefUse};
 use mlcomp_ir::{
-    BasicBlock, BinOp, BlockId, Callee, CastOp, Function, Inst, InstId, InstKind, Module,
-    Terminator, Type, UnOp, Value,
+    BinOp, BlockId, Callee, CastOp, Function, Inst, InstId, InstKind, Module, Terminator, Type,
+    UnOp, Value,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -644,24 +644,6 @@ pub fn all_insts(f: &Function) -> Vec<(BlockId, InstId)> {
         }
     }
     v
-}
-
-/// Pushes `inst` just before the terminator of `block`.
-pub fn append_before_term(f: &mut Function, block: BlockId, id: InstId) {
-    f.block_mut(block).insts.push(id);
-}
-
-/// Makes an empty block usable as a landing pad: no instructions, `Br` to
-/// `target`.
-pub fn make_trampoline(f: &mut Function, target: BlockId) -> BlockId {
-    let b = f.add_block();
-    f.block_mut(b).term = Terminator::Br(target);
-    b
-}
-
-/// Basic-block clone helper for a single block (used by jump threading).
-pub fn blocks_of(f: &Function) -> Vec<BasicBlock> {
-    f.blocks.clone()
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 //! [`BundleError`] instead of a policy that silently selects wrong phases.
 
 use mlcomp_core::{DeployError, PerfEstimator, PhaseSequenceSelector};
+use mlcomp_parallel::seed::fnv1a;
 use mlcomp_passes::registry;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
@@ -37,19 +38,6 @@ pub const FORMAT_VERSION: u32 = 1;
 /// a bundle envelope without importing it.
 pub fn fingerprint_of(payload_json: &str) -> u64 {
     fnv1a(payload_json.as_bytes())
-}
-
-/// FNV-1a 64-bit over a byte string — the workspace-standard content hash
-/// (same construction as `registry::registry_hash`).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Loading or constructing an artifact bundle failed.

@@ -89,7 +89,7 @@ impl SequenceCache {
 
     fn shard_for(&self, key: &[i64]) -> &Mutex<Shard> {
         let bytes: Vec<u8> = key.iter().flat_map(|k| k.to_le_bytes()).collect();
-        let h = crate::bundle::fnv1a(&bytes);
+        let h = mlcomp_parallel::seed::fnv1a(&bytes);
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 

@@ -75,7 +75,7 @@ fn every_single_phase_preserves_behaviour() {
             for phase in prefix {
                 run_checked(&mut state.module, phase, &context);
             }
-            for phase in registry::all_phase_names() {
+            for phase in registry::PHASE_NAMES {
                 let mut variant = state.clone();
                 run_checked(&mut variant.module, phase, &context);
                 let got = variant
@@ -116,7 +116,7 @@ fn every_phase_is_deterministic() {
     // included — the property that makes trained-selector reloads and
     // dataset extraction bit-reproducible.
     for program in sample_programs() {
-        for phase in registry::all_phase_names() {
+        for phase in registry::PHASE_NAMES {
             let mut a = program.module.clone();
             let mut b = program.module.clone();
             run_checked(&mut a, phase, program.name);
