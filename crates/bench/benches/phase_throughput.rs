@@ -1,5 +1,6 @@
-//! Per-phase sandboxed throughput over a representative suite module —
-//! the cost of one PSS step's compiler work (snapshot, transform, verify).
+//! Per-phase sandboxed throughput — the cost of one PSS step's compiler
+//! work (snapshot, transform, verify) — on a pristine suite module and, in
+//! the in-situ group, on states that real phase prefixes reach.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_passes::PassManager;
@@ -40,5 +41,34 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// Memory CSE and `instcombine` on unrolled modules, where their cost grows
+/// with the IR: pristine modules hide that.
+fn bench_in_situ(c: &mut Criterion) {
+    let pm = PassManager::new();
+    let mut g = c.benchmark_group("phase-throughput-in-situ");
+    for (name, prefix) in [
+        ("x264", &["loop-unroll"][..]),
+        ("matmult-int", &["sroa", "loop-unroll"][..]),
+    ] {
+        let mut state = mlcomp_suites::program(name).expect("suite program").module;
+        let report = pm
+            .run_sequence_sandboxed(&mut state, prefix.iter().copied(), None, "prefix")
+            .unwrap();
+        assert!(report.quarantine.is_empty(), "prefix {prefix:?} on {name}");
+        let state_name = format!("{name}+{}", prefix.join("+"));
+        println!("{state_name}: {} insts", state.total_insts());
+        for phase in ["gvn", "early-cse-memssa", "instcombine"] {
+            g.bench_function(format!("{phase} on {state_name}"), |b| {
+                b.iter(|| {
+                    let mut m = black_box(state.clone());
+                    pm.run_phase_sandboxed(&mut m, phase, None, phase).unwrap();
+                    black_box(m)
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_in_situ);
 criterion_main!(benches);

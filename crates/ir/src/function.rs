@@ -160,20 +160,18 @@ impl Function {
     /// instructions and terminators of live blocks.
     pub fn replace_all_uses(&mut self, from: InstId, to: Value) {
         let fv = Value::Inst(from);
-        let nblocks = self.blocks.len();
-        for bi in 0..nblocks {
-            if self.blocks[bi].deleted {
-                continue;
+        self.map_uses(|v| if v == fv { to } else { v });
+    }
+
+    /// Rewrites every operand of the instructions and terminators of live
+    /// blocks through `subst`.
+    pub fn map_uses(&mut self, subst: impl Fn(Value) -> Value + Copy) {
+        let Function { blocks, insts, .. } = self;
+        for block in blocks.iter_mut().filter(|b| !b.deleted) {
+            for &id in &block.insts {
+                insts[id.index()].kind.map_operands(subst);
             }
-            let ids: Vec<InstId> = self.blocks[bi].insts.clone();
-            for id in ids {
-                self.insts[id.index()]
-                    .kind
-                    .map_operands(|v| if v == fv { to } else { v });
-            }
-            self.blocks[bi]
-                .term
-                .map_operands(|v| if v == fv { to } else { v });
+            block.term.map_operands(subst);
         }
     }
 

@@ -4,17 +4,21 @@
 //! differ — as in LLVM — in how much memory reasoning they do:
 //!
 //! * `early-cse` reuses loads only within a basic block;
-//! * `early-cse-memssa` adds cross-block load reuse, justified by an
-//!   explicit path-based clobber analysis (our stand-in for MemorySSA);
+//! * `early-cse-memssa` adds cross-block load reuse (our stand-in for
+//!   MemorySSA): a load takes the value of a dominating load or store of
+//!   the same pointer when nothing that may write its memory can run on
+//!   any path between the two. Paths are read off a block-reachability
+//!   bitset, computed once per function, and per-block lists of the
+//!   instructions that may write memory;
 //! * `gvn` additionally canonicalizes commutative operands, catching
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
-use crate::util::{all_insts, may_alias, mem_root, trivial_dce, MemRoot};
+use crate::util::{may_alias, mem_root, trivial_dce, MemRoot};
 use mlcomp_ir::analysis::{Cfg, DomTree};
 use mlcomp_ir::{
     BinOp, BlockId, Callee, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// A hash key identifying a pure expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +81,7 @@ pub fn early_cse(m: &Module, f: &mut Function) -> bool {
     run_cse(m, f, false, false)
 }
 
-/// [`early_cse`] plus cross-block load reuse backed by the path-based
+/// [`early_cse`] plus cross-block load reuse backed by the reachability
 /// clobber analysis (the MemorySSA-powered variant in LLVM).
 pub fn early_cse_memssa(m: &Module, f: &mut Function) -> bool {
     run_cse(m, f, false, true)
@@ -91,14 +95,28 @@ pub fn gvn(m: &Module, f: &mut Function) -> bool {
 
 fn run_cse(m: &Module, f: &mut Function, canonicalize: bool, cross_block_loads: bool) -> bool {
     crate::util::remove_unreachable_blocks(f);
+    let replacements = scoped_replacements(m, f, canonicalize);
+    let mut changed = apply_replacements(f, &replacements);
+    if cross_block_loads {
+        changed |= eliminate_cross_block_loads(m, f);
+    }
+    changed | trivial_dce(m, f, false)
+}
+
+/// The dominator-tree walk of scoped CSE. Returns, per instruction id, the
+/// value that replaces it. Every recorded value is resolved through the
+/// earlier records, so no replacement value is itself replaced.
+fn scoped_replacements(m: &Module, f: &Function, canonicalize: bool) -> Vec<Option<Value>> {
     let cfg = Cfg::new(f);
     let dt = DomTree::new(&cfg);
     let children = dt.children();
-    let mut changed = false;
+    let mut replacements: Vec<Option<Value>> = vec![None; f.insts.len()];
 
-    // Scoped hash: stack of (key → value) scopes along the dom-tree DFS.
-    let mut scopes: Vec<HashMap<ExprKey, Value>> = vec![HashMap::new()];
-    let mut replacements: Vec<(BlockId, InstId, Value)> = Vec::new();
+    // Scoped hash: one table plus the keys each open dom-tree scope
+    // inserted. A key is inserted only after a lookup misses, so closing a
+    // scope never uncovers a shadowed binding.
+    let mut table: HashMap<ExprKey, Value> = HashMap::new();
+    let mut scope_keys: Vec<Vec<ExprKey>> = Vec::new();
 
     #[derive(Clone, Copy)]
     enum Ev {
@@ -109,71 +127,83 @@ fn run_cse(m: &Module, f: &mut Function, canonicalize: bool, cross_block_loads: 
     while let Some(ev) = dfs.pop() {
         match ev {
             Ev::Enter(b) => {
-                scopes.push(HashMap::new());
+                let mut inserted = Vec::new();
                 // Block-local memory state: ptr value → available value.
                 let mut avail_loads: HashMap<Value, Value> = HashMap::new();
-                let ids = f.block(b).insts.clone();
-                for id in ids {
-                    let inst = f.inst(id).clone();
-                    match &inst.kind {
-                        InstKind::Load { ptr, .. } => {
-                            if let Some(&v) = avail_loads.get(ptr) {
-                                if f.value_type(v) == inst.ty {
-                                    replacements.push((b, id, v));
-                                    continue;
-                                }
+                for &id in &f.block(b).insts {
+                    let inst = f.inst(id);
+                    let reuse = match &inst.kind {
+                        InstKind::Load { ptr, .. } => match avail_loads.get(ptr) {
+                            Some(&v) if f.value_type(v) == inst.ty => Some(v),
+                            _ => {
+                                avail_loads.insert(*ptr, Value::Inst(id));
+                                None
                             }
-                            avail_loads.insert(*ptr, Value::Inst(id));
-                        }
+                        },
                         InstKind::Store { ptr, value, .. } => {
                             let root = mem_root(f, *ptr);
                             avail_loads.retain(|p, _| !may_alias(mem_root(f, *p), root));
                             avail_loads.insert(*ptr, *value);
+                            None
                         }
                         InstKind::Memset { .. } | InstKind::Memcpy { .. } => {
                             avail_loads.clear();
+                            None
                         }
                         InstKind::Call { callee, .. } => {
                             if !callee_is_readnone(m, callee) {
                                 avail_loads.clear();
                             }
+                            None
                         }
-                        _ => {
-                            if let Some(key) = expr_key(&inst.kind, inst.ty, canonicalize) {
-                                if let Some(v) = lookup(&scopes, key) {
-                                    replacements.push((b, id, v));
-                                    continue;
-                                }
-                                scopes.last_mut().unwrap().insert(key, Value::Inst(id));
+                        kind => expr_key(kind, inst.ty, canonicalize).and_then(|key| {
+                            let found = table.get(&key).copied();
+                            if found.is_none() {
+                                table.insert(key, Value::Inst(id));
+                                inserted.push(key);
                             }
-                        }
+                            found
+                        }),
+                    };
+                    if let Some(v) = reuse {
+                        replacements[id.index()] = Some(resolve(&replacements, v));
                     }
                 }
+                scope_keys.push(inserted);
                 dfs.push(Ev::Exit);
                 for &c in &children[b.index()] {
                     dfs.push(Ev::Enter(c));
                 }
             }
             Ev::Exit => {
-                scopes.pop();
+                for key in scope_keys.pop().expect("exit follows its enter") {
+                    table.remove(&key);
+                }
             }
         }
     }
-
-    for (b, id, v) in replacements {
-        f.replace_all_uses(id, v);
-        f.remove_from_block(b, id);
-        changed = true;
-    }
-
-    if cross_block_loads {
-        changed |= eliminate_cross_block_loads(m, f);
-    }
-    changed | trivial_dce(m, f, false)
+    replacements
 }
 
-fn lookup(scopes: &[HashMap<ExprKey, Value>], key: ExprKey) -> Option<Value> {
-    scopes.iter().rev().find_map(|s| s.get(&key).copied())
+/// `v` after the replacements recorded so far.
+fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
+    match v {
+        Value::Inst(id) => replacements[id.index()].unwrap_or(v),
+        _ => v,
+    }
+}
+
+/// Rewrites every use of a replaced instruction in one pass over the placed
+/// instructions and terminators, then unplaces the replaced instructions.
+fn apply_replacements(f: &mut Function, replacements: &[Option<Value>]) -> bool {
+    if replacements.iter().all(Option::is_none) {
+        return false;
+    }
+    f.map_uses(|v| resolve(replacements, v));
+    for block in f.blocks.iter_mut().filter(|b| !b.deleted) {
+        block.insts.retain(|id| replacements[id.index()].is_none());
+    }
+    true
 }
 
 fn callee_is_readnone(m: &Module, callee: &Callee) -> bool {
@@ -187,166 +217,277 @@ fn callee_is_readnone(m: &Module, callee: &Callee) -> bool {
     }
 }
 
-/// Location of an instruction: block + position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Loc {
-    /// Containing block.
-    pub block: BlockId,
-    /// Index within the block's instruction list.
-    pub pos: usize,
+/// Block reachability in one or more edges, one bitset row per block.
+struct Reach {
+    words: usize,
+    bits: Vec<u64>,
 }
 
-/// Returns `true` when no instruction that may write `root`'s memory (or
-/// any call that might) can execute on any path from just after `from` to
-/// just before `to`. This is the soundness core of cross-block load
-/// elimination: the candidate blocks are the intersection of
-/// "reachable from `from.block`" and "reaches `to.block`", with cycle-aware
-/// handling of the endpoints.
-pub fn no_clobbers_between(
-    m: &Module,
-    f: &Function,
-    cfg: &Cfg,
-    from: Loc,
-    to: Loc,
-    root: MemRoot,
-) -> bool {
-    // Forward reachability from `from.block` (through successors).
-    let mut fwd: HashSet<BlockId> = HashSet::new();
-    let mut q: VecDeque<BlockId> = cfg.succs[from.block.index()].iter().copied().collect();
-    while let Some(b) = q.pop_front() {
-        if fwd.insert(b) {
-            q.extend(cfg.succs[b.index()].iter().copied());
-        }
-    }
-    // Backward reachability to `to.block` (through predecessors).
-    let mut bwd: HashSet<BlockId> = HashSet::new();
-    let mut q: VecDeque<BlockId> = cfg.preds[to.block.index()].iter().copied().collect();
-    while let Some(b) = q.pop_front() {
-        if bwd.insert(b) {
-            q.extend(cfg.preds[b.index()].iter().copied());
-        }
-    }
-
-    let from_in_cycle = fwd.contains(&from.block);
-    let to_in_cycle = bwd.contains(&to.block);
-
-    let mut candidates: Vec<(BlockId, usize, usize)> = Vec::new(); // (block, lo, hi)
-    let full = |b: BlockId| f.block(b).insts.len();
-
-    if from.block == to.block && !from_in_cycle {
-        // Straight-line within one block.
-        candidates.push((from.block, from.pos + 1, to.pos));
-    } else {
-        // Middle blocks: fully scanned.
-        for &b in fwd.intersection(&bwd) {
-            if b != from.block && b != to.block {
-                candidates.push((b, 0, full(b)));
+impl Reach {
+    fn new(cfg: &Cfg) -> Reach {
+        let n = cfg.succs.len();
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * words];
+        // reach(b) = ∪ over successors s of {s} ∪ reach(s); iterating in
+        // post-order reaches the fixpoint in about loop-depth sweeps.
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for &b in cfg.rpo.iter().rev() {
+                let row = b.index() * words;
+                for &s in &cfg.succs[b.index()] {
+                    let own = &mut bits[row + s.index() / 64];
+                    let bit = 1u64 << (s.index() % 64);
+                    grew |= *own & bit == 0;
+                    *own |= bit;
+                    let succ_row = s.index() * words;
+                    for w in 0..words {
+                        let merged = bits[row + w] | bits[succ_row + w];
+                        grew |= merged != bits[row + w];
+                        bits[row + w] = merged;
+                    }
+                }
             }
         }
-        // Endpoint: tail of `from.block` (whole block if re-enterable).
-        if fwd.contains(&from.block) && bwd.contains(&from.block) && from_in_cycle {
-            candidates.push((from.block, 0, full(from.block)));
-        } else {
-            candidates.push((from.block, from.pos + 1, full(from.block)));
+        Reach { words, bits }
+    }
+
+    /// Whether a path of at least one edge leads from `a` to `b`.
+    fn reaches(&self, a: BlockId, b: BlockId) -> bool {
+        self.bits[a.index() * self.words + b.index() / 64] >> (b.index() % 64) & 1 == 1
+    }
+
+    fn row(&self, a: BlockId) -> &[u64] {
+        &self.bits[a.index() * self.words..(a.index() + 1) * self.words]
+    }
+}
+
+/// The memory instructions of one function, indexed for cross-block load
+/// elimination. Built from the current IR; an index stays valid while only
+/// non-pointer loads are removed, because removing a load reorders nothing
+/// and replacing a non-pointer value rewrites no address.
+struct MemIndex {
+    /// Block and position within it of each placed instruction, by id.
+    place: Vec<(BlockId, u32)>,
+    /// Loads in layout order (blocks in arena order, then position).
+    loads: Vec<InstId>,
+    /// Loads and stores by pointer operand, in layout order.
+    by_ptr: HashMap<Value, Vec<InstId>>,
+    /// Per block, in order: stores, memsets, memcpys and calls not known
+    /// `readnone` — everything that may write memory.
+    clobbers: Vec<Vec<InstId>>,
+    /// Bitset of the blocks whose clobber list is non-empty.
+    clobbered: Vec<u64>,
+}
+
+impl MemIndex {
+    fn new(m: &Module, f: &Function) -> MemIndex {
+        let mut index = MemIndex {
+            place: vec![(BlockId::ENTRY, 0); f.insts.len()],
+            loads: Vec::new(),
+            by_ptr: HashMap::new(),
+            clobbers: vec![Vec::new(); f.blocks.len()],
+            clobbered: vec![0; f.blocks.len().div_ceil(64)],
+        };
+        for b in f.block_ids() {
+            for (pos, &id) in f.block(b).insts.iter().enumerate() {
+                index.place[id.index()] = (b, pos as u32);
+                let writes = match &f.inst(id).kind {
+                    InstKind::Load { ptr, .. } => {
+                        index.loads.push(id);
+                        index.by_ptr.entry(*ptr).or_default().push(id);
+                        false
+                    }
+                    InstKind::Store { ptr, .. } => {
+                        index.by_ptr.entry(*ptr).or_default().push(id);
+                        true
+                    }
+                    InstKind::Memset { .. } | InstKind::Memcpy { .. } => true,
+                    InstKind::Call { callee, .. } => !callee_is_readnone(m, callee),
+                    _ => false,
+                };
+                if writes {
+                    index.clobbers[b.index()].push(id);
+                    index.clobbered[b.index() / 64] |= 1 << (b.index() % 64);
+                }
+            }
         }
-        // Endpoint: head of `to.block`.
-        if to.block != from.block {
-            if fwd.contains(&to.block) && bwd.contains(&to.block) && to_in_cycle {
-                candidates.push((to.block, 0, full(to.block)));
+        index
+    }
+
+    /// The value a dominating load or store of the same pointer makes
+    /// available to `load` with no clobber in between: the first such
+    /// candidate in layout order.
+    fn available_value(
+        &self,
+        f: &Function,
+        dt: &DomTree,
+        reach: &Reach,
+        removed: &[bool],
+        load: InstId,
+    ) -> Option<Value> {
+        let InstKind::Load { ptr, .. } = f.inst(load).kind else {
+            return None;
+        };
+        let ty = f.inst(load).ty;
+        let root = mem_root(f, ptr);
+        let (lb, lpos) = self.place[load.index()];
+        self.by_ptr[&ptr].iter().find_map(|&o| {
+            if o == load || removed[o.index()] {
+                return None;
+            }
+            let avail = match f.inst(o).kind {
+                InstKind::Load { .. } => Value::Inst(o),
+                InstKind::Store { value, .. } => value,
+                _ => return None,
+            };
+            if f.value_type(avail) != ty {
+                return None;
+            }
+            let (ob, opos) = self.place[o.index()];
+            let dominates = if ob == lb {
+                opos < lpos
             } else {
-                candidates.push((to.block, 0, to.pos));
-            }
-        }
+                dt.dominates(ob, lb)
+            };
+            (dominates && self.no_clobbers_between(f, reach, (ob, opos), (lb, lpos), root))
+                .then_some(avail)
+        })
     }
 
-    for (b, lo, hi) in candidates {
-        let insts = &f.block(b).insts;
-        for &id in insts.iter().take(hi).skip(lo) {
-            match &f.inst(id).kind {
-                InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. }
-                    if may_alias(mem_root(f, *ptr), root) =>
+    /// Returns `true` when no instruction that may write `root`'s memory
+    /// (or any call that might) can execute on any path from just after
+    /// `from` to just before `to`, both `(block, position)`. The blocks
+    /// scanned are those reachable from `from`'s block that reach `to`'s;
+    /// an endpoint block is scanned whole when a path can re-enter it.
+    fn no_clobbers_between(
+        &self,
+        f: &Function,
+        reach: &Reach,
+        (fb, fpos): (BlockId, u32),
+        (tb, tpos): (BlockId, u32),
+        root: MemRoot,
+    ) -> bool {
+        let from_in_cycle = reach.reaches(fb, fb);
+        if fb == tb && !from_in_cycle {
+            // Straight-line within one block.
+            return !self.clobbers_in(f, fb, fpos + 1..tpos, root);
+        }
+        // Middle blocks: scanned whole.
+        for (w, (&r, &c)) in reach.row(fb).iter().zip(&self.clobbered).enumerate() {
+            let mut bits = r & c;
+            while bits != 0 {
+                let b = BlockId((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                if b != fb
+                    && b != tb
+                    && reach.reaches(b, tb)
+                    && self.clobbers_in(f, b, 0..u32::MAX, root)
                 {
                     return false;
                 }
-                InstKind::Memcpy { dst, .. } if may_alias(mem_root(f, *dst), root) => {
-                    return false;
-                }
-                InstKind::Call { callee, .. } if !callee_is_readnone(m, callee) => {
-                    return false;
-                }
-                _ => {}
             }
         }
+        // Endpoint: tail of `from`'s block (whole block if re-enterable).
+        let from_lo = if from_in_cycle && reach.reaches(fb, tb) {
+            0
+        } else {
+            fpos + 1
+        };
+        if self.clobbers_in(f, fb, from_lo..u32::MAX, root) {
+            return false;
+        }
+        // Endpoint: head of `to`'s block.
+        let to_hi = if reach.reaches(fb, tb) && reach.reaches(tb, tb) {
+            u32::MAX
+        } else {
+            tpos
+        };
+        fb == tb || !self.clobbers_in(f, tb, 0..to_hi, root)
     }
-    true
+
+    /// Whether a clobber of `root` sits in block `b` at a position within
+    /// `range`. Memory roots are read from the current IR.
+    fn clobbers_in(
+        &self,
+        f: &Function,
+        b: BlockId,
+        range: std::ops::Range<u32>,
+        root: MemRoot,
+    ) -> bool {
+        self.clobbers[b.index()].iter().any(|&c| {
+            range.contains(&self.place[c.index()].1)
+                && match f.inst(c).kind {
+                    InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. } => {
+                        may_alias(mem_root(f, ptr), root)
+                    }
+                    InstKind::Memcpy { dst, .. } => may_alias(mem_root(f, dst), root),
+                    _ => true,
+                }
+        })
+    }
+
+    /// Whether `id` is an operand of a memset or memcpy. The verifier types
+    /// load, store and gep addresses as pointers, but not theirs.
+    fn feeds_memory_intrinsic(&self, f: &Function, id: InstId) -> bool {
+        self.clobbers.iter().flatten().any(|&c| {
+            let kind = &f.inst(c).kind;
+            let mut uses = false;
+            if matches!(kind, InstKind::Memset { .. } | InstKind::Memcpy { .. }) {
+                kind.for_each_operand(|v| uses |= v == Value::Inst(id));
+            }
+            uses
+        })
+    }
 }
 
+/// Replaces each load that a dominating load or store of the same pointer
+/// makes redundant, trying loads and then candidates in layout order.
+///
+/// Removing a load never changes the CFG, so the CFG, dominator tree and
+/// reachability are computed once. The scan resumes after an elimination:
+/// a load that found no candidate cannot gain one, since its candidates,
+/// their dominance and the clobbers in between are unchanged. The one
+/// exception is a load whose value may be an address. Replacing it can
+/// change a pointer operand, a gep base or a memory root, so the scan
+/// rewinds to the first load with a fresh index.
 fn eliminate_cross_block_loads(m: &Module, f: &mut Function) -> bool {
+    let cfg = Cfg::new(f);
+    let dt = DomTree::new(&cfg);
+    let reach = Reach::new(&cfg);
     let mut changed = false;
     loop {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(&cfg);
-        let insts = all_insts(f);
-        // Positions for Loc construction.
-        let pos_of = |b: BlockId, id: InstId, f: &Function| -> usize {
-            f.block(b).insts.iter().position(|&i| i == id).unwrap()
-        };
-        let mut done_one = false;
-        'outer: for (lb, load_id) in &insts {
-            let load = f.inst(*load_id).clone();
-            let InstKind::Load { ptr, .. } = load.kind else {
+        let index = MemIndex::new(m, f);
+        let mut removed = vec![false; f.insts.len()];
+        let mut rewind = false;
+        for &load in &index.loads {
+            let Some(avail) = index.available_value(f, &dt, &reach, &removed, load) else {
                 continue;
             };
-            let root = mem_root(f, ptr);
-            // Find a dominating load or store with the same pointer value.
-            for (ob, oid) in &insts {
-                if oid == load_id {
-                    continue;
-                }
-                let (o_ptr, avail): (Value, Value) = match &f.inst(*oid).kind {
-                    InstKind::Load { ptr: p, .. } => (*p, Value::Inst(*oid)),
-                    InstKind::Store { ptr: p, value, .. } => (*p, *value),
-                    _ => continue,
-                };
-                if o_ptr != ptr || f.value_type(avail) != load.ty {
-                    continue;
-                }
-                let from = Loc {
-                    block: *ob,
-                    pos: pos_of(*ob, *oid, f),
-                };
-                let to = Loc {
-                    block: *lb,
-                    pos: pos_of(*lb, *load_id, f),
-                };
-                let dominates = if ob == lb {
-                    from.pos < to.pos
-                } else {
-                    dt.dominates(*ob, *lb)
-                };
-                if !dominates {
-                    continue;
-                }
-                if no_clobbers_between(m, f, &cfg, from, to, root) {
-                    f.replace_all_uses(*load_id, avail);
-                    f.remove_from_block(*lb, *load_id);
-                    changed = true;
-                    done_one = true;
-                    break 'outer;
-                }
+            rewind = f.inst(load).ty.is_ptr() || index.feeds_memory_intrinsic(f, load);
+            f.replace_all_uses(load, avail);
+            f.remove_from_block(index.place[load.index()].0, load);
+            removed[load.index()] = true;
+            changed = true;
+            if rewind {
+                break;
             }
         }
-        if !done_one {
-            break;
+        if !rewind {
+            return changed;
         }
     }
-    changed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::PHASE_NAMES;
+    use crate::util::all_insts;
+    use crate::{PassManager, PhaseOutcome, QuarantineReason};
     use mlcomp_ir::{verify, Interpreter, ModuleBuilder, RtVal};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn exec(m: &Module, name: &str, args: &[RtVal]) -> Option<RtVal> {
         let fid = m.find_function(name).unwrap();
@@ -559,5 +700,514 @@ mod tests {
         gvn(&mc, &mut m.functions[0]);
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(10)));
+    }
+
+    #[test]
+    fn chained_replacements_leave_no_dangling_use() {
+        // y = a+b; x = a+b; store p, x; v = load p; ret y*v. Scoped CSE maps
+        // x → y and v → x, so v's uses must end up on y, not on the removed x.
+        let mut mb = ModuleBuilder::new("t");
+        mb.begin_function("f", vec![Type::I64, Type::I64], Type::I64);
+        {
+            let mut b = mb.body();
+            let p = b.alloca(1);
+            let y = b.add(b.param(0), b.param(1));
+            let x = b.add(b.param(0), b.param(1));
+            b.store(p, x);
+            let v = b.load(p, Type::I64);
+            let r = b.mul(y, v);
+            b.ret(Some(r));
+        }
+        mb.finish_function();
+        let mut m = mb.build();
+        let mc = m.clone();
+        assert!(early_cse(&mc, &mut m.functions[0]));
+        verify(&m).unwrap();
+        assert_eq!(
+            exec(&m, "f", &[RtVal::I(3), RtVal::I(4)]),
+            Some(RtVal::I(49))
+        );
+    }
+
+    /// Builds `f(x)` over blocks laid out as entry, `late`, `mid`, with
+    /// control running entry → `mid` → `late`; `mid_body` fills `mid`.
+    /// Entry stores `x` to the global `g` and the alloca `a`'s address to
+    /// the alloca `slot`; `late` returns a load of `g`. Returns the module
+    /// and the id of that load.
+    fn late_load_module(
+        mid_body: impl FnOnce(&mut mlcomp_ir::FunctionBuilder<'_>, Value, Value),
+    ) -> (Module, InstId) {
+        let mut mb = ModuleBuilder::new("t");
+        let g = mb.add_global("g", 1);
+        mb.begin_function("f", vec![Type::I64], Type::I64);
+        let late_load;
+        {
+            let mut b = mb.body();
+            let late = b.new_block();
+            let mid = b.new_block();
+            let a = b.alloca(1);
+            let slot = b.alloca(1);
+            b.store(b.global_addr(g), b.param(0));
+            b.store(slot, a);
+            b.br(mid);
+            b.switch_to(late);
+            let v = b.load(b.global_addr(g), Type::I64);
+            b.ret(Some(v));
+            b.switch_to(mid);
+            let g_addr = b.global_addr(g);
+            mid_body(&mut b, g_addr, slot);
+            b.br(late);
+            let Value::Inst(id) = v else { unreachable!() };
+            late_load = id;
+        }
+        mb.finish_function();
+        (mb.build(), late_load)
+    }
+
+    fn load_count(f: &Function) -> usize {
+        all_insts(f)
+            .iter()
+            .filter(|(_, id)| matches!(f.inst(*id).kind, InstKind::Load { .. }))
+            .count()
+    }
+
+    #[test]
+    fn eliminating_a_pointer_load_rewinds_the_scan() {
+        // `late`'s load of g, first in layout, fails at first: `mid` stores
+        // through the loaded pointer q, which may alias anything. Replacing
+        // q, a pointer load later in layout, by `a` turns that store into
+        // one to `a`; only a rescan from the start then forwards x to it.
+        let (mut m, _) = late_load_module(|b, _, slot| {
+            let q = b.load(slot, Type::Ptr);
+            b.store(q, b.const_i64(7));
+        });
+        let mc = m.clone();
+        let mut old = m.clone();
+        assert!(gvn(&mc, &mut m.functions[0]));
+        verify(&m).unwrap();
+        assert_eq!(load_count(&m.functions[0]), 0);
+        assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(5)));
+        assert!(oracle::gvn(&mc, &mut old.functions[0]));
+        assert!(m == old, "the rewrite must match the oracle");
+    }
+
+    #[test]
+    fn first_dominating_candidate_in_layout_order_wins() {
+        // Entry's `store g, x` and mid's `w = load g` both dominate late's
+        // load with no clobber in between; the store comes first in layout.
+        let (mut m, late_load) = late_load_module(|b, g, _| {
+            b.load(g, Type::I64);
+        });
+        let mc = m.clone();
+        let f = &m.functions[0];
+        let cfg = Cfg::new(f);
+        let dt = DomTree::new(&cfg);
+        let reach = Reach::new(&cfg);
+        let index = MemIndex::new(&mc, f);
+        let removed = vec![false; f.insts.len()];
+        assert_eq!(
+            index.available_value(f, &dt, &reach, &removed, late_load),
+            Some(Value::Param(0))
+        );
+        let mut old = m.clone();
+        assert!(gvn(&mc, &mut m.functions[0]));
+        assert!(oracle::gvn(&mc, &mut old.functions[0]));
+        assert!(m == old, "the rewrite must match the oracle");
+    }
+
+    #[test]
+    fn walked_suite_state_with_chained_replacements_is_not_quarantined() {
+        // A state a seeded walk reaches: before the fix, `early-cse-memssa`
+        // left a use of a removed instruction here and was rolled back.
+        let program = mlcomp_suites::program("matmult-float").unwrap();
+        let expected = program.run_default().unwrap();
+        let mut state = program.clone();
+        let prefix = [
+            "instsimplify",
+            "callsite-splitting",
+            "loop-unroll",
+            "sccp",
+            "loop-rotate",
+            "tailcallelim",
+            "early-cse",
+            "licm",
+            "deadargelim",
+            "lower-expect",
+            "simplifycfg",
+            "correlated-propagation",
+            "speculative-execution",
+            "loop-distribute",
+            "loop-unswitch",
+        ];
+        let pm = PassManager::new();
+        let report = pm
+            .run_sequence_sandboxed(&mut state.module, prefix, None, "prefix")
+            .unwrap();
+        assert!(report.quarantine.is_empty());
+        let phase = "early-cse-memssa";
+        let mut old = state.module.clone();
+        assert!(matches!(
+            oracle_phase(&mut old, phase),
+            PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(e)) if e.contains("unplaced")
+        ));
+        let outcome = pm
+            .run_phase_sandboxed(&mut state.module, phase, None, phase)
+            .unwrap();
+        assert_eq!(outcome, PhaseOutcome::Changed);
+        assert_eq!(state.run_default().unwrap(), expected);
+    }
+
+    /// The sandbox's verdict on running `phase` through the oracle,
+    /// mirroring `PassManager::run_phase_sandboxed` without a fault plan.
+    fn oracle_phase(m: &mut Module, phase: &str) -> PhaseOutcome {
+        let pass = match phase {
+            "gvn" => oracle::gvn,
+            "early-cse-memssa" => oracle::early_cse_memssa,
+            other => unreachable!("no oracle for `{other}`"),
+        };
+        let snapshot = m.clone();
+        let mut changed = false;
+        for f in m.functions.iter_mut().filter(|f| !f.is_declaration) {
+            changed |= pass(&snapshot, f);
+        }
+        match verify(m) {
+            Err(e) => {
+                *m = snapshot;
+                PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(e.to_string()))
+            }
+            Ok(()) if changed => PhaseOutcome::Changed,
+            Ok(()) => PhaseOutcome::Unchanged,
+        }
+    }
+
+    /// Runs `gvn` and `early-cse-memssa` on `state` both ways and asserts
+    /// the same outcome and the same module, instruction arena included.
+    fn assert_matches_oracle(state: &Module, context: &str) {
+        for phase in ["gvn", "early-cse-memssa"] {
+            let mut new = state.clone();
+            let outcome = PassManager::new()
+                .run_phase_sandboxed(&mut new, phase, None, phase)
+                .unwrap();
+            let mut old = state.clone();
+            assert_eq!(
+                outcome,
+                oracle_phase(&mut old, phase),
+                "{context}: `{phase}`"
+            );
+            assert!(new == old, "{context}: `{phase}` differs from the oracle");
+        }
+    }
+
+    /// The largest state the oracle checks. Its cost grows superlinearly
+    /// (about a second per call on the 7,000-instruction unrolled `matmult`
+    /// states in a release build), so debug builds check the states up to
+    /// 1,600 instructions and release builds check them all.
+    const ORACLE_MAX_INSTS: usize = if cfg!(debug_assertions) {
+        1_600
+    } else {
+        usize::MAX
+    };
+
+    #[test]
+    fn rewrite_matches_the_oracle_on_the_suites() {
+        let programs: Vec<_> = mlcomp_suites::parsec_suite()
+            .into_iter()
+            .chain(mlcomp_suites::beebs_suite())
+            .collect();
+        assert_eq!(programs.len(), 37);
+        let pm = PassManager::new();
+        // Ordered by the size of the states they tend to reach, so that a
+        // program stops at its first state over the cap.
+        let prefixes: [&[&str]; 5] = [
+            &[],
+            &["inline"],
+            &["mem2reg", "loop-unroll"],
+            &["sroa", "loop-unroll", "instcombine"],
+            &["loop-unroll"],
+        ];
+        let mut checked = 0;
+        for program in &programs {
+            for prefix in prefixes {
+                let mut state = program.module.clone();
+                pm.run_sequence_sandboxed(&mut state, prefix.iter().copied(), None, "prefix")
+                    .unwrap();
+                if state.total_insts() > ORACLE_MAX_INSTS {
+                    break;
+                }
+                assert_matches_oracle(&state, &format!("{} after {prefix:?}", program.name));
+                checked += 1;
+            }
+        }
+        // Seeded random walks, each ending once its module outgrows the cap.
+        let mut rng = StdRng::seed_from_u64(2021);
+        for program in programs.iter().step_by(2) {
+            let mut state = program.module.clone();
+            let mut walk = Vec::new();
+            while walk.len() < 10 {
+                let phase = PHASE_NAMES[rng.gen_range(0..PHASE_NAMES.len())];
+                pm.run_phase_sandboxed(&mut state, phase, None, phase)
+                    .unwrap();
+                walk.push(phase);
+                if state.total_insts() > ORACLE_MAX_INSTS {
+                    break;
+                }
+                assert_matches_oracle(&state, &format!("{} after {walk:?}", program.name));
+                checked += 1;
+            }
+        }
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
+    /// The implementation this module had before its linear-time rewrite,
+    /// kept as a differential oracle: a scope stack searched innermost
+    /// first, replacements applied one at a time, and a cross-block step
+    /// that restarts after every elimination and runs two breadth-first
+    /// searches per candidate pair.
+    mod oracle {
+        use super::super::{callee_is_readnone, expr_key, ExprKey};
+        use crate::util::{all_insts, may_alias, mem_root, trivial_dce, MemRoot};
+        use mlcomp_ir::analysis::{Cfg, DomTree};
+        use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
+        use std::collections::{HashMap, HashSet, VecDeque};
+
+        pub(super) fn early_cse_memssa(m: &Module, f: &mut Function) -> bool {
+            run_cse(m, f, false, true)
+        }
+
+        pub(super) fn gvn(m: &Module, f: &mut Function) -> bool {
+            run_cse(m, f, true, true)
+        }
+
+        fn run_cse(
+            m: &Module,
+            f: &mut Function,
+            canonicalize: bool,
+            cross_block_loads: bool,
+        ) -> bool {
+            crate::util::remove_unreachable_blocks(f);
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(&cfg);
+            let children = dt.children();
+            let mut changed = false;
+
+            let mut scopes: Vec<HashMap<ExprKey, Value>> = vec![HashMap::new()];
+            let mut replacements: Vec<(BlockId, InstId, Value)> = Vec::new();
+
+            #[derive(Clone, Copy)]
+            enum Ev {
+                Enter(BlockId),
+                Exit,
+            }
+            let mut dfs = vec![Ev::Enter(BlockId::ENTRY)];
+            while let Some(ev) = dfs.pop() {
+                match ev {
+                    Ev::Enter(b) => {
+                        scopes.push(HashMap::new());
+                        let mut avail_loads: HashMap<Value, Value> = HashMap::new();
+                        let ids = f.block(b).insts.clone();
+                        for id in ids {
+                            let inst = f.inst(id).clone();
+                            match &inst.kind {
+                                InstKind::Load { ptr, .. } => {
+                                    if let Some(&v) = avail_loads.get(ptr) {
+                                        if f.value_type(v) == inst.ty {
+                                            replacements.push((b, id, v));
+                                            continue;
+                                        }
+                                    }
+                                    avail_loads.insert(*ptr, Value::Inst(id));
+                                }
+                                InstKind::Store { ptr, value, .. } => {
+                                    let root = mem_root(f, *ptr);
+                                    avail_loads.retain(|p, _| !may_alias(mem_root(f, *p), root));
+                                    avail_loads.insert(*ptr, *value);
+                                }
+                                InstKind::Memset { .. } | InstKind::Memcpy { .. } => {
+                                    avail_loads.clear();
+                                }
+                                InstKind::Call { callee, .. } => {
+                                    if !callee_is_readnone(m, callee) {
+                                        avail_loads.clear();
+                                    }
+                                }
+                                _ => {
+                                    if let Some(key) = expr_key(&inst.kind, inst.ty, canonicalize) {
+                                        if let Some(v) = lookup(&scopes, key) {
+                                            replacements.push((b, id, v));
+                                            continue;
+                                        }
+                                        scopes.last_mut().unwrap().insert(key, Value::Inst(id));
+                                    }
+                                }
+                            }
+                        }
+                        dfs.push(Ev::Exit);
+                        for &c in &children[b.index()] {
+                            dfs.push(Ev::Enter(c));
+                        }
+                    }
+                    Ev::Exit => {
+                        scopes.pop();
+                    }
+                }
+            }
+
+            for (b, id, v) in replacements {
+                f.replace_all_uses(id, v);
+                f.remove_from_block(b, id);
+                changed = true;
+            }
+
+            if cross_block_loads {
+                changed |= eliminate_cross_block_loads(m, f);
+            }
+            changed | trivial_dce(m, f, false)
+        }
+
+        fn lookup(scopes: &[HashMap<ExprKey, Value>], key: ExprKey) -> Option<Value> {
+            scopes.iter().rev().find_map(|s| s.get(&key).copied())
+        }
+
+        /// Location of an instruction: block + position.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Loc {
+            block: BlockId,
+            pos: usize,
+        }
+
+        /// `true` when nothing that may write `root`'s memory can execute on
+        /// any path from just after `from` to just before `to`.
+        fn no_clobbers_between(
+            m: &Module,
+            f: &Function,
+            cfg: &Cfg,
+            from: Loc,
+            to: Loc,
+            root: MemRoot,
+        ) -> bool {
+            let mut fwd: HashSet<BlockId> = HashSet::new();
+            let mut q: VecDeque<BlockId> = cfg.succs[from.block.index()].iter().copied().collect();
+            while let Some(b) = q.pop_front() {
+                if fwd.insert(b) {
+                    q.extend(cfg.succs[b.index()].iter().copied());
+                }
+            }
+            let mut bwd: HashSet<BlockId> = HashSet::new();
+            let mut q: VecDeque<BlockId> = cfg.preds[to.block.index()].iter().copied().collect();
+            while let Some(b) = q.pop_front() {
+                if bwd.insert(b) {
+                    q.extend(cfg.preds[b.index()].iter().copied());
+                }
+            }
+
+            let from_in_cycle = fwd.contains(&from.block);
+            let to_in_cycle = bwd.contains(&to.block);
+
+            let mut candidates: Vec<(BlockId, usize, usize)> = Vec::new();
+            let full = |b: BlockId| f.block(b).insts.len();
+
+            if from.block == to.block && !from_in_cycle {
+                candidates.push((from.block, from.pos + 1, to.pos));
+            } else {
+                for &b in fwd.intersection(&bwd) {
+                    if b != from.block && b != to.block {
+                        candidates.push((b, 0, full(b)));
+                    }
+                }
+                if fwd.contains(&from.block) && bwd.contains(&from.block) && from_in_cycle {
+                    candidates.push((from.block, 0, full(from.block)));
+                } else {
+                    candidates.push((from.block, from.pos + 1, full(from.block)));
+                }
+                if to.block != from.block {
+                    if fwd.contains(&to.block) && bwd.contains(&to.block) && to_in_cycle {
+                        candidates.push((to.block, 0, full(to.block)));
+                    } else {
+                        candidates.push((to.block, 0, to.pos));
+                    }
+                }
+            }
+
+            for (b, lo, hi) in candidates {
+                let insts = &f.block(b).insts;
+                for &id in insts.iter().take(hi).skip(lo) {
+                    match &f.inst(id).kind {
+                        InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. }
+                            if may_alias(mem_root(f, *ptr), root) =>
+                        {
+                            return false;
+                        }
+                        InstKind::Memcpy { dst, .. } if may_alias(mem_root(f, *dst), root) => {
+                            return false;
+                        }
+                        InstKind::Call { callee, .. } if !callee_is_readnone(m, callee) => {
+                            return false;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            true
+        }
+
+        fn eliminate_cross_block_loads(m: &Module, f: &mut Function) -> bool {
+            let mut changed = false;
+            loop {
+                let cfg = Cfg::new(f);
+                let dt = DomTree::new(&cfg);
+                let insts = all_insts(f);
+                let pos_of = |b: BlockId, id: InstId, f: &Function| -> usize {
+                    f.block(b).insts.iter().position(|&i| i == id).unwrap()
+                };
+                let mut done_one = false;
+                'outer: for (lb, load_id) in &insts {
+                    let load = f.inst(*load_id).clone();
+                    let InstKind::Load { ptr, .. } = load.kind else {
+                        continue;
+                    };
+                    let root = mem_root(f, ptr);
+                    for (ob, oid) in &insts {
+                        if oid == load_id {
+                            continue;
+                        }
+                        let (o_ptr, avail): (Value, Value) = match &f.inst(*oid).kind {
+                            InstKind::Load { ptr: p, .. } => (*p, Value::Inst(*oid)),
+                            InstKind::Store { ptr: p, value, .. } => (*p, *value),
+                            _ => continue,
+                        };
+                        if o_ptr != ptr || f.value_type(avail) != load.ty {
+                            continue;
+                        }
+                        let from = Loc {
+                            block: *ob,
+                            pos: pos_of(*ob, *oid, f),
+                        };
+                        let to = Loc {
+                            block: *lb,
+                            pos: pos_of(*lb, *load_id, f),
+                        };
+                        let dominates = if ob == lb {
+                            from.pos < to.pos
+                        } else {
+                            dt.dominates(*ob, *lb)
+                        };
+                        if !dominates {
+                            continue;
+                        }
+                        if no_clobbers_between(m, f, &cfg, from, to, root) {
+                            f.replace_all_uses(*load_id, avail);
+                            f.remove_from_block(*lb, *load_id);
+                            changed = true;
+                            done_one = true;
+                            break 'outer;
+                        }
+                    }
+                }
+                if !done_one {
+                    break;
+                }
+            }
+            changed
+        }
     }
 }
