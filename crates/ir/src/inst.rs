@@ -1,6 +1,7 @@
 //! Instructions and their operand kinds.
 
 use crate::block::BlockId;
+use crate::interp::RtVal;
 use crate::types::Type;
 use crate::value::Value;
 use crate::FuncId;
@@ -98,6 +99,46 @@ impl BinOp {
         matches!(self, BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem)
     }
 
+    /// Computes the operation on operands of type `ty`, the result type.
+    /// Integer results wrap to `ty`'s width and `F32` results round to
+    /// `f32` (see [`CastOp::eval`]). Returns `None` for an integer division
+    /// or remainder by zero: the operation traps.
+    #[inline(always)]
+    pub fn eval(self, a: RtVal, b: RtVal, ty: Type) -> Option<RtVal> {
+        use BinOp::*;
+        if self.is_float() {
+            let (x, y) = (a.as_f(), b.as_f());
+            let r = match self {
+                FAdd => x + y,
+                FSub => x - y,
+                FMul => x * y,
+                FDiv => x / y,
+                FRem => x % y,
+                _ => unreachable!("{self} is not a float op"),
+            };
+            return Some(fit(RtVal::F(r), ty));
+        }
+        let (x, y) = (a.as_i(), b.as_i());
+        let r = match self {
+            Add => x.wrapping_add(y),
+            Sub => x.wrapping_sub(y),
+            Mul => x.wrapping_mul(y),
+            SDiv | UDiv | SRem | URem if y == 0 => return None,
+            SDiv => x.wrapping_div(y),
+            UDiv => ((x as u64) / (y as u64)) as i64,
+            SRem => x.wrapping_rem(y),
+            URem => ((x as u64) % (y as u64)) as i64,
+            And => x & y,
+            Or => x | y,
+            Xor => x ^ y,
+            Shl => x.wrapping_shl(y as u32 & 63),
+            AShr => x.wrapping_shr(y as u32 & 63),
+            LShr => ((x as u64).wrapping_shr(y as u32 & 63)) as i64,
+            FAdd | FSub | FMul | FDiv | FRem => unreachable!("{self} is a float op"),
+        };
+        Some(fit(RtVal::I(r), ty))
+    }
+
     /// Short mnemonic used by the printer.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -159,6 +200,23 @@ impl UnOp {
     /// floating-point (sqrt and the transcendentals).
     pub fn is_expensive_float(self) -> bool {
         matches!(self, UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos)
+    }
+
+    /// Computes the operation on an operand of type `ty`, the result type.
+    #[inline(always)]
+    pub fn eval(self, v: RtVal, ty: Type) -> RtVal {
+        let r = match self {
+            UnOp::Neg => RtVal::I(v.as_i().wrapping_neg()),
+            UnOp::Not => RtVal::I(!v.as_i()),
+            UnOp::FNeg => RtVal::F(-v.as_f()),
+            UnOp::FAbs => RtVal::F(v.as_f().abs()),
+            UnOp::Sqrt => RtVal::F(v.as_f().sqrt()),
+            UnOp::Exp => RtVal::F(v.as_f().exp()),
+            UnOp::Log => RtVal::F(v.as_f().ln()),
+            UnOp::Sin => RtVal::F(v.as_f().sin()),
+            UnOp::Cos => RtVal::F(v.as_f().cos()),
+        };
+        fit(r, ty)
     }
 
     /// Short mnemonic used by the printer.
@@ -223,6 +281,16 @@ impl CmpPred {
             CmpPred::Le => CmpPred::Gt,
             CmpPred::Gt => CmpPred::Le,
             CmpPred::Ge => CmpPred::Lt,
+        }
+    }
+
+    /// Evaluates the predicate on two runtime values: ordered float
+    /// comparison when both are floats, signed integer comparison otherwise.
+    #[inline(always)]
+    pub fn eval(self, a: RtVal, b: RtVal) -> bool {
+        match (a, b) {
+            (RtVal::F(x), RtVal::F(y)) => self.eval_float(x, y),
+            _ => self.eval_int(a.as_i(), b.as_i()),
         }
     }
 
@@ -303,6 +371,42 @@ impl CastOp {
             CastOp::FpExt => "fpext",
             CastOp::Bitcast => "bitcast",
         }
+    }
+
+    /// Converts `v` from type `from` to type `to`, with LLVM's semantics
+    /// where the IR can express them: `zext` zero-extends from `from`'s
+    /// width, and `sitofp` to `F32` rounds once, straight to `f32`.
+    ///
+    /// Every evaluator's result is fitted to its type the same way: `I1`
+    /// keeps the low bit, `I32` is held sign-extended in the `i64` payload,
+    /// and `F32` is held as an `f32`-representable `f64`.
+    #[inline(always)]
+    pub fn eval(self, v: RtVal, from: Type, to: Type) -> RtVal {
+        let r = match self {
+            CastOp::Trunc | CastOp::Sext | CastOp::FpExt => v,
+            CastOp::Zext => RtVal::I(match from {
+                Type::I1 => v.as_i() & 1,
+                Type::I32 => v.as_i() as u32 as i64,
+                _ => v.as_i(),
+            }),
+            CastOp::FpToSi => RtVal::I(v.as_f() as i64),
+            CastOp::SiToFp if to == Type::F32 => RtVal::F(v.as_i() as f32 as f64),
+            CastOp::SiToFp => RtVal::F(v.as_i() as f64),
+            CastOp::FpTrunc => RtVal::F(v.as_f() as f32 as f64),
+            CastOp::Bitcast => RtVal::from_bits(v.to_bits(), to),
+        };
+        fit(r, to)
+    }
+}
+
+/// Fits a raw result to its type `ty`, as described on [`CastOp::eval`].
+#[inline(always)]
+fn fit(r: RtVal, ty: Type) -> RtVal {
+    match (r, ty) {
+        (RtVal::I(x), Type::I1) => RtVal::I(x & 1),
+        (RtVal::I(x), Type::I32) => RtVal::I(x as i32 as i64),
+        (RtVal::F(x), Type::F32) => RtVal::F(x as f32 as f64),
+        _ => r,
     }
 }
 

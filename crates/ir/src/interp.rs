@@ -6,10 +6,16 @@
 //! behaviour of the optimized IR — how many multiplies, loads, branches,
 //! vector lanes actually execute — and the platform crate turns those counts
 //! into execution time and energy through its cost models.
+//!
+//! The interpreter does not define what an operator computes. It tallies
+//! each operation into its cost class and calls the operator's `eval`
+//! ([`BinOp::eval`], [`UnOp::eval`], [`CmpPred::eval`](crate::CmpPred::eval),
+//! [`CastOp::eval`](crate::CastOp::eval)), the same definitions constant
+//! folding uses, so a folded program returns what the original returns.
 
 use crate::block::{BlockId, Terminator};
 use crate::function::{FuncId, Function};
-use crate::inst::{BinOp, Callee, CastOp, InstKind, UnOp};
+use crate::inst::{BinOp, Callee, InstKind, UnOp};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
@@ -190,32 +196,28 @@ impl DynCounts {
             + self.mem_intrinsic
     }
 
-    /// Adds another count set into this one.
-    pub fn merge(&mut self, o: &DynCounts) {
-        self.int_alu += o.int_alu;
-        self.int_mul += o.int_mul;
-        self.int_div += o.int_div;
-        self.fp_add += o.fp_add;
-        self.fp_mul += o.fp_mul;
-        self.fp_div += o.fp_div;
-        self.fp_special += o.fp_special;
-        self.load += o.load;
-        self.store += o.store;
-        self.unaligned_mem += o.unaligned_mem;
-        self.vector_ops += o.vector_ops;
-        self.vector_lanes += o.vector_lanes;
-        self.branch += o.branch;
-        self.taken += o.taken;
-        self.jump += o.jump;
-        self.hinted_correct += o.hinted_correct;
-        self.hinted_wrong += o.hinted_wrong;
-        self.call += o.call;
-        self.ret += o.ret;
-        self.phi += o.phi;
-        self.alloca += o.alloca;
-        self.memset_cells += o.memset_cells;
-        self.memcpy_cells += o.memcpy_cells;
-        self.mem_intrinsic += o.mem_intrinsic;
+    /// The cost class a binary operation is tallied under.
+    #[inline(always)]
+    fn bin_class(&mut self, op: BinOp) -> &mut u64 {
+        use BinOp::*;
+        match op {
+            Add | Sub | And | Or | Xor | Shl | AShr | LShr => &mut self.int_alu,
+            Mul => &mut self.int_mul,
+            SDiv | UDiv | SRem | URem => &mut self.int_div,
+            FAdd | FSub => &mut self.fp_add,
+            FMul => &mut self.fp_mul,
+            FDiv | FRem => &mut self.fp_div,
+        }
+    }
+
+    /// The cost class a unary operation is tallied under.
+    #[inline(always)]
+    fn un_class(&mut self, op: UnOp) -> &mut u64 {
+        match op {
+            UnOp::Neg | UnOp::Not => &mut self.int_alu,
+            UnOp::FNeg | UnOp::FAbs => &mut self.fp_add,
+            UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos => &mut self.fp_special,
+        }
     }
 }
 
@@ -531,27 +533,23 @@ impl<'m> Interpreter<'m> {
                     self.counts.vector_ops += 1;
                     self.counts.vector_lanes += *width as u64;
                 }
-                let r = self.eval_bin(*op, a, b, inst.ty)?;
-                Some(r)
+                *self.counts.bin_class(*op) += 1;
+                Some(op.eval(a, b, inst.ty).ok_or(ExecError::DivByZero)?)
             }
             InstKind::Un { op, val } => {
                 let v = self.eval(f, regs, args, *val)?;
-                Some(self.eval_un(*op, v, inst.ty))
+                *self.counts.un_class(*op) += 1;
+                Some(op.eval(v, inst.ty))
             }
             InstKind::Cmp { pred, lhs, rhs } => {
                 let a = self.eval(f, regs, args, *lhs)?;
                 let b = self.eval(f, regs, args, *rhs)?;
-                let r = match (a, b) {
-                    (RtVal::F(x), RtVal::F(y)) => {
-                        self.counts.fp_add += 1;
-                        pred.eval_float(x, y)
-                    }
-                    (x, y) => {
-                        self.counts.int_alu += 1;
-                        pred.eval_int(x.as_i(), y.as_i())
-                    }
-                };
-                Some(RtVal::I(r as i64))
+                if let RtVal::F(_) = a {
+                    self.counts.fp_add += 1;
+                } else {
+                    self.counts.int_alu += 1;
+                }
+                Some(RtVal::I(pred.eval(a, b) as i64))
             }
             InstKind::Select {
                 cond,
@@ -570,7 +568,7 @@ impl<'m> Interpreter<'m> {
             InstKind::Cast { op, val } => {
                 self.counts.int_alu += 1;
                 let v = self.eval(f, regs, args, *val)?;
-                Some(self.eval_cast(*op, v, inst.ty))
+                Some(op.eval(v, f.value_type(*val), inst.ty))
             }
             InstKind::Alloca { cells } => {
                 self.counts.alloca += 1;
@@ -682,189 +680,6 @@ impl<'m> Interpreter<'m> {
             InstKind::Phi { .. } => unreachable!("phis handled at block entry"),
         };
         Ok(out)
-    }
-
-    fn eval_bin(&mut self, op: BinOp, a: RtVal, b: RtVal, ty: Type) -> Result<RtVal, ExecError> {
-        use BinOp::*;
-        if op.is_float() {
-            let (x, y) = (a.as_f(), b.as_f());
-            let r = match op {
-                FAdd => {
-                    self.counts.fp_add += 1;
-                    x + y
-                }
-                FSub => {
-                    self.counts.fp_add += 1;
-                    x - y
-                }
-                FMul => {
-                    self.counts.fp_mul += 1;
-                    x * y
-                }
-                FDiv => {
-                    self.counts.fp_div += 1;
-                    x / y
-                }
-                FRem => {
-                    self.counts.fp_div += 1;
-                    x % y
-                }
-                _ => unreachable!(),
-            };
-            let r = if ty == Type::F32 { r as f32 as f64 } else { r };
-            return Ok(RtVal::F(r));
-        }
-        let (x, y) = (a.as_i(), b.as_i());
-        let r = match op {
-            Add => {
-                self.counts.int_alu += 1;
-                x.wrapping_add(y)
-            }
-            Sub => {
-                self.counts.int_alu += 1;
-                x.wrapping_sub(y)
-            }
-            Mul => {
-                self.counts.int_mul += 1;
-                x.wrapping_mul(y)
-            }
-            SDiv => {
-                self.counts.int_div += 1;
-                if y == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                x.wrapping_div(y)
-            }
-            UDiv => {
-                self.counts.int_div += 1;
-                if y == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                ((x as u64) / (y as u64)) as i64
-            }
-            SRem => {
-                self.counts.int_div += 1;
-                if y == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            URem => {
-                self.counts.int_div += 1;
-                if y == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                ((x as u64) % (y as u64)) as i64
-            }
-            And => {
-                self.counts.int_alu += 1;
-                x & y
-            }
-            Or => {
-                self.counts.int_alu += 1;
-                x | y
-            }
-            Xor => {
-                self.counts.int_alu += 1;
-                x ^ y
-            }
-            Shl => {
-                self.counts.int_alu += 1;
-                x.wrapping_shl(y as u32 & 63)
-            }
-            AShr => {
-                self.counts.int_alu += 1;
-                x.wrapping_shr(y as u32 & 63)
-            }
-            LShr => {
-                self.counts.int_alu += 1;
-                ((x as u64).wrapping_shr(y as u32 & 63)) as i64
-            }
-            _ => unreachable!(),
-        };
-        let r = truncate_int(r, ty);
-        Ok(RtVal::I(r))
-    }
-
-    fn eval_un(&mut self, op: UnOp, v: RtVal, ty: Type) -> RtVal {
-        match op {
-            UnOp::Neg => {
-                self.counts.int_alu += 1;
-                RtVal::I(truncate_int(v.as_i().wrapping_neg(), ty))
-            }
-            UnOp::Not => {
-                self.counts.int_alu += 1;
-                RtVal::I(truncate_int(!v.as_i(), ty))
-            }
-            UnOp::FNeg => {
-                self.counts.fp_add += 1;
-                RtVal::F(-v.as_f())
-            }
-            UnOp::FAbs => {
-                self.counts.fp_add += 1;
-                RtVal::F(v.as_f().abs())
-            }
-            UnOp::Sqrt => {
-                self.counts.fp_special += 1;
-                RtVal::F(v.as_f().sqrt())
-            }
-            UnOp::Exp => {
-                self.counts.fp_special += 1;
-                RtVal::F(v.as_f().exp())
-            }
-            UnOp::Log => {
-                self.counts.fp_special += 1;
-                RtVal::F(v.as_f().ln())
-            }
-            UnOp::Sin => {
-                self.counts.fp_special += 1;
-                RtVal::F(v.as_f().sin())
-            }
-            UnOp::Cos => {
-                self.counts.fp_special += 1;
-                RtVal::F(v.as_f().cos())
-            }
-        }
-    }
-
-    fn eval_cast(&self, op: CastOp, v: RtVal, to: Type) -> RtVal {
-        match op {
-            CastOp::Trunc => RtVal::I(truncate_int(v.as_i(), to)),
-            CastOp::Zext => {
-                let bits = v.as_i();
-                // Zero-extension from I1/I32 source widths: the source was
-                // already truncated at creation, mask defensively.
-                RtVal::I(bits & mask_for(to))
-            }
-            CastOp::Sext => RtVal::I(v.as_i()),
-            CastOp::FpToSi => RtVal::I(truncate_int(v.as_f() as i64, to)),
-            CastOp::SiToFp => RtVal::F(v.as_i() as f64),
-            CastOp::FpTrunc => RtVal::F(v.as_f() as f32 as f64),
-            CastOp::FpExt => RtVal::F(v.as_f()),
-            CastOp::Bitcast => {
-                if to.is_float() {
-                    RtVal::F(f64::from_bits(v.to_bits() as u64))
-                } else {
-                    RtVal::I(v.to_bits())
-                }
-            }
-        }
-    }
-}
-
-fn truncate_int(v: i64, ty: Type) -> i64 {
-    match ty {
-        Type::I1 => v & 1,
-        Type::I32 => v as i32 as i64,
-        _ => v,
-    }
-}
-
-fn mask_for(ty: Type) -> i64 {
-    match ty {
-        Type::I1 => 1,
-        Type::I32 => 0xFFFF_FFFF,
-        _ => -1,
     }
 }
 

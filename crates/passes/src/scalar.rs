@@ -7,7 +7,7 @@ use crate::util::{
 };
 use mlcomp_ir::analysis::DefUse;
 use mlcomp_ir::{
-    BinOp, CastOp, Function, Inst, InstId, InstKind, Module, Terminator, Type, UnOp, Value,
+    BinOp, CastOp, Function, Inst, InstId, InstKind, Module, RtVal, Terminator, Type, UnOp, Value,
 };
 
 /// `instsimplify`: folds instructions to existing values (constants,
@@ -146,13 +146,7 @@ fn combine_one(f: &Function, id: InstId) -> Option<InstKind> {
                             return Some(InstKind::Bin {
                                 op: BinOp::Add,
                                 lhs: l,
-                                rhs: Value::ConstInt(
-                                    match ty {
-                                        Type::I32 => (c as i32).wrapping_neg() as i64,
-                                        _ => c.wrapping_neg(),
-                                    },
-                                    ty,
-                                ),
+                                rhs: Value::ConstInt(UnOp::Neg.eval(RtVal::I(c), ty).as_i(), ty),
                                 width: w,
                             });
                         }
@@ -737,7 +731,7 @@ pub fn alignment_from_assumptions(_m: &Module, f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcomp_ir::{verify, CmpPred, Interpreter, ModuleBuilder, RtVal};
+    use mlcomp_ir::{verify, CmpPred, Interpreter, ModuleBuilder};
 
     fn exec(m: &Module, name: &str, args: &[RtVal]) -> Option<RtVal> {
         let f = m.find_function(name).unwrap();

@@ -4,151 +4,48 @@
 
 use mlcomp_ir::analysis::{Cfg, DefUse};
 use mlcomp_ir::{
-    BinOp, BlockId, Callee, CastOp, Function, Inst, InstId, InstKind, Module, Terminator, Type,
-    UnOp, Value,
+    BinOp, BlockId, Callee, Function, Inst, InstId, InstKind, Module, RtVal, Terminator, Type,
+    Value,
 };
 use std::collections::{HashMap, HashSet};
 
 /// Folds an operation whose operands are all constants into a constant
 /// value. Returns `None` when not fully constant or when folding would
-/// change trap behaviour (division by zero is preserved).
+/// change trap behaviour (division by zero is preserved). The result is
+/// what the interpreter computes: both call the operators' `eval`.
 pub fn fold_constant(kind: &InstKind, ty: Type) -> Option<Value> {
-    match kind {
-        InstKind::Bin { op, lhs, rhs, .. } => {
-            if op.is_float() {
-                let a = lhs.as_const_f64()?;
-                let b = rhs.as_const_f64()?;
-                let r = match op {
-                    BinOp::FAdd => a + b,
-                    BinOp::FSub => a - b,
-                    BinOp::FMul => a * b,
-                    BinOp::FDiv => a / b,
-                    BinOp::FRem => a % b,
-                    _ => unreachable!(),
-                };
-                let r = if ty == Type::F32 { r as f32 as f64 } else { r };
-                Some(Value::ConstFloat(r.to_bits(), ty))
-            } else {
-                let a = lhs.as_const_int()?;
-                let b = rhs.as_const_int()?;
-                let r = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::SDiv => {
-                        if b == 0 {
-                            return None;
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinOp::UDiv => {
-                        if b == 0 {
-                            return None;
-                        }
-                        ((a as u64) / (b as u64)) as i64
-                    }
-                    BinOp::SRem => {
-                        if b == 0 {
-                            return None;
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinOp::URem => {
-                        if b == 0 {
-                            return None;
-                        }
-                        ((a as u64) % (b as u64)) as i64
-                    }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-                    BinOp::AShr => a.wrapping_shr(b as u32 & 63),
-                    BinOp::LShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
-                    _ => unreachable!(),
-                };
-                Some(Value::ConstInt(truncate_int(r, ty), ty))
-            }
-        }
-        InstKind::Un { op, val } => match op {
-            UnOp::Neg => Some(Value::ConstInt(
-                truncate_int(val.as_const_int()?.wrapping_neg(), ty),
-                ty,
-            )),
-            UnOp::Not => Some(Value::ConstInt(truncate_int(!val.as_const_int()?, ty), ty)),
-            UnOp::FNeg => Some(float_const(-val.as_const_f64()?, ty)),
-            UnOp::FAbs => Some(float_const(val.as_const_f64()?.abs(), ty)),
-            UnOp::Sqrt => Some(float_const(val.as_const_f64()?.sqrt(), ty)),
-            UnOp::Exp => Some(float_const(val.as_const_f64()?.exp(), ty)),
-            UnOp::Log => Some(float_const(val.as_const_f64()?.ln(), ty)),
-            UnOp::Sin => Some(float_const(val.as_const_f64()?.sin(), ty)),
-            UnOp::Cos => Some(float_const(val.as_const_f64()?.cos(), ty)),
-        },
+    let r = match kind {
+        InstKind::Bin { op, lhs, rhs, .. } => op.eval(runtime(*lhs)?, runtime(*rhs)?, ty)?,
+        InstKind::Un { op, val } => op.eval(runtime(*val)?, ty),
         InstKind::Cmp { pred, lhs, rhs } => {
-            if let (Some(a), Some(b)) = (lhs.as_const_int(), rhs.as_const_int()) {
-                Some(Value::bool(pred.eval_int(a, b)))
-            } else if let (Some(a), Some(b)) = (lhs.as_const_f64(), rhs.as_const_f64()) {
-                Some(Value::bool(pred.eval_float(a, b)))
-            } else {
-                None
-            }
+            return Some(Value::bool(pred.eval(runtime(*lhs)?, runtime(*rhs)?)))
         }
+        InstKind::Cast { op, val } => op.eval(runtime(*val)?, val.ty_of_const()?, ty),
         InstKind::Select {
             cond,
             then_val,
             else_val,
-        } => match cond.as_const_int() {
-            Some(0) => Some(*else_val),
-            Some(_) => Some(*then_val),
-            None => None,
-        },
-        InstKind::Cast { op, val } => {
-            let v = *val;
-            match op {
-                CastOp::Trunc => Some(Value::ConstInt(truncate_int(v.as_const_int()?, ty), ty)),
-                CastOp::Sext => Some(Value::ConstInt(v.as_const_int()?, ty)),
-                CastOp::Zext => {
-                    let src_ty = v.ty_of_const()?;
-                    let x = v.as_const_int()?;
-                    let ux = match src_ty {
-                        Type::I1 => x & 1,
-                        Type::I32 => x & 0xFFFF_FFFF,
-                        _ => x,
-                    };
-                    Some(Value::ConstInt(ux, ty))
-                }
-                CastOp::FpToSi => Some(Value::ConstInt(
-                    truncate_int(v.as_const_f64()? as i64, ty),
-                    ty,
-                )),
-                CastOp::SiToFp => Some(float_const(v.as_const_int()? as f64, ty)),
-                CastOp::FpTrunc => Some(float_const(v.as_const_f64()? as f32 as f64, ty)),
-                CastOp::FpExt => Some(float_const(v.as_const_f64()?, ty)),
-                CastOp::Bitcast => match v {
-                    Value::ConstInt(x, _) if ty.is_float() => Some(Value::ConstFloat(x as u64, ty)),
-                    Value::ConstInt(x, _) => Some(Value::ConstInt(x, ty)),
-                    Value::ConstFloat(bits, _) if ty.is_int() => {
-                        Some(Value::ConstInt(bits as i64, ty))
-                    }
-                    _ => None,
-                },
+        } => {
+            return match cond.as_const_int()? {
+                0 => Some(*else_val),
+                _ => Some(*then_val),
             }
         }
-        InstKind::Expect { val, .. } if val.is_const() => Some(*val),
+        InstKind::Expect { val, .. } if val.is_const() => return Some(*val),
+        _ => return None,
+    };
+    Some(match r {
+        RtVal::I(x) => Value::ConstInt(x, ty),
+        RtVal::F(x) => Value::ConstFloat(x.to_bits(), ty),
+    })
+}
+
+/// The runtime value of a numeric constant.
+fn runtime(v: Value) -> Option<RtVal> {
+    match v {
+        Value::ConstInt(x, _) => Some(RtVal::I(x)),
+        Value::ConstFloat(bits, _) => Some(RtVal::F(f64::from_bits(bits))),
         _ => None,
-    }
-}
-
-fn float_const(v: f64, ty: Type) -> Value {
-    let v = if ty == Type::F32 { v as f32 as f64 } else { v };
-    Value::ConstFloat(v.to_bits(), ty)
-}
-
-fn truncate_int(v: i64, ty: Type) -> i64 {
-    match ty {
-        Type::I1 => v & 1,
-        Type::I32 => v as i32 as i64,
-        _ => v,
     }
 }
 

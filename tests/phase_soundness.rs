@@ -3,15 +3,23 @@
 //! observable behaviour (checksum) of every benchmark program and keep the
 //! IR verifier-clean.
 //!
+//! The operator oracle below holds the folding phases to the interpreter
+//! on single instructions over edge constants, including the `I32` and
+//! `F32` values no suite program reaches.
+//!
 //! Every phase run here also checks the sandbox's `changed` bit: the
 //! deployed selector treats a phase as inactive exactly when it reports
 //! anything but `Changed`, so `Changed` must hold exactly when the module
 //! differs from its pre-phase state.
 
-use mlcomp::ir::Module;
+use mlcomp::ir::{
+    BinOp, CastOp, CmpPred, ExecError, FunctionBuilder, Interpreter, Module, ModuleBuilder, RtVal,
+    Type, UnOp, Value,
+};
 use mlcomp::passes::{registry, PassManager, PhaseOutcome, PipelineLevel};
 use mlcomp::suites::BenchProgram;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn sample_programs() -> Vec<BenchProgram> {
     // A structurally diverse subset (loops, recursion, floats, switches,
@@ -156,6 +164,201 @@ fn standard_pipelines_preserve_behaviour_everywhere() {
             );
         }
     }
+}
+
+/// What running `main` observably produced. Floats are kept as raw bits,
+/// so `-0.0` differs from `0.0`, but every NaN is one value.
+#[derive(Debug, PartialEq)]
+enum Observed {
+    Int(i64),
+    Float(u64),
+    Trap(ExecError),
+}
+
+fn observe(module: &Module, args: &[RtVal]) -> Observed {
+    let main = module.find_function("main").expect("module has `main`");
+    match Interpreter::new(module).run(main, args) {
+        Ok(out) => match out.ret.expect("`main` returns a value") {
+            RtVal::I(x) => Observed::Int(x),
+            RtVal::F(x) if x.is_nan() => Observed::Float(f64::NAN.to_bits()),
+            RtVal::F(x) => Observed::Float(x.to_bits()),
+        },
+        Err(e) => Observed::Trap(e),
+    }
+}
+
+/// A module whose `main(params)` returns the value `body` emits.
+fn single_function(
+    params: Vec<Type>,
+    ret: Type,
+    body: impl FnOnce(&mut FunctionBuilder<'_>) -> Value,
+) -> Module {
+    let mut mb = ModuleBuilder::new("oracle");
+    mb.begin_function("main", params, ret);
+    {
+        let mut b = mb.body();
+        let v = body(&mut b);
+        b.ret(Some(v));
+    }
+    mb.finish_function();
+    mb.build()
+}
+
+const INT_TYPES: [Type; 3] = [Type::I1, Type::I32, Type::I64];
+const FLOAT_TYPES: [Type; 2] = [Type::F32, Type::F64];
+
+/// The distinct edge constants of type `ty`, each fitted to the type.
+fn edge_constants(ty: Type) -> Vec<Value> {
+    const INTS: [i64; 8] = [
+        0,
+        1,
+        -1,
+        2,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        i64::MIN,
+        16_777_217,
+    ];
+    const FLOATS: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        2.0,
+        i32::MIN as f64,
+        i32::MAX as f64,
+        i64::MIN as f64,
+        16_777_217.0,
+        f64::NAN,
+    ];
+    let all: Vec<Value> = match ty {
+        Type::I1 => INTS.iter().map(|&x| Value::bool(x & 1 == 1)).collect(),
+        Type::I32 => INTS.iter().map(|&x| Value::i32(x as i32)).collect(),
+        Type::I64 => INTS.iter().map(|&x| Value::i64(x)).collect(),
+        Type::F32 => FLOATS.iter().map(|&x| Value::f32(x as f32)).collect(),
+        _ => FLOATS.iter().map(|&x| Value::f64(x)).collect(),
+    };
+    let mut seen = HashSet::new();
+    all.into_iter().filter(|v| seen.insert(*v)).collect()
+}
+
+/// Every well-typed cast among the scalar types: `trunc` narrows, `zext`
+/// and `sext` widen, and `bitcast` keeps the width.
+fn cast_signatures() -> Vec<(CastOp, Type, Type)> {
+    let mut casts = vec![
+        (CastOp::FpTrunc, Type::F64, Type::F32),
+        (CastOp::FpExt, Type::F32, Type::F64),
+        (CastOp::Bitcast, Type::I64, Type::F64),
+        (CastOp::Bitcast, Type::F64, Type::I64),
+        (CastOp::Bitcast, Type::I32, Type::F32),
+        (CastOp::Bitcast, Type::F32, Type::I32),
+    ];
+    for from in INT_TYPES {
+        for to in INT_TYPES {
+            if from.bit_width() > to.bit_width() {
+                casts.push((CastOp::Trunc, from, to));
+            } else if from.bit_width() < to.bit_width() {
+                casts.push((CastOp::Zext, from, to));
+                casts.push((CastOp::Sext, from, to));
+            }
+        }
+        for fty in FLOAT_TYPES {
+            casts.push((CastOp::SiToFp, from, fty));
+            casts.push((CastOp::FpToSi, fty, from));
+        }
+    }
+    casts
+}
+
+#[test]
+fn constant_folding_equals_execution() {
+    // Each folding phase must compute what the interpreter computes, or
+    // leave the instruction alone: a fold that disagrees changes the
+    // program's result, here its return value or its trap.
+    const FOLDERS: [&str; 4] = ["sccp", "ipsccp", "instsimplify", "instcombine"];
+    let check = |ret: Type, what: String, body: &dyn Fn(&mut FunctionBuilder<'_>) -> Value| {
+        let module = single_function(vec![], ret, body);
+        let reference = observe(&module, &[]);
+        for phase in FOLDERS {
+            let mut folded = module.clone();
+            run_checked(&mut folded, phase, &what);
+            assert_eq!(
+                observe(&folded, &[]),
+                reference,
+                "{what}: `{phase}` changed the result"
+            );
+        }
+    };
+    use BinOp::*;
+    let binops = [
+        Add, Sub, Mul, SDiv, UDiv, SRem, URem, FAdd, FSub, FMul, FDiv, FRem, And, Or, Xor, Shl,
+        AShr, LShr,
+    ];
+    for op in binops {
+        let types: &[Type] = if op.is_float() {
+            &FLOAT_TYPES
+        } else {
+            &INT_TYPES
+        };
+        for &ty in types {
+            for a in edge_constants(ty) {
+                for b in edge_constants(ty) {
+                    check(ty, format!("{op} {a}, {b}"), &|fb| fb.bin(op, a, b));
+                }
+            }
+        }
+    }
+    use UnOp::*;
+    for op in [Neg, FNeg, Not, Sqrt, FAbs, Exp, Log, Sin, Cos] {
+        let types: &[Type] = if matches!(op, Neg | Not) {
+            &INT_TYPES
+        } else {
+            &FLOAT_TYPES
+        };
+        for &ty in types {
+            for v in edge_constants(ty) {
+                check(ty, format!("{op} {v}"), &|fb| fb.un(op, v));
+            }
+        }
+    }
+    use CmpPred::*;
+    for pred in [Eq, Ne, Lt, Le, Gt, Ge] {
+        for ty in INT_TYPES.into_iter().chain(FLOAT_TYPES) {
+            for a in edge_constants(ty) {
+                for b in edge_constants(ty) {
+                    check(Type::I1, format!("cmp {pred} {a}, {b}"), &|fb| {
+                        fb.cmp(pred, a, b)
+                    });
+                }
+            }
+        }
+    }
+    for (op, from, to) in cast_signatures() {
+        for v in edge_constants(from) {
+            check(to, format!("{op} {v} to {to}"), &|fb| fb.cast(op, v, to));
+        }
+    }
+}
+
+#[test]
+fn bdce_mask_rewrite_keeps_zero_extension() {
+    // `bdce` rewrites `zext(trunc x to i32)` to `and x, 0xFFFFFFFF`, which
+    // is sound only if `zext` zero-extends from the 32-bit source.
+    let module = single_function(vec![Type::I64], Type::I64, |b| {
+        let t = b.cast(CastOp::Trunc, b.param(0), Type::I32);
+        b.cast(CastOp::Zext, t, Type::I64)
+    });
+    let what = "zext(trunc x to i32) at x = -1";
+    let args = [RtVal::I(-1)];
+    let reference = observe(&module, &args);
+    assert_eq!(reference, Observed::Int(0xFFFF_FFFF), "{what}");
+    let mut rewritten = module.clone();
+    assert_eq!(
+        run_checked(&mut rewritten, "bdce", what),
+        PhaseOutcome::Changed,
+        "{what}"
+    );
+    assert_eq!(observe(&rewritten, &args), reference, "{what}: `bdce`");
 }
 
 proptest! {
