@@ -42,22 +42,33 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Memory CSE and `instcombine` on unrolled modules, where their cost grows
-/// with the IR: pristine modules hide that.
+/// with the IR: pristine modules hide that. Also `loop-unroll` itself, on
+/// pristine `x264` (a run RL training repeats) and once more on its output,
+/// where it changes nothing: the cost of an inactive phase run.
 fn bench_in_situ(c: &mut Criterion) {
     let pm = PassManager::new();
     let mut g = c.benchmark_group("phase-throughput-in-situ");
-    for (name, prefix) in [
-        ("x264", &["loop-unroll"][..]),
-        ("matmult-int", &["sroa", "loop-unroll"][..]),
+    for (name, prefix, phases) in [
+        ("x264", &[][..], &["loop-unroll"][..]),
+        (
+            "x264",
+            &["loop-unroll"][..],
+            &["gvn", "early-cse-memssa", "instcombine", "loop-unroll"][..],
+        ),
+        (
+            "matmult-int",
+            &["sroa", "loop-unroll"][..],
+            &["gvn", "early-cse-memssa", "instcombine"][..],
+        ),
     ] {
         let mut state = mlcomp_suites::program(name).expect("suite program").module;
         let report = pm
             .run_sequence_sandboxed(&mut state, prefix.iter().copied(), None, "prefix")
             .unwrap();
         assert!(report.quarantine.is_empty(), "prefix {prefix:?} on {name}");
-        let state_name = format!("{name}+{}", prefix.join("+"));
+        let state_name = [name].iter().chain(prefix).copied().collect::<Vec<_>>().join("+");
         println!("{state_name}: {} insts", state.total_insts());
-        for phase in ["gvn", "early-cse-memssa", "instcombine"] {
+        for &phase in phases {
             g.bench_function(format!("{phase} on {state_name}"), |b| {
                 b.iter(|| {
                     let mut m = black_box(state.clone());

@@ -170,6 +170,9 @@ pub struct CompilerEnv<'a> {
     max_inactive: usize,
     rng: rand::rngs::StdRng,
     module: Option<Module>,
+    /// The projected state of `module`, returned again by steps that leave
+    /// it unchanged.
+    state: Vec<f64>,
     last_pred: DynamicFeatures,
     inactive: usize,
 }
@@ -194,6 +197,7 @@ impl<'a> CompilerEnv<'a> {
             max_inactive,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             module: None,
+            state: Vec::new(),
             last_pred: DynamicFeatures::from_array([0.0; 4]),
             inactive: 0,
         }
@@ -218,8 +222,11 @@ impl Env for CompilerEnv<'_> {
     fn reset(&mut self) -> Vec<f64> {
         let idx = self.rng.gen_range(0..self.programs.len());
         let module = self.programs[idx].module.clone();
+        // Suite modules verify, which `run_phase_sandboxed` requires.
+        debug_assert!(mlcomp_ir::verify(&module).is_ok());
         let (state, pred) = self.observe(&module);
         self.module = Some(module);
+        self.state = state.clone();
         self.last_pred = pred;
         self.inactive = 0;
         state
@@ -235,17 +242,18 @@ impl Env for CompilerEnv<'_> {
             .expect("registry names are valid");
         if outcome != PhaseOutcome::Changed {
             // The phase did nothing: small cost, episode ends after a run
-            // of `max_inactive` such steps (the Table V limit).
+            // of `max_inactive` such steps (the Table V limit). The module
+            // equals the one last observed, so its state is reused.
             self.inactive += 1;
             let done = self.inactive >= self.max_inactive;
-            let (state, _) = self.observe(&module);
             self.module = Some(module);
-            return (state, -0.01, done);
+            return (self.state.clone(), -0.01, done);
         }
         self.inactive = 0;
         let (state, pred) = self.observe(&module);
         let reward = self.weights.reward(&self.last_pred, &pred);
         self.last_pred = pred;
+        self.state = state.clone();
         self.module = Some(module);
         (state, reward, false)
     }
@@ -430,12 +438,18 @@ impl PhaseSequenceSelector {
     /// third, … best up to "max inactive subsequence length"; stops when
     /// the fallback budget is exhausted or the sequence reaches
     /// "max phase sequence length".
+    ///
+    /// An input that fails [`mlcomp_ir::verify`] runs no phase: it comes
+    /// back unchanged with an empty sequence.
     pub fn optimize(&self, module: &Module) -> (Module, Vec<&'static str>) {
         let mut span = trace::span("pss.optimize");
         let pm = PassManager::new();
         let mut current = module.clone();
         let mut applied: Vec<&'static str> = Vec::new();
-        while applied.len() < self.config.max_seq_len {
+        // One check up front establishes `run_phase_sandboxed`'s
+        // precondition for every phase below.
+        let valid = mlcomp_ir::verify(module).is_ok();
+        while valid && applied.len() < self.config.max_seq_len {
             let feats = mlcomp_features::extract(&current);
             let state = self.projector.project(&feats.values);
             let ranked = self.policy.ranked_actions(&state);
@@ -557,6 +571,70 @@ mod tests {
         // Re-running it is inactive.
         let (_s2, r2, _) = env.step(m2r);
         assert!(r2 <= 0.0);
+    }
+
+    #[test]
+    fn every_step_state_matches_a_fresh_observation() {
+        let (apps, pe, projector) = setup();
+        let mut env = CompilerEnv::new(&apps, &pe, &projector, RewardWeights::default(), 8, 3);
+        let bits = |state: &[f64]| -> Vec<u64> { state.iter().map(|v| v.to_bits()).collect() };
+        let fresh = |env: &CompilerEnv| {
+            let module = env.module.as_ref().expect("reset");
+            bits(&projector.project(&mlcomp_features::extract(module).values))
+        };
+        let s0 = env.reset();
+        assert_eq!(bits(&s0), fresh(&env));
+        let mut inactive = 0;
+        for action in 0..registry::PHASE_COUNT {
+            let before = env.module.clone();
+            let (state, _, done) = env.step(action);
+            if env.module == before {
+                inactive += 1;
+            }
+            assert_eq!(
+                bits(&state),
+                fresh(&env),
+                "after `{}`",
+                registry::PHASE_NAMES[action]
+            );
+            if done {
+                env.reset();
+            }
+        }
+        assert!(inactive > 0, "the walk must include inactive steps");
+    }
+
+    #[test]
+    fn optimize_returns_an_invalid_input_untouched() {
+        let programs = mlcomp_suites::parsec_suite();
+        let rows = programs
+            .iter()
+            .map(|p| mlcomp_features::extract(&p.module).values)
+            .collect();
+        let projector = FeatureProjector::fit(&mlcomp_linalg::Matrix::from_vec_rows(rows)).unwrap();
+        let selector = PhaseSequenceSelector {
+            policy: PolicyNet::new(projector.out_dim(), 4, registry::PHASE_COUNT, 7),
+            projector,
+            config: PssConfig::quick(),
+        };
+        // `main` declares an `i64` result but returns nothing; its stack
+        // slot would otherwise give `mem2reg` work.
+        let mut mb = mlcomp_ir::ModuleBuilder::new("bad");
+        mb.begin_function("main", vec![mlcomp_ir::Type::I64], mlcomp_ir::Type::I64);
+        {
+            let mut b = mb.body();
+            let slot = b.local(b.param(0));
+            b.load(slot, mlcomp_ir::Type::I64);
+            b.ret(None);
+        }
+        mb.finish_function();
+        let bad = mb.build();
+        assert!(mlcomp_ir::verify(&bad).is_err());
+        let (out, phases) = selector.optimize(&bad);
+        assert!(phases.is_empty(), "{phases:?}");
+        assert_eq!(out, bad);
+        // The same selector does apply phases to a valid program.
+        assert!(!selector.optimize(&programs[0].module).1.is_empty());
     }
 
     #[test]

@@ -500,6 +500,9 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
     let mut changed = false;
     loop {
         let (cfg, _dt, lf) = forest(f);
+        // Built on the first candidate that needs it: `f` stays unchanged
+        // until an unroll, after which the forest is rebuilt.
+        let mut du: Option<DefUse> = None;
         let mut unrolled = false;
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
@@ -543,16 +546,13 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             }
             // The exit compare must feed only the header terminator;
             // anything else would dangle after the header is deleted.
-            {
-                let du = DefUse::new(f);
-                if !du.uses_of(tc.cmp).iter().all(|u| {
-                    matches!(u, mlcomp_ir::analysis::UseSite::Term(b) if *b == l.header)
-                }) {
-                    continue;
-                }
+            let du = du.get_or_insert_with(|| DefUse::new(f));
+            if !du.uses_of(tc.cmp).iter().all(|u| {
+                matches!(u, mlcomp_ir::analysis::UseSite::Term(b) if *b == l.header)
+            }) {
+                continue;
             }
             // No values from non-header loop blocks may be used outside.
-            let du = DefUse::new(f);
             let mut ok = true;
             for &b in &l.blocks {
                 if b == l.header {

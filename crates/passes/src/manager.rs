@@ -14,10 +14,17 @@
 //! an inactive phase, which is exactly the failure model the paper's
 //! fallback rules assume.
 //!
+//! A module is verified once where it enters the sandbox
+//! ([`PassManager::run_sequence_sandboxed`]); from then on only a phase
+//! that reports a change can break it. Because
+//! [`PhaseOutcome::Changed`] is exact, an unchanged output equals its
+//! already-valid snapshot, so release builds verify changed outputs only
+//! (debug builds verify every output and assert the unchanged ones pass).
+//!
 //! Deterministic fault injection plugs in through an optional
 //! [`mlcomp_faults::FaultPlan`]; with `None` the sandbox adds nothing but
-//! the per-phase verification, and the module trajectory is bit-identical
-//! to the raw transforms ([`crate::run_phase_on`]) on healthy phases.
+//! that verification, and the module trajectory is bit-identical to the
+//! raw transforms ([`crate::run_phase_on`]) on healthy phases.
 
 use crate::registry::{is_registered, run_phase_on};
 use mlcomp_faults::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
@@ -295,8 +302,8 @@ pub struct SandboxReport {
 }
 
 /// Runs phases and pipelines over modules. Every phase runs inside the
-/// sandbox: panics are caught, the module is verified afterwards, and a
-/// failure rolls it back. There is no unsandboxed path.
+/// sandbox: panics are caught, a changed module is verified afterwards,
+/// and a failure rolls it back. There is no unsandboxed path.
 ///
 /// # Examples
 ///
@@ -339,13 +346,22 @@ impl PassManager {
         PassManager
     }
 
-    /// Runs one phase inside the sandbox: panics are caught, the module is
-    /// verified afterwards, and any failure rolls the module back to its
-    /// pre-phase state.
+    /// Runs one phase inside the sandbox: panics are caught, a changed
+    /// module is verified afterwards, and any failure rolls the module back
+    /// to its pre-phase state.
+    ///
+    /// Precondition: `m` verifies ([`mlcomp_ir::verify`]). Modules from
+    /// outside should enter through
+    /// [`run_sequence_sandboxed`](PassManager::run_sequence_sandboxed),
+    /// which checks this; a module produced by this sandbox always meets
+    /// it.
     ///
     /// [`PhaseOutcome::Changed`] holds exactly when the module differs
     /// from its pre-phase state (debug builds assert it), so callers
-    /// branch on the outcome instead of cloning and comparing modules.
+    /// branch on the outcome instead of cloning and comparing modules. The
+    /// same exactness lets release builds skip verifying an unchanged
+    /// output: it equals the valid input. Debug builds still verify it
+    /// and panic if the precondition was broken.
     ///
     /// `plan` is the deterministic fault-injection hook (`None` injects
     /// nothing); `site_key` identifies this phase occurrence for the plan —
@@ -389,11 +405,24 @@ impl PassManager {
                 mlcomp_faults::panic_reason(payload.as_ref()),
             )),
             Ok(changed) => {
-                let verify_start = recording.then(Instant::now);
-                let verdict = mlcomp_ir::verify(m);
-                if let Some(t) = verify_start {
-                    verify_ns = t.elapsed().as_nanos() as u64;
-                }
+                let verdict = if changed {
+                    let verify_start = recording.then(Instant::now);
+                    let verdict = mlcomp_ir::verify(m);
+                    if let Some(t) = verify_start {
+                        verify_ns = t.elapsed().as_nanos() as u64;
+                    }
+                    verdict
+                } else {
+                    debug_assert!(
+                        mlcomp_ir::verify(m).is_ok(),
+                        "phase `{name}` left the module unchanged but it fails to \
+                         verify: the sandbox's input must verify"
+                    );
+                    Ok(())
+                };
+                // The injected verdict is rolled on every clean run,
+                // changed or not, so a fault plan quarantines the same
+                // occurrences whichever outputs get verified.
                 match verdict {
                     Err(e) => {
                         PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(e.to_string()))
@@ -447,7 +476,13 @@ impl PassManager {
     /// "this phase was inactive", matching the paper's fallback model.
     ///
     /// The sequence is validated up front, so an unknown name can never
-    /// leave the module half-optimized.
+    /// leave the module half-optimized. The module is then verified once,
+    /// which establishes [`run_phase_sandboxed`]'s precondition for every
+    /// phase: an input that fails [`mlcomp_ir::verify`] runs no phase, and
+    /// every phase is quarantined as
+    /// [`QuarantineReason::VerifierReject`] with the input's error.
+    ///
+    /// [`run_phase_sandboxed`]: PassManager::run_phase_sandboxed
     ///
     /// # Errors
     ///
@@ -463,9 +498,19 @@ impl PassManager {
         let names = validate_sequence(names)?;
         let mut span = trace::span("phase-seq");
         let mut report = SandboxReport::default();
+        // One check here establishes every phase's precondition below.
+        let input_error = mlcomp_ir::verify(m)
+            .err()
+            .map(|e| QuarantineReason::VerifierReject(e.to_string()));
         for (index, name) in names.iter().enumerate() {
-            let site_key = format!("{site_prefix}|{index}|{name}");
-            match self.run_phase_sandboxed(m, name, plan, &site_key)? {
+            let outcome = match &input_error {
+                Some(reason) => PhaseOutcome::Quarantined(reason.clone()),
+                None => {
+                    let site_key = format!("{site_prefix}|{index}|{name}");
+                    self.run_phase_sandboxed(m, name, plan, &site_key)?
+                }
+            };
+            match outcome {
                 PhaseOutcome::Changed => report.changed += 1,
                 PhaseOutcome::Unchanged => {}
                 PhaseOutcome::Quarantined(reason) => {
@@ -689,6 +734,75 @@ mod tests {
             "{outcome:?}"
         );
         assert_eq!(m, pristine, "corrupted output must be rolled back");
+    }
+
+    #[test]
+    fn injected_verifier_corruption_also_hits_unchanged_phases() {
+        use mlcomp_faults::{FaultKind, FaultPlan};
+        let plan = FaultPlan::from_seed(5).with_rate(FaultKind::VerifierCorrupt, 1.0);
+        let mut m = workload();
+        let pm = PassManager::new();
+        let clean = pm.run_phase_sandboxed(&mut m, "mem2reg", None, "w|0|mem2reg");
+        assert_eq!(clean, Ok(PhaseOutcome::Changed));
+        // A second promotion changes nothing, yet the injected verdict still
+        // quarantines it: skipping verification of unchanged outputs must
+        // not skip the fault roll.
+        let promoted = m.clone();
+        let outcome = pm
+            .run_phase_sandboxed(&mut m, "mem2reg", Some(&plan), "w|1|mem2reg")
+            .unwrap();
+        assert!(
+            matches!(
+                outcome,
+                PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(_))
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(m, promoted);
+    }
+
+    /// The unused internal `dead` declares an `i64` result but returns
+    /// nothing, so the module fails to verify. Were it run, `globaldce`
+    /// would delete `dead` and leave a valid module.
+    fn invalid_module() -> Module {
+        let mut mb = ModuleBuilder::new("bad");
+        let dead = mb.declare("dead", vec![], Type::I64);
+        mb.begin_existing(dead);
+        mb.body().ret(None);
+        mb.finish_function();
+        mb.set_internal(dead);
+        mb.begin_function("main", vec![Type::I64], Type::I64);
+        {
+            let mut b = mb.body();
+            let slot = b.local(b.param(0));
+            let v = b.load(slot, Type::I64);
+            b.ret(Some(v));
+        }
+        mb.finish_function();
+        mb.build()
+    }
+
+    #[test]
+    fn invalid_input_runs_no_phase() {
+        let mut m = invalid_module();
+        let input_error = verify(&m).unwrap_err().to_string();
+        let pristine = m.clone();
+        let seq = ["mem2reg", "simplifycfg", "globaldce"];
+        let report = PassManager::new()
+            .run_sequence_sandboxed(&mut m, seq, None, "bad")
+            .unwrap();
+        assert_eq!(report.changed, 0);
+        let expected: Vec<QuarantineEntry> = seq
+            .iter()
+            .enumerate()
+            .map(|(index, phase)| QuarantineEntry {
+                index,
+                phase: phase.to_string(),
+                reason: QuarantineReason::VerifierReject(input_error.clone()),
+            })
+            .collect();
+        assert_eq!(report.quarantine.entries, expected);
+        assert_eq!(m, pristine, "an invalid input must stay untouched");
     }
 
     #[test]
