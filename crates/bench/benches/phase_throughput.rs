@@ -3,6 +3,7 @@
 //! the in-situ group, on states that real phase prefixes reach.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mlcomp_ir::analysis::DefUse;
 use mlcomp_passes::PassManager;
 use std::hint::black_box;
 
@@ -44,16 +45,30 @@ fn bench(c: &mut Criterion) {
 /// Memory CSE and `instcombine` on unrolled modules, where their cost grows
 /// with the IR: pristine modules hide that. Also `loop-unroll` itself, on
 /// pristine `x264` (a run RL training repeats) and once more on its output,
-/// where it changes nothing: the cost of an inactive phase run.
+/// where it changes nothing: the cost of an inactive phase run. `ipsccp`
+/// and `instsimplify`, the costliest phases of deployment, mostly run
+/// without changing anything, so they measure the fixed cost of a phase
+/// run, as does building def-use chains for every function.
 fn bench_in_situ(c: &mut Criterion) {
     let pm = PassManager::new();
     let mut g = c.benchmark_group("phase-throughput-in-situ");
     for (name, prefix, phases) in [
-        ("x264", &[][..], &["loop-unroll"][..]),
+        (
+            "x264",
+            &[][..],
+            &["loop-unroll", "ipsccp", "instsimplify"][..],
+        ),
         (
             "x264",
             &["loop-unroll"][..],
-            &["gvn", "early-cse-memssa", "instcombine", "loop-unroll"][..],
+            &[
+                "gvn",
+                "early-cse-memssa",
+                "instcombine",
+                "loop-unroll",
+                "ipsccp",
+                "instsimplify",
+            ][..],
         ),
         (
             "matmult-int",
@@ -68,6 +83,15 @@ fn bench_in_situ(c: &mut Criterion) {
         assert!(report.quarantine.is_empty(), "prefix {prefix:?} on {name}");
         let state_name = [name].iter().chain(prefix).copied().collect::<Vec<_>>().join("+");
         println!("{state_name}: {} insts", state.total_insts());
+        if state_name == "x264+loop-unroll" {
+            g.bench_function(format!("DefUse::new on {state_name}"), |b| {
+                b.iter(|| {
+                    for f in &black_box(&state).functions {
+                        black_box(DefUse::new(f));
+                    }
+                })
+            });
+        }
         for &phase in phases {
             g.bench_function(format!("{phase} on {state_name}"), |b| {
                 b.iter(|| {

@@ -6,6 +6,11 @@
 //! as soon as the IR is mutated, so phases recompute them after structural
 //! changes (mirroring LLVM's analysis-invalidation discipline, without the
 //! caching machinery).
+//!
+//! Nearly every phase run builds [`DefUse`], including the many runs that
+//! change nothing, so it is kept cheap: its use lists are dense arrays
+//! indexed by instruction arena id (see its module for the layout), and
+//! building it takes two scans and three allocations.
 
 mod callgraph;
 mod cfg;

@@ -482,12 +482,9 @@ fn eliminate_cross_block_loads(m: &Module, f: &mut Function) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::PHASE_NAMES;
     use crate::util::all_insts;
     use crate::{PassManager, PhaseOutcome, QuarantineReason};
     use mlcomp_ir::{verify, Interpreter, ModuleBuilder, RtVal};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn exec(m: &Module, name: &str, args: &[RtVal]) -> Option<RtVal> {
         let fid = m.find_function(name).unwrap();
@@ -910,51 +907,8 @@ mod tests {
 
     #[test]
     fn rewrite_matches_the_oracle_on_the_suites() {
-        let programs: Vec<_> = mlcomp_suites::parsec_suite()
-            .into_iter()
-            .chain(mlcomp_suites::beebs_suite())
-            .collect();
-        assert_eq!(programs.len(), 37);
-        let pm = PassManager::new();
-        // Ordered by the size of the states they tend to reach, so that a
-        // program stops at its first state over the cap.
-        let prefixes: [&[&str]; 5] = [
-            &[],
-            &["inline"],
-            &["mem2reg", "loop-unroll"],
-            &["sroa", "loop-unroll", "instcombine"],
-            &["loop-unroll"],
-        ];
-        let mut checked = 0;
-        for program in &programs {
-            for prefix in prefixes {
-                let mut state = program.module.clone();
-                pm.run_sequence_sandboxed(&mut state, prefix.iter().copied(), None, "prefix")
-                    .unwrap();
-                if state.total_insts() > ORACLE_MAX_INSTS {
-                    break;
-                }
-                assert_matches_oracle(&state, &format!("{} after {prefix:?}", program.name));
-                checked += 1;
-            }
-        }
-        // Seeded random walks, each ending once its module outgrows the cap.
-        let mut rng = StdRng::seed_from_u64(2021);
-        for program in programs.iter().step_by(2) {
-            let mut state = program.module.clone();
-            let mut walk = Vec::new();
-            while walk.len() < 10 {
-                let phase = PHASE_NAMES[rng.gen_range(0..PHASE_NAMES.len())];
-                pm.run_phase_sandboxed(&mut state, phase, None, phase)
-                    .unwrap();
-                walk.push(phase);
-                if state.total_insts() > ORACLE_MAX_INSTS {
-                    break;
-                }
-                assert_matches_oracle(&state, &format!("{} after {walk:?}", program.name));
-                checked += 1;
-            }
-        }
+        let checked =
+            crate::suite_states::for_each_suite_state(ORACLE_MAX_INSTS, assert_matches_oracle);
         assert!(checked >= 300, "only {checked} states checked");
     }
 

@@ -43,6 +43,8 @@ pub mod motion;
 pub mod registry;
 pub mod scalar;
 pub mod sccp;
+#[cfg(test)]
+mod suite_states;
 pub mod util;
 pub mod vector;
 

@@ -21,12 +21,17 @@
 //! already-valid snapshot, so release builds verify changed outputs only
 //! (debug builds verify every output and assert the unchanged ones pass).
 //!
+//! The rollback snapshot doubles as the pre-phase module that function
+//! phases read for interprocedural queries, so a phase run copies the
+//! module once. [`crate::run_phase_on`] is the raw reference path: it
+//! takes its own copy and runs the same transform without the sandbox.
+//!
 //! Deterministic fault injection plugs in through an optional
 //! [`mlcomp_faults::FaultPlan`]; with `None` the sandbox adds nothing but
 //! that verification, and the module trajectory is bit-identical to the
 //! raw transforms ([`crate::run_phase_on`]) on healthy phases.
 
-use crate::registry::{is_registered, run_phase_on};
+use crate::registry::{is_registered, run_phase};
 use mlcomp_faults::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
 use mlcomp_ir::Module;
 use mlcomp_trace as trace;
@@ -389,6 +394,8 @@ impl PassManager {
         } else {
             (0, 0)
         };
+        // The rollback snapshot doubles as the pre-phase module that
+        // function phases read, so a phase run copies the module once.
         let snapshot = m.clone();
         // AssertUnwindSafe: on unwind the module may be mid-transform, but
         // the only thing we do with it afterwards is overwrite it with the
@@ -397,7 +404,7 @@ impl PassManager {
             if let Some(p) = plan {
                 p.maybe_panic(site_key);
             }
-            run_phase_on(m, name).expect("name validated against registry")
+            run_phase(m, &snapshot, name).expect("name validated against registry")
         }));
         let mut verify_ns = 0;
         let outcome = match ran {
@@ -669,22 +676,98 @@ mod tests {
         assert_eq!(m, pristine);
     }
 
+    /// `main(x)` calls a `readnone`, never-inlined helper and drops the
+    /// result: only a phase that reads the helper's attributes from its
+    /// pre-phase module can delete the call.
+    fn dead_readnone_call() -> Module {
+        let mut mb = ModuleBuilder::new("d");
+        let helper = mb.declare("helper", vec![Type::I64], Type::I64);
+        mb.begin_existing(helper);
+        {
+            let mut b = mb.body();
+            let v = b.add(b.param(0), b.const_i64(1));
+            b.ret(Some(v));
+        }
+        mb.finish_function();
+        mb.set_attrs(helper, |a| {
+            a.readnone = true;
+            a.no_inline = true;
+        });
+        mb.begin_function("main", vec![Type::I64], Type::I64);
+        {
+            let mut b = mb.body();
+            b.call(helper, vec![b.param(0)], Type::I64);
+            b.ret(Some(b.param(0)));
+        }
+        mb.finish_function();
+        mb.build()
+    }
+
+    /// The zero-fault sandbox hands function phases its rollback snapshot
+    /// as their pre-phase module; the raw path makes its own copy. Both
+    /// must reach the same module with the same verdicts: over every
+    /// standard pipeline, and phase by phase over each program's seeded
+    /// shuffle of the whole registry.
     #[test]
     fn sandbox_matches_plain_run_on_healthy_phases() {
-        let mut plain = workload();
-        let mut sandboxed = workload();
+        use crate::registry::{run_phase_on, PHASE_NAMES};
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
         let pm = PassManager::new();
-        let seq: Vec<&str> = PipelineLevel::O2.phases().to_vec();
-        let changed = seq
-            .iter()
-            .filter(|name| run_phase_on(&mut plain, name).unwrap())
-            .count();
-        let report = pm
-            .run_sequence_sandboxed(&mut sandboxed, seq.iter().copied(), None, "w")
-            .unwrap();
-        assert_eq!(plain, sandboxed, "zero-fault sandbox must be bit-identical");
-        assert_eq!(report.changed, changed);
-        assert!(report.quarantine.is_empty());
+        let mut inputs = vec![
+            ("workload", workload()),
+            ("dead-readnone-call", dead_readnone_call()),
+        ];
+        for name in ["blackscholes", "x264", "crc32", "matmult-int"] {
+            inputs.push((name, mlcomp_suites::program(name).unwrap().module));
+        }
+        for (name, start) in &inputs {
+            for level in PipelineLevel::ALL {
+                let mut plain = start.clone();
+                let mut sandboxed = start.clone();
+                let changed = level
+                    .phases()
+                    .iter()
+                    .filter(|phase| run_phase_on(&mut plain, phase).unwrap())
+                    .count();
+                let report = pm
+                    .run_sequence_sandboxed(
+                        &mut sandboxed,
+                        level.phases().iter().copied(),
+                        None,
+                        "w",
+                    )
+                    .unwrap();
+                assert!(
+                    plain == sandboxed,
+                    "{name} at {level:?}: zero-fault sandbox must be bit-identical"
+                );
+                assert_eq!(report.changed, changed, "{name} at {level:?}");
+                assert!(report.quarantine.is_empty(), "{name} at {level:?}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(2021);
+        for (name, start) in &inputs {
+            let mut walk = PHASE_NAMES;
+            walk.shuffle(&mut rng);
+            let mut plain = start.clone();
+            let mut sandboxed = start.clone();
+            for (step, phase) in walk.into_iter().enumerate() {
+                let changed = run_phase_on(&mut plain, phase).unwrap();
+                let outcome = pm
+                    .run_phase_sandboxed(&mut sandboxed, phase, None, phase)
+                    .unwrap();
+                let context = format!("{name} after {:?}", &walk[..=step]);
+                let expected = if changed {
+                    PhaseOutcome::Changed
+                } else {
+                    PhaseOutcome::Unchanged
+                };
+                assert_eq!(outcome, expected, "{context}");
+                assert!(plain == sandboxed, "{context}: modules differ");
+            }
+        }
     }
 
     #[test]

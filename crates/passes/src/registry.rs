@@ -100,7 +100,20 @@ fn hash_names(names: &[&str]) -> u64 {
 ///
 /// Function phases run over every function body (with a module snapshot
 /// for interprocedural queries like `readnone`); module phases run once.
+///
+/// This is the raw reference path: no sandbox, and it copies the module
+/// for the function phases' snapshot. Pipelines run phases through
+/// [`PassManager::run_phase_sandboxed`](crate::PassManager::run_phase_sandboxed),
+/// which lends its rollback snapshot instead.
 pub fn run_phase_on(m: &mut Module, name: &str) -> Option<bool> {
+    let before = m.clone();
+    run_phase(m, &before, name)
+}
+
+/// Runs one phase by name over `m`, whose pre-phase state is `before`: the
+/// module snapshot every function phase reads for interprocedural
+/// queries. `before` must equal `m`.
+pub(crate) fn run_phase(m: &mut Module, before: &Module, name: &str) -> Option<bool> {
     let changed = match name {
         // Module phases.
         "inline" => crate::ipo::inline(m),
@@ -116,53 +129,54 @@ pub fn run_phase_on(m: &mut Module, name: &str) -> Option<bool> {
         "tailcallelim" => crate::ipo::tailcallelim(m),
         "ipsccp" => crate::sccp::ipsccp(m),
         // Function phases.
-        "adce" => run_fn(m, crate::dce::adce),
-        "aggressive-instcombine" => run_fn(m, crate::scalar::aggressive_instcombine),
-        "alignment-from-assumptions" => run_fn(m, crate::scalar::alignment_from_assumptions),
-        "bdce" => run_fn(m, crate::scalar::bdce),
-        "callsite-splitting" => run_fn(m, crate::cfgopt::callsite_splitting),
-        "correlated-propagation" => run_fn(m, crate::sccp::correlated_propagation),
-        "div-rem-pairs" => run_fn(m, crate::scalar::div_rem_pairs),
-        "dse" => run_fn(m, crate::dce::dse),
-        "early-cse" => run_fn(m, crate::cse::early_cse),
-        "early-cse-memssa" => run_fn(m, crate::cse::early_cse_memssa),
-        "float2int" => run_fn(m, crate::scalar::float2int),
-        "gvn" => run_fn(m, crate::cse::gvn),
-        "indvars" => run_fn(m, crate::loops::indvars),
-        "instcombine" => run_fn(m, crate::scalar::instcombine),
-        "instsimplify" => run_fn(m, crate::scalar::instsimplify),
-        "jump-threading" => run_fn(m, crate::cfgopt::jump_threading),
-        "licm" => run_fn(m, crate::loops::licm),
-        "loop-deletion" => run_fn(m, crate::loops::loop_deletion),
-        "loop-distribute" => run_fn(m, crate::loops::loop_distribute),
-        "loop-idiom" => run_fn(m, crate::loops::loop_idiom),
-        "loop-load-elim" => run_fn(m, crate::loops::loop_load_elim),
-        "loop-rotate" => run_fn(m, crate::loops::loop_rotate),
-        "loop-sink" => run_fn(m, crate::loops::loop_sink),
-        "loop-unroll" => run_fn(m, crate::loops::loop_unroll),
-        "loop-unswitch" => run_fn(m, crate::loops::loop_unswitch),
-        "loop-vectorize" => run_fn(m, crate::vector::loop_vectorize),
-        "lower-expect" => run_fn(m, crate::scalar::lower_expect),
-        "mem2reg" => run_fn(m, crate::memory::mem2reg),
-        "memcpyopt" => run_fn(m, crate::motion::memcpyopt),
-        "mldst-motion" => run_fn(m, crate::motion::mldst_motion),
-        "reassociate" => run_fn(m, crate::scalar::reassociate),
-        "sccp" => run_fn(m, crate::sccp::sccp),
-        "simplifycfg" => run_fn(m, crate::cfgopt::simplifycfg),
-        "slp-vectorizer" => run_fn(m, crate::vector::slp_vectorizer),
-        "speculative-execution" => run_fn(m, crate::motion::speculative_execution),
-        "sroa" => run_fn(m, crate::memory::sroa),
+        "adce" => run_fn(m, before, crate::dce::adce),
+        "aggressive-instcombine" => run_fn(m, before, crate::scalar::aggressive_instcombine),
+        "alignment-from-assumptions" => {
+            run_fn(m, before, crate::scalar::alignment_from_assumptions)
+        }
+        "bdce" => run_fn(m, before, crate::scalar::bdce),
+        "callsite-splitting" => run_fn(m, before, crate::cfgopt::callsite_splitting),
+        "correlated-propagation" => run_fn(m, before, crate::sccp::correlated_propagation),
+        "div-rem-pairs" => run_fn(m, before, crate::scalar::div_rem_pairs),
+        "dse" => run_fn(m, before, crate::dce::dse),
+        "early-cse" => run_fn(m, before, crate::cse::early_cse),
+        "early-cse-memssa" => run_fn(m, before, crate::cse::early_cse_memssa),
+        "float2int" => run_fn(m, before, crate::scalar::float2int),
+        "gvn" => run_fn(m, before, crate::cse::gvn),
+        "indvars" => run_fn(m, before, crate::loops::indvars),
+        "instcombine" => run_fn(m, before, crate::scalar::instcombine),
+        "instsimplify" => run_fn(m, before, crate::scalar::instsimplify),
+        "jump-threading" => run_fn(m, before, crate::cfgopt::jump_threading),
+        "licm" => run_fn(m, before, crate::loops::licm),
+        "loop-deletion" => run_fn(m, before, crate::loops::loop_deletion),
+        "loop-distribute" => run_fn(m, before, crate::loops::loop_distribute),
+        "loop-idiom" => run_fn(m, before, crate::loops::loop_idiom),
+        "loop-load-elim" => run_fn(m, before, crate::loops::loop_load_elim),
+        "loop-rotate" => run_fn(m, before, crate::loops::loop_rotate),
+        "loop-sink" => run_fn(m, before, crate::loops::loop_sink),
+        "loop-unroll" => run_fn(m, before, crate::loops::loop_unroll),
+        "loop-unswitch" => run_fn(m, before, crate::loops::loop_unswitch),
+        "loop-vectorize" => run_fn(m, before, crate::vector::loop_vectorize),
+        "lower-expect" => run_fn(m, before, crate::scalar::lower_expect),
+        "mem2reg" => run_fn(m, before, crate::memory::mem2reg),
+        "memcpyopt" => run_fn(m, before, crate::motion::memcpyopt),
+        "mldst-motion" => run_fn(m, before, crate::motion::mldst_motion),
+        "reassociate" => run_fn(m, before, crate::scalar::reassociate),
+        "sccp" => run_fn(m, before, crate::sccp::sccp),
+        "simplifycfg" => run_fn(m, before, crate::cfgopt::simplifycfg),
+        "slp-vectorizer" => run_fn(m, before, crate::vector::slp_vectorizer),
+        "speculative-execution" => run_fn(m, before, crate::motion::speculative_execution),
+        "sroa" => run_fn(m, before, crate::memory::sroa),
         _ => return None,
     };
     Some(changed)
 }
 
-fn run_fn(m: &mut Module, pass: fn(&Module, &mut Function) -> bool) -> bool {
+fn run_fn(m: &mut Module, before: &Module, pass: fn(&Module, &mut Function) -> bool) -> bool {
     let mut changed = false;
-    let snapshot = m.clone();
     for f in m.functions.iter_mut() {
         if !f.is_declaration {
-            changed |= pass(&snapshot, f);
+            changed |= pass(before, f);
         }
     }
     changed

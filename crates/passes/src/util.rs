@@ -206,34 +206,44 @@ pub fn simplify_inst(f: &Function, kind: &InstKind, ty: Type) -> Option<Value> {
 /// Removes instructions that are pure (or unused loads when
 /// `remove_loads`), have no uses, and are not phis-with-uses. Iterates to a
 /// fixed point. Returns `true` if anything was removed.
+///
+/// One [`DefUse`] seeds a use count per instruction; deleting an
+/// instruction decrements its operands' counts and queues those that reach
+/// zero. Removal only edits block lists, so the fixed point, and thus the
+/// result, does not depend on the order of deletion.
 pub fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
-    let mut changed = false;
-    loop {
-        let du = DefUse::new(f);
-        let mut removed_any = false;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let ids = f.block(b).insts.clone();
-            for id in ids {
-                if !du.is_unused(id) {
-                    continue;
-                }
-                let kind = &f.inst(id).kind;
-                let removable = kind.is_pure()
-                    || kind.is_phi()
-                    || matches!(kind, InstKind::Alloca { .. })
-                    || (remove_loads && matches!(kind, InstKind::Load { .. }))
-                    || is_removable_call(m, kind);
-                if removable {
-                    f.remove_from_block(b, id);
-                    removed_any = true;
-                    changed = true;
+    let du = DefUse::new(f);
+    let removable = |kind: &InstKind| {
+        kind.is_pure()
+            || kind.is_phi()
+            || matches!(kind, InstKind::Alloca { .. })
+            || (remove_loads && matches!(kind, InstKind::Load { .. }))
+            || is_removable_call(m, kind)
+    };
+    let mut uses: Vec<usize> = (0..f.insts.len() as u32)
+        .map(|i| du.use_count(InstId(i)))
+        .collect();
+    let mut work: Vec<InstId> = (0..f.insts.len() as u32)
+        .map(InstId)
+        .filter(|&id| {
+            uses[id.index()] == 0 && du.block_of(id).is_some() && removable(&f.inst(id).kind)
+        })
+        .collect();
+    let changed = !work.is_empty();
+    while let Some(id) = work.pop() {
+        let block = du.block_of(id).expect("queued instructions are placed");
+        f.remove_from_block(block, id);
+        f.inst(id).kind.for_each_operand(|v| {
+            if let Value::Inst(d) = v {
+                let n = &mut uses[d.index()];
+                *n -= 1;
+                if *n == 0 && du.block_of(d).is_some() && removable(&f.inst(d).kind) {
+                    work.push(d);
                 }
             }
-        }
-        if !removed_any {
-            return changed;
-        }
+        });
     }
+    changed
 }
 
 /// Whether an unused call can be deleted: direct call to a `readnone`
@@ -631,6 +641,39 @@ mod tests {
     }
 
     #[test]
+    fn dce_keeps_a_self_referencing_loop_phi() {
+        // entry: br header; header: p = phi [entry: 0, header: p];
+        // cond_br (x < 0) header, exit; exit: ret 0. The phi's only use
+        // is itself, so it is not unused and stays.
+        let mut mb = ModuleBuilder::new("t");
+        mb.begin_function("f", vec![Type::I64], Type::I64);
+        let (header, phi);
+        {
+            let mut b = mb.body();
+            header = b.new_block();
+            let exit = b.new_block();
+            b.br(header);
+            b.switch_to(header);
+            let p = b.phi(Type::I64, vec![(BlockId::ENTRY, b.const_i64(0))]);
+            phi = p.as_inst().unwrap();
+            let c = b.cmp(CmpPred::Lt, b.param(0), b.const_i64(0));
+            b.cond_br(c, header, exit);
+            b.switch_to(exit);
+            b.ret(Some(b.const_i64(0)));
+        }
+        mb.finish_function();
+        let mut m = mb.build();
+        if let InstKind::Phi { incomings } = &mut m.functions[0].inst_mut(phi).kind {
+            incomings.push((header, Value::Inst(phi)));
+        }
+        mlcomp_ir::verify(&m).unwrap();
+        let mut f = m.functions[0].clone();
+        assert!(!trivial_dce(&m, &mut f, true));
+        assert_eq!(f, m.functions[0]);
+        assert_eq!(f.block(header).insts[0], phi);
+    }
+
+    #[test]
     fn unreachable_block_removal_fixes_phis() {
         let mut mb = ModuleBuilder::new("t");
         mb.begin_function("f", vec![], Type::I64);
@@ -750,5 +793,123 @@ mod tests {
         assert_eq!(f.block(BlockId::ENTRY).insts.len(), 1);
         assert_eq!(f.block(nb).insts.len(), 1);
         mlcomp_ir::verify(&m).expect("split is valid");
+    }
+
+    /// The largest state the oracles check: debug builds stop at 1,600
+    /// instructions, as the memory CSE oracle does, to bound the walks'
+    /// cost; release builds check every state.
+    const ORACLE_MAX_INSTS: usize = if cfg!(debug_assertions) {
+        1_600
+    } else {
+        usize::MAX
+    };
+
+    /// Asserts that every function of `state` gets the oracle's def-use
+    /// chains (use order included) for every arena id and one past the
+    /// end, and the oracle's `trivial_dce` result, arena included.
+    fn assert_matches_oracles(state: &Module, label: &str) {
+        for f in &state.functions {
+            let du = DefUse::new(f);
+            let old = oracle::DefUse::new(f);
+            for i in 0..=f.insts.len() as u32 {
+                let id = InstId(i);
+                assert_eq!(du.uses_of(id), old.uses_of(id), "{label}: uses of {id:?}");
+                assert_eq!(du.block_of(id), old.block_of(id), "{label}: {id:?}");
+            }
+            for remove_loads in [false, true] {
+                let context = format!("{label}: `{}`, remove_loads {remove_loads}", f.name);
+                let (mut new, mut old) = (f.clone(), f.clone());
+                assert_eq!(
+                    trivial_dce(state, &mut new, remove_loads),
+                    oracle::trivial_dce(state, &mut old, remove_loads),
+                    "{context}"
+                );
+                assert!(new == old, "{context}: functions differ");
+            }
+        }
+    }
+
+    #[test]
+    fn defuse_and_trivial_dce_match_the_oracles_on_the_suites() {
+        let checked =
+            crate::suite_states::for_each_suite_state(ORACLE_MAX_INSTS, assert_matches_oracles);
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
+    /// Def-use chains and trivial DCE as they were before the dense
+    /// rewrite, kept as differential oracles: one hash-map entry and one
+    /// `Vec` per used instruction, and a DCE that rebuilds the chains and
+    /// sweeps every block until a sweep removes nothing.
+    mod oracle {
+        use super::super::is_removable_call;
+        use mlcomp_ir::analysis::UseSite;
+        use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
+        use std::collections::HashMap;
+
+        #[derive(Default)]
+        pub(super) struct DefUse {
+            uses: HashMap<InstId, Vec<UseSite>>,
+            placement: HashMap<InstId, BlockId>,
+        }
+
+        impl DefUse {
+            pub(super) fn new(f: &Function) -> DefUse {
+                let mut du = DefUse::default();
+                for b in f.block_ids() {
+                    for &id in &f.block(b).insts {
+                        du.placement.insert(id, b);
+                        f.inst(id).kind.for_each_operand(|v| {
+                            if let Value::Inst(d) = v {
+                                du.uses.entry(d).or_default().push(UseSite::Inst(b, id));
+                            }
+                        });
+                    }
+                    f.block(b).term.for_each_operand(|v| {
+                        if let Value::Inst(d) = v {
+                            du.uses.entry(d).or_default().push(UseSite::Term(b));
+                        }
+                    });
+                }
+                du
+            }
+
+            pub(super) fn uses_of(&self, id: InstId) -> &[UseSite] {
+                self.uses.get(&id).map(Vec::as_slice).unwrap_or(&[])
+            }
+
+            pub(super) fn block_of(&self, id: InstId) -> Option<BlockId> {
+                self.placement.get(&id).copied()
+            }
+        }
+
+        pub(super) fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
+            let mut changed = false;
+            loop {
+                let du = DefUse::new(f);
+                let mut removed_any = false;
+                for b in f.block_ids().collect::<Vec<_>>() {
+                    let ids = f.block(b).insts.clone();
+                    for id in ids {
+                        if !du.uses_of(id).is_empty() {
+                            continue;
+                        }
+                        let kind = &f.inst(id).kind;
+                        let removable = kind.is_pure()
+                            || kind.is_phi()
+                            || matches!(kind, InstKind::Alloca { .. })
+                            || (remove_loads && matches!(kind, InstKind::Load { .. }))
+                            || is_removable_call(m, kind);
+                        if removable {
+                            f.remove_from_block(b, id);
+                            removed_any = true;
+                            changed = true;
+                        }
+                    }
+                }
+                if !removed_any {
+                    return changed;
+                }
+            }
+        }
     }
 }
