@@ -33,6 +33,7 @@
 //! assert!(!plan.fires(FaultKind::FuelExhaustion, "dedup|3|gvn"));
 //! ```
 
+pub use mlcomp_parallel::panic_reason;
 use mlcomp_parallel::seed;
 use std::fmt;
 
@@ -213,21 +214,6 @@ pub fn quiet_injected_panics() {
             previous(info);
         }));
     });
-}
-
-/// Extracts a human-readable reason from a caught panic payload.
-///
-/// Shared by the pass sandbox and the supervised worker pool so quarantine
-/// and failure reports print the actual `panic!` message instead of
-/// `Box<dyn Any>`.
-pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 #[cfg(test)]

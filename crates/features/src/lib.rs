@@ -154,7 +154,7 @@ pub fn extract(m: &Module) -> FeatureVector {
 
         let cfg = Cfg::new(f);
         let dt = DomTree::new(&cfg);
-        let lf = LoopForest::new(f, &cfg, &dt);
+        let lf = LoopForest::new(&cfg, &dt);
 
         c.n_loops += lf.loops.len() as f64;
         c.max_loop_depth = c.max_loop_depth.max(lf.max_depth() as f64);

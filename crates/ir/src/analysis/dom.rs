@@ -2,7 +2,6 @@
 
 use super::cfg::Cfg;
 use crate::block::BlockId;
-use std::collections::HashSet;
 
 /// Immediate-dominator tree over the reachable blocks of a function.
 #[derive(Debug, Clone)]
@@ -14,7 +13,6 @@ pub struct DomTree {
     /// clients that need a topological-ish order); `usize::MAX` when
     /// unreachable.
     pub rpo_index: Vec<usize>,
-    rpo: Vec<BlockId>,
 }
 
 impl DomTree {
@@ -28,11 +26,7 @@ impl DomTree {
         }
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if cfg.rpo.is_empty() {
-            return DomTree {
-                idom,
-                rpo_index,
-                rpo: cfg.rpo.clone(),
-            };
+            return DomTree { idom, rpo_index };
         }
         let entry = cfg.rpo[0];
         idom[entry.index()] = Some(entry);
@@ -56,11 +50,7 @@ impl DomTree {
                 }
             }
         }
-        DomTree {
-            idom,
-            rpo_index,
-            rpo: cfg.rpo.clone(),
-        }
+        DomTree { idom, rpo_index }
     }
 
     /// Whether `a` dominates `b` (reflexive).
@@ -81,11 +71,12 @@ impl DomTree {
     }
 
     /// Dominance frontier of every block — the classic ingredient of SSA
-    /// phi placement in `mem2reg`.
-    pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<HashSet<BlockId>> {
+    /// phi placement in `mem2reg` — each sorted ascending and free of
+    /// duplicates.
+    pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
         let n = cfg.succs.len();
-        let mut df: Vec<HashSet<BlockId>> = vec![HashSet::new(); n];
-        for &b in &self.rpo {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        for &b in &cfg.rpo {
             if cfg.preds[b.index()].len() >= 2 {
                 let idom_b = match self.idom[b.index()] {
                     Some(d) => d,
@@ -94,7 +85,12 @@ impl DomTree {
                 for &p in &cfg.preds[b.index()] {
                     let mut runner = p;
                     while runner != idom_b {
-                        df[runner.index()].insert(b);
+                        // All of `b`'s insertions happen here, so a
+                        // repeat can only be the last entry.
+                        let frontier = &mut df[runner.index()];
+                        if frontier.last() != Some(&b) {
+                            frontier.push(b);
+                        }
                         match self.idom[runner.index()] {
                             Some(d) if d != runner => runner = d,
                             _ => break,
@@ -102,6 +98,9 @@ impl DomTree {
                     }
                 }
             }
+        }
+        for frontier in &mut df {
+            frontier.sort_unstable();
         }
         df
     }

@@ -1,4 +1,8 @@
 //! Natural-loop detection and canonical trip-count analysis.
+//!
+//! A [`Loop`] owns its membership: `blocks` is sorted ascending and
+//! [`Loop::contains`] binary-searches it, so every phase that walks a loop
+//! body sees the same deterministic order without copying or sorting it.
 
 use super::cfg::Cfg;
 use super::dom::DomTree;
@@ -6,7 +10,6 @@ use crate::block::{BlockId, Terminator};
 use crate::function::Function;
 use crate::inst::{BinOp, CmpPred, InstId, InstKind};
 use crate::value::Value;
-use std::collections::HashSet;
 
 /// A natural loop: a header dominating one or more latches.
 #[derive(Debug, Clone)]
@@ -15,8 +18,9 @@ pub struct Loop {
     pub header: BlockId,
     /// Blocks with a back edge to the header.
     pub latches: Vec<BlockId>,
-    /// All blocks in the loop body, including the header.
-    pub blocks: HashSet<BlockId>,
+    /// All blocks in the loop body, including the header, sorted
+    /// ascending.
+    pub blocks: Vec<BlockId>,
     /// Blocks inside the loop with an edge leaving it.
     pub exiting: Vec<BlockId>,
     /// Blocks outside the loop targeted by exiting edges.
@@ -59,7 +63,7 @@ impl LoopForest {
     /// Detects natural loops from back edges (`latch → header` where the
     /// header dominates the latch). Back edges sharing a header are merged
     /// into one loop, as in LLVM's `LoopInfo`.
-    pub fn new(_f: &Function, cfg: &Cfg, dt: &DomTree) -> LoopForest {
+    pub fn new(cfg: &Cfg, dt: &DomTree) -> LoopForest {
         let mut headers: Vec<BlockId> = Vec::new();
         let mut latch_map: Vec<Vec<BlockId>> = Vec::new();
         for &b in &cfg.rpo {
@@ -77,32 +81,31 @@ impl LoopForest {
             }
         }
 
+        // `body_of[b] == i` while loop `i` is built marks `b` in its body,
+        // so one vector serves every loop without clearing.
+        let mut body_of = vec![usize::MAX; cfg.succs.len()];
         let mut loops = Vec::new();
-        for (hi, &header) in headers.iter().enumerate() {
-            let latches = latch_map[hi].clone();
+        for (i, (header, latches)) in headers.into_iter().zip(latch_map).enumerate() {
             // Body = header + all blocks that reach a latch without passing
-            // through the header (reverse DFS from latches).
-            let mut blocks: HashSet<BlockId> = HashSet::new();
-            blocks.insert(header);
+            // through the header (reverse DFS from latches; latches may
+            // include the header for self-loops).
+            body_of[header.index()] = i;
+            let mut blocks = vec![header];
             let mut stack = latches.clone();
             while let Some(b) = stack.pop() {
-                if blocks.insert(b) {
-                    for &p in &cfg.preds[b.index()] {
-                        stack.push(p);
-                    }
-                } else if b != header {
-                    // already visited
+                if body_of[b.index()] != i {
+                    body_of[b.index()] = i;
+                    blocks.push(b);
+                    stack.extend_from_slice(&cfg.preds[b.index()]);
                 }
             }
-            // (`insert` returning false covers the visited case; latches may
-            // include the header for self-loops.)
+            blocks.sort_unstable();
+            let inside = |b: &BlockId| body_of[b.index()] == i;
             let mut exiting = Vec::new();
             let mut exits = Vec::new();
-            let mut ordered_blocks: Vec<BlockId> = blocks.iter().copied().collect();
-            ordered_blocks.sort_unstable();
-            for &b in &ordered_blocks {
+            for &b in &blocks {
                 for &s in &cfg.succs[b.index()] {
-                    if !blocks.contains(&s) {
+                    if !inside(&s) {
                         if !exiting.contains(&b) {
                             exiting.push(b);
                         }
@@ -115,7 +118,7 @@ impl LoopForest {
             let outside_preds: Vec<BlockId> = cfg.preds[header.index()]
                 .iter()
                 .copied()
-                .filter(|p| !blocks.contains(p))
+                .filter(|p| !inside(p))
                 .collect();
             let preheader = match outside_preds.as_slice() {
                 [p] if cfg.succs[p.index()].len() == 1 => Some(*p),
@@ -142,9 +145,7 @@ impl LoopForest {
                 if i == j {
                     continue;
                 }
-                if loops[j].blocks.contains(&loops[i].header)
-                    && loops[j].header != loops[i].header
-                {
+                if loops[j].contains(loops[i].header) && loops[j].header != loops[i].header {
                     best = match best {
                         None => Some(j),
                         Some(b) if loops[j].blocks.len() < loops[b].blocks.len() => Some(j),
@@ -174,6 +175,11 @@ impl LoopForest {
 }
 
 impl Loop {
+    /// Whether `b` is in the loop body.
+    pub fn contains(&self, b: BlockId) -> bool {
+        self.blocks.binary_search(&b).is_ok()
+    }
+
     /// Recognizes the canonical counted-loop pattern produced by the
     /// builder (and by `indvars` canonicalization):
     ///
@@ -223,7 +229,7 @@ impl Loop {
         for (b, v) in &incomings {
             if *b == latch {
                 next = Some(*v);
-            } else if !self.blocks.contains(b) {
+            } else if !self.contains(*b) {
                 start = Some(*v);
             }
         }
@@ -301,7 +307,7 @@ mod tests {
         let f = loop_fn(None);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&cfg);
-        let forest = LoopForest::new(&f, &cfg, &dt);
+        let forest = LoopForest::new(&cfg, &dt);
         assert_eq!(forest.loops.len(), 1);
         let l = &forest.loops[0];
         assert_eq!(l.latches.len(), 1);
@@ -316,7 +322,7 @@ mod tests {
         let f = loop_fn(None);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&cfg);
-        let forest = LoopForest::new(&f, &cfg, &dt);
+        let forest = LoopForest::new(&cfg, &dt);
         let tc = forest.loops[0].trip_count(&f).expect("canonical loop");
         assert_eq!(tc.step, 1);
         assert_eq!(tc.const_trips, None);
@@ -328,7 +334,7 @@ mod tests {
         let f = loop_fn(Some(10));
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&cfg);
-        let forest = LoopForest::new(&f, &cfg, &dt);
+        let forest = LoopForest::new(&cfg, &dt);
         let tc = forest.loops[0].trip_count(&f).expect("canonical loop");
         assert_eq!(tc.const_trips, Some(10));
     }
@@ -351,7 +357,7 @@ mod tests {
         let f = mb.build().functions.remove(0);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&cfg);
-        let forest = LoopForest::new(&f, &cfg, &dt);
+        let forest = LoopForest::new(&cfg, &dt);
         assert_eq!(forest.loops.len(), 2);
         assert_eq!(forest.max_depth(), 2);
         let inner = forest.loops.iter().find(|l| l.depth == 2).unwrap();

@@ -11,6 +11,12 @@
 //! change nothing, so it is kept cheap: its use lists are dense arrays
 //! indexed by instruction arena id (see its module for the layout), and
 //! building it takes two scans and three allocations.
+//!
+//! Analyses whose results phases iterate decide that order themselves: a
+//! [`Loop`]'s blocks and each dominance frontier
+//! ([`DomTree::dominance_frontiers`]) come sorted ascending, so phases
+//! walk them as they are and produce the same output on every run,
+//! without copying or sorting them.
 
 mod callgraph;
 mod cfg;

@@ -221,7 +221,7 @@ impl WorkerPool {
                     Ok(r) => return Ok(r),
                     Err(payload) => {
                         trace::counter("pool.attempt_failures", 1);
-                        reason = payload_reason(payload.as_ref());
+                        reason = panic_reason(payload.as_ref());
                     }
                 }
             }
@@ -236,8 +236,13 @@ impl WorkerPool {
     }
 }
 
-/// Renders a caught panic payload as a message for [`ItemFailure::reason`].
-fn payload_reason(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a human-readable reason from a caught panic payload.
+///
+/// Shared by the supervised worker pool ([`ItemFailure::reason`]) and,
+/// through its re-export from `mlcomp-faults`, the pass sandbox, so
+/// failure and quarantine reports print the actual `panic!` message
+/// instead of `Box<dyn Any>`.
+pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -294,7 +299,7 @@ mod tests {
             })
             .expect_err("the panic must reach the caller");
             assert!(
-                payload_reason(caught.as_ref()).contains("item 9 dies"),
+                panic_reason(caught.as_ref()).contains("item 9 dies"),
                 "threads={threads}"
             );
         }

@@ -30,7 +30,7 @@ const UNSWITCH_BUDGET: usize = 96;
 fn forest(f: &Function) -> (Cfg, DomTree, LoopForest) {
     let cfg = Cfg::new(f);
     let dt = DomTree::new(&cfg);
-    let lf = LoopForest::new(f, &cfg, &dt);
+    let lf = LoopForest::new(&cfg, &dt);
     (cfg, dt, lf)
 }
 
@@ -94,11 +94,7 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
             };
             let write_roots = loop_effectful_roots(f, l);
             let calls = loop_has_calls(f, l);
-            // Sorted iteration keeps hoist order (and thus output IR)
-            // deterministic across runs.
-            let mut loop_blocks: Vec<BlockId> = l.blocks.iter().copied().collect();
-            loop_blocks.sort_unstable();
-            for &b in &loop_blocks {
+            for &b in &l.blocks {
                 let ids = f.block(b).insts.clone();
                 for id in ids {
                     let kind = f.inst(id).kind.clone();
@@ -168,10 +164,9 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             else {
                 continue;
             };
-            let (body_entry, exit) = if l.blocks.contains(&then_bb) && !l.blocks.contains(&else_bb)
-            {
+            let (body_entry, exit) = if l.contains(then_bb) && !l.contains(else_bb) {
                 (then_bb, else_bb)
-            } else if l.blocks.contains(&else_bb) && !l.blocks.contains(&then_bb) {
+            } else if l.contains(else_bb) && !l.contains(then_bb) {
                 (else_bb, then_bb)
             } else {
                 continue;
@@ -282,19 +277,13 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             let du = DefUse::new(f);
             let mut liveouts: Vec<(InstId, Value, Value)> = Vec::new(); // (def, pre_version, latch_version)
             for &p in &phis {
-                let used_outside = du
-                    .uses_of(p)
-                    .iter()
-                    .any(|u| !l.blocks.contains(&u.block()));
+                let used_outside = du.uses_of(p).iter().any(|u| !l.contains(u.block()));
                 if used_outside {
                     liveouts.push((p, init_map[&p], next_map[&p]));
                 }
             }
             for &i in &body_insts {
-                let used_outside = du
-                    .uses_of(i)
-                    .iter()
-                    .any(|u| !l.blocks.contains(&u.block()));
+                let used_outside = du.uses_of(i).iter().any(|u| !l.contains(u.block()));
                 if used_outside {
                     liveouts.push((
                         i,
@@ -334,10 +323,8 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
                 ));
                 f.block_mut(exit).insts.insert(0, phi);
                 // Replace uses outside the loop (and not the new phi).
-                let outside_blocks: Vec<BlockId> = f
-                    .block_ids()
-                    .filter(|b| !l.blocks.contains(b))
-                    .collect();
+                let outside_blocks: Vec<BlockId> =
+                    f.block_ids().filter(|b| !l.contains(*b)).collect();
                 for ob in outside_blocks {
                     for &uid in &f.block(ob).insts.clone() {
                         if uid == phi {
@@ -407,11 +394,11 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
                         if let InstKind::Phi { incomings } = &f.inst(phi_id).kind {
                             let start_const = incomings
                                 .iter()
-                                .filter(|(b2, _)| !l.blocks.contains(b2))
+                                .filter(|(b2, _)| !l.contains(*b2))
                                 .filter_map(|(_, v)| v.as_const_int())
                                 .next();
                             let step_one = incomings.iter().any(|(b2, v)| {
-                                l.blocks.contains(b2)
+                                l.contains(*b2)
                                     && v.as_inst()
                                         .map(|nid| {
                                             matches!(
@@ -458,14 +445,14 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
             .uses_of(tc.iv_phi)
             .iter()
             .map(|u| u.block())
-            .filter(|b| !l.blocks.contains(b))
+            .filter(|b| !l.contains(*b))
             .collect();
         if outside_uses.is_empty() {
             continue;
         }
         let ty = f.inst(tc.iv_phi).ty;
         for ob in f.block_ids().collect::<Vec<_>>() {
-            if l.blocks.contains(&ob) {
+            if l.contains(ob) {
                 continue;
             }
             for &uid in &f.block(ob).insts.clone() {
@@ -559,11 +546,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                     continue;
                 }
                 for &id in &f.block(b).insts {
-                    if du
-                        .uses_of(id)
-                        .iter()
-                        .any(|u| !l.blocks.contains(&u.block()))
-                    {
+                    if du.uses_of(id).iter().any(|u| !l.contains(u.block())) {
                         ok = false;
                     }
                 }
@@ -581,7 +564,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             else {
                 continue;
             };
-            let body_entry = if l.blocks.contains(&then_bb) {
+            let body_entry = if l.contains(then_bb) {
                 then_bb
             } else {
                 else_bb
@@ -589,13 +572,12 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             if body_entry == l.header {
                 continue; // self-loop; nothing to unroll structurally
             }
-            let mut region: Vec<BlockId> = l
+            let region: Vec<BlockId> = l
                 .blocks
                 .iter()
                 .copied()
                 .filter(|&b| b != l.header)
                 .collect();
-            region.sort_unstable();
 
             // Per-phi current value, starting with the init incoming.
             let mut cur: HashMap<InstId, Value> = HashMap::new();
@@ -623,8 +605,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
 
             let mut link = pre; // block that branches into the next copy
             for _k in 0..trips {
-                let map = clone_region(f, &region);
-                let inst_map = build_inst_map(f, &region, &map);
+                let (map, inst_map) = clone_region(f, &region);
                 // Substitute header-phi uses in the copy with current vals.
                 for (&_old, &new_b) in &map {
                     for &nid in &f.block(new_b).insts.clone() {
@@ -717,23 +698,6 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
     changed | trivial_dce(m, f, false)
 }
 
-fn build_inst_map(
-    f: &Function,
-    region: &[BlockId],
-    block_map: &HashMap<BlockId, BlockId>,
-) -> HashMap<InstId, InstId> {
-    let mut map = HashMap::new();
-    for &b in region {
-        let new_b = block_map[&b];
-        let old_ids = &f.block(b).insts;
-        let new_ids = &f.block(new_b).insts;
-        for (o, n) in old_ids.iter().zip(new_ids.iter()) {
-            map.insert(*o, *n);
-        }
-    }
-    map
-}
-
 /// `loop-deletion`: removes loops with no observable effects — no stores,
 /// no calls, no loop-defined values used outside — and a provably finite
 /// trip count.
@@ -767,11 +731,10 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
             // No loop value used outside.
             let du = DefUse::new(f);
             let leaks = l.blocks.iter().any(|&b| {
-                f.block(b).insts.iter().any(|&id| {
-                    du.uses_of(id)
-                        .iter()
-                        .any(|u| !l.blocks.contains(&u.block()))
-                })
+                f.block(b)
+                    .insts
+                    .iter()
+                    .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
             });
             if leaks {
                 continue;
@@ -903,11 +866,10 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
             // No loop value used outside.
             let du = DefUse::new(f);
             let leaks = l.blocks.iter().any(|&b| {
-                f.block(b).insts.iter().any(|&id| {
-                    du.uses_of(id)
-                        .iter()
-                        .any(|u| !l.blocks.contains(&u.block()))
-                })
+                f.block(b)
+                    .insts
+                    .iter()
+                    .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
             });
             if leaks {
                 continue;
@@ -1030,11 +992,10 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
         }
         let du = DefUse::new(f);
         let leaks = l.blocks.iter().any(|&b| {
-            f.block(b).insts.iter().any(|&id| {
-                du.uses_of(id)
-                    .iter()
-                    .any(|u| !l.blocks.contains(&u.block()))
-            })
+            f.block(b)
+                .insts
+                .iter()
+                .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
         });
         if leaks {
             continue;
@@ -1042,9 +1003,7 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
         // Find an invariant conditional branch inside the loop (not the
         // loop-exit test in the header).
         let mut target: Option<(BlockId, Value, BlockId, BlockId)> = None;
-        let mut search_blocks: Vec<BlockId> = l.blocks.iter().copied().collect();
-        search_blocks.sort_unstable();
-        for &b in &search_blocks {
+        for &b in &l.blocks {
             if let Terminator::CondBr {
                 cond,
                 then_bb,
@@ -1053,8 +1012,8 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
             } = &f.block(b).term
             {
                 if is_invariant(f, l, *cond)
-                    && l.blocks.contains(then_bb)
-                    && l.blocks.contains(else_bb)
+                    && l.contains(*then_bb)
+                    && l.contains(*else_bb)
                     && then_bb != else_bb
                 {
                     target = Some((b, *cond, *then_bb, *else_bb));
@@ -1065,11 +1024,8 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
         let Some((cb, cond, then_bb, else_bb)) = target else {
             continue;
         };
-        // Clone the loop; original becomes the cond-true version. Sorted
-        // region order keeps the clone's block ids deterministic.
-        let mut region: Vec<BlockId> = l.blocks.iter().copied().collect();
-        region.sort_unstable();
-        let map = clone_region(f, &region);
+        // Clone the loop; original becomes the cond-true version.
+        let (map, _) = clone_region(f, &l.blocks);
         // Original: branch always-then. Clone: always-else. The dropped
         // edges must disappear from the target phis too.
         f.block_mut(cb).term = Terminator::Br(then_bb);
@@ -1118,7 +1074,7 @@ pub fn loop_sink(m: &Module, f: &mut Function) -> bool {
             if uses.is_empty() {
                 continue;
             }
-            let all_inside = uses.iter().all(|u| l.blocks.contains(&u.block()));
+            let all_inside = uses.iter().all(|u| l.contains(u.block()));
             // Operands must not be defined later in the preheader… they are
             // earlier by construction; sinking to the header keeps order.
             if all_inside {
@@ -1144,11 +1100,14 @@ pub fn loop_sink(m: &Module, f: &mut Function) -> bool {
 pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
     let mut changed = false;
     let (_cfg, _dt, lf) = forest(f);
-    let loop_blocks: HashSet<BlockId> = lf
+    // Blocks in any loop, ascending.
+    let mut loop_blocks: Vec<BlockId> = lf
         .loops
         .iter()
         .flat_map(|l| l.blocks.iter().copied())
         .collect();
+    loop_blocks.sort_unstable();
+    loop_blocks.dedup();
     for &b in &loop_blocks {
         // Block-local forwarding inside loop bodies.
         let ids = f.block(b).insts.clone();
@@ -1233,11 +1192,7 @@ pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
         let du = DefUse::new(f);
         for &b in &l.blocks {
             for &id in &f.block(b).insts {
-                if du
-                    .uses_of(id)
-                    .iter()
-                    .any(|u| !l.blocks.contains(&u.block()))
-                {
+                if du.uses_of(id).iter().any(|u| !l.contains(u.block())) {
                     continue 'loops;
                 }
             }
@@ -1315,10 +1270,7 @@ pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
         // the real hazard; self-root loads are fine).
 
         // Clone the whole loop; original keeps slice 1, clone keeps 2.
-        let mut region: Vec<BlockId> = l.blocks.iter().copied().collect();
-        region.sort_unstable();
-        let map = clone_region(f, &region);
-        let inst_map = build_inst_map(f, &region, &map);
+        let (map, inst_map) = clone_region(f, &l.blocks);
         // Original body: drop slice-2 instructions.
         for &id in &ids {
             if s2.contains(&id) {

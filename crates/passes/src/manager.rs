@@ -31,7 +31,7 @@
 //! that verification, and the module trajectory is bit-identical to the
 //! raw transforms ([`crate::run_phase_on`]) on healthy phases.
 
-use crate::registry::{is_registered, run_phase};
+use crate::registry::{is_registered, lookup};
 use mlcomp_faults::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
 use mlcomp_ir::Module;
 use mlcomp_trace as trace;
@@ -384,9 +384,9 @@ impl PassManager {
         plan: Option<&FaultPlan>,
         site_key: &str,
     ) -> Result<PhaseOutcome, UnknownPhaseError> {
-        if !is_registered(name) {
+        let Some(transform) = lookup(name) else {
             return Err(UnknownPhaseError(name.to_string()));
-        }
+        };
         let mut span = trace::span("phase");
         let recording = span.is_recording();
         let (insts_before, blocks_before) = if recording {
@@ -404,7 +404,7 @@ impl PassManager {
             if let Some(p) = plan {
                 p.maybe_panic(site_key);
             }
-            run_phase(m, &snapshot, name).expect("name validated against registry")
+            transform.run(m, &snapshot)
         }));
         let mut verify_ns = 0;
         let outcome = match ran {

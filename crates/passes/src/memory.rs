@@ -285,13 +285,16 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
         allocas.iter().enumerate().map(|(i, a)| (*a, i)).collect();
     let types: Vec<Type> = allocas.iter().map(|a| alloca_value_type(f, *a)).collect();
 
-    // Blocks containing a store per alloca.
-    let mut def_blocks: Vec<HashSet<BlockId>> = vec![HashSet::new(); allocas.len()];
+    // Blocks containing a store per alloca, ascending: blocks are visited
+    // in order, so a repeat can only be the last entry.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
             if let InstKind::Store { ptr: Value::Inst(a), .. } = &f.inst(id).kind {
                 if let Some(&ai) = alloca_index.get(a) {
-                    def_blocks[ai].insert(b);
+                    if def_blocks[ai].last() != Some(&b) {
+                        def_blocks[ai].push(b);
+                    }
                 }
             }
         }
@@ -301,16 +304,12 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
     // phi_of[block][alloca] = phi inst id
     let mut phi_of: HashMap<(BlockId, usize), InstId> = HashMap::new();
     for (ai, defs) in def_blocks.iter().enumerate() {
-        // Sorted worklists keep phi-creation order (and thus instruction
-        // arena ids) deterministic across runs.
-        let mut seed: Vec<BlockId> = defs.iter().copied().collect();
-        seed.sort_unstable();
-        let mut work: VecDeque<BlockId> = seed.into();
+        // Sorted worklists and frontiers keep phi-creation order (and thus
+        // instruction arena ids) deterministic across runs.
+        let mut work: VecDeque<BlockId> = defs.iter().copied().collect();
         let mut has_phi: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop_front() {
-            let mut frontiers: Vec<BlockId> = df[b.index()].iter().copied().collect();
-            frontiers.sort_unstable();
-            for &frontier in &frontiers {
+            for &frontier in &df[b.index()] {
                 if has_phi.insert(frontier) {
                     let phi = f.add_inst(Inst::new(
                         InstKind::Phi {
@@ -320,7 +319,7 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
                     ));
                     f.block_mut(frontier).insts.insert(0, phi);
                     phi_of.insert((frontier, ai), phi);
-                    if !def_blocks[ai].contains(&frontier) {
+                    if defs.binary_search(&frontier).is_err() {
                         work.push_back(frontier);
                     }
                 }

@@ -1,67 +1,116 @@
 //! The phase registry: every optimization phase of the paper's Table VI,
 //! addressable by its LLVM name.
 
+use crate::{cfgopt, cse, dce, ipo, loops, memory, motion, scalar, sccp, vector};
 use mlcomp_ir::{Function, Module};
 
+/// How a registered phase transforms a module.
+#[derive(Clone, Copy)]
+pub(crate) enum Transform {
+    /// Runs once over the whole module.
+    Module(fn(&mut Module) -> bool),
+    /// Runs over every function body, reading the pre-phase module for
+    /// interprocedural queries like `readnone`.
+    Function(fn(&Module, &mut Function) -> bool),
+}
+
+impl Transform {
+    /// Runs the phase over `m`, whose pre-phase state is `before`: the
+    /// module snapshot every function phase reads. `before` must equal
+    /// `m`. Returns whether the module changed.
+    pub(crate) fn run(self, m: &mut Module, before: &Module) -> bool {
+        match self {
+            Transform::Module(pass) => pass(m),
+            Transform::Function(pass) => {
+                let mut changed = false;
+                for f in m.functions.iter_mut() {
+                    if !f.is_declaration {
+                        changed |= pass(before, f);
+                    }
+                }
+                changed
+            }
+        }
+    }
+}
+
+/// The 48 phases of Table VI, in the paper's (alphabetical) order, each
+/// with its transform.
+#[rustfmt::skip]
+const PHASES: &[(&str, Transform)] = &[
+    ("adce", Transform::Function(dce::adce)),
+    ("aggressive-instcombine", Transform::Function(scalar::aggressive_instcombine)),
+    ("alignment-from-assumptions", Transform::Function(scalar::alignment_from_assumptions)),
+    ("argpromotion", Transform::Module(ipo::argpromotion)),
+    ("bdce", Transform::Function(scalar::bdce)),
+    ("called-value-propagation", Transform::Module(ipo::called_value_propagation)),
+    ("callsite-splitting", Transform::Function(cfgopt::callsite_splitting)),
+    ("constmerge", Transform::Module(ipo::constmerge)),
+    ("correlated-propagation", Transform::Function(sccp::correlated_propagation)),
+    ("deadargelim", Transform::Module(ipo::deadargelim)),
+    ("div-rem-pairs", Transform::Function(scalar::div_rem_pairs)),
+    ("dse", Transform::Function(dce::dse)),
+    ("early-cse", Transform::Function(cse::early_cse)),
+    ("early-cse-memssa", Transform::Function(cse::early_cse_memssa)),
+    ("elim-avail-extern", Transform::Module(ipo::elim_avail_extern)),
+    ("float2int", Transform::Function(scalar::float2int)),
+    ("globaldce", Transform::Module(ipo::globaldce)),
+    ("globalopt", Transform::Module(ipo::globalopt)),
+    ("globals-aa", Transform::Module(ipo::globals_aa)),
+    ("gvn", Transform::Function(cse::gvn)),
+    ("indvars", Transform::Function(loops::indvars)),
+    ("inline", Transform::Module(ipo::inline)),
+    ("instcombine", Transform::Function(scalar::instcombine)),
+    ("instsimplify", Transform::Function(scalar::instsimplify)),
+    ("ipsccp", Transform::Module(sccp::ipsccp)),
+    ("jump-threading", Transform::Function(cfgopt::jump_threading)),
+    ("licm", Transform::Function(loops::licm)),
+    ("loop-deletion", Transform::Function(loops::loop_deletion)),
+    ("loop-distribute", Transform::Function(loops::loop_distribute)),
+    ("loop-idiom", Transform::Function(loops::loop_idiom)),
+    ("loop-load-elim", Transform::Function(loops::loop_load_elim)),
+    ("loop-rotate", Transform::Function(loops::loop_rotate)),
+    ("loop-sink", Transform::Function(loops::loop_sink)),
+    ("loop-unroll", Transform::Function(loops::loop_unroll)),
+    ("loop-unswitch", Transform::Function(loops::loop_unswitch)),
+    ("loop-vectorize", Transform::Function(vector::loop_vectorize)),
+    ("lower-expect", Transform::Function(scalar::lower_expect)),
+    ("mem2reg", Transform::Function(memory::mem2reg)),
+    ("memcpyopt", Transform::Function(motion::memcpyopt)),
+    ("mldst-motion", Transform::Function(motion::mldst_motion)),
+    ("prune-eh", Transform::Module(ipo::prune_eh)),
+    ("reassociate", Transform::Function(scalar::reassociate)),
+    ("sccp", Transform::Function(sccp::sccp)),
+    ("simplifycfg", Transform::Function(cfgopt::simplifycfg)),
+    ("slp-vectorizer", Transform::Function(vector::slp_vectorizer)),
+    ("speculative-execution", Transform::Function(motion::speculative_execution)),
+    ("sroa", Transform::Function(memory::sroa)),
+    ("tailcallelim", Transform::Module(ipo::tailcallelim)),
+];
+
 /// Number of phases in the paper's Table VI.
-pub const PHASE_COUNT: usize = 48;
+pub const PHASE_COUNT: usize = PHASES.len();
 
 /// The 48 phase names of Table VI, in the paper's (alphabetical) order.
-pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
-    "adce",
-    "aggressive-instcombine",
-    "alignment-from-assumptions",
-    "argpromotion",
-    "bdce",
-    "called-value-propagation",
-    "callsite-splitting",
-    "constmerge",
-    "correlated-propagation",
-    "deadargelim",
-    "div-rem-pairs",
-    "dse",
-    "early-cse",
-    "early-cse-memssa",
-    "elim-avail-extern",
-    "float2int",
-    "globaldce",
-    "globalopt",
-    "globals-aa",
-    "gvn",
-    "indvars",
-    "inline",
-    "instcombine",
-    "instsimplify",
-    "ipsccp",
-    "jump-threading",
-    "licm",
-    "loop-deletion",
-    "loop-distribute",
-    "loop-idiom",
-    "loop-load-elim",
-    "loop-rotate",
-    "loop-sink",
-    "loop-unroll",
-    "loop-unswitch",
-    "loop-vectorize",
-    "lower-expect",
-    "mem2reg",
-    "memcpyopt",
-    "mldst-motion",
-    "prune-eh",
-    "reassociate",
-    "sccp",
-    "simplifycfg",
-    "slp-vectorizer",
-    "speculative-execution",
-    "sroa",
-    "tailcallelim",
-];
+pub const PHASE_NAMES: [&str; PHASE_COUNT] = {
+    let mut names = [""; PHASE_COUNT];
+    let mut i = 0;
+    while i < PHASE_COUNT {
+        names[i] = PHASES[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// The transform registered under `name`, if any.
+pub(crate) fn lookup(name: &str) -> Option<Transform> {
+    PHASES.iter().find(|(n, _)| *n == name).map(|&(_, t)| t)
+}
 
 /// Whether `name` is a registered phase — the cheap pre-flight check the
 /// pass manager uses to validate whole sequences before mutating a module.
 pub fn is_registered(name: &str) -> bool {
-    PHASE_NAMES.contains(&name)
+    lookup(name).is_some()
 }
 
 /// FNV-1a hash over the phase count and ordered phase names.
@@ -106,80 +155,9 @@ fn hash_names(names: &[&str]) -> u64 {
 /// [`PassManager::run_phase_sandboxed`](crate::PassManager::run_phase_sandboxed),
 /// which lends its rollback snapshot instead.
 pub fn run_phase_on(m: &mut Module, name: &str) -> Option<bool> {
+    let transform = lookup(name)?;
     let before = m.clone();
-    run_phase(m, &before, name)
-}
-
-/// Runs one phase by name over `m`, whose pre-phase state is `before`: the
-/// module snapshot every function phase reads for interprocedural
-/// queries. `before` must equal `m`.
-pub(crate) fn run_phase(m: &mut Module, before: &Module, name: &str) -> Option<bool> {
-    let changed = match name {
-        // Module phases.
-        "inline" => crate::ipo::inline(m),
-        "argpromotion" => crate::ipo::argpromotion(m),
-        "deadargelim" => crate::ipo::deadargelim(m),
-        "globaldce" => crate::ipo::globaldce(m),
-        "globalopt" => crate::ipo::globalopt(m),
-        "constmerge" => crate::ipo::constmerge(m),
-        "called-value-propagation" => crate::ipo::called_value_propagation(m),
-        "elim-avail-extern" => crate::ipo::elim_avail_extern(m),
-        "prune-eh" => crate::ipo::prune_eh(m),
-        "globals-aa" => crate::ipo::globals_aa(m),
-        "tailcallelim" => crate::ipo::tailcallelim(m),
-        "ipsccp" => crate::sccp::ipsccp(m),
-        // Function phases.
-        "adce" => run_fn(m, before, crate::dce::adce),
-        "aggressive-instcombine" => run_fn(m, before, crate::scalar::aggressive_instcombine),
-        "alignment-from-assumptions" => {
-            run_fn(m, before, crate::scalar::alignment_from_assumptions)
-        }
-        "bdce" => run_fn(m, before, crate::scalar::bdce),
-        "callsite-splitting" => run_fn(m, before, crate::cfgopt::callsite_splitting),
-        "correlated-propagation" => run_fn(m, before, crate::sccp::correlated_propagation),
-        "div-rem-pairs" => run_fn(m, before, crate::scalar::div_rem_pairs),
-        "dse" => run_fn(m, before, crate::dce::dse),
-        "early-cse" => run_fn(m, before, crate::cse::early_cse),
-        "early-cse-memssa" => run_fn(m, before, crate::cse::early_cse_memssa),
-        "float2int" => run_fn(m, before, crate::scalar::float2int),
-        "gvn" => run_fn(m, before, crate::cse::gvn),
-        "indvars" => run_fn(m, before, crate::loops::indvars),
-        "instcombine" => run_fn(m, before, crate::scalar::instcombine),
-        "instsimplify" => run_fn(m, before, crate::scalar::instsimplify),
-        "jump-threading" => run_fn(m, before, crate::cfgopt::jump_threading),
-        "licm" => run_fn(m, before, crate::loops::licm),
-        "loop-deletion" => run_fn(m, before, crate::loops::loop_deletion),
-        "loop-distribute" => run_fn(m, before, crate::loops::loop_distribute),
-        "loop-idiom" => run_fn(m, before, crate::loops::loop_idiom),
-        "loop-load-elim" => run_fn(m, before, crate::loops::loop_load_elim),
-        "loop-rotate" => run_fn(m, before, crate::loops::loop_rotate),
-        "loop-sink" => run_fn(m, before, crate::loops::loop_sink),
-        "loop-unroll" => run_fn(m, before, crate::loops::loop_unroll),
-        "loop-unswitch" => run_fn(m, before, crate::loops::loop_unswitch),
-        "loop-vectorize" => run_fn(m, before, crate::vector::loop_vectorize),
-        "lower-expect" => run_fn(m, before, crate::scalar::lower_expect),
-        "mem2reg" => run_fn(m, before, crate::memory::mem2reg),
-        "memcpyopt" => run_fn(m, before, crate::motion::memcpyopt),
-        "mldst-motion" => run_fn(m, before, crate::motion::mldst_motion),
-        "reassociate" => run_fn(m, before, crate::scalar::reassociate),
-        "sccp" => run_fn(m, before, crate::sccp::sccp),
-        "simplifycfg" => run_fn(m, before, crate::cfgopt::simplifycfg),
-        "slp-vectorizer" => run_fn(m, before, crate::vector::slp_vectorizer),
-        "speculative-execution" => run_fn(m, before, crate::motion::speculative_execution),
-        "sroa" => run_fn(m, before, crate::memory::sroa),
-        _ => return None,
-    };
-    Some(changed)
-}
-
-fn run_fn(m: &mut Module, before: &Module, pass: fn(&Module, &mut Function) -> bool) -> bool {
-    let mut changed = false;
-    for f in m.functions.iter_mut() {
-        if !f.is_declaration {
-            changed |= pass(before, f);
-        }
-    }
-    changed
+    Some(transform.run(m, &before))
 }
 
 #[cfg(test)]
@@ -189,7 +167,7 @@ mod tests {
 
     #[test]
     fn exactly_48_phases() {
-        assert_eq!(PHASE_NAMES.len(), PHASE_COUNT);
+        assert_eq!(PHASE_COUNT, 48);
         let mut sorted = PHASE_NAMES.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -230,19 +208,112 @@ mod tests {
     }
 
     #[test]
-    fn unknown_phase_is_none() {
-        let mut m = mlcomp_ir::Module::new("t");
-        assert_eq!(run_phase_on(&mut m, "no-such-phase"), None);
+    fn registry_hash_is_pinned() {
+        // Bundles record this value at export and refuse to import under
+        // another, so it may change only with the phase list itself.
+        assert_eq!(registry_hash(), 0x3d2e_08eb_d989_e55a);
     }
 
     #[test]
-    fn is_registered_agrees_with_run_phase_on() {
+    fn unknown_phase_is_none() {
         let mut m = mlcomp_ir::Module::new("t");
-        for name in PHASE_NAMES {
-            assert!(is_registered(name));
-            assert!(run_phase_on(&mut m, name).is_some());
-        }
+        assert_eq!(run_phase_on(&mut m, "no-such-phase"), None);
         assert!(!is_registered("no-such-phase"));
         assert!(!is_registered(""));
+    }
+
+    /// The largest state the fingerprint test runs the phases on, the same
+    /// in both profiles so that one table serves both.
+    const FINGERPRINT_MAX_INSTS: usize = 200;
+
+    /// FNV-1a of each phase's outputs on the suite states, in
+    /// `PHASE_NAMES` order.
+    const FINGERPRINTS: [u64; PHASE_COUNT] = [
+        0x6d9d86be4cadd439,
+        0x09e9fd75621799db,
+        0x9889dbe55d5f19e5,
+        0xc6e6b3799ef50526,
+        0x208bc4289bf32690,
+        0xc6e6b3799ef50526,
+        0x5c4b2b0d283a10c2,
+        0xc6e6b3799ef50526,
+        0xc6e6b3799ef50526,
+        0xc6e6b3799ef50526,
+        0xc6e6b3799ef50526,
+        0xf368eed87aded8cd,
+        0x01cde39052eaaae7,
+        0x016e025bc1633ca5,
+        0xc6e6b3799ef50526,
+        0xc6e6b3799ef50526,
+        0x169be8b0cfb809e4,
+        0x1c25389c1ba48e04,
+        0x03d9b6d34d1af98d,
+        0x016e025bc1633ca5,
+        0xc6e6b3799ef50526,
+        0x9be3a521409202c2,
+        0x4af2f6fe6fe2d27b,
+        0xf6052f04f9dd39f2,
+        0xf6d46165e436ed67,
+        0xc6e6b3799ef50526,
+        0x66a691eded211a54,
+        0xc6e6b3799ef50526,
+        0x1d4d8b5615e8e474,
+        0xc6e6b3799ef50526,
+        0x7dbe1fea3f3266fc,
+        0x02b12303b59912af,
+        0xe5a901dbe5809018,
+        0x197de4fbaede4d62,
+        0x7d389126ccec0541,
+        0xf171c1673e6ecd8b,
+        0xc6e6b3799ef50526,
+        0x27440821c16d1f13,
+        0xc6e6b3799ef50526,
+        0xc6e6b3799ef50526,
+        0x2dc9e9b228f5f7b7,
+        0xd63d5acac649188f,
+        0xf6d46165e436ed67,
+        0xca393bea1fdeef51,
+        0x6488f24122988d8a,
+        0xdd9b19b3ef4d7fa6,
+        0x4bfa2d81354c0930,
+        0xa788c1fbda2dd636,
+    ];
+
+    /// FNV-1a over all text written to it.
+    #[derive(Clone, Copy)]
+    struct Fnv1a(u64);
+
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs every phase sandboxed on every suite state and hashes the
+    /// `Debug` text of its outputs, arena included, so that a rewrite
+    /// which changes any phase's output on these states fails here. To
+    /// re-record after an intended change, paste the table it prints.
+    #[test]
+    fn phase_outputs_match_the_recorded_fingerprints() {
+        use std::fmt::Write;
+        let pm = crate::PassManager::new();
+        let mut hashes = [Fnv1a(0xcbf2_9ce4_8422_2325); PHASE_COUNT];
+        let states =
+            crate::suite_states::for_each_suite_state(FINGERPRINT_MAX_INSTS, |state, _| {
+                for (name, hash) in PHASE_NAMES.iter().zip(&mut hashes) {
+                    let mut m = state.clone();
+                    pm.run_phase_sandboxed(&mut m, name, None, name).unwrap();
+                    write!(hash, "{m:?}").unwrap();
+                }
+            });
+        assert!(states >= 300, "only {states} states checked");
+        let got = hashes.map(|h| h.0);
+        if got != FINGERPRINTS {
+            let table: String = got.iter().map(|h| format!("        {h:#018x},\n")).collect();
+            panic!("phase outputs changed on {states} states; new table:\n{table}");
+        }
     }
 }

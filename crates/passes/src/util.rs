@@ -406,10 +406,13 @@ pub fn alloca_escapes(f: &Function, alloca: InstId) -> bool {
 }
 
 /// Clones a set of blocks inside `f`, remapping internal branch targets and
-/// instruction references. Returns the old→new block map. Values defined
-/// outside the region are left untouched; phi edges from outside the region
-/// are preserved as-is (callers fix them up).
-pub fn clone_region(f: &mut Function, region: &[BlockId]) -> HashMap<BlockId, BlockId> {
+/// instruction references. Returns the old→new block and instruction maps.
+/// Values defined outside the region are left untouched; phi edges from
+/// outside the region are preserved as-is (callers fix them up).
+pub fn clone_region(
+    f: &mut Function,
+    region: &[BlockId],
+) -> (HashMap<BlockId, BlockId>, HashMap<InstId, InstId>) {
     let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
     let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
     for &b in region {
@@ -455,7 +458,7 @@ pub fn clone_region(f: &mut Function, region: &[BlockId]) -> HashMap<BlockId, Bl
         term.map_operands(|v| remap_val(v, &inst_map));
         f.block_mut(nb).term = term;
     }
-    block_map
+    (block_map, inst_map)
 }
 
 /// Splits `block` right after position `pos` (the instruction at `pos`
@@ -478,11 +481,7 @@ pub fn split_block_after(f: &mut Function, block: BlockId, pos: usize) -> BlockI
 /// outside predecessors (or an outside predecessor with several
 /// successors). All outside edges are retargeted to a fresh block that
 /// branches to the header; header phis are split accordingly.
-pub fn ensure_preheader(
-    f: &mut Function,
-    header: BlockId,
-    loop_blocks: &HashSet<BlockId>,
-) -> BlockId {
+pub fn ensure_preheader(f: &mut Function, header: BlockId, loop_blocks: &[BlockId]) -> BlockId {
     let cfg = Cfg::new(f);
     let outside: Vec<BlockId> = cfg.preds[header.index()]
         .iter()
@@ -771,7 +770,7 @@ mod tests {
         let f = &mut m.functions[0];
         let before_blocks = f.live_block_count();
         let region: Vec<BlockId> = f.block_ids().collect();
-        let map = clone_region(f, &region);
+        let (map, _) = clone_region(f, &region);
         assert_eq!(map.len(), before_blocks);
         assert_eq!(f.live_block_count(), before_blocks * 2);
     }
@@ -836,15 +835,65 @@ mod tests {
         assert!(checked >= 300, "only {checked} states checked");
     }
 
+    /// Asserts that every function of `state` gets the oracles' loops, in
+    /// the same order and with each body equal to the oracle's set sorted,
+    /// and the oracle's dominance frontiers, each sorted.
+    fn assert_loops_match_oracles(state: &Module, label: &str) {
+        use mlcomp_ir::analysis::{DomTree, LoopForest};
+        for f in &state.functions {
+            let context = format!("{label}: `{}`", f.name);
+            let cfg = Cfg::new(f);
+            let dt = DomTree::new(&cfg);
+            let forest = LoopForest::new(&cfg, &dt);
+            let old = oracle::loop_forest(&cfg, &dt);
+            assert_eq!(forest.loops.len(), old.len(), "{context}: loop count");
+            for (l, o) in forest.loops.iter().zip(&old) {
+                let mut blocks: Vec<BlockId> = o.blocks.iter().copied().collect();
+                blocks.sort_unstable();
+                assert_eq!(l.blocks, blocks, "{context}: body of {:?}", o.header);
+                assert_eq!(
+                    (l.header, &l.latches, &l.exiting, &l.exits),
+                    (o.header, &o.latches, &o.exiting, &o.exits),
+                    "{context}"
+                );
+                assert_eq!(
+                    (l.preheader, l.depth, l.parent),
+                    (o.preheader, o.depth, o.parent),
+                    "{context}: loop at {:?}",
+                    o.header
+                );
+            }
+            let df = dt.dominance_frontiers(&cfg);
+            let old = oracle::dominance_frontiers(&dt, &cfg);
+            assert_eq!(df.len(), old.len(), "{context}");
+            for (b, (new, old)) in df.iter().zip(&old).enumerate() {
+                let mut old: Vec<BlockId> = old.iter().copied().collect();
+                old.sort_unstable();
+                assert_eq!(*new, old, "{context}: frontier of block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn loop_forest_and_frontiers_match_the_oracles_on_the_suites() {
+        let checked =
+            crate::suite_states::for_each_suite_state(ORACLE_MAX_INSTS, assert_loops_match_oracles);
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
     /// Def-use chains and trivial DCE as they were before the dense
     /// rewrite, kept as differential oracles: one hash-map entry and one
     /// `Vec` per used instruction, and a DCE that rebuilds the chains and
     /// sweeps every block until a sweep removes nothing.
+    ///
+    /// The loop forest and dominance frontiers as they were before loop
+    /// bodies and frontiers became sorted vectors: one `HashSet` per loop
+    /// body and per frontier.
     mod oracle {
         use super::super::is_removable_call;
-        use mlcomp_ir::analysis::UseSite;
+        use mlcomp_ir::analysis::{Cfg, DomTree, UseSite};
         use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
-        use std::collections::HashMap;
+        use std::collections::{HashMap, HashSet};
 
         #[derive(Default)]
         pub(super) struct DefUse {
@@ -910,6 +959,137 @@ mod tests {
                     return changed;
                 }
             }
+        }
+
+        pub(super) struct Loop {
+            pub(super) header: BlockId,
+            pub(super) latches: Vec<BlockId>,
+            pub(super) blocks: HashSet<BlockId>,
+            pub(super) exiting: Vec<BlockId>,
+            pub(super) exits: Vec<BlockId>,
+            pub(super) preheader: Option<BlockId>,
+            pub(super) depth: u32,
+            pub(super) parent: Option<usize>,
+        }
+
+        pub(super) fn loop_forest(cfg: &Cfg, dt: &DomTree) -> Vec<Loop> {
+            let mut headers: Vec<BlockId> = Vec::new();
+            let mut latch_map: Vec<Vec<BlockId>> = Vec::new();
+            for &b in &cfg.rpo {
+                for &s in &cfg.succs[b.index()] {
+                    if dt.dominates(s, b) {
+                        match headers.iter().position(|&h| h == s) {
+                            Some(i) => latch_map[i].push(b),
+                            None => {
+                                headers.push(s);
+                                latch_map.push(vec![b]);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut loops = Vec::new();
+            for (hi, &header) in headers.iter().enumerate() {
+                let latches = latch_map[hi].clone();
+                let mut blocks: HashSet<BlockId> = HashSet::new();
+                blocks.insert(header);
+                let mut stack = latches.clone();
+                while let Some(b) = stack.pop() {
+                    if blocks.insert(b) {
+                        for &p in &cfg.preds[b.index()] {
+                            stack.push(p);
+                        }
+                    }
+                }
+                let mut exiting = Vec::new();
+                let mut exits = Vec::new();
+                let mut ordered_blocks: Vec<BlockId> = blocks.iter().copied().collect();
+                ordered_blocks.sort_unstable();
+                for &b in &ordered_blocks {
+                    for &s in &cfg.succs[b.index()] {
+                        if !blocks.contains(&s) {
+                            if !exiting.contains(&b) {
+                                exiting.push(b);
+                            }
+                            if !exits.contains(&s) {
+                                exits.push(s);
+                            }
+                        }
+                    }
+                }
+                let outside_preds: Vec<BlockId> = cfg.preds[header.index()]
+                    .iter()
+                    .copied()
+                    .filter(|p| !blocks.contains(p))
+                    .collect();
+                let preheader = match outside_preds.as_slice() {
+                    [p] if cfg.succs[p.index()].len() == 1 => Some(*p),
+                    _ => None,
+                };
+                loops.push(Loop {
+                    header,
+                    latches,
+                    blocks,
+                    exiting,
+                    exits,
+                    preheader,
+                    depth: 1,
+                    parent: None,
+                });
+            }
+            let n = loops.len();
+            for i in 0..n {
+                let mut best: Option<usize> = None;
+                for j in 0..n {
+                    if i == j {
+                        continue;
+                    }
+                    if loops[j].blocks.contains(&loops[i].header)
+                        && loops[j].header != loops[i].header
+                    {
+                        best = match best {
+                            None => Some(j),
+                            Some(b) if loops[j].blocks.len() < loops[b].blocks.len() => Some(j),
+                            other => other,
+                        };
+                    }
+                }
+                loops[i].parent = best;
+            }
+            for i in 0..n {
+                let mut d = 1;
+                let mut cur = loops[i].parent;
+                while let Some(p) = cur {
+                    d += 1;
+                    cur = loops[p].parent;
+                }
+                loops[i].depth = d;
+            }
+            loops
+        }
+
+        pub(super) fn dominance_frontiers(dt: &DomTree, cfg: &Cfg) -> Vec<HashSet<BlockId>> {
+            let n = cfg.succs.len();
+            let mut df: Vec<HashSet<BlockId>> = vec![HashSet::new(); n];
+            for &b in &cfg.rpo {
+                if cfg.preds[b.index()].len() >= 2 {
+                    let idom_b = match dt.idom[b.index()] {
+                        Some(d) => d,
+                        None => continue,
+                    };
+                    for &p in &cfg.preds[b.index()] {
+                        let mut runner = p;
+                        while runner != idom_b {
+                            df[runner.index()].insert(b);
+                            match dt.idom[runner.index()] {
+                                Some(d) if d != runner => runner = d,
+                                _ => break,
+                            }
+                        }
+                    }
+                }
+            }
+            df
         }
     }
 }

@@ -27,7 +27,7 @@ pub const VECTOR_WIDTH: u8 = 4;
 pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
     let cfg = Cfg::new(f);
     let dt = DomTree::new(&cfg);
-    let lf = LoopForest::new(f, &cfg, &dt);
+    let lf = LoopForest::new(&cfg, &dt);
     let mut changed = false;
 
     'loops: for l in &lf.loops {
@@ -35,7 +35,7 @@ pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
         if lf
             .loops
             .iter()
-            .any(|o| o.header != l.header && l.blocks.contains(&o.header))
+            .any(|o| o.header != l.header && l.contains(o.header))
         {
             continue;
         }

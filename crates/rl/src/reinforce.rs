@@ -89,17 +89,6 @@ impl Default for ReinforceTrainer {
 impl ReinforceTrainer {
     /// Trains `policy` on `env`, returning per-batch statistics.
     pub fn train(&self, policy: &mut PolicyNet, env: &mut dyn Env) -> Vec<TrainingStats> {
-        self.train_with_callback(policy, env, |_| {})
-    }
-
-    /// Like [`ReinforceTrainer::train`], invoking `on_batch` after every
-    /// policy update (for logging / learning curves).
-    pub fn train_with_callback(
-        &self,
-        policy: &mut PolicyNet,
-        env: &mut dyn Env,
-        mut on_batch: impl FnMut(&TrainingStats),
-    ) -> Vec<TrainingStats> {
         assert_eq!(policy.input_dim, env.state_dim(), "policy/env state mismatch");
         assert_eq!(policy.actions, env.action_count(), "policy/env action mismatch");
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
@@ -255,7 +244,6 @@ impl ReinforceTrainer {
             if tracing {
                 trace::point("rl.mean_return", s.episodes as f64, s.mean_return);
             }
-            on_batch(&s);
             stats.push(s);
         }
         stats
