@@ -48,7 +48,9 @@ fn bench(c: &mut Criterion) {
 /// where it changes nothing: the cost of an inactive phase run. `ipsccp`
 /// and `instsimplify`, the costliest phases of deployment, mostly run
 /// without changing anything, so they measure the fixed cost of a phase
-/// run, as does building def-use chains for every function.
+/// run, as does building def-use chains for every function. `loop-load-elim`,
+/// `dse` and `adce` on unrolled `x264` time the phases that ask the shared
+/// memory-effect queries on every instruction.
 fn bench_in_situ(c: &mut Criterion) {
     let pm = PassManager::new();
     let mut g = c.benchmark_group("phase-throughput-in-situ");
@@ -68,6 +70,9 @@ fn bench_in_situ(c: &mut Criterion) {
                 "loop-unroll",
                 "ipsccp",
                 "instsimplify",
+                "loop-load-elim",
+                "dse",
+                "adce",
             ][..],
         ),
         (

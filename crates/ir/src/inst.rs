@@ -667,12 +667,34 @@ impl InstKind {
         }
     }
 
+    /// The pointer the instruction reads memory through: a load's address
+    /// or a memcpy's source. Calls are not covered; whether one touches
+    /// memory depends on its callee.
+    pub fn read_ptr(&self) -> Option<Value> {
+        match self {
+            InstKind::Load { ptr, .. } | InstKind::Memcpy { src: ptr, .. } => Some(*ptr),
+            _ => None,
+        }
+    }
+
+    /// The pointer the instruction writes memory through: a store's or a
+    /// memset's address, or a memcpy's destination. Calls are not covered,
+    /// as for [`InstKind::read_ptr`].
+    pub fn write_ptr(&self) -> Option<Value> {
+        match self {
+            InstKind::Store { ptr, .. }
+            | InstKind::Memset { ptr, .. }
+            | InstKind::Memcpy { dst: ptr, .. } => Some(*ptr),
+            _ => None,
+        }
+    }
+
     /// Returns `true` if the instruction writes memory or performs control
     /// effects that make it unremovable even when its result is unused.
     ///
-    /// Calls are conservatively side-effecting unless the callee is marked
-    /// `readnone` — that refinement lives in the pass crate because it needs
-    /// module context.
+    /// Calls are conservatively side-effecting here. A direct call to a
+    /// `readnone` function touches no memory; the pass crate's
+    /// `call_may_touch_memory` answers that, because it needs the module.
     pub fn has_side_effects(&self) -> bool {
         matches!(
             self,
@@ -759,6 +781,62 @@ mod tests {
         let mut seen = Vec::new();
         k.for_each_operand(|v| seen.push(v));
         assert_eq!(seen, vec![Value::i64(1), Value::i64(2)]);
+    }
+
+    #[test]
+    fn read_and_write_pointers() {
+        let (p, q, n) = (Value::Param(0), Value::Param(1), Value::i64(4));
+        let cases = [
+            (
+                InstKind::Load {
+                    ptr: p,
+                    aligned: true,
+                    width: 1,
+                },
+                Some(p),
+                None,
+            ),
+            (
+                InstKind::Store {
+                    ptr: p,
+                    value: q,
+                    aligned: true,
+                    width: 1,
+                },
+                None,
+                Some(p),
+            ),
+            (
+                InstKind::Memset {
+                    ptr: p,
+                    value: q,
+                    count: n,
+                },
+                None,
+                Some(p),
+            ),
+            (
+                InstKind::Memcpy {
+                    dst: p,
+                    src: q,
+                    count: n,
+                },
+                Some(q),
+                Some(p),
+            ),
+            (
+                InstKind::Gep {
+                    base: p,
+                    offset: n,
+                },
+                None,
+                None,
+            ),
+        ];
+        for (kind, read, write) in cases {
+            assert_eq!(kind.read_ptr(), read, "{kind:?}");
+            assert_eq!(kind.write_ptr(), write, "{kind:?}");
+        }
     }
 
     #[test]

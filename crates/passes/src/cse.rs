@@ -3,7 +3,8 @@
 //! All three share a dominator-tree-scoped hash of pure expressions; they
 //! differ — as in LLVM — in how much memory reasoning they do:
 //!
-//! * `early-cse` reuses loads only within a basic block;
+//! * `early-cse` reuses loads only within a basic block, by the
+//!   forwarding step that `loop-load-elim` runs on loop blocks too;
 //! * `early-cse-memssa` adds cross-block load reuse (our stand-in for
 //!   MemorySSA): a load takes the value of a dominating load or store of
 //!   the same pointer when nothing that may write its memory can run on
@@ -13,10 +14,10 @@
 //! * `gvn` additionally canonicalizes commutative operands, catching
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
-use crate::util::{may_alias, mem_root, trivial_dce, MemRoot};
+use crate::util::{may_alias, may_write_memory, mem_root, trivial_dce, MemRoot};
 use mlcomp_ir::analysis::{Cfg, DomTree};
 use mlcomp_ir::{
-    BinOp, BlockId, Callee, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
+    BinOp, BlockId, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
 };
 use std::collections::HashMap;
 
@@ -128,42 +129,19 @@ fn scoped_replacements(m: &Module, f: &Function, canonicalize: bool) -> Vec<Opti
         match ev {
             Ev::Enter(b) => {
                 let mut inserted = Vec::new();
-                // Block-local memory state: ptr value → available value.
-                let mut avail_loads: HashMap<Value, Value> = HashMap::new();
+                let mut avail_loads = HashMap::new();
                 for &id in &f.block(b).insts {
                     let inst = f.inst(id);
-                    let reuse = match &inst.kind {
-                        InstKind::Load { ptr, .. } => match avail_loads.get(ptr) {
-                            Some(&v) if f.value_type(v) == inst.ty => Some(v),
-                            _ => {
-                                avail_loads.insert(*ptr, Value::Inst(id));
-                                None
-                            }
-                        },
-                        InstKind::Store { ptr, value, .. } => {
-                            let root = mem_root(f, *ptr);
-                            avail_loads.retain(|p, _| !may_alias(mem_root(f, *p), root));
-                            avail_loads.insert(*ptr, *value);
-                            None
-                        }
-                        InstKind::Memset { .. } | InstKind::Memcpy { .. } => {
-                            avail_loads.clear();
-                            None
-                        }
-                        InstKind::Call { callee, .. } => {
-                            if !callee_is_readnone(m, callee) {
-                                avail_loads.clear();
-                            }
-                            None
-                        }
-                        kind => expr_key(kind, inst.ty, canonicalize).and_then(|key| {
+                    let reuse = match expr_key(&inst.kind, inst.ty, canonicalize) {
+                        Some(key) => {
                             let found = table.get(&key).copied();
                             if found.is_none() {
                                 table.insert(key, Value::Inst(id));
                                 inserted.push(key);
                             }
                             found
-                        }),
+                        }
+                        None => forwarding_step(m, f, &mut avail_loads, id),
                     };
                     if let Some(v) = reuse {
                         replacements[id.index()] = Some(resolve(&replacements, v));
@@ -185,8 +163,40 @@ fn scoped_replacements(m: &Module, f: &Function, canonicalize: bool) -> Vec<Opti
     replacements
 }
 
+/// One step of block-local load reuse and store-to-load forwarding, shared
+/// by scoped CSE and `loop-load-elim`. `avail` maps each pointer to the
+/// value a load of it yields at this point of the block, starting empty.
+/// Returns the value that replaces `id` when it is a load whose pointer
+/// `avail` maps to a value of the load's type; otherwise updates `avail`
+/// for what `id` reads or writes. Callers record the result through
+/// [`resolve`], since a stored value may itself be a replaced load.
+pub(crate) fn forwarding_step(
+    m: &Module,
+    f: &Function,
+    avail: &mut HashMap<Value, Value>,
+    id: InstId,
+) -> Option<Value> {
+    let inst = f.inst(id);
+    match &inst.kind {
+        InstKind::Load { ptr, .. } => match avail.get(ptr) {
+            Some(&v) if f.value_type(v) == inst.ty => return Some(v),
+            _ => {
+                avail.insert(*ptr, Value::Inst(id));
+            }
+        },
+        InstKind::Store { ptr, value, .. } => {
+            let root = mem_root(f, *ptr);
+            avail.retain(|p, _| !may_alias(mem_root(f, *p), root));
+            avail.insert(*ptr, *value);
+        }
+        kind if may_write_memory(m, kind) => avail.clear(),
+        _ => {}
+    }
+    None
+}
+
 /// `v` after the replacements recorded so far.
-fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
+pub(crate) fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
     match v {
         Value::Inst(id) => replacements[id.index()].unwrap_or(v),
         _ => v,
@@ -195,7 +205,7 @@ fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
 
 /// Rewrites every use of a replaced instruction in one pass over the placed
 /// instructions and terminators, then unplaces the replaced instructions.
-fn apply_replacements(f: &mut Function, replacements: &[Option<Value>]) -> bool {
+pub(crate) fn apply_replacements(f: &mut Function, replacements: &[Option<Value>]) -> bool {
     if replacements.iter().all(Option::is_none) {
         return false;
     }
@@ -204,17 +214,6 @@ fn apply_replacements(f: &mut Function, replacements: &[Option<Value>]) -> bool 
         block.insts.retain(|id| replacements[id.index()].is_none());
     }
     true
-}
-
-fn callee_is_readnone(m: &Module, callee: &Callee) -> bool {
-    match callee {
-        Callee::Direct(c) => m
-            .functions
-            .get(c.index())
-            .map(|f| f.attrs.readnone)
-            .unwrap_or(false),
-        Callee::Indirect(_) => false,
-    }
 }
 
 /// Block reachability in one or more edges, one bitset row per block.
@@ -292,21 +291,16 @@ impl MemIndex {
         for b in f.block_ids() {
             for (pos, &id) in f.block(b).insts.iter().enumerate() {
                 index.place[id.index()] = (b, pos as u32);
-                let writes = match &f.inst(id).kind {
+                let kind = &f.inst(id).kind;
+                match kind {
                     InstKind::Load { ptr, .. } => {
                         index.loads.push(id);
                         index.by_ptr.entry(*ptr).or_default().push(id);
-                        false
                     }
-                    InstKind::Store { ptr, .. } => {
-                        index.by_ptr.entry(*ptr).or_default().push(id);
-                        true
-                    }
-                    InstKind::Memset { .. } | InstKind::Memcpy { .. } => true,
-                    InstKind::Call { callee, .. } => !callee_is_readnone(m, callee),
-                    _ => false,
-                };
-                if writes {
+                    InstKind::Store { ptr, .. } => index.by_ptr.entry(*ptr).or_default().push(id),
+                    _ => {}
+                }
+                if may_write_memory(m, kind) {
                     index.clobbers[b.index()].push(id);
                     index.clobbered[b.index() / 64] |= 1 << (b.index() % 64);
                 }
@@ -417,13 +411,10 @@ impl MemIndex {
     ) -> bool {
         self.clobbers[b.index()].iter().any(|&c| {
             range.contains(&self.place[c.index()].1)
-                && match f.inst(c).kind {
-                    InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. } => {
-                        may_alias(mem_root(f, ptr), root)
-                    }
-                    InstKind::Memcpy { dst, .. } => may_alias(mem_root(f, dst), root),
-                    _ => true,
-                }
+                && f.inst(c)
+                    .kind
+                    .write_ptr()
+                    .is_none_or(|p| may_alias(mem_root(f, p), root))
         })
     }
 
@@ -918,8 +909,10 @@ mod tests {
     /// that restarts after every elimination and runs two breadth-first
     /// searches per candidate pair.
     mod oracle {
-        use super::super::{callee_is_readnone, expr_key, ExprKey};
-        use crate::util::{all_insts, may_alias, mem_root, trivial_dce, MemRoot};
+        use super::super::{expr_key, ExprKey};
+        use crate::util::{
+            all_insts, call_may_touch_memory, may_alias, mem_root, trivial_dce, MemRoot,
+        };
         use mlcomp_ir::analysis::{Cfg, DomTree};
         use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
         use std::collections::{HashMap, HashSet, VecDeque};
@@ -980,7 +973,7 @@ mod tests {
                                     avail_loads.clear();
                                 }
                                 InstKind::Call { callee, .. } => {
-                                    if !callee_is_readnone(m, callee) {
+                                    if call_may_touch_memory(m, callee) {
                                         avail_loads.clear();
                                     }
                                 }
@@ -1094,7 +1087,7 @@ mod tests {
                         InstKind::Memcpy { dst, .. } if may_alias(mem_root(f, *dst), root) => {
                             return false;
                         }
-                        InstKind::Call { callee, .. } if !callee_is_readnone(m, callee) => {
+                        InstKind::Call { callee, .. } if call_may_touch_memory(m, callee) => {
                             return false;
                         }
                         _ => {}

@@ -1,8 +1,11 @@
 //! Dead-code phases: `adce` (aggressive DCE) and `dse` (dead store
 //! elimination).
 
-use crate::util::{all_insts, alloca_escapes, may_alias, mem_root, remove_unreachable_blocks};
-use mlcomp_ir::{Callee, Function, InstId, InstKind, Module, Value};
+use crate::util::{
+    all_insts, alloca_escapes, call_may_touch_memory, may_alias, may_write_memory, mem_root,
+    remove_unreachable_blocks,
+};
+use mlcomp_ir::{Function, InstId, InstKind, Module, Value};
 use std::collections::{HashSet, VecDeque};
 
 /// `adce`: liveness-propagating dead code elimination. Unlike the trivial
@@ -25,24 +28,10 @@ pub fn adce(m: &Module, f: &mut Function) -> bool {
     };
 
     // Roots: side effects + terminators.
-    for (b, id) in &insts {
-        let kind = &f.inst(*id).kind;
-        let effectful = match kind {
-            InstKind::Store { .. } | InstKind::Memset { .. } | InstKind::Memcpy { .. } => true,
-            InstKind::Call { callee, .. } => match callee {
-                Callee::Direct(c) => !m
-                    .functions
-                    .get(c.index())
-                    .map(|cf| cf.attrs.readnone)
-                    .unwrap_or(false),
-                Callee::Indirect(_) => true,
-            },
-            _ => false,
-        };
-        if effectful && live.insert(*id) {
-            work.push_back(*id);
+    for &(_, id) in &insts {
+        if may_write_memory(m, &f.inst(id).kind) && live.insert(id) {
+            work.push_back(id);
         }
-        let _ = b;
     }
     for b in f.block_ids() {
         f.block(b)
@@ -80,21 +69,12 @@ pub fn dse(m: &Module, f: &mut Function) -> bool {
     for (_b, id) in all_insts(f) {
         if matches!(f.inst(id).kind, InstKind::Alloca { .. }) && !alloca_escapes(f, id) {
             let root = crate::util::MemRoot::Alloca(id);
-            let mut read = false;
-            for (_b2, id2) in all_insts(f) {
-                match &f.inst(id2).kind {
-                    InstKind::Load { ptr, .. } if may_alias(mem_root(f, *ptr), root) => {
-                        read = true;
-                    }
-                    InstKind::Memcpy { src, .. } if may_alias(mem_root(f, *src), root) => {
-                        read = true;
-                    }
-                    _ => {}
-                }
-                if read {
-                    break;
-                }
-            }
+            let read = all_insts(f).into_iter().any(|(_, id2)| {
+                f.inst(id2)
+                    .kind
+                    .read_ptr()
+                    .is_some_and(|p| may_alias(mem_root(f, p), root))
+            });
             if !read {
                 write_only_allocas.insert(id);
             }
@@ -102,13 +82,7 @@ pub fn dse(m: &Module, f: &mut Function) -> bool {
     }
     if !write_only_allocas.is_empty() {
         for (b, id) in all_insts(f) {
-            let kind = f.inst(id).kind.clone();
-            let target = match &kind {
-                InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. } => Some(*ptr),
-                InstKind::Memcpy { dst, .. } => Some(*dst),
-                _ => None,
-            };
-            if let Some(p) = target {
+            if let Some(p) = f.inst(id).kind.write_ptr() {
                 if let crate::util::MemRoot::Alloca(a) = mem_root(f, p) {
                     if write_only_allocas.contains(&a) {
                         f.remove_from_block(b, id);
@@ -129,41 +103,21 @@ pub fn dse(m: &Module, f: &mut Function) -> bool {
                 continue;
             };
             let root = mem_root(f, ptr);
-            'scan: for &nid in ids.iter().skip(i + 1) {
-                match &f.inst(nid).kind {
-                    InstKind::Store { ptr: p2, .. } => {
-                        if *p2 == ptr {
-                            dead.push(sid);
-                            break 'scan;
-                        }
-                        if may_alias(mem_root(f, *p2), root) {
-                            // A different may-alias store does not read,
-                            // keep scanning.
-                        }
+            for &nid in ids.iter().skip(i + 1) {
+                let reads = match &f.inst(nid).kind {
+                    InstKind::Store { ptr: p2, .. } if *p2 == ptr => {
+                        dead.push(sid);
+                        break;
                     }
-                    InstKind::Load { ptr: p2, .. } if may_alias(mem_root(f, *p2), root) => {
-                        break 'scan;
-                    }
-                    InstKind::Load { .. } => {}
-                    InstKind::Memcpy { src, .. } if may_alias(mem_root(f, *src), root) => {
-                        break 'scan;
-                    }
-                    InstKind::Memcpy { .. } => {}
-                    InstKind::Memset { .. } => {}
-                    InstKind::Call { callee, .. } => {
-                        let readnone = match callee {
-                            Callee::Direct(c) => m
-                                .functions
-                                .get(c.index())
-                                .map(|cf| cf.attrs.readnone)
-                                .unwrap_or(false),
-                            Callee::Indirect(_) => false,
-                        };
-                        if !readnone {
-                            break 'scan;
-                        }
-                    }
-                    _ => {}
+                    InstKind::Call { callee, .. } => call_may_touch_memory(m, callee),
+                    // A different store, even a may-alias one, does not
+                    // read: keep scanning.
+                    kind => kind
+                        .read_ptr()
+                        .is_some_and(|p| may_alias(mem_root(f, p), root)),
+                };
+                if reads {
+                    break;
                 }
             }
         }

@@ -465,20 +465,14 @@ pub fn globalopt(m: &mut Module) -> bool {
         for b in f.block_ids() {
             for &id in &f.block(b).insts {
                 let kind = &f.inst(id).kind;
+                if let Some(g) = kind.write_ptr().and_then(|p| global_root(f, p)) {
+                    written[g.index()] = true;
+                }
                 match kind {
-                    InstKind::Store { ptr, value, .. } => {
-                        if let Some(g) = global_root(f, *ptr) {
-                            written[g.index()] = true;
-                        }
-                        if let Value::Global(g) = value {
-                            escapes[g.index()] = true;
-                        }
-                    }
-                    InstKind::Memset { ptr, .. } | InstKind::Memcpy { dst: ptr, .. } => {
-                        if let Some(g) = global_root(f, *ptr) {
-                            written[g.index()] = true;
-                        }
-                    }
+                    InstKind::Store {
+                        value: Value::Global(g),
+                        ..
+                    } => escapes[g.index()] = true,
                     InstKind::Call { args, .. } => {
                         for a in args {
                             if let Some(g) = global_value_root(f, *a) {

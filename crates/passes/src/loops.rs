@@ -8,14 +8,14 @@
 //! conditions so `loop-unroll`/`loop-vectorize` can compute trip counts;
 //! `loop-idiom` needs `instcombine`-canonicalized address arithmetic.
 
+use crate::cse::{apply_replacements, forwarding_step, resolve};
 use crate::util::{
     clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks,
     trivial_dce, MemRoot,
 };
 use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, Loop, LoopForest};
 use mlcomp_ir::{
-    BinOp, BlockId, Callee, CmpPred, Function, Inst, InstId, InstKind, Module, Terminator, Type,
-    Value,
+    BinOp, BlockId, CmpPred, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -34,30 +34,18 @@ fn forest(f: &Function) -> (Cfg, DomTree, LoopForest) {
     (cfg, dt, lf)
 }
 
-/// Blocks of `f` that contain any instruction with side effects on memory
-/// visible outside the loop, or calls.
-fn loop_has_calls(f: &Function, l: &Loop) -> bool {
-    l.blocks.iter().any(|&b| {
-        f.block(b)
-            .insts
-            .iter()
-            .any(|&id| matches!(f.inst(id).kind, InstKind::Call { .. }))
-    })
-}
-
+/// The memory roots loop `l` may write, or `None` when it contains a call:
+/// `licm` treats every call as an unknown write.
 fn loop_effectful_roots(f: &Function, l: &Loop) -> Option<HashSet<MemRoot>> {
     let mut roots = HashSet::new();
     for &b in &l.blocks {
         for &id in &f.block(b).insts {
-            match &f.inst(id).kind {
-                InstKind::Store { ptr, .. } | InstKind::Memset { ptr, .. } => {
-                    roots.insert(mem_root(f, *ptr));
-                }
-                InstKind::Memcpy { dst, .. } => {
-                    roots.insert(mem_root(f, *dst));
-                }
-                InstKind::Call { .. } => return None, // unknown writes
-                _ => {}
+            let kind = &f.inst(id).kind;
+            if matches!(kind, InstKind::Call { .. }) {
+                return None;
+            }
+            if let Some(p) = kind.write_ptr() {
+                roots.insert(mem_root(f, p));
             }
         }
     }
@@ -93,7 +81,6 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
                 }
             };
             let write_roots = loop_effectful_roots(f, l);
-            let calls = loop_has_calls(f, l);
             for &b in &l.blocks {
                 let ids = f.block(b).insts.clone();
                 for id in ids {
@@ -117,7 +104,7 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
                             .exiting
                             .iter()
                             .all(|&x| dt.dominates(b, x));
-                        no_writes && !calls && guaranteed
+                        no_writes && guaranteed
                     } else {
                         false
                     };
@@ -1096,9 +1083,11 @@ pub fn loop_sink(m: &Module, f: &mut Function) -> bool {
 
 /// `loop-load-elim`: forwards stored values to loads of the same address
 /// within a loop iteration (a loop-focused subset of `gvn`, cheap enough
-/// to run repeatedly between other loop phases).
+/// to run repeatedly between other loop phases). Each loop block, in
+/// ascending order, runs the block-local forwarding step of `early-cse`;
+/// a block's replacements are applied before the next block is scanned,
+/// so later blocks see rewritten pointers.
 pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
     let (_cfg, _dt, lf) = forest(f);
     // Blocks in any loop, ascending.
     let mut loop_blocks: Vec<BlockId> = lf
@@ -1108,48 +1097,19 @@ pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
         .collect();
     loop_blocks.sort_unstable();
     loop_blocks.dedup();
-    for &b in &loop_blocks {
-        // Block-local forwarding inside loop bodies.
-        let ids = f.block(b).insts.clone();
-        let mut avail: HashMap<Value, Value> = HashMap::new();
-        let mut replace: Vec<(InstId, Value)> = Vec::new();
-        for &id in &ids {
-            match f.inst(id).kind.clone() {
-                InstKind::Store { ptr, value, .. } => {
-                    let root = mem_root(f, ptr);
-                    avail.retain(|p, _| !may_alias(mem_root(f, *p), root));
-                    avail.insert(ptr, value);
-                }
-                InstKind::Load { ptr, .. } => {
-                    if let Some(&v) = avail.get(&ptr) {
-                        if f.value_type(v) == f.inst(id).ty {
-                            replace.push((id, v));
-                            continue;
-                        }
-                    }
-                    avail.insert(ptr, Value::Inst(id));
-                }
-                InstKind::Memset { .. } | InstKind::Memcpy { .. } => avail.clear(),
-                InstKind::Call { callee, .. } => {
-                    let readnone = match callee {
-                        Callee::Direct(c) => m
-                            .functions
-                            .get(c.index())
-                            .map(|cf| cf.attrs.readnone)
-                            .unwrap_or(false),
-                        Callee::Indirect(_) => false,
-                    };
-                    if !readnone {
-                        avail.clear();
-                    }
-                }
-                _ => {}
+    let mut replacements: Vec<Option<Value>> = vec![None; f.insts.len()];
+    let mut changed = false;
+    for b in loop_blocks {
+        let mut avail = HashMap::new();
+        let mut recorded = false;
+        for &id in &f.block(b).insts {
+            if let Some(v) = forwarding_step(m, f, &mut avail, id) {
+                replacements[id.index()] = Some(resolve(&replacements, v));
+                recorded = true;
             }
         }
-        for (id, v) in replace {
-            f.replace_all_uses(id, v);
-            f.remove_from_block(b, id);
-            changed = true;
+        if recorded {
+            changed |= apply_replacements(f, &replacements);
         }
     }
     changed | trivial_dce(m, f, false)
@@ -1665,6 +1625,55 @@ mod tests {
         let mc = m.clone();
         assert!(loop_load_elim(&mc, &mut m.functions[0]));
         verify(&m).unwrap();
+        assert_eq!(exec(&m, "f", &[RtVal::I(10)]), Some(RtVal::I(45)));
+    }
+
+    /// `a = load p` is forwarded from `store p, i`, and `b = load q` from
+    /// `store q, a`: the value recorded for `b` must be `i`, not the
+    /// removed `a`, or the output uses an unplaced value.
+    #[test]
+    fn load_elim_resolves_a_stored_forwarded_load() {
+        let mut mb = ModuleBuilder::new("t");
+        let gp = mb.add_global("p", 8);
+        let gq = mb.add_global("q", 8);
+        mb.begin_function("f", vec![Type::I64], Type::I64);
+        {
+            let mut b = mb.body();
+            let acc = b.local(b.const_i64(0));
+            b.for_loop(b.const_i64(0), b.param(0), 1, |b, i| {
+                let off = b.and(i, b.const_i64(7));
+                let p = b.gep(b.global_addr(gp), off);
+                let q = b.gep(b.global_addr(gq), off);
+                b.store(p, i);
+                let a = b.load(p, Type::I64);
+                b.store(q, a);
+                let v = b.load(q, Type::I64);
+                let c = b.load(acc, Type::I64);
+                let n = b.add(c, v);
+                b.store(acc, n);
+            });
+            let r = b.load(acc, Type::I64);
+            b.ret(Some(r));
+        }
+        mb.finish_function();
+        let mut m = mb.build();
+        let outcome = crate::PassManager::new()
+            .run_phase_sandboxed(&mut m, "loop-load-elim", None, "loop-load-elim")
+            .unwrap();
+        assert_eq!(outcome, crate::PhaseOutcome::Changed);
+        verify(&m).unwrap();
+        let f = &m.functions[0];
+        let (_cfg, _dt, lf) = forest(f);
+        let global_loads = lf.loops[0]
+            .blocks
+            .iter()
+            .flat_map(|&b| &f.block(b).insts)
+            .filter(|&&id| match f.inst(id).kind {
+                InstKind::Load { ptr, .. } => matches!(mem_root(f, ptr), MemRoot::Global(_)),
+                _ => false,
+            })
+            .count();
+        assert_eq!(global_loads, 0, "both loads leave the loop body");
         assert_eq!(exec(&m, "f", &[RtVal::I(10)]), Some(RtVal::I(45)));
     }
 

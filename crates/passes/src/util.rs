@@ -218,7 +218,7 @@ pub fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
             || kind.is_phi()
             || matches!(kind, InstKind::Alloca { .. })
             || (remove_loads && matches!(kind, InstKind::Load { .. }))
-            || is_removable_call(m, kind)
+            || matches!(kind, InstKind::Call { callee, .. } if !call_may_touch_memory(m, callee))
     };
     let mut uses: Vec<usize> = (0..f.insts.len() as u32)
         .map(|i| du.use_count(InstId(i)))
@@ -244,22 +244,6 @@ pub fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
         });
     }
     changed
-}
-
-/// Whether an unused call can be deleted: direct call to a `readnone`
-/// function (inferred by the `prune-eh` substitute).
-pub fn is_removable_call(m: &Module, kind: &InstKind) -> bool {
-    match kind {
-        InstKind::Call {
-            callee: Callee::Direct(c),
-            ..
-        } => m
-            .functions
-            .get(c.index())
-            .map(|cf| cf.attrs.readnone)
-            .unwrap_or(false),
-        _ => false,
-    }
 }
 
 /// Deletes blocks unreachable from the entry, fixing phis in surviving
@@ -325,6 +309,28 @@ pub fn may_alias(a: MemRoot, b: MemRoot) -> bool {
     }
 }
 
+/// Whether a call to `callee` may read or write memory: anything but a
+/// direct call to a `readnone` function (inferred by the `prune-eh`
+/// substitute). An unused call that touches no memory can be deleted.
+pub fn call_may_touch_memory(m: &Module, callee: &Callee) -> bool {
+    match callee {
+        Callee::Direct(c) => !m
+            .functions
+            .get(c.index())
+            .is_some_and(|cf| cf.attrs.readnone),
+        Callee::Indirect(_) => true,
+    }
+}
+
+/// Whether an instruction may write memory: a store, memset or memcpy, or
+/// a call that may touch memory.
+pub fn may_write_memory(m: &Module, kind: &InstKind) -> bool {
+    match kind {
+        InstKind::Call { callee, .. } => call_may_touch_memory(m, callee),
+        kind => kind.write_ptr().is_some(),
+    }
+}
+
 /// Whether an alloca's address escapes: it is stored as a *value*, passed
 /// to a call, returned, or used by pointer arithmetic whose result escapes.
 /// Non-escaping allocas can be reasoned about precisely.
@@ -356,12 +362,12 @@ pub fn alloca_escapes(f: &Function, alloca: InstId) -> bool {
                         return true; // address stored to memory
                     }
                 }
-                InstKind::Load { .. } | InstKind::Gep { .. } => {}
-                InstKind::Memset { ptr, .. } => {
-                    // memset writes through it; that is a use, not an escape
-                    let _ = ptr;
-                }
-                InstKind::Memcpy { .. } => {}
+                // Deriving an address or accessing memory through it does
+                // not escape it.
+                InstKind::Load { .. }
+                | InstKind::Gep { .. }
+                | InstKind::Memset { .. }
+                | InstKind::Memcpy { .. } => {}
                 InstKind::Call { args, callee } => {
                     if let Callee::Indirect(v) = callee {
                         if derived.contains(v) {
@@ -556,6 +562,42 @@ pub fn all_insts(f: &Function) -> Vec<(BlockId, InstId)> {
 mod tests {
     use super::*;
     use mlcomp_ir::{CmpPred, ModuleBuilder};
+
+    #[test]
+    fn only_direct_calls_to_readnone_functions_leave_memory_alone() {
+        let mut mb = ModuleBuilder::new("t");
+        let pure_fn = mb.declare("pure", vec![], Type::I64);
+        mb.set_attrs(pure_fn, |a| a.readnone = true);
+        let io_fn = mb.declare("io", vec![], Type::I64);
+        let m = mb.build();
+        let past_end = mlcomp_ir::FuncId(m.functions.len() as u32);
+        for (callee, touches) in [
+            (Callee::Direct(pure_fn), false),
+            (Callee::Direct(io_fn), true),
+            (Callee::Indirect(Value::FuncAddr(pure_fn)), true),
+            (Callee::Direct(past_end), true),
+        ] {
+            assert_eq!(call_may_touch_memory(&m, &callee), touches, "{callee:?}");
+            let call = InstKind::Call {
+                callee,
+                args: Vec::new(),
+            };
+            assert_eq!(may_write_memory(&m, &call), touches, "{callee:?}");
+        }
+        let load = InstKind::Load {
+            ptr: Value::Param(0),
+            aligned: true,
+            width: 1,
+        };
+        assert!(!may_write_memory(&m, &load));
+        let store = InstKind::Store {
+            ptr: Value::Param(0),
+            value: Value::i64(1),
+            aligned: true,
+            width: 1,
+        };
+        assert!(may_write_memory(&m, &store));
+    }
 
     #[test]
     fn folds_int_arith() {
@@ -890,7 +932,7 @@ mod tests {
     /// bodies and frontiers became sorted vectors: one `HashSet` per loop
     /// body and per frontier.
     mod oracle {
-        use super::super::is_removable_call;
+        use super::super::call_may_touch_memory;
         use mlcomp_ir::analysis::{Cfg, DomTree, UseSite};
         use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
         use std::collections::{HashMap, HashSet};
@@ -947,7 +989,8 @@ mod tests {
                             || kind.is_phi()
                             || matches!(kind, InstKind::Alloca { .. })
                             || (remove_loads && matches!(kind, InstKind::Load { .. }))
-                            || is_removable_call(m, kind);
+                            || matches!(kind, InstKind::Call { callee, .. }
+                                if !call_may_touch_memory(m, callee));
                         if removable {
                             f.remove_from_block(b, id);
                             removed_any = true;
