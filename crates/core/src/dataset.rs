@@ -1,8 +1,11 @@
 //! The profiling dataset collected by Data Extraction.
 
+use mlcomp_ir::ExecError;
 use mlcomp_linalg::Matrix;
+use mlcomp_passes::QuarantineReason;
 use mlcomp_platform::DynamicFeatures;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One profiled variant: an application compiled under one phase sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -17,6 +20,25 @@ pub struct Sample {
     pub metrics: DynamicFeatures,
 }
 
+/// Why a datapoint produced no sample.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FailureCause {
+    /// Profiling the variant failed: an interpreter trap or fuel
+    /// exhaustion. Deterministic, so never retried.
+    Exec(ExecError),
+    /// Every worker attempt panicked; the final panic message.
+    WorkerPanic(String),
+}
+
+impl fmt::Display for FailureCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FailureCause::Exec(e) => e.fmt(f),
+            FailureCause::WorkerPanic(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// One datapoint that failed for good: its variant produced no sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailedPoint {
@@ -24,8 +46,8 @@ pub struct FailedPoint {
     pub app: String,
     /// Variant index within the application.
     pub variant: usize,
-    /// Why the point failed (profiler error or final panic message).
-    pub reason: String,
+    /// Why the point failed.
+    pub reason: FailureCause,
     /// Worker attempts spent on the item (1 for deterministic,
     /// non-retried failures like interpreter traps).
     pub attempts: u32,
@@ -43,8 +65,8 @@ pub struct QuarantinedPhase {
     pub index: usize,
     /// Phase name.
     pub phase: String,
-    /// Why the sandbox pulled it (panic / verifier rejection).
-    pub reason: String,
+    /// Why the sandbox pulled it.
+    pub reason: QuarantineReason,
 }
 
 /// Everything that went wrong during one extraction run, carried on the
@@ -158,24 +180,54 @@ mod tests {
             platform: "riscv".into(),
             samples: vec![sample("a", 1.5)],
             failures: FailureReport {
-                failed: vec![FailedPoint {
-                    app: "a".into(),
-                    variant: 3,
-                    reason: "trap: division by zero".into(),
-                    attempts: 1,
-                }],
-                quarantined: vec![QuarantinedPhase {
-                    app: "a".into(),
-                    variant: 1,
-                    index: 7,
-                    phase: "gvn".into(),
-                    reason: "panic: injected".into(),
-                }],
+                failed: vec![
+                    FailedPoint {
+                        app: "a".into(),
+                        variant: 3,
+                        reason: FailureCause::Exec(ExecError::DivByZero),
+                        attempts: 1,
+                    },
+                    FailedPoint {
+                        app: "a".into(),
+                        variant: 4,
+                        reason: FailureCause::Exec(ExecError::MemoryOutOfBounds { addr: -2 }),
+                        attempts: 1,
+                    },
+                    FailedPoint {
+                        app: "b".into(),
+                        variant: 5,
+                        reason: FailureCause::WorkerPanic("worker died".into()),
+                        attempts: 2,
+                    },
+                ],
+                quarantined: vec![
+                    QuarantinedPhase {
+                        app: "a".into(),
+                        variant: 1,
+                        index: 7,
+                        phase: "gvn".into(),
+                        reason: QuarantineReason::Panic("injected".into()),
+                    },
+                    QuarantinedPhase {
+                        app: "b".into(),
+                        variant: 2,
+                        index: 0,
+                        phase: "licm".into(),
+                        reason: QuarantineReason::VerifierReject("use of unplaced value %7".into()),
+                    },
+                ],
             },
         };
         assert!(!ds.failures.is_empty());
         let json = serde_json::to_string(&ds).unwrap();
         let back: Dataset = serde_json::from_str(&json).unwrap();
         assert_eq!(ds, back);
+    }
+
+    #[test]
+    fn causes_display_their_underlying_text() {
+        let fuel = FailureCause::Exec(ExecError::OutOfFuel);
+        assert_eq!(fuel.to_string(), "execution fuel exhausted");
+        assert_eq!(FailureCause::WorkerPanic("boom".into()).to_string(), "boom");
     }
 }

@@ -36,18 +36,22 @@
 //! the variant. Worker attempts that panic are retried up to
 //! [`retry_attempts`](DataExtraction::retry_attempts) times by
 //! [`mlcomp_parallel::WorkerPool::map_supervised`]. Datapoints that still
-//! fail — exhausted retries, interpreter traps, fuel exhaustion — land in
-//! the [`FailureReport`] carried on the [`Dataset`]; the run as a whole
-//! only fails when fewer than
-//! [`min_success_fraction`](DataExtraction::min_success_fraction) of the
-//! points survive. With a checkpoint path, finished items are persisted
+//! fail land in the [`FailureReport`] carried on the [`Dataset`], each with
+//! its cause as a value: a [`FailureCause`] (the profiler's
+//! [`ExecError`] — a trap or fuel exhaustion — or the last panic of a
+//! worker that exhausted its retries) for a lost point, the sandbox's
+//! [`QuarantineReason`] for a rolled-back phase. The `extraction.fault.*`
+//! trace counters are one exhaustive `match` over those causes, bumped as
+//! each item's result arrives. The run as a whole only fails when fewer
+//! than [`min_success_fraction`](DataExtraction::min_success_fraction) of
+//! the points survive. With a checkpoint path, finished items are persisted
 //! periodically and a killed run resumes without recomputing them.
 
-use crate::dataset::{Dataset, FailedPoint, FailureReport, QuarantinedPhase, Sample};
+use crate::dataset::{Dataset, FailedPoint, FailureCause, FailureReport, QuarantinedPhase, Sample};
 use mlcomp_faults::{quiet_injected_panics, FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
-use mlcomp_ir::InterpConfig;
+use mlcomp_ir::{ExecError, InterpConfig};
 use mlcomp_parallel::{seed, WorkerPool};
-use mlcomp_passes::{registry, PassManager, QuarantineEntry};
+use mlcomp_passes::{registry, PassManager, QuarantineEntry, QuarantineReason};
 use mlcomp_platform::{DynamicFeatures, Profiler, TargetPlatform, Workload};
 use mlcomp_suites::BenchProgram;
 use mlcomp_trace as trace;
@@ -57,11 +61,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
-
-/// Result of compiling and profiling one phase sequence: the static+dynamic
-/// feature vector, the measured metrics and any sandbox quarantines, or the
-/// failure reason.
-type ProfileOutcome = Result<(Vec<f64>, DynamicFeatures, Vec<QuarantineEntry>), String>;
 
 /// Fuel budget substituted when [`FaultKind::FuelExhaustion`] fires: small
 /// enough that no real workload completes.
@@ -73,8 +72,8 @@ const STARVATION_FUEL: u64 = 64;
 pub enum ExtractionError {
     /// Every attempted datapoint failed; the dataset would be empty.
     NoSamples {
-        /// The reason of the last failure seen.
-        reason: String,
+        /// The last datapoint that failed.
+        last: FailedPoint,
     },
     /// Fewer than [`DataExtraction::min_success_fraction`] of the
     /// datapoints survived.
@@ -106,8 +105,12 @@ pub enum ExtractionError {
 impl fmt::Display for ExtractionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExtractionError::NoSamples { reason } => {
-                write!(f, "extraction produced no samples; last failure: {reason}")
+            ExtractionError::NoSamples { last } => {
+                write!(
+                    f,
+                    "extraction produced no samples; last failure: {}",
+                    last.reason
+                )
             }
             ExtractionError::TooManyFailures {
                 survived,
@@ -406,51 +409,32 @@ impl DataExtraction {
                                 variant: v,
                                 index: q.index,
                                 phase: q.phase,
-                                reason: q.reason.to_string(),
+                                reason: q.reason,
                             })
                             .collect(),
                     },
-                    Err(reason) => {
-                        trace::counter(classify_fault(&reason), 1);
-                        ItemOutcome::Failed(FailedPoint {
-                            app: app.name.to_string(),
-                            variant: v,
-                            reason,
-                            attempts: attempt + 1,
-                        })
-                    }
+                    Err(e) => ItemOutcome::Failed(FailedPoint {
+                        app: app.name.to_string(),
+                        variant: v,
+                        reason: FailureCause::Exec(e),
+                        attempts: attempt + 1,
+                    }),
                 }
             });
             for (&i, result) in chunk.iter().zip(results) {
-                outcomes[i] = Some(match result {
-                    Ok(outcome) => {
-                        if trace::enabled() {
-                            match &outcome {
-                                ItemOutcome::Sample { quarantined, .. } => {
-                                    trace::counter("extraction.items_ok", 1);
-                                    for q in quarantined {
-                                        trace::counter(classify_fault(&q.reason), 1);
-                                    }
-                                }
-                                ItemOutcome::Failed(_) => {
-                                    trace::counter("extraction.items_failed", 1)
-                                }
-                            }
-                        }
-                        outcome
-                    }
-                    Err(failure) => {
-                        let (a, v) = items[i];
-                        trace::counter("extraction.items_failed", 1);
-                        trace::counter(classify_fault(&failure.reason), 1);
-                        ItemOutcome::Failed(FailedPoint {
-                            app: apps[a].name.to_string(),
-                            variant: v,
-                            reason: failure.reason,
-                            attempts: failure.attempts,
-                        })
-                    }
+                let outcome = result.unwrap_or_else(|failure| {
+                    let (a, v) = items[i];
+                    ItemOutcome::Failed(FailedPoint {
+                        app: apps[a].name.to_string(),
+                        variant: v,
+                        reason: FailureCause::WorkerPanic(failure.reason),
+                        attempts: failure.attempts,
+                    })
                 });
+                if trace::enabled() {
+                    count_outcome(&outcome);
+                }
+                outcomes[i] = Some(outcome);
             }
             if let Some(path) = checkpoint {
                 write_checkpoint(path, fingerprint, items.len(), &outcomes)?;
@@ -481,14 +465,10 @@ impl DataExtraction {
             }
         }
 
-        if dataset.is_empty() && !items.is_empty() {
-            let reason = dataset
-                .failures
-                .failed
-                .last()
-                .map(|p| p.reason.clone())
-                .unwrap_or_else(|| "no variants attempted".to_string());
-            return Err(ExtractionError::NoSamples { reason });
+        if dataset.is_empty() {
+            if let Some(last) = dataset.failures.failed.pop() {
+                return Err(ExtractionError::NoSamples { last });
+            }
         }
         if !items.is_empty() {
             let survived = dataset.len();
@@ -585,7 +565,7 @@ impl DataExtraction {
         platform: &P,
         app: &BenchProgram,
         sequence: &[String],
-    ) -> ProfileOutcome {
+    ) -> Result<(Vec<f64>, DynamicFeatures, Vec<QuarantineEntry>), ExecError> {
         let pm = PassManager::new();
         let mut module = app.module.clone();
         let canonical = sequence.join(" ");
@@ -624,24 +604,41 @@ impl DataExtraction {
         profiler
             .profile(&module, &workload)
             .map(|metrics| (features.values, metrics, report.quarantine.entries))
-            .map_err(|e| e.to_string())
     }
 }
 
-/// Maps a failure/quarantine reason string onto the trace counter of its
-/// [`FaultKind`]-style category. Purely observational: the strings are the
-/// single source of truth; this only buckets them for `mlcomp-report`.
-fn classify_fault(reason: &str) -> &'static str {
-    if reason.contains("fuel") {
-        "extraction.fault.fuel_exhaustion"
-    } else if reason.contains("transient worker failure") {
-        "extraction.fault.worker_transient"
-    } else if reason.contains("panicked") {
-        "extraction.fault.phase_panic"
-    } else if reason.contains("verifier") {
-        "extraction.fault.verifier_corrupt"
-    } else {
-        "extraction.fault.other"
+/// Bumps one finished item's trace counters: `extraction.items_ok` or
+/// `extraction.items_failed`, plus one `extraction.fault.*` counter per
+/// typed cause. Nothing else writes those counters, so a trace's fault
+/// breakdown is exactly the tally of the dataset's [`FailureReport`].
+fn count_outcome(outcome: &ItemOutcome) {
+    match outcome {
+        ItemOutcome::Sample { quarantined, .. } => {
+            trace::counter("extraction.items_ok", 1);
+            for q in quarantined {
+                let counter = match q.reason {
+                    QuarantineReason::Panic(_) => "extraction.fault.phase_panic",
+                    QuarantineReason::VerifierReject(_) => "extraction.fault.verifier_corrupt",
+                };
+                trace::counter(counter, 1);
+            }
+        }
+        ItemOutcome::Failed(point) => {
+            trace::counter("extraction.items_failed", 1);
+            let counter = match point.reason {
+                FailureCause::Exec(ExecError::OutOfFuel) => "extraction.fault.fuel_exhaustion",
+                FailureCause::Exec(
+                    ExecError::StackOverflow
+                    | ExecError::OutOfMemory
+                    | ExecError::DivByZero
+                    | ExecError::MemoryOutOfBounds { .. }
+                    | ExecError::BadCall { .. }
+                    | ExecError::UnreachableExecuted,
+                ) => "extraction.fault.exec_trap",
+                FailureCause::WorkerPanic(_) => "extraction.fault.worker_panic",
+            };
+            trace::counter(counter, 1);
+        }
     }
 }
 
@@ -834,7 +831,10 @@ mod tests {
         assert!(!ds.failures.failed.is_empty(), "some variants must starve");
         assert!(!ds.is_empty(), "some variants must survive");
         assert!(
-            ds.failures.failed.iter().all(|p| p.reason.contains("fuel")),
+            ds.failures
+                .failed
+                .iter()
+                .all(|p| p.reason == FailureCause::Exec(ExecError::OutOfFuel)),
             "failures are fuel exhaustion: {:?}",
             ds.failures.failed
         );
@@ -852,7 +852,15 @@ mod tests {
         .run(&platform, &apps)
         .unwrap_err();
         // With fuel 1 every variant starves: the dataset would be empty.
-        assert!(matches!(err, ExtractionError::NoSamples { .. }), "{err}");
+        let ExtractionError::NoSamples { last } = &err else {
+            panic!("expected NoSamples, got {err}");
+        };
+        assert_eq!((last.app.as_str(), last.variant), ("vips", 7));
+        assert_eq!(last.reason, FailureCause::Exec(ExecError::OutOfFuel));
+        assert_eq!(
+            err.to_string(),
+            "extraction produced no samples; last failure: execution fuel exhausted"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod extraction;
 pub mod mlcomp;
 pub mod pss;
 
-pub use dataset::{Dataset, FailedPoint, FailureReport, QuarantinedPhase, Sample};
+pub use dataset::{Dataset, FailedPoint, FailureCause, FailureReport, QuarantinedPhase, Sample};
 pub use estimator::{EstimatorReport, PerfEstimator};
 pub use extraction::{DataExtraction, ExtractionError};
 pub use mlcomp::{Artifacts, Mlcomp, MlcompConfig};

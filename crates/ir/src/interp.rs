@@ -76,7 +76,7 @@ impl RtVal {
 }
 
 /// Why execution failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecError {
     /// The step budget was exhausted (runaway or mis-sized workload).
     OutOfFuel,

@@ -204,10 +204,9 @@ fn remove_forwarding_blocks(f: &mut Function) -> bool {
 
 fn ifs_to_selects(f: &mut Function) -> bool {
     let mut changed = false;
-    loop {
+    'restart: loop {
         let cfg = Cfg::new(f);
         let dt = DomTree::new(&cfg);
-        let mut done = false;
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -224,54 +223,33 @@ fn ifs_to_selects(f: &mut Function) -> bool {
             if then_bb == else_bb {
                 continue;
             }
-            fn empty_single(f: &Function, b: BlockId, x: BlockId, cfg: &Cfg) -> bool {
-                f.block(x).insts.is_empty() && cfg.preds[x.index()] == vec![b]
-            }
-
-            // Diamond: b → {t, e} → j.
-            let diamond = empty_single(f, b, then_bb, &cfg)
-                && empty_single(f, b, else_bb, &cfg)
-                && matches!(f.block(then_bb).term, Terminator::Br(_))
-                && matches!(f.block(else_bb).term, Terminator::Br(_));
-            if diamond {
-                let Terminator::Br(j1) = f.block(then_bb).term else {
-                    unreachable!()
-                };
-                let Terminator::Br(j2) = f.block(else_bb).term else {
-                    unreachable!()
-                };
-                if j1 == j2 && j1 != b && try_select_merge(f, &dt, b, cond, then_bb, else_bb, j1)
-                {
-                    done = true;
-                    changed = true;
-                    break;
+            // Where an arm jumps when it is empty and entered only from b.
+            let empty_jump = |x: BlockId| match f.block(x).term {
+                Terminator::Br(j) if f.block(x).insts.is_empty() && cfg.preds[x.index()] == [b] => {
+                    Some(j)
                 }
-            }
-
-            // Triangle: b → {t, j}, t → j.
-            for (arm, other, arm_is_then) in
-                [(then_bb, else_bb, true), (else_bb, then_bb, false)]
-            {
-                if empty_single(f, b, arm, &cfg) {
-                    if let Terminator::Br(j) = f.block(arm).term {
-                        if j == other
-                            && j != b
-                            && try_select_triangle(f, &dt, b, cond, arm, j, arm_is_then)
-                        {
-                            done = true;
-                            changed = true;
-                            break;
-                        }
+                _ => None,
+            };
+            let (t_jump, e_jump) = (empty_jump(then_bb), empty_jump(else_bb));
+            // (join, then_from, else_from, dead arms) of a diamond
+            // b → {t, e} → j, then of a triangle with its empty arm on
+            // either side: b → {t, j}, t → j and b → {j, e}, e → j.
+            let diamond = t_jump.filter(|_| t_jump == e_jump);
+            let shapes = [
+                (diamond, then_bb, else_bb, &[then_bb, else_bb][..]),
+                (t_jump.filter(|&j| j == else_bb), then_bb, b, &[then_bb][..]),
+                (e_jump.filter(|&j| j == then_bb), b, else_bb, &[else_bb][..]),
+            ];
+            for (join, then_from, else_from, dead) in shapes {
+                if let Some(j) = join.filter(|&j| j != b) {
+                    if try_select(f, &dt, b, cond, j, then_from, else_from, dead) {
+                        changed = true;
+                        continue 'restart;
                     }
                 }
             }
-            if done {
-                break;
-            }
         }
-        if !done {
-            return changed;
-        }
+        return changed;
     }
 }
 
@@ -289,82 +267,26 @@ fn usable_at(f: &Function, dt: &DomTree, b: BlockId, v: Value) -> bool {
     }
 }
 
-fn try_select_merge(
+/// Rewrites the phis of `j`, entered from `then_from` when `cond` holds
+/// and from `else_from` otherwise, into `select`s at the end of `b`, which
+/// then branches straight to `j`; the empty `dead` arms are deleted. Fails
+/// unless `j`'s preds are exactly the two sources and every incoming value
+/// is usable at the end of `b`.
+#[allow(clippy::too_many_arguments)]
+fn try_select(
     f: &mut Function,
     dt: &DomTree,
     b: BlockId,
     cond: Value,
-    t: BlockId,
-    e: BlockId,
     j: BlockId,
-) -> bool {
-    // Join must be entered only through the arms.
-    let cfg = Cfg::new(f);
-    let mut preds = cfg.preds[j.index()].clone();
-    preds.sort();
-    let mut arms = vec![t, e];
-    arms.sort();
-    if preds != arms {
-        return false;
-    }
-    let phis: Vec<InstId> = f
-        .block(j)
-        .insts
-        .iter()
-        .copied()
-        .take_while(|&i| f.inst(i).kind.is_phi())
-        .collect();
-    for &p in &phis {
-        let InstKind::Phi { incomings } = &f.inst(p).kind else {
-            unreachable!()
-        };
-        for (_, v) in incomings {
-            if !usable_at(f, dt, b, *v) {
-                return false;
-            }
-        }
-    }
-    for p in phis {
-        let InstKind::Phi { incomings } = f.inst(p).kind.clone() else {
-            unreachable!()
-        };
-        let tv = incomings.iter().find(|(x, _)| *x == t).map(|(_, v)| *v);
-        let ev = incomings.iter().find(|(x, _)| *x == e).map(|(_, v)| *v);
-        let (Some(tv), Some(ev)) = (tv, ev) else {
-            return false;
-        };
-        let ty = f.inst(p).ty;
-        let sel = f.add_inst(Inst::new(
-            InstKind::Select {
-                cond,
-                then_val: tv,
-                else_val: ev,
-            },
-            ty,
-        ));
-        f.block_mut(b).insts.push(sel);
-        f.replace_all_uses(p, Value::Inst(sel));
-        f.remove_from_block(j, p);
-    }
-    f.block_mut(b).term = Terminator::Br(j);
-    f.delete_block(t);
-    f.delete_block(e);
-    true
-}
-
-fn try_select_triangle(
-    f: &mut Function,
-    dt: &DomTree,
-    b: BlockId,
-    cond: Value,
-    arm: BlockId,
-    j: BlockId,
-    arm_is_then: bool,
+    then_from: BlockId,
+    else_from: BlockId,
+    dead: &[BlockId],
 ) -> bool {
     let cfg = Cfg::new(f);
     let mut preds = cfg.preds[j.index()].clone();
     preds.sort();
-    let mut expect = vec![b, arm];
+    let mut expect = vec![then_from, else_from];
     expect.sort();
     if preds != expect {
         return false;
@@ -390,12 +312,17 @@ fn try_select_triangle(
         let InstKind::Phi { incomings } = f.inst(p).kind.clone() else {
             unreachable!()
         };
-        let av = incomings.iter().find(|(x, _)| *x == arm).map(|(_, v)| *v);
-        let bv = incomings.iter().find(|(x, _)| *x == b).map(|(_, v)| *v);
-        let (Some(av), Some(bv)) = (av, bv) else {
+        let tv = incomings
+            .iter()
+            .find(|(x, _)| *x == then_from)
+            .map(|(_, v)| *v);
+        let ev = incomings
+            .iter()
+            .find(|(x, _)| *x == else_from)
+            .map(|(_, v)| *v);
+        let (Some(tv), Some(ev)) = (tv, ev) else {
             return false;
         };
-        let (tv, ev) = if arm_is_then { (av, bv) } else { (bv, av) };
         let ty = f.inst(p).ty;
         let sel = f.add_inst(Inst::new(
             InstKind::Select {
@@ -410,7 +337,9 @@ fn try_select_triangle(
         f.remove_from_block(j, p);
     }
     f.block_mut(b).term = Terminator::Br(j);
-    f.delete_block(arm);
+    for &d in dead {
+        f.delete_block(d);
+    }
     true
 }
 
@@ -806,28 +735,44 @@ mod tests {
 
     #[test]
     fn triangle_becomes_select() {
-        let mut mb = ModuleBuilder::new("t");
-        mb.begin_function("f", vec![Type::I64], Type::I64);
-        {
-            let mut b = mb.body();
-            let x = b.local(b.const_i64(10));
-            let c = b.cmp(CmpPred::Gt, b.param(0), b.const_i64(0));
-            b.if_then(c, |b| {
-                b.store(x, b.const_i64(20));
-            });
-            let v = b.load(x, Type::I64);
-            b.ret(Some(v));
+        // One triangle per side of the branch: the empty arm is the then
+        // side (`b → {arm, j}`) or the else side (`b → {j, arm}`).
+        for arm_is_then in [true, false] {
+            let mut mb = ModuleBuilder::new("t");
+            mb.begin_function("f", vec![Type::I64], Type::I64);
+            {
+                let mut b = mb.body();
+                let entry = b.current_block();
+                let arm = b.new_block();
+                let join = b.new_block();
+                let c = b.cmp(CmpPred::Gt, b.param(0), b.const_i64(0));
+                if arm_is_then {
+                    b.cond_br(c, arm, join);
+                } else {
+                    b.cond_br(c, join, arm);
+                }
+                b.switch_to(arm);
+                b.br(join);
+                b.switch_to(join);
+                let v = b.phi(
+                    Type::I64,
+                    vec![(entry, b.const_i64(10)), (arm, b.const_i64(20))],
+                );
+                b.ret(Some(v));
+            }
+            mb.finish_function();
+            let mut m = mb.build();
+            let mc = m.clone();
+            assert!(
+                simplifycfg(&mc, &mut m.functions[0]),
+                "arm_is_then={arm_is_then}"
+            );
+            verify(&m).unwrap();
+            assert_eq!(m.functions[0].live_block_count(), 1);
+            let (taken, skipped) = if arm_is_then { (20, 10) } else { (10, 20) };
+            assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(taken)));
+            assert_eq!(exec(&m, "f", &[RtVal::I(-1)]), Some(RtVal::I(skipped)));
         }
-        mb.finish_function();
-        let mut m = mb.build();
-        let mc = m.clone();
-        // Promote first so the triangle has a phi.
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        simplifycfg(&mc, &mut m.functions[0]);
-        verify(&m).unwrap();
-        assert_eq!(m.functions[0].live_block_count(), 1);
-        assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(20)));
-        assert_eq!(exec(&m, "f", &[RtVal::I(-1)]), Some(RtVal::I(10)));
     }
 
     #[test]

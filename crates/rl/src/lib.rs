@@ -38,4 +38,4 @@ pub mod policy;
 pub mod reinforce;
 
 pub use policy::PolicyNet;
-pub use reinforce::{Env, ReinforceTrainer, TrainingStats};
+pub use reinforce::{AbortCause, AbortCounts, Env, ReinforceTrainer, TrainingStats};

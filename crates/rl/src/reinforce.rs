@@ -13,7 +13,6 @@ use crate::policy::{sample_index_detailed, PolicyNet};
 use mlcomp_trace as trace;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 
 /// An episodic environment with a fixed-dimensional observation and a
 /// discrete action set.
@@ -28,6 +27,49 @@ pub trait Env {
     fn step(&mut self, action: usize) -> (Vec<f64>, f64, bool);
 }
 
+/// Why an episode was aborted instead of trained on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbortCause {
+    /// The environment returned a NaN or infinite reward.
+    NonFiniteReward,
+    /// The environment returned a state with a NaN or infinite component.
+    NonFiniteState,
+    /// The softmax degenerated and sampling fell back to a uniform pick,
+    /// so the episode's actions no longer reflect the policy.
+    SamplingFallback,
+}
+
+impl AbortCause {
+    /// The trace counter this cause bumps.
+    fn counter(self) -> &'static str {
+        match self {
+            AbortCause::NonFiniteReward => "rl.abort.non_finite_reward",
+            AbortCause::NonFiniteState => "rl.abort.non_finite_state",
+            AbortCause::SamplingFallback => "rl.abort.sampling_fallback",
+        }
+    }
+}
+
+/// Aborted episodes, counted per [`AbortCause`] (indexed by variant).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AbortCounts([u64; 3]);
+
+impl AbortCounts {
+    /// Episodes aborted for `cause`.
+    pub fn get(&self, cause: AbortCause) -> u64 {
+        self.0[cause as usize]
+    }
+
+    /// Episodes aborted for any cause.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    fn record(&mut self, cause: AbortCause) {
+        self.0[cause as usize] += 1;
+    }
+}
+
 /// Per-batch statistics emitted during training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingStats {
@@ -38,12 +80,8 @@ pub struct TrainingStats {
     pub mean_return: f64,
     /// Mean episode length in the batch (over episodes that completed).
     pub mean_length: f64,
-    /// Episodes in the batch aborted for non-finite rewards or states.
-    pub aborted_episodes: usize,
-    /// Why episodes in the batch aborted, keyed by reason
-    /// (`"non_finite_reward"`, `"non_finite_state"`, `"sampling_fallback"`).
-    /// Values sum to [`TrainingStats::aborted_episodes`].
-    pub abort_reasons: BTreeMap<String, u64>,
+    /// Episodes in the batch aborted instead of trained on, per cause.
+    pub aborts: AbortCounts,
 }
 
 /// The REINFORCE trainer with Table V's hyper-parameters as defaults
@@ -107,19 +145,17 @@ impl ReinforceTrainer {
             let mut batch_return = 0.0;
             let mut batch_len = 0.0;
             let mut completed = 0usize;
-            let mut aborted = 0usize;
-            let mut abort_reasons: BTreeMap<String, u64> = BTreeMap::new();
+            let mut aborts = AbortCounts::default();
             for ep_in_batch in 0..batch {
                 let episode_idx = episode_count + ep_in_batch;
                 let mut state = env.reset();
                 let mut rewards: Vec<f64> = Vec::new();
                 let mut steps: Vec<(crate::policy::Forward, usize)> = Vec::new();
                 let mut entropy_sum = 0.0;
-                let mut abort_reason: Option<&'static str> = if state.iter().all(|v| v.is_finite())
-                {
+                let mut abort_reason = if state.iter().all(|v| v.is_finite()) {
                     None
                 } else {
-                    Some("non_finite_state")
+                    Some(AbortCause::NonFiniteState)
                 };
                 if abort_reason.is_none() {
                     for _ in 0..self.max_steps {
@@ -131,18 +167,18 @@ impl ReinforceTrainer {
                             // the uniform fallback keeps sampling total, but
                             // the episode's actions no longer reflect the
                             // policy, so it is not trained on.
-                            abort_reason = Some("sampling_fallback");
+                            abort_reason = Some(AbortCause::SamplingFallback);
                             break;
                         }
                         let (next, reward, done) = env.step(action);
                         if !reward.is_finite() {
                             // A NaN/inf reward or state would poison every
                             // return of the episode; abort it and move on.
-                            abort_reason = Some("non_finite_reward");
+                            abort_reason = Some(AbortCause::NonFiniteReward);
                             break;
                         }
                         if !next.iter().all(|v| v.is_finite()) {
-                            abort_reason = Some("non_finite_state");
+                            abort_reason = Some(AbortCause::NonFiniteState);
                             break;
                         }
                         if tracing {
@@ -161,11 +197,10 @@ impl ReinforceTrainer {
                         }
                     }
                 }
-                if let Some(reason) = abort_reason {
-                    aborted += 1;
-                    *abort_reasons.entry(reason.to_string()).or_insert(0) += 1;
+                if let Some(cause) = abort_reason {
+                    aborts.record(cause);
                     if tracing {
-                        trace::counter(&format!("rl.abort.{reason}"), 1);
+                        trace::counter(cause.counter(), 1);
                     }
                     continue;
                 }
@@ -238,8 +273,7 @@ impl ReinforceTrainer {
                 } else {
                     0.0
                 },
-                aborted_episodes: aborted,
-                abort_reasons,
+                aborts,
             };
             if tracing {
                 trace::point("rl.mean_return", s.episodes as f64, s.mean_return);
@@ -413,20 +447,13 @@ mod tests {
             poison_every: 5,
         };
         let stats = trainer.train(&mut policy, &mut env);
-        let aborted: usize = stats.iter().map(|s| s.aborted_episodes).sum();
+        let aborted: u64 = stats.iter().map(|s| s.aborts.total()).sum();
         assert!(aborted >= 600 / 5 - 1, "every 5th episode aborts: {aborted}");
-        for s in &stats {
-            assert_eq!(
-                s.abort_reasons.values().sum::<u64>(),
-                s.aborted_episodes as u64,
-                "abort_reasons must account for every abort"
-            );
-        }
         let nan_aborts: u64 = stats
             .iter()
-            .filter_map(|s| s.abort_reasons.get("non_finite_reward"))
+            .map(|s| s.aborts.get(AbortCause::NonFiniteReward))
             .sum();
-        assert_eq!(nan_aborts, aborted as u64, "only NaN rewards abort here");
+        assert_eq!(nan_aborts, aborted, "only NaN rewards abort here");
         // Training still learns the contextual rule from the healthy 80%.
         assert_eq!(policy.best_action(&[1.0]), 0);
         assert_eq!(policy.best_action(&[-1.0]), 1);
@@ -459,12 +486,12 @@ mod tests {
         let stats = trainer.train(&mut policy, &mut NanEnv);
         assert_eq!(policy, before, "no update from aborted episodes");
         assert_eq!(stats.last().unwrap().episodes, 12);
-        assert!(stats.iter().all(|s| s.aborted_episodes == 6));
+        assert!(stats.iter().all(|s| s.aborts.total() == 6));
         assert!(stats.iter().all(|s| s.mean_return == 0.0));
         assert!(
             stats
                 .iter()
-                .all(|s| s.abort_reasons.get("non_finite_reward") == Some(&6)),
+                .all(|s| s.aborts.get(AbortCause::NonFiniteReward) == 6),
             "every abort stems from the NaN reward"
         );
     }
@@ -494,7 +521,7 @@ mod tests {
         let stats = trainer.train(&mut policy, &mut BadResetEnv);
         assert!(stats
             .iter()
-            .all(|s| s.abort_reasons.get("non_finite_state") == Some(&6)));
+            .all(|s| s.aborts.get(AbortCause::NonFiniteState) == 6 && s.aborts.total() == 6));
     }
 
     #[test]

@@ -6,12 +6,25 @@
 //! via `MLCOMP_FAULT_SEED`; with the variable unset a fixed seed is used,
 //! so a plain `cargo test` is reproducible.
 
-use mlcomp::core::{DataExtraction, ExtractionError};
+use mlcomp::core::{DataExtraction, ExtractionError, FailureCause};
 use mlcomp::faults::{quiet_injected_panics, FaultPlan};
-use mlcomp::passes::{registry, PassManager};
+use mlcomp::ir::ExecError;
+use mlcomp::passes::{registry, PassManager, QuarantineReason};
 use mlcomp::platform::X86Platform;
 use mlcomp::suites::BenchProgram;
+use mlcomp::trace::{RingSink, TraceEvent};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Chaos extractions bump process-global trace counters while a sink is
+/// installed; the tests that run one hold this lock, so the counter test
+/// sees only its own run.
+static CHAOS: Mutex<()> = Mutex::new(());
+
+fn chaos_lock() -> MutexGuard<'static, ()> {
+    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The plan under test: `MLCOMP_FAULT_SEED` if set (the CI seed matrix),
 /// otherwise a fixed chaos plan (~10% phase panics, 5% verifier
@@ -58,6 +71,7 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
 
 #[test]
 fn chaos_run_completes_and_accounts_for_every_datapoint() {
+    let _chaos = chaos_lock();
     let platform = X86Platform::new();
     let apps = small_suite();
     let ds = DataExtraction {
@@ -72,16 +86,76 @@ fn chaos_run_completes_and_accounts_for_every_datapoint() {
     assert_eq!(ds.len() + ds.failures.failed.len(), total);
     for q in &ds.failures.quarantined {
         assert!(registry::is_registered(&q.phase), "unknown phase {:?}", q);
-        assert!(!q.reason.is_empty());
+        assert!(!q.reason.to_string().is_empty());
     }
     for f in &ds.failures.failed {
         assert!(f.attempts >= 1, "attempts recorded: {f:?}");
-        assert!(!f.reason.is_empty());
+        assert!(!f.reason.to_string().is_empty());
     }
+}
+
+/// Every `extraction.fault.*` counter, one per typed cause.
+const FAULT_COUNTERS: [&str; 5] = [
+    "extraction.fault.fuel_exhaustion",
+    "extraction.fault.exec_trap",
+    "extraction.fault.worker_panic",
+    "extraction.fault.phase_panic",
+    "extraction.fault.verifier_corrupt",
+];
+
+#[test]
+fn fault_counters_tally_the_typed_causes() {
+    let _chaos = chaos_lock();
+    let platform = X86Platform::new();
+    let apps = small_suite();
+    let config = DataExtraction {
+        fault_plan: Some(fault_plan()),
+        min_success_fraction: 0.0,
+        ..DataExtraction::quick()
+    };
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let ds = mlcomp::trace::with_sink(ring.clone(), || config.run(&platform, &apps).unwrap());
+
+    let mut expected: BTreeMap<&str, u64> = BTreeMap::new();
+    for f in &ds.failures.failed {
+        let counter = match f.reason {
+            FailureCause::Exec(ExecError::OutOfFuel) => "extraction.fault.fuel_exhaustion",
+            FailureCause::Exec(_) => "extraction.fault.exec_trap",
+            FailureCause::WorkerPanic(_) => "extraction.fault.worker_panic",
+        };
+        *expected.entry(counter).or_default() += 1;
+    }
+    for q in &ds.failures.quarantined {
+        let counter = match q.reason {
+            QuarantineReason::Panic(_) => "extraction.fault.phase_panic",
+            QuarantineReason::VerifierReject(_) => "extraction.fault.verifier_corrupt",
+        };
+        *expected.entry(counter).or_default() += 1;
+    }
+    assert!(
+        !expected.is_empty(),
+        "the chaos plan should injure something"
+    );
+
+    let mut counted: BTreeMap<&str, u64> = BTreeMap::new();
+    for event in ring.events() {
+        if let TraceEvent::Counter { name, value } = event {
+            if name.starts_with("extraction.fault.") {
+                let known = FAULT_COUNTERS.iter().find(|c| **c == name);
+                let counter = *known.unwrap_or_else(|| panic!("untyped fault counter {name}"));
+                *counted.entry(counter).or_default() += value;
+            }
+        }
+    }
+    assert_eq!(
+        counted, expected,
+        "fault counters must tally the dataset's causes"
+    );
 }
 
 #[test]
 fn faulty_extraction_is_bit_identical_across_thread_counts() {
+    let _chaos = chaos_lock();
     // Fault decisions are pure functions of (plan seed, site key), so the
     // chaos dataset — samples, quarantines and failures — must not depend
     // on worker scheduling.
@@ -112,6 +186,7 @@ fn faulty_extraction_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn killed_faulty_run_resumes_identically() {
+    let _chaos = chaos_lock();
     let platform = X86Platform::new();
     let apps = small_suite();
     let plan = fault_plan();
