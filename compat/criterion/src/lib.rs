@@ -92,7 +92,11 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
     };
     f(&mut b);
     let mean_ns = b.elapsed.as_nanos() as f64 / b.iters as f64;
-    println!("{id:<48} {:>14}/iter   ({} iters)", fmt_ns(mean_ns), b.iters);
+    println!(
+        "{id:<48} {:>14}/iter   ({} iters)",
+        fmt_ns(mean_ns),
+        b.iters
+    );
 }
 
 fn fmt_ns(ns: f64) -> String {

@@ -131,10 +131,7 @@ impl Object {
 
     /// Looks up a key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Looks up a mandatory struct field.

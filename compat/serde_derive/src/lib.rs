@@ -21,14 +21,18 @@ use std::iter::Peekable;
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_serialize(&item).parse().expect("generated Serialize impl parses")
+    gen_serialize(&item)
+        .parse()
+        .expect("generated Serialize impl parses")
 }
 
 /// Derives `serde::Deserialize` for a struct or enum.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    gen_deserialize(&item).parse().expect("generated Deserialize impl parses")
+    gen_deserialize(&item)
+        .parse()
+        .expect("generated Deserialize impl parses")
 }
 
 // ---------------------------------------------------------------------------
@@ -53,8 +57,14 @@ struct Variant {
 }
 
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<Variant> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<Variant>,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +102,9 @@ fn parse_serde_with(attr: TokenStream) -> Option<String> {
     let mut args = args.stream().into_iter();
     match args.next() {
         Some(TokenTree::Ident(i)) if i.to_string() == "with" => {}
-        other => panic!("unsupported serde attribute: {other:?} (only `with = \"path\"` is implemented)"),
+        other => {
+            panic!("unsupported serde attribute: {other:?} (only `with = \"path\"` is implemented)")
+        }
     }
     match args.next() {
         Some(TokenTree::Punct(p)) if p.as_char() == '=' => {}
@@ -339,10 +351,7 @@ fn gen_serialize(item: &Item) -> String {
                                 f.name,
                                 match &f.with {
                                     Some(path) => format!("{path}::serialize({})", f.name),
-                                    None => format!(
-                                        "::serde::Serialize::serialize({})",
-                                        f.name
-                                    ),
+                                    None => format!("::serde::Serialize::serialize({})", f.name),
                                 }
                             ));
                         }
@@ -430,9 +439,7 @@ fn gen_deserialize(item: &Item) -> String {
                     )),
                     Fields::Tuple(n) => {
                         let items: Vec<String> = (0..*n)
-                            .map(|i| {
-                                format!("::serde::Deserialize::deserialize(&__arr[{i}])?")
-                            })
+                            .map(|i| format!("::serde::Deserialize::deserialize(&__arr[{i}])?"))
                             .collect();
                         tagged_arms.push_str(&format!(
                             "\"{vn}\" => {{\n\

@@ -19,7 +19,11 @@ fn main() {
     let apps = mlcomp_suites::parsec_suite();
     let config = DataExtraction::quick();
 
-    println!("== extraction_scaling ({} apps × {} variants)", apps.len(), config.variants_per_app);
+    println!(
+        "== extraction_scaling ({} apps × {} variants)",
+        apps.len(),
+        config.variants_per_app
+    );
 
     let mut baseline_secs = 0.0;
     let mut baseline_json = String::new();
@@ -41,7 +45,11 @@ fn main() {
         if threads == 1 {
             baseline_secs = secs;
             baseline_json = json;
-            println!("threads=1   {:>8.1} ms   speedup 1.00x   ({} samples)", secs * 1e3, dataset.len());
+            println!(
+                "threads=1   {:>8.1} ms   speedup 1.00x   ({} samples)",
+                secs * 1e3,
+                dataset.len()
+            );
         } else {
             assert_eq!(
                 baseline_json, json,

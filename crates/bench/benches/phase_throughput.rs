@@ -86,7 +86,12 @@ fn bench_in_situ(c: &mut Criterion) {
             .run_sequence_sandboxed(&mut state, prefix.iter().copied(), None, "prefix")
             .unwrap();
         assert!(report.quarantine.is_empty(), "prefix {prefix:?} on {name}");
-        let state_name = [name].iter().chain(prefix).copied().collect::<Vec<_>>().join("+");
+        let state_name = [name]
+            .iter()
+            .chain(prefix)
+            .copied()
+            .collect::<Vec<_>>()
+            .join("+");
         println!("{state_name}: {} insts", state.total_insts());
         if state_name == "x264+loop-unroll" {
             g.bench_function(format!("DefUse::new on {state_name}"), |b| {

@@ -15,7 +15,9 @@ fn bench(c: &mut Criterion) {
         .collect();
     let mut config = MlcompConfig::quick();
     config.pss.episodes = 24;
-    let artifacts = Mlcomp::new(config).run(&platform, &apps).expect("pipeline runs");
+    let artifacts = Mlcomp::new(config)
+        .run(&platform, &apps)
+        .expect("pipeline runs");
     let selector = &artifacts.selector;
 
     let features = mlcomp_features::extract(&apps[0].module);

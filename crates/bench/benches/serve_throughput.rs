@@ -44,9 +44,10 @@ fn bench(c: &mut Criterion) {
         .collect();
     let mut config = MlcompConfig::quick();
     config.pss.episodes = 24;
-    let artifacts = Mlcomp::new(config).run(&platform, &apps).expect("pipeline runs");
-    let bundle =
-        ArtifactBundle::new(artifacts.selector, artifacts.estimator).expect("deployable");
+    let artifacts = Mlcomp::new(config)
+        .run(&platform, &apps)
+        .expect("pipeline runs");
+    let bundle = ArtifactBundle::new(artifacts.selector, artifacts.estimator).expect("deployable");
     let requests = workload(&mlcomp_features::extract(&apps[0].module).values);
 
     let server = |threads: usize| {

@@ -25,8 +25,7 @@ fn main() {
         .extraction
         .run(&platform, &apps)
         .expect("extraction runs");
-    let estimator =
-        PerfEstimator::train(&dataset, &config.search).expect("PE trains");
+    let estimator = PerfEstimator::train(&dataset, &config.search).expect("PE trains");
     let projector = FeatureProjector::fit(&dataset.features()).expect("projection fits");
 
     println!("== Reward ablation: degradation penalty (PARSEC / x86) ==");
@@ -34,7 +33,11 @@ fn main() {
         "{:<22} {:>10} {:>12} {:>12} {:>14}",
         "reward", "geo time×", "geo energy×", "geo size×", "regressions"
     );
-    for (label, penalty) in [("no penalty", 0.0), ("paper default", 0.5), ("harsh ×2", 2.0)] {
+    for (label, penalty) in [
+        ("no penalty", 0.0),
+        ("paper default", 0.5),
+        ("harsh ×2", 2.0),
+    ] {
         let weights = RewardWeights {
             degradation_penalty: penalty,
             ..RewardWeights::default()

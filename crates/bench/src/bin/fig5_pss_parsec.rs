@@ -13,11 +13,17 @@ fn main() {
     let scale = Scale::from_args();
     let platform = X86Platform::new();
     let apps = mlcomp_suites::parsec_suite();
-    eprintln!("[fig5] full pipeline on {} PARSEC apps / x86 ({scale:?})…", apps.len());
+    eprintln!(
+        "[fig5] full pipeline on {} PARSEC apps / x86 ({scale:?})…",
+        apps.len()
+    );
     let out = pss_experiment(&platform, &apps, scale.config(false));
 
     println!("== Fig. 5 — PSS validation (PARSEC / x86), relative to -O0, lower is better ==");
-    println!("\nPE pipelines used for training rewards:\n{}", out.estimator_report);
+    println!(
+        "\nPE pipelines used for training rewards:\n{}",
+        out.estimator_report
+    );
     for metric in ["exec_time_s", "energy_j", "code_size"] {
         println!("\n--- {metric} (×  of unoptimized) ---");
         print!("{:<14}", "app");

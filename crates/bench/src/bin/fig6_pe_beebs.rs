@@ -23,7 +23,11 @@ fn main() {
     let out = pe_experiment(&platform, &apps, &extraction, &search);
 
     println!("== Fig. 6 — PE profiled vs predicted distributions (BEEBS / RISC-V) ==");
-    println!("dataset: {} samples over {} apps", out.dataset.len(), apps.len());
+    println!(
+        "dataset: {} samples over {} apps",
+        out.dataset.len(),
+        apps.len()
+    );
     println!("\nper-metric winning pipelines (held-out):");
     print!("{}", out.estimator.report());
 

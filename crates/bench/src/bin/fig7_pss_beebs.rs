@@ -12,7 +12,10 @@ fn main() {
     let scale = Scale::from_args();
     let platform = RiscVPlatform::new();
     let apps = mlcomp_suites::beebs_suite();
-    eprintln!("[fig7] full pipeline on {} BEEBS apps / riscv ({scale:?})…", apps.len());
+    eprintln!(
+        "[fig7] full pipeline on {} BEEBS apps / riscv ({scale:?})…",
+        apps.len()
+    );
     let out = pss_experiment(&platform, &apps, scale.config(true));
 
     println!("== Fig. 7 — PSS validation (BEEBS / RISC-V), relative to -O0, lower is better ==");

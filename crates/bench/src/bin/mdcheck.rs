@@ -154,7 +154,11 @@ fn is_external(target: &str) -> bool {
 }
 
 /// Checks one file's links; returns human-readable problem strings.
-fn check_file(path: &Path, text: &str, anchor_cache: &mut HashMap<PathBuf, Vec<String>>) -> Vec<String> {
+fn check_file(
+    path: &Path,
+    text: &str,
+    anchor_cache: &mut HashMap<PathBuf, Vec<String>>,
+) -> Vec<String> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let own_anchors = collect_anchors(text);
     let mut problems = Vec::new();
@@ -237,7 +241,10 @@ fn main() -> ExitCode {
         for p in &problems {
             eprintln!("{p}");
         }
-        eprintln!("mdcheck: {} problem(s) in {checked} file(s)", problems.len());
+        eprintln!(
+            "mdcheck: {} problem(s) in {checked} file(s)",
+            problems.len()
+        );
         ExitCode::FAILURE
     }
 }
@@ -248,22 +255,35 @@ mod tests {
 
     #[test]
     fn slugify_matches_github() {
-        assert_eq!(slugify("Serving architecture (mlcomp-serve)"), "serving-architecture-mlcomp-serve");
-        assert_eq!(slugify("12. Serving architecture"), "12-serving-architecture");
+        assert_eq!(
+            slugify("Serving architecture (mlcomp-serve)"),
+            "serving-architecture-mlcomp-serve"
+        );
+        assert_eq!(
+            slugify("12. Serving architecture"),
+            "12-serving-architecture"
+        );
         assert_eq!(slugify("`code` & Emphasis*"), "code--emphasis");
-        assert_eq!(slugify("  Deploying a trained policy  "), "deploying-a-trained-policy");
+        assert_eq!(
+            slugify("  Deploying a trained policy  "),
+            "deploying-a-trained-policy"
+        );
     }
 
     #[test]
     fn anchors_skip_fences_and_suffix_duplicates() {
-        let text = "# Top\n```\n# not a heading\n```\n## Same\n## Same\n####### too deep\n#nospace\n";
+        let text =
+            "# Top\n```\n# not a heading\n```\n## Same\n## Same\n####### too deep\n#nospace\n";
         assert_eq!(collect_anchors(text), ["top", "same", "same-1"]);
     }
 
     #[test]
     fn links_are_found_outside_code() {
         let text = "See [a](x.md) and `[b](y.md)` here.\n```\n[c](z.md)\n```\n![img](p.png)\nbare ] ( noise\n";
-        let targets: Vec<_> = collect_links(text).iter().map(|l| l.target.clone()).collect();
+        let targets: Vec<_> = collect_links(text)
+            .iter()
+            .map(|l| l.target.clone())
+            .collect();
         assert_eq!(targets, ["x.md", "p.png"]);
     }
 
@@ -282,8 +302,16 @@ mod tests {
         let mut cache = HashMap::new();
         let problems = check_file(Path::new("virtual.md"), text, &mut cache);
         assert_eq!(problems.len(), 2);
-        assert!(problems[0].contains("broken anchor '#nowhere'"), "{}", problems[0]);
-        assert!(problems[1].contains("definitely-missing-file.md"), "{}", problems[1]);
+        assert!(
+            problems[0].contains("broken anchor '#nowhere'"),
+            "{}",
+            problems[0]
+        );
+        assert!(
+            problems[1].contains("definitely-missing-file.md"),
+            "{}",
+            problems[1]
+        );
     }
 
     #[test]

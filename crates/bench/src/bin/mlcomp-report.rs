@@ -90,8 +90,7 @@ impl Report {
                         let p = self.phases.entry(phase).or_default();
                         p.count += 1;
                         p.total_ns += dur;
-                        if f.as_object().and_then(|o| o.get("rollback"))
-                            == Some(&Value::Bool(true))
+                        if f.as_object().and_then(|o| o.get("rollback")) == Some(&Value::Bool(true))
                         {
                             p.rollbacks += 1;
                         }
@@ -152,8 +151,11 @@ impl Report {
     /// paths (one more `/`-separated segment), clamped at zero — overlap
     /// from concurrent children can exceed the parent's wall time.
     fn self_times(&self) -> BTreeMap<&str, f64> {
-        let mut selfs: BTreeMap<&str, f64> =
-            self.spans.iter().map(|(p, a)| (p.as_str(), a.total_ns)).collect();
+        let mut selfs: BTreeMap<&str, f64> = self
+            .spans
+            .iter()
+            .map(|(p, a)| (p.as_str(), a.total_ns))
+            .collect();
         for (path, agg) in &self.spans {
             if let Some(idx) = path.rfind('/') {
                 let parent = &path[..idx];
@@ -176,8 +178,14 @@ impl Report {
                 .map(|(p, a)| (p.as_str(), selfs[p.as_str()], a))
                 .collect();
             rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-            println!("\n-- top {} span paths by self time --", top.min(rows.len()));
-            println!("{:<40} {:>7} {:>12} {:>12}", "path", "count", "self", "total");
+            println!(
+                "\n-- top {} span paths by self time --",
+                top.min(rows.len())
+            );
+            println!(
+                "{:<40} {:>7} {:>12} {:>12}",
+                "path", "count", "self", "total"
+            );
             for (path, self_ns, agg) in rows.iter().take(top) {
                 println!(
                     "{:<40} {:>7} {:>12} {:>12}",
@@ -323,8 +331,7 @@ fn run() -> Result<(), String> {
         }
     }
     let path = path.ok_or("usage: mlcomp-report <trace.jsonl> [--top N]")?;
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut report = Report::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {

@@ -21,7 +21,10 @@ fn main() {
     const SAMPLES: usize = 4000;
     let unopt = DynamicFeatures::from_array([1.0, 1.0, 1.0, 1.0]); // relative space
 
-    println!("== Probabilistic dominance under {:.0}% measurement noise ==", NOISE * 100.0);
+    println!(
+        "== Probabilistic dominance under {:.0}% measurement noise ==",
+        NOISE * 100.0
+    );
     println!(
         "{:<14} {:>22} {:>22} {:>14}",
         "app", "P(MLComp ≻ -O0)", "P(-O3 ≻ MLComp)", "P(incomp.)"

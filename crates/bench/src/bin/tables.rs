@@ -47,11 +47,14 @@ fn main() {
     if show(2) {
         println!("\n== Table II — performance estimators ==");
         println!("MLComp (PE) row, verified properties of this reproduction:");
-        println!("  automation      : Full — Algorithm 1 searches {} preprocessors × {} models",
+        println!(
+            "  automation      : Full — Algorithm 1 searches {} preprocessors × {} models",
             preprocessor_zoo().len(),
             model_zoo().len()
         );
-        println!("  machine learning: Advanced — kernel, tree-ensemble and neural models in the zoo");
+        println!(
+            "  machine learning: Advanced — kernel, tree-ensemble and neural models in the zoo"
+        );
         println!("  metrics         : exec time, energy, # executed instructions, code size");
         println!("  data gathering  : Profiling (interpreter + platform cost models)");
         println!("  accuracy        : run `takeaways` for measured per-metric errors");
@@ -86,7 +89,10 @@ fn main() {
     }
 
     if show(6) {
-        println!("\n== Table VI — optimization phases ({}) ==", registry::PHASE_COUNT);
+        println!(
+            "\n== Table VI — optimization phases ({}) ==",
+            registry::PHASE_COUNT
+        );
         // Smoke-run every phase on a real program to prove availability.
         let program = mlcomp_suites::program("crc32").expect("suite program exists");
         let pm = mlcomp_passes::PassManager::new();

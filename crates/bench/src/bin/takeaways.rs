@@ -54,7 +54,10 @@ fn main() {
     let pss_rv = pss_experiment(&rv, &beebs, scale.config(true));
     let pss_wall = t1.elapsed();
 
-    println!("--- Phase Sequence Selector (trained+validated in {:.1}s) ---", pss_wall.as_secs_f64());
+    println!(
+        "--- Phase Sequence Selector (trained+validated in {:.1}s) ---",
+        pss_wall.as_secs_f64()
+    );
     println!("paper claim: up to 12% exec-time and 6% energy improvement, ~0.1% code size.");
     for (label, out) in [("PARSEC/x86", &pss_x86), ("BEEBS/riscv", &pss_rv)] {
         println!("{label}:");
@@ -111,8 +114,10 @@ fn main() {
             );
         }
     }
-    println!("\n(absolute numbers differ from the paper — its testbed was real hardware +\n\
+    println!(
+        "\n(absolute numbers differ from the paper — its testbed was real hardware +\n\
      HIPERSIM; the reproduced claims are the *shapes*: PE tracks profiled\n\
      distributions per app, PSS matches or beats standard levels on time and\n\
-     energy while holding code size, and adaptation is profiling-free.)");
+     energy while holding code size, and adaptation is profiling-free.)"
+    );
 }

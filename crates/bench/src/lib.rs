@@ -18,9 +18,7 @@
 use mlcomp_core::{DataExtraction, Dataset, Mlcomp, MlcompConfig, PerfEstimator};
 use mlcomp_ml::search::ModelSearch;
 use mlcomp_passes::{PassManager, PipelineLevel};
-use mlcomp_platform::{
-    DynamicFeatures, Profiler, TargetPlatform, Workload, METRIC_NAMES,
-};
+use mlcomp_platform::{DynamicFeatures, Profiler, TargetPlatform, Workload, METRIC_NAMES};
 use mlcomp_suites::BenchProgram;
 
 /// How much compute an experiment binary spends.
@@ -209,7 +207,9 @@ pub fn pss_experiment<P: TargetPlatform + Sync + ?Sized>(
     apps: &[BenchProgram],
     config: MlcompConfig,
 ) -> PssExperiment {
-    let artifacts = Mlcomp::new(config).run(platform, apps).expect("pipeline runs");
+    let artifacts = Mlcomp::new(config)
+        .run(platform, apps)
+        .expect("pipeline runs");
     let profiler = Profiler::new(platform);
     let pm = PassManager::new();
     let mut rows = Vec::new();

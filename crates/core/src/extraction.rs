@@ -353,7 +353,9 @@ impl DataExtraction {
             run_span.field("threads", pool.num_threads());
         }
 
-        let pending: Vec<usize> = (0..items.len()).filter(|&i| outcomes[i].is_none()).collect();
+        let pending: Vec<usize> = (0..items.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
         let budget = if self.max_items_per_run == 0 {
             pending.len()
         } else {
@@ -367,60 +369,61 @@ impl DataExtraction {
 
         for chunk in pending[..budget].chunks(chunk_len) {
             let chunk_items: Vec<(usize, usize)> = chunk.iter().map(|&i| items[i]).collect();
-            let results = pool.map_supervised(&chunk_items, self.retry_attempts, |_, attempt, &(a, v)| {
-                let app = &apps[a];
-                let mut item_span = trace::span("extract.item");
-                if item_span.is_recording() {
-                    item_span.field("app", app.name);
-                    item_span.field("variant", v);
-                    item_span.field("attempt", attempt as u64);
-                }
-                if attempt > 0 {
-                    trace::counter("extraction.retries", 1);
-                }
-                if let Some(plan) = &self.fault_plan {
-                    // Transient worker failure: keyed by item identity and
-                    // attempt number, so retries re-roll the dice and the
-                    // decision is independent of worker scheduling.
-                    if plan.transient_fires(&format!("{}|{v}", app.name), attempt) {
-                        panic!(
-                            "{INJECTED_PANIC_PREFIX} transient worker failure at `{}|{v}`",
-                            app.name
-                        );
+            let results =
+                pool.map_supervised(&chunk_items, self.retry_attempts, |_, attempt, &(a, v)| {
+                    let app = &apps[a];
+                    let mut item_span = trace::span("extract.item");
+                    if item_span.is_recording() {
+                        item_span.field("app", app.name);
+                        item_span.field("variant", v);
+                        item_span.field("attempt", attempt as u64);
                     }
-                }
-                let sequence = self.variant_sequence(app, v);
-                let outcome = self.compile_and_profile(platform, app, &sequence);
-                if item_span.is_recording() {
-                    item_span.field("outcome", if outcome.is_ok() { "ok" } else { "failed" });
-                }
-                match outcome {
-                    Ok((features, metrics, quarantined)) => ItemOutcome::Sample {
-                        sample: Sample {
-                            app: app.name.to_string(),
-                            sequence,
-                            features,
-                            metrics,
-                        },
-                        quarantined: quarantined
-                            .into_iter()
-                            .map(|q| QuarantinedPhase {
+                    if attempt > 0 {
+                        trace::counter("extraction.retries", 1);
+                    }
+                    if let Some(plan) = &self.fault_plan {
+                        // Transient worker failure: keyed by item identity and
+                        // attempt number, so retries re-roll the dice and the
+                        // decision is independent of worker scheduling.
+                        if plan.transient_fires(&format!("{}|{v}", app.name), attempt) {
+                            panic!(
+                                "{INJECTED_PANIC_PREFIX} transient worker failure at `{}|{v}`",
+                                app.name
+                            );
+                        }
+                    }
+                    let sequence = self.variant_sequence(app, v);
+                    let outcome = self.compile_and_profile(platform, app, &sequence);
+                    if item_span.is_recording() {
+                        item_span.field("outcome", if outcome.is_ok() { "ok" } else { "failed" });
+                    }
+                    match outcome {
+                        Ok((features, metrics, quarantined)) => ItemOutcome::Sample {
+                            sample: Sample {
                                 app: app.name.to_string(),
-                                variant: v,
-                                index: q.index,
-                                phase: q.phase,
-                                reason: q.reason,
-                            })
-                            .collect(),
-                    },
-                    Err(e) => ItemOutcome::Failed(FailedPoint {
-                        app: app.name.to_string(),
-                        variant: v,
-                        reason: FailureCause::Exec(e),
-                        attempts: attempt + 1,
-                    }),
-                }
-            });
+                                sequence,
+                                features,
+                                metrics,
+                            },
+                            quarantined: quarantined
+                                .into_iter()
+                                .map(|q| QuarantinedPhase {
+                                    app: app.name.to_string(),
+                                    variant: v,
+                                    index: q.index,
+                                    phase: q.phase,
+                                    reason: q.reason,
+                                })
+                                .collect(),
+                        },
+                        Err(e) => ItemOutcome::Failed(FailedPoint {
+                            app: app.name.to_string(),
+                            variant: v,
+                            reason: FailureCause::Exec(e),
+                            attempts: attempt + 1,
+                        }),
+                    }
+                });
             for (&i, result) in chunk.iter().zip(results) {
                 let outcome = result.unwrap_or_else(|failure| {
                     let (a, v) = items[i];
@@ -457,7 +460,10 @@ impl DataExtraction {
         };
         for outcome in outcomes {
             match outcome.expect("every item was processed or resumed") {
-                ItemOutcome::Sample { sample, quarantined } => {
+                ItemOutcome::Sample {
+                    sample,
+                    quarantined,
+                } => {
                     dataset.samples.push(sample);
                     dataset.failures.quarantined.extend(quarantined);
                 }
@@ -540,9 +546,7 @@ impl DataExtraction {
                 .collect(),
             _ => {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed::item_seed(
-                    self.seed,
-                    app.name,
-                    v as u64,
+                    self.seed, app.name, v as u64,
                 ));
                 let len = rng.gen_range(self.min_phases..=self.max_phases);
                 (0..len)
@@ -749,10 +753,7 @@ mod tests {
         .run(&platform, &apps)
         .unwrap();
         assert_eq!(clean.len(), noisy.len());
-        assert_ne!(
-            clean.targets("exec_time_s"),
-            noisy.targets("exec_time_s")
-        );
+        assert_ne!(clean.targets("exec_time_s"), noisy.targets("exec_time_s"));
         assert_eq!(
             clean.targets("instructions"),
             noisy.targets("instructions"),
@@ -891,7 +892,9 @@ mod tests {
         assert!(path.exists(), "checkpoint persisted");
 
         // The resumed run completes and matches the uninterrupted one.
-        let resumed = config.run_with_checkpoint(&platform, &apps, Some(&path)).unwrap();
+        let resumed = config
+            .run_with_checkpoint(&platform, &apps, Some(&path))
+            .unwrap();
         assert_eq!(full, resumed);
         assert!(!path.exists(), "checkpoint removed on success");
     }
@@ -903,7 +906,9 @@ mod tests {
         let path = std::env::temp_dir().join("mlcomp_extraction_stale_ckpt_test.json");
         std::fs::write(&path, "{\"fingerprint\":1,\"total\":16,\"entries\":[]}").unwrap();
         let config = DataExtraction::quick();
-        let ds = config.run_with_checkpoint(&platform, &apps, Some(&path)).unwrap();
+        let ds = config
+            .run_with_checkpoint(&platform, &apps, Some(&path))
+            .unwrap();
         assert_eq!(ds, config.run(&platform, &apps).unwrap());
         let _ = std::fs::remove_file(&path);
     }

@@ -112,11 +112,8 @@ impl RewardWeights {
         let de = rel(old.energy_j, new.energy_j);
         let ds = rel(old.code_size, new.code_size);
         let gain = self.time * dt + self.energy * de + self.size * ds;
-        let penalty: f64 = [dt, de, ds]
-            .iter()
-            .map(|d| (-d).max(0.0))
-            .sum::<f64>()
-            * self.degradation_penalty;
+        let penalty: f64 =
+            [dt, de, ds].iter().map(|d| (-d).max(0.0)).sum::<f64>() * self.degradation_penalty;
         gain - penalty
     }
 }
@@ -148,7 +145,10 @@ impl FeatureProjector {
     /// Projects one feature vector into the policy's state space.
     pub fn project(&self, values: &[f64]) -> Vec<f64> {
         let x = mlcomp_linalg::Matrix::from_vec_rows(vec![values.to_vec()]);
-        self.pca.transform(&self.scaler.transform(&x)).row(0).to_vec()
+        self.pca
+            .transform(&self.scaler.transform(&x))
+            .row(0)
+            .to_vec()
     }
 
     /// Output (state) dimensionality.
@@ -567,7 +567,10 @@ mod tests {
             .unwrap();
         let (_s1, r1, done) = env.step(m2r);
         assert!(!done);
-        assert!(r1 > 0.0, "mem2reg should be predicted as an improvement: {r1}");
+        assert!(
+            r1 > 0.0,
+            "mem2reg should be predicted as an improvement: {r1}"
+        );
         // Re-running it is inactive.
         let (_s2, r2, _) = env.step(m2r);
         assert!(r2 <= 0.0);

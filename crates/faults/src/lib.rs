@@ -254,10 +254,7 @@ mod tests {
                 .filter(|i| plan.fires(FaultKind::PhasePanic, &format!("site{i}")))
                 .count();
             let got = fired as f64 / 20_000.0;
-            assert!(
-                (got - rate).abs() < 0.02,
-                "rate {rate}: observed {got}"
-            );
+            assert!((got - rate).abs() < 0.02, "rate {rate}: observed {got}");
         }
     }
 
@@ -282,7 +279,10 @@ mod tests {
                 a.fires(FaultKind::PhasePanic, &key) != b.fires(FaultKind::PhasePanic, &key)
             })
             .count();
-        assert!(diverge > 1000, "seeds must decorrelate: {diverge}/4096 differ");
+        assert!(
+            diverge > 1000,
+            "seeds must decorrelate: {diverge}/4096 differ"
+        );
     }
 
     #[test]

@@ -279,9 +279,7 @@ pub fn extract(m: &Module) -> FeatureVector {
                             c.n_indirect_calls += 1.0;
                         }
                     }
-                    InstKind::Memset { .. } | InstKind::Memcpy { .. } => {
-                        c.n_mem_intrinsic += 1.0
-                    }
+                    InstKind::Memset { .. } | InstKind::Memcpy { .. } => c.n_mem_intrinsic += 1.0,
                     InstKind::Expect { .. } => c.n_unary += 1.0,
                 }
             }

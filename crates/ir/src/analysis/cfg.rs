@@ -74,10 +74,7 @@ impl Cfg {
 
     /// Number of CFG edges among reachable blocks.
     pub fn edge_count(&self) -> usize {
-        self.rpo
-            .iter()
-            .map(|b| self.succs[b.index()].len())
-            .sum()
+        self.rpo.iter().map(|b| self.succs[b.index()].len()).sum()
     }
 
     /// Whether the edge `from → to` is critical (multi-successor source and

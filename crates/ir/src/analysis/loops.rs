@@ -249,10 +249,7 @@ impl Loop {
         }
         // Bound must be loop-invariant: constant, param, or defined outside.
         let invariant = match rhs {
-            Value::Inst(id) => !self
-                .blocks
-                .iter()
-                .any(|b| f.block(*b).insts.contains(&id)),
+            Value::Inst(id) => !self.blocks.iter().any(|b| f.block(*b).insts.contains(&id)),
             _ => true,
         };
         if !invariant {

@@ -57,7 +57,9 @@ impl Terminator {
     pub fn successors(&self) -> Vec<BlockId> {
         match self {
             Terminator::Br(b) => vec![*b],
-            Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
+            Terminator::CondBr {
+                then_bb, else_bb, ..
+            } => vec![*then_bb, *else_bb],
             Terminator::Switch { cases, default, .. } => {
                 let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
                 v.push(*default);
@@ -92,7 +94,9 @@ impl Terminator {
     pub fn map_targets(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
         match self {
             Terminator::Br(b) => *b = f(*b),
-            Terminator::CondBr { then_bb, else_bb, .. } => {
+            Terminator::CondBr {
+                then_bb, else_bb, ..
+            } => {
                 *then_bb = f(*then_bb);
                 *else_bb = f(*else_bb);
             }

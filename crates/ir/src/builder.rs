@@ -55,7 +55,8 @@ impl ModuleBuilder {
     /// mutually recursive functions can reference each other. Fill the body
     /// later with [`ModuleBuilder::begin_existing`].
     pub fn declare(&mut self, name: impl Into<String>, params: Vec<Type>, ret_ty: Type) -> FuncId {
-        self.module.add_function(Function::new(name, params, ret_ty))
+        self.module
+            .add_function(Function::new(name, params, ret_ty))
     }
 
     /// Starts a new function and makes it current.
@@ -70,7 +71,9 @@ impl ModuleBuilder {
         ret_ty: Type,
     ) -> FuncId {
         assert!(self.current.is_none(), "finish the previous function first");
-        let id = self.module.add_function(Function::new(name, params, ret_ty));
+        let id = self
+            .module
+            .add_function(Function::new(name, params, ret_ty));
         self.current = Some(id);
         self.cursor = BlockId::ENTRY;
         id
@@ -207,7 +210,15 @@ impl<'a> FunctionBuilder<'a> {
     /// Emits a binary operation; the result type follows the left operand.
     pub fn bin(&mut self, op: BinOp, lhs: Value, rhs: Value) -> Value {
         let ty = self.func.value_type(lhs);
-        self.emit(InstKind::Bin { op, lhs, rhs, width: 1 }, ty)
+        self.emit(
+            InstKind::Bin {
+                op,
+                lhs,
+                rhs,
+                width: 1,
+            },
+            ty,
+        )
     }
 
     /// Integer add.
@@ -405,7 +416,9 @@ impl<'a> FunctionBuilder<'a> {
 
     /// Emits a phi node at the *front* of the current block.
     pub fn phi(&mut self, ty: Type, incomings: Vec<(BlockId, Value)>) -> Value {
-        let id = self.func.add_inst(crate::inst::Inst::new(InstKind::Phi { incomings }, ty));
+        let id = self
+            .func
+            .add_inst(crate::inst::Inst::new(InstKind::Phi { incomings }, ty));
         let blk = self.func.block_mut(*self.cursor);
         blk.insts.insert(0, id);
         Value::Inst(id)
@@ -430,7 +443,11 @@ impl<'a> FunctionBuilder<'a> {
 
     /// Terminates the current block with a switch.
     pub fn switch(&mut self, val: Value, cases: Vec<(i64, BlockId)>, default: BlockId) {
-        self.func.block_mut(*self.cursor).term = Terminator::Switch { val, cases, default };
+        self.func.block_mut(*self.cursor).term = Terminator::Switch {
+            val,
+            cases,
+            default,
+        };
     }
 
     /// Terminates the current block with a return.

@@ -66,7 +66,12 @@ pub fn print_module(m: &Module) -> String {
 
 fn render_kind(k: &InstKind, ty: crate::Type) -> String {
     match k {
-        InstKind::Bin { op, lhs, rhs, width } => {
+        InstKind::Bin {
+            op,
+            lhs,
+            rhs,
+            width,
+        } => {
             let w = if *width > 1 {
                 format!("<{width} x> ")
             } else {
@@ -90,7 +95,11 @@ fn render_kind(k: &InstKind, ty: crate::Type) -> String {
             format!("phi {}", parts.join(", "))
         }
         InstKind::Alloca { cells } => format!("alloca {cells}"),
-        InstKind::Load { ptr, aligned, width } => {
+        InstKind::Load {
+            ptr,
+            aligned,
+            width,
+        } => {
             let mut flags = String::new();
             if *aligned {
                 flags.push_str(" aligned");
@@ -138,12 +147,14 @@ fn render_term(t: &Terminator) -> String {
             else_bb,
             weight,
         } => {
-            let w = weight
-                .map(|w| format!(" !prob {w}%"))
-                .unwrap_or_default();
+            let w = weight.map(|w| format!(" !prob {w}%")).unwrap_or_default();
             format!("condbr {cond}, bb{}, bb{}{w}", then_bb.0, else_bb.0)
         }
-        Terminator::Switch { val, cases, default } => {
+        Terminator::Switch {
+            val,
+            cases,
+            default,
+        } => {
             let cs: Vec<String> = cases
                 .iter()
                 .map(|(c, b)| format!("{c} → bb{}", b.0))

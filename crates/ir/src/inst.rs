@@ -90,7 +90,10 @@ impl BinOp {
     /// Returns `true` if the operation is associative (exact semantics; the
     /// float variants are not).
     pub fn is_associative(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor)
+        matches!(
+            self,
+            BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
+        )
     }
 
     /// Returns `true` for division/remainder ops which trap on a zero
@@ -199,7 +202,10 @@ impl UnOp {
     /// Returns `true` for ops the x86/RISC-V models charge as long-latency
     /// floating-point (sqrt and the transcendentals).
     pub fn is_expensive_float(self) -> bool {
-        matches!(self, UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos)
+        matches!(
+            self,
+            UnOp::Sqrt | UnOp::Exp | UnOp::Log | UnOp::Sin | UnOp::Cos
+        )
     }
 
     /// Computes the operation on an operand of type `ty`, the result type.
@@ -824,14 +830,7 @@ mod tests {
                 Some(q),
                 Some(p),
             ),
-            (
-                InstKind::Gep {
-                    base: p,
-                    offset: n,
-                },
-                None,
-                None,
-            ),
+            (InstKind::Gep { base: p, offset: n }, None, None),
         ];
         for (kind, read, write) in cases {
             assert_eq!(kind.read_ptr(), read, "{kind:?}");

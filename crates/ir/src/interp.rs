@@ -460,7 +460,11 @@ impl<'m> Interpreter<'m> {
                     prev = Some(block);
                     block = if c { *then_bb } else { *else_bb };
                 }
-                Terminator::Switch { val, cases, default } => {
+                Terminator::Switch {
+                    val,
+                    cases,
+                    default,
+                } => {
                     let v = self.eval(f, &regs, &args, *val)?.as_i();
                     self.counts.jump += 1;
                     // A switch costs comparisons proportional to its size
@@ -497,10 +501,7 @@ impl<'m> Interpreter<'m> {
     ) -> Result<RtVal, ExecError> {
         Ok(match v {
             Value::Inst(id) => regs[id.index()].ok_or(ExecError::UnreachableExecuted)?,
-            Value::Param(i) => args
-                .get(i as usize)
-                .copied()
-                .unwrap_or(RtVal::I(0)),
+            Value::Param(i) => args.get(i as usize).copied().unwrap_or(RtVal::I(0)),
             Value::ConstInt(c, _) => RtVal::I(c),
             Value::ConstFloat(bits, _) => RtVal::F(f64::from_bits(bits)),
             Value::Global(g) => RtVal::I(self.global_base[g.index()]),
@@ -526,7 +527,12 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Option<RtVal>, ExecError> {
         let kind = &inst.kind;
         let out = match kind {
-            InstKind::Bin { op, lhs, rhs, width } => {
+            InstKind::Bin {
+                op,
+                lhs,
+                rhs,
+                width,
+            } => {
                 let a = self.eval(f, regs, args, *lhs)?;
                 let b = self.eval(f, regs, args, *rhs)?;
                 if *width > 1 {
@@ -588,7 +594,11 @@ impl<'m> Interpreter<'m> {
                 self.stack_top = new_top;
                 Some(RtVal::I(base as i64))
             }
-            InstKind::Load { ptr, aligned, width } => {
+            InstKind::Load {
+                ptr,
+                aligned,
+                width,
+            } => {
                 let a = self.eval(f, regs, args, *ptr)?.as_i();
                 self.counts.load += 1;
                 if !aligned {
@@ -626,7 +636,10 @@ impl<'m> Interpreter<'m> {
                 let o = self.eval(f, regs, args, *offset)?.as_i();
                 Some(RtVal::I(b.wrapping_add(o)))
             }
-            InstKind::Call { callee, args: cargs } => {
+            InstKind::Call {
+                callee,
+                args: cargs,
+            } => {
                 self.counts.call += 1;
                 let mut vals = Vec::with_capacity(cargs.len());
                 for a in cargs {

@@ -19,7 +19,9 @@ use std::fmt;
 /// assert!(Type::I32.is_int());
 /// assert_eq!(Type::I1.bit_width(), Some(1));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum Type {
     /// No value (function returns, store results).
     #[default]

@@ -100,7 +100,11 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
         // Terminator targets must be live blocks.
         for s in blk.term.successors() {
             if s.index() >= f.blocks.len() || f.block(s).deleted {
-                return Err(err(Some(b), None, format!("branch to dead block bb{}", s.0)));
+                return Err(err(
+                    Some(b),
+                    None,
+                    format!("branch to dead block bb{}", s.0),
+                ));
             }
         }
         // Phis must be a prefix.
@@ -108,7 +112,11 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
         for &id in &blk.insts {
             let is_phi = f.inst(id).kind.is_phi();
             if is_phi && seen_non_phi {
-                return Err(err(Some(b), Some(id), "phi after non-phi instruction".into()));
+                return Err(err(
+                    Some(b),
+                    Some(id),
+                    "phi after non-phi instruction".into(),
+                ));
             }
             if !is_phi {
                 seen_non_phi = true;
@@ -184,9 +192,9 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     if failure.is_some() {
                         return;
                     }
-                    if let Some(e) =
-                        check_use(m, f, &placed, &dt, b, pos, v, || err(Some(b), Some(id), String::new()))
-                    {
+                    if let Some(e) = check_use(m, f, &placed, &dt, b, pos, v, || {
+                        err(Some(b), Some(id), String::new())
+                    }) {
                         failure = Some(e);
                     }
                 });
@@ -312,7 +320,12 @@ fn check_inst_types(
         message,
     };
     match &inst.kind {
-        InstKind::Bin { op, lhs, rhs, width } => {
+        InstKind::Bin {
+            op,
+            lhs,
+            rhs,
+            width,
+        } => {
             if *width == 0 {
                 return Err(err("vector width 0".into()));
             }
@@ -354,7 +367,10 @@ fn check_inst_types(
             let tt = f.value_type(*then_val);
             let et = f.value_type(*else_val);
             if tt != et || inst.ty != tt {
-                return Err(err(format!("select arm types {tt}/{et} vs result {}", inst.ty)));
+                return Err(err(format!(
+                    "select arm types {tt}/{et} vs result {}",
+                    inst.ty
+                )));
             }
         }
         InstKind::Load { ptr, .. } => {

@@ -326,7 +326,9 @@ mod tests {
         // Deterministic pseudo-random SPD matrices.
         let mut seed = 42u64;
         let mut rnd = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         };
         for n in [2usize, 4, 6] {
@@ -336,7 +338,10 @@ mod tests {
                     b[(i, j)] = rnd();
                 }
             }
-            let spd = b.transpose().matmul(&b).add(&Matrix::identity(n).scale(0.5));
+            let spd = b
+                .transpose()
+                .matmul(&b)
+                .add(&Matrix::identity(n).scale(0.5));
             let rhs: Vec<f64> = (0..n).map(|_| rnd()).collect();
             let x1 = Lu::new(&spd).unwrap().solve(&rhs).unwrap();
             let x2 = Cholesky::new(&spd).unwrap().solve(&rhs).unwrap();

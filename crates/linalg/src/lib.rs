@@ -18,9 +18,9 @@
 //! ```
 
 pub mod decomp;
-pub mod serde_bits;
 pub mod eigen;
 pub mod matrix;
+pub mod serde_bits;
 pub mod stats;
 
 pub use decomp::{Cholesky, Lu, Qr, SingularMatrixError};

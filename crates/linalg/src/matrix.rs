@@ -54,7 +54,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Builds a matrix from owned row vectors.
@@ -70,7 +74,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Wraps a flat row-major buffer.

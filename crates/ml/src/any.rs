@@ -167,8 +167,7 @@ mod tests {
             assert_eq!(m.name(), name);
         }
         for name in preprocessor_zoo() {
-            let p =
-                AnyPreprocessor::from_name(name).unwrap_or_else(|| panic!("{name} constructs"));
+            let p = AnyPreprocessor::from_name(name).unwrap_or_else(|| panic!("{name} constructs"));
             assert_eq!(p.name(), name);
         }
         assert!(AnyModel::from_name("gpt").is_none());
@@ -182,8 +181,8 @@ mod tests {
             let mut m = AnyModel::from_name(name).unwrap();
             m.fit(&x, &y).unwrap_or_else(|e| panic!("{name} fits: {e}"));
             let json = serde_json::to_string(&m).unwrap();
-            let back: AnyModel = serde_json::from_str(&json)
-                .unwrap_or_else(|e| panic!("{name} round-trips: {e}"));
+            let back: AnyModel =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name} round-trips: {e}"));
             assert_eq!(back.name(), name);
             let a = m.predict(&x);
             let b = back.predict(&x);
@@ -198,8 +197,8 @@ mod tests {
             let mut p = AnyPreprocessor::from_name(name).unwrap();
             p.fit(&x).unwrap_or_else(|e| panic!("{name} fits: {e}"));
             let json = serde_json::to_string(&p).unwrap();
-            let back: AnyPreprocessor = serde_json::from_str(&json)
-                .unwrap_or_else(|e| panic!("{name} round-trips: {e}"));
+            let back: AnyPreprocessor =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name} round-trips: {e}"));
             let a = p.transform(&x);
             let b = back.transform(&x);
             assert_eq!(

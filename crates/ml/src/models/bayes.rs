@@ -64,19 +64,14 @@ impl Regressor for BayesianRidge {
             // Effective parameters γ = Σ α·s_i / (λ + α·s_i) — approximated
             // through tr(A⁻¹·αXᵀX) via the diagonal.
             let pred = xc.matvec(&w);
-            let sse: f64 = yc
-                .iter()
-                .zip(&pred)
-                .map(|(t, p)| (t - p) * (t - p))
-                .sum();
+            let sse: f64 = yc.iter().zip(&pred).map(|(t, p)| (t - p) * (t - p)).sum();
             let wsq: f64 = w.iter().map(|v| v * v).sum();
             let gamma = d as f64 * alpha * sse.max(1e-12)
                 / (alpha * sse.max(1e-12) + lambda * wsq.max(1e-12));
             let gamma = gamma.clamp(1e-6, d as f64);
             let new_lambda = gamma / wsq.max(1e-12);
             let new_alpha = (n as f64 - gamma).max(1e-6) / sse.max(1e-12);
-            let converged =
-                (new_lambda - lambda).abs() < 1e-9 && (new_alpha - alpha).abs() < 1e-9;
+            let converged = (new_lambda - lambda).abs() < 1e-9 && (new_alpha - alpha).abs() < 1e-9;
             lambda = new_lambda.clamp(1e-10, 1e10);
             alpha = new_alpha.clamp(1e-10, 1e10);
             if converged {
@@ -153,11 +148,7 @@ impl Regressor for Ard {
                 lambdas[j] = (1.0 / (w[j] * w[j]).max(1e-12)).min(self.prune_threshold * 10.0);
             }
             let pred = xc.matvec(&w);
-            let sse: f64 = yc
-                .iter()
-                .zip(&pred)
-                .map(|(t, p)| (t - p) * (t - p))
-                .sum();
+            let sse: f64 = yc.iter().zip(&pred).map(|(t, p)| (t - p) * (t - p)).sum();
             alpha = (n as f64).max(1.0) / sse.max(1e-12);
             alpha = alpha.clamp(1e-10, 1e12);
         }

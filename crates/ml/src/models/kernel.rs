@@ -124,13 +124,7 @@ fn svr_train(
         for &i in &order {
             t += 1.0;
             let eta = 1.0 / (lambda * (t + 100.0));
-            let pred: f64 = b
-                + feats
-                    .row(i)
-                    .iter()
-                    .zip(&w)
-                    .map(|(a, c)| a * c)
-                    .sum::<f64>();
+            let pred: f64 = b + feats.row(i).iter().zip(&w).map(|(a, c)| a * c).sum::<f64>();
             let err = pred - y[i];
             // Subgradient of the ε-insensitive loss.
             let g = if err > epsilon {

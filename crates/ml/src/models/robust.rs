@@ -50,11 +50,7 @@ impl Regressor for Huber {
         let mut b = 0.0f64;
         for _ in 0..self.max_iter {
             let resid: Vec<f64> = (0..n)
-                .map(|i| {
-                    yc[i]
-                        - b
-                        - (0..d).map(|j| xc[(i, j)] * w[j]).sum::<f64>()
-                })
+                .map(|i| yc[i] - b - (0..d).map(|j| xc[(i, j)] * w[j]).sum::<f64>())
                 .collect();
             // Robust scale: median absolute deviation.
             let abs: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
@@ -84,10 +80,7 @@ impl Regressor for Huber {
             // Intercept from weighted residual mean.
             let wsum: f64 = sample_w.iter().sum();
             let new_b = (0..n)
-                .map(|i| {
-                    sample_w[i]
-                        * (yc[i] - (0..d).map(|j| xc[(i, j)] * new_w[j]).sum::<f64>())
-                })
+                .map(|i| sample_w[i] * (yc[i] - (0..d).map(|j| xc[(i, j)] * new_w[j]).sum::<f64>()))
                 .sum::<f64>()
                 / wsum.max(1e-12);
             let delta_w: f64 = new_w

@@ -19,13 +19,7 @@ fn soft_threshold(v: f64, t: f64) -> f64 {
 }
 
 /// Shared coordinate-descent core for Lasso (`l2 = 0`) and ElasticNet.
-fn coordinate_descent(
-    xc: &Matrix,
-    yc: &[f64],
-    l1: f64,
-    l2: f64,
-    max_iter: usize,
-) -> Vec<f64> {
+fn coordinate_descent(xc: &Matrix, yc: &[f64], l1: f64, l2: f64, max_iter: usize) -> Vec<f64> {
     let (n, d) = (xc.rows(), xc.cols());
     let nf = n as f64;
     let col_sq: Vec<f64> = (0..d)
@@ -226,8 +220,7 @@ fn forward_select(
             if active.contains(&j) {
                 continue;
             }
-            let c: f64 =
-                (0..n).map(|i| xc[(i, j)] * resid[i]).sum::<f64>() / nf;
+            let c: f64 = (0..n).map(|i| xc[(i, j)] * resid[i]).sum::<f64>() / nf;
             if c.abs() > best_corr {
                 best_corr = c.abs();
                 best = Some(j);
@@ -249,11 +242,7 @@ fn forward_select(
             w[aj] = wa[k];
         }
         for i in 0..n {
-            resid[i] = yc[i]
-                - active
-                    .iter()
-                    .map(|&aj| xc[(i, aj)] * w[aj])
-                    .sum::<f64>();
+            resid[i] = yc[i] - active.iter().map(|&aj| xc[(i, aj)] * w[aj]).sum::<f64>();
         }
     }
     Ok(w)
@@ -388,7 +377,11 @@ mod tests {
         let mut strong = Lasso::new(2.0);
         weak.fit(&x, &y).unwrap();
         strong.fit(&x, &y).unwrap();
-        let nz_weak = weak.coefficients().iter().filter(|w| w.abs() > 1e-9).count();
+        let nz_weak = weak
+            .coefficients()
+            .iter()
+            .filter(|w| w.abs() > 1e-9)
+            .count();
         let nz_strong = strong
             .coefficients()
             .iter()

@@ -311,10 +311,7 @@ impl Regressor for RandomForest {
         assert!(!self.trees.is_empty(), "predict before fit");
         (0..x.rows())
             .map(|i| {
-                self.trees
-                    .iter()
-                    .map(|t| t.predict(x.row(i)))
-                    .sum::<f64>()
+                self.trees.iter().map(|t| t.predict(x.row(i))).sum::<f64>()
                     / self.trees.len() as f64
             })
             .collect()

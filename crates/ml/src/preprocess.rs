@@ -148,9 +148,7 @@ impl Preprocessor for RobustScaler {
         if x.rows() == 0 {
             return Err(TrainError::new("no rows to fit scaler"));
         }
-        self.median = (0..x.cols())
-            .map(|j| percentile(&x.col(j), 50.0))
-            .collect();
+        self.median = (0..x.cols()).map(|j| percentile(&x.col(j), 50.0)).collect();
         self.iqr = (0..x.cols())
             .map(|j| {
                 let col = x.col(j);
@@ -218,10 +216,12 @@ impl Preprocessor for PowerTransformer {
                 GRID.iter()
                     .copied()
                     .min_by(|&a, &b| {
-                        let sa = skewness(&col.iter().map(|&v| yeo_johnson(v, a)).collect::<Vec<_>>())
-                            .abs();
-                        let sb = skewness(&col.iter().map(|&v| yeo_johnson(v, b)).collect::<Vec<_>>())
-                            .abs();
+                        let sa =
+                            skewness(&col.iter().map(|&v| yeo_johnson(v, a)).collect::<Vec<_>>())
+                                .abs();
+                        let sb =
+                            skewness(&col.iter().map(|&v| yeo_johnson(v, b)).collect::<Vec<_>>())
+                                .abs();
                         sa.partial_cmp(&sb).unwrap()
                     })
                     .unwrap()
@@ -339,10 +339,7 @@ impl Preprocessor for Pca {
     }
 
     fn transform(&self, x: &Matrix) -> Matrix {
-        let comps = self
-            .components
-            .as_ref()
-            .expect("PCA transform before fit");
+        let comps = self.components.as_ref().expect("PCA transform before fit");
         let centered = elementwise(x, |v, j| v - self.mean[j]);
         centered.matmul(comps)
     }
@@ -460,10 +457,7 @@ impl Preprocessor for Nca {
     }
 
     fn transform(&self, x: &Matrix) -> Matrix {
-        let proj = self
-            .projection
-            .as_ref()
-            .expect("NCA transform before fit");
+        let proj = self.projection.as_ref().expect("NCA transform before fit");
         let centered = elementwise(x, |v, j| v - self.mean[j]);
         centered.matmul(proj)
     }

@@ -40,15 +40,7 @@ pub fn model_zoo() -> Vec<&'static str> {
 /// baseline).
 pub fn preprocessor_zoo() -> Vec<&'static str> {
     vec![
-        "identity",
-        "pca",
-        "nca",
-        "mean-std",
-        "min-max",
-        "max-abs",
-        "robust",
-        "power",
-        "quantile",
+        "identity", "pca", "nca", "mean-std", "min-max", "max-abs", "robust", "power", "quantile",
     ]
 }
 

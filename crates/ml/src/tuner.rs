@@ -87,40 +87,40 @@ fn sample_model(
             let ratio = rng.gen_range(0.05..0.95);
             p.insert("alpha".into(), alpha);
             p.insert("l1_ratio".into(), ratio);
-Box::new(ElasticNet::new(alpha, ratio))
+            Box::new(ElasticNet::new(alpha, ratio))
         }
         "kernel-ridge" => {
             let alpha = log_uniform(rng, 1e-4, 1e1);
             let gamma = log_uniform(rng, 1e-3, 1e1);
             p.insert("alpha".into(), alpha);
             p.insert("gamma".into(), gamma);
-Box::new(KernelRidge::new(alpha, Some(gamma)))
+            Box::new(KernelRidge::new(alpha, Some(gamma)))
         }
         "svr" => {
             let c = log_uniform(rng, 1e-1, 1e3);
             let eps = log_uniform(rng, 1e-3, 1e-1);
             p.insert("c".into(), c);
             p.insert("epsilon".into(), eps);
-Box::new(Svr::new(c, eps))
+            Box::new(Svr::new(c, eps))
         }
         "decision-tree" => {
             let depth = rng.gen_range(2..14) as f64;
             p.insert("max_depth".into(), depth);
-Box::new(DecisionTree::with_depth(depth as usize))
+            Box::new(DecisionTree::with_depth(depth as usize))
         }
         "random-forest" => {
             let trees = rng.gen_range(10..60) as f64;
             let depth = rng.gen_range(3..12) as f64;
             p.insert("n_trees".into(), trees);
             p.insert("max_depth".into(), depth);
-Box::new(RandomForest::new(trees as usize, depth as usize))
+            Box::new(RandomForest::new(trees as usize, depth as usize))
         }
         "mlp" => {
             let hidden = rng.gen_range(8..48) as f64;
             let lr = log_uniform(rng, 1e-3, 5e-2);
             p.insert("hidden".into(), hidden);
             p.insert("lr".into(), lr);
-Box::new(Mlp::new(hidden as usize, lr))
+            Box::new(Mlp::new(hidden as usize, lr))
         }
         other => crate::search::create_model(other)?,
     };
@@ -158,11 +158,7 @@ impl Tuner {
                 accuracy: acc,
             };
             trials.push(trial.clone());
-            if best
-                .as_ref()
-                .map(|(t, _)| acc > t.accuracy)
-                .unwrap_or(true)
-            {
+            if best.as_ref().map(|(t, _)| acc > t.accuracy).unwrap_or(true) {
                 best = Some((trial, params));
             }
         }
@@ -192,7 +188,10 @@ fn rebuild(name: &str, p: &BTreeMap<String, f64>) -> Option<Box<dyn Regressor>> 
         "kernel-ridge" => Box::new(KernelRidge::new(g("alpha", 0.1), p.get("gamma").copied())),
         "svr" => Box::new(Svr::new(g("c", 10.0), g("epsilon", 0.02))),
         "decision-tree" => Box::new(DecisionTree::with_depth(g("max_depth", 8.0) as usize)),
-        "random-forest" => Box::new(RandomForest::new(g("n_trees", 30.0) as usize, g("max_depth", 8.0) as usize)),
+        "random-forest" => Box::new(RandomForest::new(
+            g("n_trees", 30.0) as usize,
+            g("max_depth", 8.0) as usize,
+        )),
         "mlp" => Box::new(Mlp::new(g("hidden", 24.0) as usize, g("lr", 0.01))),
         other => crate::search::create_model(other)?,
     })

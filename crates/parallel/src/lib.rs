@@ -269,7 +269,11 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(pool.map(&items, |_, &x| x * 3 + 1), expect, "threads={threads}");
+            assert_eq!(
+                pool.map(&items, |_, &x| x * 3 + 1),
+                expect,
+                "threads={threads}"
+            );
         }
     }
 
@@ -353,7 +357,9 @@ mod tests {
             WorkerPool::new(threads).map_supervised(&items, 3, |i, attempt, &x| {
                 // Deterministic pseudo-random transient failures derived
                 // from (identity, attempt) — the contract callers follow.
-                if crate::seed::item_seed(42, "t", (i as u64) << 8 | attempt as u64).is_multiple_of(5) {
+                if crate::seed::item_seed(42, "t", (i as u64) << 8 | attempt as u64)
+                    .is_multiple_of(5)
+                {
                     panic!("injected {i}/{attempt}");
                 }
                 x * 3

@@ -3,9 +3,7 @@
 
 use crate::util::{remove_unreachable_blocks, split_block_after, trivial_dce};
 use mlcomp_ir::analysis::{Cfg, DomTree};
-use mlcomp_ir::{
-    BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value,
-};
+use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
 
 /// `simplifycfg`: folds constant branches, removes trivially forwarding
 /// blocks, merges straight-line block chains, rewrites two-armed diamonds
@@ -52,7 +50,11 @@ fn fold_constant_terminators(f: &mut Function) -> bool {
                     changed = true;
                 }
             }
-            Terminator::Switch { val, cases, default } => {
+            Terminator::Switch {
+                val,
+                cases,
+                default,
+            } => {
                 if let Some(c) = val.as_const_int() {
                     let taken = cases
                         .iter()
@@ -551,10 +553,9 @@ fn derive_for_pred(
                     match x {
                         Value::Inst(xid) if f.block(b).insts.contains(&xid) => {
                             match &f.inst(xid).kind {
-                                InstKind::Phi { incomings } => incomings
-                                    .iter()
-                                    .find(|(q, _)| *q == p)
-                                    .map(|(_, v)| *v),
+                                InstKind::Phi { incomings } => {
+                                    incomings.iter().find(|(q, _)| *q == p).map(|(_, v)| *v)
+                                }
                                 _ => None,
                             }
                         }
@@ -821,7 +822,10 @@ mod tests {
             .iter()
             .filter(|(_, id)| f.inst(*id).kind.is_phi())
             .count();
-        assert_eq!(phi_count, 0, "threading + simplifycfg removes the phi block");
+        assert_eq!(
+            phi_count, 0,
+            "threading + simplifycfg removes the phi block"
+        );
     }
 
     #[test]

@@ -37,7 +37,12 @@ fn expr_key(kind: &InstKind, ty: Type, canonicalize: bool) -> Option<ExprKey> {
         return None;
     }
     Some(match kind {
-        InstKind::Bin { op, lhs, rhs, width } => {
+        InstKind::Bin {
+            op,
+            lhs,
+            rhs,
+            width,
+        } => {
             let (mut l, mut r) = (*lhs, *rhs);
             if canonicalize && op.is_commutative() && value_rank(l) > value_rank(r) {
                 std::mem::swap(&mut l, &mut r);

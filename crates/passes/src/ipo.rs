@@ -591,9 +591,7 @@ pub fn constmerge(m: &mut Module) -> bool {
         for b in f.block_ids().collect::<Vec<_>>() {
             for &id in &f.block(b).insts.clone() {
                 f.inst_mut(id).kind.map_operands(|v| match v {
-                    Value::Global(g) => {
-                        Value::Global(rewrite.get(&g).copied().unwrap_or(g))
-                    }
+                    Value::Global(g) => Value::Global(rewrite.get(&g).copied().unwrap_or(g)),
                     v => v,
                 });
             }
@@ -809,10 +807,8 @@ pub fn globals_aa(m: &mut Module) -> bool {
             });
         }
     }
-    let nonescaping: std::collections::BTreeSet<GlobalId> = m
-        .global_ids()
-        .filter(|g| !escaping.contains(g))
-        .collect();
+    let nonescaping: std::collections::BTreeSet<GlobalId> =
+        m.global_ids().filter(|g| !escaping.contains(g)).collect();
     let was_valid = m.meta.globals_aa_valid;
     let same = m.meta.nonescaping_globals == nonescaping;
     m.meta.nonescaping_globals = nonescaping;
@@ -1056,7 +1052,10 @@ mod tests {
         verify(&m).unwrap();
         // A large iteration count must not blow the memory limit — the
         // alloca is re-homed to the entry, not repeated per iteration.
-        assert_eq!(exec(&m, "f", &[RtVal::I(10_000)]), Some(RtVal::I(49_995_000)));
+        assert_eq!(
+            exec(&m, "f", &[RtVal::I(10_000)]),
+            Some(RtVal::I(49_995_000))
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use crate::cse::{apply_replacements, forwarding_step, resolve};
 use crate::util::{
-    clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks,
-    trivial_dce, MemRoot,
+    clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce,
+    MemRoot,
 };
 use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, Loop, LoopForest};
 use mlcomp_ir::{
@@ -100,10 +100,7 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
                             Some(roots) => !roots.iter().any(|r| may_alias(*r, root)),
                             None => false,
                         };
-                        let guaranteed = l
-                            .exiting
-                            .iter()
-                            .all(|&x| dt.dominates(b, x));
+                        let guaranteed = l.exiting.iter().all(|&x| dt.dominates(b, x));
                         no_writes && guaranteed
                     } else {
                         false
@@ -166,11 +163,7 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             if cfg.preds[exit.index()] != vec![l.header] {
                 continue;
             }
-            if f.block(exit)
-                .insts
-                .iter()
-                .any(|&i| f.inst(i).kind.is_phi())
-            {
+            if f.block(exit).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
                 continue;
             }
             // Latch must fall through to the header unconditionally.
@@ -246,7 +239,10 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             let guard_map = clone_into(f, pre, &init_map, &body_insts);
             let latch_map = clone_into(f, latch, &next_map, &body_insts);
 
-            let subst_val = |v: Value, map: &HashMap<InstId, Value>, phi_map: &HashMap<InstId, Value>| -> Value {
+            let subst_val = |v: Value,
+                             map: &HashMap<InstId, Value>,
+                             phi_map: &HashMap<InstId, Value>|
+             -> Value {
                 match v {
                     Value::Inst(i) => phi_map
                         .get(&i)
@@ -360,7 +356,9 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
         let Terminator::CondBr { cond, .. } = &f.block(l.header).term else {
             continue;
         };
-        let Some(cmp_id) = cond.as_inst() else { continue };
+        let Some(cmp_id) = cond.as_inst() else {
+            continue;
+        };
         let InstKind::Cmp { pred, lhs, rhs } = f.inst(cmp_id).kind.clone() else {
             continue;
         };
@@ -422,7 +420,9 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
     let (_cfg, _dt, lf) = forest(f);
     for l in &lf.loops {
         let Some(tc) = l.trip_count(f) else { continue };
-        let Some(trips) = tc.const_trips else { continue };
+        let Some(trips) = tc.const_trips else {
+            continue;
+        };
         let Some(start) = tc.start.as_const_int() else {
             continue;
         };
@@ -480,12 +480,10 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
         let mut unrolled = false;
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
-            let Some(trips) = tc.const_trips else { continue };
-            let size: usize = l
-                .blocks
-                .iter()
-                .map(|&b| f.block(b).insts.len())
-                .sum();
+            let Some(trips) = tc.const_trips else {
+                continue;
+            };
+            let size: usize = l.blocks.iter().map(|&b| f.block(b).insts.len()).sum();
             if trips > UNROLL_MAX_TRIPS || trips as usize * size > UNROLL_BUDGET {
                 continue;
             }
@@ -521,9 +519,11 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             // The exit compare must feed only the header terminator;
             // anything else would dangle after the header is deleted.
             let du = du.get_or_insert_with(|| DefUse::new(f));
-            if !du.uses_of(tc.cmp).iter().all(|u| {
-                matches!(u, mlcomp_ir::analysis::UseSite::Term(b) if *b == l.header)
-            }) {
+            if !du
+                .uses_of(tc.cmp)
+                .iter()
+                .all(|u| matches!(u, mlcomp_ir::analysis::UseSite::Term(b) if *b == l.header))
+            {
                 continue;
             }
             // No values from non-header loop blocks may be used outside.
@@ -574,10 +574,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                     unreachable!()
                 };
                 let init = incomings.iter().find(|(x, _)| *x == pre).map(|(_, v)| *v);
-                let next = incomings
-                    .iter()
-                    .find(|(x, _)| *x == latch)
-                    .map(|(_, v)| *v);
+                let next = incomings.iter().find(|(x, _)| *x == latch).map(|(_, v)| *v);
                 match (init, next) {
                     (Some(i), Some(n)) => {
                         cur.insert(p, i);
@@ -622,13 +619,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                 // Link the previous block to this copy's entry.
                 let entry_copy = map[&body_entry];
                 let mut term = f.block(link).term.clone();
-                term.map_targets(|t| {
-                    if t == l.header {
-                        entry_copy
-                    } else {
-                        t
-                    }
-                });
+                term.map_targets(|t| if t == l.header { entry_copy } else { t });
                 f.block_mut(link).term = term;
                 // The copy's latch ends the iteration.
                 let latch_copy = map[&latch];
@@ -833,7 +824,9 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
                     _ => ok = false,
                 }
             }
-            let Some((sptr, sval)) = the_store else { continue };
+            let Some((sptr, sval)) = the_store else {
+                continue;
+            };
             if !ok {
                 continue;
             }
@@ -862,11 +855,7 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
                 continue;
             }
             // Exit must not have phis fed by the loop.
-            if f.block(exit)
-                .insts
-                .iter()
-                .any(|&i| f.inst(i).kind.is_phi())
-            {
+            if f.block(exit).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
                 continue;
             }
 
@@ -1170,10 +1159,12 @@ pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
         if stores.len() != 2 {
             continue;
         }
-        if ids
-            .iter()
-            .any(|&id| matches!(f.inst(id).kind, InstKind::Call { .. } | InstKind::Memset { .. } | InstKind::Memcpy { .. }))
-        {
+        if ids.iter().any(|&id| {
+            matches!(
+                f.inst(id).kind,
+                InstKind::Call { .. } | InstKind::Memset { .. } | InstKind::Memcpy { .. }
+            )
+        }) {
             continue;
         }
         // Compute the backward slice of each store within the body.
@@ -1326,7 +1317,9 @@ mod tests {
         );
         // The multiply now executes once, not per iteration.
         let fid = m.find_function("f").unwrap();
-        let out = Interpreter::new(&m).run(fid, &[RtVal::I(100), RtVal::I(2)]).unwrap();
+        let out = Interpreter::new(&m)
+            .run(fid, &[RtVal::I(100), RtVal::I(2)])
+            .unwrap();
         assert_eq!(out.counts.int_mul, 1);
     }
 
@@ -1596,7 +1589,9 @@ mod tests {
         );
         // The multiply now runs per iteration (cost moved into the loop).
         let fid = m.find_function("f").unwrap();
-        let out = Interpreter::new(&m).run(fid, &[RtVal::I(10), RtVal::I(2)]).unwrap();
+        let out = Interpreter::new(&m)
+            .run(fid, &[RtVal::I(10), RtVal::I(2)])
+            .unwrap();
         assert!(out.counts.int_mul >= 10);
     }
 

@@ -908,7 +908,11 @@ mod tests {
             "40% rate over the O3 pipeline should both quarantine and progress: {report:?}"
         );
         mlcomp_ir::verify(&m).unwrap();
-        assert_eq!(run_main(&m, 23).0, reference, "semantics preserved under faults");
+        assert_eq!(
+            run_main(&m, 23).0,
+            reference,
+            "semantics preserved under faults"
+        );
         // Same plan, same module, same prefix → same trajectory.
         let mut again = workload();
         let replay = pm
@@ -1032,11 +1036,7 @@ mod tests {
                     names[idx]
                 );
             }
-            assert_eq!(
-                run_main(&m, 23).0,
-                reference,
-                "trial {trial} diverged"
-            );
+            assert_eq!(run_main(&m, 23).0, reference, "trial {trial} diverged");
         }
     }
 }

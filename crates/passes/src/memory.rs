@@ -162,9 +162,7 @@ fn is_splittable(f: &Function, alloca: InstId) -> bool {
                         return false;
                     }
                 }
-                InstKind::Memset { ptr, .. } | InstKind::Memcpy { dst: ptr, .. }
-                    if *ptr == av =>
-                {
+                InstKind::Memset { ptr, .. } | InstKind::Memcpy { dst: ptr, .. } if *ptr == av => {
                     return false;
                 }
                 InstKind::Memcpy { src, .. } if *src == av => return false,
@@ -267,9 +265,7 @@ fn alloca_value_type(f: &Function, alloca: InstId) -> Type {
         for &id in &f.block(b).insts {
             match &f.inst(id).kind {
                 InstKind::Load { ptr, .. } if *ptr == av => return f.inst(id).ty,
-                InstKind::Store { ptr, value, .. } if *ptr == av => {
-                    return f.value_type(*value)
-                }
+                InstKind::Store { ptr, value, .. } if *ptr == av => return f.value_type(*value),
                 _ => {}
             }
         }
@@ -290,7 +286,11 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
     let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
-            if let InstKind::Store { ptr: Value::Inst(a), .. } = &f.inst(id).kind {
+            if let InstKind::Store {
+                ptr: Value::Inst(a),
+                ..
+            } = &f.inst(id).kind
+            {
                 if let Some(&ai) = alloca_index.get(a) {
                     if def_blocks[ai].last() != Some(&b) {
                         def_blocks[ai].push(b);
@@ -358,7 +358,10 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
                 }
                 for &id in &f.block(b).insts.clone() {
                     match f.inst(id).kind.clone() {
-                        InstKind::Load { ptr: Value::Inst(a), .. } => {
+                        InstKind::Load {
+                            ptr: Value::Inst(a),
+                            ..
+                        } => {
                             if let Some(&ai) = alloca_index.get(&a) {
                                 let cur = stacks[ai]
                                     .last()
@@ -368,7 +371,11 @@ fn promote(f: &mut Function, allocas: &[InstId]) {
                                 removals.push((b, id));
                             }
                         }
-                        InstKind::Store { ptr: Value::Inst(a), value, .. } => {
+                        InstKind::Store {
+                            ptr: Value::Inst(a),
+                            value,
+                            ..
+                        } => {
                             if let Some(&ai) = alloca_index.get(&a) {
                                 stacks[ai].push(value);
                                 pushes[ai] += 1;
@@ -518,7 +525,11 @@ mod tests {
         verify(&m).expect("still valid");
         let fid = m.find_function("f").unwrap();
         let out = Interpreter::new(&m).run(fid, &[]).unwrap();
-        assert_eq!(out.ret, Some(RtVal::I(9)), "escaped alloca must stay in memory");
+        assert_eq!(
+            out.ret,
+            Some(RtVal::I(9)),
+            "escaped alloca must stay in memory"
+        );
     }
 
     #[test]

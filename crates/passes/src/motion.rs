@@ -3,9 +3,7 @@
 
 use crate::util::trivial_dce;
 use mlcomp_ir::analysis::Cfg;
-use mlcomp_ir::{
-    Function, Inst, InstId, InstKind, Module, Terminator, Type, Value,
-};
+use mlcomp_ir::{Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
 
 /// Maximum instructions hoisted from one branch arm by
 /// `speculative-execution` (mirrors LLVM's small default budget).
@@ -18,7 +16,10 @@ pub fn speculative_execution(m: &Module, f: &mut Function) -> bool {
     let cfg = Cfg::new(f);
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
-        let Terminator::CondBr { then_bb, else_bb, .. } = f.block(b).term else {
+        let Terminator::CondBr {
+            then_bb, else_bb, ..
+        } = f.block(b).term
+        else {
             continue;
         };
         for arm in [then_bb, else_bb] {
@@ -71,7 +72,10 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
         let cfg = Cfg::new(f);
         let mut local = false;
         for b in f.block_ids().collect::<Vec<_>>() {
-            let Terminator::CondBr { then_bb, else_bb, .. } = f.block(b).term else {
+            let Terminator::CondBr {
+                then_bb, else_bb, ..
+            } = f.block(b).term
+            else {
                 continue;
             };
             let (t, e) = (then_bb, else_bb);
@@ -96,12 +100,14 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
             }
 
             // Hoist a pair of leading identical loads.
-            if let (Some(&lt), Some(&le)) =
-                (f.block(t).insts.first(), f.block(e).insts.first())
-            {
+            if let (Some(&lt), Some(&le)) = (f.block(t).insts.first(), f.block(e).insts.first()) {
                 let (kt, ke) = (f.inst(lt).kind.clone(), f.inst(le).kind.clone());
                 if let (
-                    InstKind::Load { ptr: p1, aligned: a1, width: w1 },
+                    InstKind::Load {
+                        ptr: p1,
+                        aligned: a1,
+                        width: w1,
+                    },
                     InstKind::Load { ptr: p2, .. },
                 ) = (&kt, &ke)
                 {
@@ -128,9 +134,7 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
             }
 
             // Sink trailing stores to the same address into the join.
-            let (Some(&st), Some(&se)) =
-                (f.block(t).insts.last(), f.block(e).insts.last())
-            else {
+            let (Some(&st), Some(&se)) = (f.block(t).insts.last(), f.block(e).insts.last()) else {
                 continue;
             };
             let (kt, ke) = (f.inst(st).kind.clone(), f.inst(se).kind.clone());
@@ -142,9 +146,7 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
                     width: w1,
                 },
                 InstKind::Store {
-                    ptr: p2,
-                    value: v2,
-                    ..
+                    ptr: p2, value: v2, ..
                 },
             ) = (&kt, &ke)
             {
@@ -330,14 +332,13 @@ pub fn memcpyopt(m: &Module, f: &mut Function) -> bool {
                 // Replace the last store of the run with the intrinsic and
                 // drop the others.
                 let last_id = run[run.len() - 1].id;
-                let pos = f
-                    .block(b)
-                    .insts
-                    .iter()
-                    .position(|&x| x == last_id)
-                    .unwrap();
+                let pos = f.block(b).insts.iter().position(|&x| x == last_id).unwrap();
                 f.block_mut(b).insts.insert(pos, intrinsic_id);
-                if let InstKind::Memcpy { src: Value::Inst(sid), .. } = &intrinsic {
+                if let InstKind::Memcpy {
+                    src: Value::Inst(sid),
+                    ..
+                } = &intrinsic
+                {
                     f.block_mut(b).insts.insert(pos, *sid);
                 }
                 f.block_mut(b).insts.insert(pos, dst_ptr);

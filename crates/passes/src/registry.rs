@@ -329,10 +329,17 @@ mod tests {
         assert!(states >= 300, "only {states} states checked");
         let got = hashes.map(|h| h.0);
         if got != FINGERPRINTS {
-            let table: String = got.iter().map(|h| format!("        {h:#018x},\n")).collect();
+            let table: String = got
+                .iter()
+                .map(|h| format!("        {h:#018x},\n"))
+                .collect();
             panic!("phase outputs changed on {states} states; new table:\n{table}");
         }
-        if quarantined.iter().map(|(_, run)| run.as_str()).ne(QUARANTINES) {
+        if quarantined
+            .iter()
+            .map(|(_, run)| run.as_str())
+            .ne(QUARANTINES)
+        {
             let mut counts = std::collections::BTreeMap::new();
             for (name, _) in &quarantined {
                 *counts.entry(*name).or_insert(0) += 1;

@@ -61,7 +61,12 @@ fn combine_one(f: &Function, id: InstId) -> Option<InstKind> {
     let inst = f.inst(id);
     let ty = inst.ty;
     match &inst.kind {
-        InstKind::Bin { op, lhs, rhs, width } => {
+        InstKind::Bin {
+            op,
+            lhs,
+            rhs,
+            width,
+        } => {
             let (l, r, w) = (*lhs, *rhs, *width);
             // Canonicalize: constant to the right for commutative ops.
             if op.is_commutative() && l.is_const() && !r.is_const() {
@@ -336,9 +341,12 @@ pub fn reassociate(m: &Module, f: &mut Function) -> bool {
         for (_b, id) in all_insts(f) {
             let inst = f.inst(id);
             let (op, lhs, rhs, width) = match &inst.kind {
-                InstKind::Bin { op, lhs, rhs, width } if op.is_associative() => {
-                    (*op, *lhs, *rhs, *width)
-                }
+                InstKind::Bin {
+                    op,
+                    lhs,
+                    rhs,
+                    width,
+                } if op.is_associative() => (*op, *lhs, *rhs, *width),
                 _ => continue,
             };
             let ty = inst.ty;
@@ -773,10 +781,9 @@ mod tests {
         assert!(instcombine(&mc, &mut m.functions[0]));
         verify(&m).unwrap();
         let f = &m.functions[0];
-        assert!(all_insts(f).iter().any(|(_, id)| matches!(
-            f.inst(*id).kind,
-            InstKind::Bin { op: BinOp::Shl, .. }
-        )));
+        assert!(all_insts(f)
+            .iter()
+            .any(|(_, id)| matches!(f.inst(*id).kind, InstKind::Bin { op: BinOp::Shl, .. })));
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(40)));
     }
 
@@ -796,10 +803,9 @@ mod tests {
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(70)));
         let f = &m.functions[0];
-        assert!(!all_insts(f).iter().any(|(_, id)| matches!(
-            f.inst(*id).kind,
-            InstKind::Bin { op: BinOp::Mul, .. }
-        )));
+        assert!(!all_insts(f)
+            .iter()
+            .any(|(_, id)| matches!(f.inst(*id).kind, InstKind::Bin { op: BinOp::Mul, .. })));
     }
 
     #[test]
@@ -950,7 +956,10 @@ mod tests {
         let has_weight = f.block_ids().any(|b| {
             matches!(
                 f.block(b).term,
-                Terminator::CondBr { weight: Some(_), .. }
+                Terminator::CondBr {
+                    weight: Some(_),
+                    ..
+                }
             )
         });
         assert!(has_weight);

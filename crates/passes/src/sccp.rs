@@ -131,7 +131,10 @@ pub fn ipsccp(m: &mut Module) -> bool {
         if m.functions[fi].is_declaration {
             continue;
         }
-        let mut f = std::mem::replace(&mut m.functions[fi], Function::new("tmp", vec![], mlcomp_ir::Type::Void));
+        let mut f = std::mem::replace(
+            &mut m.functions[fi],
+            Function::new("tmp", vec![], mlcomp_ir::Type::Void),
+        );
         remove_unreachable_blocks(&mut f);
         let solution = solve(&f, &HashMap::new());
         changed |= apply_solution(m, &mut f, &solution);
@@ -156,7 +159,10 @@ pub fn ipsccp(m: &mut Module) -> bool {
     // Replace call results with constant returns (call stays for effects;
     // DCE will drop it if the callee is readnone).
     for fi in 0..n {
-        let mut f = std::mem::replace(&mut m.functions[fi], Function::new("tmp", vec![], mlcomp_ir::Type::Void));
+        let mut f = std::mem::replace(
+            &mut m.functions[fi],
+            Function::new("tmp", vec![], mlcomp_ir::Type::Void),
+        );
         for b in f.block_ids().collect::<Vec<_>>() {
             for &id in &f.block(b).insts.clone() {
                 if let InstKind::Call {
@@ -234,127 +240,131 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
             }
         }
 
-    while let Some(b) = work.pop_front() {
-        let blk = f.block(b);
-        let mut any_change = false;
-        for &id in &blk.insts {
-            let inst = f.inst(id);
-            let old = lattice.get(&id).copied().unwrap_or(Lattice::Unknown);
-            if old == Lattice::Over {
-                continue;
-            }
-            let new = match &inst.kind {
-                InstKind::Phi { incomings } => {
-                    let mut l = Lattice::Unknown;
-                    for (p, v) in incomings {
-                        if exec_edge.contains(&(*p, b)) {
-                            l = l.meet(value_lattice(*v, &lattice));
-                        }
-                    }
-                    l
+        while let Some(b) = work.pop_front() {
+            let blk = f.block(b);
+            let mut any_change = false;
+            for &id in &blk.insts {
+                let inst = f.inst(id);
+                let old = lattice.get(&id).copied().unwrap_or(Lattice::Unknown);
+                if old == Lattice::Over {
+                    continue;
                 }
-                k if k.is_pure() || matches!(k, InstKind::Bin { .. }) => {
-                    // Gather operand lattices; fold when all constant.
-                    let mut any_unknown = false;
-                    let mut any_over = false;
-                    k.for_each_operand(|v| match value_lattice(v, &lattice) {
-                        Lattice::Unknown => any_unknown = true,
-                        Lattice::Over => any_over = true,
-                        Lattice::Const(_) => {}
-                    });
-                    if any_over {
-                        Lattice::Over
-                    } else if any_unknown {
-                        Lattice::Unknown
-                    } else {
-                        // Substitute constants and fold.
-                        let mut kind = k.clone();
-                        kind.map_operands(|v| match value_lattice(v, &lattice) {
-                            Lattice::Const(c) => c,
-                            _ => v,
+                let new = match &inst.kind {
+                    InstKind::Phi { incomings } => {
+                        let mut l = Lattice::Unknown;
+                        for (p, v) in incomings {
+                            if exec_edge.contains(&(*p, b)) {
+                                l = l.meet(value_lattice(*v, &lattice));
+                            }
+                        }
+                        l
+                    }
+                    k if k.is_pure() || matches!(k, InstKind::Bin { .. }) => {
+                        // Gather operand lattices; fold when all constant.
+                        let mut any_unknown = false;
+                        let mut any_over = false;
+                        k.for_each_operand(|v| match value_lattice(v, &lattice) {
+                            Lattice::Unknown => any_unknown = true,
+                            Lattice::Over => any_over = true,
+                            Lattice::Const(_) => {}
                         });
-                        match fold_constant(&kind, inst.ty) {
-                            Some(c) => Lattice::Const(c),
-                            None => Lattice::Over,
+                        if any_over {
+                            Lattice::Over
+                        } else if any_unknown {
+                            Lattice::Unknown
+                        } else {
+                            // Substitute constants and fold.
+                            let mut kind = k.clone();
+                            kind.map_operands(|v| match value_lattice(v, &lattice) {
+                                Lattice::Const(c) => c,
+                                _ => v,
+                            });
+                            match fold_constant(&kind, inst.ty) {
+                                Some(c) => Lattice::Const(c),
+                                None => Lattice::Over,
+                            }
                         }
                     }
+                    _ => Lattice::Over,
+                };
+                let merged = old.meet(new);
+                if merged != old {
+                    lattice.insert(id, merged);
+                    any_change = true;
                 }
-                _ => Lattice::Over,
-            };
-            let merged = old.meet(new);
-            if merged != old {
-                lattice.insert(id, merged);
-                any_change = true;
             }
-        }
 
-        // Decide outgoing edges.
-        let mark_edge = |from: BlockId,
+            // Decide outgoing edges.
+            let mark_edge = |from: BlockId,
                              to: BlockId,
                              exec_edge: &mut HashSet<(BlockId, BlockId)>,
                              exec_block: &mut Vec<bool>,
                              work: &mut VecDeque<BlockId>| {
-            let newly_edge = exec_edge.insert((from, to));
-            let newly_block = !exec_block[to.index()];
-            if newly_block {
-                exec_block[to.index()] = true;
-            }
-            if newly_edge || newly_block {
-                work.push_back(to);
-            }
-        };
-        match &blk.term {
-            Terminator::Br(t) => mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work),
-            Terminator::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-                ..
-            } => match value_lattice(*cond, &lattice) {
-                Lattice::Const(c) => {
-                    let t = if c.as_const_int().unwrap_or(0) != 0 {
-                        *then_bb
-                    } else {
-                        *else_bb
-                    };
-                    mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                let newly_edge = exec_edge.insert((from, to));
+                let newly_block = !exec_block[to.index()];
+                if newly_block {
+                    exec_block[to.index()] = true;
                 }
-                Lattice::Unknown => {}
-                Lattice::Over => {
-                    mark_edge(b, *then_bb, &mut exec_edge, &mut exec_block, &mut work);
-                    mark_edge(b, *else_bb, &mut exec_edge, &mut exec_block, &mut work);
+                if newly_edge || newly_block {
+                    work.push_back(to);
                 }
-            },
-            Terminator::Switch { val, cases, default } => match value_lattice(*val, &lattice) {
-                Lattice::Const(c) => {
-                    let cv = c.as_const_int().unwrap_or(0);
-                    let t = cases
-                        .iter()
-                        .find(|(k, _)| *k == cv)
-                        .map(|(_, b)| *b)
-                        .unwrap_or(*default);
-                    mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
-                }
-                Lattice::Unknown => {}
-                Lattice::Over => {
-                    for (_, t) in cases {
-                        mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work);
+            };
+            match &blk.term {
+                Terminator::Br(t) => mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work),
+                Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                    ..
+                } => match value_lattice(*cond, &lattice) {
+                    Lattice::Const(c) => {
+                        let t = if c.as_const_int().unwrap_or(0) != 0 {
+                            *then_bb
+                        } else {
+                            *else_bb
+                        };
+                        mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
                     }
-                    mark_edge(b, *default, &mut exec_edge, &mut exec_block, &mut work);
-                }
-            },
-            _ => {}
-        }
-        if any_change {
-            global_change = true;
-            // Revisit executable successors so phis see updates quickly.
-            for &s in &cfg.succs[b.index()] {
-                if exec_edge.contains(&(b, s)) {
-                    work.push_back(s);
+                    Lattice::Unknown => {}
+                    Lattice::Over => {
+                        mark_edge(b, *then_bb, &mut exec_edge, &mut exec_block, &mut work);
+                        mark_edge(b, *else_bb, &mut exec_edge, &mut exec_block, &mut work);
+                    }
+                },
+                Terminator::Switch {
+                    val,
+                    cases,
+                    default,
+                } => match value_lattice(*val, &lattice) {
+                    Lattice::Const(c) => {
+                        let cv = c.as_const_int().unwrap_or(0);
+                        let t = cases
+                            .iter()
+                            .find(|(k, _)| *k == cv)
+                            .map(|(_, b)| *b)
+                            .unwrap_or(*default);
+                        mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                    }
+                    Lattice::Unknown => {}
+                    Lattice::Over => {
+                        for (_, t) in cases {
+                            mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work);
+                        }
+                        mark_edge(b, *default, &mut exec_edge, &mut exec_block, &mut work);
+                    }
+                },
+                _ => {}
+            }
+            if any_change {
+                global_change = true;
+                // Revisit executable successors so phis see updates quickly.
+                for &s in &cfg.succs[b.index()] {
+                    if exec_edge.contains(&(b, s)) {
+                        work.push_back(s);
+                    }
                 }
             }
         }
-    }
     }
 
     lattice
@@ -404,7 +414,11 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value
                     changed = true;
                 }
             }
-            Terminator::Switch { val, cases, default } => {
+            Terminator::Switch {
+                val,
+                cases,
+                default,
+            } => {
                 let c = match val {
                     Value::Inst(id) => solution.get(&id).and_then(|v| v.as_const_int()),
                     v => v.as_const_int(),
@@ -415,8 +429,7 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value
                         .find(|(k, _)| *k == c)
                         .map(|(_, t)| *t)
                         .unwrap_or(default);
-                    let mut dropped: Vec<BlockId> =
-                        cases.iter().map(|(_, t)| *t).collect();
+                    let mut dropped: Vec<BlockId> = cases.iter().map(|(_, t)| *t).collect();
                     dropped.push(default);
                     dropped.sort();
                     dropped.dedup();
@@ -475,10 +488,7 @@ pub fn correlated_propagation(m: &Module, f: &mut Function) -> bool {
                 continue;
             }
             // Region: blocks dominated by the arm.
-            let region: Vec<BlockId> = f
-                .block_ids()
-                .filter(|&x| dt.dominates(arm, x))
-                .collect();
+            let region: Vec<BlockId> = f.block_ids().filter(|&x| dt.dominates(arm, x)).collect();
             // Fold the controlling compare in the region.
             for &rb in &region {
                 for &id in &f.block(rb).insts {

@@ -258,10 +258,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
         return false;
     }
     // Remove phi edges from dead preds in surviving blocks.
-    let live: Vec<BlockId> = f
-        .block_ids()
-        .filter(|b| cfg.reachable[b.index()])
-        .collect();
+    let live: Vec<BlockId> = f.block_ids().filter(|b| cfg.reachable[b.index()]).collect();
     for &b in &live {
         for &d in &dead {
             f.remove_phi_edges(b, d);
@@ -625,10 +622,7 @@ mod tests {
             rhs: Value::i32(1),
             width: 1,
         };
-        assert_eq!(
-            fold_constant(&kind, Type::I32),
-            Some(Value::i32(i32::MIN))
-        );
+        assert_eq!(fold_constant(&kind, Type::I32), Some(Value::i32(i32::MIN)));
     }
 
     #[test]

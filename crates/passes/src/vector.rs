@@ -85,7 +85,9 @@ pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
                 _ => {}
             }
         }
-        let overlap = loaded.iter().any(|r| stored.iter().any(|s| may_alias(*r, *s)));
+        let overlap = loaded
+            .iter()
+            .any(|r| stored.iter().any(|s| may_alias(*r, *s)));
         if overlap && !elementwise {
             continue;
         }
@@ -115,7 +117,9 @@ fn offset_is_iv(f: &Function, ptr: Value, iv: InstId) -> bool {
 
 fn widen(f: &mut Function, id: InstId) -> bool {
     match &mut f.inst_mut(id).kind {
-        InstKind::Bin { width, .. } | InstKind::Load { width, .. } | InstKind::Store { width, .. }
+        InstKind::Bin { width, .. }
+        | InstKind::Load { width, .. }
+        | InstKind::Store { width, .. }
             if *width == 1 =>
         {
             *width = VECTOR_WIDTH;

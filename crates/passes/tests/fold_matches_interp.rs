@@ -2,7 +2,9 @@
 //! with the interpreter's runtime semantics for every operation — the
 //! contract that makes `sccp`/`instcombine` safe.
 
-use mlcomp_ir::{BinOp, CastOp, CmpPred, InstKind, Interpreter, ModuleBuilder, RtVal, Type, UnOp, Value};
+use mlcomp_ir::{
+    BinOp, CastOp, CmpPred, InstKind, Interpreter, ModuleBuilder, RtVal, Type, UnOp, Value,
+};
 use mlcomp_passes::util::fold_constant;
 use proptest::prelude::*;
 

@@ -56,7 +56,9 @@ pub fn probabilistic_dominance(
     let mut a_wins = 0usize;
     let mut b_wins = 0usize;
     for _ in 0..samples {
-        let jitter = |v: f64, rng: &mut rand::rngs::StdRng, g: &mut dyn FnMut(&mut rand::rngs::StdRng) -> f64| {
+        let jitter = |v: f64,
+                      rng: &mut rand::rngs::StdRng,
+                      g: &mut dyn FnMut(&mut rand::rngs::StdRng) -> f64| {
             v * (1.0 + rel_sigma * g(rng))
         };
         let mut av = a.as_array();

@@ -169,9 +169,18 @@ mod tests {
         let w = Workload::new("main", vec![RtVal::I(100)]);
         let p = X86Platform::new();
         let clean = Profiler::new(&p).profile(&m, &w).unwrap();
-        let n1 = Profiler::new(&p).with_noise(0.01, 7).profile(&m, &w).unwrap();
-        let n2 = Profiler::new(&p).with_noise(0.01, 7).profile(&m, &w).unwrap();
-        let n3 = Profiler::new(&p).with_noise(0.01, 8).profile(&m, &w).unwrap();
+        let n1 = Profiler::new(&p)
+            .with_noise(0.01, 7)
+            .profile(&m, &w)
+            .unwrap();
+        let n2 = Profiler::new(&p)
+            .with_noise(0.01, 7)
+            .profile(&m, &w)
+            .unwrap();
+        let n3 = Profiler::new(&p)
+            .with_noise(0.01, 8)
+            .profile(&m, &w)
+            .unwrap();
         assert_eq!(n1, n2, "same seed, same measurement");
         assert_ne!(n1, n3, "different seed, different jitter");
         let rel = (n1.exec_time_s - clean.exec_time_s).abs() / clean.exec_time_s;

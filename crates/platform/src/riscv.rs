@@ -27,7 +27,9 @@ impl RiscVPlatform {
                 static_power_w: 0.012,
                 simd_speedup: 1.0, // no vector unit
                 //        alu  mul  div   fadd fmul fdiv  fspec load store jump branch call ret alloca
-                cycles: [1.0, 4.0, 38.0, 4.0, 5.0, 28.0, 70.0, 2.2, 2.0, 2.0, 2.5, 4.0, 4.0, 1.0],
+                cycles: [
+                    1.0, 4.0, 38.0, 4.0, 5.0, 28.0, 70.0, 2.2, 2.0, 2.0, 2.5, 4.0, 4.0, 1.0,
+                ],
                 unaligned_penalty: 4.0,
                 mispredict_penalty: 5.0,
                 memset_cell_cycles: 1.2,
@@ -94,7 +96,8 @@ mod tests {
             ..DynCounts::default()
         };
         // Average power = energy / time.
-        let p_rv = rv.cost_model().energy(&c) / (rv.cost_model().cycles(&c) / rv.cost_model().freq_hz);
+        let p_rv =
+            rv.cost_model().energy(&c) / (rv.cost_model().cycles(&c) / rv.cost_model().freq_hz);
         let p_x86 =
             x86.cost_model().energy(&c) / (x86.cost_model().cycles(&c) / x86.cost_model().freq_hz);
         assert!(p_rv < p_x86 / 100.0, "rv {p_rv} W vs x86 {p_x86} W");

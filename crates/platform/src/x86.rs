@@ -21,7 +21,9 @@ impl X86Platform {
                 static_power_w: 15.0,
                 simd_speedup: 3.2,
                 //        alu   mul  div  fadd fmul fdiv  fspec load store jump branch call ret alloca
-                cycles: [0.35, 1.0, 18.0, 0.5, 0.5, 11.0, 22.0, 0.7, 0.9, 0.25, 0.7, 2.5, 1.5, 0.3],
+                cycles: [
+                    0.35, 1.0, 18.0, 0.5, 0.5, 11.0, 22.0, 0.7, 0.9, 0.25, 0.7, 2.5, 1.5, 0.3,
+                ],
                 unaligned_penalty: 1.0,
                 mispredict_penalty: 14.0,
                 memset_cell_cycles: 0.25,

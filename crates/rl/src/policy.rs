@@ -154,7 +154,13 @@ impl PolicyNet {
 
     /// Accumulates the REINFORCE gradient of `−advantage · log π(action|x)`
     /// into `grads` (layout: `w1, b1, w2, b2, w3, b3`).
-    pub fn accumulate_gradient(&self, fwd: &Forward, action: usize, advantage: f64, grads: &mut [f64]) {
+    pub fn accumulate_gradient(
+        &self,
+        fwd: &Forward,
+        action: usize,
+        advantage: f64,
+        grads: &mut [f64],
+    ) {
         // dL/dlogit = (p − onehot) · advantage.
         let mut dlogits = fwd.probs.clone();
         dlogits[action] -= 1.0;
@@ -223,7 +229,12 @@ impl PolicyNet {
 
     /// Total parameter count (gradient buffer size).
     pub fn param_count(&self) -> usize {
-        self.w1.len() + self.b1.len() + self.w2.len() + self.b2.len() + self.w3.len() + self.b3.len()
+        self.w1.len()
+            + self.b1.len()
+            + self.w2.len()
+            + self.b2.len()
+            + self.w3.len()
+            + self.b3.len()
     }
 
     /// Applies a gradient-descent step `params -= lr · grads`.

@@ -127,8 +127,16 @@ impl Default for ReinforceTrainer {
 impl ReinforceTrainer {
     /// Trains `policy` on `env`, returning per-batch statistics.
     pub fn train(&self, policy: &mut PolicyNet, env: &mut dyn Env) -> Vec<TrainingStats> {
-        assert_eq!(policy.input_dim, env.state_dim(), "policy/env state mismatch");
-        assert_eq!(policy.actions, env.action_count(), "policy/env action mismatch");
+        assert_eq!(
+            policy.input_dim,
+            env.state_dim(),
+            "policy/env state mismatch"
+        );
+        assert_eq!(
+            policy.actions,
+            env.action_count(),
+            "policy/env action mismatch"
+        );
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         let tracing = trace::enabled();
         let mut train_span = trace::span("rl.train");
@@ -448,7 +456,10 @@ mod tests {
         };
         let stats = trainer.train(&mut policy, &mut env);
         let aborted: u64 = stats.iter().map(|s| s.aborts.total()).sum();
-        assert!(aborted >= 600 / 5 - 1, "every 5th episode aborts: {aborted}");
+        assert!(
+            aborted >= 600 / 5 - 1,
+            "every 5th episode aborts: {aborted}"
+        );
         let nan_aborts: u64 = stats
             .iter()
             .map(|s| s.aborts.get(AbortCause::NonFiniteReward))
@@ -543,8 +554,8 @@ mod tests {
         };
         let frozen = mk(1e-12);
         let trained = mk(0.0); // clipping disabled
-        // A near-zero clip freezes learning; disabled clipping moves the
-        // policy — i.e. the ceiling really bounds the applied update.
+                               // A near-zero clip freezes learning; disabled clipping moves the
+                               // policy — i.e. the ceiling really bounds the applied update.
         let init = PolicyNet::new(1, 16, 2, 5);
         let (pi, pf, pt) = (
             init.probabilities(&[1.0]),

@@ -177,31 +177,28 @@ fn serve(args: Vec<String>) -> Result<(), String> {
     let mut pending: Vec<SelectionRequest> = Vec::with_capacity(batch);
     let mut served = 0usize;
     let mut batches = 0usize;
-    let mut flush = |pending: &mut Vec<SelectionRequest>,
-                     out: &mut dyn Write|
-     -> Result<(), String> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let responses = server
-            .submit_batch(pending)
-            .map_err(|e| e.to_string())?;
-        for resp in &responses {
-            let line = serde_json::to_string(resp).expect("response serializes");
-            writeln!(out, "{line}").map_err(|e| format!("stdout: {e}"))?;
-        }
-        served += responses.len();
-        batches += 1;
-        pending.clear();
-        Ok(())
-    };
+    let mut flush =
+        |pending: &mut Vec<SelectionRequest>, out: &mut dyn Write| -> Result<(), String> {
+            if pending.is_empty() {
+                return Ok(());
+            }
+            let responses = server.submit_batch(pending).map_err(|e| e.to_string())?;
+            for resp in &responses {
+                let line = serde_json::to_string(resp).expect("response serializes");
+                writeln!(out, "{line}").map_err(|e| format!("stdout: {e}"))?;
+            }
+            served += responses.len();
+            batches += 1;
+            pending.clear();
+            Ok(())
+        };
     for (line_no, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
-        let req: SelectionRequest = serde_json::from_str(&line)
-            .map_err(|e| format!("stdin line {}: {e}", line_no + 1))?;
+        let req: SelectionRequest =
+            serde_json::from_str(&line).map_err(|e| format!("stdin line {}: {e}", line_no + 1))?;
         pending.push(req);
         if pending.len() == batch {
             flush(&mut pending, &mut out)?;

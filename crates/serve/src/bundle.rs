@@ -240,8 +240,7 @@ impl ArtifactBundle {
     /// Returns the first failing stage's [`BundleError`].
     pub fn import(json: &str) -> Result<ArtifactBundle, BundleError> {
         let malformed = |msg: String| BundleError::Malformed(msg);
-        let v: Value =
-            serde_json::from_str(json).map_err(|e| malformed(e.to_string()))?;
+        let v: Value = serde_json::from_str(json).map_err(|e| malformed(e.to_string()))?;
         let obj = v
             .as_object()
             .ok_or_else(|| malformed("bundle must be a JSON object".to_string()))?;
@@ -264,8 +263,8 @@ impl ArtifactBundle {
             .ok_or_else(|| malformed("missing `payload`".to_string()))?;
         // Re-print the parsed payload: byte-identical to the exported text
         // when the bundle is intact (the printer is stable under reparse).
-        let payload_json = serde_json::to_string(payload_value)
-            .expect("re-printing a parsed value is infallible");
+        let payload_json =
+            serde_json::to_string(payload_value).expect("re-printing a parsed value is infallible");
         let computed = fnv1a(payload_json.as_bytes());
         if computed != stored {
             return Err(BundleError::FingerprintMismatch { stored, computed });

@@ -3,8 +3,8 @@
 //! the right typed error, and the cache is invisible in responses.
 
 use mlcomp_core::{
-    DataExtraction, DeployError, FeatureProjector, PerfEstimator, PhaseSequenceSelector,
-    PssConfig, RewardWeights,
+    DataExtraction, DeployError, FeatureProjector, PerfEstimator, PhaseSequenceSelector, PssConfig,
+    RewardWeights,
 };
 use mlcomp_features::FEATURE_COUNT;
 use mlcomp_ml::search::ModelSearch;
@@ -76,7 +76,10 @@ fn export_import_is_the_identity_on_serving_behaviour() {
     assert_eq!(m1, m2, "and produces the identical module");
     // The estimator round-trips too: identical predictions.
     let fv = mlcomp_features::extract(&apps[0].module);
-    assert_eq!(bundle.estimator().predict(&fv), loaded.estimator().predict(&fv));
+    assert_eq!(
+        bundle.estimator().predict(&fv),
+        loaded.estimator().predict(&fv)
+    );
 }
 
 proptest! {

@@ -36,13 +36,7 @@ pub fn all() -> Vec<BenchProgram> {
 }
 
 /// Fills `buf[0..n]` with LCG values masked by `mask`.
-fn fill_random(
-    b: &mut FunctionBuilder<'_>,
-    rng: Value,
-    buf: Value,
-    n: i64,
-    mask: i64,
-) {
+fn fill_random(b: &mut FunctionBuilder<'_>, rng: Value, buf: Value, n: i64, mask: i64) {
     b.for_loop(b.const_i64(0), b.const_i64(n), 1, move |b, i| {
         let r = lcg_step(b, rng);
         let v = b.and(r, b.const_i64(mask));
@@ -134,7 +128,11 @@ fn crc32() -> Module {
     for n in 0..256u64 {
         let mut c = n;
         for _ in 0..8 {
-            c = if c & 1 != 0 { 0xEDB88320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB88320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
         }
         table.push(c as i64);
     }
@@ -214,7 +212,11 @@ fn dijkstra() -> Module {
     let mut adj = Vec::with_capacity((N * N) as usize);
     for i in 0..N {
         for j in 0..N {
-            let w = if i == j { 0 } else { ((i * 7 + j * 13) % 19) + 1 };
+            let w = if i == j {
+                0
+            } else {
+                ((i * 7 + j * 13) % 19) + 1
+            };
             adj.push(w);
         }
     }
@@ -694,7 +696,11 @@ fn matmult_float() -> Module {
 }
 
 fn matmult(float: bool) -> Module {
-    let name = if float { "matmult-float" } else { "matmult-int" };
+    let name = if float {
+        "matmult-float"
+    } else {
+        "matmult-int"
+    };
     let mut mb = ModuleBuilder::new(name);
     const N: i64 = 8;
     mb.begin_function("main", vec![Type::I64], Type::I64);
@@ -1067,7 +1073,9 @@ fn nbody() -> Module {
 /// key schedule table.
 fn ndes() -> Module {
     let mut mb = ModuleBuilder::new("ndes");
-    let keys: Vec<i64> = (0..16).map(|i| (0x0F0F_1357_9BDF_2468u64.rotate_left(i as u32)) as i64).collect();
+    let keys: Vec<i64> = (0..16)
+        .map(|i| (0x0F0F_1357_9BDF_2468u64.rotate_left(i as u32)) as i64)
+        .collect();
     let kg = mb.add_const_global("round_keys", keys);
     mb.begin_function("main", vec![Type::I64], Type::I64);
     {

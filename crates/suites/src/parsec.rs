@@ -128,7 +128,9 @@ fn bodytrack() -> Module {
     let mut mb = ModuleBuilder::new("bodytrack");
     let obs = mb.add_f64_table(
         "obs",
-        &[0.3, 1.2, -0.7, 0.9, -0.2, 0.5, 1.7, -1.1, 0.4, 0.8, -0.6, 1.3],
+        &[
+            0.3, 1.2, -0.7, 0.9, -0.2, 0.5, 1.7, -1.1, 0.4, 0.8, -0.6, 1.3,
+        ],
     );
     mb.begin_function("main", vec![Type::I64], Type::I64);
     {
@@ -293,10 +295,7 @@ fn dedup() -> Module {
 /// material (the paper's Fig. 4 ① outlier app).
 fn facesim() -> Module {
     let mut mb = ModuleBuilder::new("facesim");
-    let stiffness = mb.add_f64_table(
-        "stiffness",
-        &[2.0, 0.3, 0.1, 0.3, 2.5, 0.2, 0.1, 0.2, 3.0],
-    );
+    let stiffness = mb.add_f64_table("stiffness", &[2.0, 0.3, 0.1, 0.3, 2.5, 0.2, 0.1, 0.2, 3.0]);
     mb.begin_function("main", vec![Type::I64], Type::I64);
     {
         let mut b = mb.body();
@@ -429,8 +428,7 @@ fn fluidanimate() -> Module {
                 b.for_loop(b.const_i64(1), b.const_i64(7), 1, |b, x| {
                     let y8 = b.mul(y, b.const_i64(8));
                     let c_idx = b.add(y8, x);
-                    let load_at = |b: &mut mlcomp_ir::FunctionBuilder,
-                                   idx: mlcomp_ir::Value| {
+                    let load_at = |b: &mut mlcomp_ir::FunctionBuilder, idx: mlcomp_ir::Value| {
                         let p = b.gep(b.global_addr(grid), idx);
                         b.load(p, Type::F64)
                     };
@@ -862,7 +860,10 @@ mod tests {
 
     #[test]
     fn blackscholes_prices_are_sane() {
-        let p = all().into_iter().find(|p| p.name == "blackscholes").unwrap();
+        let p = all()
+            .into_iter()
+            .find(|p| p.name == "blackscholes")
+            .unwrap();
         // Different scales give different checksums (the loop matters).
         let entry = p.module.find_function("main").unwrap();
         let a = mlcomp_ir::Interpreter::new(&p.module)
@@ -872,7 +873,10 @@ mod tests {
             .run(entry, &[mlcomp_ir::RtVal::I(20)])
             .unwrap();
         assert_ne!(a.ret, b.ret);
-        assert!(b.counts.fp_special > a.counts.fp_special, "exp/log/sqrt used");
+        assert!(
+            b.counts.fp_special > a.counts.fp_special,
+            "exp/log/sqrt used"
+        );
     }
 
     #[test]
@@ -888,9 +892,9 @@ mod tests {
                     "{} under {level}: {report:?}",
                     p.name
                 );
-                let got = opt.run_default().unwrap_or_else(|e| {
-                    panic!("{} trapped after {level}: {e}", p.name)
-                });
+                let got = opt
+                    .run_default()
+                    .unwrap_or_else(|e| panic!("{} trapped after {level}: {e}", p.name));
                 assert_eq!(got, reference, "{} diverged under {level}", p.name);
             }
         }

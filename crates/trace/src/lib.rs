@@ -371,7 +371,10 @@ mod tests {
             drop(outer);
             ring.take()
         });
-        assert_eq!(spans(&events), vec![("inner", "outer/inner"), ("outer", "outer")]);
+        assert_eq!(
+            spans(&events),
+            vec![("inner", "outer/inner"), ("outer", "outer")]
+        );
         match &events[0] {
             TraceEvent::Span { fields, .. } => {
                 assert_eq!(fields.len(), 1);
@@ -463,8 +466,8 @@ mod tests {
             flush();
             ring.take()
         });
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Counter { name, value } if name == "c.twice" && *value == 3)));
+        assert!(events.iter().any(
+            |e| matches!(e, TraceEvent::Counter { name, value } if name == "c.twice" && *value == 3)
+        ));
     }
 }

@@ -49,10 +49,7 @@ fn shard() -> &'static Shard {
 
 /// Add `delta` to the named counter.
 pub(crate) fn add_counter(name: &str, delta: u64) {
-    let mut map = shard()
-        .counters
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let mut map = shard().counters.lock().unwrap_or_else(|e| e.into_inner());
     match map.get_mut(name) {
         Some(v) => *v += delta,
         None => {
@@ -92,14 +89,12 @@ pub(crate) fn drain() -> MetricsSnapshot {
     let mut gauges: BTreeMap<String, (u64, f64)> = BTreeMap::new();
     let mut hists: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for sh in &registry().shards {
-        for (k, v) in std::mem::take(
-            &mut *sh.counters.lock().unwrap_or_else(|e| e.into_inner()),
-        ) {
+        for (k, v) in std::mem::take(&mut *sh.counters.lock().unwrap_or_else(|e| e.into_inner())) {
             *counters.entry(k).or_insert(0) += v;
         }
-        for (k, (seq, v)) in std::mem::take(
-            &mut *sh.gauges.lock().unwrap_or_else(|e| e.into_inner()),
-        ) {
+        for (k, (seq, v)) in
+            std::mem::take(&mut *sh.gauges.lock().unwrap_or_else(|e| e.into_inner()))
+        {
             match gauges.get(&k) {
                 Some((prev_seq, _)) if *prev_seq > seq => {}
                 _ => {
@@ -107,9 +102,7 @@ pub(crate) fn drain() -> MetricsSnapshot {
                 }
             }
         }
-        for (k, mut v) in std::mem::take(
-            &mut *sh.hists.lock().unwrap_or_else(|e| e.into_inner()),
-        ) {
+        for (k, mut v) in std::mem::take(&mut *sh.hists.lock().unwrap_or_else(|e| e.into_inner())) {
             hists.entry(k).or_default().append(&mut v);
         }
     }

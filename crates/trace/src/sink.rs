@@ -251,11 +251,7 @@ impl TraceEvent {
             TraceEvent::Point { series, x, y } => {
                 out.push_str("{\"t\":\"point\",\"series\":");
                 escape_json_into(&mut out, series);
-                out.push_str(&format!(
-                    ",\"x\":{},\"y\":{}}}",
-                    f64_json(*x),
-                    f64_json(*y)
-                ));
+                out.push_str(&format!(",\"x\":{},\"y\":{}}}", f64_json(*x), f64_json(*y)));
             }
         }
         out

@@ -22,10 +22,16 @@ fn demo_config() -> MlcompConfig {
         ..DataExtraction::default()
     };
     c.search = ModelSearch {
-        models: ["ridge", "huber", "kernel-ridge", "decision-tree", "random-forest"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        models: [
+            "ridge",
+            "huber",
+            "kernel-ridge",
+            "decision-tree",
+            "random-forest",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect(),
         preprocessors: ["identity", "mean-std", "pca"]
             .iter()
             .map(|s| s.to_string())

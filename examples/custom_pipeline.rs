@@ -82,7 +82,12 @@ fn main() {
     }
 
     // Standard levels for comparison.
-    for level in [PipelineLevel::O1, PipelineLevel::O2, PipelineLevel::O3, PipelineLevel::Oz] {
+    for level in [
+        PipelineLevel::O1,
+        PipelineLevel::O2,
+        PipelineLevel::O3,
+        PipelineLevel::Oz,
+    ] {
         let mut m = module.clone();
         pm.run_level(&mut m, level);
         profile(&m, &format!("{level}"));

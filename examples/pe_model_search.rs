@@ -8,7 +8,7 @@
 
 use mlcomp::core::DataExtraction;
 use mlcomp::ml::search::ModelSearch;
-use mlcomp::platform::{METRIC_NAMES, X86Platform};
+use mlcomp::platform::{X86Platform, METRIC_NAMES};
 
 fn main() {
     let platform = X86Platform::new();
@@ -28,10 +28,18 @@ fn main() {
     // A mid-sized slice of the Table III × Table IV grid, searched per
     // metric with Algorithm 1's early-exit threshold.
     let search = ModelSearch {
-        models: ["ridge", "linear", "huber", "lasso", "decision-tree", "random-forest", "kernel-ridge"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        models: [
+            "ridge",
+            "linear",
+            "huber",
+            "lasso",
+            "decision-tree",
+            "random-forest",
+            "kernel-ridge",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect(),
         preprocessors: ["identity", "mean-std", "pca", "robust"]
             .iter()
             .map(|s| s.to_string())

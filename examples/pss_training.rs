@@ -32,13 +32,21 @@ fn main() {
 
     println!("③ policy training (Table V params, 128 episodes)…");
     let projector = FeatureProjector::fit(&dataset.features()).expect("projection fits");
-    println!("   standardize + PCA(MLE): 63 features → {} dims", projector.out_dim());
+    println!(
+        "   standardize + PCA(MLE): 63 features → {} dims",
+        projector.out_dim()
+    );
     let config = PssConfig {
         episodes: 128,
         ..PssConfig::paper()
     };
-    let (selector, curve) =
-        PhaseSequenceSelector::train(&apps, &estimator, projector, config, RewardWeights::default());
+    let (selector, curve) = PhaseSequenceSelector::train(
+        &apps,
+        &estimator,
+        projector,
+        config,
+        RewardWeights::default(),
+    );
 
     println!("   learning curve (mean episode return per batch):");
     for (i, s) in curve.iter().enumerate() {
@@ -57,6 +65,11 @@ fn main() {
     println!("④ deployment:");
     for app in &apps {
         let (_, phases) = selector.optimize(&app.module);
-        println!("   {:<8} sequence ({} phases): {:?}", app.name, phases.len(), phases);
+        println!(
+            "   {:<8} sequence ({} phases): {:?}",
+            app.name,
+            phases.len(),
+            phases
+        );
     }
 }
