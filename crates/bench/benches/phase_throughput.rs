@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_ir::analysis::DefUse;
-use mlcomp_passes::PassManager;
+use mlcomp_passes::{PassManager, PhaseOutcome, Sandbox};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -50,8 +50,22 @@ fn bench(c: &mut Criterion) {
 /// without changing anything, so they measure the fixed cost of a phase
 /// run, as does building def-use chains for every function. `loop-load-elim`,
 /// `dse` and `adce` on unrolled `x264` time the phases that ask the shared
-/// memory-effect queries on every instruction.
+/// memory-effect queries on every instruction. The `snapshot` ids run eight
+/// phases that change nothing on unrolled `x264`, once as one-shot calls
+/// (a module copy each) and once through one sandbox session (one copy in
+/// all): the gap is the cost of seven snapshot copies.
 fn bench_in_situ(c: &mut Criterion) {
+    /// Phases that leave `x264+loop-unroll` unchanged.
+    const UNCHANGED: [&str; 8] = [
+        "lower-expect",
+        "tailcallelim",
+        "inline",
+        "globaldce",
+        "jump-threading",
+        "loop-unroll",
+        "loop-load-elim",
+        "adce",
+    ];
     let pm = PassManager::new();
     let mut g = c.benchmark_group("phase-throughput-in-situ");
     for (name, prefix, phases) in [
@@ -101,6 +115,33 @@ fn bench_in_situ(c: &mut Criterion) {
                     }
                 })
             });
+            for phase in UNCHANGED {
+                let outcome = pm
+                    .run_phase_sandboxed(&mut state.clone(), phase, None, phase)
+                    .unwrap();
+                assert_eq!(outcome, PhaseOutcome::Unchanged, "{phase} on {state_name}");
+            }
+            g.bench_function(format!("snapshot: 8 one-shot runs on {state_name}"), |b| {
+                b.iter(|| {
+                    let mut m = black_box(state.clone());
+                    for phase in UNCHANGED {
+                        pm.run_phase_sandboxed(&mut m, phase, None, phase).unwrap();
+                    }
+                    black_box(m)
+                })
+            });
+            g.bench_function(
+                format!("snapshot: 8 runs in one session on {state_name}"),
+                |b| {
+                    b.iter(|| {
+                        let mut session = Sandbox::new(black_box(state.clone()));
+                        for phase in UNCHANGED {
+                            session.run_phase(phase, None, phase).unwrap();
+                        }
+                        black_box(session.into_module())
+                    })
+                },
+            );
         }
         for &phase in phases {
             g.bench_function(format!("{phase} on {state_name}"), |b| {

@@ -5,7 +5,7 @@ use crate::estimator::PerfEstimator;
 use mlcomp_ir::Module;
 use mlcomp_ml::preprocess::{Pca, StandardScaler};
 use mlcomp_ml::{Preprocessor, TrainError};
-use mlcomp_passes::{registry, PassManager, PhaseOutcome};
+use mlcomp_passes::{registry, PhaseOutcome, Sandbox};
 use mlcomp_platform::DynamicFeatures;
 use mlcomp_rl::{Env, PolicyNet, ReinforceTrainer, TrainingStats};
 use mlcomp_suites::BenchProgram;
@@ -169,9 +169,11 @@ pub struct CompilerEnv<'a> {
     pub weights: RewardWeights,
     max_inactive: usize,
     rng: rand::rngs::StdRng,
-    module: Option<Module>,
-    /// The projected state of `module`, returned again by steps that leave
-    /// it unchanged.
+    /// The episode's sandbox session, holding the module being optimized;
+    /// each `reset` opens a new one.
+    session: Option<Sandbox>,
+    /// The projected state of the session's module, returned again by
+    /// steps that leave it unchanged.
     state: Vec<f64>,
     last_pred: DynamicFeatures,
     inactive: usize,
@@ -196,7 +198,7 @@ impl<'a> CompilerEnv<'a> {
             weights,
             max_inactive,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
-            module: None,
+            session: None,
             state: Vec::new(),
             last_pred: DynamicFeatures::from_array([0.0; 4]),
             inactive: 0,
@@ -222,10 +224,10 @@ impl Env for CompilerEnv<'_> {
     fn reset(&mut self) -> Vec<f64> {
         let idx = self.rng.gen_range(0..self.programs.len());
         let module = self.programs[idx].module.clone();
-        // Suite modules verify, which `run_phase_sandboxed` requires.
+        // Suite modules verify, which `Sandbox::run_phase` requires.
         debug_assert!(mlcomp_ir::verify(&module).is_ok());
         let (state, pred) = self.observe(&module);
-        self.module = Some(module);
+        self.session = Some(Sandbox::new(module));
         self.state = state.clone();
         self.last_pred = pred;
         self.inactive = 0;
@@ -233,12 +235,12 @@ impl Env for CompilerEnv<'_> {
     }
 
     fn step(&mut self, action: usize) -> (Vec<f64>, f64, bool) {
-        let mut module = self.module.take().expect("step before reset");
+        let session = self.session.as_mut().expect("step before reset");
         let phase = registry::PHASE_NAMES[action];
         // Sandboxed: a panicking or IR-corrupting phase is rolled back and
         // scored like any other inactive phase — training survives it.
-        let outcome = PassManager::new()
-            .run_phase_sandboxed(&mut module, phase, None, phase)
+        let outcome = session
+            .run_phase(phase, None, phase)
             .expect("registry names are valid");
         if outcome != PhaseOutcome::Changed {
             // The phase did nothing: small cost, episode ends after a run
@@ -246,15 +248,14 @@ impl Env for CompilerEnv<'_> {
             // equals the one last observed, so its state is reused.
             self.inactive += 1;
             let done = self.inactive >= self.max_inactive;
-            self.module = Some(module);
             return (self.state.clone(), -0.01, done);
         }
         self.inactive = 0;
-        let (state, pred) = self.observe(&module);
+        let session = self.session.as_ref().expect("step before reset");
+        let (state, pred) = self.observe(session.module());
         let reward = self.weights.reward(&self.last_pred, &pred);
         self.last_pred = pred;
         self.state = state.clone();
-        self.module = Some(module);
         (state, reward, false)
     }
 }
@@ -443,14 +444,15 @@ impl PhaseSequenceSelector {
     /// back unchanged with an empty sequence.
     pub fn optimize(&self, module: &Module) -> (Module, Vec<&'static str>) {
         let mut span = trace::span("pss.optimize");
-        let pm = PassManager::new();
-        let mut current = module.clone();
+        // One session for the whole call: a phase try copies the module
+        // only after a try that changed it.
+        let mut session = Sandbox::new(module.clone());
         let mut applied: Vec<&'static str> = Vec::new();
-        // One check up front establishes `run_phase_sandboxed`'s
+        // One check up front establishes `Sandbox::run_phase`'s
         // precondition for every phase below.
         let valid = mlcomp_ir::verify(module).is_ok();
         while valid && applied.len() < self.config.max_seq_len {
-            let feats = mlcomp_features::extract(&current);
+            let feats = mlcomp_features::extract(session.module());
             let state = self.projector.project(&feats.values);
             let ranked = self.policy.ranked_actions(&state);
             let mut progressed = false;
@@ -459,8 +461,8 @@ impl PhaseSequenceSelector {
                 // Sandboxed: a quarantined phase rolls back and falls
                 // through to the next-best action, exactly like an
                 // inactive phase in the paper's fallback model.
-                let outcome = pm
-                    .run_phase_sandboxed(&mut current, phase, None, phase)
+                let outcome = session
+                    .run_phase(phase, None, phase)
                     .expect("registry names are valid");
                 if outcome == PhaseOutcome::Changed {
                     applied.push(phase);
@@ -476,7 +478,7 @@ impl PhaseSequenceSelector {
             span.field("seq_len", applied.len());
         }
         drop(span);
-        (current, applied)
+        (session.into_module(), applied)
     }
 
     /// Serializes the selector to JSON — the reproduction's counterpart of
@@ -581,17 +583,18 @@ mod tests {
         let (apps, pe, projector) = setup();
         let mut env = CompilerEnv::new(&apps, &pe, &projector, RewardWeights::default(), 8, 3);
         let bits = |state: &[f64]| -> Vec<u64> { state.iter().map(|v| v.to_bits()).collect() };
+        let module = |env: &CompilerEnv| env.session.as_ref().expect("reset").module().clone();
         let fresh = |env: &CompilerEnv| {
-            let module = env.module.as_ref().expect("reset");
-            bits(&projector.project(&mlcomp_features::extract(module).values))
+            let module = module(env);
+            bits(&projector.project(&mlcomp_features::extract(&module).values))
         };
         let s0 = env.reset();
         assert_eq!(bits(&s0), fresh(&env));
         let mut inactive = 0;
         for action in 0..registry::PHASE_COUNT {
-            let before = env.module.clone();
+            let before = module(&env);
             let (state, _, done) = env.step(action);
-            if env.module == before {
+            if module(&env) == before {
                 inactive += 1;
             }
             assert_eq!(
@@ -745,7 +748,7 @@ mod tests {
         // Serving contract: the served phases are `optimize`'s first-round
         // candidates, so its first applied phase is the first served phase
         // that changes the module, and it applies nothing if none does.
-        let pm = PassManager::new();
+        let pm = mlcomp_passes::PassManager::new();
         let mut programs = mlcomp_suites::parsec_suite();
         programs.extend(mlcomp_suites::beebs_suite());
         assert_eq!(programs.len(), 37, "all suite programs are checked");

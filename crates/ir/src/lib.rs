@@ -61,4 +61,4 @@ pub use interp::{DynCounts, ExecError, InterpConfig, Interpreter, Outcome, RtVal
 pub use module::{Global, GlobalId, Module};
 pub use types::Type;
 pub use value::Value;
-pub use verifier::{verify, VerifyError};
+pub use verifier::{verify, verify_changed, VerifyError};

@@ -62,6 +62,56 @@ pub fn verify(m: &Module) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// Verifies `m`, a transformed copy of `before`, checking only what the
+/// transform could have broken. Returns exactly what [`verify`] returns
+/// on `m`, error included; debug builds assert that.
+///
+/// Precondition: `before` verifies.
+///
+/// [`verify_function`] reads nothing of the module but the function
+/// count, every function's parameters and return type, the global count
+/// and every global's `deleted` flag. When all of these equal `before`'s,
+/// a function whose blocks, instructions and declaration flag are
+/// unchanged verifies as it did in `before`, so it cannot be the first to
+/// fail, and only the other functions are checked. Attributes and module
+/// metadata play no part. Otherwise this is [`verify`].
+///
+/// # Errors
+///
+/// Returns the first violation found, as [`verify`] does.
+pub fn verify_changed(m: &Module, before: &Module) -> Result<(), VerifyError> {
+    let same_interface = m.functions.len() == before.functions.len()
+        && m.functions
+            .iter()
+            .zip(&before.functions)
+            .all(|(f, old)| f.params == old.params && f.ret_ty == old.ret_ty)
+        && m.globals.len() == before.globals.len()
+        && m.globals
+            .iter()
+            .zip(&before.globals)
+            .all(|(g, old)| g.deleted == old.deleted);
+    if !same_interface {
+        return verify(m);
+    }
+    let verdict = m
+        .functions
+        .iter()
+        .zip(&before.functions)
+        .filter(|(f, old)| {
+            !f.is_declaration
+                && (f.is_declaration != old.is_declaration
+                    || f.blocks != old.blocks
+                    || f.insts != old.insts)
+        })
+        .try_for_each(|(f, _)| verify_function(m, f));
+    debug_assert_eq!(
+        verdict,
+        verify(m),
+        "verify_changed disagrees with verify: does `before` verify?"
+    );
+    verdict
+}
+
 /// Verifies a single function. See [`verify`].
 ///
 /// # Errors
@@ -579,5 +629,65 @@ mod tests {
         mb.finish_function();
         let e = verify(&mb.build()).unwrap_err();
         assert!(e.message.contains("dead block"), "{e}");
+    }
+
+    /// `helper(x) = x * 3` and `main(x) = helper(x) + 1`, both valid.
+    fn caller_and_callee() -> Module {
+        let mut mb = ModuleBuilder::new("t");
+        let helper = mb.declare("helper", vec![Type::I64], Type::I64);
+        mb.begin_existing(helper);
+        {
+            let mut b = mb.body();
+            let v = b.mul(b.param(0), b.const_i64(3));
+            b.ret(Some(v));
+        }
+        mb.finish_function();
+        mb.begin_function("main", vec![Type::I64], Type::I64);
+        {
+            let mut b = mb.body();
+            let h = b.call(helper, vec![b.param(0)], Type::I64);
+            let v = b.add(h, b.const_i64(1));
+            b.ret(Some(v));
+        }
+        mb.finish_function();
+        mb.build()
+    }
+
+    #[test]
+    fn verify_changed_rejects_a_changed_body_that_breaks_ssa() {
+        let before = caller_and_callee();
+        verify(&before).unwrap();
+        let mut m = before.clone();
+        // `main` returns `h + 1` before `h` is computed.
+        let main = &mut m.functions[1];
+        main.blocks[0].insts.reverse();
+        let e = verify_changed(&m, &before).unwrap_err();
+        assert_eq!(Err(e.clone()), verify(&m));
+        assert_eq!(e.function, "main");
+        assert!(e.message.contains("not dominated"), "{e}");
+    }
+
+    #[test]
+    fn verify_changed_checks_an_unchanged_caller_of_a_changed_signature() {
+        let before = caller_and_callee();
+        let mut m = before.clone();
+        // `helper` gains a parameter; only its signature changes, and the
+        // unchanged `main` now calls it with too few arguments.
+        m.functions[0].params.push(Type::I64);
+        assert_eq!(m.functions[1], before.functions[1]);
+        let e = verify_changed(&m, &before).unwrap_err();
+        assert_eq!(Err(e.clone()), verify(&m));
+        assert_eq!(e.function, "main");
+        assert!(e.message.contains("1 args, expected 2"), "{e}");
+    }
+
+    #[test]
+    fn verify_changed_skips_unchanged_bodies() {
+        let before = caller_and_callee();
+        let mut m = before.clone();
+        // Attributes and metadata are no part of any function check.
+        m.functions[0].attrs.readnone = true;
+        m.meta.globals_aa_valid = true;
+        assert_eq!(verify_changed(&m, &before), Ok(()));
     }
 }

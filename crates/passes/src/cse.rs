@@ -100,9 +100,9 @@ pub fn gvn(m: &Module, f: &mut Function) -> bool {
 }
 
 fn run_cse(m: &Module, f: &mut Function, canonicalize: bool, cross_block_loads: bool) -> bool {
-    crate::util::remove_unreachable_blocks(f);
+    let mut changed = crate::util::remove_unreachable_blocks(f);
     let replacements = scoped_replacements(m, f, canonicalize);
-    let mut changed = apply_replacements(f, &replacements);
+    changed |= apply_replacements(f, &replacements);
     if cross_block_loads {
         changed |= eliminate_cross_block_loads(m, f);
     }

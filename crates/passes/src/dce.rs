@@ -14,7 +14,7 @@ use std::collections::{HashSet, VecDeque};
 /// observable effects: stores, effectful calls, memory intrinsics and
 /// terminator operands.
 pub fn adce(m: &Module, f: &mut Function) -> bool {
-    remove_unreachable_blocks(f);
+    let mut changed = remove_unreachable_blocks(f);
     let insts = all_insts(f);
     let mut live: HashSet<InstId> = HashSet::new();
     let mut work: VecDeque<InstId> = VecDeque::new();
@@ -48,7 +48,6 @@ pub fn adce(m: &Module, f: &mut Function) -> bool {
         }
     }
 
-    let mut changed = false;
     for (b, id) in insts {
         if !live.contains(&id) {
             f.remove_from_block(b, id);

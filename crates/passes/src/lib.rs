@@ -50,6 +50,6 @@ pub mod vector;
 
 pub use manager::{
     PassManager, PhaseOutcome, PipelineLevel, Quarantine, QuarantineEntry, QuarantineReason,
-    SandboxReport, UnknownPhaseError,
+    Sandbox, SandboxReport, UnknownPhaseError,
 };
 pub use registry::{is_registered, run_phase_on, PHASE_COUNT};

@@ -18,13 +18,21 @@
 //! ([`PassManager::run_sequence_sandboxed`]); from then on only a phase
 //! that reports a change can break it. Because
 //! [`PhaseOutcome::Changed`] is exact, an unchanged output equals its
-//! already-valid snapshot, so release builds verify changed outputs only
-//! (debug builds verify every output and assert the unchanged ones pass).
+//! already-valid snapshot, so release builds verify changed outputs only,
+//! and of those only what changed: [`mlcomp_ir::verify_changed`] checks
+//! the functions whose bodies differ from the snapshot, and the whole
+//! module only when a signature or a global's liveness changed. Debug
+//! builds verify every output in full and assert the unchanged ones pass.
 //!
-//! The rollback snapshot doubles as the pre-phase module that function
-//! phases read for interprocedural queries, so a phase run copies the
-//! module once. [`crate::run_phase_on`] is the raw reference path: it
-//! takes its own copy and runs the same transform without the sandbox.
+//! Phases run in a [`Sandbox`] session, which owns the module and its
+//! rollback snapshot. The snapshot doubles as the pre-phase module that
+//! function phases read for interprocedural queries, and it is copied only
+//! when stale: after a changed or quarantined run, and before a session's
+//! first run. An unchanged run leaves it equal to the module, so the next
+//! run reuses it. [`PassManager::run_sequence_sandboxed`] runs a sequence
+//! in one session; [`PassManager::run_phase_sandboxed`] is a session of one
+//! run and copies once. [`crate::run_phase_on`] is the raw reference path:
+//! it takes its own copy and runs the same transform without the sandbox.
 //!
 //! Deterministic fault injection plugs in through an optional
 //! [`mlcomp_faults::FaultPlan`]; with `None` the sandbox adds nothing but
@@ -355,23 +363,11 @@ impl PassManager {
     /// module is verified afterwards, and any failure rolls the module back
     /// to its pre-phase state.
     ///
-    /// Precondition: `m` verifies ([`mlcomp_ir::verify`]). Modules from
-    /// outside should enter through
-    /// [`run_sequence_sandboxed`](PassManager::run_sequence_sandboxed),
-    /// which checks this; a module produced by this sandbox always meets
-    /// it.
-    ///
-    /// [`PhaseOutcome::Changed`] holds exactly when the module differs
-    /// from its pre-phase state (debug builds assert it), so callers
-    /// branch on the outcome instead of cloning and comparing modules. The
-    /// same exactness lets release builds skip verifying an unchanged
-    /// output: it equals the valid input. Debug builds still verify it
-    /// and panic if the precondition was broken.
-    ///
-    /// `plan` is the deterministic fault-injection hook (`None` injects
-    /// nothing); `site_key` identifies this phase occurrence for the plan —
-    /// it should encode work identity (app, sequence, position), never
-    /// execution order.
+    /// This is a one-shot [`Sandbox`] session, so it copies the module once
+    /// for the rollback snapshot. Callers that run several phases on one
+    /// module should hold a [`Sandbox`], which copies only after a change.
+    /// See [`Sandbox::run_phase`] for the precondition (`m` verifies), the
+    /// outcomes and `plan`/`site_key`.
     ///
     /// # Errors
     ///
@@ -384,27 +380,218 @@ impl PassManager {
         plan: Option<&FaultPlan>,
         site_key: &str,
     ) -> Result<PhaseOutcome, UnknownPhaseError> {
+        let mut session = Sandbox::new(std::mem::replace(m, Module::new("")));
+        let outcome = session.run_phase(name, plan, site_key);
+        *m = session.into_module();
+        outcome
+    }
+
+    /// Runs a phase sequence with every phase sandboxed: a panicking or
+    /// IR-breaking phase is rolled back, recorded in the report's
+    /// [`Quarantine`], and the sequence *continues* — the semantics of
+    /// "this phase was inactive", matching the paper's fallback model.
+    ///
+    /// The sequence is validated up front, so an unknown name can never
+    /// leave the module half-optimized. The module is then verified once,
+    /// which establishes [`Sandbox::run_phase`]'s precondition for every
+    /// phase: an input that fails [`mlcomp_ir::verify`] runs no phase, and
+    /// every phase is quarantined as
+    /// [`QuarantineReason::VerifierReject`] with the input's error. The
+    /// whole sequence runs in one [`Sandbox`] session.
+    ///
+    /// `site_prefix` names the sequence for `plan`: a phase's site key is
+    /// `{site_prefix}|{index}|{name}`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPhaseError`] naming the first unregistered phase;
+    /// the module is untouched in that case.
+    pub fn run_sequence_sandboxed<'a>(
+        &self,
+        m: &mut Module,
+        names: impl IntoIterator<Item = &'a str>,
+        plan: Option<&FaultPlan>,
+        site_prefix: &str,
+    ) -> Result<SandboxReport, UnknownPhaseError> {
+        let names = validate_sequence(names)?;
+        let mut span = trace::span("phase-seq");
+        let mut report = SandboxReport::default();
+        let mut quarantine = |index: usize, name: &str, reason: QuarantineReason| {
+            report.quarantine.entries.push(QuarantineEntry {
+                index,
+                phase: name.to_string(),
+                reason,
+            });
+        };
+        // One check here establishes every phase's precondition below.
+        if let Err(e) = mlcomp_ir::verify(m) {
+            let reason = QuarantineReason::VerifierReject(e.to_string());
+            for (index, name) in names.iter().enumerate() {
+                quarantine(index, name, reason.clone());
+            }
+        } else {
+            let mut session = Sandbox::new(std::mem::replace(m, Module::new("")));
+            for (index, name) in names.iter().enumerate() {
+                // Only a fault plan reads the key.
+                let site_key = match plan {
+                    Some(_) => format!("{site_prefix}|{index}|{name}"),
+                    None => String::new(),
+                };
+                match session.run_phase(name, plan, &site_key) {
+                    Ok(PhaseOutcome::Changed) => report.changed += 1,
+                    Ok(PhaseOutcome::Unchanged) => {}
+                    Ok(PhaseOutcome::Quarantined(reason)) => quarantine(index, name, reason),
+                    Err(_) => unreachable!("the sequence was validated"),
+                }
+            }
+            *m = session.into_module();
+        }
+        if span.is_recording() {
+            span.field("phases", names.len());
+            span.field("changed", report.changed);
+            span.field("quarantined", report.quarantine.len());
+        }
+        Ok(report)
+    }
+
+    /// Runs a standard pipeline level, sandboxed.
+    pub fn run_level(&self, m: &mut Module, level: PipelineLevel) -> SandboxReport {
+        self.run_sequence_sandboxed(m, level.phases().iter().copied(), None, level.flag())
+            .expect("pipeline levels only use registered phases")
+    }
+}
+
+/// Collects a sequence and checks every name against the registry,
+/// returning the first unknown one as an error.
+fn validate_sequence<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+) -> Result<Vec<&'a str>, UnknownPhaseError> {
+    let names: Vec<&str> = names.into_iter().collect();
+    if let Some(bad) = names.iter().find(|n| !is_registered(n)) {
+        return Err(UnknownPhaseError(bad.to_string()));
+    }
+    Ok(names)
+}
+
+/// A sandbox session: owns a module and its rollback snapshot across any
+/// number of phase runs.
+///
+/// The snapshot is copied from the module only when it is stale. A run
+/// that leaves the module unchanged keeps it fresh, because
+/// [`PhaseOutcome::Unchanged`] is exact; a changed run makes it stale; a
+/// quarantine swaps the snapshot back in and makes it stale. A session
+/// therefore copies the module once per changed or quarantined run, plus
+/// once for its first run, instead of once per run, and
+/// [`PassManager::run_phase_sandboxed`] is a session of one run.
+///
+/// # Examples
+///
+/// ```
+/// use mlcomp_passes::{PhaseOutcome, Sandbox};
+///
+/// let module = mlcomp_suites::program("crc32").unwrap().module;
+/// let mut session = Sandbox::new(module.clone());
+/// assert_eq!(session.run_phase("mem2reg", None, "").unwrap(), PhaseOutcome::Changed);
+/// // Nothing left to promote: the snapshot stays fresh and is reused.
+/// assert_eq!(session.run_phase("mem2reg", None, "").unwrap(), PhaseOutcome::Unchanged);
+/// assert_ne!(session.into_module(), module);
+/// ```
+#[derive(Debug)]
+pub struct Sandbox {
+    module: Module,
+    /// Equals `module` whenever `fresh` holds.
+    snapshot: Module,
+    fresh: bool,
+}
+
+impl Sandbox {
+    /// Opens a session on `module`. Nothing is copied until the first run.
+    pub fn new(module: Module) -> Sandbox {
+        Sandbox {
+            module,
+            snapshot: Module::new(""),
+            fresh: false,
+        }
+    }
+
+    /// The module as the runs so far left it.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// Ends the session and returns the module.
+    pub fn into_module(self) -> Module {
+        self.module
+    }
+
+    /// Runs one phase: panics are caught, a changed module is verified
+    /// afterwards, and any failure rolls the module back to its pre-phase
+    /// state.
+    ///
+    /// Precondition: the module verifies ([`mlcomp_ir::verify`]). Modules
+    /// from outside should enter through
+    /// [`PassManager::run_sequence_sandboxed`], which checks this; a module
+    /// produced by this sandbox always meets it.
+    ///
+    /// [`PhaseOutcome::Changed`] holds exactly when the module differs
+    /// from its pre-phase state (debug builds assert it), so callers
+    /// branch on the outcome instead of cloning and comparing modules. The
+    /// same exactness lets release builds skip verifying an unchanged
+    /// output: it equals the valid input. A changed output is checked with
+    /// [`mlcomp_ir::verify_changed`] against the snapshot, which verifies
+    /// only the functions whose bodies changed unless a signature or a
+    /// global's liveness did; so a phase that touches only attributes or
+    /// metadata verifies no body. Debug builds verify every output in full
+    /// and panic if the precondition was broken.
+    ///
+    /// `plan` is the deterministic fault-injection hook (`None` injects
+    /// nothing); `site_key` identifies this phase occurrence for the plan —
+    /// it should encode work identity (app, sequence, position), never
+    /// execution order. Without a plan nothing reads it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPhaseError`] if the name is not registered (the
+    /// module is untouched).
+    pub fn run_phase(
+        &mut self,
+        name: &str,
+        plan: Option<&FaultPlan>,
+        site_key: &str,
+    ) -> Result<PhaseOutcome, UnknownPhaseError> {
         let Some(transform) = lookup(name) else {
             return Err(UnknownPhaseError(name.to_string()));
         };
         let mut span = trace::span("phase");
         let recording = span.is_recording();
         let (insts_before, blocks_before) = if recording {
-            (m.total_insts(), total_blocks(m))
+            (self.module.total_insts(), total_blocks(&self.module))
         } else {
             (0, 0)
         };
+        if self.fresh {
+            debug_assert!(
+                self.snapshot == self.module,
+                "a fresh snapshot must equal the module"
+            );
+        } else {
+            self.snapshot = self.module.clone();
+            self.fresh = true;
+            if recording {
+                trace::counter("passes.snapshots", 1);
+            }
+        }
         // The rollback snapshot doubles as the pre-phase module that
-        // function phases read, so a phase run copies the module once.
-        let snapshot = m.clone();
+        // function phases read.
+        let (m, snapshot) = (&mut self.module, &self.snapshot);
         // AssertUnwindSafe: on unwind the module may be mid-transform, but
-        // the only thing we do with it afterwards is overwrite it with the
+        // the only thing we do with it afterwards is swap it for the
         // snapshot — the broken state never escapes.
         let ran = catch_unwind(AssertUnwindSafe(|| {
             if let Some(p) = plan {
                 p.maybe_panic(site_key);
             }
-            transform.run(m, &snapshot)
+            transform.run(m, snapshot)
         }));
         let mut verify_ns = 0;
         let outcome = match ran {
@@ -414,7 +601,7 @@ impl PassManager {
             Ok(changed) => {
                 let verdict = if changed {
                     let verify_start = recording.then(Instant::now);
-                    let verdict = mlcomp_ir::verify(m);
+                    let verdict = mlcomp_ir::verify_changed(m, snapshot);
                     if let Some(t) = verify_start {
                         verify_ns = t.elapsed().as_nanos() as u64;
                     }
@@ -446,16 +633,22 @@ impl PassManager {
                 }
             }
         };
-        if matches!(outcome, PhaseOutcome::Quarantined(_)) {
-            *m = snapshot;
-        } else {
-            debug_assert!(
-                (outcome == PhaseOutcome::Changed) == (*m != snapshot),
-                "phase `{name}` reported {outcome:?}, which disagrees with \
-                 comparing the module to its pre-phase snapshot"
-            );
+        match outcome {
+            PhaseOutcome::Quarantined(_) => {
+                std::mem::swap(&mut self.module, &mut self.snapshot);
+                self.fresh = false;
+            }
+            _ => {
+                debug_assert!(
+                    (outcome == PhaseOutcome::Changed) == (self.module != self.snapshot),
+                    "phase `{name}` reported {outcome:?}, which disagrees with \
+                     comparing the module to its pre-phase snapshot"
+                );
+                self.fresh = outcome == PhaseOutcome::Unchanged;
+            }
         }
         if recording {
+            let m = &self.module;
             span.field("phase", name);
             span.field("insts_before", insts_before);
             span.field("insts_after", m.total_insts());
@@ -476,84 +669,6 @@ impl PassManager {
         }
         Ok(outcome)
     }
-
-    /// Runs a phase sequence with every phase sandboxed: a panicking or
-    /// IR-breaking phase is rolled back, recorded in the report's
-    /// [`Quarantine`], and the sequence *continues* — the semantics of
-    /// "this phase was inactive", matching the paper's fallback model.
-    ///
-    /// The sequence is validated up front, so an unknown name can never
-    /// leave the module half-optimized. The module is then verified once,
-    /// which establishes [`run_phase_sandboxed`]'s precondition for every
-    /// phase: an input that fails [`mlcomp_ir::verify`] runs no phase, and
-    /// every phase is quarantined as
-    /// [`QuarantineReason::VerifierReject`] with the input's error.
-    ///
-    /// [`run_phase_sandboxed`]: PassManager::run_phase_sandboxed
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPhaseError`] naming the first unregistered phase;
-    /// the module is untouched in that case.
-    pub fn run_sequence_sandboxed<'a>(
-        &self,
-        m: &mut Module,
-        names: impl IntoIterator<Item = &'a str>,
-        plan: Option<&FaultPlan>,
-        site_prefix: &str,
-    ) -> Result<SandboxReport, UnknownPhaseError> {
-        let names = validate_sequence(names)?;
-        let mut span = trace::span("phase-seq");
-        let mut report = SandboxReport::default();
-        // One check here establishes every phase's precondition below.
-        let input_error = mlcomp_ir::verify(m)
-            .err()
-            .map(|e| QuarantineReason::VerifierReject(e.to_string()));
-        for (index, name) in names.iter().enumerate() {
-            let outcome = match &input_error {
-                Some(reason) => PhaseOutcome::Quarantined(reason.clone()),
-                None => {
-                    let site_key = format!("{site_prefix}|{index}|{name}");
-                    self.run_phase_sandboxed(m, name, plan, &site_key)?
-                }
-            };
-            match outcome {
-                PhaseOutcome::Changed => report.changed += 1,
-                PhaseOutcome::Unchanged => {}
-                PhaseOutcome::Quarantined(reason) => {
-                    report.quarantine.entries.push(QuarantineEntry {
-                        index,
-                        phase: name.to_string(),
-                        reason,
-                    });
-                }
-            }
-        }
-        if span.is_recording() {
-            span.field("phases", names.len());
-            span.field("changed", report.changed);
-            span.field("quarantined", report.quarantine.len());
-        }
-        Ok(report)
-    }
-
-    /// Runs a standard pipeline level, sandboxed.
-    pub fn run_level(&self, m: &mut Module, level: PipelineLevel) -> SandboxReport {
-        self.run_sequence_sandboxed(m, level.phases().iter().copied(), None, level.flag())
-            .expect("pipeline levels only use registered phases")
-    }
-}
-
-/// Collects a sequence and checks every name against the registry,
-/// returning the first unknown one as an error.
-fn validate_sequence<'a>(
-    names: impl IntoIterator<Item = &'a str>,
-) -> Result<Vec<&'a str>, UnknownPhaseError> {
-    let names: Vec<&str> = names.into_iter().collect();
-    if let Some(bad) = names.iter().find(|n| !is_registered(n)) {
-        return Err(UnknownPhaseError(bad.to_string()));
-    }
-    Ok(names)
 }
 
 #[cfg(test)]
@@ -1038,5 +1153,137 @@ mod tests {
             }
             assert_eq!(run_main(&m, 23).0, reference, "trial {trial} diverged");
         }
+    }
+
+    /// `workload` plus one unreachable block in `main`, which the
+    /// verifier tolerates.
+    fn with_unreachable_block() -> Module {
+        use mlcomp_ir::{BinOp, InstKind, Terminator, Value};
+        let mut m = workload();
+        let main = m.find_function("main").unwrap();
+        let f = &mut m.functions[main.index()];
+        let dead = f.add_block();
+        let kind = InstKind::Bin {
+            op: BinOp::Add,
+            lhs: Value::Param(0),
+            rhs: Value::i64(1),
+            width: 1,
+        };
+        let v = f.append_inst(dead, kind, Type::I64);
+        f.block_mut(dead).term = Terminator::Ret(Some(v));
+        verify(&m).unwrap();
+        m
+    }
+
+    /// A session trusts `Changed` to tell when its snapshot went stale, so
+    /// a phase that only deletes an unreachable block must report it. A
+    /// plain `assert!`, so that release builds check it too.
+    #[test]
+    fn deleting_an_unreachable_block_is_a_change() {
+        let input = with_unreachable_block();
+        let pm = PassManager::new();
+        for name in crate::registry::PHASE_NAMES {
+            let mut m = input.clone();
+            let outcome = pm.run_phase_sandboxed(&mut m, name, None, name).unwrap();
+            assert!(
+                (outcome == PhaseOutcome::Changed) == (m != input),
+                "`{name}` reported {outcome:?}, yet the module {}",
+                if m == input {
+                    "is unchanged"
+                } else {
+                    "changed"
+                }
+            );
+        }
+    }
+
+    /// The largest suite state the session and `verify_changed` checks
+    /// start from, as in the fingerprint test.
+    const SESSION_MAX_INSTS: usize = 200;
+
+    /// One session must give the outcomes and the final module that
+    /// one-shot runs give, phase by phase over a walk from every suite
+    /// state: without faults, and under a plan that injects panics and
+    /// verifier corruption mid-walk, so that the session also rolls back.
+    #[test]
+    fn a_session_matches_one_shot_runs_on_the_suite_states() {
+        use crate::registry::{PHASE_COUNT, PHASE_NAMES};
+        use mlcomp_faults::{FaultKind, FaultPlan};
+        mlcomp_faults::quiet_injected_panics();
+        let plan = FaultPlan::from_seed(18)
+            .with_rate(FaultKind::PhasePanic, 0.05)
+            .with_rate(FaultKind::VerifierCorrupt, 0.05);
+        let pm = PassManager::new();
+        let (mut panics, mut corruptions) = (0, 0);
+        let mut start = 0;
+        let states =
+            crate::suite_states::for_each_suite_state(SESSION_MAX_INSTS, |state, label| {
+                // Twelve distinct phases, a different run of them per state.
+                start = (start + 5) % PHASE_COUNT;
+                let walk: Vec<&str> = (0..12)
+                    .map(|i| PHASE_NAMES[(start + 7 * i) % PHASE_COUNT])
+                    .collect();
+                for plan in [None, Some(&plan)] {
+                    let mut session = Sandbox::new(state.clone());
+                    let mut one_shot = state.clone();
+                    for (step, phase) in walk.iter().enumerate() {
+                        let key = format!("{label}|{step}|{phase}");
+                        let outcome = session.run_phase(phase, plan, &key).unwrap();
+                        let expected = pm
+                            .run_phase_sandboxed(&mut one_shot, phase, plan, &key)
+                            .unwrap();
+                        assert_eq!(outcome, expected, "{label}, step {step} `{phase}`");
+                        match outcome {
+                            PhaseOutcome::Quarantined(QuarantineReason::Panic(msg))
+                                if msg.starts_with(INJECTED_PANIC_PREFIX) =>
+                            {
+                                panics += 1
+                            }
+                            PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(msg))
+                                if msg.starts_with(INJECTED_PANIC_PREFIX) =>
+                            {
+                                corruptions += 1
+                            }
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(
+                        format!("{:?}", session.module()),
+                        format!("{one_shot:?}"),
+                        "{label} after {walk:?}, plan {plan:?}"
+                    );
+                }
+            });
+        assert!(states >= 300, "only {states} states checked");
+        assert!(
+            panics > 0 && corruptions > 0,
+            "{panics} injected panics, {corruptions} injected corruptions"
+        );
+    }
+
+    /// `verify_changed` against the snapshot must return what `verify`
+    /// returns, error included, after every phase on every suite state.
+    /// The raw path keeps what `loop-sink` breaks, so rejects are checked
+    /// too.
+    #[test]
+    fn verify_changed_matches_verify_after_every_phase() {
+        use crate::registry::{run_phase_on, PHASE_NAMES};
+        let mut rejects = 0;
+        let states =
+            crate::suite_states::for_each_suite_state(SESSION_MAX_INSTS, |state, label| {
+                for name in PHASE_NAMES {
+                    let mut m = state.clone();
+                    run_phase_on(&mut m, name).unwrap();
+                    let full = verify(&m);
+                    rejects += usize::from(full.is_err());
+                    assert_eq!(
+                        mlcomp_ir::verify_changed(&m, state),
+                        full,
+                        "`{name}` on {label}"
+                    );
+                }
+            });
+        assert!(states >= 300, "only {states} states checked");
+        assert!(rejects > 0, "no phase output failed to verify");
     }
 }

@@ -13,12 +13,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// loads and stores into SSA values with phi nodes (the classic
 /// Cytron-style algorithm over dominance frontiers).
 ///
-/// Returns `true` if any alloca was promoted.
+/// Returns `true` if any alloca was promoted or an unreachable block was
+/// deleted.
 pub fn mem2reg(_m: &Module, f: &mut Function) -> bool {
-    remove_unreachable_blocks(f);
+    let pruned = remove_unreachable_blocks(f);
     let candidates = promotable_allocas(f);
     if candidates.is_empty() {
-        return false;
+        return pruned;
     }
     promote(f, &candidates);
     true
@@ -28,8 +29,7 @@ pub fn mem2reg(_m: &Module, f: &mut Function) -> bool {
 /// access is a load/store through a constant-offset gep into independent
 /// single-cell allocas, then promotes them like [`mem2reg`].
 pub fn sroa(_m: &Module, f: &mut Function) -> bool {
-    remove_unreachable_blocks(f);
-    let mut changed = false;
+    let mut changed = remove_unreachable_blocks(f);
 
     // Find splittable aggregates.
     let mut split_targets: Vec<(BlockId, InstId, u32)> = Vec::new();

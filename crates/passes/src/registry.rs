@@ -151,9 +151,10 @@ fn hash_names(names: &[&str]) -> u64 {
 /// for interprocedural queries like `readnone`); module phases run once.
 ///
 /// This is the raw reference path: no sandbox, and it copies the module
-/// for the function phases' snapshot. Pipelines run phases through
-/// [`PassManager::run_phase_sandboxed`](crate::PassManager::run_phase_sandboxed),
-/// which lends its rollback snapshot instead.
+/// for the function phases' snapshot on every call. Pipelines run phases
+/// through a [`Sandbox`](crate::Sandbox) session, which lends its rollback
+/// snapshot instead and copies it only after a run that changed the
+/// module or was rolled back.
 pub fn run_phase_on(m: &mut Module, name: &str) -> Option<bool> {
     let transform = lookup(name)?;
     let before = m.clone();

@@ -6,7 +6,7 @@ use mlcomp_ir::analysis::{CallGraph, Cfg, DomTree};
 use mlcomp_ir::{
     BlockId, Callee, CmpPred, FuncId, Function, InstId, InstKind, Module, Terminator, Value,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The SCCP lattice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,9 +33,9 @@ impl Lattice {
 /// constants through phis along provably executable edges only, then folds
 /// constant branches and deletes never-executed blocks.
 pub fn sccp(m: &Module, f: &mut Function) -> bool {
-    remove_unreachable_blocks(f);
-    let solution = solve(f, &HashMap::new());
-    apply_solution(m, f, &solution)
+    let pruned = remove_unreachable_blocks(f);
+    let solution = solve(f);
+    apply_solution(m, f, &solution) | pruned
 }
 
 /// Interprocedural SCCP: when every direct call site of an internal
@@ -135,8 +135,8 @@ pub fn ipsccp(m: &mut Module) -> bool {
             &mut m.functions[fi],
             Function::new("tmp", vec![], mlcomp_ir::Type::Void),
         );
-        remove_unreachable_blocks(&mut f);
-        let solution = solve(&f, &HashMap::new());
+        changed |= remove_unreachable_blocks(&mut f);
+        let solution = solve(&f);
         changed |= apply_solution(m, &mut f, &solution);
         // Constant return detection.
         let mut ret: Lattice = Lattice::Unknown;
@@ -193,22 +193,20 @@ pub fn ipsccp(m: &mut Module) -> bool {
     changed
 }
 
-fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Value> {
-    let cfg = Cfg::new(f);
-    let nblocks = f.blocks.len();
-    let mut lattice: HashMap<InstId, Lattice> = HashMap::new();
-    let mut exec_block = vec![false; nblocks];
-    let mut exec_edge: HashSet<(BlockId, BlockId)> = HashSet::new();
+/// Solves the SCCP lattice of `f` and returns, per instruction id, the
+/// constant it is proven to equal. Parameters are never constant here;
+/// `ipsccp` substitutes constant arguments into the body beforehand.
+fn solve(f: &Function) -> Vec<Option<Value>> {
+    let mut lattice = vec![Lattice::Unknown; f.insts.len()];
+    let mut exec_block = vec![false; f.blocks.len()];
+    // Per block, the predecessors whose edge into it is executable.
+    let mut exec_preds: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
     let mut work: VecDeque<BlockId> = VecDeque::new();
 
-    let value_lattice = |v: Value, lattice: &HashMap<InstId, Lattice>| -> Lattice {
+    let value_lattice = |v: Value, lattice: &[Lattice]| -> Lattice {
         match v {
-            Value::Inst(id) => lattice.get(&id).copied().unwrap_or(Lattice::Unknown),
-            Value::Param(i) => match param_over.get(&i) {
-                Some(c) => Lattice::Const(*c),
-                None => Lattice::Over,
-            },
-            Value::Undef(_) => Lattice::Over,
+            Value::Inst(id) => lattice[id.index()],
+            Value::Param(_) | Value::Undef(_) => Lattice::Over,
             c => Lattice::Const(c),
         }
     };
@@ -229,7 +227,7 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
         // it only guards against bugs, and on trigger we discard the
         // solution entirely (a stale partial solution would be unsound).
         if rounds > 4 * f.insts.len() + 64 {
-            return HashMap::new();
+            return vec![None; f.insts.len()];
         }
         global_change = false;
         if work.is_empty() {
@@ -245,7 +243,7 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
             let mut any_change = false;
             for &id in &blk.insts {
                 let inst = f.inst(id);
-                let old = lattice.get(&id).copied().unwrap_or(Lattice::Unknown);
+                let old = lattice[id.index()];
                 if old == Lattice::Over {
                     continue;
                 }
@@ -253,7 +251,7 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
                     InstKind::Phi { incomings } => {
                         let mut l = Lattice::Unknown;
                         for (p, v) in incomings {
-                            if exec_edge.contains(&(*p, b)) {
+                            if exec_preds[b.index()].contains(p) {
                                 l = l.meet(value_lattice(*v, &lattice));
                             }
                         }
@@ -289,28 +287,26 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
                 };
                 let merged = old.meet(new);
                 if merged != old {
-                    lattice.insert(id, merged);
+                    lattice[id.index()] = merged;
                     any_change = true;
                 }
             }
 
             // Decide outgoing edges.
-            let mark_edge = |from: BlockId,
-                             to: BlockId,
-                             exec_edge: &mut HashSet<(BlockId, BlockId)>,
-                             exec_block: &mut Vec<bool>,
-                             work: &mut VecDeque<BlockId>| {
-                let newly_edge = exec_edge.insert((from, to));
-                let newly_block = !exec_block[to.index()];
-                if newly_block {
-                    exec_block[to.index()] = true;
+            let mut mark_edge = |to: BlockId| {
+                let preds = &mut exec_preds[to.index()];
+                let newly_edge = !preds.contains(&b);
+                if newly_edge {
+                    preds.push(b);
                 }
+                let newly_block = !exec_block[to.index()];
+                exec_block[to.index()] = true;
                 if newly_edge || newly_block {
                     work.push_back(to);
                 }
             };
             match &blk.term {
-                Terminator::Br(t) => mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work),
+                Terminator::Br(t) => mark_edge(*t),
                 Terminator::CondBr {
                     cond,
                     then_bb,
@@ -323,12 +319,12 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
                         } else {
                             *else_bb
                         };
-                        mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                        mark_edge(t);
                     }
                     Lattice::Unknown => {}
                     Lattice::Over => {
-                        mark_edge(b, *then_bb, &mut exec_edge, &mut exec_block, &mut work);
-                        mark_edge(b, *else_bb, &mut exec_edge, &mut exec_block, &mut work);
+                        mark_edge(*then_bb);
+                        mark_edge(*else_bb);
                     }
                 },
                 Terminator::Switch {
@@ -343,14 +339,14 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
                             .find(|(k, _)| *k == cv)
                             .map(|(_, b)| *b)
                             .unwrap_or(*default);
-                        mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                        mark_edge(t);
                     }
                     Lattice::Unknown => {}
                     Lattice::Over => {
                         for (_, t) in cases {
-                            mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work);
+                            mark_edge(*t);
                         }
-                        mark_edge(b, *default, &mut exec_edge, &mut exec_block, &mut work);
+                        mark_edge(*default);
                     }
                 },
                 _ => {}
@@ -358,8 +354,8 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
             if any_change {
                 global_change = true;
                 // Revisit executable successors so phis see updates quickly.
-                for &s in &cfg.succs[b.index()] {
-                    if exec_edge.contains(&(b, s)) {
+                for s in blk.term.successors() {
+                    if exec_preds[s.index()].contains(&b) {
                         work.push_back(s);
                     }
                 }
@@ -369,18 +365,18 @@ fn solve(f: &Function, param_over: &HashMap<u32, Value>) -> HashMap<InstId, Valu
 
     lattice
         .into_iter()
-        .filter_map(|(id, l)| match l {
-            Lattice::Const(v) => Some((id, v)),
+        .map(|l| match l {
+            Lattice::Const(v) => Some(v),
             _ => None,
         })
         .collect()
 }
 
-fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value>) -> bool {
+fn apply_solution(m: &Module, f: &mut Function, solution: &[Option<Value>]) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         for &id in &f.block(b).insts.clone() {
-            if let Some(&v) = solution.get(&id) {
+            if let Some(v) = solution[id.index()] {
                 if f.inst(id).kind.is_pure() || f.inst(id).kind.is_phi() {
                     f.replace_all_uses(id, v);
                     f.remove_from_block(b, id);
@@ -398,7 +394,7 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value
                 ..
             } => {
                 let c = match cond {
-                    Value::Inst(id) => solution.get(&id).and_then(|v| v.as_const_int()),
+                    Value::Inst(id) => solution[id.index()].and_then(|v| v.as_const_int()),
                     v => v.as_const_int(),
                 };
                 if let Some(c) = c {
@@ -420,7 +416,7 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value
                 default,
             } => {
                 let c = match val {
-                    Value::Inst(id) => solution.get(&id).and_then(|v| v.as_const_int()),
+                    Value::Inst(id) => solution[id.index()].and_then(|v| v.as_const_int()),
                     v => v.as_const_int(),
                 };
                 if let Some(c) = c {
@@ -455,10 +451,9 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &HashMap<InstId, Value
 /// `false` on the other arm); for equality tests, `x` itself is replaced
 /// by `K` in the dominated region.
 pub fn correlated_propagation(m: &Module, f: &mut Function) -> bool {
-    remove_unreachable_blocks(f);
+    let mut changed = remove_unreachable_blocks(f);
     let cfg = Cfg::new(f);
     let dt = DomTree::new(&cfg);
-    let mut changed = false;
 
     let mut edits: Vec<(BlockId, InstId, Value)> = Vec::new();
     let mut subst: Vec<(Vec<BlockId>, Value, Value)> = Vec::new();
@@ -728,5 +723,231 @@ mod tests {
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(4)]), Some(RtVal::I(16)));
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(0)));
+    }
+
+    /// The largest state the oracle checks: debug builds stop at 1,600
+    /// instructions, as the other suite oracles do; release builds check
+    /// every state.
+    const ORACLE_MAX_INSTS: usize = if cfg!(debug_assertions) {
+        1_600
+    } else {
+        usize::MAX
+    };
+
+    #[test]
+    fn dense_solve_matches_the_oracle_on_the_suites() {
+        let checked =
+            crate::suite_states::for_each_suite_state(ORACLE_MAX_INSTS, |state, label| {
+                for f in state.functions.iter().filter(|f| !f.is_declaration) {
+                    let old = oracle::solve(f, &std::collections::HashMap::new());
+                    let dense: std::collections::HashMap<InstId, Value> = solve(f)
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(i, v)| Some((InstId(i as u32), v?)))
+                        .collect();
+                    assert_eq!(dense, old, "{label}: `{}`", f.name);
+                }
+            });
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
+    /// The solver as it was before its lattice, executable edges and
+    /// solution became dense vectors: hash maps keyed by instruction id
+    /// and a hash set of edges.
+    mod oracle {
+        use super::super::Lattice;
+        use crate::util::fold_constant;
+        use mlcomp_ir::analysis::Cfg;
+        use mlcomp_ir::{BlockId, Function, InstId, InstKind, Terminator, Value};
+        use std::collections::{HashMap, HashSet, VecDeque};
+
+        pub(super) fn solve(
+            f: &Function,
+            param_over: &HashMap<u32, Value>,
+        ) -> HashMap<InstId, Value> {
+            let cfg = Cfg::new(f);
+            let nblocks = f.blocks.len();
+            let mut lattice: HashMap<InstId, Lattice> = HashMap::new();
+            let mut exec_block = vec![false; nblocks];
+            let mut exec_edge: HashSet<(BlockId, BlockId)> = HashSet::new();
+            let mut work: VecDeque<BlockId> = VecDeque::new();
+
+            let value_lattice = |v: Value, lattice: &HashMap<InstId, Lattice>| -> Lattice {
+                match v {
+                    Value::Inst(id) => lattice.get(&id).copied().unwrap_or(Lattice::Unknown),
+                    Value::Param(i) => match param_over.get(&i) {
+                        Some(c) => Lattice::Const(*c),
+                        None => Lattice::Over,
+                    },
+                    Value::Undef(_) => Lattice::Over,
+                    c => Lattice::Const(c),
+                }
+            };
+
+            exec_block[BlockId::ENTRY.index()] = true;
+            work.push_back(BlockId::ENTRY);
+
+            // Fixpoint iteration: process the worklist, then — because lattice
+            // changes must reach *users* (not just CFG successors) — re-seed the
+            // worklist with every executable block until nothing changes. This is
+            // less efficient than SSA-edge-driven SCCP but cannot miss updates.
+            let mut rounds = 0usize;
+            let mut global_change = true;
+            while global_change {
+                rounds += 1;
+                // Each round performs at least one lattice lowering and every
+                // instruction can lower at most twice, so this bound is never hit;
+                // it only guards against bugs, and on trigger we discard the
+                // solution entirely (a stale partial solution would be unsound).
+                if rounds > 4 * f.insts.len() + 64 {
+                    return HashMap::new();
+                }
+                global_change = false;
+                if work.is_empty() {
+                    for (i, &exec) in exec_block.iter().enumerate() {
+                        if exec {
+                            work.push_back(BlockId(i as u32));
+                        }
+                    }
+                }
+
+                while let Some(b) = work.pop_front() {
+                    let blk = f.block(b);
+                    let mut any_change = false;
+                    for &id in &blk.insts {
+                        let inst = f.inst(id);
+                        let old = lattice.get(&id).copied().unwrap_or(Lattice::Unknown);
+                        if old == Lattice::Over {
+                            continue;
+                        }
+                        let new = match &inst.kind {
+                            InstKind::Phi { incomings } => {
+                                let mut l = Lattice::Unknown;
+                                for (p, v) in incomings {
+                                    if exec_edge.contains(&(*p, b)) {
+                                        l = l.meet(value_lattice(*v, &lattice));
+                                    }
+                                }
+                                l
+                            }
+                            k if k.is_pure() || matches!(k, InstKind::Bin { .. }) => {
+                                // Gather operand lattices; fold when all constant.
+                                let mut any_unknown = false;
+                                let mut any_over = false;
+                                k.for_each_operand(|v| match value_lattice(v, &lattice) {
+                                    Lattice::Unknown => any_unknown = true,
+                                    Lattice::Over => any_over = true,
+                                    Lattice::Const(_) => {}
+                                });
+                                if any_over {
+                                    Lattice::Over
+                                } else if any_unknown {
+                                    Lattice::Unknown
+                                } else {
+                                    // Substitute constants and fold.
+                                    let mut kind = k.clone();
+                                    kind.map_operands(|v| match value_lattice(v, &lattice) {
+                                        Lattice::Const(c) => c,
+                                        _ => v,
+                                    });
+                                    match fold_constant(&kind, inst.ty) {
+                                        Some(c) => Lattice::Const(c),
+                                        None => Lattice::Over,
+                                    }
+                                }
+                            }
+                            _ => Lattice::Over,
+                        };
+                        let merged = old.meet(new);
+                        if merged != old {
+                            lattice.insert(id, merged);
+                            any_change = true;
+                        }
+                    }
+
+                    // Decide outgoing edges.
+                    let mark_edge =
+                        |from: BlockId,
+                         to: BlockId,
+                         exec_edge: &mut HashSet<(BlockId, BlockId)>,
+                         exec_block: &mut Vec<bool>,
+                         work: &mut VecDeque<BlockId>| {
+                            let newly_edge = exec_edge.insert((from, to));
+                            let newly_block = !exec_block[to.index()];
+                            if newly_block {
+                                exec_block[to.index()] = true;
+                            }
+                            if newly_edge || newly_block {
+                                work.push_back(to);
+                            }
+                        };
+                    match &blk.term {
+                        Terminator::Br(t) => {
+                            mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work)
+                        }
+                        Terminator::CondBr {
+                            cond,
+                            then_bb,
+                            else_bb,
+                            ..
+                        } => match value_lattice(*cond, &lattice) {
+                            Lattice::Const(c) => {
+                                let t = if c.as_const_int().unwrap_or(0) != 0 {
+                                    *then_bb
+                                } else {
+                                    *else_bb
+                                };
+                                mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                            }
+                            Lattice::Unknown => {}
+                            Lattice::Over => {
+                                mark_edge(b, *then_bb, &mut exec_edge, &mut exec_block, &mut work);
+                                mark_edge(b, *else_bb, &mut exec_edge, &mut exec_block, &mut work);
+                            }
+                        },
+                        Terminator::Switch {
+                            val,
+                            cases,
+                            default,
+                        } => match value_lattice(*val, &lattice) {
+                            Lattice::Const(c) => {
+                                let cv = c.as_const_int().unwrap_or(0);
+                                let t = cases
+                                    .iter()
+                                    .find(|(k, _)| *k == cv)
+                                    .map(|(_, b)| *b)
+                                    .unwrap_or(*default);
+                                mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut work);
+                            }
+                            Lattice::Unknown => {}
+                            Lattice::Over => {
+                                for (_, t) in cases {
+                                    mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut work);
+                                }
+                                mark_edge(b, *default, &mut exec_edge, &mut exec_block, &mut work);
+                            }
+                        },
+                        _ => {}
+                    }
+                    if any_change {
+                        global_change = true;
+                        // Revisit executable successors so phis see updates quickly.
+                        for &s in &cfg.succs[b.index()] {
+                            if exec_edge.contains(&(b, s)) {
+                                work.push_back(s);
+                            }
+                        }
+                    }
+                }
+            }
+
+            lattice
+                .into_iter()
+                .filter_map(|(id, l)| match l {
+                    Lattice::Const(v) => Some((id, v)),
+                    _ => None,
+                })
+                .collect()
+        }
     }
 }
