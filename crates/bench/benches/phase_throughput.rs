@@ -50,10 +50,13 @@ fn bench(c: &mut Criterion) {
 /// without changing anything, so they measure the fixed cost of a phase
 /// run, as does building def-use chains for every function. `loop-load-elim`,
 /// `dse` and `adce` on unrolled `x264` time the phases that ask the shared
-/// memory-effect queries on every instruction. The `snapshot` ids run eight
-/// phases that change nothing on unrolled `x264`, once as one-shot calls
-/// (a module copy each) and once through one sandbox session (one copy in
-/// all): the gap is the cost of seven snapshot copies.
+/// memory-effect queries on every instruction. `simplifycfg`, `licm`,
+/// `reassociate`, `sroa` and `loop-rotate` on unrolled `x264` time the
+/// phases whose cost grows fastest with the IR in RL training. The
+/// `snapshot` ids run eight phases that change nothing on unrolled `x264`,
+/// once as one-shot calls (a module copy each) and once through one
+/// sandbox session (one copy in all): the gap is the cost of seven
+/// snapshot copies.
 fn bench_in_situ(c: &mut Criterion) {
     /// Phases that leave `x264+loop-unroll` unchanged.
     const UNCHANGED: [&str; 8] = [
@@ -87,6 +90,11 @@ fn bench_in_situ(c: &mut Criterion) {
                 "loop-load-elim",
                 "dse",
                 "adce",
+                "simplifycfg",
+                "licm",
+                "reassociate",
+                "sroa",
+                "loop-rotate",
             ][..],
         ),
         (

@@ -302,6 +302,49 @@ mod tests {
         r#"loop-sink on janne_complex after ["sroa", "loop-unroll", "instcombine"]"#,
     ];
 
+    /// Runs each of `phases` sandboxed on every suite state of more than
+    /// `min_insts` and at most `max_insts` instructions, and hashes the
+    /// `Debug` text of its outputs, arena included. Returns one FNV-1a
+    /// hash per phase, the quarantined runs as `phase on state`, and the
+    /// number of states.
+    fn fingerprint_phases(
+        phases: &[&'static str],
+        min_insts: usize,
+        max_insts: usize,
+    ) -> (Vec<u64>, Vec<(&'static str, String)>, usize) {
+        use std::fmt::Write;
+        let pm = crate::PassManager::new();
+        let mut hashes = vec![Fnv1a(0xcbf2_9ce4_8422_2325); phases.len()];
+        let mut quarantined = Vec::new();
+        let mut states = 0;
+        crate::suite_states::for_each_suite_state(max_insts, |state, label| {
+            if state.total_insts() <= min_insts {
+                return;
+            }
+            states += 1;
+            for (&name, hash) in phases.iter().zip(&mut hashes) {
+                let mut m = state.clone();
+                let outcome = pm.run_phase_sandboxed(&mut m, name, None, name).unwrap();
+                if let crate::PhaseOutcome::Quarantined(_) = outcome {
+                    quarantined.push((name, format!("{name} on {label}")));
+                }
+                write!(hash, "{m:?}").unwrap();
+            }
+        });
+        (hashes.iter().map(|h| h.0).collect(), quarantined, states)
+    }
+
+    /// Panics with the table to paste when `got` is not `want`.
+    fn assert_fingerprints(got: &[u64], want: &[u64], states: usize) {
+        if got != want {
+            let table: String = got
+                .iter()
+                .map(|h| format!("        {h:#018x},\n"))
+                .collect();
+            panic!("phase outputs changed on {states} states; new table:\n{table}");
+        }
+    }
+
     /// Runs every phase sandboxed on every suite state and hashes the
     /// `Debug` text of its outputs, arena included, so that a rewrite
     /// which changes any phase's output on these states fails here. To
@@ -312,30 +355,9 @@ mod tests {
     /// quarantines are checked against `QUARANTINES` as well.
     #[test]
     fn phase_outputs_match_the_recorded_fingerprints() {
-        use std::fmt::Write;
-        let pm = crate::PassManager::new();
-        let mut hashes = [Fnv1a(0xcbf2_9ce4_8422_2325); PHASE_COUNT];
-        let mut quarantined: Vec<(&str, String)> = Vec::new();
-        let states =
-            crate::suite_states::for_each_suite_state(FINGERPRINT_MAX_INSTS, |state, label| {
-                for (name, hash) in PHASE_NAMES.iter().zip(&mut hashes) {
-                    let mut m = state.clone();
-                    let outcome = pm.run_phase_sandboxed(&mut m, name, None, name).unwrap();
-                    if let crate::PhaseOutcome::Quarantined(_) = outcome {
-                        quarantined.push((name, format!("{name} on {label}")));
-                    }
-                    write!(hash, "{m:?}").unwrap();
-                }
-            });
+        let (got, quarantined, states) = fingerprint_phases(&PHASE_NAMES, 0, FINGERPRINT_MAX_INSTS);
         assert!(states >= 300, "only {states} states checked");
-        let got = hashes.map(|h| h.0);
-        if got != FINGERPRINTS {
-            let table: String = got
-                .iter()
-                .map(|h| format!("        {h:#018x},\n"))
-                .collect();
-            panic!("phase outputs changed on {states} states; new table:\n{table}");
-        }
+        assert_fingerprints(&got, &FINGERPRINTS, states);
         if quarantined
             .iter()
             .map(|(_, run)| run.as_str())
@@ -347,5 +369,62 @@ mod tests {
             }
             panic!("quarantines per phase on {states} states: {counts:?}\n{quarantined:#?}");
         }
+    }
+
+    /// `phase_outputs_match_the_recorded_fingerprints` for the 44 states it
+    /// leaves out, those over `FINGERPRINT_MAX_INSTS` instructions (unrolled
+    /// states, up to 7,235 instructions). `simplifycfg`, `licm`,
+    /// `loop-rotate`, `reassociate`, `loop-vectorize`, `globalopt` and
+    /// `globals-aa` rewrite some of them; the other eight change none, and
+    /// the table pins that too. No run is quarantined. Release builds only
+    /// (about 5 s): the cost grows with the states' size.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn phase_outputs_on_large_states_match_the_recorded_fingerprints() {
+        /// The phases that re-analyse after each rewrite, decide loop shape,
+        /// or ask which global a pointer is derived from.
+        const LARGE_STATE_PHASES: [&str; 15] = [
+            "globalopt",
+            "globals-aa",
+            "indvars",
+            "jump-threading",
+            "licm",
+            "loop-deletion",
+            "loop-distribute",
+            "loop-idiom",
+            "loop-rotate",
+            "loop-unroll",
+            "loop-unswitch",
+            "loop-vectorize",
+            "mldst-motion",
+            "reassociate",
+            "simplifycfg",
+        ];
+
+        /// FNV-1a of each `LARGE_STATE_PHASES` phase's outputs on the suite
+        /// states over `FINGERPRINT_MAX_INSTS`, in that order.
+        const LARGE_STATE_FINGERPRINTS: [u64; 15] = [
+            0x0ab5e4fba176bdb6,
+            0x9a508602e417e063,
+            0x65a90cadb9d290aa,
+            0x65a90cadb9d290aa,
+            0x4876667d0b084998,
+            0x65a90cadb9d290aa,
+            0x65a90cadb9d290aa,
+            0x65a90cadb9d290aa,
+            0xe3b5bd37da21a0cf,
+            0x65a90cadb9d290aa,
+            0x65a90cadb9d290aa,
+            0x71f31ad09df336aa,
+            0x65a90cadb9d290aa,
+            0x154d5afed59ebba1,
+            0x5ab058cb4e6c2818,
+        ];
+
+        let (got, quarantined, states) =
+            fingerprint_phases(&LARGE_STATE_PHASES, FINGERPRINT_MAX_INSTS, usize::MAX);
+        assert!(states >= 40, "only {states} states checked");
+        assert_fingerprints(&got, &LARGE_STATE_FINGERPRINTS, states);
+        assert_eq!(quarantined, [], "quarantined on {states} states");
     }
 }
