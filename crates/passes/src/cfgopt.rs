@@ -1,7 +1,7 @@
 //! Control-flow phases: `simplifycfg`, `jump-threading` and
 //! `callsite-splitting`.
 
-use crate::util::{remove_unreachable_blocks, split_block_after, trivial_dce};
+use crate::util::{remove_unreachable_blocks, split_block_after, trivial_dce, until_stable};
 use mlcomp_ir::analysis::{Cfg, DomTree};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
 
@@ -91,10 +91,7 @@ fn fold_constant_terminators(f: &mut Function) -> bool {
 }
 
 fn merge_block_chains(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut merged = false;
+    until_stable(f, Cfg::new, |f, cfg| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -127,21 +124,14 @@ fn merge_block_chains(f: &mut Function) -> bool {
             }
             f.block_mut(b).term = s_term;
             f.delete_block(s);
-            merged = true;
-            changed = true;
-            break; // CFG changed; recompute
+            return true;
         }
-        if !merged {
-            return changed;
-        }
-    }
+        false
+    })
 }
 
 fn remove_forwarding_blocks(f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut removed = false;
+    until_stable(f, Cfg::new, |f, cfg| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if b == BlockId::ENTRY || !cfg.reachable[b.index()] {
                 continue;
@@ -194,21 +184,19 @@ fn remove_forwarding_blocks(f: &mut Function) -> bool {
                 f.block_mut(p).term = term;
             }
             f.delete_block(b);
-            removed = true;
-            changed = true;
-            break;
+            return true;
         }
-        if !removed {
-            return changed;
-        }
-    }
+        false
+    })
 }
 
 fn ifs_to_selects(f: &mut Function) -> bool {
-    let mut changed = false;
-    'restart: loop {
+    let analyse = |f: &Function| {
         let cfg = Cfg::new(f);
         let dt = DomTree::new(&cfg);
+        (cfg, dt)
+    };
+    until_stable(f, analyse, |f, (cfg, dt)| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -244,15 +232,14 @@ fn ifs_to_selects(f: &mut Function) -> bool {
             ];
             for (join, then_from, else_from, dead) in shapes {
                 if let Some(j) = join.filter(|&j| j != b) {
-                    if try_select(f, &dt, b, cond, j, then_from, else_from, dead) {
-                        changed = true;
-                        continue 'restart;
+                    if try_select(f, cfg, dt, b, cond, j, then_from, else_from, dead) {
+                        return true;
                     }
                 }
             }
         }
-        return changed;
-    }
+        false
+    })
 }
 
 /// Value is usable at the end of `b` (constant, or defined in a block
@@ -273,10 +260,12 @@ fn usable_at(f: &Function, dt: &DomTree, b: BlockId, v: Value) -> bool {
 /// and from `else_from` otherwise, into `select`s at the end of `b`, which
 /// then branches straight to `j`; the empty `dead` arms are deleted. Fails
 /// unless `j`'s preds are exactly the two sources and every incoming value
-/// is usable at the end of `b`.
+/// is usable at the end of `b`. `cfg` and `dt` describe `f`: a failed try
+/// leaves its branches as they were.
 #[allow(clippy::too_many_arguments)]
 fn try_select(
     f: &mut Function,
+    cfg: &Cfg,
     dt: &DomTree,
     b: BlockId,
     cond: Value,
@@ -285,7 +274,6 @@ fn try_select(
     else_from: BlockId,
     dead: &[BlockId],
 ) -> bool {
-    let cfg = Cfg::new(f);
     let mut preds = cfg.preds[j.index()].clone();
     preds.sort();
     let mut expect = vec![then_from, else_from];
@@ -350,10 +338,7 @@ fn try_select(
 /// decides the branch, that predecessor jumps directly to the decided
 /// successor, skipping the block.
 pub fn jump_threading(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut threaded = false;
+    let changed = until_stable(f, Cfg::new, |f, cfg| {
         'blocks: for b in f.block_ids().collect::<Vec<_>>() {
             if b == BlockId::ENTRY || !cfg.reachable[b.index()] {
                 continue;
@@ -479,15 +464,11 @@ pub fn jump_threading(m: &Module, f: &mut Function) -> bool {
                     }
                 }
                 f.remove_phi_edges(b, p);
-                threaded = true;
-                changed = true;
-                break 'blocks;
+                return true;
             }
         }
-        if !threaded {
-            break;
-        }
-    }
+        false
+    });
     if changed {
         remove_unreachable_blocks(f);
         trivial_dce(m, f, false);

@@ -475,7 +475,7 @@ pub fn globalopt(m: &mut Module) -> bool {
                     } => escapes[g.index()] = true,
                     InstKind::Call { args, .. } => {
                         for a in args {
-                            if let Some(g) = global_value_root(f, *a) {
+                            if let Some(g) = global_root(f, *a) {
                                 escapes[g.index()] = true;
                                 written[g.index()] = true;
                             }
@@ -536,14 +536,6 @@ pub fn globalopt(m: &mut Module) -> bool {
 fn global_root(f: &Function, ptr: Value) -> Option<GlobalId> {
     match crate::util::mem_root(f, ptr) {
         crate::util::MemRoot::Global(g) => Some(g),
-        _ => None,
-    }
-}
-
-fn global_value_root(f: &Function, v: Value) -> Option<GlobalId> {
-    match v {
-        Value::Global(g) => Some(g),
-        Value::Inst(_) => global_root(f, v),
         _ => None,
     }
 }
@@ -773,18 +765,18 @@ pub fn globals_aa(m: &mut Module) -> bool {
                 match kind {
                     InstKind::Load { .. } | InstKind::Gep { .. } => {}
                     InstKind::Store { value, .. } => {
-                        if let Some(g) = global_value_root(f, *value) {
+                        if let Some(g) = global_root(f, *value) {
                             escaping.insert(g);
                         }
                     }
                     InstKind::Call { args, callee } => {
                         for a in args {
-                            if let Some(g) = global_value_root(f, *a) {
+                            if let Some(g) = global_root(f, *a) {
                                 escaping.insert(g);
                             }
                         }
                         if let Callee::Indirect(v) = callee {
-                            if let Some(g) = global_value_root(f, *v) {
+                            if let Some(g) = global_root(f, *v) {
                                 escaping.insert(g);
                             }
                         }

@@ -7,13 +7,18 @@
 //! which is what lets `licm` hoist loads; `indvars` canonicalizes exit
 //! conditions so `loop-unroll`/`loop-vectorize` can compute trip counts;
 //! `loop-idiom` needs `instcombine`-canonicalized address arithmetic.
+//!
+//! The questions these phases ask about a loop's shape are each answered
+//! by one function below (`private_exit`, `defines_live_out`,
+//! `header_phis`, `single_body`, ...), and the phases that rewrite one
+//! loop at a time re-analyse through `util::until_stable`.
 
 use crate::cse::{apply_replacements, forwarding_step, resolve};
 use crate::util::{
     clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce,
-    MemRoot,
+    until_stable, MemRoot,
 };
-use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, Loop, LoopForest};
+use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, Loop, LoopForest, UseSite};
 use mlcomp_ir::{
     BinOp, BlockId, CmpPred, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value,
 };
@@ -27,7 +32,8 @@ const UNROLL_MAX_TRIPS: u64 = 32;
 /// Maximum loop size cloned by `loop-unswitch`.
 const UNSWITCH_BUDGET: usize = 96;
 
-fn forest(f: &Function) -> (Cfg, DomTree, LoopForest) {
+/// The analyses the loop phases read: CFG, dominator tree and loop forest.
+pub(crate) fn forest(f: &Function) -> (Cfg, DomTree, LoopForest) {
     let cfg = Cfg::new(f);
     let dt = DomTree::new(&cfg);
     let lf = LoopForest::new(&cfg, &dt);
@@ -60,27 +66,136 @@ fn is_invariant(f: &Function, l: &Loop, v: Value) -> bool {
     }
 }
 
+/// Whether `id` has a use outside loop `l`.
+fn used_outside(du: &DefUse, l: &Loop, id: InstId) -> bool {
+    du.uses_of(id).iter().any(|u| !l.contains(u.block()))
+}
+
+/// Whether a value defined in one of `blocks`, all in loop `l`, is used
+/// outside `l`.
+fn defines_live_out<'a>(
+    f: &Function,
+    du: &DefUse,
+    l: &Loop,
+    mut blocks: impl Iterator<Item = &'a BlockId>,
+) -> bool {
+    blocks.any(|&b| f.block(b).insts.iter().any(|&id| used_outside(du, l, id)))
+}
+
+/// The loop's only exit block, when the header alone enters it (so the
+/// header is also the only exiting block).
+fn private_exit(cfg: &Cfg, l: &Loop) -> Option<BlockId> {
+    match l.exits[..] {
+        [exit] if cfg.preds[exit.index()] == [l.header] => Some(exit),
+        _ => None,
+    }
+}
+
+/// Whether block `b` has phis.
+fn has_phis(f: &Function, b: BlockId) -> bool {
+    f.block(b).insts.iter().any(|&i| f.inst(i).kind.is_phi())
+}
+
+/// The header's leading phis as `(phi, preheader incoming, latch
+/// incoming)`, or `None` when a phi lacks either incoming.
+fn header_phis(
+    f: &Function,
+    l: &Loop,
+    pre: BlockId,
+    latch: BlockId,
+) -> Option<Vec<(InstId, Value, Value)>> {
+    f.block(l.header)
+        .insts
+        .iter()
+        .take_while(|&&i| f.inst(i).kind.is_phi())
+        .map(|&p| {
+            let InstKind::Phi { incomings } = &f.inst(p).kind else {
+                unreachable!()
+            };
+            let from = |b: BlockId| incomings.iter().find(|(x, _)| *x == b).map(|(_, v)| *v);
+            Some((p, from(pre)?, from(latch)?))
+        })
+        .collect()
+}
+
+/// Whether `iv`, the phi of a trip count, is the only phi of `l`'s header.
+fn iv_is_only_phi(f: &Function, l: &Loop, iv: InstId) -> bool {
+    let mut phis = f
+        .block(l.header)
+        .insts
+        .iter()
+        .filter(|&&i| f.inst(i).kind.is_phi());
+    phis.next() == Some(&iv) && phis.next().is_none()
+}
+
+/// The body block and latch of a loop made of its header, one body block
+/// and a latch.
+pub(crate) fn single_body(l: &Loop) -> Option<(BlockId, BlockId)> {
+    let [latch] = l.latches[..] else { return None };
+    if l.blocks.len() != 3 {
+        return None;
+    }
+    let mut rest = l
+        .blocks
+        .iter()
+        .copied()
+        .filter(|&b| b != l.header && b != latch);
+    let body = rest.next()?;
+    rest.next().is_none().then_some((body, latch))
+}
+
+/// Replaces the uses of `def` in the blocks outside loop `l` with `with`;
+/// returns whether there were any.
+fn replace_uses_outside(f: &mut Function, l: &Loop, def: InstId, with: Value) -> bool {
+    let mut replaced = false;
+    let mut subst = |v: Value| {
+        if v == Value::Inst(def) {
+            replaced = true;
+            with
+        } else {
+            v
+        }
+    };
+    for b in f.block_ids().collect::<Vec<_>>() {
+        if l.contains(b) {
+            continue;
+        }
+        for &uid in &f.block(b).insts.clone() {
+            f.inst_mut(uid).kind.map_operands(&mut subst);
+        }
+        f.block_mut(b).term.map_operands(&mut subst);
+    }
+    replaced
+}
+
+/// Sends `from`, which enters loop `l` at its header, to the loop's `exit`
+/// instead (the exit's phis take their header incomings from `from`), and
+/// deletes the loop.
+fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
+    f.block_mut(from)
+        .term
+        .map_targets(|t| if t == l.header { exit } else { t });
+    f.rename_phi_pred(exit, l.header, from);
+    for &b in &l.blocks {
+        f.delete_block(b);
+    }
+    remove_unreachable_blocks(f);
+}
+
 /// `licm`: hoists loop-invariant pure computations to the preheader, and
 /// invariant loads when nothing in the loop can write the location and the
 /// load's block dominates every exiting block (so it is guaranteed to
 /// execute — the property `loop-rotate` establishes for body blocks).
 pub fn licm(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let (_cfg, dt, lf) = forest(f);
-        let mut hoisted = false;
+    let changed = until_stable(f, forest, |f, (_, dt, lf)| {
         for l in &lf.loops {
             // Materialize a preheader if the loop lacks one.
-            let pre = match l.preheader {
-                Some(p) => p,
-                None => {
-                    ensure_preheader(f, l.header, &l.blocks);
-                    hoisted = true; // CFG changed; restart analysis
-                    changed = true;
-                    break;
-                }
+            let Some(pre) = l.preheader else {
+                ensure_preheader(f, l.header, &l.blocks);
+                return true;
             };
             let write_roots = loop_effectful_roots(f, l);
+            let mut hoisted = false;
             for &b in &l.blocks {
                 let ids = f.block(b).insts.clone();
                 for id in ids {
@@ -109,18 +224,15 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
                         f.remove_from_block(b, id);
                         f.block_mut(pre).insts.push(id);
                         hoisted = true;
-                        changed = true;
                     }
                 }
             }
             if hoisted {
-                break; // re-analyze
+                return true;
             }
         }
-        if !hoisted {
-            break;
-        }
-    }
+        false
+    });
     changed | trivial_dce(m, f, false)
 }
 
@@ -128,15 +240,12 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
 /// into guarded do-while form (exit test in the latch), creating the
 /// body-dominates-latch property `licm` and `loop-load-elim` need.
 pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let (cfg, _dt, lf) = forest(f);
-        let mut rotated = false;
+    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
         for l in &lf.loops {
-            if l.latches.len() != 1 || l.header == l.latches[0] {
+            let [latch] = l.latches[..] else { continue };
+            if l.header == latch {
                 continue;
             }
-            let latch = l.latches[0];
             let Some(pre) = l.preheader else { continue };
             // Header must end in the loop's only exit test.
             let Terminator::CondBr {
@@ -155,58 +264,31 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             } else {
                 continue;
             };
-            if l.exiting.len() != 1 || l.exiting[0] != l.header {
-                continue;
-            }
             // Exit must be private to this loop exit and free of phis
             // (rotation changes its predecessor set).
-            if cfg.preds[exit.index()] != vec![l.header] {
-                continue;
-            }
-            if f.block(exit).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
+            if private_exit(cfg, l) != Some(exit) || has_phis(f, exit) {
                 continue;
             }
             // Latch must fall through to the header unconditionally.
             if !matches!(f.block(latch).term, Terminator::Br(t) if t == l.header) {
                 continue;
             }
+            // Phis: initial (preheader) and next-iteration (latch) values.
+            let Some(phis) = header_phis(f, l, pre, latch) else {
+                continue;
+            };
             // Header non-phi instructions must be pure (they get cloned).
-            let header_insts = f.block(l.header).insts.clone();
-            let phis: Vec<InstId> = header_insts
-                .iter()
-                .copied()
-                .take_while(|&i| f.inst(i).kind.is_phi())
-                .collect();
-            let body_insts: Vec<InstId> = header_insts[phis.len()..].to_vec();
+            let body_insts: Vec<InstId> = f.block(l.header).insts[phis.len()..].to_vec();
             if body_insts
                 .iter()
                 .any(|&i| !f.inst(i).kind.is_pure() || f.inst(i).kind.is_phi())
             {
                 continue;
             }
-
-            // Build substitution maps for phis: initial (preheader) and
-            // next-iteration (latch) values.
-            let mut init_map: HashMap<InstId, Value> = HashMap::new();
-            let mut next_map: HashMap<InstId, Value> = HashMap::new();
-            let mut ok = true;
-            for &p in &phis {
-                let InstKind::Phi { incomings } = &f.inst(p).kind else {
-                    unreachable!()
-                };
-                let init = incomings.iter().find(|(x, _)| *x == pre).map(|(_, v)| *v);
-                let next = incomings.iter().find(|(x, _)| *x == latch).map(|(_, v)| *v);
-                match (init, next) {
-                    (Some(i), Some(n)) => {
-                        init_map.insert(p, i);
-                        next_map.insert(p, n);
-                    }
-                    _ => ok = false,
-                }
-            }
-            if !ok {
-                continue;
-            }
+            let init_map: HashMap<InstId, Value> =
+                phis.iter().map(|&(p, init, _)| (p, init)).collect();
+            let next_map: HashMap<InstId, Value> =
+                phis.iter().map(|&(p, _, next)| (p, next)).collect();
 
             // Clone the header computation twice: into the preheader
             // (guard) and into the latch (next-iteration test).
@@ -256,18 +338,16 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             let latch_cond = subst_val(cond, &latch_map, &next_map);
 
             // Live-out fixup: values defined in the header (phis or pure
-            // insts) used outside the loop need merging phis in the exit.
+            // insts) used outside the loop need merging phis in the exit:
+            // (def, pre_version, latch_version).
             let du = DefUse::new(f);
-            let mut liveouts: Vec<(InstId, Value, Value)> = Vec::new(); // (def, pre_version, latch_version)
-            for &p in &phis {
-                let used_outside = du.uses_of(p).iter().any(|u| !l.contains(u.block()));
-                if used_outside {
-                    liveouts.push((p, init_map[&p], next_map[&p]));
-                }
-            }
+            let mut liveouts: Vec<(InstId, Value, Value)> = phis
+                .iter()
+                .copied()
+                .filter(|&(p, ..)| used_outside(&du, l, p))
+                .collect();
             for &i in &body_insts {
-                let used_outside = du.uses_of(i).iter().any(|u| !l.contains(u.block()));
-                if used_outside {
+                if used_outside(&du, l, i) {
                     liveouts.push((
                         i,
                         subst_val(Value::Inst(i), &guard_map, &init_map),
@@ -304,43 +384,15 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
                     },
                     ty,
                 ));
+                // Uses outside the loop take the phi, which is placed only
+                // afterwards so that its own incomings stay as they are.
+                replace_uses_outside(f, l, def, Value::Inst(phi));
                 f.block_mut(exit).insts.insert(0, phi);
-                // Replace uses outside the loop (and not the new phi).
-                let outside_blocks: Vec<BlockId> =
-                    f.block_ids().filter(|b| !l.contains(*b)).collect();
-                for ob in outside_blocks {
-                    for &uid in &f.block(ob).insts.clone() {
-                        if uid == phi {
-                            continue;
-                        }
-                        f.inst_mut(uid).kind.map_operands(|v| {
-                            if v == Value::Inst(def) {
-                                Value::Inst(phi)
-                            } else {
-                                v
-                            }
-                        });
-                    }
-                    let mut term = f.block(ob).term.clone();
-                    term.map_operands(|v| {
-                        if v == Value::Inst(def) {
-                            Value::Inst(phi)
-                        } else {
-                            v
-                        }
-                    });
-                    f.block_mut(ob).term = term;
-                }
             }
-
-            rotated = true;
-            changed = true;
-            break;
+            return true;
         }
-        if !rotated {
-            break;
-        }
-    }
+        false
+    });
     changed | trivial_dce(m, f, false)
 }
 
@@ -428,41 +480,11 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
         };
         let final_val = start + (trips as i64) * tc.step;
         let du = DefUse::new(f);
-        let outside_uses: Vec<BlockId> = du
-            .uses_of(tc.iv_phi)
-            .iter()
-            .map(|u| u.block())
-            .filter(|b| !l.contains(*b))
-            .collect();
-        if outside_uses.is_empty() {
+        if !used_outside(&du, l, tc.iv_phi) {
             continue;
         }
         let ty = f.inst(tc.iv_phi).ty;
-        for ob in f.block_ids().collect::<Vec<_>>() {
-            if l.contains(ob) {
-                continue;
-            }
-            for &uid in &f.block(ob).insts.clone() {
-                f.inst_mut(uid).kind.map_operands(|v| {
-                    if v == Value::Inst(tc.iv_phi) {
-                        changed = true;
-                        Value::ConstInt(final_val, ty)
-                    } else {
-                        v
-                    }
-                });
-            }
-            let mut term = f.block(ob).term.clone();
-            term.map_operands(|v| {
-                if v == Value::Inst(tc.iv_phi) {
-                    changed = true;
-                    Value::ConstInt(final_val, ty)
-                } else {
-                    v
-                }
-            });
-            f.block_mut(ob).term = term;
-        }
+        changed |= replace_uses_outside(f, l, tc.iv_phi, Value::ConstInt(final_val, ty));
     }
     changed | trivial_dce(m, f, false)
 }
@@ -471,13 +493,10 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
 /// trip counts, substituting the induction variable with constants and
 /// threading accumulator phis through the copies.
 pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let (cfg, _dt, lf) = forest(f);
+    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
         // Built on the first candidate that needs it: `f` stays unchanged
-        // until an unroll, after which the forest is rebuilt.
+        // until an unroll, which ends the step.
         let mut du: Option<DefUse> = None;
-        let mut unrolled = false;
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
             let Some(trips) = tc.const_trips else {
@@ -487,10 +506,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             if trips > UNROLL_MAX_TRIPS || trips as usize * size > UNROLL_BUDGET {
                 continue;
             }
-            if l.latches.len() != 1 || l.exiting.len() != 1 || l.exiting[0] != l.header {
-                continue;
-            }
-            let latch = l.latches[0];
+            let [latch] = l.latches[..] else { continue };
             // The latch must fall through to the header unconditionally —
             // in a nested loop the latch can simultaneously be an inner
             // loop's header, whose conditional terminator must survive.
@@ -498,22 +514,14 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                 continue;
             }
             let Some(pre) = l.preheader else { continue };
-            if l.exits.len() != 1 {
+            let Some(exit) = private_exit(cfg, l) else {
                 continue;
-            }
-            let exit = l.exits[0];
-            if cfg.preds[exit.index()] != vec![l.header] {
-                continue;
-            }
+            };
             // Header: phis + the exit compare only.
-            let header_insts = f.block(l.header).insts.clone();
-            let phis: Vec<InstId> = header_insts
-                .iter()
-                .copied()
-                .take_while(|&i| f.inst(i).kind.is_phi())
-                .collect();
-            let rest: Vec<InstId> = header_insts[phis.len()..].to_vec();
-            if rest.len() != 1 || rest[0] != tc.cmp {
+            let Some(phis) = header_phis(f, l, pre, latch) else {
+                continue;
+            };
+            if f.block(l.header).insts[phis.len()..] != [tc.cmp] {
                 continue;
             }
             // The exit compare must feed only the header terminator;
@@ -522,27 +530,17 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             if !du
                 .uses_of(tc.cmp)
                 .iter()
-                .all(|u| matches!(u, mlcomp_ir::analysis::UseSite::Term(b) if *b == l.header))
+                .all(|u| matches!(u, UseSite::Term(b) if *b == l.header))
             {
                 continue;
             }
-            // No values from non-header loop blocks may be used outside.
-            let mut ok = true;
-            for &b in &l.blocks {
-                if b == l.header {
-                    continue;
-                }
-                for &id in &f.block(b).insts {
-                    if du.uses_of(id).iter().any(|u| !l.contains(u.block())) {
-                        ok = false;
-                    }
-                }
-            }
-            // Exit block must not have phis that reference loop internals
-            // other than header phis (header-phi uses handled below).
-            if !ok {
+            // No values from non-header loop blocks may be used outside
+            // (header phis get their final values below).
+            let body_blocks = l.blocks.iter().filter(|&&b| b != l.header);
+            if defines_live_out(f, du, l, body_blocks) {
                 continue;
             }
+
             // Body region: loop blocks minus header, entered at the
             // header's in-loop successor.
             let Terminator::CondBr {
@@ -566,26 +564,9 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                 .filter(|&b| b != l.header)
                 .collect();
 
-            // Per-phi current value, starting with the init incoming.
-            let mut cur: HashMap<InstId, Value> = HashMap::new();
-            let mut latch_in: HashMap<InstId, Value> = HashMap::new();
-            for &p in &phis {
-                let InstKind::Phi { incomings } = &f.inst(p).kind else {
-                    unreachable!()
-                };
-                let init = incomings.iter().find(|(x, _)| *x == pre).map(|(_, v)| *v);
-                let next = incomings.iter().find(|(x, _)| *x == latch).map(|(_, v)| *v);
-                match (init, next) {
-                    (Some(i), Some(n)) => {
-                        cur.insert(p, i);
-                        latch_in.insert(p, n);
-                    }
-                    _ => ok = false,
-                }
-            }
-            if !ok {
-                continue;
-            }
+            // Per-phi current value, starting with the preheader incoming.
+            let mut cur: HashMap<InstId, Value> =
+                phis.iter().map(|&(p, init, _)| (p, init)).collect();
 
             let mut link = pre; // block that branches into the next copy
             for _k in 0..trips {
@@ -628,8 +609,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                 // Advance phi values to the latch incomings, remapped into
                 // this copy.
                 let mut next_cur = HashMap::new();
-                for &p in &phis {
-                    let nv = latch_in[&p];
+                for &(p, _, nv) in &phis {
                     let remapped = match nv {
                         Value::Inst(i) => {
                             if let Some(c) = cur.get(&i) {
@@ -646,33 +626,19 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
                 }
                 cur = next_cur;
             }
-            // Final link goes to the exit.
-            let mut term = f.block(link).term.clone();
-            term.map_targets(|t| if t == l.header { exit } else { t });
-            f.block_mut(link).term = term;
-
             // Outside uses of header phis → final values; of the compare →
             // false (loop exited).
-            for &p in &phis {
+            for &(p, ..) in &phis {
                 let fv = cur[&p];
                 f.replace_all_uses(p, fv);
             }
             f.replace_all_uses(tc.cmp, Value::bool(false));
-            // Exit phis referencing the header as pred now come from link.
-            f.rename_phi_pred(exit, l.header, link);
-            // Delete the old loop blocks.
-            for &b in &l.blocks {
-                f.delete_block(b);
-            }
-            remove_unreachable_blocks(f);
-            unrolled = true;
-            changed = true;
-            break;
+            // The last copy leaves for the exit, and the old loop goes.
+            bypass_loop(f, l, link, exit);
+            return true;
         }
-        if !unrolled {
-            break;
-        }
-    }
+        false
+    });
     changed | trivial_dce(m, f, false)
 }
 
@@ -680,22 +646,15 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
 /// no calls, no loop-defined values used outside — and a provably finite
 /// trip count.
 pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let (cfg, _dt, lf) = forest(f);
-        let mut deleted = false;
+    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
         for l in &lf.loops {
             if l.trip_count(f).is_none() {
                 continue; // cannot prove termination
             }
             let Some(pre) = l.preheader else { continue };
-            if l.exits.len() != 1 || l.exiting.len() != 1 || l.exiting[0] != l.header {
+            let Some(exit) = private_exit(cfg, l) else {
                 continue;
-            }
-            let exit = l.exits[0];
-            if cfg.preds[exit.index()] != vec![l.header] {
-                continue;
-            }
+            };
             // No side effects at all inside.
             let effect_free = l.blocks.iter().all(|&b| {
                 f.block(b)
@@ -708,13 +667,7 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
             }
             // No loop value used outside.
             let du = DefUse::new(f);
-            let leaks = l.blocks.iter().any(|&b| {
-                f.block(b)
-                    .insts
-                    .iter()
-                    .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
-            });
-            if leaks {
+            if defines_live_out(f, &du, l, l.blocks.iter()) {
                 continue;
             }
             // Exit phis from the header must reference invariant values.
@@ -731,23 +684,11 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
             if !ok {
                 continue;
             }
-            // Retarget preheader straight to the exit.
-            let mut term = f.block(pre).term.clone();
-            term.map_targets(|t| if t == l.header { exit } else { t });
-            f.block_mut(pre).term = term;
-            f.rename_phi_pred(exit, l.header, pre);
-            for &b in &l.blocks {
-                f.delete_block(b);
-            }
-            remove_unreachable_blocks(f);
-            deleted = true;
-            changed = true;
-            break;
+            bypass_loop(f, l, pre, exit);
+            return true;
         }
-        if !deleted {
-            break;
-        }
-    }
+        false
+    });
     changed | trivial_dce(m, f, false)
 }
 
@@ -756,35 +697,19 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
 /// them with a `memset` intrinsic; the analogous load/store pattern
 /// becomes `memcpy`.
 pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let (cfg, _dt, lf) = forest(f);
-        let mut rewritten = false;
+    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
             if tc.step != 1 {
                 continue;
             }
             let Some(pre) = l.preheader else { continue };
-            if l.blocks.len() != 3 || l.latches.len() != 1 {
-                continue; // header + single body + latch
-            }
-            let latch = l.latches[0];
-            let body: Vec<BlockId> = l
-                .blocks
-                .iter()
-                .copied()
-                .filter(|&b| b != l.header && b != latch)
-                .collect();
-            let [body] = body.as_slice() else { continue };
-            let body = *body;
-            if l.exits.len() != 1 {
+            let Some((body, latch)) = single_body(l) else {
                 continue;
-            }
-            let exit = l.exits[0];
-            if cfg.preds[exit.index()] != vec![l.header] {
+            };
+            let Some(exit) = private_exit(cfg, l) else {
                 continue;
-            }
+            };
             // Latch must only advance the IV.
             let latch_ok = f.block(latch).insts.iter().all(|&id| {
                 matches!(&f.inst(id).kind, InstKind::Bin { op: BinOp::Add, lhs, .. }
@@ -834,28 +759,12 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
                 continue;
             };
             // Header phis: only the IV (an accumulator would change value).
-            let header_phis = f
-                .block(l.header)
-                .insts
-                .iter()
-                .filter(|&&i| f.inst(i).kind.is_phi())
-                .count();
-            if header_phis != 1 {
+            if !iv_is_only_phi(f, l, tc.iv_phi) {
                 continue;
             }
-            // No loop value used outside.
+            // No loop value used outside, and no exit phis fed by the loop.
             let du = DefUse::new(f);
-            let leaks = l.blocks.iter().any(|&b| {
-                f.block(b)
-                    .insts
-                    .iter()
-                    .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
-            });
-            if leaks {
-                continue;
-            }
-            // Exit must not have phis fed by the loop.
-            if f.block(exit).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
+            if defines_live_out(f, &du, l, l.blocks.iter()) || has_phis(f, exit) {
                 continue;
             }
 
@@ -929,21 +838,11 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
             let intr_id = f.add_inst(Inst::new(intr, Type::Void));
             f.block_mut(pre).insts.push(intr_id);
             // Bypass the loop.
-            let mut term = f.block(pre).term.clone();
-            term.map_targets(|t| if t == l.header { exit } else { t });
-            f.block_mut(pre).term = term;
-            for &b in &l.blocks {
-                f.delete_block(b);
-            }
-            remove_unreachable_blocks(f);
-            rewritten = true;
-            changed = true;
-            break;
+            bypass_loop(f, l, pre, exit);
+            return true;
         }
-        if !rewritten {
-            break;
-        }
-    }
+        false
+    });
     changed | trivial_dce(m, f, false)
 }
 
@@ -954,26 +853,18 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
 pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
     let mut changed = false;
     let (_cfg, _dt, lf) = forest(f);
-    'loops: for l in &lf.loops {
+    for l in &lf.loops {
         let size: usize = l.blocks.iter().map(|&b| f.block(b).insts.len()).sum();
         if size > UNSWITCH_BUDGET {
             continue;
         }
         let Some(pre) = l.preheader else { continue };
         // Exits must have no phis and no loop value may be used outside.
-        for &e in &l.exits {
-            if f.block(e).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
-                continue 'loops;
-            }
+        if l.exits.iter().any(|&e| has_phis(f, e)) {
+            continue;
         }
         let du = DefUse::new(f);
-        let leaks = l.blocks.iter().any(|&b| {
-            f.block(b)
-                .insts
-                .iter()
-                .any(|&id| du.uses_of(id).iter().any(|u| !l.contains(u.block())))
-        });
-        if leaks {
+        if defines_live_out(f, &du, l, l.blocks.iter()) {
             continue;
         }
         // Find an invariant conditional branch inside the loop (not the
@@ -1110,43 +1001,22 @@ pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
 pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
     let mut changed = false;
     let (cfg, _dt, lf) = forest(f);
-    'loops: for l in &lf.loops {
+    for l in &lf.loops {
         let Some(tc) = l.trip_count(f) else { continue };
         let Some(pre) = l.preheader else { continue };
-        if l.blocks.len() != 3 || l.latches.len() != 1 || l.exits.len() != 1 {
+        let Some((body, _)) = single_body(l) else {
             continue;
-        }
-        let latch = l.latches[0];
-        let exit = l.exits[0];
-        if cfg.preds[exit.index()] != vec![l.header] {
+        };
+        let Some(exit) = private_exit(&cfg, l) else {
             continue;
-        }
-        let body = *l
-            .blocks
-            .iter()
-            .find(|&&b| b != l.header && b != latch)
-            .unwrap();
+        };
         // Header: only the IV phi + compare.
-        let header_phis: Vec<InstId> = f
-            .block(l.header)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| f.inst(i).kind.is_phi())
-            .collect();
-        if header_phis != vec![tc.iv_phi] {
+        if !iv_is_only_phi(f, l, tc.iv_phi) {
             continue;
         }
         // No loop value used outside; exit has no phis.
         let du = DefUse::new(f);
-        for &b in &l.blocks {
-            for &id in &f.block(b).insts {
-                if du.uses_of(id).iter().any(|u| !l.contains(u.block())) {
-                    continue 'loops;
-                }
-            }
-        }
-        if f.block(exit).insts.iter().any(|&i| f.inst(i).kind.is_phi()) {
+        if defines_live_out(f, &du, l, l.blocks.iter()) || has_phis(f, exit) {
             continue;
         }
         // Partition body instructions into two independent store chains.
@@ -1245,7 +1115,6 @@ pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
         // The clone's header phis reference `pre` (cloned as-is); retarget
         // to the original header (which now acts as the clone's preheader).
         f.rename_phi_pred(header_clone, pre, l.header);
-        let _ = tc;
         changed = true;
         break;
     }

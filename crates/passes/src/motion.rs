@@ -1,7 +1,7 @@
 //! Code-motion phases: `speculative-execution`, `mldst-motion` and
 //! `memcpyopt`.
 
-use crate::util::trivial_dce;
+use crate::util::{trivial_dce, until_stable};
 use mlcomp_ir::analysis::Cfg;
 use mlcomp_ir::{Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
 
@@ -67,10 +67,8 @@ pub fn speculative_execution(m: &Module, f: &mut Function) -> bool {
 /// loads in both arms are hoisted to the predecessor; stores to the same
 /// address at the end of both arms are sunk into the join behind a phi.
 pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(f);
-        let mut local = false;
+    let changed = until_stable(f, Cfg::new, |f, cfg| {
+        let mut moved = false;
         for b in f.block_ids().collect::<Vec<_>>() {
             let Terminator::CondBr {
                 then_bb, else_bb, ..
@@ -126,8 +124,7 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
                         };
                         f.replace_all_uses(le, Value::Inst(lt));
                         f.block_mut(e).insts.remove(0);
-                        local = true;
-                        changed = true;
+                        moved = true;
                         continue;
                     }
                 }
@@ -188,17 +185,14 @@ pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
                             f.block_mut(join).insts.insert(pos, store);
                             f.block_mut(t).insts.pop();
                             f.block_mut(e).insts.pop();
-                            local = true;
-                            changed = true;
+                            moved = true;
                         }
                     }
                 }
             }
         }
-        if !local {
-            break;
-        }
-    }
+        moved
+    });
     changed | trivial_dce(m, f, false)
 }
 

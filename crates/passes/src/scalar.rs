@@ -3,7 +3,8 @@
 //! `div-rem-pairs`, `lower-expect`, `alignment-from-assumptions`.
 
 use crate::util::{
-    all_insts, fold_constant, mem_root, replace_and_remove, simplify_inst, trivial_dce, MemRoot,
+    all_insts, fold_constant, mem_root, replace_and_remove, simplify_inst, trivial_dce,
+    until_stable, MemRoot,
 };
 use mlcomp_ir::analysis::DefUse;
 use mlcomp_ir::{
@@ -334,10 +335,8 @@ pub fn aggressive_instcombine(m: &Module, f: &mut Function) -> bool {
 /// operations so they fold — `(x + C1) + C2 → x + (C1+C2)`,
 /// `(x + C) + y → (x + y) + C`.
 pub fn reassociate(m: &Module, f: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
+    let changed = until_stable(f, DefUse::new, |f, du| {
         let mut local = false;
-        let du = DefUse::new(f);
         for (_b, id) in all_insts(f) {
             let inst = f.inst(id);
             let (op, lhs, rhs, width) = match &inst.kind {
@@ -414,11 +413,8 @@ pub fn reassociate(m: &Module, f: &mut Function) -> bool {
                 }
             }
         }
-        if !local {
-            break;
-        }
-        changed = true;
-    }
+        local
+    });
     changed | instsimplify(m, f)
 }
 

@@ -1,6 +1,6 @@
 //! Shared machinery used by many phases: constant folding, algebraic
-//! simplification, trivial dead-code elimination, CFG cleanup, alias
-//! queries and region cloning.
+//! simplification, re-analysis after rewrites, trivial dead-code
+//! elimination, CFG cleanup, alias queries and region cloning.
 
 use mlcomp_ir::analysis::{Cfg, DefUse};
 use mlcomp_ir::{
@@ -200,6 +200,27 @@ pub fn simplify_inst(f: &Function, kind: &InstKind, ty: Type) -> Option<Value> {
             None
         }
         _ => None,
+    }
+}
+
+/// Runs `step` on `f` with fresh analyses from `analyse` until a step
+/// reports no rewrite, and returns whether any step rewrote `f`.
+///
+/// This is the one place a phase re-analyses after rewriting: a step makes
+/// the rewrites its analyses still describe and returns `true` to have
+/// them rebuilt before the next step.
+pub(crate) fn until_stable<A>(
+    f: &mut Function,
+    analyse: impl Fn(&Function) -> A,
+    mut step: impl FnMut(&mut Function, &A) -> bool,
+) -> bool {
+    let mut changed = false;
+    loop {
+        let analyses = analyse(f);
+        if !step(f, &analyses) {
+            return changed;
+        }
+        changed = true;
     }
 }
 

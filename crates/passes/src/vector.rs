@@ -10,8 +10,8 @@
 //! and effective instruction count — without introducing vector semantics
 //! into the IR. See DESIGN.md §2 for the substitution rationale.
 
+use crate::loops::{forest, single_body};
 use crate::util::{may_alias, mem_root, MemRoot};
-use mlcomp_ir::analysis::{Cfg, DomTree, LoopForest};
 use mlcomp_ir::{Function, InstId, InstKind, Module, Value};
 use std::collections::HashSet;
 
@@ -25,9 +25,7 @@ pub const VECTOR_WIDTH: u8 = 4;
 /// memory dependences: no location both loaded and stored through
 /// different addresses, no calls, no unknown pointer roots.
 pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
-    let lf = LoopForest::new(&cfg, &dt);
+    let (_cfg, _dt, lf) = forest(f);
     let mut changed = false;
 
     'loops: for l in &lf.loops {
@@ -44,15 +42,9 @@ pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
             continue;
         }
         // Single body block keeps the dependence analysis honest.
-        if l.blocks.len() != 3 || l.latches.len() != 1 {
+        let Some((body, _)) = single_body(l) else {
             continue;
-        }
-        let latch = l.latches[0];
-        let body = *l
-            .blocks
-            .iter()
-            .find(|&&b| b != l.header && b != latch)
-            .unwrap();
+        };
 
         // Dependence check: roots that are stored must not also be loaded
         // unless every access to that root is at offset exactly `iv`
