@@ -4,9 +4,10 @@
 //! `benchmark_group`/`bench_function`, `Bencher::iter`, [`black_box`] and
 //! the [`criterion_group!`]/[`criterion_main!`] macros — backed by a
 //! simple adaptive wall-clock timer instead of criterion's statistical
-//! machinery: each benchmark warms up briefly, then scales its iteration
-//! count to a target measurement window and reports mean time per
-//! iteration.
+//! machinery: each benchmark warms up briefly, scales its iteration count
+//! to a 40 ms measurement window, times five such windows, and reports the
+//! median time per iteration with the quartiles of the five, so that a
+//! reader can tell a difference between two runs from their spread.
 
 use std::time::{Duration, Instant};
 
@@ -75,6 +76,9 @@ impl Bencher {
     }
 }
 
+/// Measurement windows per benchmark.
+const WINDOWS: usize = 5;
+
 fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
     // Warm-up + calibration round.
     let mut b = Bencher {
@@ -83,20 +87,34 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
     };
     f(&mut b);
     let per_iter = b.elapsed.max(Duration::from_nanos(1));
-    // Aim for a ~200 ms measurement window, capped to keep suites quick.
-    let target = Duration::from_millis(200);
-    let iters = (target.as_nanos() / per_iter.as_nanos()).clamp(1, 100_000) as u64;
-    let mut b = Bencher {
-        iters,
-        elapsed: Duration::ZERO,
-    };
-    f(&mut b);
-    let mean_ns = b.elapsed.as_nanos() as f64 / b.iters as f64;
+    // Five ~40 ms windows: about the 200 ms one window took before.
+    let target = Duration::from_millis(40);
+    let iters = (target.as_nanos() / per_iter.as_nanos()).clamp(1, 20_000) as u64;
+    let mut per_iter_ns: Vec<f64> = (0..WINDOWS)
+        .map(|_| {
+            let mut b = Bencher {
+                iters,
+                elapsed: Duration::ZERO,
+            };
+            f(&mut b);
+            b.elapsed.as_nanos() as f64 / b.iters as f64
+        })
+        .collect();
+    per_iter_ns.sort_by(f64::total_cmp);
+    let [q1, median, q3] = [0.25, 0.5, 0.75].map(|q| quantile(&per_iter_ns, q));
     println!(
-        "{id:<48} {:>14}/iter   ({} iters)",
-        fmt_ns(mean_ns),
-        b.iters
+        "{id:<48} {:>11}/iter   [{} … {}]   ({WINDOWS} × {iters} iters)",
+        fmt_ns(median),
+        fmt_ns(q1),
+        fmt_ns(q3),
     );
+}
+
+/// The `q` quantile of ascending `sorted`, interpolating between ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -130,4 +148,19 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quantile;
+
+    #[test]
+    fn quartiles_of_five_windows_are_ranks_two_and_four() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(
+            [0.25, 0.5, 0.75].map(|q| quantile(&sorted, q)),
+            [2.0, 3.0, 4.0]
+        );
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+    }
 }

@@ -205,8 +205,12 @@ impl<'a> CompilerEnv<'a> {
         }
     }
 
-    fn observe(&self, module: &Module) -> (Vec<f64>, DynamicFeatures) {
-        let feats = mlcomp_features::extract(module);
+    /// The projected state and predicted dynamic features of the
+    /// session's module.
+    fn observe(&mut self) -> (Vec<f64>, DynamicFeatures) {
+        let session = self.session.as_mut().expect("reset opens a session");
+        let (module, cache) = session.analysed();
+        let feats = mlcomp_features::extract_cached(module, cache);
         let pred = self.estimator.predict(&feats);
         (self.projector.project(&feats.values), pred)
     }
@@ -226,8 +230,8 @@ impl Env for CompilerEnv<'_> {
         let module = self.programs[idx].module.clone();
         // Suite modules verify, which `Sandbox::run_phase` requires.
         debug_assert!(mlcomp_ir::verify(&module).is_ok());
-        let (state, pred) = self.observe(&module);
         self.session = Some(Sandbox::new(module));
+        let (state, pred) = self.observe();
         self.state = state.clone();
         self.last_pred = pred;
         self.inactive = 0;
@@ -251,8 +255,7 @@ impl Env for CompilerEnv<'_> {
             return (self.state.clone(), -0.01, done);
         }
         self.inactive = 0;
-        let session = self.session.as_ref().expect("step before reset");
-        let (state, pred) = self.observe(session.module());
+        let (state, pred) = self.observe();
         let reward = self.weights.reward(&self.last_pred, &pred);
         self.last_pred = pred;
         self.state = state.clone();
@@ -452,7 +455,8 @@ impl PhaseSequenceSelector {
         // precondition for every phase below.
         let valid = mlcomp_ir::verify(module).is_ok();
         while valid && applied.len() < self.config.max_seq_len {
-            let feats = mlcomp_features::extract(session.module());
+            let (module, cache) = session.analysed();
+            let feats = mlcomp_features::extract_cached(module, cache);
             let state = self.projector.project(&feats.values);
             let ranked = self.policy.ranked_actions(&state);
             let mut progressed = false;

@@ -28,7 +28,7 @@
 //! assert!(fv.get("n_int_add") >= 1.0);
 //! ```
 
-use mlcomp_ir::analysis::{CallGraph, Cfg, DomTree, LoopForest};
+use mlcomp_ir::analysis::AnalysisCache;
 use mlcomp_ir::{BinOp, InstKind, Module, Terminator, UnOp, Value};
 use serde::{Deserialize, Serialize};
 
@@ -142,6 +142,14 @@ impl FeatureVector {
 
 /// Extracts the full feature vector from a module.
 pub fn extract(m: &Module) -> FeatureVector {
+    extract_cached(m, &mut AnalysisCache::new())
+}
+
+/// [`extract`], taking the CFGs, loop forests and call graph from `cache`,
+/// which must describe `m`, and leaving what it builds there. Given a
+/// sandbox session's cache (`mlcomp_passes::Sandbox::analysed`), the
+/// session's next phase runs find them.
+pub fn extract_cached(m: &Module, cache: &mut AnalysisCache) -> FeatureVector {
     let mut c = Counters::default();
 
     for fid in m.function_ids() {
@@ -152,9 +160,7 @@ pub fn extract(m: &Module) -> FeatureVector {
         c.n_functions += 1.0;
         c.n_params_total += f.params.len() as f64;
 
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(&cfg);
-        let lf = LoopForest::new(&cfg, &dt);
+        let (cfg, _, lf) = cache.function(fid).loop_forest(f);
 
         c.n_loops += lf.loops.len() as f64;
         c.max_loop_depth = c.max_loop_depth.max(lf.max_depth() as f64);
@@ -303,7 +309,7 @@ pub fn extract(m: &Module) -> FeatureVector {
         }
     }
 
-    let cg = CallGraph::new(m);
+    let cg = cache.call_graph(m);
     for fid in m.function_ids() {
         if !m.function(fid).is_declaration && cg.is_recursive(fid) {
             c.n_recursive += 1.0;

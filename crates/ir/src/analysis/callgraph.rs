@@ -9,7 +9,7 @@ use std::collections::HashSet;
 ///
 /// Indirect calls contribute to [`CallGraph::has_indirect_calls`] but not to
 /// the edge lists; `called-value-propagation` tries to remove them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallGraph {
     /// `callees[f]` — functions called directly from `f` (with multiplicity).
     pub callees: Vec<Vec<FuncId>>,

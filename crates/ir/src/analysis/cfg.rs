@@ -8,7 +8,7 @@ use crate::function::Function;
 pub type RPO = Vec<BlockId>;
 
 /// Successor/predecessor maps plus reachability for one function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     /// `succs[b]` — successor blocks of `b`.
     pub succs: Vec<Vec<BlockId>>,

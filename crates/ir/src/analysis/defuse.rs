@@ -39,7 +39,7 @@ impl UseSite {
 /// terminators, count. Ids at or past the end of the arena the analysis
 /// was built over (instructions a pass adds afterwards) have no uses and
 /// no block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DefUse {
     /// `offsets[i]..offsets[i + 1]` is the range of `sites` holding the
     /// uses of instruction `i`; one entry per arena id plus one.

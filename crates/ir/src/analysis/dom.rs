@@ -4,7 +4,7 @@ use super::cfg::Cfg;
 use crate::block::BlockId;
 
 /// Immediate-dominator tree over the reachable blocks of a function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomTree {
     /// `idom[b]` — immediate dominator of `b`; the entry's idom is itself;
     /// `None` for unreachable blocks.

@@ -12,7 +12,7 @@ use crate::inst::{BinOp, CmpPred, InstId, InstKind};
 use crate::value::Value;
 
 /// A natural loop: a header dominating one or more latches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loop {
     /// The loop header (unique entry from inside the loop's perspective).
     pub header: BlockId,
@@ -53,7 +53,7 @@ pub struct TripCount {
 }
 
 /// All natural loops of a function.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopForest {
     /// Loops, outermost-first within each nest.
     pub loops: Vec<Loop>,

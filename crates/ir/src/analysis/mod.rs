@@ -1,11 +1,15 @@
 //! Analyses shared by the optimization phases: CFG, dominators, natural
 //! loops, call graph and def-use information.
 //!
-//! Analyses are computed on demand from a [`Function`](crate::Function) or
-//! [`Module`](crate::Module) snapshot; they are plain data and become stale
-//! as soon as the IR is mutated, so phases recompute them after structural
-//! changes (mirroring LLVM's analysis-invalidation discipline, without the
-//! caching machinery).
+//! Each analysis is plain data computed from a [`Function`](crate::Function)
+//! or [`Module`](crate::Module) and describes exactly the body it was built
+//! from. An [`AnalysisCache`] keeps them per function across phase runs, as
+//! LLVM's analysis managers keep what a pass preserves: a sandbox session
+//! holds one for its module and drops a function's entry only when that
+//! function's body changes. Phases read the cache through a [`Body`] or
+//! [`ModuleBody`], which serves the analyses of the body as the phase found
+//! it until the phase's first write and builds afresh after it; see the
+//! [`cache`] module for the rules.
 //!
 //! Nearly every phase run builds [`DefUse`], including the many runs that
 //! change nothing, so it is kept cheap: its use lists are dense arrays
@@ -18,12 +22,14 @@
 //! walk them as they are and produce the same output on every run,
 //! without copying or sorting them.
 
+pub mod cache;
 mod callgraph;
 mod cfg;
 mod defuse;
 mod dom;
 mod loops;
 
+pub use cache::{AnalysisCache, Body, CfgDom, CfgLoops, Fetch, FunctionAnalyses, ModuleBody};
 pub use callgraph::CallGraph;
 pub use cfg::{Cfg, RPO};
 pub use defuse::{DefUse, UseSite};

@@ -6,9 +6,9 @@
 //! needs: CFG integrity, phi/predecessor agreement, operand typing and SSA
 //! dominance.
 
-use crate::analysis::{Cfg, DomTree};
+use crate::analysis::{AnalysisCache, DomTree, FunctionAnalyses};
 use crate::block::{BlockId, Terminator};
-use crate::function::Function;
+use crate::function::{FuncId, Function};
 use crate::inst::{BinOp, InstId, InstKind};
 use crate::module::Module;
 use crate::types::Type;
@@ -63,8 +63,9 @@ pub fn verify(m: &Module) -> Result<(), VerifyError> {
 }
 
 /// Verifies `m`, a transformed copy of `before`, checking only what the
-/// transform could have broken. Returns exactly what [`verify`] returns
-/// on `m`, error included; debug builds assert that.
+/// transform could have broken, and makes `cache`, which describes
+/// `before`, describe `m`. Returns exactly what [`verify`] returns on `m`,
+/// error included; debug builds assert that.
 ///
 /// Precondition: `before` verifies.
 ///
@@ -74,12 +75,21 @@ pub fn verify(m: &Module) -> Result<(), VerifyError> {
 /// a function whose blocks, instructions and declaration flag are
 /// unchanged verifies as it did in `before`, so it cannot be the first to
 /// fail, and only the other functions are checked. Attributes and module
-/// metadata play no part. Otherwise this is [`verify`].
+/// metadata play no part. Otherwise every function is checked, as
+/// [`verify`] does.
+///
+/// The cache is updated by [`AnalysisCache::retain_unchanged`], and the
+/// CFG and dominator tree of each checked function become its entries.
 ///
 /// # Errors
 ///
 /// Returns the first violation found, as [`verify`] does.
-pub fn verify_changed(m: &Module, before: &Module) -> Result<(), VerifyError> {
+pub fn verify_changed(
+    m: &Module,
+    before: &Module,
+    cache: &mut AnalysisCache,
+) -> Result<(), VerifyError> {
+    let changed = cache.retain_unchanged(m, before);
     let same_interface = m.functions.len() == before.functions.len()
         && m.functions
             .iter()
@@ -90,20 +100,14 @@ pub fn verify_changed(m: &Module, before: &Module) -> Result<(), VerifyError> {
             .iter()
             .zip(&before.globals)
             .all(|(g, old)| g.deleted == old.deleted);
-    if !same_interface {
-        return verify(m);
-    }
-    let verdict = m
-        .functions
-        .iter()
-        .zip(&before.functions)
-        .filter(|(f, old)| {
-            !f.is_declaration
-                && (f.is_declaration != old.is_declaration
-                    || f.blocks != old.blocks
-                    || f.insts != old.insts)
-        })
-        .try_for_each(|(f, _)| verify_function(m, f));
+    let checked: Vec<FuncId> = match changed {
+        Some(changed) if same_interface => changed,
+        _ => m.function_ids().collect(),
+    };
+    let verdict = checked
+        .into_iter()
+        .filter(|&fid| !m.function(fid).is_declaration)
+        .try_for_each(|fid| check_function(m, m.function(fid), cache.function(fid)));
     debug_assert_eq!(
         verdict,
         verify(m),
@@ -118,6 +122,12 @@ pub fn verify_changed(m: &Module, before: &Module) -> Result<(), VerifyError> {
 ///
 /// Returns the first violation found in this function.
 pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
+    check_function(m, f, &FunctionAnalyses::default())
+}
+
+/// [`verify_function`], taking the CFG and dominator tree from `entry`,
+/// which describes `f`.
+fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<(), VerifyError> {
     let err = |block: Option<BlockId>, inst: Option<InstId>, message: String| VerifyError {
         function: f.name.clone(),
         block,
@@ -129,8 +139,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
         return Err(err(None, None, "missing or deleted entry block".into()));
     }
 
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+    let (cfg, dt) = entry.dom_tree(f);
 
     // Placement map + duplicate detection.
     let mut placed: HashMap<InstId, (BlockId, usize)> = HashMap::new();
@@ -242,7 +251,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     if failure.is_some() {
                         return;
                     }
-                    if let Some(e) = check_use(m, f, &placed, &dt, b, pos, v, || {
+                    if let Some(e) = check_use(m, f, &placed, dt, b, pos, v, || {
                         err(Some(b), Some(id), String::new())
                     }) {
                         failure = Some(e);
@@ -260,7 +269,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             if failure.is_some() {
                 return;
             }
-            if let Some(e) = check_use(m, f, &placed, &dt, b, usize::MAX, v, || {
+            if let Some(e) = check_use(m, f, &placed, dt, b, usize::MAX, v, || {
                 err(Some(b), None, String::new())
             }) {
                 failure = Some(e);
@@ -661,7 +670,7 @@ mod tests {
         // `main` returns `h + 1` before `h` is computed.
         let main = &mut m.functions[1];
         main.blocks[0].insts.reverse();
-        let e = verify_changed(&m, &before).unwrap_err();
+        let e = verify_changed(&m, &before, &mut AnalysisCache::new()).unwrap_err();
         assert_eq!(Err(e.clone()), verify(&m));
         assert_eq!(e.function, "main");
         assert!(e.message.contains("not dominated"), "{e}");
@@ -675,7 +684,7 @@ mod tests {
         // unchanged `main` now calls it with too few arguments.
         m.functions[0].params.push(Type::I64);
         assert_eq!(m.functions[1], before.functions[1]);
-        let e = verify_changed(&m, &before).unwrap_err();
+        let e = verify_changed(&m, &before, &mut AnalysisCache::new()).unwrap_err();
         assert_eq!(Err(e.clone()), verify(&m));
         assert_eq!(e.function, "main");
         assert!(e.message.contains("1 args, expected 2"), "{e}");
@@ -688,6 +697,9 @@ mod tests {
         // Attributes and metadata are no part of any function check.
         m.functions[0].attrs.readnone = true;
         m.meta.globals_aa_valid = true;
-        assert_eq!(verify_changed(&m, &before), Ok(()));
+        assert_eq!(
+            verify_changed(&m, &before, &mut AnalysisCache::new()),
+            Ok(())
+        );
     }
 }

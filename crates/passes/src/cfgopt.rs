@@ -2,14 +2,15 @@
 //! `callsite-splitting`.
 
 use crate::util::{remove_unreachable_blocks, split_block_after, trivial_dce, until_stable};
-use mlcomp_ir::analysis::{Cfg, DomTree};
+use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
+use std::borrow::Cow;
 
 /// `simplifycfg`: folds constant branches, removes trivially forwarding
 /// blocks, merges straight-line block chains, rewrites two-armed diamonds
 /// and triangles over empty blocks into `select`s, and deletes unreachable
 /// code. Runs to a fixed point.
-pub fn simplifycfg(m: &Module, f: &mut Function) -> bool {
+pub fn simplifycfg(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     loop {
         let mut local = false;
@@ -26,7 +27,7 @@ pub fn simplifycfg(m: &Module, f: &mut Function) -> bool {
     changed | trivial_dce(m, f, false)
 }
 
-fn fold_constant_terminators(f: &mut Function) -> bool {
+fn fold_constant_terminators(f: &mut Body) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         match f.block(b).term.clone() {
@@ -90,8 +91,8 @@ fn fold_constant_terminators(f: &mut Function) -> bool {
     changed
 }
 
-fn merge_block_chains(f: &mut Function) -> bool {
-    until_stable(f, Cfg::new, |f, cfg| {
+fn merge_block_chains(f: &mut Body) -> bool {
+    until_stable::<Cow<Cfg>>(f, |f, cfg| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -130,8 +131,8 @@ fn merge_block_chains(f: &mut Function) -> bool {
     })
 }
 
-fn remove_forwarding_blocks(f: &mut Function) -> bool {
-    until_stable(f, Cfg::new, |f, cfg| {
+fn remove_forwarding_blocks(f: &mut Body) -> bool {
+    until_stable::<Cow<Cfg>>(f, |f, cfg| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if b == BlockId::ENTRY || !cfg.reachable[b.index()] {
                 continue;
@@ -190,13 +191,8 @@ fn remove_forwarding_blocks(f: &mut Function) -> bool {
     })
 }
 
-fn ifs_to_selects(f: &mut Function) -> bool {
-    let analyse = |f: &Function| {
-        let cfg = Cfg::new(f);
-        let dt = DomTree::new(&cfg);
-        (cfg, dt)
-    };
-    until_stable(f, analyse, |f, (cfg, dt)| {
+fn ifs_to_selects(f: &mut Body) -> bool {
+    until_stable::<CfgDom>(f, |f, (cfg, dt)| {
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -337,8 +333,8 @@ fn try_select(
 /// feeding its conditional branch, and a predecessor's incoming value
 /// decides the branch, that predecessor jumps directly to the decided
 /// successor, skipping the block.
-pub fn jump_threading(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, Cfg::new, |f, cfg| {
+pub fn jump_threading(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<Cow<Cfg>>(f, |f, cfg| {
         'blocks: for b in f.block_ids().collect::<Vec<_>>() {
             if b == BlockId::ENTRY || !cfg.reachable[b.index()] {
                 continue;
@@ -375,7 +371,7 @@ pub fn jump_threading(m: &Module, f: &mut Function) -> bool {
             // defined in `b` over downstream uses. Every phi (and the cmp)
             // may therefore only be used inside `b` itself or as a
             // phi-incoming *along the edge from `b`* in a successor.
-            let du = mlcomp_ir::analysis::DefUse::new(f);
+            let du = f.analyse::<Cow<mlcomp_ir::analysis::DefUse>>();
             let mut defs_ok = true;
             'defs: for &id in &f.block(b).insts {
                 for site in du.uses_of(id) {
@@ -565,7 +561,7 @@ fn derive_for_pred(
 /// `callsite-splitting`: a call taking a `select(c, a, b)` argument is
 /// split into a conditional with two specialized call sites, exposing each
 /// constant argument to later interprocedural phases.
-pub fn callsite_splitting(m: &Module, f: &mut Function) -> bool {
+pub fn callsite_splitting(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     loop {
         let mut split_done = false;
@@ -683,7 +679,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(simplifycfg(&mc, &mut m.functions[0]));
+        assert!(simplifycfg(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_block_count(), 1);
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(1)));
@@ -702,7 +698,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(simplifycfg(&mc, &mut m.functions[0]));
+        assert!(simplifycfg(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert_eq!(f.live_block_count(), 1);
@@ -746,7 +742,7 @@ mod tests {
             let mut m = mb.build();
             let mc = m.clone();
             assert!(
-                simplifycfg(&mc, &mut m.functions[0]),
+                simplifycfg(&mc, &mut Body::from(&mut m.functions[0])),
                 "arm_is_then={arm_is_then}"
             );
             verify(&m).unwrap();
@@ -786,15 +782,15 @@ mod tests {
         let mut m = mb.build();
         verify(&m).unwrap();
         let mc = m.clone();
-        assert!(jump_threading(&mc, &mut m.functions[0]));
+        assert!(jump_threading(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(100)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-5)]), Some(RtVal::I(200)));
         // The remaining single-pred phi folds away once simplifycfg merges
         // the chain — the usual JT + simplifycfg pairing.
-        simplifycfg(&mc, &mut m.functions[0]);
-        crate::scalar::instsimplify(&mc, &mut m.functions[0]);
-        simplifycfg(&mc, &mut m.functions[0]);
+        simplifycfg(&mc, &mut Body::from(&mut m.functions[0]));
+        crate::scalar::instsimplify(&mc, &mut Body::from(&mut m.functions[0]));
+        simplifycfg(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(100)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-5)]), Some(RtVal::I(200)));
@@ -831,7 +827,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(callsite_splitting(&mc, &mut m.functions[1]));
+        assert!(callsite_splitting(
+            &mc,
+            &mut Body::from(&mut m.functions[1])
+        ));
         verify(&m).unwrap();
         let f = &m.functions[1];
         let calls = crate::util::all_insts(f)
@@ -860,7 +859,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(simplifycfg(&mc, &mut m.functions[0]));
+        assert!(simplifycfg(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_block_count(), 1);
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(3)));
@@ -880,7 +879,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(simplifycfg(&mc, &mut m.functions[0]));
+        assert!(simplifycfg(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_block_count(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(9)));

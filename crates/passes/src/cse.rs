@@ -15,7 +15,7 @@
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
 use crate::util::{may_alias, may_write_memory, mem_root, trivial_dce, MemRoot};
-use mlcomp_ir::analysis::{Cfg, DomTree};
+use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
 use mlcomp_ir::{
     BinOp, BlockId, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
 };
@@ -83,23 +83,23 @@ fn value_rank(v: Value) -> (u8, u64, u64) {
 
 /// Dominator-scoped CSE of pure expressions, plus block-local load reuse
 /// and store-to-load forwarding.
-pub fn early_cse(m: &Module, f: &mut Function) -> bool {
+pub fn early_cse(m: &Module, f: &mut Body) -> bool {
     run_cse(m, f, false, false)
 }
 
 /// [`early_cse`] plus cross-block load reuse backed by the reachability
 /// clobber analysis (the MemorySSA-powered variant in LLVM).
-pub fn early_cse_memssa(m: &Module, f: &mut Function) -> bool {
+pub fn early_cse_memssa(m: &Module, f: &mut Body) -> bool {
     run_cse(m, f, false, true)
 }
 
 /// Global value numbering: commutative-canonicalized scoped CSE plus
 /// cross-block load elimination.
-pub fn gvn(m: &Module, f: &mut Function) -> bool {
+pub fn gvn(m: &Module, f: &mut Body) -> bool {
     run_cse(m, f, true, true)
 }
 
-fn run_cse(m: &Module, f: &mut Function, canonicalize: bool, cross_block_loads: bool) -> bool {
+fn run_cse(m: &Module, f: &mut Body, canonicalize: bool, cross_block_loads: bool) -> bool {
     let mut changed = crate::util::remove_unreachable_blocks(f);
     let replacements = scoped_replacements(m, f, canonicalize);
     changed |= apply_replacements(f, &replacements);
@@ -112,9 +112,8 @@ fn run_cse(m: &Module, f: &mut Function, canonicalize: bool, cross_block_loads: 
 /// The dominator-tree walk of scoped CSE. Returns, per instruction id, the
 /// value that replaces it. Every recorded value is resolved through the
 /// earlier records, so no replacement value is itself replaced.
-fn scoped_replacements(m: &Module, f: &Function, canonicalize: bool) -> Vec<Option<Value>> {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Vec<Option<Value>> {
+    let (_, dt) = f.analyse::<CfgDom>();
     let children = dt.children();
     let mut replacements: Vec<Option<Value>> = vec![None; f.insts.len()];
 
@@ -210,7 +209,7 @@ pub(crate) fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
 
 /// Rewrites every use of a replaced instruction in one pass over the placed
 /// instructions and terminators, then unplaces the replaced instructions.
-pub(crate) fn apply_replacements(f: &mut Function, replacements: &[Option<Value>]) -> bool {
+pub(crate) fn apply_replacements(f: &mut Body, replacements: &[Option<Value>]) -> bool {
     if replacements.iter().all(Option::is_none) {
         return false;
     }
@@ -447,9 +446,8 @@ impl MemIndex {
 /// exception is a load whose value may be an address. Replacing it can
 /// change a pointer operand, a gep base or a memory root, so the scan
 /// rewinds to the first load with a fresh index.
-fn eliminate_cross_block_loads(m: &Module, f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+fn eliminate_cross_block_loads(m: &Module, f: &mut Body) -> bool {
+    let (cfg, dt) = f.analyse::<CfgDom>();
     let reach = Reach::new(&cfg);
     let mut changed = false;
     loop {
@@ -501,7 +499,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(early_cse(&mc, &mut m.functions[0]));
+        assert!(early_cse(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 2);
         assert_eq!(
@@ -529,7 +527,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        early_cse(&mc, &mut m.functions[0]);
+        early_cse(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(6)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-1)]), Some(RtVal::I(4)));
@@ -549,7 +547,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(early_cse(&mc, &mut m.functions[0]));
+        assert!(early_cse(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(!all_insts(f)
@@ -574,7 +572,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        early_cse(&mc, &mut m.functions[0]);
+        early_cse(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         let f = &m.functions[0];
         let loads = all_insts(f)
@@ -605,7 +603,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(early_cse_memssa(&mc, &mut m.functions[0]));
+        assert!(early_cse_memssa(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(!all_insts(f)
@@ -633,7 +631,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        early_cse_memssa(&mc, &mut m.functions[0]);
+        early_cse_memssa(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(2)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-1)]), Some(RtVal::I(1)));
@@ -656,11 +654,11 @@ mod tests {
 
         // early-cse misses it…
         let mut m2 = m.clone();
-        early_cse(&mc, &mut m2.functions[0]);
+        early_cse(&mc, &mut Body::from(&mut m2.functions[0]));
         assert_eq!(m2.functions[0].live_inst_count(), 3);
 
         // …gvn gets it.
-        assert!(gvn(&mc, &mut m.functions[0]));
+        assert!(gvn(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 2);
         assert_eq!(
@@ -690,7 +688,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        gvn(&mc, &mut m.functions[0]);
+        gvn(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(10)));
     }
@@ -714,7 +712,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(early_cse(&mc, &mut m.functions[0]));
+        assert!(early_cse(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(
             exec(&m, "f", &[RtVal::I(3), RtVal::I(4)]),
@@ -776,11 +774,11 @@ mod tests {
         });
         let mc = m.clone();
         let mut old = m.clone();
-        assert!(gvn(&mc, &mut m.functions[0]));
+        assert!(gvn(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(load_count(&m.functions[0]), 0);
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(5)));
-        assert!(oracle::gvn(&mc, &mut old.functions[0]));
+        assert!(oracle::gvn(&mc, &mut Body::from(&mut old.functions[0])));
         assert!(m == old, "the rewrite must match the oracle");
     }
 
@@ -803,8 +801,8 @@ mod tests {
             Some(Value::Param(0))
         );
         let mut old = m.clone();
-        assert!(gvn(&mc, &mut m.functions[0]));
-        assert!(oracle::gvn(&mc, &mut old.functions[0]));
+        assert!(gvn(&mc, &mut Body::from(&mut m.functions[0])));
+        assert!(oracle::gvn(&mc, &mut Body::from(&mut old.functions[0])));
         assert!(m == old, "the rewrite must match the oracle");
     }
 
@@ -936,7 +934,7 @@ mod tests {
             canonicalize: bool,
             cross_block_loads: bool,
         ) -> bool {
-            crate::util::remove_unreachable_blocks(f);
+            crate::util::remove_unreachable_blocks(&mut mlcomp_ir::analysis::Body::from(&mut *f));
             let cfg = Cfg::new(f);
             let dt = DomTree::new(&cfg);
             let children = dt.children();
@@ -1013,7 +1011,7 @@ mod tests {
             if cross_block_loads {
                 changed |= eliminate_cross_block_loads(m, f);
             }
-            changed | trivial_dce(m, f, false)
+            changed | trivial_dce(m, &mut mlcomp_ir::analysis::Body::from(f), false)
         }
 
         fn lookup(scopes: &[HashMap<ExprKey, Value>], key: ExprKey) -> Option<Value> {

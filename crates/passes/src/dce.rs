@@ -5,7 +5,8 @@ use crate::util::{
     all_insts, alloca_escapes, call_may_touch_memory, may_alias, may_write_memory, mem_root,
     remove_unreachable_blocks,
 };
-use mlcomp_ir::{Function, InstId, InstKind, Module, Value};
+use mlcomp_ir::analysis::Body;
+use mlcomp_ir::{InstId, InstKind, Module, Value};
 use std::collections::{HashSet, VecDeque};
 
 /// `adce`: liveness-propagating dead code elimination. Unlike the trivial
@@ -13,7 +14,7 @@ use std::collections::{HashSet, VecDeque};
 /// calls to `readnone` functions, and it seeds liveness only from
 /// observable effects: stores, effectful calls, memory intrinsics and
 /// terminator operands.
-pub fn adce(m: &Module, f: &mut Function) -> bool {
+pub fn adce(m: &Module, f: &mut Body) -> bool {
     let mut changed = remove_unreachable_blocks(f);
     let insts = all_insts(f);
     let mut live: HashSet<InstId> = HashSet::new();
@@ -60,7 +61,7 @@ pub fn adce(m: &Module, f: &mut Function) -> bool {
 /// `dse`: removes stores that are provably dead — overwritten before any
 /// potential read within the same block, or targeting a non-escaping
 /// alloca that is never loaded at all.
-pub fn dse(m: &Module, f: &mut Function) -> bool {
+pub fn dse(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
 
     // Whole-function: stores into never-read, non-escaping allocas.
@@ -151,7 +152,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(adce(&mc, &mut m.functions[0]));
+        assert!(adce(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 0);
     }
@@ -177,7 +178,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(adce(&mc, &mut m.functions[1]));
+        assert!(adce(&mc, &mut Body::from(&mut m.functions[1])));
         verify(&m).unwrap();
         assert_eq!(m.functions[1].live_inst_count(), 0);
     }
@@ -204,7 +205,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        adce(&mc, &mut m.functions[1]);
+        adce(&mc, &mut Body::from(&mut m.functions[1]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(1)), "call kept");
     }
@@ -224,7 +225,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(dse(&mc, &mut m.functions[0]));
+        assert!(dse(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         let stores = all_insts(f)
@@ -252,7 +253,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        dse(&mc, &mut m.functions[0]);
+        dse(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(3)));
     }
@@ -274,7 +275,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(dse(&mc, &mut m.functions[0]));
+        assert!(dse(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(!all_insts(f)
@@ -305,7 +306,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        dse(&mc, &mut m.functions[1]);
+        dse(&mc, &mut Body::from(&mut m.functions[1]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(42)));
     }
@@ -326,7 +327,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(adce(&mc, &mut m.functions[0]));
+        assert!(adce(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(3)]), Some(RtVal::I(1)));
     }

@@ -4,7 +4,7 @@
 //! `tailcallelim`.
 
 use crate::util::{all_insts, function_size, remove_unreachable_blocks, trivial_dce};
-use mlcomp_ir::analysis::CallGraph;
+use mlcomp_ir::analysis::{Body, ModuleBody};
 use mlcomp_ir::{
     BlockId, Callee, FuncId, Function, GlobalId, Inst, InstId, InstKind, Module, Terminator, Type,
     Value,
@@ -20,7 +20,7 @@ pub const INLINE_THRESHOLD: usize = 45;
 /// returns converge on a continuation block behind a phi, and entry-block
 /// allocas are re-homed to the caller's entry (as LLVM's inliner does, so
 /// loops around the call site do not grow the stack per iteration).
-pub fn inline(m: &mut Module) -> bool {
+pub fn inline(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     // Iterate until no more call sites qualify (bounded by caller growth).
     let mut rounds = 0;
@@ -29,7 +29,7 @@ pub fn inline(m: &mut Module) -> bool {
         if rounds > 8 {
             break;
         }
-        let cg = CallGraph::new(m);
+        let cg = m.call_graph();
         let mut site: Option<(FuncId, BlockId, InstId, FuncId)> = None;
         'search: for caller in m.function_ids() {
             if m.function(caller).is_declaration {
@@ -79,8 +79,9 @@ pub fn inline(m: &mut Module) -> bool {
         let snapshot = m.clone();
         for f in m.functions.iter_mut() {
             if !f.is_declaration {
-                remove_unreachable_blocks(f);
-                trivial_dce(&snapshot, f, false);
+                let mut f = Body::from(f);
+                remove_unreachable_blocks(&mut f);
+                trivial_dce(&snapshot, &mut f, false);
             }
         }
     }
@@ -193,8 +194,8 @@ fn inline_site(m: &mut Module, caller: FuncId, block: BlockId, call_id: InstId, 
 /// `argpromotion`: internal functions whose pointer parameter is only ever
 /// loaded (offset 0) get the loaded *value* instead; callers load before
 /// the call. Unlocks scalar optimization of by-reference parameters.
-pub fn argpromotion(m: &mut Module) -> bool {
-    let cg = CallGraph::new(m);
+pub fn argpromotion(m: &mut ModuleBody) -> bool {
+    let cg = m.call_graph();
     let mut changed = false;
     for target in m.function_ids().collect::<Vec<_>>() {
         let f = m.function(target);
@@ -304,8 +305,8 @@ pub fn argpromotion(m: &mut Module) -> bool {
 
 /// `deadargelim`: removes parameters of internal functions that no body
 /// instruction reads, rewriting all call sites.
-pub fn deadargelim(m: &mut Module) -> bool {
-    let cg = CallGraph::new(m);
+pub fn deadargelim(m: &mut ModuleBody) -> bool {
+    let cg = m.call_graph();
     let mut changed = false;
     for target in m.function_ids().collect::<Vec<_>>() {
         let f = m.function(target);
@@ -408,8 +409,8 @@ pub fn deadargelim(m: &mut Module) -> bool {
 /// `globaldce`: deletes internal functions unreachable from any root
 /// (externally visible function or address-taken function) and internal
 /// globals that are never referenced.
-pub fn globaldce(m: &mut Module) -> bool {
-    let cg = CallGraph::new(m);
+pub fn globaldce(m: &mut ModuleBody) -> bool {
+    let cg = m.call_graph();
     let mut changed = false;
     let roots: Vec<FuncId> = m
         .function_ids()
@@ -456,7 +457,7 @@ pub fn globaldce(m: &mut Module) -> bool {
 
 /// `globalopt`: internal globals that are never written become constants;
 /// loads of single-cell constant globals fold to their initializer.
-pub fn globalopt(m: &mut Module) -> bool {
+pub fn globalopt(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     let nglobals = m.globals.len();
     let mut written = vec![false; nglobals];
@@ -556,7 +557,7 @@ fn global_and_offset(f: &Function, ptr: Value) -> Option<(GlobalId, i64)> {
 
 /// `constmerge`: merges identical internal constant globals, rewriting all
 /// references to the surviving copy.
-pub fn constmerge(m: &mut Module) -> bool {
+pub fn constmerge(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     let mut canon: HashMap<Vec<i64>, GlobalId> = HashMap::new();
     let mut rewrite: HashMap<GlobalId, GlobalId> = HashMap::new();
@@ -606,7 +607,7 @@ pub fn constmerge(m: &mut Module) -> bool {
 /// `called-value-propagation`: indirect calls through a constant function
 /// address (directly or via a single-incoming phi/select chain) become
 /// direct calls.
-pub fn called_value_propagation(m: &mut Module) -> bool {
+pub fn called_value_propagation(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     for fi in m.function_ids().collect::<Vec<_>>() {
         let f = m.function_mut(fi);
@@ -670,8 +671,8 @@ fn resolve_fn_pointer(f: &Function, v: Value, depth: u32) -> Option<FuncId> {
 /// functions once nothing in the module calls them anymore (post-inlining)
 /// — in a real toolchain the external definition takes over at link time;
 /// here the body must be genuinely unused.
-pub fn elim_avail_extern(m: &mut Module) -> bool {
-    let cg = CallGraph::new(m);
+pub fn elim_avail_extern(m: &mut ModuleBody) -> bool {
+    let cg = m.call_graph();
     let mut changed = false;
     for fid in m.function_ids().collect::<Vec<_>>() {
         let f = m.function(fid);
@@ -694,7 +695,7 @@ pub fn elim_avail_extern(m: &mut Module) -> bool {
 /// handling, so the unwind half is trivially true for any function whose
 /// callees are all known; the `readnone` half is what unlocks DCE and CSE
 /// around calls (see DESIGN.md §2).
-pub fn prune_eh(m: &mut Module) -> bool {
+pub fn prune_eh(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     // Fixed-point: a function is readnone if it has no memory effects and
     // only calls readnone functions (self-calls allowed).
@@ -756,7 +757,7 @@ pub fn prune_eh(m: &mut Module) -> bool {
 /// `globals-aa`: records which globals never escape (their address is only
 /// used for direct loads/stores/geps) in module metadata; the memory
 /// phases consult this to disambiguate global accesses from calls.
-pub fn globals_aa(m: &mut Module) -> bool {
+pub fn globals_aa(m: &mut ModuleBody) -> bool {
     let mut escaping: HashSet<GlobalId> = HashSet::new();
     for f in &m.functions {
         for b in f.block_ids() {
@@ -811,7 +812,7 @@ pub fn globals_aa(m: &mut Module) -> bool {
 /// `tailcallelim`: rewrites direct self-recursive tail calls into a loop —
 /// the entry becomes a dispatch block, parameters become phis, and each
 /// tail call becomes a back edge carrying its arguments.
-pub fn tailcallelim(m: &mut Module) -> bool {
+pub fn tailcallelim(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     for fid in m.function_ids().collect::<Vec<_>>() {
         let f = m.function(fid);
@@ -934,7 +935,7 @@ pub fn tailcallelim(m: &mut Module) -> bool {
         let snapshot = m.clone();
         for f in m.functions.iter_mut() {
             if !f.is_declaration {
-                trivial_dce(&snapshot, f, false);
+                trivial_dce(&snapshot, &mut Body::from(f), false);
             }
         }
     }
@@ -971,7 +972,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut m));
+        assert!(inline(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(2)]), Some(RtVal::I(16)));
         let fid = m.find_function("f").unwrap();
@@ -1006,7 +1007,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut m));
+        assert!(inline(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(-5)]), Some(RtVal::I(6)));
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(6)));
@@ -1040,7 +1041,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut m));
+        assert!(inline(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         // A large iteration count must not blow the memory limit — the
         // alloca is re-homed to the entry, not repeated per iteration.
@@ -1074,7 +1075,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(argpromotion(&mut m));
+        assert!(argpromotion(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(m.functions[callee.index()].params, vec![Type::I64]);
         assert_eq!(exec(&m, "f", &[RtVal::I(21)]), Some(RtVal::I(42)));
@@ -1099,7 +1100,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(deadargelim(&mut m));
+        assert!(deadargelim(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(m.functions[callee.index()].params.len(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(7)));
@@ -1121,7 +1122,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globaldce(&mut m));
+        assert!(globaldce(&mut ModuleBody::from(&mut m)));
         assert!(m.functions[dead_fn.index()].is_declaration);
         assert_eq!(m.global_ids().count(), 0);
     }
@@ -1138,7 +1139,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globalopt(&mut m));
+        assert!(globalopt(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 0, "load folded to init");
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(0)));
@@ -1160,7 +1161,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(constmerge(&mut m));
+        assert!(constmerge(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(m.global_ids().count(), 1);
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(3)));
@@ -1186,7 +1187,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(called_value_propagation(&mut m));
+        assert!(called_value_propagation(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         let f = &m.functions[1];
         assert!(all_insts(f).iter().all(|(_, id)| !matches!(
@@ -1219,7 +1220,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(prune_eh(&mut m));
+        assert!(prune_eh(&mut ModuleBody::from(&mut m)));
         assert!(m.functions[leaf.index()].attrs.readnone);
         assert!(m.functions[mid.index()].attrs.readnone);
         assert!(m.functions[mid.index()].attrs.nounwind);
@@ -1243,7 +1244,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globals_aa(&mut m));
+        assert!(globals_aa(&mut ModuleBody::from(&mut m)));
         assert!(m.meta.globals_aa_valid);
         assert!(m.meta.nonescaping_globals.contains(&safe));
         assert!(!m.meta.nonescaping_globals.contains(&leaked));
@@ -1271,7 +1272,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(tailcallelim(&mut m));
+        assert!(tailcallelim(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         let fid = m.find_function("sum").unwrap();
         let out = Interpreter::new(&m)
@@ -1303,10 +1304,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         // Still called → kept.
-        assert!(!elim_avail_extern(&mut m));
+        assert!(!elim_avail_extern(&mut ModuleBody::from(&mut m)));
         // Inline, then it can go.
-        inline(&mut m);
-        assert!(elim_avail_extern(&mut m));
+        inline(&mut ModuleBody::from(&mut m));
+        assert!(elim_avail_extern(&mut ModuleBody::from(&mut m)));
         assert!(m.functions[helper.index()].is_declaration);
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(4)]), Some(RtVal::I(5)));

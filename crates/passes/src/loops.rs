@@ -18,10 +18,11 @@ use crate::util::{
     clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce,
     until_stable, MemRoot,
 };
-use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, Loop, LoopForest, UseSite};
+use mlcomp_ir::analysis::{Body, Cfg, CfgLoops, DefUse, Loop, UseSite};
 use mlcomp_ir::{
     BinOp, BlockId, CmpPred, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Upper bound on `trip count × body size` for full unrolling (matches the
@@ -31,14 +32,6 @@ const UNROLL_BUDGET: usize = 256;
 const UNROLL_MAX_TRIPS: u64 = 32;
 /// Maximum loop size cloned by `loop-unswitch`.
 const UNSWITCH_BUDGET: usize = 96;
-
-/// The analyses the loop phases read: CFG, dominator tree and loop forest.
-pub(crate) fn forest(f: &Function) -> (Cfg, DomTree, LoopForest) {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
-    let lf = LoopForest::new(&cfg, &dt);
-    (cfg, dt, lf)
-}
 
 /// The memory roots loop `l` may write, or `None` when it contains a call:
 /// `licm` treats every call as an unknown write.
@@ -179,15 +172,15 @@ fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
     for &b in &l.blocks {
         f.delete_block(b);
     }
-    remove_unreachable_blocks(f);
+    remove_unreachable_blocks(&mut Body::from(f));
 }
 
 /// `licm`: hoists loop-invariant pure computations to the preheader, and
 /// invariant loads when nothing in the loop can write the location and the
 /// load's block dominates every exiting block (so it is guaranteed to
 /// execute — the property `loop-rotate` establishes for body blocks).
-pub fn licm(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, forest, |f, (_, dt, lf)| {
+pub fn licm(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<CfgLoops>(f, |f, (_, dt, lf)| {
         for l in &lf.loops {
             // Materialize a preheader if the loop lacks one.
             let Some(pre) = l.preheader else {
@@ -239,8 +232,8 @@ pub fn licm(m: &Module, f: &mut Function) -> bool {
 /// `loop-rotate`: converts while-shaped loops (exit test in the header)
 /// into guarded do-while form (exit test in the latch), creating the
 /// body-dominates-latch property `licm` and `loop-load-elim` need.
-pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
+pub fn loop_rotate(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
         for l in &lf.loops {
             let [latch] = l.latches[..] else { continue };
             if l.header == latch {
@@ -340,7 +333,7 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
             // Live-out fixup: values defined in the header (phis or pure
             // insts) used outside the loop need merging phis in the exit:
             // (def, pre_version, latch_version).
-            let du = DefUse::new(f);
+            let du = f.analyse::<Cow<DefUse>>();
             let mut liveouts: Vec<(InstId, Value, Value)> = phis
                 .iter()
                 .copied()
@@ -400,9 +393,9 @@ pub fn loop_rotate(m: &Module, f: &mut Function) -> bool {
 /// `i < C+1` and `i != C` into `i < C` exit tests (when provably
 /// equivalent), and replaces loop-exit uses of the induction variable with
 /// its computed final value when the trip count is a known constant.
-pub fn indvars(m: &Module, f: &mut Function) -> bool {
+pub fn indvars(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
-    let (_cfg, _dt, lf) = forest(f);
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     for l in &lf.loops {
         // Canonicalize the header compare.
         let Terminator::CondBr { cond, .. } = &f.block(l.header).term else {
@@ -469,7 +462,7 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
         }
     }
     // Exit-value rewriting: constant-trip loops expose the IV's final value.
-    let (_cfg, _dt, lf) = forest(f);
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     for l in &lf.loops {
         let Some(tc) = l.trip_count(f) else { continue };
         let Some(trips) = tc.const_trips else {
@@ -479,7 +472,7 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
             continue;
         };
         let final_val = start + (trips as i64) * tc.step;
-        let du = DefUse::new(f);
+        let du = f.analyse::<Cow<DefUse>>();
         if !used_outside(&du, l, tc.iv_phi) {
             continue;
         }
@@ -492,11 +485,11 @@ pub fn indvars(m: &Module, f: &mut Function) -> bool {
 /// `loop-unroll`: fully unrolls canonical counted loops with small constant
 /// trip counts, substituting the induction variable with constants and
 /// threading accumulator phis through the copies.
-pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
+pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
         // Built on the first candidate that needs it: `f` stays unchanged
         // until an unroll, which ends the step.
-        let mut du: Option<DefUse> = None;
+        let mut du: Option<Cow<DefUse>> = None;
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
             let Some(trips) = tc.const_trips else {
@@ -526,7 +519,7 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
             }
             // The exit compare must feed only the header terminator;
             // anything else would dangle after the header is deleted.
-            let du = du.get_or_insert_with(|| DefUse::new(f));
+            let du = du.get_or_insert_with(|| f.analyse());
             if !du
                 .uses_of(tc.cmp)
                 .iter()
@@ -645,8 +638,8 @@ pub fn loop_unroll(m: &Module, f: &mut Function) -> bool {
 /// `loop-deletion`: removes loops with no observable effects — no stores,
 /// no calls, no loop-defined values used outside — and a provably finite
 /// trip count.
-pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
+pub fn loop_deletion(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
         for l in &lf.loops {
             if l.trip_count(f).is_none() {
                 continue; // cannot prove termination
@@ -666,7 +659,7 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
                 continue;
             }
             // No loop value used outside.
-            let du = DefUse::new(f);
+            let du = f.analyse::<Cow<DefUse>>();
             if defines_live_out(f, &du, l, l.blocks.iter()) {
                 continue;
             }
@@ -696,8 +689,8 @@ pub fn loop_deletion(m: &Module, f: &mut Function) -> bool {
 /// body only stores a loop-invariant value at `base + iv` — and replaces
 /// them with a `memset` intrinsic; the analogous load/store pattern
 /// becomes `memcpy`.
-pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, forest, |f, (cfg, _, lf)| {
+pub fn loop_idiom(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
         for l in &lf.loops {
             let Some(tc) = l.trip_count(f) else { continue };
             if tc.step != 1 {
@@ -763,7 +756,7 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
                 continue;
             }
             // No loop value used outside, and no exit phis fed by the loop.
-            let du = DefUse::new(f);
+            let du = f.analyse::<Cow<DefUse>>();
             if defines_live_out(f, &du, l, l.blocks.iter()) || has_phis(f, exit) {
                 continue;
             }
@@ -850,9 +843,9 @@ pub fn loop_idiom(m: &Module, f: &mut Function) -> bool {
 /// duplicated — one specialized copy per branch direction — and the
 /// preheader selects the right copy, removing the branch from the hot
 /// path.
-pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
+pub fn loop_unswitch(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
-    let (_cfg, _dt, lf) = forest(f);
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     for l in &lf.loops {
         let size: usize = l.blocks.iter().map(|&b| f.block(b).insts.len()).sum();
         if size > UNSWITCH_BUDGET {
@@ -863,7 +856,7 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
         if l.exits.iter().any(|&e| has_phis(f, e)) {
             continue;
         }
-        let du = DefUse::new(f);
+        let du = f.analyse::<Cow<DefUse>>();
         if defines_live_out(f, &du, l, l.blocks.iter()) {
             continue;
         }
@@ -925,12 +918,12 @@ pub fn loop_unswitch(m: &Module, f: &mut Function) -> bool {
 /// when their only uses are inside the loop. This is profitable when the
 /// loop is rarely entered (LLVM guards it with profile data; here it is an
 /// unconditional trade-off the phase-selection policy must learn to place).
-pub fn loop_sink(m: &Module, f: &mut Function) -> bool {
+pub fn loop_sink(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
-    let (_cfg, _dt, lf) = forest(f);
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     for l in &lf.loops {
         let Some(pre) = l.preheader else { continue };
-        let du = DefUse::new(f);
+        let du = f.analyse::<Cow<DefUse>>();
         let ids = f.block(pre).insts.clone();
         for id in ids.into_iter().rev() {
             let kind = &f.inst(id).kind;
@@ -967,8 +960,8 @@ pub fn loop_sink(m: &Module, f: &mut Function) -> bool {
 /// ascending order, runs the block-local forwarding step of `early-cse`;
 /// a block's replacements are applied before the next block is scanned,
 /// so later blocks see rewritten pointers.
-pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
-    let (_cfg, _dt, lf) = forest(f);
+pub fn loop_load_elim(m: &Module, f: &mut Body) -> bool {
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     // Blocks in any loop, ascending.
     let mut loop_blocks: Vec<BlockId> = lf
         .loops
@@ -998,9 +991,9 @@ pub fn loop_load_elim(m: &Module, f: &mut Function) -> bool {
 /// `loop-distribute`: splits a counted loop whose single body block writes
 /// two independent, non-aliasing memory roots into two sequential loops —
 /// the enabling transform for vectorizing one of the halves.
-pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
+pub fn loop_distribute(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
-    let (cfg, _dt, lf) = forest(f);
+    let (cfg, _dt, lf) = f.analyse::<CfgLoops>();
     for l in &lf.loops {
         let Some(tc) = l.trip_count(f) else { continue };
         let Some(pre) = l.preheader else { continue };
@@ -1015,7 +1008,7 @@ pub fn loop_distribute(m: &Module, f: &mut Function) -> bool {
             continue;
         }
         // No loop value used outside; exit has no phis.
-        let du = DefUse::new(f);
+        let du = f.analyse::<Cow<DefUse>>();
         if defines_live_out(f, &du, l, l.blocks.iter()) || has_phis(f, exit) {
             continue;
         }
@@ -1178,7 +1171,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(licm(&mc, &mut m.functions[0]));
+        assert!(licm(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(
             exec(&m, "f", &[RtVal::I(4), RtVal::I(3)]),
@@ -1198,7 +1191,7 @@ mod tests {
         // dominate the exiting header); after rotation it can.
         let mut m1 = invariant_load_loop();
         let mc = m1.clone();
-        licm(&mc, &mut m1.functions[0]);
+        licm(&mc, &mut Body::from(&mut m1.functions[0]));
         verify(&m1).unwrap();
         let f1 = m1.find_function("f").unwrap();
         let loads_unrotated = Interpreter::new(&m1)
@@ -1209,10 +1202,10 @@ mod tests {
 
         let mut m2 = invariant_load_loop();
         let mc2 = m2.clone();
-        crate::memory::mem2reg(&mc2, &mut m2.functions[0]);
-        assert!(loop_rotate(&mc2, &mut m2.functions[0]));
+        crate::memory::mem2reg(&mc2, &mut Body::from(&mut m2.functions[0]));
+        assert!(loop_rotate(&mc2, &mut Body::from(&mut m2.functions[0])));
         verify(&m2).unwrap();
-        licm(&mc2, &mut m2.functions[0]);
+        licm(&mc2, &mut Body::from(&mut m2.functions[0]));
         verify(&m2).unwrap();
         let f2 = m2.find_function("f").unwrap();
         let out = Interpreter::new(&m2).run(f2, &[RtVal::I(50)]).unwrap();
@@ -1229,8 +1222,8 @@ mod tests {
     fn rotate_preserves_zero_trip_loops() {
         let mut m = invariant_load_loop();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        loop_rotate(&mc, &mut m.functions[0]);
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        loop_rotate(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(0)]), Some(RtVal::I(0)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-3)]), Some(RtVal::I(0)));
@@ -1257,8 +1250,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_unroll(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_unroll(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(3)]), Some(RtVal::I(84)));
         // No branches left: the loop is gone.
@@ -1283,8 +1276,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        loop_unroll(&mc, &mut m.functions[0]);
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        loop_unroll(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(7)));
     }
@@ -1303,7 +1296,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(loop_deletion(&mc, &mut m.functions[0]));
+        assert!(loop_deletion(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(1000)]), Some(RtVal::I(1)));
         let fid = m.find_function("f").unwrap();
@@ -1329,8 +1322,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_idiom(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_idiom(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f)
@@ -1361,8 +1354,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_idiom(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_idiom(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f)
@@ -1392,8 +1385,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_unswitch(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_unswitch(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(
             exec(&m, "f", &[RtVal::I(5), RtVal::I(1)]),
@@ -1402,8 +1395,8 @@ mod tests {
         // Reset global between runs: rebuild module.
         let mut m2 = mb_rebuild();
         let mc2 = m2.clone();
-        crate::memory::mem2reg(&mc2, &mut m2.functions[0]);
-        loop_unswitch(&mc2, &mut m2.functions[0]);
+        crate::memory::mem2reg(&mc2, &mut Body::from(&mut m2.functions[0]));
+        loop_unswitch(&mc2, &mut Body::from(&mut m2.functions[0]));
         assert_eq!(
             exec(&m2, "f", &[RtVal::I(5), RtVal::I(-1)]),
             Some(RtVal::I(0))
@@ -1450,7 +1443,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(loop_sink(&mc, &mut m.functions[0]));
+        assert!(loop_sink(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(
             exec(&m, "f", &[RtVal::I(3), RtVal::I(2)]),
@@ -1487,7 +1480,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(loop_load_elim(&mc, &mut m.functions[0]));
+        assert!(loop_load_elim(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(10)]), Some(RtVal::I(45)));
     }
@@ -1527,7 +1520,8 @@ mod tests {
         assert_eq!(outcome, crate::PhaseOutcome::Changed);
         verify(&m).unwrap();
         let f = &m.functions[0];
-        let (_cfg, _dt, lf) = forest(f);
+        let analyses = mlcomp_ir::analysis::FunctionAnalyses::default();
+        let (_, _, lf) = analyses.loop_forest(f);
         let global_loads = lf.loops[0]
             .blocks
             .iter()
@@ -1567,12 +1561,12 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_distribute(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_distribute(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(8)]), Some(RtVal::I(8 + 12)));
         // Two loops now: twice the backward branches.
-        let (_c, _d, lf) = forest(&m.functions[0]);
+        let (_, _, lf) = Body::from(&mut m.functions[0]).analyse::<CfgLoops>();
         assert_eq!(lf.loops.len(), 2);
     }
 }

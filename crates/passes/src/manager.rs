@@ -34,6 +34,29 @@
 //! run and copies once. [`crate::run_phase_on`] is the raw reference path:
 //! it takes its own copy and runs the same transform without the sandbox.
 //!
+//! A session also keeps an [`AnalysisCache`] describing its module, so
+//! that the many runs that change nothing build no analysis. Phases read
+//! it through [`mlcomp_ir::analysis::Body`] and
+//! [`mlcomp_ir::analysis::ModuleBody`] handles, which serve cached
+//! analyses only until the phase's first write. Invalidation is exact and
+//! decided by comparing bodies, never by which phase ran:
+//!
+//! - After a changed run, [`mlcomp_ir::verify_changed`] drops the entries
+//!   of each function whose blocks, instructions or declaration flag
+//!   differ from the snapshot's, the call graph if any body differs, and
+//!   everything if the function count or a function's name changed
+//!   ([`AnalysisCache::retain_unchanged`]). The `Cfg` and `DomTree` it
+//!   builds to verify a function become that function's entries. A phase
+//!   that writes only attributes (`prune-eh`, `globals-aa`) drops
+//!   nothing.
+//! - An unchanged run leaves the module equal to the snapshot, which the
+//!   cache describes.
+//! - A quarantine swaps the snapshot back and drops, the same way, what
+//!   differs between the restored and the rejected module.
+//!
+//! [`Sandbox::analysed`] lends the module with its cache to feature
+//! extraction. Debug builds compare every cache hit with a fresh build.
+//!
 //! Deterministic fault injection plugs in through an optional
 //! [`mlcomp_faults::FaultPlan`]; with `None` the sandbox adds nothing but
 //! that verification, and the module trajectory is bit-identical to the
@@ -41,6 +64,7 @@
 
 use crate::registry::{is_registered, lookup};
 use mlcomp_faults::{FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
+use mlcomp_ir::analysis::AnalysisCache;
 use mlcomp_ir::Module;
 use mlcomp_trace as trace;
 use serde::{Deserialize, Serialize};
@@ -502,6 +526,8 @@ pub struct Sandbox {
     /// Equals `module` whenever `fresh` holds.
     snapshot: Module,
     fresh: bool,
+    /// Describes `module`.
+    cache: AnalysisCache,
 }
 
 impl Sandbox {
@@ -511,12 +537,19 @@ impl Sandbox {
             module,
             snapshot: Module::new(""),
             fresh: false,
+            cache: AnalysisCache::new(),
         }
     }
 
     /// The module as the runs so far left it.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// The module with the session's analysis cache, which describes it.
+    /// Analyses built through the cache are kept for the next runs.
+    pub fn analysed(&mut self) -> (&Module, &mut AnalysisCache) {
+        (&self.module, &mut self.cache)
     }
 
     /// Ends the session and returns the module.
@@ -583,7 +616,7 @@ impl Sandbox {
         }
         // The rollback snapshot doubles as the pre-phase module that
         // function phases read.
-        let (m, snapshot) = (&mut self.module, &self.snapshot);
+        let (m, snapshot, cache) = (&mut self.module, &self.snapshot, &mut self.cache);
         // AssertUnwindSafe: on unwind the module may be mid-transform, but
         // the only thing we do with it afterwards is swap it for the
         // snapshot — the broken state never escapes.
@@ -591,7 +624,7 @@ impl Sandbox {
             if let Some(p) = plan {
                 p.maybe_panic(site_key);
             }
-            transform.run(m, snapshot)
+            transform.run(m, snapshot, cache)
         }));
         let mut verify_ns = 0;
         let outcome = match ran {
@@ -601,7 +634,7 @@ impl Sandbox {
             Ok(changed) => {
                 let verdict = if changed {
                     let verify_start = recording.then(Instant::now);
-                    let verdict = mlcomp_ir::verify_changed(m, snapshot);
+                    let verdict = mlcomp_ir::verify_changed(m, snapshot, cache);
                     if let Some(t) = verify_start {
                         verify_ns = t.elapsed().as_nanos() as u64;
                     }
@@ -637,6 +670,10 @@ impl Sandbox {
             PhaseOutcome::Quarantined(_) => {
                 std::mem::swap(&mut self.module, &mut self.snapshot);
                 self.fresh = false;
+                // The cache describes the pre-phase module (a panic) or
+                // the rejected one (a verdict); either way, dropping what
+                // differs between the two leaves it describing the module.
+                self.cache.retain_unchanged(&self.module, &self.snapshot);
             }
             _ => {
                 debug_assert!(
@@ -1261,6 +1298,71 @@ mod tests {
         );
     }
 
+    /// The walk of `a_session_matches_one_shot_runs_on_the_suite_states`
+    /// from the 44 suite states over `SESSION_MAX_INSTS` instructions
+    /// (unrolled states, up to 7,235 instructions), where the session's
+    /// cached analyses are largest. Release builds only: the cost grows
+    /// with the states' size.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_session_matches_one_shot_runs_on_the_large_states() {
+        use crate::registry::{PHASE_COUNT, PHASE_NAMES};
+        use mlcomp_faults::{FaultKind, FaultPlan};
+        mlcomp_faults::quiet_injected_panics();
+        let plan = FaultPlan::from_seed(18)
+            .with_rate(FaultKind::PhasePanic, 0.05)
+            .with_rate(FaultKind::VerifierCorrupt, 0.05);
+        let pm = PassManager::new();
+        let (mut states, mut panics, mut corruptions) = (0, 0, 0);
+        let mut start = 0;
+        crate::suite_states::for_each_suite_state(usize::MAX, |state, label| {
+            if state.total_insts() <= SESSION_MAX_INSTS {
+                return;
+            }
+            states += 1;
+            // Twelve distinct phases, a different run of them per state.
+            start = (start + 5) % PHASE_COUNT;
+            let walk: Vec<&str> = (0..12)
+                .map(|i| PHASE_NAMES[(start + 7 * i) % PHASE_COUNT])
+                .collect();
+            for plan in [None, Some(&plan)] {
+                let mut session = Sandbox::new(state.clone());
+                let mut one_shot = state.clone();
+                for (step, phase) in walk.iter().enumerate() {
+                    let key = format!("{label}|{step}|{phase}");
+                    let outcome = session.run_phase(phase, plan, &key).unwrap();
+                    let expected = pm
+                        .run_phase_sandboxed(&mut one_shot, phase, plan, &key)
+                        .unwrap();
+                    assert_eq!(outcome, expected, "{label}, step {step} `{phase}`");
+                    match outcome {
+                        PhaseOutcome::Quarantined(QuarantineReason::Panic(msg))
+                            if msg.starts_with(INJECTED_PANIC_PREFIX) =>
+                        {
+                            panics += 1
+                        }
+                        PhaseOutcome::Quarantined(QuarantineReason::VerifierReject(msg))
+                            if msg.starts_with(INJECTED_PANIC_PREFIX) =>
+                        {
+                            corruptions += 1
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(
+                    format!("{:?}", session.module()),
+                    format!("{one_shot:?}"),
+                    "{label} after {walk:?}, plan {plan:?}"
+                );
+            }
+        });
+        assert_eq!(states, 44);
+        assert!(
+            panics > 0 && corruptions > 0,
+            "{panics} injected panics, {corruptions} injected corruptions"
+        );
+    }
+
     /// `verify_changed` against the snapshot must return what `verify`
     /// returns, error included, after every phase on every suite state.
     /// The raw path keeps what `loop-sink` breaks, so rejects are checked
@@ -1277,7 +1379,7 @@ mod tests {
                     let full = verify(&m);
                     rejects += usize::from(full.is_err());
                     assert_eq!(
-                        mlcomp_ir::verify_changed(&m, state),
+                        mlcomp_ir::verify_changed(&m, state, &mut AnalysisCache::new()),
                         full,
                         "`{name}` on {label}"
                     );

@@ -5,7 +5,7 @@
 //! central phase-ordering dependency the MLComp policy has to learn.
 
 use crate::util::{alloca_escapes, remove_unreachable_blocks};
-use mlcomp_ir::analysis::{Cfg, DomTree};
+use mlcomp_ir::analysis::{Body, CfgDom};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Type, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -15,7 +15,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 ///
 /// Returns `true` if any alloca was promoted or an unreachable block was
 /// deleted.
-pub fn mem2reg(_m: &Module, f: &mut Function) -> bool {
+pub fn mem2reg(_m: &Module, f: &mut Body) -> bool {
     let pruned = remove_unreachable_blocks(f);
     let candidates = promotable_allocas(f);
     if candidates.is_empty() {
@@ -28,7 +28,7 @@ pub fn mem2reg(_m: &Module, f: &mut Function) -> bool {
 /// Scalar replacement of aggregates: splits multi-cell allocas whose every
 /// access is a load/store through a constant-offset gep into independent
 /// single-cell allocas, then promotes them like [`mem2reg`].
-pub fn sroa(_m: &Module, f: &mut Function) -> bool {
+pub fn sroa(_m: &Module, f: &mut Body) -> bool {
     let mut changed = remove_unreachable_blocks(f);
 
     // Find splittable aggregates.
@@ -273,9 +273,8 @@ fn alloca_value_type(f: &Function, alloca: InstId) -> Type {
     Type::I64
 }
 
-fn promote(f: &mut Function, allocas: &[InstId]) {
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+fn promote(f: &mut Body, allocas: &[InstId]) {
+    let (cfg, dt) = f.analyse::<CfgDom>();
     let df = dt.dominance_frontiers(&cfg);
     let alloca_index: HashMap<InstId, usize> =
         allocas.iter().enumerate().map(|(i, a)| (*a, i)).collect();
@@ -483,7 +482,7 @@ mod tests {
             .filter(|(_, id)| matches!(f.inst(*id).kind, InstKind::Load { .. }))
             .count();
         assert!(loads_before >= 2);
-        assert!(mem2reg(&mc, f));
+        assert!(mem2reg(&mc, &mut Body::from(&mut *f)));
         verify(&m).expect("valid after mem2reg");
         let f = &m.functions[0];
         let loads_after = crate::util::all_insts(f)
@@ -521,7 +520,7 @@ mod tests {
         let mut m = mb.build();
         let mc = m.clone();
         let f = &mut m.functions[1];
-        mem2reg(&mc, f);
+        mem2reg(&mc, &mut Body::from(&mut *f));
         verify(&m).expect("still valid");
         let fid = m.find_function("f").unwrap();
         let out = Interpreter::new(&m).run(fid, &[]).unwrap();
@@ -556,7 +555,7 @@ mod tests {
         let mut m = mb.build();
         let mc = m.clone();
         let f = &mut m.functions[0];
-        assert!(sroa(&mc, f));
+        assert!(sroa(&mc, &mut Body::from(&mut *f)));
         verify(&m).expect("valid after sroa");
         let f = &m.functions[0];
         // Everything promoted: no loads, no allocas left.
@@ -585,7 +584,7 @@ mod tests {
         let mut m = mb.build();
         let mc = m.clone();
         let f = &mut m.functions[0];
-        sroa(&mc, f);
+        sroa(&mc, &mut Body::from(&mut *f));
         verify(&m).expect("valid");
         let f = &m.functions[0];
         assert!(
@@ -613,7 +612,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        mem2reg(&mc, &mut m.functions[0]);
+        mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).expect("valid");
         let fid = m.find_function("f").unwrap();
         let hi = Interpreter::new(&m).run(fid, &[RtVal::I(20)]).unwrap();

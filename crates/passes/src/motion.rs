@@ -2,8 +2,9 @@
 //! `memcpyopt`.
 
 use crate::util::{trivial_dce, until_stable};
-use mlcomp_ir::analysis::Cfg;
+use mlcomp_ir::analysis::{Body, Cfg};
 use mlcomp_ir::{Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
+use std::borrow::Cow;
 
 /// Maximum instructions hoisted from one branch arm by
 /// `speculative-execution` (mirrors LLVM's small default budget).
@@ -12,8 +13,8 @@ const SPEC_EXEC_BUDGET: usize = 4;
 /// `speculative-execution`: hoists cheap, pure, non-trapping instructions
 /// from single-predecessor branch arms into the branching block, shrinking
 /// arms so that `simplifycfg` can turn diamonds into selects.
-pub fn speculative_execution(m: &Module, f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
+pub fn speculative_execution(m: &Module, f: &mut Body) -> bool {
+    let cfg = f.analyse::<Cow<Cfg>>();
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let Terminator::CondBr {
@@ -66,8 +67,8 @@ pub fn speculative_execution(m: &Module, f: &mut Function) -> bool {
 /// `mldst-motion`: merged load/store motion across diamonds — identical
 /// loads in both arms are hoisted to the predecessor; stores to the same
 /// address at the end of both arms are sunk into the join behind a phi.
-pub fn mldst_motion(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, Cfg::new, |f, cfg| {
+pub fn mldst_motion(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<Cow<Cfg>>(f, |f, cfg| {
         let mut moved = false;
         for b in f.block_ids().collect::<Vec<_>>() {
             let Terminator::CondBr {
@@ -204,7 +205,7 @@ const MIN_RUN: usize = 4;
 /// offsets of a base pointer and fuses them into a `memset`; runs of
 /// load/store pairs copying consecutive cells between two bases become a
 /// `memcpy`.
-pub fn memcpyopt(m: &Module, f: &mut Function) -> bool {
+pub fn memcpyopt(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         // Collect candidate store descriptors in order.
@@ -392,7 +393,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(speculative_execution(&mc, &mut m.functions[0]));
+        assert!(speculative_execution(
+            &mc,
+            &mut Body::from(&mut m.functions[0])
+        ));
         verify(&m).unwrap();
         // The then-arm is now empty.
         let f = &m.functions[0];
@@ -423,7 +427,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        speculative_execution(&mc, &mut m.functions[0]);
+        speculative_execution(&mc, &mut Body::from(&mut m.functions[0]));
         verify(&m).unwrap();
         // Must still be safe when param == 0.
         assert_eq!(exec(&m, "f", &[RtVal::I(0)]), Some(RtVal::I(0)));
@@ -455,7 +459,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(mldst_motion(&mc, &mut m.functions[0]));
+        assert!(mldst_motion(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         let stores = all_insts(f)
@@ -485,7 +489,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(memcpyopt(&mc, &mut m.functions[0]));
+        assert!(memcpyopt(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f)
@@ -520,7 +524,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(memcpyopt(&mc, &mut m.functions[0]));
+        assert!(memcpyopt(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f)
@@ -547,6 +551,6 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(!memcpyopt(&mc, &mut m.functions[0]));
+        assert!(!memcpyopt(&mc, &mut Body::from(&mut m.functions[0])));
     }
 }

@@ -2,30 +2,36 @@
 //! addressable by its LLVM name.
 
 use crate::{cfgopt, cse, dce, ipo, loops, memory, motion, scalar, sccp, vector};
-use mlcomp_ir::{Function, Module};
+use mlcomp_ir::analysis::{AnalysisCache, Body, ModuleBody};
+use mlcomp_ir::Module;
 
 /// How a registered phase transforms a module.
 #[derive(Clone, Copy)]
 pub(crate) enum Transform {
     /// Runs once over the whole module.
-    Module(fn(&mut Module) -> bool),
+    Module(fn(&mut ModuleBody) -> bool),
     /// Runs over every function body, reading the pre-phase module for
     /// interprocedural queries like `readnone`.
-    Function(fn(&Module, &mut Function) -> bool),
+    Function(fn(&Module, &mut Body) -> bool),
 }
 
 impl Transform {
     /// Runs the phase over `m`, whose pre-phase state is `before`: the
     /// module snapshot every function phase reads. `before` must equal
-    /// `m`. Returns whether the module changed.
-    pub(crate) fn run(self, m: &mut Module, before: &Module) -> bool {
+    /// `m`, and `cache` must describe it. Returns whether the module
+    /// changed.
+    ///
+    /// The phase gets `m` and its functions as [`ModuleBody`] and [`Body`]
+    /// handles on `cache`, so the cache still describes `before`
+    /// afterwards; the caller brings it up to date.
+    pub(crate) fn run(self, m: &mut Module, before: &Module, cache: &mut AnalysisCache) -> bool {
         match self {
-            Transform::Module(pass) => pass(m),
+            Transform::Module(pass) => pass(&mut cache.module(m)),
             Transform::Function(pass) => {
                 let mut changed = false;
-                for f in m.functions.iter_mut() {
-                    if !f.is_declaration {
-                        changed |= pass(before, f);
+                for mut body in cache.bodies(m) {
+                    if !body.is_declaration {
+                        changed |= pass(before, &mut body);
                     }
                 }
                 changed
@@ -150,15 +156,16 @@ fn hash_names(names: &[&str]) -> u64 {
 /// Function phases run over every function body (with a module snapshot
 /// for interprocedural queries like `readnone`); module phases run once.
 ///
-/// This is the raw reference path: no sandbox, and it copies the module
-/// for the function phases' snapshot on every call. Pipelines run phases
-/// through a [`Sandbox`](crate::Sandbox) session, which lends its rollback
-/// snapshot instead and copies it only after a run that changed the
-/// module or was rolled back.
+/// This is the raw reference path: no sandbox, it copies the module for
+/// the function phases' snapshot on every call, and its analysis cache
+/// starts empty. Pipelines run phases through a
+/// [`Sandbox`](crate::Sandbox) session, which lends its rollback snapshot
+/// instead, copies it only after a run that changed the module or was
+/// rolled back, and keeps its analysis cache across runs.
 pub fn run_phase_on(m: &mut Module, name: &str) -> Option<bool> {
     let transform = lookup(name)?;
     let before = m.clone();
-    Some(transform.run(m, &before))
+    Some(transform.run(m, &before, &mut AnalysisCache::new()))
 }
 
 #[cfg(test)]

@@ -6,14 +6,15 @@ use crate::util::{
     all_insts, fold_constant, mem_root, replace_and_remove, simplify_inst, trivial_dce,
     until_stable, MemRoot,
 };
-use mlcomp_ir::analysis::DefUse;
+use mlcomp_ir::analysis::{Body, CfgDom, DefUse};
 use mlcomp_ir::{
     BinOp, CastOp, Function, Inst, InstId, InstKind, Module, RtVal, Terminator, Type, UnOp, Value,
 };
+use std::borrow::Cow;
 
 /// `instsimplify`: folds instructions to existing values (constants,
 /// operands) without ever creating new instructions.
-pub fn instsimplify(m: &Module, f: &mut Function) -> bool {
+pub fn instsimplify(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     loop {
         let mut local = false;
@@ -39,7 +40,7 @@ pub fn instsimplify(m: &Module, f: &mut Function) -> bool {
 /// instructions — strength reduction of multiplies and divides to shifts,
 /// cast chains, canonicalization of commutative operands, `x ^ -1 → not x`,
 /// `x + x → x << 1`, compare canonicalization.
-pub fn instcombine(m: &Module, f: &mut Function) -> bool {
+pub fn instcombine(m: &Module, f: &mut Body) -> bool {
     let mut changed = instsimplify(m, f);
     loop {
         let mut local = false;
@@ -250,7 +251,7 @@ fn combine_one(f: &Function, id: InstId) -> Option<InstKind> {
 /// `aggressive-instcombine`: costlier pattern rewrites — decomposing
 /// multiplies by two-bit constants into shift-add, folding shift-mask
 /// chains.
-pub fn aggressive_instcombine(m: &Module, f: &mut Function) -> bool {
+pub fn aggressive_instcombine(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for (b, id) in all_insts(f) {
         let inst = f.inst(id).clone();
@@ -334,8 +335,8 @@ pub fn aggressive_instcombine(m: &Module, f: &mut Function) -> bool {
 /// `reassociate`: moves constants outward in chains of associative integer
 /// operations so they fold — `(x + C1) + C2 → x + (C1+C2)`,
 /// `(x + C) + y → (x + y) + C`.
-pub fn reassociate(m: &Module, f: &mut Function) -> bool {
-    let changed = until_stable(f, DefUse::new, |f, du| {
+pub fn reassociate(m: &Module, f: &mut Body) -> bool {
+    let changed = until_stable::<Cow<DefUse>>(f, |f, du| {
         let mut local = false;
         for (_b, id) in all_insts(f) {
             let inst = f.inst(id);
@@ -420,7 +421,7 @@ pub fn reassociate(m: &Module, f: &mut Function) -> bool {
 
 /// `bdce`: bit-tracking dead code elimination — folds mask chains and
 /// narrows computations whose upper bits are never observed.
-pub fn bdce(m: &Module, f: &mut Function) -> bool {
+pub fn bdce(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for (_b, id) in all_insts(f) {
         let inst = f.inst(id).clone();
@@ -509,9 +510,9 @@ pub fn bdce(m: &Module, f: &mut Function) -> bool {
 /// `float2int`: rewrites float arithmetic whose inputs are `sitofp`
 /// conversions (or whole-number constants) and whose only consumer is an
 /// `fptosi`, into integer arithmetic.
-pub fn float2int(m: &Module, f: &mut Function) -> bool {
+pub fn float2int(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
-    let du = DefUse::new(f);
+    let du = f.analyse::<Cow<DefUse>>();
     for (_b, id) in all_insts(f) {
         let inst = f.inst(id).clone();
         let InstKind::Cast {
@@ -581,10 +582,8 @@ pub fn float2int(m: &Module, f: &mut Function) -> bool {
 /// division dominates the remainder, rewrites the remainder as
 /// `a - (a/b)*b` (multiply + subtract are far cheaper than a second
 /// divide on both target platforms).
-pub fn div_rem_pairs(m: &Module, f: &mut Function) -> bool {
-    use mlcomp_ir::analysis::{Cfg, DomTree};
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+pub fn div_rem_pairs(m: &Module, f: &mut Body) -> bool {
+    let (_, dt) = f.analyse::<CfgDom>();
     let mut changed = false;
     let insts = all_insts(f);
     for (rb, rem_id) in &insts {
@@ -640,7 +639,7 @@ pub fn div_rem_pairs(m: &Module, f: &mut Function) -> bool {
 
 /// `lower-expect`: converts `expect` hint instructions into branch-weight
 /// metadata on the conditional branches they control, then removes them.
-pub fn lower_expect(_m: &Module, f: &mut Function) -> bool {
+pub fn lower_expect(_m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let term = f.block(b).term.clone();
@@ -695,7 +694,7 @@ fn branch_expectation(f: &Function, cond: Value) -> Option<bool> {
 /// provably derives from an alloca or global as aligned (stack slots and
 /// globals are always cell-aligned here); the platform cost models charge
 /// unmarked accesses an unaligned penalty.
-pub fn alignment_from_assumptions(_m: &Module, f: &mut Function) -> bool {
+pub fn alignment_from_assumptions(_m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for (_b, id) in all_insts(f) {
         let inst = f.inst(id).clone();
@@ -756,7 +755,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(instsimplify(&mc, &mut m.functions[0]));
+        assert!(instsimplify(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 0);
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(7)));
@@ -774,7 +773,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(instcombine(&mc, &mut m.functions[0]));
+        assert!(instcombine(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f)
@@ -795,7 +794,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(aggressive_instcombine(&mc, &mut m.functions[0]));
+        assert!(aggressive_instcombine(
+            &mc,
+            &mut Body::from(&mut m.functions[0])
+        ));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(70)));
         let f = &m.functions[0];
@@ -817,7 +819,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(reassociate(&mc, &mut m.functions[0]));
+        assert!(reassociate(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(8)));
@@ -837,7 +839,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(reassociate(&mc, &mut m.functions[0]));
+        assert!(reassociate(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         // (x+3)+y+4 → (x+y)+7: two adds instead of three.
         assert_eq!(m.functions[0].live_inst_count(), 2);
@@ -860,7 +862,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(bdce(&mc, &mut m.functions[0]));
+        assert!(bdce(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(0xABCD)]), Some(RtVal::I(0x0D)));
@@ -881,7 +883,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(float2int(&mc, &mut m.functions[0]));
+        assert!(float2int(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         assert!(all_insts(f).iter().all(|(_, id)| !matches!(
@@ -908,7 +910,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(div_rem_pairs(&mc, &mut m.functions[0]));
+        assert!(div_rem_pairs(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         let divs = all_insts(f)
@@ -946,7 +948,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(lower_expect(&mc, &mut m.functions[0]));
+        assert!(lower_expect(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let f = &m.functions[0];
         let has_weight = f.block_ids().any(|b| {
@@ -982,7 +984,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(alignment_from_assumptions(&mc, &mut m.functions[0]));
+        assert!(alignment_from_assumptions(
+            &mc,
+            &mut Body::from(&mut m.functions[0])
+        ));
         let f = &m.functions[0];
         let aligned = all_insts(f)
             .iter()

@@ -2,7 +2,7 @@
 //! `correlated-propagation`.
 
 use crate::util::{fold_constant, remove_unreachable_blocks, trivial_dce};
-use mlcomp_ir::analysis::{CallGraph, Cfg, DomTree};
+use mlcomp_ir::analysis::{Body, CfgDom, ModuleBody};
 use mlcomp_ir::{
     BlockId, Callee, CmpPred, FuncId, Function, InstId, InstKind, Module, Terminator, Value,
 };
@@ -32,7 +32,7 @@ impl Lattice {
 /// Sparse conditional constant propagation (intraprocedural): propagates
 /// constants through phis along provably executable edges only, then folds
 /// constant branches and deletes never-executed blocks.
-pub fn sccp(m: &Module, f: &mut Function) -> bool {
+pub fn sccp(m: &Module, f: &mut Body) -> bool {
     let pruned = remove_unreachable_blocks(f);
     let solution = solve(f);
     apply_solution(m, f, &solution) | pruned
@@ -42,9 +42,9 @@ pub fn sccp(m: &Module, f: &mut Function) -> bool {
 /// function passes the same constant for a parameter, that constant is
 /// propagated into the callee; constant return values are propagated back
 /// to call sites.
-pub fn ipsccp(m: &mut Module) -> bool {
+pub fn ipsccp(m: &mut ModuleBody) -> bool {
     let mut changed = false;
-    let cg = CallGraph::new(m);
+    let cg = m.call_graph();
 
     // Collect per-function parameter lattices from call sites.
     let n = m.functions.len();
@@ -135,9 +135,9 @@ pub fn ipsccp(m: &mut Module) -> bool {
             &mut m.functions[fi],
             Function::new("tmp", vec![], mlcomp_ir::Type::Void),
         );
-        changed |= remove_unreachable_blocks(&mut f);
+        changed |= remove_unreachable_blocks(&mut Body::from(&mut f));
         let solution = solve(&f);
-        changed |= apply_solution(m, &mut f, &solution);
+        changed |= apply_solution(m, &mut Body::from(&mut f), &solution);
         // Constant return detection.
         let mut ret: Lattice = Lattice::Unknown;
         for b in f.block_ids() {
@@ -186,7 +186,7 @@ pub fn ipsccp(m: &mut Module) -> bool {
         let snapshot = m.clone();
         for f in m.functions.iter_mut() {
             if !f.is_declaration {
-                trivial_dce(&snapshot, f, false);
+                trivial_dce(&snapshot, &mut Body::from(f), false);
             }
         }
     }
@@ -372,7 +372,7 @@ fn solve(f: &Function) -> Vec<Option<Value>> {
         .collect()
 }
 
-fn apply_solution(m: &Module, f: &mut Function, solution: &[Option<Value>]) -> bool {
+fn apply_solution(m: &Module, f: &mut Body, solution: &[Option<Value>]) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         for &id in &f.block(b).insts.clone() {
@@ -450,10 +450,9 @@ fn apply_solution(m: &Module, f: &mut Function, solution: &[Option<Value>]) -> b
 /// when `x pred K` holds, the same comparison folds to `true` (and to
 /// `false` on the other arm); for equality tests, `x` itself is replaced
 /// by `K` in the dominated region.
-pub fn correlated_propagation(m: &Module, f: &mut Function) -> bool {
+pub fn correlated_propagation(m: &Module, f: &mut Body) -> bool {
     let mut changed = remove_unreachable_blocks(f);
-    let cfg = Cfg::new(f);
-    let dt = DomTree::new(&cfg);
+    let (cfg, dt) = f.analyse::<CfgDom>();
 
     let mut edits: Vec<(BlockId, InstId, Value)> = Vec::new();
     let mut subst: Vec<(Vec<BlockId>, Value, Value)> = Vec::new();
@@ -527,16 +526,14 @@ pub fn correlated_propagation(m: &Module, f: &mut Function) -> bool {
                 if f.inst(id).kind.is_phi() {
                     continue;
                 }
-                let mut local = false;
-                f.inst_mut(id).kind.map_operands(|v| {
-                    if v == from {
-                        local = true;
-                        to
-                    } else {
-                        v
-                    }
-                });
-                changed |= local;
+                let mut uses = false;
+                f.inst(id).kind.for_each_operand(|v| uses |= v == from);
+                if uses {
+                    f.inst_mut(id)
+                        .kind
+                        .map_operands(|v| if v == from { to } else { v });
+                    changed = true;
+                }
             }
             let mut term = f.block(b).term.clone();
             let mut local = false;
@@ -580,7 +577,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(sccp(&mc, &mut m.functions[0]));
+        assert!(sccp(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert!(m.functions[0].live_block_count() <= 3); // else arm removed
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(10)));
@@ -601,7 +598,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(sccp(&mc, &mut m.functions[0]));
+        assert!(sccp(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(8)));
         assert_eq!(exec(&m, "f", &[RtVal::I(-5)]), Some(RtVal::I(8)));
@@ -630,7 +627,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(sccp(&mc, &mut m.functions[0]));
+        assert!(sccp(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(5)));
         assert!(m.functions[0].live_block_count() <= 3);
@@ -658,7 +655,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(ipsccp(&mut m));
+        assert!(ipsccp(&mut ModuleBody::from(&mut m)));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "main", &[]), Some(RtVal::I(42)));
         // helper's body must have been folded to ret 21.
@@ -688,7 +685,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(correlated_propagation(&mc, &mut m.functions[0]));
+        assert!(correlated_propagation(
+            &mc,
+            &mut Body::from(&mut m.functions[0])
+        ));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(11)]), Some(RtVal::I(1)));
         assert_eq!(exec(&m, "f", &[RtVal::I(9)]), Some(RtVal::I(3)));
@@ -719,7 +719,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(correlated_propagation(&mc, &mut m.functions[0]));
+        assert!(correlated_propagation(
+            &mc,
+            &mut Body::from(&mut m.functions[0])
+        ));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(4)]), Some(RtVal::I(16)));
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(0)));

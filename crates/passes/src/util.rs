@@ -2,11 +2,12 @@
 //! simplification, re-analysis after rewrites, trivial dead-code
 //! elimination, CFG cleanup, alias queries and region cloning.
 
-use mlcomp_ir::analysis::{Cfg, DefUse};
+use mlcomp_ir::analysis::{Body, Cfg, DefUse, Fetch};
 use mlcomp_ir::{
     BinOp, BlockId, Callee, Function, Inst, InstId, InstKind, Module, RtVal, Terminator, Type,
     Value,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Folds an operation whose operands are all constants into a constant
@@ -203,20 +204,20 @@ pub fn simplify_inst(f: &Function, kind: &InstKind, ty: Type) -> Option<Value> {
     }
 }
 
-/// Runs `step` on `f` with fresh analyses from `analyse` until a step
-/// reports no rewrite, and returns whether any step rewrote `f`.
+/// Runs `step` on `f` with fresh analyses `A` of it until a step reports
+/// no rewrite, and returns whether any step rewrote `f`.
 ///
 /// This is the one place a phase re-analyses after rewriting: a step makes
 /// the rewrites its analyses still describe and returns `true` to have
-/// them rebuilt before the next step.
-pub(crate) fn until_stable<A>(
-    f: &mut Function,
-    analyse: impl Fn(&Function) -> A,
-    mut step: impl FnMut(&mut Function, &A) -> bool,
+/// them rebuilt before the next step. Until the first write the analyses
+/// come from `f`'s cache entry.
+pub(crate) fn until_stable<'a, A: Fetch<'a>>(
+    f: &mut Body<'a>,
+    mut step: impl FnMut(&mut Body<'a>, &A) -> bool,
 ) -> bool {
     let mut changed = false;
     loop {
-        let analyses = analyse(f);
+        let analyses = f.analyse::<A>();
         if !step(f, &analyses) {
             return changed;
         }
@@ -232,8 +233,8 @@ pub(crate) fn until_stable<A>(
 /// instruction decrements its operands' counts and queues those that reach
 /// zero. Removal only edits block lists, so the fixed point, and thus the
 /// result, does not depend on the order of deletion.
-pub fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
-    let du = DefUse::new(f);
+pub fn trivial_dce(m: &Module, f: &mut Body, remove_loads: bool) -> bool {
+    let du = f.analyse::<Cow<DefUse>>();
     let removable = |kind: &InstKind| {
         kind.is_pure()
             || kind.is_phi()
@@ -269,8 +270,8 @@ pub fn trivial_dce(m: &Module, f: &mut Function, remove_loads: bool) -> bool {
 
 /// Deletes blocks unreachable from the entry, fixing phis in surviving
 /// blocks. Returns `true` if anything was deleted.
-pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
-    let cfg = Cfg::new(f);
+pub fn remove_unreachable_blocks(f: &mut Body) -> bool {
+    let cfg = f.analyse::<Cow<Cfg>>();
     let dead: Vec<BlockId> = f
         .block_ids()
         .filter(|b| !cfg.reachable[b.index()])
@@ -692,7 +693,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mut f = m.functions.remove(0);
-        assert!(trivial_dce(&m, &mut f, false));
+        assert!(trivial_dce(&m, &mut Body::from(&mut f), false));
         assert_eq!(f.live_inst_count(), 0);
     }
 
@@ -724,7 +725,7 @@ mod tests {
         }
         mlcomp_ir::verify(&m).unwrap();
         let mut f = m.functions[0].clone();
-        assert!(!trivial_dce(&m, &mut f, true));
+        assert!(!trivial_dce(&m, &mut Body::from(&mut f), true));
         assert_eq!(f, m.functions[0]);
         assert_eq!(f.block(header).insts[0], phi);
     }
@@ -750,8 +751,9 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        let f = &mut m.functions[0];
-        assert!(remove_unreachable_blocks(f));
+        assert!(remove_unreachable_blocks(&mut Body::from(
+            &mut m.functions[0]
+        )));
         mlcomp_ir::verify(&m).expect("clean after removal");
     }
 
@@ -876,7 +878,7 @@ mod tests {
                 let context = format!("{label}: `{}`, remove_loads {remove_loads}", f.name);
                 let (mut new, mut old) = (f.clone(), f.clone());
                 assert_eq!(
-                    trivial_dce(state, &mut new, remove_loads),
+                    trivial_dce(state, &mut Body::from(&mut new), remove_loads),
                     oracle::trivial_dce(state, &mut old, remove_loads),
                     "{context}"
                 );

@@ -10,8 +10,9 @@
 //! and effective instruction count — without introducing vector semantics
 //! into the IR. See DESIGN.md §2 for the substitution rationale.
 
-use crate::loops::{forest, single_body};
+use crate::loops::single_body;
 use crate::util::{may_alias, mem_root, MemRoot};
+use mlcomp_ir::analysis::{Body, CfgLoops};
 use mlcomp_ir::{Function, InstId, InstKind, Module, Value};
 use std::collections::HashSet;
 
@@ -24,8 +25,8 @@ pub const VECTOR_WIDTH: u8 = 4;
 /// (canonical induction variable from `indvars`) and has no loop-carried
 /// memory dependences: no location both loaded and stored through
 /// different addresses, no calls, no unknown pointer roots.
-pub fn loop_vectorize(_m: &Module, f: &mut Function) -> bool {
-    let (_cfg, _dt, lf) = forest(f);
+pub fn loop_vectorize(_m: &Module, f: &mut Body) -> bool {
+    let (_, _, lf) = f.analyse::<CfgLoops>();
     let mut changed = false;
 
     'loops: for l in &lf.loops {
@@ -127,7 +128,7 @@ const SLP_MIN_GROUP: usize = 2;
 /// `slp-vectorizer`: packs groups of isomorphic, independent scalar
 /// operations within one basic block (same opcode, same type, no
 /// def-use chain between them) into vector-annotated operations.
-pub fn slp_vectorizer(_m: &Module, f: &mut Function) -> bool {
+pub fn slp_vectorizer(_m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let ids = f.block(b).insts.clone();
@@ -199,8 +200,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(loop_vectorize(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(loop_vectorize(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         // Dynamic behaviour identical; vector lanes now counted.
         let fid = m.find_function("axpy").unwrap();
@@ -230,8 +231,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[0]);
-        assert!(!loop_vectorize(&mc, &mut m.functions[0]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        assert!(!loop_vectorize(&mc, &mut Body::from(&mut m.functions[0])));
     }
 
     #[test]
@@ -255,8 +256,8 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        crate::memory::mem2reg(&mc, &mut m.functions[1]);
-        assert!(!loop_vectorize(&mc, &mut m.functions[1]));
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[1]));
+        assert!(!loop_vectorize(&mc, &mut Body::from(&mut m.functions[1])));
     }
 
     #[test]
@@ -281,7 +282,7 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(slp_vectorizer(&mc, &mut m.functions[0]));
+        assert!(slp_vectorizer(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         let fid = m.find_function("f").unwrap();
         let out = Interpreter::new(&m)
@@ -309,6 +310,6 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         let mc = m.clone();
-        assert!(!slp_vectorizer(&mc, &mut m.functions[0]));
+        assert!(!slp_vectorizer(&mc, &mut Body::from(&mut m.functions[0])));
     }
 }
