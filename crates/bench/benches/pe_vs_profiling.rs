@@ -1,7 +1,8 @@
 //! The mechanism behind the paper's adaptation-time claim (50× faster
 //! training, 2 days vs 15–108): obtaining dynamic features from the PE is
 //! orders of magnitude cheaper than profiling an execution. This bench
-//! measures both paths on the same program.
+//! measures both paths on the same program, and the cost of training the
+//! PE (Algorithm 1's model search for all four metrics) on the dataset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_core::{DataExtraction, PerfEstimator};
@@ -18,7 +19,8 @@ fn bench(c: &mut Criterion) {
     let dataset = DataExtraction::quick()
         .run(&platform, &apps)
         .expect("extraction runs");
-    let estimator = PerfEstimator::train(&dataset, &ModelSearch::quick()).expect("PE trains");
+    let search = ModelSearch::quick();
+    let estimator = PerfEstimator::train(&dataset, &search).expect("PE trains");
 
     let target = &apps[0];
     let features = mlcomp_features::extract(&target.module);
@@ -40,6 +42,12 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("feature-extraction", |b| {
         b.iter(|| black_box(mlcomp_features::extract(black_box(&target.module))))
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("pe-training");
+    g.bench_function("PerfEstimator::train (quick zoo)", |b| {
+        b.iter(|| black_box(PerfEstimator::train(black_box(&dataset), &search).unwrap()))
     });
     g.finish();
 }

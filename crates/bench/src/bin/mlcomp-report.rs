@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Sections (each printed only when the trace contains the matching
-//! events): top-N slowest span paths by self time, per-phase IR impact,
+//! events): top-N slowest span paths by self time, per-phase IR impact
+//! (with sandbox sessions' snapshot copies as their own row),
 //! extraction throughput, failure breakdown by fault kind, model-search
 //! accuracy, and an RL learning-curve sparkline.
 //!
@@ -51,6 +52,10 @@ struct PhaseAgg {
     insts_removed: i64,
     verify_ns: f64,
 }
+
+/// The phase-table row of `passes.snapshot` spans; parenthesised so no
+/// phase name can collide with it.
+const SNAPSHOT_ROW: &str = "(snapshot)";
 
 /// One flushed histogram summary: (count, min, max, mean, p50, p90, p99).
 type HistRow = (u64, f64, f64, f64, f64, f64, f64);
@@ -99,6 +104,11 @@ impl Report {
                         p.insts_removed += (before - after) as i64;
                         p.verify_ns += get_num(f, "verify_ns").unwrap_or(0.0);
                     }
+                } else if name == "passes.snapshot" {
+                    // A session's rollback copy, timed outside any phase.
+                    let p = self.phases.entry(SNAPSHOT_ROW.to_string()).or_default();
+                    p.count += 1;
+                    p.total_ns += dur;
                 } else if name == "extraction" {
                     if let Some(f) = fields {
                         let samples = get_num(f, "samples").unwrap_or(0.0);
@@ -366,6 +376,7 @@ mod tests {
         let lines = [
             r#"{"t":"span","name":"extraction","path":"extraction","start_ns":0,"dur_ns":2000000000,"tid":0,"fields":{"samples":10,"failed":2,"quarantined":1}}"#,
             r#"{"t":"span","name":"phase","path":"extraction/phase","start_ns":1,"dur_ns":500,"tid":0,"fields":{"phase":"adce","insts_before":6,"insts_after":5,"rollback":false,"verify_ns":10}}"#,
+            r#"{"t":"span","name":"passes.snapshot","path":"extraction/passes.snapshot","start_ns":0,"dur_ns":40,"tid":0,"fields":{}}"#,
             r#"{"t":"counter","name":"extraction.fault.fuel_exhaustion","value":3}"#,
             r#"{"t":"gauge","name":"pool.queue_depth","value":4.0}"#,
             r#"{"t":"hist","name":"search.accuracy","count":4,"min":0.1,"max":0.9,"mean":0.5,"p50":0.5,"p90":0.8,"p99":0.9}"#,
@@ -374,14 +385,16 @@ mod tests {
         for (i, l) in lines.iter().enumerate() {
             r.ingest(i + 1, l).unwrap();
         }
-        assert_eq!(r.events, 6);
+        assert_eq!(r.events, 7);
         assert_eq!(r.spans["extraction"].count, 1);
         assert_eq!(r.phases["adce"].insts_removed, 1);
+        let snapshot = &r.phases[SNAPSHOT_ROW];
+        assert_eq!((snapshot.count, snapshot.total_ns), (1, 40.0));
         assert_eq!(r.counters["extraction.fault.fuel_exhaustion"], 3);
         assert_eq!(r.points["rl.mean_return"], vec![(6.0, 1.5)]);
         assert!(r.extraction.is_some());
-        assert!(r.ingest(7, "not json").is_err());
-        assert!(r.ingest(8, r#"{"t":"mystery"}"#).is_err());
+        assert!(r.ingest(8, "not json").is_err());
+        assert!(r.ingest(9, r#"{"t":"mystery"}"#).is_err());
     }
 
     #[test]

@@ -60,12 +60,16 @@ impl std::fmt::Debug for PerfEstimator {
 impl PerfEstimator {
     /// Trains one pipeline per metric with Algorithm 1's model search.
     ///
+    /// The four searches share one split and one fit of each preprocessor
+    /// ([`ModelSearch::prepare`]); only the models are fit per metric.
+    ///
     /// # Errors
     ///
     /// Returns [`TrainError`] when the dataset is too small or no pipeline
     /// can be fit for some metric.
     pub fn train(dataset: &Dataset, search: &ModelSearch) -> Result<PerfEstimator, TrainError> {
         let x = dataset.features();
+        let prepared = search.prepare(&x)?;
         let mut pipelines = Vec::with_capacity(METRIC_COUNT);
         let mut rows = Vec::with_capacity(METRIC_COUNT);
         for metric in METRIC_NAMES {
@@ -75,7 +79,7 @@ impl PerfEstimator {
                 accuracy,
                 leaderboard,
                 ..
-            } = search.run(&x, &y)?;
+            } = search.run_prepared(&prepared, &y)?;
             let winner = &leaderboard[0];
             rows.push((
                 metric.to_string(),

@@ -256,6 +256,15 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
+    /// Extracts the sub-matrix of the given rows, preserving order.
+    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), self.cols);
+        for (ni, &i) in rows.iter().enumerate() {
+            out.row_mut(ni).copy_from_slice(self.row(i));
+        }
+        out
+    }
+
     /// Extracts the sub-matrix of the given columns, preserving order.
     pub fn select_columns(&self, cols: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(self.rows, cols.len());
@@ -349,6 +358,16 @@ mod tests {
         let s = a.select_columns(&[2, 0]);
         assert_eq!(s.row(0), &[3.0, 1.0]);
         assert_eq!(s.row(1), &[6.0, 4.0]);
+    }
+
+    #[test]
+    fn row_selection() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let s = a.select_rows(&[2, 0, 2]);
+        assert_eq!((s.rows(), s.cols()), (3, 2));
+        assert_eq!(s.row(0), &[5.0, 6.0]);
+        assert_eq!(s.row(1), &[1.0, 2.0]);
+        assert_eq!(s.row(2), &[5.0, 6.0]);
     }
 
     #[test]

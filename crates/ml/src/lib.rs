@@ -135,13 +135,7 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
 
 /// Extracts the given rows of a matrix and target slice.
 pub fn take_rows(x: &Matrix, y: &[f64], rows: &[usize]) -> (Matrix, Vec<f64>) {
-    let mut out = Matrix::zeros(rows.len(), x.cols());
-    let mut ty = Vec::with_capacity(rows.len());
-    for (ni, &ri) in rows.iter().enumerate() {
-        out.row_mut(ni).copy_from_slice(x.row(ri));
-        ty.push(y[ri]);
-    }
-    (out, ty)
+    (x.select_rows(rows), rows.iter().map(|&ri| y[ri]).collect())
 }
 
 #[cfg(test)]

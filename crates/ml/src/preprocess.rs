@@ -1,6 +1,6 @@
 //! The preprocessing algorithms of the paper's Table III: PCA (fixed and
-//! MLE-dimensioned), NCA, the five scalers and the two distribution
-//! transformers.
+//! MLE-dimensioned), NCA (as fixed-dimension PCA), the five scalers and
+//! the two distribution transformers.
 
 use crate::{Preprocessor, TrainError};
 use mlcomp_linalg::{percentile, symmetric_eigen, Matrix};
@@ -368,11 +368,11 @@ fn mle_dimension(evals: &[f64]) -> usize {
     k.max(1)
 }
 
-/// Neighbourhood components analysis, adapted for regression: a linear
-/// projection trained by gradient ascent so that rows with similar targets
-/// land close together. For the unsupervised [`Preprocessor`] interface
-/// (no targets available), it behaves as whitened PCA — the supervised
-/// path is [`Nca::fit_supervised`].
+/// The search's `nca` entry: the projection onto the `dim` leading
+/// principal components of the training rows, which is [`Pca::fixed`]
+/// under another name. Neighbourhood components analysis proper learns
+/// its projection from the targets, which the unsupervised
+/// [`Preprocessor`] interface does not see.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Nca {
     /// Output dimensionality.
@@ -390,55 +390,6 @@ impl Nca {
             mean: Vec::new(),
         }
     }
-
-    /// Supervised fit: starts from PCA and refines the projection with a
-    /// few gradient steps of a soft-neighbour target-similarity objective.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError`] on degenerate input.
-    pub fn fit_supervised(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
-        self.fit(x)?;
-        let proj = self.projection.clone().expect("fit populated projection");
-        let mut a = proj;
-        let n = x.rows();
-        if n < 4 {
-            return Ok(());
-        }
-        let centered = elementwise(x, |v, j| v - self.mean[j]);
-        let y_std = mlcomp_linalg::std_dev(y).max(1e-9);
-        let lr = 0.05;
-        for _step in 0..8 {
-            let z = centered.matmul(&a);
-            // Gradient of Σ_ij w_ij · ‖z_i − z_j‖² with w_ij>0 for similar
-            // targets and w_ij<0 for dissimilar ones: pulls same-target
-            // rows together. dL/dA = 2 Xᵀ M X A with M the weighted
-            // Laplacian-like matrix; computed directly.
-            let mut grad = Matrix::zeros(a.rows(), a.cols());
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let sim = 1.0 - ((y[i] - y[j]).abs() / (2.0 * y_std)).min(2.0);
-                    let mut diff_x = vec![0.0; centered.cols()];
-                    for (c, dx) in diff_x.iter_mut().enumerate() {
-                        *dx = centered[(i, c)] - centered[(j, c)];
-                    }
-                    let mut diff_z = vec![0.0; z.cols()];
-                    for (c, dz) in diff_z.iter_mut().enumerate() {
-                        *dz = z[(i, c)] - z[(j, c)];
-                    }
-                    for r in 0..grad.rows() {
-                        for c in 0..grad.cols() {
-                            grad[(r, c)] += sim * diff_x[r] * diff_z[c];
-                        }
-                    }
-                }
-            }
-            let norm = grad.frobenius_norm().max(1e-9);
-            a = a.sub(&grad.scale(lr / norm));
-        }
-        self.projection = Some(a);
-        Ok(())
-    }
 }
 
 impl Preprocessor for Nca {
@@ -449,10 +400,9 @@ impl Preprocessor for Nca {
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         let mut pca = Pca::fixed(self.dim);
         pca.fit(x)?;
-        self.mean = pca.mean.clone();
-        // Whiten: scale components by 1/√λ.
-        let comps = pca.components.expect("fitted PCA has components");
-        self.projection = Some(comps);
+        self.mean = pca.mean;
+        // The principal axes themselves, unscaled (not whitened).
+        self.projection = pca.components;
         Ok(())
     }
 
@@ -583,20 +533,6 @@ mod tests {
         p.fit(&x).unwrap();
         assert!(p.out_dim() <= 3, "MLE picked {} dims", p.out_dim());
         assert!(p.out_dim() >= 1);
-    }
-
-    #[test]
-    fn nca_supervised_runs_and_projects() {
-        let rows: Vec<Vec<f64>> = (0..24)
-            .map(|i| vec![i as f64, (i % 3) as f64, 1.0])
-            .collect();
-        let x = Matrix::from_vec_rows(rows);
-        let y: Vec<f64> = (0..24).map(|i| (i % 3) as f64).collect();
-        let mut nca = Nca::new(2);
-        nca.fit_supervised(&x, &y).unwrap();
-        let t = nca.transform(&x);
-        assert_eq!(t.cols(), 2);
-        assert!(t.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Performance Estimator pipeline.
 
 use crate::any::{AnyModel, AnyPreprocessor};
-use crate::{metrics, take_rows, train_test_split, Preprocessor, Regressor, TrainError};
+use crate::{metrics, train_test_split, Preprocessor, Regressor, TrainError};
 use mlcomp_linalg::Matrix;
 use mlcomp_parallel::WorkerPool;
 use mlcomp_trace as trace;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Names of all Table IV models, in the paper's row order.
 pub fn model_zoo() -> Vec<&'static str> {
@@ -195,43 +196,106 @@ impl ModelSearch {
         }
     }
 
-    /// Runs the search.
+    /// Runs the search: [`prepare`](ModelSearch::prepare) followed by
+    /// [`run_prepared`](ModelSearch::run_prepared).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError`] when `x` has fewer than 8 rows or no
+    /// combination could be trained at all (degenerate dataset).
+    pub fn run(&self, x: &Matrix, y: &[f64]) -> Result<SearchOutcome, TrainError> {
+        self.run_prepared(&self.prepare(x)?, y)
+    }
+
+    /// Splits `x` into training and test rows and fits every listed
+    /// preprocessor once on the training rows, on the worker pool.
+    ///
+    /// Neither the split nor a preprocessor's fit reads the targets, so
+    /// one preparation serves [`run_prepared`](ModelSearch::run_prepared)
+    /// for every target column measured on the same rows (the four
+    /// metrics of a Performance Estimator).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError`] when `x` has fewer than 8 rows.
+    pub fn prepare<'x>(&self, x: &'x Matrix) -> Result<PreparedSplit<'x>, TrainError> {
+        if x.rows() < 8 {
+            return Err(TrainError::new("need at least 8 samples for model search"));
+        }
+        let mut span = trace::span("search.prepare");
+        if span.is_recording() {
+            span.field("preprocessors", self.preprocessors.len());
+            span.field("rows", x.rows());
+        }
+        let (train, test) = train_test_split(x.rows(), self.test_fraction, self.seed);
+        let (xtr, xte) = (x.select_rows(&train), x.select_rows(&test));
+        let preprocessors = WorkerPool::new(self.num_threads)
+            .map(&self.preprocessors, |_, name| {
+                PreparedPreprocessor::fit(name, &xtr, &xte)
+            });
+        Ok(PreparedSplit {
+            x,
+            train,
+            test,
+            split: (self.test_fraction.to_bits(), self.seed),
+            preprocessors,
+        })
+    }
+
+    /// Algorithm 1 on a prepared split: fits each (model, preprocessor)
+    /// candidate's model on the preprocessed training rows, scores it on
+    /// the test rows, and refits the winner on all rows.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError`] when no combination could be trained at all
     /// (degenerate dataset).
-    pub fn run(&self, x: &Matrix, y: &[f64]) -> Result<SearchOutcome, TrainError> {
-        if x.rows() < 8 {
-            return Err(TrainError::new("need at least 8 samples for model search"));
-        }
-        let (train, test) = train_test_split(x.rows(), self.test_fraction, self.seed);
-        let (xtr, ytr) = take_rows(x, y, &train);
-        let (xte, yte) = take_rows(x, y, &test);
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prepared` comes from a search with another
+    /// `test_fraction`, `seed` or preprocessor list, or when `y` has fewer
+    /// entries than the prepared matrix has rows.
+    pub fn run_prepared(
+        &self,
+        prepared: &PreparedSplit<'_>,
+        y: &[f64],
+    ) -> Result<SearchOutcome, TrainError> {
+        assert!(
+            prepared.split == (self.test_fraction.to_bits(), self.seed)
+                && prepared
+                    .preprocessors
+                    .iter()
+                    .map(|p| &p.name)
+                    .eq(&self.preprocessors),
+            "the split was prepared by a search with another split or preprocessor list"
+        );
+        let ytr: Vec<f64> = prepared.train.iter().map(|&i| y[i]).collect();
+        let yte: Vec<f64> = prepared.test.iter().map(|&i| y[i]).collect();
 
         // Candidates in the paper's order: models outer, preprocessors
         // inner. Chunks are evaluated in parallel but consumed in order,
         // truncating at the first above-threshold entry, so the resulting
         // leaderboard matches a sequential sweep exactly (at the cost of
         // at most one chunk of extra fits past the early-exit point).
-        let candidates: Vec<(&String, &String)> = self
+        let candidates: Vec<(&String, &PreparedPreprocessor)> = self
             .models
             .iter()
-            .flat_map(|m| self.preprocessors.iter().map(move |p| (m, p)))
+            .flat_map(|m| prepared.preprocessors.iter().map(move |p| (m, p)))
             .collect();
         let pool = WorkerPool::new(self.num_threads);
         let chunk_len = pool.num_threads().max(1) * 2;
         let mut search_span = trace::span("search");
         if search_span.is_recording() {
             search_span.field("candidates", candidates.len());
-            search_span.field("rows", x.rows());
+            search_span.field("rows", prepared.x.rows());
             search_span.field("threads", pool.num_threads());
         }
         let mut leaderboard: Vec<SearchEntry> = Vec::new();
         let mut early_stopped = false;
         'outer: for batch in candidates.chunks(chunk_len) {
-            let evaluated = pool.map(batch, |_, &(model_name, prep_name)| {
-                self.evaluate_candidate(model_name, prep_name, &xtr, &ytr, &xte, &yte)
+            let evaluated = pool.map(batch, |_, &(model_name, prep)| {
+                evaluate_candidate(model_name, prep, &ytr, &yte)
             });
             for entry in evaluated.into_iter().flatten() {
                 let stop = entry.accuracy > self.accuracy_threshold;
@@ -255,18 +319,22 @@ impl ModelSearch {
             return Err(TrainError::new("no model/preprocessor combination trained"));
         };
 
-        // Refit the winner on the full dataset.
-        let mut prep =
-            AnyPreprocessor::from_name(&winner.preprocessor).expect("winner came from the zoo");
+        // Refit the winner on the full dataset. The preprocessor's refit
+        // is shared by every search of this preparation.
+        let prep = prepared
+            .preprocessors
+            .iter()
+            .find(|p| p.name == winner.preprocessor)
+            .expect("winner came from the prepared list");
+        let (preprocessor, px) = prep.refit(prepared.x)?;
         let mut model = AnyModel::from_name(&winner.model).expect("winner came from the zoo");
-        let px = prep.fit_transform(x)?;
-        model.fit(&px, y)?;
+        model.fit(px, y)?;
 
         Ok(SearchOutcome {
             best: FittedPipeline {
                 preprocessor_name: winner.preprocessor.clone(),
                 model_name: winner.model.clone(),
-                preprocessor: prep,
+                preprocessor: preprocessor.clone(),
                 model,
             },
             accuracy: winner.accuracy,
@@ -274,45 +342,97 @@ impl ModelSearch {
             early_stopped,
         })
     }
+}
 
-    /// Fits and scores one (model, preprocessor) candidate on the split;
-    /// `None` when the candidate cannot be constructed, fails to train, or
-    /// predicts non-finite values — matching the sequential `continue`s.
-    fn evaluate_candidate(
-        &self,
-        model_name: &str,
-        prep_name: &str,
-        xtr: &Matrix,
-        ytr: &[f64],
-        xte: &Matrix,
-        yte: &[f64],
-    ) -> Option<SearchEntry> {
-        let mut fit_span = trace::span("search.fit");
-        if fit_span.is_recording() {
-            fit_span.field("model", model_name);
-            fit_span.field("prep", prep_name);
+/// The train/test split of one feature matrix, with every listed
+/// preprocessor fitted once on its training rows: what
+/// [`ModelSearch::prepare`] returns and [`ModelSearch::run_prepared`]
+/// reads.
+///
+/// A winner's refit on all rows is kept too, built by the first search
+/// that needs it, so the searches of several metrics fit each
+/// preprocessor at most twice in all.
+#[derive(Debug)]
+pub struct PreparedSplit<'x> {
+    x: &'x Matrix,
+    train: Vec<usize>,
+    test: Vec<usize>,
+    /// The bits of the `test_fraction` and the `seed` of the split.
+    split: (u64, u64),
+    preprocessors: Vec<PreparedPreprocessor>,
+}
+
+/// One listed preprocessor of a [`PreparedSplit`].
+#[derive(Debug)]
+struct PreparedPreprocessor {
+    name: String,
+    /// The training and test rows through the preprocessor fitted on the
+    /// training rows; `None` when the name is not in the zoo or the fit
+    /// fails, which skips its candidates.
+    rows: Option<(Matrix, Matrix)>,
+    /// The preprocessor fitted on all rows, with its output.
+    refit: OnceLock<Result<(AnyPreprocessor, Matrix), TrainError>>,
+}
+
+impl PreparedPreprocessor {
+    fn fit(name: &str, xtr: &Matrix, xte: &Matrix) -> PreparedPreprocessor {
+        let rows = AnyPreprocessor::from_name(name).and_then(|mut prep| {
+            let ptr = prep.fit_transform(xtr).ok()?;
+            Some((ptr, prep.transform(xte)))
+        });
+        PreparedPreprocessor {
+            name: name.to_string(),
+            rows,
+            refit: OnceLock::new(),
         }
-        let mut prep = create_preprocessor(prep_name)?;
-        let mut model = create_model(model_name)?;
-        let ptr = prep.fit_transform(xtr).ok()?;
-        model.fit(&ptr, ytr).ok()?;
-        let pred = model.predict(&prep.transform(xte));
-        if pred.iter().any(|p| !p.is_finite()) {
-            return None;
-        }
-        let acc = 1.0 - metrics::mape(yte, &pred);
-        if fit_span.is_recording() {
-            fit_span.field("accuracy", acc);
-            trace::observe("search.accuracy", acc);
-        }
-        Some(SearchEntry {
-            preprocessor: prep_name.to_string(),
-            model: model_name.to_string(),
-            accuracy: acc,
-            max_pct_error: metrics::max_pct_error(yte, &pred),
-            r2: metrics::r2(yte, &pred),
-        })
     }
+
+    fn refit(&self, x: &Matrix) -> Result<&(AnyPreprocessor, Matrix), TrainError> {
+        self.refit
+            .get_or_init(|| {
+                let mut prep =
+                    AnyPreprocessor::from_name(&self.name).expect("winner came from the zoo");
+                let px = prep.fit_transform(x)?;
+                Ok((prep, px))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// Fits and scores one candidate's model on the prepared rows; `None` when
+/// the candidate cannot be constructed, fails to train, or predicts
+/// non-finite values — matching the sequential `continue`s.
+fn evaluate_candidate(
+    model_name: &str,
+    prep: &PreparedPreprocessor,
+    ytr: &[f64],
+    yte: &[f64],
+) -> Option<SearchEntry> {
+    let mut fit_span = trace::span("search.fit");
+    if fit_span.is_recording() {
+        fit_span.field("model", model_name);
+        fit_span.field("prep", prep.name.as_str());
+    }
+    let (ptr, pte) = prep.rows.as_ref()?;
+    let mut model = AnyModel::from_name(model_name)?;
+    model.fit(ptr, ytr).ok()?;
+    let pred = model.predict(pte);
+    if pred.iter().any(|p| !p.is_finite()) {
+        return None;
+    }
+    let acc = 1.0 - metrics::mape(yte, &pred);
+    if fit_span.is_recording() {
+        fit_span.field("accuracy", acc);
+        trace::observe("search.accuracy", acc);
+    }
+    Some(SearchEntry {
+        preprocessor: prep.name.clone(),
+        model: model_name.to_string(),
+        accuracy: acc,
+        max_pct_error: metrics::max_pct_error(yte, &pred),
+        r2: metrics::r2(yte, &pred),
+    })
 }
 
 #[cfg(test)]
@@ -395,5 +515,265 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let y = [1.0, 2.0];
         assert!(ModelSearch::quick().run(&x, &y).is_err());
+        assert!(ModelSearch::quick().prepare(&x).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "another split or preprocessor list")]
+    fn a_split_prepared_for_other_preprocessors_is_refused() {
+        let (x, y) = crate::models::testutil::synthetic(40, 0.02, 80);
+        let prepared = ModelSearch::quick().prepare(&x).unwrap();
+        let _ = ModelSearch::default().run_prepared(&prepared, &y);
+    }
+
+    /// Rows of 12 features driven by three latent values (with a constant
+    /// column and two near-duplicates, so PCA's MLE dimension and the
+    /// scalers' degenerate-column guards take part) and four positive
+    /// target columns: exact linear, noisy linear, nonlinear, and one
+    /// that saturates.
+    fn wide_dataset(n: usize, seed: u64) -> (Matrix, Vec<Vec<f64>>) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let mut rows = Vec::with_capacity(n);
+        let mut targets = vec![Vec::new(); 4];
+        for _ in 0..n {
+            let (a, b, c) = (rnd() * 10.0, rnd() * 4.0, rnd());
+            rows.push(vec![
+                a,
+                b,
+                c,
+                a + b,
+                a - 2.0 * c,
+                b * c,
+                a * a,
+                1.0,
+                a + 1e-9 * rnd(),
+                b + 1e-9 * rnd(),
+                (a + 1.0).ln(),
+                rnd(),
+            ]);
+            targets[0].push(3.0 * a + 2.0 * b + 40.0);
+            targets[1].push(3.0 * a + 2.0 * b + 40.0 + 4.0 * rnd());
+            targets[2].push(20.0 + a * b + 5.0 * c * c);
+            targets[3].push(10.0 + (a / 2.0).min(3.0));
+        }
+        (Matrix::from_vec_rows(rows), targets)
+    }
+
+    /// Requires equal leaderboards (every field, bit for bit, in order),
+    /// early exits, winners and serialized fitted pipelines.
+    fn assert_same_outcome(got: &SearchOutcome, want: &SearchOutcome, what: &str) {
+        assert_eq!(
+            format!("{:?}", got.leaderboard),
+            format!("{:?}", want.leaderboard),
+            "{what}: leaderboard"
+        );
+        assert_eq!(got.early_stopped, want.early_stopped, "{what}: early exit");
+        assert_eq!(
+            got.accuracy.to_bits(),
+            want.accuracy.to_bits(),
+            "{what}: accuracy"
+        );
+        assert_eq!(
+            serde_json::to_string(&got.best).unwrap(),
+            serde_json::to_string(&want.best).unwrap(),
+            "{what}: fitted pipeline"
+        );
+    }
+
+    /// One preparation serves every target column, and each search equals
+    /// the per-candidate oracle on that column.
+    fn check_against_the_oracle(search: &ModelSearch, rows: usize) {
+        let (x, targets) = wide_dataset(rows, 81);
+        let prepared = search.prepare(&x).unwrap();
+        for (i, y) in targets.iter().enumerate() {
+            let want = oracle::run(search, &x, y).unwrap();
+            let got = search.run_prepared(&prepared, y).unwrap();
+            assert_same_outcome(&got, &want, &format!("target {i}"));
+            assert_same_outcome(
+                &search.run(&x, y).unwrap(),
+                &want,
+                &format!("run, target {i}"),
+            );
+        }
+    }
+
+    #[test]
+    fn prepared_search_matches_the_oracle_on_the_quick_zoo() {
+        // In the zoo's order `identity` wins every target; reversed,
+        // `mean-std` wins three, so refitting the wrong preprocessor shows.
+        let mut reversed = ModelSearch::quick().preprocessors;
+        reversed.reverse();
+        for preprocessors in [ModelSearch::quick().preprocessors, reversed] {
+            for threads in [1, 2] {
+                let search = ModelSearch {
+                    num_threads: threads,
+                    preprocessors: preprocessors.clone(),
+                    ..ModelSearch::quick()
+                };
+                check_against_the_oracle(&search, 32);
+            }
+        }
+    }
+
+    // The full zoo: ≈1 s in release, ≈10 s in debug.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn prepared_search_matches_the_oracle_on_the_paper_zoo() {
+        let search = ModelSearch {
+            num_threads: 2,
+            ..ModelSearch::default()
+        };
+        check_against_the_oracle(&search, 32);
+    }
+
+    #[test]
+    fn prepared_search_matches_the_oracle_when_the_early_exit_fires_mid_chunk() {
+        let (x, targets) = wide_dataset(32, 82);
+        // Two threads evaluate chunks of four candidates.
+        let base = ModelSearch {
+            num_threads: 2,
+            accuracy_threshold: f64::INFINITY,
+            ..ModelSearch::quick()
+        };
+        let chunk_len = 4;
+        let order: Vec<(&String, &String)> = base
+            .models
+            .iter()
+            .flat_map(|m| base.preprocessors.iter().map(move |p| (m, p)))
+            .collect();
+        let prepared = base.prepare(&x).unwrap();
+        let mut checked = 0;
+        for y in &targets {
+            let full = oracle::run(&base, &x, y).unwrap();
+            assert!(!full.early_stopped);
+            // Accuracy of each candidate in search order (`None` if skipped).
+            let acc: Vec<Option<f64>> = order
+                .iter()
+                .map(|&(m, p)| {
+                    let e = full
+                        .leaderboard
+                        .iter()
+                        .find(|e| &e.model == m && &e.preprocessor == p);
+                    e.map(|e| e.accuracy)
+                })
+                .collect();
+            // A threshold just below the first candidate past the first
+            // chunk that beats every earlier one, and is not a chunk's last.
+            let mut best_before = f64::NEG_INFINITY;
+            let stop = acc.iter().enumerate().find_map(|(i, a)| {
+                let a = (*a)?;
+                let hit = i >= chunk_len && (i + 1) % chunk_len != 0 && a > best_before;
+                let threshold = (a + best_before) / 2.0;
+                best_before = best_before.max(a);
+                hit.then_some((i, threshold))
+            });
+            let Some((i, threshold)) = stop else { continue };
+            let search = ModelSearch {
+                accuracy_threshold: threshold,
+                ..base.clone()
+            };
+            let want = oracle::run(&search, &x, y).unwrap();
+            assert!(want.early_stopped, "the threshold must fire");
+            let evaluated = acc[..=i].iter().flatten().count();
+            assert_eq!(want.leaderboard.len(), evaluated, "stops at candidate {i}");
+            let got = search.run_prepared(&prepared, y).unwrap();
+            assert_same_outcome(&got, &want, &format!("threshold {threshold}"));
+            checked += 1;
+        }
+        assert!(checked > 0, "no target stops mid-chunk");
+    }
+
+    /// Today's search before [`ModelSearch::prepare`]: every candidate
+    /// fits its own preprocessor on the training rows, and the winner's
+    /// preprocessor is refit on all rows for each search.
+    mod oracle {
+        use super::super::*;
+        use crate::take_rows;
+
+        pub fn run(
+            search: &ModelSearch,
+            x: &Matrix,
+            y: &[f64],
+        ) -> Result<SearchOutcome, TrainError> {
+            if x.rows() < 8 {
+                return Err(TrainError::new("need at least 8 samples for model search"));
+            }
+            let (train, test) = train_test_split(x.rows(), search.test_fraction, search.seed);
+            let (xtr, ytr) = take_rows(x, y, &train);
+            let (xte, yte) = take_rows(x, y, &test);
+            let candidates: Vec<(&String, &String)> = search
+                .models
+                .iter()
+                .flat_map(|m| search.preprocessors.iter().map(move |p| (m, p)))
+                .collect();
+            let pool = WorkerPool::new(search.num_threads);
+            let chunk_len = pool.num_threads().max(1) * 2;
+            let mut leaderboard: Vec<SearchEntry> = Vec::new();
+            let mut early_stopped = false;
+            'outer: for batch in candidates.chunks(chunk_len) {
+                let evaluated = pool.map(batch, |_, &(model_name, prep_name)| {
+                    evaluate_candidate(model_name, prep_name, &xtr, &ytr, &xte, &yte)
+                });
+                for entry in evaluated.into_iter().flatten() {
+                    let stop = entry.accuracy > search.accuracy_threshold;
+                    leaderboard.push(entry);
+                    if stop {
+                        early_stopped = true;
+                        break 'outer;
+                    }
+                }
+            }
+            leaderboard.sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).unwrap());
+            let Some(winner) = leaderboard.first().cloned() else {
+                return Err(TrainError::new("no model/preprocessor combination trained"));
+            };
+            let mut prep =
+                AnyPreprocessor::from_name(&winner.preprocessor).expect("winner came from the zoo");
+            let mut model = AnyModel::from_name(&winner.model).expect("winner came from the zoo");
+            let px = prep.fit_transform(x)?;
+            model.fit(&px, y)?;
+            Ok(SearchOutcome {
+                best: FittedPipeline {
+                    preprocessor_name: winner.preprocessor.clone(),
+                    model_name: winner.model.clone(),
+                    preprocessor: prep,
+                    model,
+                },
+                accuracy: winner.accuracy,
+                leaderboard,
+                early_stopped,
+            })
+        }
+
+        fn evaluate_candidate(
+            model_name: &str,
+            prep_name: &str,
+            xtr: &Matrix,
+            ytr: &[f64],
+            xte: &Matrix,
+            yte: &[f64],
+        ) -> Option<SearchEntry> {
+            let mut prep = create_preprocessor(prep_name)?;
+            let mut model = create_model(model_name)?;
+            let ptr = prep.fit_transform(xtr).ok()?;
+            model.fit(&ptr, ytr).ok()?;
+            let pred = model.predict(&prep.transform(xte));
+            if pred.iter().any(|p| !p.is_finite()) {
+                return None;
+            }
+            Some(SearchEntry {
+                preprocessor: prep_name.to_string(),
+                model: model_name.to_string(),
+                accuracy: 1.0 - metrics::mape(yte, &pred),
+                max_pct_error: metrics::max_pct_error(yte, &pred),
+                r2: metrics::r2(yte, &pred),
+            })
+        }
     }
 }

@@ -595,6 +595,21 @@ impl Sandbox {
         let Some(transform) = lookup(name) else {
             return Err(UnknownPhaseError(name.to_string()));
         };
+        // The copy belongs to the session, not to this phase: a stale
+        // snapshot is refreshed in its own span, outside the `phase` span.
+        if self.fresh {
+            debug_assert!(
+                self.snapshot == self.module,
+                "a fresh snapshot must equal the module"
+            );
+        } else {
+            let span = trace::span("passes.snapshot");
+            self.snapshot = self.module.clone();
+            self.fresh = true;
+            if span.is_recording() {
+                trace::counter("passes.snapshots", 1);
+            }
+        }
         let mut span = trace::span("phase");
         let recording = span.is_recording();
         let (insts_before, blocks_before) = if recording {
@@ -602,18 +617,6 @@ impl Sandbox {
         } else {
             (0, 0)
         };
-        if self.fresh {
-            debug_assert!(
-                self.snapshot == self.module,
-                "a fresh snapshot must equal the module"
-            );
-        } else {
-            self.snapshot = self.module.clone();
-            self.fresh = true;
-            if recording {
-                trace::counter("passes.snapshots", 1);
-            }
-        }
         // The rollback snapshot doubles as the pre-phase module that
         // function phases read.
         let (m, snapshot, cache) = (&mut self.module, &self.snapshot, &mut self.cache);

@@ -1,7 +1,9 @@
-//! The `passes.snapshots` counter: a sandbox session copies the module
-//! for its first run and after each changed or quarantined run, never
-//! after an unchanged one. Its own test binary, because trace counters are
-//! process-global and the crate's unit tests run phases concurrently.
+//! The `passes.snapshots` counter and `passes.snapshot` span: a sandbox
+//! session copies the module for its first run and after each changed or
+//! quarantined run, never after an unchanged one, and times the copy
+//! outside the `phase` span of the run that needs it. Its own test binary,
+//! because trace counters are process-global and the crate's unit tests
+//! run phases concurrently.
 
 use mlcomp_faults::{FaultKind, FaultPlan};
 use mlcomp_passes::{PassManager, PhaseOutcome, PipelineLevel, Sandbox};
@@ -63,4 +65,70 @@ fn a_session_refreshes_its_snapshot_only_after_a_change_or_a_rollback() {
         }
     });
     assert_eq!(one_shot, phases.len() as u64);
+}
+
+#[test]
+fn a_refresh_after_a_changed_run_is_timed_outside_the_phase() {
+    let module = mlcomp_suites::program("crc32").unwrap().module;
+    let ring = Arc::new(RingSink::new(1 << 10));
+    mlcomp_trace::with_sink(ring.clone(), || {
+        let mut session = Sandbox::new(module);
+        let outcomes: Vec<PhaseOutcome> = (0..3)
+            .map(|i| session.run_phase("mem2reg", None, &i.to_string()).unwrap())
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                PhaseOutcome::Changed,
+                PhaseOutcome::Unchanged,
+                PhaseOutcome::Unchanged
+            ]
+        );
+    });
+    // (name, path, start, end) of each span, in the order they closed.
+    let events = ring.events();
+    let spans: Vec<(&str, &str, u64, u64)> = events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Span {
+                name,
+                path,
+                start_ns,
+                dur_ns,
+                ..
+            } => Some((*name, path.as_str(), *start_ns, start_ns + dur_ns)),
+            _ => None,
+        })
+        .collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.0).collect();
+    // The first run copies for the session; the second copies because the
+    // first changed the module; the third reuses the snapshot.
+    assert_eq!(
+        names,
+        [
+            "passes.snapshot",
+            "phase",
+            "passes.snapshot",
+            "phase",
+            "phase"
+        ]
+    );
+    for pair in spans.windows(2) {
+        let ((name, path, _, copy_end), (_, phase_path, phase_start, _)) = (pair[0], pair[1]);
+        if name == "passes.snapshot" {
+            assert_eq!((path, phase_path), ("passes.snapshot", "phase"));
+            assert!(
+                copy_end <= phase_start,
+                "the copy ({copy_end} ns) must end before the phase starts ({phase_start} ns)"
+            );
+        }
+    }
+    let counted: u64 = events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Counter { name, value } if name == "passes.snapshots" => Some(*value),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(counted, 2, "one counter tick per copy");
 }

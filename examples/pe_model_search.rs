@@ -47,10 +47,13 @@ fn main() {
         ..ModelSearch::default()
     };
 
+    // The split and the preprocessor fits do not read the targets: fit
+    // them once and share them across the four metrics' searches.
     let x = dataset.features();
+    let prepared = search.prepare(&x).expect("enough samples");
     for metric in METRIC_NAMES {
         let y = dataset.targets(metric);
-        let outcome = search.run(&x, &y).expect("search runs");
+        let outcome = search.run_prepared(&prepared, &y).expect("search runs");
         println!(
             "metric `{metric}` — winner: {} → {} (accuracy {:.2}%, early stop: {})",
             outcome.best.preprocessor_name,

@@ -5,9 +5,9 @@
 //! datasets extracted on a laptop and a 64-core server are interchangeable,
 //! and every experiment in the paper reproduction is exactly repeatable.
 
-use mlcomp::core::DataExtraction;
+use mlcomp::core::{DataExtraction, PerfEstimator};
 use mlcomp::ml::search::ModelSearch;
-use mlcomp::platform::X86Platform;
+use mlcomp::platform::{X86Platform, METRIC_NAMES};
 
 fn small_suite() -> Vec<mlcomp::suites::BenchProgram> {
     mlcomp::suites::parsec_suite()
@@ -79,6 +79,33 @@ fn model_search_winner_is_identical_across_thread_counts() {
             "winning pipeline must not depend on num_threads={threads}"
         );
         assert_eq!(reference.leaderboard, out.leaderboard);
+    }
+}
+
+#[test]
+fn fitted_estimator_bytes_are_identical_across_thread_counts() {
+    let platform = X86Platform::new();
+    let dataset = DataExtraction::quick()
+        .run(&platform, &small_suite())
+        .unwrap();
+    let train = |threads: usize| {
+        let search = ModelSearch {
+            num_threads: threads,
+            ..ModelSearch::quick()
+        };
+        let estimator = PerfEstimator::train(&dataset, &search).unwrap();
+        assert_eq!(estimator.report().rows.len(), METRIC_NAMES.len());
+        serde_json::to_string(&estimator).unwrap()
+    };
+    // The JSON holds every metric's fitted pipeline (preprocessor and
+    // model parameters, bit for bit) and its report row.
+    let reference = train(1);
+    for threads in [2usize, 4] {
+        assert_eq!(
+            reference,
+            train(threads),
+            "fitted PerfEstimator JSON must be byte-identical at num_threads={threads}"
+        );
     }
 }
 
