@@ -56,7 +56,9 @@ fn bench(c: &mut Criterion) {
 /// `snapshot` ids run eight phases that change nothing on unrolled `x264`,
 /// once as one-shot calls (a module copy each) and once through one
 /// sandbox session (one copy in all): the gap is the cost of seven
-/// snapshot copies.
+/// snapshot copies. `ipsccp in a session on x264` repeats `ipsccp` in one
+/// session that it no longer changes, against the one-shot `ipsccp on
+/// x264`: no copy, and every analysis served from the session's cache.
 fn bench_in_situ(c: &mut Criterion) {
     /// Phases that leave `x264+loop-unroll` unchanged.
     const UNCHANGED: [&str; 8] = [
@@ -115,6 +117,13 @@ fn bench_in_situ(c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join("+");
         println!("{state_name}: {} insts", state.total_insts());
+        if state_name == "x264" {
+            let mut session = Sandbox::new(state.clone());
+            while session.run_phase("ipsccp", None, "").unwrap() == PhaseOutcome::Changed {}
+            g.bench_function("ipsccp in a session on x264", |b| {
+                b.iter(|| black_box(session.run_phase("ipsccp", None, "").unwrap()))
+            });
+        }
         if state_name == "x264+loop-unroll" {
             g.bench_function(format!("DefUse::new on {state_name}"), |b| {
                 b.iter(|| {

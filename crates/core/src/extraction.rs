@@ -31,7 +31,7 @@
 //! # Failure handling
 //!
 //! The pipeline is supervised end to end. Phases run inside the pass
-//! sandbox ([`PassManager::run_sequence_sandboxed`]), so a panicking or
+//! sandbox ([`mlcomp_passes::Sandbox::run_sequence`]), so a panicking or
 //! IR-corrupting phase is rolled back and quarantined instead of sinking
 //! the variant. Worker attempts that panic are retried up to
 //! [`retry_attempts`](DataExtraction::retry_attempts) times by
@@ -51,7 +51,7 @@ use crate::dataset::{Dataset, FailedPoint, FailureCause, FailureReport, Quaranti
 use mlcomp_faults::{quiet_injected_panics, FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
 use mlcomp_ir::{ExecError, InterpConfig};
 use mlcomp_parallel::{seed, WorkerPool};
-use mlcomp_passes::{registry, PassManager, QuarantineEntry, QuarantineReason};
+use mlcomp_passes::{registry, QuarantineEntry, QuarantineReason, Sandbox};
 use mlcomp_platform::{DynamicFeatures, Profiler, TargetPlatform, Workload};
 use mlcomp_suites::BenchProgram;
 use mlcomp_trace as trace;
@@ -570,19 +570,20 @@ impl DataExtraction {
         app: &BenchProgram,
         sequence: &[String],
     ) -> Result<(Vec<f64>, DynamicFeatures, Vec<QuarantineEntry>), ExecError> {
-        let pm = PassManager::new();
-        let mut module = app.module.clone();
+        let mut session = Sandbox::new(app.module.clone());
         let canonical = sequence.join(" ");
         let site_prefix = format!("{}|{canonical}", app.name);
-        let report = pm
-            .run_sequence_sandboxed(
-                &mut module,
+        let report = session
+            .run_sequence(
                 sequence.iter().map(String::as_str),
                 self.fault_plan.as_ref(),
                 &site_prefix,
             )
             .expect("registry names are valid");
-        let features = mlcomp_features::extract(&module);
+        // The session's analyses describe its module: most functions keep
+        // the CFGs and loop forests the phases left in the cache.
+        let (module, cache) = session.analysed();
+        let features = mlcomp_features::extract_cached(module, cache);
         let mut interp = InterpConfig::default();
         if let Some(fuel) = self.interp_fuel {
             interp.fuel = fuel;
@@ -606,7 +607,7 @@ impl DataExtraction {
         .with_interp_config(interp);
         let workload = Workload::new(app.entry, app.default_args());
         profiler
-            .profile(&module, &workload)
+            .profile(module, &workload)
             .map(|metrics| (features.values, metrics, report.quarantine.entries))
     }
 }

@@ -10,13 +10,15 @@
 //! function but its blocks, instructions and declaration flag, so an entry
 //! stays valid exactly as long as those are equal.
 //!
-//! Phases see the cache through a [`Body`] (one function) or a
-//! [`ModuleBody`] (the module). The handle hands out the cached analyses
-//! until its first mutable access and builds afresh from then on, so
-//! whatever a phase asks for after a write describes the body as it is
-//! then, and nothing it builds after a write lands in the cache. A handle
-//! made from a bare function or module has nothing cached and builds every
-//! analysis itself; it runs the same code.
+//! Phases see the cache only through [`AnalysisCache::lend`], which lends
+//! the module as a [`ModuleBody`], with the pre-phase module, and its
+//! functions as [`Body`] handles. A handle hands out cached analyses until
+//! the phase first writes what it describes and builds afresh from then
+//! on, so whatever a phase asks for after a write describes the body as it
+//! is then, and nothing built after a write lands in the cache. A write
+//! through a [`Body`] gives up that function's entry and the call graph; a
+//! write through the [`ModuleBody`] gives up everything. A [`Body`] made
+//! from a bare function (tests) has nothing cached; it runs the same code.
 //!
 //! Debug builds check every cache hit against a fresh build. While a trace
 //! is recording, each hit and each build through the cache or a handle
@@ -28,7 +30,7 @@ use super::{CallGraph, Cfg, DefUse, DomTree, LoopForest};
 use crate::function::{FuncId, Function};
 use crate::module::Module;
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt::Debug;
 use std::ops::{Deref, DerefMut};
 
@@ -201,31 +203,23 @@ impl<'c> Fetch<'c> for Cow<'c, DefUse> {
 #[derive(Debug)]
 pub struct Body<'a> {
     f: &'a mut Function,
-    /// Describes `f` while it is `Some`.
-    cached: Option<&'a FunctionAnalyses>,
+    /// Describes `f` while it is `Some`, with the lender's record of a
+    /// write to `f`, set when the entry is given up.
+    cached: Option<(&'a FunctionAnalyses, &'a Cell<bool>)>,
 }
 
 impl<'a> Body<'a> {
-    /// Lends `f` with `entry`, which must describe it (an empty entry
-    /// describes any function).
-    pub fn new(f: &'a mut Function, entry: &'a FunctionAnalyses) -> Body<'a> {
-        Body {
-            f,
-            cached: Some(entry),
-        }
-    }
-
     /// Analyses `T` of the body as it is now: borrowed from the cache
     /// entry until the first write, built afresh after it.
     pub fn analyse<T: Fetch<'a>>(&self) -> T {
         match self.cached {
-            Some(entry) => T::cached(entry, self.f),
+            Some((entry, _)) => T::cached(entry, self.f),
             None => T::build(self.f),
         }
     }
 }
 
-/// A body with nothing cached.
+/// A body with nothing cached, for tests.
 impl<'a> From<&'a mut Function> for Body<'a> {
     fn from(f: &'a mut Function) -> Body<'a> {
         Body { f, cached: None }
@@ -243,35 +237,70 @@ impl Deref for Body<'_> {
 /// Gives the cache entry up.
 impl DerefMut for Body<'_> {
     fn deref_mut(&mut self) -> &mut Function {
-        self.cached = None;
+        if let Some((_, written)) = self.cached.take() {
+            written.set(true);
+        }
         self.f
     }
 }
 
-/// A module lent to a phase, with its cached call graph as the phase found
-/// it: the module-level counterpart of [`Body`], given up the same way.
+/// A module lent to a phase with the module as it was before the phase:
+/// lends each function as a [`Body`] with its entry until the phase writes
+/// it, and the call graph until the phase writes any function. A write
+/// through [`DerefMut`] gives the whole cache up for the rest of the phase.
 #[derive(Debug)]
 pub struct ModuleBody<'a> {
     m: &'a mut Module,
-    /// Describes `m` while it is `Some`.
-    cached: Option<&'a OnceCell<CallGraph>>,
+    before: &'a Module,
+    /// Describes `before`, and so every function not yet written, while it
+    /// is `Some`.
+    cache: Option<&'a AnalysisCache>,
+    /// Per function, whether the phase wrote it through a [`Body`].
+    written: Vec<Cell<bool>>,
 }
 
 impl<'a> ModuleBody<'a> {
+    /// The module as it was before the phase, for interprocedural queries
+    /// such as a callee's `readnone`.
+    pub fn before(&self) -> &'a Module {
+        self.before
+    }
+
+    /// Lends function `fid` with its cache entry, unless the phase wrote it.
+    pub fn body(&mut self, fid: FuncId) -> Body<'_> {
+        let f = &mut self.m.functions[fid.index()];
+        lend_body(f, fid.index(), self.cache, &self.written)
+    }
+
+    /// Lends every function, as [`ModuleBody::body`] does.
+    pub fn bodies(&mut self) -> impl Iterator<Item = Body<'_>> {
+        let (cache, written) = (self.cache, &self.written);
+        let functions = self.m.functions.iter_mut().enumerate();
+        functions.map(move |(i, f)| lend_body(f, i, cache, written))
+    }
+
     /// The call graph of the module as it is now: borrowed from the cache
-    /// until the first write, built afresh after it.
+    /// until the phase's first write, built afresh after it.
     pub fn call_graph(&self) -> Cow<'a, CallGraph> {
-        match self.cached {
-            Some(cell) => Cow::Borrowed(fetch(cell, Kind::CallGraph, || CallGraph::new(self.m))),
+        match self.cache.filter(|_| !self.written.iter().any(Cell::get)) {
+            Some(c) => Cow::Borrowed(c.call_graph(self.m)),
             None => Cow::Owned(built(Kind::CallGraph, || CallGraph::new(self.m))),
         }
     }
 }
 
-/// A module with nothing cached.
-impl<'a> From<&'a mut Module> for ModuleBody<'a> {
-    fn from(m: &'a mut Module) -> ModuleBody<'a> {
-        ModuleBody { m, cached: None }
+/// Lends `f`, function `i` of a [`ModuleBody`], with its entry in `cache`
+/// unless `written` records a write to it.
+fn lend_body<'b>(
+    f: &'b mut Function,
+    i: usize,
+    cache: Option<&'b AnalysisCache>,
+    written: &'b [Cell<bool>],
+) -> Body<'b> {
+    let entry = cache.map(|c| (&c.functions[i], &written[i]));
+    Body {
+        f,
+        cached: entry.filter(|(_, written)| !written.get()),
     }
 }
 
@@ -286,7 +315,7 @@ impl Deref for ModuleBody<'_> {
 /// Gives the cache up.
 impl DerefMut for ModuleBody<'_> {
     fn deref_mut(&mut self) -> &mut Module {
-        self.cached = None;
+        self.cache = None;
         self.m
     }
 }
@@ -322,23 +351,19 @@ impl AnalysisCache {
         fetch(&self.call_graph, Kind::CallGraph, || CallGraph::new(m))
     }
 
-    /// Lends every function of `m` with its entry.
-    pub fn bodies<'a>(&'a mut self, m: &'a mut Module) -> impl Iterator<Item = Body<'a>> {
+    /// Lends `m`, which equals `before`, to a phase. The cache must
+    /// describe `before`, and still does after the phase, whatever it
+    /// wrote.
+    pub fn lend<'a>(&'a mut self, m: &'a mut Module, before: &'a Module) -> ModuleBody<'a> {
         if self.functions.len() < m.functions.len() {
             self.functions
                 .resize_with(m.functions.len(), Default::default);
         }
-        m.functions
-            .iter_mut()
-            .zip(&self.functions)
-            .map(|(f, entry)| Body::new(f, entry))
-    }
-
-    /// Lends `m` with its call graph.
-    pub fn module<'a>(&'a mut self, m: &'a mut Module) -> ModuleBody<'a> {
         ModuleBody {
+            written: vec![Cell::new(false); m.functions.len()],
             m,
-            cached: Some(&self.call_graph),
+            before,
+            cache: Some(self),
         }
     }
 
@@ -386,9 +411,14 @@ mod tests {
     use crate::types::Type;
 
     fn module() -> Module {
+        functions(&["f"])
+    }
+
+    /// One summing loop per name.
+    fn functions(names: &[&str]) -> Module {
         let mut mb = ModuleBuilder::new("t");
-        mb.begin_function("f", vec![Type::I64], Type::I64);
-        {
+        for &name in names {
+            mb.begin_function(name, vec![Type::I64], Type::I64);
             let mut b = mb.body();
             let acc = b.local(b.const_i64(0));
             b.for_loop(b.const_i64(0), b.param(0), 1, |b, i| {
@@ -398,16 +428,18 @@ mod tests {
             });
             let r = b.load(acc, Type::I64);
             b.ret(Some(r));
+            mb.finish_function();
         }
-        mb.finish_function();
         mb.build()
     }
 
     #[test]
     fn a_body_gives_its_entry_up_on_the_first_write() {
-        let mut m = module();
+        let before = module();
+        let mut m = before.clone();
         let mut cache = AnalysisCache::new();
-        let mut body = cache.bodies(&mut m).next().unwrap();
+        let mut lent = cache.lend(&mut m, &before);
+        let mut body = lent.bodies().next().unwrap();
         let cfg = body.analyse::<Cow<Cfg>>();
         assert!(matches!(cfg, Cow::Borrowed(_)));
         assert!(matches!(body.analyse::<CfgLoops>().2, Cow::Borrowed(_)));
@@ -421,7 +453,6 @@ mod tests {
         assert!(matches!(body.analyse::<Cow<DefUse>>(), Cow::Owned(_)));
         // Nothing built after the write reached the entry.
         assert!(cache.functions[0].def_use.get().is_none());
-        let before = module();
         assert_eq!(
             cache.function(FuncId(0)).cfg(&before.functions[0]),
             &Cfg::new(&before.functions[0])
@@ -430,12 +461,45 @@ mod tests {
 
     #[test]
     fn a_module_body_gives_its_call_graph_up_on_the_first_write() {
-        let mut m = module();
+        let before = module();
+        let mut m = before.clone();
         let mut cache = AnalysisCache::new();
-        let mut whole = cache.module(&mut m);
+        let mut whole = cache.lend(&mut m, &before);
         assert!(matches!(whole.call_graph(), Cow::Borrowed(_)));
         whole.functions[0].attrs.readnone = true;
         assert!(matches!(whole.call_graph(), Cow::Owned(_)));
+        let cfg = whole.body(FuncId(0)).analyse::<Cow<Cfg>>();
+        assert!(matches!(cfg, Cow::Owned(_)));
+    }
+
+    #[test]
+    fn a_module_body_lends_each_function_until_the_phase_writes_it() {
+        let before = functions(&["f", "g"]);
+        let mut m = before.clone();
+        let mut cache = AnalysisCache::new();
+        let mut lent = cache.lend(&mut m, &before);
+        assert!(matches!(lent.call_graph(), Cow::Borrowed(_)));
+        let served = |body: Body| matches!(body.analyse::<Cow<Cfg>>(), Cow::Borrowed(_));
+        assert!(served(lent.body(FuncId(0))));
+        lent.body(FuncId(0)).add_block();
+        // The untouched function is still served from its entry; the
+        // written one is not, by either lending method, for the rest of
+        // the phase.
+        assert!(served(lent.body(FuncId(1))));
+        assert!(!served(lent.body(FuncId(0))));
+        assert_eq!(lent.bodies().map(served).collect::<Vec<_>>(), [false, true]);
+        assert!(
+            matches!(lent.call_graph(), Cow::Owned(_)),
+            "built after a write"
+        );
+        assert_eq!(lent.before(), &before);
+        assert_ne!(*lent, before);
+        // The cache still describes `before`.
+        assert!(cache.call_graph.get().is_some());
+        assert_eq!(
+            cache.function(FuncId(0)).cfg(&before.functions[0]),
+            &Cfg::new(&before.functions[0])
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! from. An [`AnalysisCache`] keeps them per function across phase runs, as
 //! LLVM's analysis managers keep what a pass preserves: a sandbox session
 //! holds one for its module and drops a function's entry only when that
-//! function's body changes. Phases read the cache through a [`Body`] or
-//! [`ModuleBody`], which serves the analyses of the body as the phase found
-//! it until the phase's first write and builds afresh after it; see the
-//! [`cache`] module for the rules.
+//! function's body changes. Phases borrow the module from the cache as a
+//! [`ModuleBody`] and each function as a [`Body`], which serves the
+//! analyses of the body as the phase found it until the phase first writes
+//! it and builds afresh after that; see the [`cache`] module for the rules.
 //!
 //! Nearly every phase run builds [`DefUse`], including the many runs that
 //! change nothing, so it is kept cheap: its use lists are dense arrays

@@ -4,7 +4,7 @@
 //! `tailcallelim`.
 
 use crate::util::{all_insts, function_size, remove_unreachable_blocks, trivial_dce};
-use mlcomp_ir::analysis::{Body, ModuleBody};
+use mlcomp_ir::analysis::ModuleBody;
 use mlcomp_ir::{
     BlockId, Callee, FuncId, Function, GlobalId, Inst, InstId, InstKind, Module, Terminator, Type,
     Value,
@@ -76,12 +76,13 @@ pub fn inline(m: &mut ModuleBody) -> bool {
         changed = true;
     }
     if changed {
-        let snapshot = m.clone();
-        for f in m.functions.iter_mut() {
+        // Inlining adds no function and writes no attribute, so the
+        // pre-phase module answers `trivial_dce`'s `readnone` queries.
+        let before = m.before();
+        for mut f in m.bodies() {
             if !f.is_declaration {
-                let mut f = Body::from(f);
                 remove_unreachable_blocks(&mut f);
-                trivial_dce(&snapshot, &mut f, false);
+                trivial_dce(before, &mut f, false);
             }
         }
     }
@@ -864,7 +865,7 @@ pub fn tailcallelim(m: &mut ModuleBody) -> bool {
         }
         let nparams = f.params.len();
         let param_tys = f.params.clone();
-        let f = m.function_mut(fid);
+        let mut f = m.body(fid);
         // Move the entry's contents into a fresh header block.
         let header = f.add_block();
         let entry_insts = std::mem::take(&mut f.block_mut(BlockId::ENTRY).insts);
@@ -904,12 +905,10 @@ pub fn tailcallelim(m: &mut ModuleBody) -> bool {
                     v => v,
                 });
             }
-            let mut term = f.block(b).term.clone();
-            term.map_operands(|v| match v {
+            f.block_mut(b).term.map_operands(|v| match v {
                 Value::Param(i) => Value::Inst(param_phis[i as usize]),
                 v => v,
             });
-            f.block_mut(b).term = term;
         }
         // Rewrite each tail site into a back edge.
         for (b, call_id, args) in tail_sites {
@@ -932,10 +931,10 @@ pub fn tailcallelim(m: &mut ModuleBody) -> bool {
         changed = true;
     }
     if changed {
-        let snapshot = m.clone();
-        for f in m.functions.iter_mut() {
+        let before = m.before();
+        for mut f in m.bodies() {
             if !f.is_declaration {
-                trivial_dce(&snapshot, &mut Body::from(f), false);
+                trivial_dce(before, &mut f, false);
             }
         }
     }
@@ -945,7 +944,14 @@ pub fn tailcallelim(m: &mut ModuleBody) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlcomp_ir::analysis::AnalysisCache;
     use mlcomp_ir::{verify, CmpPred, Interpreter, ModuleBuilder, RtVal};
+
+    /// Runs module phase `pass` on `m` with nothing cached.
+    fn run(pass: fn(&mut ModuleBody) -> bool, m: &mut Module) -> bool {
+        let before = m.clone();
+        pass(&mut AnalysisCache::new().lend(m, &before))
+    }
 
     fn exec(m: &Module, name: &str, args: &[RtVal]) -> Option<RtVal> {
         let fid = m.find_function(name).unwrap();
@@ -972,7 +978,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut ModuleBody::from(&mut m)));
+        assert!(run(inline, &mut m));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(2)]), Some(RtVal::I(16)));
         let fid = m.find_function("f").unwrap();
@@ -1007,7 +1013,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut ModuleBody::from(&mut m)));
+        assert!(run(inline, &mut m));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(-5)]), Some(RtVal::I(6)));
         assert_eq!(exec(&m, "f", &[RtVal::I(5)]), Some(RtVal::I(6)));
@@ -1041,7 +1047,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(inline(&mut ModuleBody::from(&mut m)));
+        assert!(run(inline, &mut m));
         verify(&m).unwrap();
         // A large iteration count must not blow the memory limit — the
         // alloca is re-homed to the entry, not repeated per iteration.
@@ -1075,7 +1081,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(argpromotion(&mut ModuleBody::from(&mut m)));
+        assert!(run(argpromotion, &mut m));
         verify(&m).unwrap();
         assert_eq!(m.functions[callee.index()].params, vec![Type::I64]);
         assert_eq!(exec(&m, "f", &[RtVal::I(21)]), Some(RtVal::I(42)));
@@ -1100,7 +1106,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(deadargelim(&mut ModuleBody::from(&mut m)));
+        assert!(run(deadargelim, &mut m));
         verify(&m).unwrap();
         assert_eq!(m.functions[callee.index()].params.len(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(7)]), Some(RtVal::I(7)));
@@ -1122,7 +1128,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globaldce(&mut ModuleBody::from(&mut m)));
+        assert!(run(globaldce, &mut m));
         assert!(m.functions[dead_fn.index()].is_declaration);
         assert_eq!(m.global_ids().count(), 0);
     }
@@ -1139,7 +1145,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globalopt(&mut ModuleBody::from(&mut m)));
+        assert!(run(globalopt, &mut m));
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_inst_count(), 0, "load folded to init");
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(0)));
@@ -1161,7 +1167,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(constmerge(&mut ModuleBody::from(&mut m)));
+        assert!(run(constmerge, &mut m));
         verify(&m).unwrap();
         assert_eq!(m.global_ids().count(), 1);
         assert_eq!(exec(&m, "f", &[]), Some(RtVal::I(3)));
@@ -1187,7 +1193,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(called_value_propagation(&mut ModuleBody::from(&mut m)));
+        assert!(run(called_value_propagation, &mut m));
         verify(&m).unwrap();
         let f = &m.functions[1];
         assert!(all_insts(f).iter().all(|(_, id)| !matches!(
@@ -1220,7 +1226,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(prune_eh(&mut ModuleBody::from(&mut m)));
+        assert!(run(prune_eh, &mut m));
         assert!(m.functions[leaf.index()].attrs.readnone);
         assert!(m.functions[mid.index()].attrs.readnone);
         assert!(m.functions[mid.index()].attrs.nounwind);
@@ -1244,7 +1250,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(globals_aa(&mut ModuleBody::from(&mut m)));
+        assert!(run(globals_aa, &mut m));
         assert!(m.meta.globals_aa_valid);
         assert!(m.meta.nonescaping_globals.contains(&safe));
         assert!(!m.meta.nonescaping_globals.contains(&leaked));
@@ -1272,7 +1278,7 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(tailcallelim(&mut ModuleBody::from(&mut m)));
+        assert!(run(tailcallelim, &mut m));
         verify(&m).unwrap();
         let fid = m.find_function("sum").unwrap();
         let out = Interpreter::new(&m)
@@ -1304,10 +1310,10 @@ mod tests {
         mb.finish_function();
         let mut m = mb.build();
         // Still called → kept.
-        assert!(!elim_avail_extern(&mut ModuleBody::from(&mut m)));
+        assert!(!run(elim_avail_extern, &mut m));
         // Inline, then it can go.
-        inline(&mut ModuleBody::from(&mut m));
-        assert!(elim_avail_extern(&mut ModuleBody::from(&mut m)));
+        run(inline, &mut m);
+        assert!(run(elim_avail_extern, &mut m));
         assert!(m.functions[helper.index()].is_declaration);
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(4)]), Some(RtVal::I(5)));

@@ -6,7 +6,7 @@
 //! The paper's deployment rules (max inactive subsequence = 8, max
 //! sequence = 128) already treat individual phases as potentially useless;
 //! the sandbox extends that to potentially *harmful*. Each phase of
-//! [`PassManager::run_sequence_sandboxed`] runs under
+//! [`Sandbox::run_sequence`] runs under
 //! [`std::panic::catch_unwind`] against a snapshot of the module: if the
 //! phase panics — or the post-phase verifier rejects its output — the
 //! module rolls back and the phase lands in a [`Quarantine`] report
@@ -15,7 +15,7 @@
 //! fallback rules assume.
 //!
 //! A module is verified once where it enters the sandbox
-//! ([`PassManager::run_sequence_sandboxed`]); from then on only a phase
+//! ([`Sandbox::run_sequence`]); from then on only a phase
 //! that reports a change can break it. Because
 //! [`PhaseOutcome::Changed`] is exact, an unchanged output equals its
 //! already-valid snapshot, so release builds verify changed outputs only,
@@ -29,17 +29,18 @@
 //! function phases read for interprocedural queries, and it is copied only
 //! when stale: after a changed or quarantined run, and before a session's
 //! first run. An unchanged run leaves it equal to the module, so the next
-//! run reuses it. [`PassManager::run_sequence_sandboxed`] runs a sequence
-//! in one session; [`PassManager::run_phase_sandboxed`] is a session of one
-//! run and copies once. [`crate::run_phase_on`] is the raw reference path:
-//! it takes its own copy and runs the same transform without the sandbox.
+//! run reuses it. [`Sandbox::run_sequence`] runs a sequence in the session
+//! ([`PassManager::run_sequence_sandboxed`] in a new one);
+//! [`PassManager::run_phase_sandboxed`] is a session of one run and copies
+//! once. [`crate::run_phase_on`] is the raw reference path: it takes its
+//! own copy and runs the same transform without the sandbox.
 //!
 //! A session also keeps an [`AnalysisCache`] describing its module, so
-//! that the many runs that change nothing build no analysis. Phases read
-//! it through [`mlcomp_ir::analysis::Body`] and
-//! [`mlcomp_ir::analysis::ModuleBody`] handles, which serve cached
-//! analyses only until the phase's first write. Invalidation is exact and
-//! decided by comparing bodies, never by which phase ran:
+//! that the many runs that change nothing build no analysis. Phases borrow
+//! the module from it ([`AnalysisCache::lend`]) with the snapshot as the
+//! pre-phase module, and get a function's cached analyses until they first
+//! write it. Invalidation is exact and decided by comparing bodies, never
+//! by which phase ran:
 //!
 //! - After a changed run, [`mlcomp_ir::verify_changed`] drops the entries
 //!   of each function whose blocks, instructions or declaration flag
@@ -328,7 +329,7 @@ fn total_blocks(m: &Module) -> usize {
         .sum()
 }
 
-/// What [`PassManager::run_sequence_sandboxed`] returns: progress plus the
+/// What [`Sandbox::run_sequence`] returns: progress plus the
 /// quarantine record.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SandboxReport {
@@ -410,26 +411,8 @@ impl PassManager {
         outcome
     }
 
-    /// Runs a phase sequence with every phase sandboxed: a panicking or
-    /// IR-breaking phase is rolled back, recorded in the report's
-    /// [`Quarantine`], and the sequence *continues* — the semantics of
-    /// "this phase was inactive", matching the paper's fallback model.
-    ///
-    /// The sequence is validated up front, so an unknown name can never
-    /// leave the module half-optimized. The module is then verified once,
-    /// which establishes [`Sandbox::run_phase`]'s precondition for every
-    /// phase: an input that fails [`mlcomp_ir::verify`] runs no phase, and
-    /// every phase is quarantined as
-    /// [`QuarantineReason::VerifierReject`] with the input's error. The
-    /// whole sequence runs in one [`Sandbox`] session.
-    ///
-    /// `site_prefix` names the sequence for `plan`: a phase's site key is
-    /// `{site_prefix}|{index}|{name}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownPhaseError`] naming the first unregistered phase;
-    /// the module is untouched in that case.
+    /// Runs a phase sequence on `m` in a new [`Sandbox`] session: see
+    /// [`Sandbox::run_sequence`]. An unknown phase leaves `m` untouched.
     pub fn run_sequence_sandboxed<'a>(
         &self,
         m: &mut Module,
@@ -437,45 +420,10 @@ impl PassManager {
         plan: Option<&FaultPlan>,
         site_prefix: &str,
     ) -> Result<SandboxReport, UnknownPhaseError> {
-        let names = validate_sequence(names)?;
-        let mut span = trace::span("phase-seq");
-        let mut report = SandboxReport::default();
-        let mut quarantine = |index: usize, name: &str, reason: QuarantineReason| {
-            report.quarantine.entries.push(QuarantineEntry {
-                index,
-                phase: name.to_string(),
-                reason,
-            });
-        };
-        // One check here establishes every phase's precondition below.
-        if let Err(e) = mlcomp_ir::verify(m) {
-            let reason = QuarantineReason::VerifierReject(e.to_string());
-            for (index, name) in names.iter().enumerate() {
-                quarantine(index, name, reason.clone());
-            }
-        } else {
-            let mut session = Sandbox::new(std::mem::replace(m, Module::new("")));
-            for (index, name) in names.iter().enumerate() {
-                // Only a fault plan reads the key.
-                let site_key = match plan {
-                    Some(_) => format!("{site_prefix}|{index}|{name}"),
-                    None => String::new(),
-                };
-                match session.run_phase(name, plan, &site_key) {
-                    Ok(PhaseOutcome::Changed) => report.changed += 1,
-                    Ok(PhaseOutcome::Unchanged) => {}
-                    Ok(PhaseOutcome::Quarantined(reason)) => quarantine(index, name, reason),
-                    Err(_) => unreachable!("the sequence was validated"),
-                }
-            }
-            *m = session.into_module();
-        }
-        if span.is_recording() {
-            span.field("phases", names.len());
-            span.field("changed", report.changed);
-            span.field("quarantined", report.quarantine.len());
-        }
-        Ok(report)
+        let mut session = Sandbox::new(std::mem::replace(m, Module::new("")));
+        let report = session.run_sequence(names, plan, site_prefix);
+        *m = session.into_module();
+        report
     }
 
     /// Runs a standard pipeline level, sandboxed.
@@ -483,18 +431,6 @@ impl PassManager {
         self.run_sequence_sandboxed(m, level.phases().iter().copied(), None, level.flag())
             .expect("pipeline levels only use registered phases")
     }
-}
-
-/// Collects a sequence and checks every name against the registry,
-/// returning the first unknown one as an error.
-fn validate_sequence<'a>(
-    names: impl IntoIterator<Item = &'a str>,
-) -> Result<Vec<&'a str>, UnknownPhaseError> {
-    let names: Vec<&str> = names.into_iter().collect();
-    if let Some(bad) = names.iter().find(|n| !is_registered(n)) {
-        return Err(UnknownPhaseError(bad.to_string()));
-    }
-    Ok(names)
 }
 
 /// A sandbox session: owns a module and its rollback snapshot across any
@@ -557,14 +493,80 @@ impl Sandbox {
         self.module
     }
 
+    /// Runs a phase sequence with every phase sandboxed: a panicking or
+    /// IR-breaking phase is rolled back, recorded in the report's
+    /// [`Quarantine`], and the sequence *continues* — the semantics of
+    /// "this phase was inactive", matching the paper's fallback model.
+    ///
+    /// The sequence is validated up front, so an unknown name can never
+    /// leave the module half-optimized. The module is then verified once,
+    /// which establishes [`Sandbox::run_phase`]'s precondition for every
+    /// phase: an input that fails [`mlcomp_ir::verify`] runs no phase, and
+    /// every phase is quarantined as
+    /// [`QuarantineReason::VerifierReject`] with the input's error.
+    ///
+    /// `site_prefix` names the sequence for `plan`: a phase's site key is
+    /// `{site_prefix}|{index}|{name}`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownPhaseError`] naming the first unregistered phase;
+    /// the module is untouched in that case.
+    pub fn run_sequence<'a>(
+        &mut self,
+        names: impl IntoIterator<Item = &'a str>,
+        plan: Option<&FaultPlan>,
+        site_prefix: &str,
+    ) -> Result<SandboxReport, UnknownPhaseError> {
+        let names: Vec<&str> = names.into_iter().collect();
+        if let Some(bad) = names.iter().find(|n| !is_registered(n)) {
+            return Err(UnknownPhaseError(bad.to_string()));
+        }
+        let mut span = trace::span("phase-seq");
+        let mut report = SandboxReport::default();
+        let mut quarantine = |index: usize, name: &str, reason: QuarantineReason| {
+            report.quarantine.entries.push(QuarantineEntry {
+                index,
+                phase: name.to_string(),
+                reason,
+            });
+        };
+        // One check here establishes every phase's precondition below.
+        if let Err(e) = mlcomp_ir::verify(&self.module) {
+            let reason = QuarantineReason::VerifierReject(e.to_string());
+            for (index, name) in names.iter().enumerate() {
+                quarantine(index, name, reason.clone());
+            }
+        } else {
+            for (index, name) in names.iter().enumerate() {
+                // Only a fault plan reads the key.
+                let site_key = match plan {
+                    Some(_) => format!("{site_prefix}|{index}|{name}"),
+                    None => String::new(),
+                };
+                match self.run_phase(name, plan, &site_key) {
+                    Ok(PhaseOutcome::Changed) => report.changed += 1,
+                    Ok(PhaseOutcome::Unchanged) => {}
+                    Ok(PhaseOutcome::Quarantined(reason)) => quarantine(index, name, reason),
+                    Err(_) => unreachable!("the sequence was validated"),
+                }
+            }
+        }
+        if span.is_recording() {
+            span.field("phases", names.len());
+            span.field("changed", report.changed);
+            span.field("quarantined", report.quarantine.len());
+        }
+        Ok(report)
+    }
+
     /// Runs one phase: panics are caught, a changed module is verified
     /// afterwards, and any failure rolls the module back to its pre-phase
     /// state.
     ///
     /// Precondition: the module verifies ([`mlcomp_ir::verify`]). Modules
-    /// from outside should enter through
-    /// [`PassManager::run_sequence_sandboxed`], which checks this; a module
-    /// produced by this sandbox always meets it.
+    /// from outside should enter through [`Sandbox::run_sequence`], which
+    /// checks this; a module produced by this sandbox always meets it.
     ///
     /// [`PhaseOutcome::Changed`] holds exactly when the module differs
     /// from its pre-phase state (debug builds assert it), so callers

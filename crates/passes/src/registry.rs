@@ -17,19 +17,20 @@ pub(crate) enum Transform {
 
 impl Transform {
     /// Runs the phase over `m`, whose pre-phase state is `before`: the
-    /// module snapshot every function phase reads. `before` must equal
-    /// `m`, and `cache` must describe it. Returns whether the module
-    /// changed.
+    /// module snapshot every phase reads for interprocedural queries.
+    /// `before` must equal `m`, and `cache` must describe it. Returns
+    /// whether the module changed.
     ///
-    /// The phase gets `m` and its functions as [`ModuleBody`] and [`Body`]
-    /// handles on `cache`, so the cache still describes `before`
-    /// afterwards; the caller brings it up to date.
+    /// The phase borrows `m` and its functions from `cache` through one
+    /// [`ModuleBody`] (see [`AnalysisCache::lend`]), so the cache still
+    /// describes `before` afterwards; the caller brings it up to date.
     pub(crate) fn run(self, m: &mut Module, before: &Module, cache: &mut AnalysisCache) -> bool {
+        let mut lent = cache.lend(m, before);
         match self {
-            Transform::Module(pass) => pass(&mut cache.module(m)),
+            Transform::Module(pass) => pass(&mut lent),
             Transform::Function(pass) => {
                 let mut changed = false;
-                for mut body in cache.bodies(m) {
+                for mut body in lent.bodies() {
                     if !body.is_declaration {
                         changed |= pass(before, &mut body);
                     }

@@ -697,35 +697,18 @@ fn branch_expectation(f: &Function, cond: Value) -> Option<bool> {
 pub fn alignment_from_assumptions(_m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     for (_b, id) in all_insts(f) {
-        let inst = f.inst(id).clone();
-        match inst.kind {
-            InstKind::Load {
-                ptr,
-                aligned: false,
-                width,
-            } if mem_root(f, ptr) != MemRoot::Unknown => {
-                f.inst_mut(id).kind = InstKind::Load {
-                    ptr,
-                    aligned: true,
-                    width,
-                };
-                changed = true;
+        let (InstKind::Load { ptr, aligned, .. } | InstKind::Store { ptr, aligned, .. }) =
+            f.inst(id).kind
+        else {
+            continue;
+        };
+        if !aligned && mem_root(f, ptr) != MemRoot::Unknown {
+            if let InstKind::Load { aligned, .. } | InstKind::Store { aligned, .. } =
+                &mut f.inst_mut(id).kind
+            {
+                *aligned = true;
             }
-            InstKind::Store {
-                ptr,
-                value,
-                aligned: false,
-                width,
-            } if mem_root(f, ptr) != MemRoot::Unknown => {
-                f.inst_mut(id).kind = InstKind::Store {
-                    ptr,
-                    value,
-                    aligned: true,
-                    width,
-                };
-                changed = true;
-            }
-            _ => {}
+            changed = true;
         }
     }
     changed

@@ -42,9 +42,14 @@ pub fn sccp(m: &Module, f: &mut Body) -> bool {
 /// function passes the same constant for a parameter, that constant is
 /// propagated into the callee; constant return values are propagated back
 /// to call sites.
+///
+/// It writes bodies only through [`ModuleBody::body`] and `bodies` and
+/// reads attributes from the pre-phase module, so every function it
+/// leaves alone keeps its cached analyses.
 pub fn ipsccp(m: &mut ModuleBody) -> bool {
     let mut changed = false;
     let cg = m.call_graph();
+    let before = m.before();
 
     // Collect per-function parameter lattices from call sites.
     let n = m.functions.len();
@@ -79,7 +84,7 @@ pub fn ipsccp(m: &mut ModuleBody) -> bool {
     // functions that have at least one caller.
     for (fi, lattices) in param_consts.iter().enumerate() {
         let fid = FuncId(fi as u32);
-        if !m.functions[fi].internal
+        if !before.functions[fi].internal
             || cg.address_taken.contains(&fid)
             || cg.call_site_count(fid) == 0
         {
@@ -96,73 +101,57 @@ pub fn ipsccp(m: &mut ModuleBody) -> bool {
         if consts.is_empty() {
             continue;
         }
-        let f = &mut m.functions[fi];
-        let mut local = false;
+        let subst = |v: Value| match v {
+            Value::Param(i) => consts
+                .iter()
+                .find(|(pi, _)| *pi == i)
+                .map_or(v, |(_, c)| *c),
+            v => v,
+        };
+        let mut f = m.body(fid);
         for b in f.block_ids().collect::<Vec<_>>() {
             for &id in &f.block(b).insts.clone() {
-                f.inst_mut(id).kind.map_operands(|v| {
-                    if let Value::Param(i) = v {
-                        if let Some((_, c)) = consts.iter().find(|(pi, _)| *pi == i) {
-                            local = true;
-                            return *c;
-                        }
-                    }
-                    v
-                });
-            }
-            let mut term = f.block(b).term.clone();
-            term.map_operands(|v| {
-                if let Value::Param(i) = v {
-                    if let Some((_, c)) = consts.iter().find(|(pi, _)| *pi == i) {
-                        local = true;
-                        return *c;
-                    }
+                let mut hit = false;
+                f.inst(id).kind.for_each_operand(|v| hit |= subst(v) != v);
+                if hit {
+                    f.inst_mut(id).kind.map_operands(subst);
+                    changed = true;
                 }
-                v
-            });
-            f.block_mut(b).term = term;
+            }
+            let mut hit = false;
+            f.block(b).term.for_each_operand(|v| hit |= subst(v) != v);
+            if hit {
+                f.block_mut(b).term.map_operands(subst);
+                changed = true;
+            }
         }
-        changed |= local;
     }
 
     // Per-function SCCP, collecting constant returns.
     let mut const_returns: Vec<Option<Value>> = vec![None; n];
-    for (fi, ret_slot) in const_returns.iter_mut().enumerate() {
-        if m.functions[fi].is_declaration {
+    for (mut f, ret_slot) in m.bodies().zip(&mut const_returns) {
+        if f.is_declaration {
             continue;
         }
-        let mut f = std::mem::replace(
-            &mut m.functions[fi],
-            Function::new("tmp", vec![], mlcomp_ir::Type::Void),
-        );
-        changed |= remove_unreachable_blocks(&mut Body::from(&mut f));
+        changed |= remove_unreachable_blocks(&mut f);
         let solution = solve(&f);
-        changed |= apply_solution(m, &mut Body::from(&mut f), &solution);
+        changed |= apply_solution(before, &mut f, &solution);
         // Constant return detection.
-        let mut ret: Lattice = Lattice::Unknown;
-        for b in f.block_ids() {
-            if let Terminator::Ret(Some(v)) = &f.block(b).term {
-                let l = if v.is_const() {
-                    Lattice::Const(*v)
-                } else {
-                    Lattice::Over
-                };
-                ret = ret.meet(l);
-            }
-        }
+        let ret = f
+            .block_ids()
+            .fold(Lattice::Unknown, |ret, b| match f.block(b).term {
+                Terminator::Ret(Some(v)) if v.is_const() => ret.meet(Lattice::Const(v)),
+                Terminator::Ret(Some(_)) => Lattice::Over,
+                _ => ret,
+            });
         if let Lattice::Const(v) = ret {
             *ret_slot = Some(v);
         }
-        m.functions[fi] = f;
     }
 
     // Replace call results with constant returns (call stays for effects;
     // DCE will drop it if the callee is readnone).
-    for fi in 0..n {
-        let mut f = std::mem::replace(
-            &mut m.functions[fi],
-            Function::new("tmp", vec![], mlcomp_ir::Type::Void),
-        );
+    for mut f in m.bodies() {
         for b in f.block_ids().collect::<Vec<_>>() {
             for &id in &f.block(b).insts.clone() {
                 if let InstKind::Call {
@@ -179,14 +168,12 @@ pub fn ipsccp(m: &mut ModuleBody) -> bool {
                 }
             }
         }
-        m.functions[fi] = f;
     }
 
     if changed {
-        let snapshot = m.clone();
-        for f in m.functions.iter_mut() {
+        for mut f in m.bodies() {
             if !f.is_declaration {
-                trivial_dce(&snapshot, &mut Body::from(f), false);
+                trivial_dce(before, &mut f, false);
             }
         }
     }
@@ -655,12 +642,46 @@ mod tests {
         }
         mb.finish_function();
         let mut m = mb.build();
-        assert!(ipsccp(&mut ModuleBody::from(&mut m)));
+        assert!(crate::run_phase_on(&mut m, "ipsccp").unwrap());
         verify(&m).unwrap();
         assert_eq!(exec(&m, "main", &[]), Some(RtVal::I(42)));
         // helper's body must have been folded to ret 21.
         let h = &m.functions[helper.index()];
         assert_eq!(h.live_inst_count(), 0);
+    }
+
+    #[test]
+    fn ipsccp_deletes_a_dead_self_call_of_a_readnone_function() {
+        // f(n) = { if n > 0 { f(n - 1); } n }: the self-call is dead, and
+        // prune-eh infers `readnone` for f (self-calls allowed).
+        let mut mb = ModuleBuilder::new("t");
+        let f = mb.declare("f", vec![Type::I64], Type::I64);
+        mb.begin_existing(f);
+        {
+            let mut b = mb.body();
+            let c = b.cmp(CmpPred::Gt, b.param(0), b.const_i64(0));
+            b.if_then(c, |b| {
+                let n = b.sub(b.param(0), b.const_i64(1));
+                b.call(f, vec![n], Type::I64);
+            });
+            b.ret(Some(b.param(0)));
+        }
+        mb.finish_function();
+        let mut m = mb.build();
+        assert!(crate::run_phase_on(&mut m, "prune-eh").unwrap());
+        assert!(m.functions[0].attrs.readnone);
+        // Solving f asks the pre-phase module, where f is `readnone`,
+        // whether the call touches memory, so the dead call goes: the only
+        // change ipsccp makes here.
+        assert!(crate::run_phase_on(&mut m, "ipsccp").unwrap());
+        verify(&m).unwrap();
+        let f = &m.functions[0];
+        let calls = crate::util::all_insts(f)
+            .iter()
+            .filter(|(_, id)| matches!(f.inst(*id).kind, InstKind::Call { .. }))
+            .count();
+        assert_eq!(calls, 0);
+        assert_eq!(exec(&m, "f", &[RtVal::I(3)]), Some(RtVal::I(3)));
     }
 
     #[test]

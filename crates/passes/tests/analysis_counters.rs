@@ -4,7 +4,7 @@
 //! of the same phases. Its own test binary, because trace counters are
 //! process-global.
 
-use mlcomp_passes::{PassManager, PipelineLevel, Sandbox};
+use mlcomp_passes::{PassManager, PhaseOutcome, PipelineLevel, Sandbox};
 use mlcomp_trace::{RingSink, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,6 +28,13 @@ fn analysis_counters(f: impl FnOnce()) -> BTreeMap<String, u64> {
     totals
 }
 
+fn count(totals: &BTreeMap<String, u64>, event: &str, kind: &str) -> u64 {
+    totals
+        .get(&format!("passes.analysis.{event}.{kind}"))
+        .copied()
+        .unwrap_or(0)
+}
+
 #[test]
 fn a_session_serves_every_kind_of_analysis_from_its_cache() {
     let module = mlcomp_suites::program("x264").unwrap().module;
@@ -46,12 +53,6 @@ fn a_session_serves_every_kind_of_analysis_from_its_cache() {
                 .unwrap();
         }
     });
-    let count = |totals: &BTreeMap<String, u64>, event: &str, kind: &str| {
-        totals
-            .get(&format!("passes.analysis.{event}.{kind}"))
-            .copied()
-            .unwrap_or(0)
-    };
     for kind in ["cfg", "dom_tree", "loop_forest", "def_use", "call_graph"] {
         let (hits, builds) = (count(&session, "hit", kind), count(&session, "build", kind));
         assert!(hits > 0, "no {kind} hit in a session: {session:?}");
@@ -63,6 +64,46 @@ fn a_session_serves_every_kind_of_analysis_from_its_cache() {
         assert!(
             builds < count(&one_shot, "build", kind),
             "a session builds {kind} as often as one-shot runs: {session:?} vs {one_shot:?}"
+        );
+    }
+}
+
+#[test]
+fn repeated_ipsccp_runs_in_a_session_build_nothing() {
+    const RUNS: usize = 3;
+    let module = mlcomp_suites::program("blackscholes").unwrap().module;
+    let mut session = Sandbox::new(module);
+    // Warm up inside a sink scope too, so no other test's scope counts it:
+    // run until a run changes nothing, which builds what is still missing.
+    analysis_counters(|| {
+        while session.run_phase("ipsccp", None, "").unwrap() == PhaseOutcome::Changed {}
+    });
+    let repeated = analysis_counters(|| {
+        for _ in 0..RUNS {
+            let outcome = session.run_phase("ipsccp", None, "").unwrap();
+            assert_eq!(outcome, PhaseOutcome::Unchanged);
+        }
+    });
+    // Debug builds verify every output in full, building their own `Cfg`
+    // and `DomTree`; the phase itself may build nothing.
+    let verifier = analysis_counters(|| {
+        for _ in 0..RUNS {
+            if cfg!(debug_assertions) {
+                mlcomp_ir::verify(session.module()).unwrap();
+            }
+        }
+    });
+    for kind in ["cfg", "def_use", "call_graph"] {
+        assert!(
+            count(&repeated, "hit", kind) > 0,
+            "no {kind} hit: {repeated:?}"
+        );
+    }
+    for kind in ["cfg", "dom_tree", "loop_forest", "def_use", "call_graph"] {
+        assert_eq!(
+            count(&repeated, "build", kind),
+            count(&verifier, "build", kind),
+            "repeated runs built {kind}: {repeated:?}"
         );
     }
 }
