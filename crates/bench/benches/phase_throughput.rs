@@ -52,7 +52,10 @@ fn bench(c: &mut Criterion) {
 /// `dse` and `adce` on unrolled `x264` time the phases that ask the shared
 /// memory-effect queries on every instruction. `simplifycfg`, `licm`,
 /// `reassociate`, `sroa` and `loop-rotate` on unrolled `x264` time the
-/// phases whose cost grows fastest with the IR in RL training. The
+/// phases whose cost grows fastest with the IR in RL training; the
+/// largest state, unrolled `matmult-int`, times `simplifycfg`, `licm`,
+/// `instsimplify` and `sroa` once more, where a whole-function scan per
+/// rewritten value would cost a hundred times its linear reading. The
 /// `snapshot` ids run eight phases that change nothing on unrolled `x264`,
 /// once as one-shot calls (a module copy each) and once through one
 /// sandbox session (one copy in all): the gap is the cost of seven
@@ -102,7 +105,15 @@ fn bench_in_situ(c: &mut Criterion) {
         (
             "matmult-int",
             &["sroa", "loop-unroll"][..],
-            &["gvn", "early-cse-memssa", "instcombine"][..],
+            &[
+                "gvn",
+                "early-cse-memssa",
+                "instcombine",
+                "simplifycfg",
+                "licm",
+                "instsimplify",
+                "sroa",
+            ][..],
         ),
     ] {
         let mut state = mlcomp_suites::program(name).expect("suite program").module;

@@ -1,10 +1,13 @@
 //! Control-flow phases: `simplifycfg`, `jump-threading` and
 //! `callsite-splitting`.
 
-use crate::util::{remove_unreachable_blocks, split_block_after, trivial_dce, until_stable};
-use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
+use crate::util::{
+    remove_unreachable_blocks, split_block_after, trivial_dce, until_stable, Replacements,
+};
+use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DefUse, DomTree};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Type, Value};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// `simplifycfg`: folds constant branches, removes trivially forwarding
 /// blocks, merges straight-line block chains, rewrites two-armed diamonds
@@ -91,44 +94,55 @@ fn fold_constant_terminators(f: &mut Body) -> bool {
     changed
 }
 
+/// Merges each block `s` whose only predecessor `b` ends in `br s` into
+/// `b`, from one `Cfg`: blocks are taken in arena order, and `b` takes
+/// successors in while its new successor has it as the only predecessor.
+/// A merge renames `s` to `b` in the predecessor lists of `s`'s
+/// successors; reachability does not change. `s`'s phis are replaced by
+/// their incoming from `b`, and every use is rewritten once at the end.
 fn merge_block_chains(f: &mut Body) -> bool {
-    until_stable::<Cow<Cfg>>(f, |f, cfg| {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            if !cfg.reachable[b.index()] {
-                continue;
-            }
-            let Terminator::Br(s) = f.block(b).term else {
-                continue;
-            };
-            if s == b || cfg.preds[s.index()] != vec![b] {
-                continue;
+    let mut cfg = f.analyse::<Cow<Cfg>>();
+    let mut phis = Replacements::new(f);
+    let mut changed = false;
+    for b in f.block_ids().collect::<Vec<_>>() {
+        if f.block(b).deleted || !cfg.reachable[b.index()] {
+            continue;
+        }
+        while let Terminator::Br(s) = f.block(b).term {
+            if s == b || cfg.preds[s.index()] != [b] {
+                break;
             }
             // Fold S's phis (single pred) into direct values.
-            let s_insts = f.block(s).insts.clone();
-            for id in s_insts {
-                if let InstKind::Phi { incomings } = f.inst(id).kind.clone() {
-                    let v = incomings
-                        .iter()
-                        .find(|(p, _)| *p == b)
-                        .map(|(_, v)| *v)
-                        .unwrap_or(Value::Undef(f.inst(id).ty));
-                    f.replace_all_uses(id, v);
-                    f.remove_from_block(s, id);
-                }
-            }
+            let mut tail = std::mem::take(&mut f.block_mut(s).insts);
+            tail.retain(|&id| {
+                let InstKind::Phi { incomings } = &f.inst(id).kind else {
+                    return true;
+                };
+                let v = incomings
+                    .iter()
+                    .find(|(p, _)| *p == b)
+                    .map(|(_, v)| *v)
+                    .unwrap_or(Value::Undef(f.inst(id).ty));
+                phis.record(id, phis.resolve(v));
+                false
+            });
             // Splice S into B.
-            let tail = std::mem::take(&mut f.block_mut(s).insts);
             f.block_mut(b).insts.extend(tail);
             let s_term = f.block(s).term.clone();
+            let preds = &mut cfg.to_mut().preds;
             for succ in s_term.successors() {
                 f.rename_phi_pred(succ, s, b);
+                for p in preds[succ.index()].iter_mut().filter(|p| **p == s) {
+                    *p = b;
+                }
             }
             f.block_mut(b).term = s_term;
             f.delete_block(s);
-            return true;
+            changed = true;
         }
-        false
-    })
+    }
+    phis.apply(f);
+    changed
 }
 
 fn remove_forwarding_blocks(f: &mut Body) -> bool {
@@ -193,6 +207,10 @@ fn remove_forwarding_blocks(f: &mut Body) -> bool {
 
 fn ifs_to_selects(f: &mut Body) -> bool {
     until_stable::<CfgDom>(f, |f, (cfg, dt)| {
+        // Where each instruction is placed, built at the first try: on
+        // verified input a failed try moves nothing, and a step ends at
+        // the first success.
+        let placement = OnceCell::new();
         for b in f.block_ids().collect::<Vec<_>>() {
             if !cfg.reachable[b.index()] {
                 continue;
@@ -228,7 +246,8 @@ fn ifs_to_selects(f: &mut Body) -> bool {
             ];
             for (join, then_from, else_from, dead) in shapes {
                 if let Some(j) = join.filter(|&j| j != b) {
-                    if try_select(f, cfg, dt, b, cond, j, then_from, else_from, dead) {
+                    let du = placement.get_or_init(|| f.analyse::<Cow<DefUse>>());
+                    if try_select(f, cfg, (du, dt), b, cond, j, then_from, else_from, dead) {
                         return true;
                     }
                 }
@@ -241,13 +260,11 @@ fn ifs_to_selects(f: &mut Body) -> bool {
 /// Value is usable at the end of `b` (constant, or defined in a block
 /// dominating `b` — including `b` itself, since selects are appended after
 /// all existing instructions).
-fn usable_at(f: &Function, dt: &DomTree, b: BlockId, v: Value) -> bool {
+fn usable_at(du: &DefUse, dt: &DomTree, b: BlockId, v: Value) -> bool {
     match v {
-        Value::Inst(id) => f
-            .block_ids()
-            .find(|&x| f.block(x).insts.contains(&id))
-            .map(|db| db == b || dt.dominates(db, b))
-            .unwrap_or(false),
+        Value::Inst(id) => du
+            .block_of(id)
+            .is_some_and(|db| db == b || dt.dominates(db, b)),
         _ => true,
     }
 }
@@ -256,13 +273,13 @@ fn usable_at(f: &Function, dt: &DomTree, b: BlockId, v: Value) -> bool {
 /// and from `else_from` otherwise, into `select`s at the end of `b`, which
 /// then branches straight to `j`; the empty `dead` arms are deleted. Fails
 /// unless `j`'s preds are exactly the two sources and every incoming value
-/// is usable at the end of `b`. `cfg` and `dt` describe `f`: a failed try
-/// leaves its branches as they were.
+/// is usable at the end of `b`. `cfg`, `du` and `dt` describe `f`: a
+/// failed try leaves its branches as they were.
 #[allow(clippy::too_many_arguments)]
 fn try_select(
     f: &mut Function,
     cfg: &Cfg,
-    dt: &DomTree,
+    (du, dt): (&DefUse, &DomTree),
     b: BlockId,
     cond: Value,
     j: BlockId,
@@ -288,10 +305,8 @@ fn try_select(
         let InstKind::Phi { incomings } = &f.inst(p).kind else {
             unreachable!()
         };
-        for (_, v) in incomings {
-            if !usable_at(f, dt, b, *v) {
-                return false;
-            }
+        if !incomings.iter().all(|&(_, v)| usable_at(du, dt, b, v)) {
+            return false;
         }
     }
     for p in phis {
@@ -883,5 +898,215 @@ mod tests {
         verify(&m).unwrap();
         assert_eq!(m.functions[0].live_block_count(), 1);
         assert_eq!(exec(&m, "f", &[RtVal::I(1)]), Some(RtVal::I(9)));
+    }
+}
+
+/// The chain merging and select formation this module had before chains
+/// were merged from one `Cfg`, kept as a differential oracle: one merge per
+/// fresh `Cfg`, each merged phi rewritten in the whole function at once,
+/// and a scan of every block for each incoming value's definition.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{fold_constant_terminators, remove_forwarding_blocks};
+    use crate::util::{remove_unreachable_blocks, trivial_dce, until_stable};
+    use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
+    use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Terminator, Value};
+    use std::borrow::Cow;
+
+    pub(crate) fn simplifycfg(m: &Module, f: &mut Body) -> bool {
+        let mut changed = false;
+        loop {
+            let mut local = false;
+            local |= fold_constant_terminators(f);
+            local |= remove_unreachable_blocks(f);
+            local |= merge_block_chains(f);
+            local |= remove_forwarding_blocks(f);
+            local |= ifs_to_selects(f);
+            if !local {
+                break;
+            }
+            changed = true;
+        }
+        changed | trivial_dce(m, f, false)
+    }
+
+    fn merge_block_chains(f: &mut Body) -> bool {
+        until_stable::<Cow<Cfg>>(f, |f, cfg| {
+            for b in f.block_ids().collect::<Vec<_>>() {
+                if !cfg.reachable[b.index()] {
+                    continue;
+                }
+                let Terminator::Br(s) = f.block(b).term else {
+                    continue;
+                };
+                if s == b || cfg.preds[s.index()] != vec![b] {
+                    continue;
+                }
+                // Fold S's phis (single pred) into direct values.
+                let s_insts = f.block(s).insts.clone();
+                for id in s_insts {
+                    if let InstKind::Phi { incomings } = f.inst(id).kind.clone() {
+                        let v = incomings
+                            .iter()
+                            .find(|(p, _)| *p == b)
+                            .map(|(_, v)| *v)
+                            .unwrap_or(Value::Undef(f.inst(id).ty));
+                        f.replace_all_uses(id, v);
+                        f.remove_from_block(s, id);
+                    }
+                }
+                // Splice S into B.
+                let tail = std::mem::take(&mut f.block_mut(s).insts);
+                f.block_mut(b).insts.extend(tail);
+                let s_term = f.block(s).term.clone();
+                for succ in s_term.successors() {
+                    f.rename_phi_pred(succ, s, b);
+                }
+                f.block_mut(b).term = s_term;
+                f.delete_block(s);
+                return true;
+            }
+            false
+        })
+    }
+
+    fn ifs_to_selects(f: &mut Body) -> bool {
+        until_stable::<CfgDom>(f, |f, (cfg, dt)| {
+            for b in f.block_ids().collect::<Vec<_>>() {
+                if !cfg.reachable[b.index()] {
+                    continue;
+                }
+                let Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                    ..
+                } = f.block(b).term
+                else {
+                    continue;
+                };
+                if then_bb == else_bb {
+                    continue;
+                }
+                // Where an arm jumps when it is empty and entered only from b.
+                let empty_jump = |x: BlockId| match f.block(x).term {
+                    Terminator::Br(j)
+                        if f.block(x).insts.is_empty() && cfg.preds[x.index()] == [b] =>
+                    {
+                        Some(j)
+                    }
+                    _ => None,
+                };
+                let (t_jump, e_jump) = (empty_jump(then_bb), empty_jump(else_bb));
+                // (join, then_from, else_from, dead arms) of a diamond
+                // b → {t, e} → j, then of a triangle with its empty arm on
+                // either side: b → {t, j}, t → j and b → {j, e}, e → j.
+                let diamond = t_jump.filter(|_| t_jump == e_jump);
+                let shapes = [
+                    (diamond, then_bb, else_bb, &[then_bb, else_bb][..]),
+                    (t_jump.filter(|&j| j == else_bb), then_bb, b, &[then_bb][..]),
+                    (e_jump.filter(|&j| j == then_bb), b, else_bb, &[else_bb][..]),
+                ];
+                for (join, then_from, else_from, dead) in shapes {
+                    if let Some(j) = join.filter(|&j| j != b) {
+                        if try_select(f, cfg, dt, b, cond, j, then_from, else_from, dead) {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        })
+    }
+
+    /// Value is usable at the end of `b` (constant, or defined in a block
+    /// dominating `b` — including `b` itself, since selects are appended after
+    /// all existing instructions).
+    fn usable_at(f: &Function, dt: &DomTree, b: BlockId, v: Value) -> bool {
+        match v {
+            Value::Inst(id) => f
+                .block_ids()
+                .find(|&x| f.block(x).insts.contains(&id))
+                .map(|db| db == b || dt.dominates(db, b))
+                .unwrap_or(false),
+            _ => true,
+        }
+    }
+
+    /// Rewrites the phis of `j`, entered from `then_from` when `cond` holds
+    /// and from `else_from` otherwise, into `select`s at the end of `b`, which
+    /// then branches straight to `j`; the empty `dead` arms are deleted. Fails
+    /// unless `j`'s preds are exactly the two sources and every incoming value
+    /// is usable at the end of `b`. `cfg` and `dt` describe `f`: a failed try
+    /// leaves its branches as they were.
+    #[allow(clippy::too_many_arguments)]
+    fn try_select(
+        f: &mut Function,
+        cfg: &Cfg,
+        dt: &DomTree,
+        b: BlockId,
+        cond: Value,
+        j: BlockId,
+        then_from: BlockId,
+        else_from: BlockId,
+        dead: &[BlockId],
+    ) -> bool {
+        let mut preds = cfg.preds[j.index()].clone();
+        preds.sort();
+        let mut expect = vec![then_from, else_from];
+        expect.sort();
+        if preds != expect {
+            return false;
+        }
+        let phis: Vec<InstId> = f
+            .block(j)
+            .insts
+            .iter()
+            .copied()
+            .take_while(|&i| f.inst(i).kind.is_phi())
+            .collect();
+        for &p in &phis {
+            let InstKind::Phi { incomings } = &f.inst(p).kind else {
+                unreachable!()
+            };
+            for (_, v) in incomings {
+                if !usable_at(f, dt, b, *v) {
+                    return false;
+                }
+            }
+        }
+        for p in phis {
+            let InstKind::Phi { incomings } = f.inst(p).kind.clone() else {
+                unreachable!()
+            };
+            let tv = incomings
+                .iter()
+                .find(|(x, _)| *x == then_from)
+                .map(|(_, v)| *v);
+            let ev = incomings
+                .iter()
+                .find(|(x, _)| *x == else_from)
+                .map(|(_, v)| *v);
+            let (Some(tv), Some(ev)) = (tv, ev) else {
+                return false;
+            };
+            let ty = f.inst(p).ty;
+            let sel = f.add_inst(Inst::new(
+                InstKind::Select {
+                    cond,
+                    then_val: tv,
+                    else_val: ev,
+                },
+                ty,
+            ));
+            f.block_mut(b).insts.push(sel);
+            f.replace_all_uses(p, Value::Inst(sel));
+            f.remove_from_block(j, p);
+        }
+        f.block_mut(b).term = Terminator::Br(j);
+        for &d in dead {
+            f.delete_block(d);
+        }
+        true
     }
 }

@@ -14,7 +14,7 @@
 //! * `gvn` additionally canonicalizes commutative operands, catching
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
-use crate::util::{may_alias, may_write_memory, mem_root, trivial_dce, MemRoot};
+use crate::util::{may_alias, may_write_memory, mem_root, trivial_dce, MemRoot, Replacements};
 use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
 use mlcomp_ir::{
     BinOp, BlockId, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
@@ -101,21 +101,20 @@ pub fn gvn(m: &Module, f: &mut Body) -> bool {
 
 fn run_cse(m: &Module, f: &mut Body, canonicalize: bool, cross_block_loads: bool) -> bool {
     let mut changed = crate::util::remove_unreachable_blocks(f);
-    let replacements = scoped_replacements(m, f, canonicalize);
-    changed |= apply_replacements(f, &replacements);
+    changed |= scoped_replacements(m, f, canonicalize).apply(f);
     if cross_block_loads {
         changed |= eliminate_cross_block_loads(m, f);
     }
     changed | trivial_dce(m, f, false)
 }
 
-/// The dominator-tree walk of scoped CSE. Returns, per instruction id, the
-/// value that replaces it. Every recorded value is resolved through the
+/// The dominator-tree walk of scoped CSE. Returns the value that replaces
+/// each redundant instruction. Every recorded value is resolved through the
 /// earlier records, so no replacement value is itself replaced.
-fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Vec<Option<Value>> {
+fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Replacements {
     let (_, dt) = f.analyse::<CfgDom>();
     let children = dt.children();
-    let mut replacements: Vec<Option<Value>> = vec![None; f.insts.len()];
+    let mut replaced = Replacements::new(f);
 
     // Scoped hash: one table plus the keys each open dom-tree scope
     // inserted. A key is inserted only after a lookup misses, so closing a
@@ -148,7 +147,7 @@ fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Vec<Option<V
                         None => forwarding_step(m, f, &mut avail_loads, id),
                     };
                     if let Some(v) = reuse {
-                        replacements[id.index()] = Some(resolve(&replacements, v));
+                        replaced.record(id, replaced.resolve(v));
                     }
                 }
                 scope_keys.push(inserted);
@@ -164,7 +163,7 @@ fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Vec<Option<V
             }
         }
     }
-    replacements
+    replaced
 }
 
 /// One step of block-local load reuse and store-to-load forwarding, shared
@@ -173,7 +172,8 @@ fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Vec<Option<V
 /// Returns the value that replaces `id` when it is a load whose pointer
 /// `avail` maps to a value of the load's type; otherwise updates `avail`
 /// for what `id` reads or writes. Callers record the result through
-/// [`resolve`], since a stored value may itself be a replaced load.
+/// [`Replacements::resolve`], since a stored value may itself be a
+/// replaced load.
 pub(crate) fn forwarding_step(
     m: &Module,
     f: &Function,
@@ -197,27 +197,6 @@ pub(crate) fn forwarding_step(
         _ => {}
     }
     None
-}
-
-/// `v` after the replacements recorded so far.
-pub(crate) fn resolve(replacements: &[Option<Value>], v: Value) -> Value {
-    match v {
-        Value::Inst(id) => replacements[id.index()].unwrap_or(v),
-        _ => v,
-    }
-}
-
-/// Rewrites every use of a replaced instruction in one pass over the placed
-/// instructions and terminators, then unplaces the replaced instructions.
-pub(crate) fn apply_replacements(f: &mut Body, replacements: &[Option<Value>]) -> bool {
-    if replacements.iter().all(Option::is_none) {
-        return false;
-    }
-    f.map_uses(|v| resolve(replacements, v));
-    for block in f.blocks.iter_mut().filter(|b| !b.deleted) {
-        block.insts.retain(|id| replacements[id.index()].is_none());
-    }
-    true
 }
 
 /// Block reachability in one or more edges, one bitset row per block.

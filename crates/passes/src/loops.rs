@@ -13,10 +13,10 @@
 //! `header_phis`, `single_body`, ...), and the phases that rewrite one
 //! loop at a time re-analyse through `util::until_stable`.
 
-use crate::cse::{apply_replacements, forwarding_step, resolve};
+use crate::cse::forwarding_step;
 use crate::util::{
     clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce,
-    until_stable, MemRoot,
+    until_stable, MemRoot, Replacements,
 };
 use mlcomp_ir::analysis::{Body, Cfg, CfgLoops, DefUse, Loop, UseSite};
 use mlcomp_ir::{
@@ -179,8 +179,13 @@ fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
 /// invariant loads when nothing in the loop can write the location and the
 /// load's block dominates every exiting block (so it is guaranteed to
 /// execute — the property `loop-rotate` establishes for body blocks).
+///
+/// A loop's membership is one flag per instruction, set for those placed
+/// in its blocks and cleared as they are hoisted; a block drops what it
+/// hoisted once its scan ends.
 pub fn licm(m: &Module, f: &mut Body) -> bool {
     let changed = until_stable::<CfgLoops>(f, |f, (_, dt, lf)| {
+        let mut inside = vec![false; f.insts.len()];
         for l in &lf.loops {
             // Materialize a preheader if the loop lacks one.
             let Some(pre) = l.preheader else {
@@ -188,19 +193,27 @@ pub fn licm(m: &Module, f: &mut Body) -> bool {
                 return true;
             };
             let write_roots = loop_effectful_roots(f, l);
+            for &b in &l.blocks {
+                for &id in &f.block(b).insts {
+                    inside[id.index()] = true;
+                }
+            }
             let mut hoisted = false;
             for &b in &l.blocks {
-                let ids = f.block(b).insts.clone();
-                for id in ids {
-                    let kind = f.inst(id).kind.clone();
+                let mut moved = false;
+                for i in 0..f.block(b).insts.len() {
+                    let id = f.block(b).insts[i];
+                    let kind = &f.inst(id).kind;
                     let mut invariant = true;
-                    kind.for_each_operand(|v| invariant &= is_invariant(f, l, v));
+                    kind.for_each_operand(|v| {
+                        invariant &= !matches!(v, Value::Inst(d) if inside[d.index()]);
+                    });
                     if !invariant {
                         continue;
                     }
                     let can_hoist = if kind.is_pure() && !kind.is_phi() {
                         true
-                    } else if let InstKind::Load { ptr, .. } = &kind {
+                    } else if let InstKind::Load { ptr, .. } = kind {
                         // Safe only when the loop cannot write the root and
                         // the load executes on every iteration.
                         let root = mem_root(f, *ptr);
@@ -214,14 +227,23 @@ pub fn licm(m: &Module, f: &mut Body) -> bool {
                         false
                     };
                     if can_hoist {
-                        f.remove_from_block(b, id);
                         f.block_mut(pre).insts.push(id);
-                        hoisted = true;
+                        inside[id.index()] = false;
+                        moved = true;
                     }
+                }
+                if moved {
+                    f.block_mut(b).insts.retain(|id| inside[id.index()]);
+                    hoisted = true;
                 }
             }
             if hoisted {
                 return true;
+            }
+            for &b in &l.blocks {
+                for &id in &f.block(b).insts {
+                    inside[id.index()] = false;
+                }
             }
         }
         false
@@ -970,19 +992,19 @@ pub fn loop_load_elim(m: &Module, f: &mut Body) -> bool {
         .collect();
     loop_blocks.sort_unstable();
     loop_blocks.dedup();
-    let mut replacements: Vec<Option<Value>> = vec![None; f.insts.len()];
+    let mut replaced = Replacements::new(f);
     let mut changed = false;
     for b in loop_blocks {
         let mut avail = HashMap::new();
         let mut recorded = false;
         for &id in &f.block(b).insts {
             if let Some(v) = forwarding_step(m, f, &mut avail, id) {
-                replacements[id.index()] = Some(resolve(&replacements, v));
+                replaced.record(id, replaced.resolve(v));
                 recorded = true;
             }
         }
         if recorded {
-            changed |= apply_replacements(f, &replacements);
+            changed |= replaced.apply(f);
         }
     }
     changed | trivial_dce(m, f, false)
@@ -1568,5 +1590,66 @@ mod tests {
         // Two loops now: twice the backward branches.
         let (_, _, lf) = Body::from(&mut m.functions[0]).analyse::<CfgLoops>();
         assert_eq!(lf.loops.len(), 2);
+    }
+}
+
+/// `licm` as it was before loop membership became one flag per
+/// instruction, kept as a differential oracle: each operand's invariance
+/// is decided by searching every block of the loop.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{is_invariant, loop_effectful_roots};
+    use crate::util::{ensure_preheader, may_alias, mem_root, trivial_dce, until_stable};
+    use mlcomp_ir::analysis::{Body, CfgLoops};
+    use mlcomp_ir::{InstKind, Module};
+
+    pub(crate) fn licm(m: &Module, f: &mut Body) -> bool {
+        let changed = until_stable::<CfgLoops>(f, |f, (_, dt, lf)| {
+            for l in &lf.loops {
+                // Materialize a preheader if the loop lacks one.
+                let Some(pre) = l.preheader else {
+                    ensure_preheader(f, l.header, &l.blocks);
+                    return true;
+                };
+                let write_roots = loop_effectful_roots(f, l);
+                let mut hoisted = false;
+                for &b in &l.blocks {
+                    let ids = f.block(b).insts.clone();
+                    for id in ids {
+                        let kind = f.inst(id).kind.clone();
+                        let mut invariant = true;
+                        kind.for_each_operand(|v| invariant &= is_invariant(f, l, v));
+                        if !invariant {
+                            continue;
+                        }
+                        let can_hoist = if kind.is_pure() && !kind.is_phi() {
+                            true
+                        } else if let InstKind::Load { ptr, .. } = &kind {
+                            // Safe only when the loop cannot write the root and
+                            // the load executes on every iteration.
+                            let root = mem_root(f, *ptr);
+                            let no_writes = match &write_roots {
+                                Some(roots) => !roots.iter().any(|r| may_alias(*r, root)),
+                                None => false,
+                            };
+                            let guaranteed = l.exiting.iter().all(|&x| dt.dominates(b, x));
+                            no_writes && guaranteed
+                        } else {
+                            false
+                        };
+                        if can_hoist {
+                            f.remove_from_block(b, id);
+                            f.block_mut(pre).insts.push(id);
+                            hoisted = true;
+                        }
+                    }
+                }
+                if hoisted {
+                    return true;
+                }
+            }
+            false
+        });
+        changed | trivial_dce(m, f, false)
     }
 }

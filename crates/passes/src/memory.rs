@@ -4,7 +4,7 @@
 //! SSA values, unlocking almost every scalar and loop optimization — the
 //! central phase-ordering dependency the MLComp policy has to learn.
 
-use crate::util::{alloca_escapes, remove_unreachable_blocks};
+use crate::util::{alloca_escapes, remove_unreachable_blocks, Replacements};
 use mlcomp_ir::analysis::{Body, CfgDom};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Type, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -65,19 +65,20 @@ pub fn sroa(_m: &Module, f: &mut Body) -> bool {
             }
         }
         // Retarget every gep through the aggregate.
-        for b in f.block_ids().collect::<Vec<_>>() {
-            for &id in &f.block(b).insts.clone() {
+        let mut geps = Replacements::new(f);
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
                 if let InstKind::Gep { base, offset } = f.inst(id).kind {
                     if base == Value::Inst(alloca) {
                         let off = offset.as_const_int().unwrap();
                         if let Some(part) = parts.get(&off) {
-                            f.replace_all_uses(id, Value::Inst(*part));
-                            f.remove_from_block(b, id);
+                            geps.record(id, Value::Inst(*part));
                         }
                     }
                 }
             }
         }
+        geps.apply(f);
         // Direct (offset-0) accesses on the aggregate base itself.
         if let Some(zero_part) = parts.get(&0).copied() {
             rewrite_direct_accesses(f, alloca, zero_part);
@@ -330,8 +331,8 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
     let children = dt.children();
     let n_allocas = allocas.len();
     let mut stacks: Vec<Vec<Value>> = vec![Vec::new(); n_allocas];
-    let mut removals: Vec<(BlockId, InstId)> = Vec::new();
-    let mut replacements: Vec<(InstId, Value)> = Vec::new();
+    let mut removed = vec![false; f.insts.len()];
+    let mut loads = Replacements::new(f);
     let mut phi_incomings: HashMap<InstId, Vec<(BlockId, Value)>> = HashMap::new();
 
     // Explicit DFS over the dominator tree with enter/exit events so the
@@ -366,8 +367,7 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
                                     .last()
                                     .copied()
                                     .unwrap_or(Value::Undef(types[ai]));
-                                replacements.push((id, cur));
-                                removals.push((b, id));
+                                loads.record(id, cur);
                             }
                         }
                         InstKind::Store {
@@ -378,7 +378,7 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
                             if let Some(&ai) = alloca_index.get(&a) {
                                 stacks[ai].push(value);
                                 pushes[ai] += 1;
-                                removals.push((b, id));
+                                removed[id.index()] = true;
                             }
                         }
                         _ => {}
@@ -422,19 +422,13 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
     for (phi, inc) in phi_incomings {
         f.inst_mut(phi).kind = InstKind::Phi { incomings: inc };
     }
-    for (id, v) in replacements {
-        f.replace_all_uses(id, v);
-    }
-    for (b, id) in removals {
-        f.remove_from_block(b, id);
-    }
+    // The stores are still placed while the loads' uses are rewritten.
+    loads.apply(f);
     for &a in allocas {
-        // Find and remove the alloca from its block.
-        for b in f.block_ids().collect::<Vec<_>>() {
-            if f.remove_from_block(b, a) {
-                break;
-            }
-        }
+        removed[a.index()] = true;
+    }
+    for block in f.blocks.iter_mut().filter(|b| !b.deleted) {
+        block.insts.retain(|id| !removed[id.index()]);
     }
     // Phis with all-identical incomings (single-pred joins) fold away.
     crate::util::trivial_dce(&Module::new("tmp"), f, false);
@@ -624,5 +618,265 @@ mod tests {
         assert!(crate::util::all_insts(f)
             .iter()
             .any(|(_, id)| f.inst(*id).kind.is_phi()));
+    }
+}
+
+/// The promotion and aggregate splitting this module had before uses were
+/// rewritten once per phase run, kept as a differential oracle: every
+/// promoted load and retargeted gep is rewritten in the whole function at
+/// once, and every removed instruction is searched for in its block.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{
+        alloca_value_type, is_splittable, phi_owner, promotable_allocas, rewrite_direct_accesses,
+        touched_offsets,
+    };
+    use crate::util::remove_unreachable_blocks;
+    use mlcomp_ir::analysis::{Body, CfgDom};
+    use mlcomp_ir::{BlockId, Inst, InstId, InstKind, Module, Type, Value};
+    use std::collections::{HashMap, HashSet, VecDeque};
+
+    pub(crate) fn mem2reg(_m: &Module, f: &mut Body) -> bool {
+        let pruned = remove_unreachable_blocks(f);
+        let candidates = promotable_allocas(f);
+        if candidates.is_empty() {
+            return pruned;
+        }
+        promote(f, &candidates);
+        true
+    }
+
+    pub(crate) fn sroa(_m: &Module, f: &mut Body) -> bool {
+        let mut changed = remove_unreachable_blocks(f);
+
+        // Find splittable aggregates.
+        let mut split_targets: Vec<(BlockId, InstId, u32)> = Vec::new();
+        for b in f.block_ids().collect::<Vec<_>>() {
+            for &id in &f.block(b).insts.clone() {
+                if let InstKind::Alloca { cells } = f.inst(id).kind {
+                    if cells > 1 && cells <= 64 && is_splittable(f, id) {
+                        split_targets.push((b, id, cells));
+                    }
+                }
+            }
+        }
+
+        for (ab, alloca, cells) in split_targets {
+            // One fresh single-cell alloca per touched offset.
+            let mut parts: HashMap<i64, InstId> = HashMap::new();
+            for off in touched_offsets(f, alloca) {
+                if off < 0 || off >= cells as i64 {
+                    continue;
+                }
+                let part = f.add_inst(Inst::new(InstKind::Alloca { cells: 1 }, Type::Ptr));
+                parts.insert(off, part);
+            }
+            // Place the new allocas right after the original, in offset order
+            // (sorted so rebuilds are deterministic).
+            {
+                let mut ordered: Vec<(i64, InstId)> = parts.iter().map(|(o, p)| (*o, *p)).collect();
+                ordered.sort_unstable_by_key(|(o, _)| *o);
+                let insts = &mut f.block_mut(ab).insts;
+                let pos = insts.iter().position(|&i| i == alloca).unwrap();
+                for (idx, (_, part)) in ordered.into_iter().enumerate() {
+                    insts.insert(pos + 1 + idx, part);
+                }
+            }
+            // Retarget every gep through the aggregate.
+            for b in f.block_ids().collect::<Vec<_>>() {
+                for &id in &f.block(b).insts.clone() {
+                    if let InstKind::Gep { base, offset } = f.inst(id).kind {
+                        if base == Value::Inst(alloca) {
+                            let off = offset.as_const_int().unwrap();
+                            if let Some(part) = parts.get(&off) {
+                                f.replace_all_uses(id, Value::Inst(*part));
+                                f.remove_from_block(b, id);
+                            }
+                        }
+                    }
+                }
+            }
+            // Direct (offset-0) accesses on the aggregate base itself.
+            if let Some(zero_part) = parts.get(&0).copied() {
+                rewrite_direct_accesses(f, alloca, zero_part);
+            }
+            f.remove_from_block(ab, alloca);
+            changed = true;
+        }
+
+        // sroa finishes with promotion, like LLVM's.
+        let candidates = promotable_allocas(f);
+        if !candidates.is_empty() {
+            promote(f, &candidates);
+            changed = true;
+        }
+        changed
+    }
+
+    fn promote(f: &mut Body, allocas: &[InstId]) {
+        let (cfg, dt) = f.analyse::<CfgDom>();
+        let df = dt.dominance_frontiers(&cfg);
+        let alloca_index: HashMap<InstId, usize> =
+            allocas.iter().enumerate().map(|(i, a)| (*a, i)).collect();
+        let types: Vec<Type> = allocas.iter().map(|a| alloca_value_type(f, *a)).collect();
+
+        // Blocks containing a store per alloca, ascending: blocks are visited
+        // in order, so a repeat can only be the last entry.
+        let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                if let InstKind::Store {
+                    ptr: Value::Inst(a),
+                    ..
+                } = &f.inst(id).kind
+                {
+                    if let Some(&ai) = alloca_index.get(a) {
+                        if def_blocks[ai].last() != Some(&b) {
+                            def_blocks[ai].push(b);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Phi insertion at iterated dominance frontiers.
+        // phi_of[block][alloca] = phi inst id
+        let mut phi_of: HashMap<(BlockId, usize), InstId> = HashMap::new();
+        for (ai, defs) in def_blocks.iter().enumerate() {
+            // Sorted worklists and frontiers keep phi-creation order (and thus
+            // instruction arena ids) deterministic across runs.
+            let mut work: VecDeque<BlockId> = defs.iter().copied().collect();
+            let mut has_phi: HashSet<BlockId> = HashSet::new();
+            while let Some(b) = work.pop_front() {
+                for &frontier in &df[b.index()] {
+                    if has_phi.insert(frontier) {
+                        let phi = f.add_inst(Inst::new(
+                            InstKind::Phi {
+                                incomings: Vec::new(),
+                            },
+                            types[ai],
+                        ));
+                        f.block_mut(frontier).insts.insert(0, phi);
+                        phi_of.insert((frontier, ai), phi);
+                        if defs.binary_search(&frontier).is_err() {
+                            work.push_back(frontier);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Renaming pass: DFS over the dominator tree.
+        let children = dt.children();
+        let n_allocas = allocas.len();
+        let mut stacks: Vec<Vec<Value>> = vec![Vec::new(); n_allocas];
+        let mut removals: Vec<(BlockId, InstId)> = Vec::new();
+        let mut replacements: Vec<(InstId, Value)> = Vec::new();
+        let mut phi_incomings: HashMap<InstId, Vec<(BlockId, Value)>> = HashMap::new();
+
+        // Explicit DFS over the dominator tree with enter/exit events so the
+        // value stacks unwind correctly.
+        #[derive(Clone, Copy)]
+        enum Ev {
+            Enter(BlockId),
+            Exit(BlockId),
+        }
+        // Track push counts per block to pop on exit.
+        let mut push_counts: HashMap<BlockId, Vec<usize>> = HashMap::new();
+        let mut dfs: Vec<Ev> = vec![Ev::Enter(BlockId::ENTRY)];
+        while let Some(ev) = dfs.pop() {
+            match ev {
+                Ev::Enter(b) => {
+                    let mut pushes = vec![0usize; n_allocas];
+                    // Phis at block entry define new values.
+                    for &id in &f.block(b).insts.clone() {
+                        if let Some(ai) = phi_owner(&phi_of, b, id, n_allocas) {
+                            stacks[ai].push(Value::Inst(id));
+                            pushes[ai] += 1;
+                        }
+                    }
+                    for &id in &f.block(b).insts.clone() {
+                        match f.inst(id).kind.clone() {
+                            InstKind::Load {
+                                ptr: Value::Inst(a),
+                                ..
+                            } => {
+                                if let Some(&ai) = alloca_index.get(&a) {
+                                    let cur = stacks[ai]
+                                        .last()
+                                        .copied()
+                                        .unwrap_or(Value::Undef(types[ai]));
+                                    replacements.push((id, cur));
+                                    removals.push((b, id));
+                                }
+                            }
+                            InstKind::Store {
+                                ptr: Value::Inst(a),
+                                value,
+                                ..
+                            } => {
+                                if let Some(&ai) = alloca_index.get(&a) {
+                                    stacks[ai].push(value);
+                                    pushes[ai] += 1;
+                                    removals.push((b, id));
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                    // Record phi incomings for successors (dedup in case a
+                    // conditional branch targets the same block twice).
+                    let mut succs = f.block(b).term.successors();
+                    succs.sort();
+                    succs.dedup();
+                    for s in succs {
+                        for ai in 0..n_allocas {
+                            if let Some(&phi) = phi_of.get(&(s, ai)) {
+                                let cur = stacks[ai]
+                                    .last()
+                                    .copied()
+                                    .unwrap_or(Value::Undef(types[ai]));
+                                phi_incomings.entry(phi).or_default().push((b, cur));
+                            }
+                        }
+                    }
+                    push_counts.insert(b, pushes);
+                    dfs.push(Ev::Exit(b));
+                    for &c in &children[b.index()] {
+                        dfs.push(Ev::Enter(c));
+                    }
+                }
+                Ev::Exit(b) => {
+                    if let Some(pushes) = push_counts.remove(&b) {
+                        for (ai, n) in pushes.into_iter().enumerate() {
+                            for _ in 0..n {
+                                stacks[ai].pop();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Apply: fill phis, replace loads, drop loads/stores/allocas.
+        for (phi, inc) in phi_incomings {
+            f.inst_mut(phi).kind = InstKind::Phi { incomings: inc };
+        }
+        for (id, v) in replacements {
+            f.replace_all_uses(id, v);
+        }
+        for (b, id) in removals {
+            f.remove_from_block(b, id);
+        }
+        for &a in allocas {
+            // Find and remove the alloca from its block.
+            for b in f.block_ids().collect::<Vec<_>>() {
+                if f.remove_from_block(b, a) {
+                    break;
+                }
+            }
+        }
+        // Phis with all-identical incomings (single-pred joins) fold away.
+        crate::util::trivial_dce(&Module::new("tmp"), f, false);
     }
 }

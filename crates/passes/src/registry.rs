@@ -231,6 +231,72 @@ mod tests {
         assert!(!is_registered(""));
     }
 
+    /// The phases whose replacements, chain merges or loop membership were
+    /// rewritten to run in linear time, each with its implementation from
+    /// before as an oracle.
+    fn rewritten_phases() -> [(&'static str, Transform); 12] {
+        use Transform::{Function as F, Module as M};
+        [
+            (
+                "aggressive-instcombine",
+                F(scalar::oracle::aggressive_instcombine),
+            ),
+            (
+                "correlated-propagation",
+                F(sccp::oracle::correlated_propagation),
+            ),
+            ("instcombine", F(scalar::oracle::instcombine)),
+            ("instsimplify", F(scalar::oracle::instsimplify)),
+            ("ipsccp", M(sccp::oracle::ipsccp)),
+            ("licm", F(loops::oracle::licm)),
+            ("lower-expect", F(scalar::oracle::lower_expect)),
+            ("mem2reg", F(memory::oracle::mem2reg)),
+            ("reassociate", F(scalar::oracle::reassociate)),
+            ("sccp", F(sccp::oracle::sccp)),
+            ("simplifycfg", F(cfgopt::oracle::simplifycfg)),
+            ("sroa", F(memory::oracle::sroa)),
+        ]
+    }
+
+    /// Runs each rewritten phase and its oracle, raw, on every suite state
+    /// of more than `min_insts` and at most `max_insts` instructions, and
+    /// asserts the same changed bit and the same module, instruction arena
+    /// included. Returns the number of states.
+    fn assert_rewrites_match_the_oracles(min_insts: usize, max_insts: usize) -> usize {
+        let phases = rewritten_phases();
+        let mut states = 0;
+        crate::suite_states::for_each_suite_state(max_insts, |state, label| {
+            if state.total_insts() <= min_insts {
+                return;
+            }
+            states += 1;
+            for (phase, oracle) in phases {
+                let mut new = state.clone();
+                let changed = run_phase_on(&mut new, phase).unwrap();
+                let mut old = state.clone();
+                let old_changed = oracle.run(&mut old, state, &mut AnalysisCache::new());
+                assert_eq!(changed, old_changed, "{phase} on {label}: changed bits");
+                assert!(new == old, "{phase} on {label}: differs from the oracle");
+            }
+        });
+        states
+    }
+
+    #[test]
+    fn rewritten_phases_match_their_oracles_on_the_suite_states() {
+        let states = assert_rewrites_match_the_oracles(0, FINGERPRINT_MAX_INSTS);
+        assert!(states >= 300, "only {states} states checked");
+    }
+
+    /// The same on the 44 states over `FINGERPRINT_MAX_INSTS`, where the
+    /// oracles cost up to about 0.2 s per run: release builds only.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn rewritten_phases_match_their_oracles_on_the_large_states() {
+        let states = assert_rewrites_match_the_oracles(FINGERPRINT_MAX_INSTS, usize::MAX);
+        assert!(states >= 40, "only {states} states checked");
+    }
+
     /// The largest state the fingerprint test runs the phases on, the same
     /// in both profiles so that one table serves both.
     const FINGERPRINT_MAX_INSTS: usize = 200;

@@ -3,8 +3,8 @@
 //! `div-rem-pairs`, `lower-expect`, `alignment-from-assumptions`.
 
 use crate::util::{
-    all_insts, fold_constant, mem_root, replace_and_remove, simplify_inst, trivial_dce,
-    until_stable, MemRoot,
+    all_insts, fold_constant, mem_root, simplify_inst, trivial_dce, until_stable, MemRoot,
+    Replacements,
 };
 use mlcomp_ir::analysis::{Body, CfgDom, DefUse};
 use mlcomp_ir::{
@@ -14,20 +14,27 @@ use std::borrow::Cow;
 
 /// `instsimplify`: folds instructions to existing values (constants,
 /// operands) without ever creating new instructions.
+///
+/// Each sweep reads operands through the replacements it has recorded and
+/// rewrites their uses once, at its end.
 pub fn instsimplify(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
     loop {
-        let mut local = false;
-        for (b, id) in all_insts(f) {
+        let mut replaced = Replacements::new(f);
+        for (_, id) in all_insts(f) {
             let inst = f.inst(id);
-            if let Some(v) = simplify_inst(f, &inst.kind, inst.ty) {
-                if v != Value::Inst(id) {
-                    replace_and_remove(f, b, id, v);
-                    local = true;
-                }
+            let simplified = if replaced.touches(&inst.kind) {
+                let mut kind = inst.kind.clone();
+                kind.map_operands(|v| replaced.resolve(v));
+                simplify_inst(f, &kind, inst.ty)
+            } else {
+                simplify_inst(f, &inst.kind, inst.ty)
+            };
+            if let Some(v) = simplified.filter(|&v| v != Value::Inst(id)) {
+                replaced.record(id, v);
             }
         }
-        if !local {
+        if !replaced.apply(f) {
             break;
         }
         changed = true;
@@ -252,6 +259,11 @@ fn combine_one(f: &Function, id: InstId) -> Option<InstKind> {
 /// multiplies by two-bit constants into shift-add, folding shift-mask
 /// chains.
 pub fn aggressive_instcombine(m: &Module, f: &mut Body) -> bool {
+    aggressive_rewrites(f) | instsimplify(m, f)
+}
+
+/// The pattern rewrites of `aggressive-instcombine`, before it simplifies.
+fn aggressive_rewrites(f: &mut Body) -> bool {
     let mut changed = false;
     for (b, id) in all_insts(f) {
         let inst = f.inst(id).clone();
@@ -329,14 +341,20 @@ pub fn aggressive_instcombine(m: &Module, f: &mut Body) -> bool {
             }
         }
     }
-    changed | instsimplify(m, f)
+    changed
 }
 
 /// `reassociate`: moves constants outward in chains of associative integer
 /// operations so they fold — `(x + C1) + C2 → x + (C1+C2)`,
 /// `(x + C) + y → (x + y) + C`.
 pub fn reassociate(m: &Module, f: &mut Body) -> bool {
-    let changed = until_stable::<Cow<DefUse>>(f, |f, du| {
+    reassociate_rounds(f) | instsimplify(m, f)
+}
+
+/// The rounds of `reassociate` up to the first that rewrites nothing,
+/// before it simplifies.
+fn reassociate_rounds(f: &mut Body) -> bool {
+    until_stable::<Cow<DefUse>>(f, |f, du| {
         let mut local = false;
         for (_b, id) in all_insts(f) {
             let inst = f.inst(id);
@@ -415,8 +433,7 @@ pub fn reassociate(m: &Module, f: &mut Body) -> bool {
             }
         }
         local
-    });
-    changed | instsimplify(m, f)
+    })
 }
 
 /// `bdce`: bit-tracking dead code elimination — folds mask chains and
@@ -663,13 +680,13 @@ pub fn lower_expect(_m: &Module, f: &mut Body) -> bool {
         }
     }
     // Lower every expect to its value.
-    for (b, id) in all_insts(f) {
+    let mut replaced = Replacements::new(f);
+    for (_, id) in all_insts(f) {
         if let InstKind::Expect { val, .. } = f.inst(id).kind {
-            replace_and_remove(f, b, id, val);
-            changed = true;
+            replaced.record(id, replaced.resolve(val));
         }
     }
-    changed
+    changed | replaced.apply(f)
 }
 
 /// Expected truth value of a branch condition, when an `expect` hint feeds
@@ -987,5 +1004,102 @@ mod tests {
             .count();
         assert_eq!(aligned, 2);
         assert_eq!(unaligned, 1, "param-derived load stays unaligned");
+    }
+}
+
+/// The replacement code this module had before uses were rewritten once
+/// per sweep, kept as a differential oracle: every replaced value is
+/// rewritten in the whole function at once and unplaced.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{aggressive_rewrites, branch_expectation, combine_one, reassociate_rounds};
+    use crate::util::{all_insts, simplify_inst, trivial_dce};
+    use mlcomp_ir::analysis::Body;
+    use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Terminator, Value};
+
+    fn replace_and_remove(f: &mut Function, block: BlockId, id: InstId, val: Value) {
+        f.replace_all_uses(id, val);
+        f.remove_from_block(block, id);
+    }
+
+    pub(crate) fn instsimplify(m: &Module, f: &mut Body) -> bool {
+        let mut changed = false;
+        loop {
+            let mut local = false;
+            for (b, id) in all_insts(f) {
+                let inst = f.inst(id);
+                if let Some(v) = simplify_inst(f, &inst.kind, inst.ty) {
+                    if v != Value::Inst(id) {
+                        replace_and_remove(f, b, id, v);
+                        local = true;
+                    }
+                }
+            }
+            if !local {
+                break;
+            }
+            changed = true;
+        }
+        changed |= trivial_dce(m, f, false);
+        changed
+    }
+
+    pub(crate) fn instcombine(m: &Module, f: &mut Body) -> bool {
+        let mut changed = instsimplify(m, f);
+        loop {
+            let mut local = false;
+            for (_b, id) in all_insts(f) {
+                if let Some(new_kind) = combine_one(f, id) {
+                    f.inst_mut(id).kind = new_kind;
+                    local = true;
+                }
+            }
+            if !local {
+                break;
+            }
+            changed = true;
+            changed |= instsimplify(m, f);
+        }
+        changed
+    }
+
+    pub(crate) fn aggressive_instcombine(m: &Module, f: &mut Body) -> bool {
+        aggressive_rewrites(f) | instsimplify(m, f)
+    }
+
+    pub(crate) fn reassociate(m: &Module, f: &mut Body) -> bool {
+        reassociate_rounds(f) | instsimplify(m, f)
+    }
+
+    pub(crate) fn lower_expect(_m: &Module, f: &mut Body) -> bool {
+        let mut changed = false;
+        for b in f.block_ids().collect::<Vec<_>>() {
+            let term = f.block(b).term.clone();
+            if let Terminator::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+                weight: None,
+            } = term
+            {
+                let Some(expectation) = branch_expectation(f, cond) else {
+                    continue;
+                };
+                f.block_mut(b).term = Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                    weight: Some(if expectation { 90 } else { 10 }),
+                };
+                changed = true;
+            }
+        }
+        for (b, id) in all_insts(f) {
+            if let InstKind::Expect { val, .. } = f.inst(id).kind {
+                replace_and_remove(f, b, id, val);
+                changed = true;
+            }
+        }
+        changed
     }
 }

@@ -1,7 +1,7 @@
 //! Constant propagation phases: `sccp`, `ipsccp` and
 //! `correlated-propagation`.
 
-use crate::util::{fold_constant, remove_unreachable_blocks, trivial_dce};
+use crate::util::{fold_constant, remove_unreachable_blocks, trivial_dce, Replacements};
 use mlcomp_ir::analysis::{Body, CfgDom, ModuleBody};
 use mlcomp_ir::{
     BlockId, Callee, CmpPred, FuncId, Function, InstId, InstKind, Module, Terminator, Value,
@@ -47,6 +47,17 @@ pub fn sccp(m: &Module, f: &mut Body) -> bool {
 /// reads attributes from the pre-phase module, so every function it
 /// leaves alone keeps its cached analyses.
 pub fn ipsccp(m: &mut ModuleBody) -> bool {
+    ipsccp_with(m, (apply_solution, replace_call_results))
+}
+
+/// How `ipsccp` rewrites a function body: by its own SCCP solution, and by
+/// the constants its callees return.
+type Rewrites = (
+    fn(&Module, &mut Body, &[Option<Value>]) -> bool,
+    fn(&mut Body, &[Option<Value>]) -> bool,
+);
+
+fn ipsccp_with(m: &mut ModuleBody, (apply_solution, replace_call_results): Rewrites) -> bool {
     let mut changed = false;
     let cg = m.call_graph();
     let before = m.before();
@@ -150,24 +161,10 @@ pub fn ipsccp(m: &mut ModuleBody) -> bool {
     }
 
     // Replace call results with constant returns (call stays for effects;
-    // DCE will drop it if the callee is readnone).
+    // DCE will drop it if the callee is readnone). A call whose result has
+    // no use changes nothing.
     for mut f in m.bodies() {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            for &id in &f.block(b).insts.clone() {
-                if let InstKind::Call {
-                    callee: Callee::Direct(c),
-                    ..
-                } = &f.inst(id).kind
-                {
-                    if let Some(v) = const_returns[c.index()] {
-                        if f.inst(id).ty == f.value_type(v) {
-                            f.replace_all_uses(id, v);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
+        changed |= replace_call_results(&mut f, &const_returns);
     }
 
     if changed {
@@ -178,6 +175,29 @@ pub fn ipsccp(m: &mut ModuleBody) -> bool {
         }
     }
     changed
+}
+
+/// Rewrites the uses of each direct call's result whose callee returns the
+/// constant `const_returns` holds for it, and returns whether one was
+/// rewritten. The calls stay placed.
+fn replace_call_results(f: &mut Body, const_returns: &[Option<Value>]) -> bool {
+    let mut results = Replacements::new(f);
+    for b in f.block_ids() {
+        for &id in &f.block(b).insts {
+            if let InstKind::Call {
+                callee: Callee::Direct(c),
+                ..
+            } = &f.inst(id).kind
+            {
+                if let Some(v) = const_returns[c.index()] {
+                    if f.inst(id).ty == f.value_type(v) {
+                        results.record(id, v);
+                    }
+                }
+            }
+        }
+    }
+    results.rewrite_uses(f)
 }
 
 /// Solves the SCCP lattice of `f` and returns, per instruction id, the
@@ -359,17 +379,27 @@ fn solve(f: &Function) -> Vec<Option<Value>> {
         .collect()
 }
 
+/// Replaces the pure instructions and phis `solution` proves constant,
+/// folds the branches it decides and deletes what they leave unreachable.
+/// A block's replaced instructions leave it before its branch is folded,
+/// so dropping a phi edge sees only the phis still placed; every use is
+/// rewritten once, before unreachable blocks go.
 fn apply_solution(m: &Module, f: &mut Body, solution: &[Option<Value>]) -> bool {
     let mut changed = false;
+    let mut replaced = Replacements::new(f);
     for b in f.block_ids().collect::<Vec<_>>() {
-        for &id in &f.block(b).insts.clone() {
+        let mut local = false;
+        for &id in &f.block(b).insts {
             if let Some(v) = solution[id.index()] {
                 if f.inst(id).kind.is_pure() || f.inst(id).kind.is_phi() {
-                    f.replace_all_uses(id, v);
-                    f.remove_from_block(b, id);
-                    changed = true;
+                    replaced.record(id, v);
+                    local = true;
                 }
             }
+        }
+        if local {
+            f.block_mut(b).insts.retain(|&id| !replaced.is_replaced(id));
+            changed = true;
         }
         // Fold constant terminators.
         let term = f.block(b).term.clone();
@@ -428,6 +458,7 @@ fn apply_solution(m: &Module, f: &mut Body, solution: &[Option<Value>]) -> bool 
             _ => {}
         }
     }
+    replaced.apply(f);
     changed |= remove_unreachable_blocks(f);
     changed |= trivial_dce(m, f, false);
     changed
@@ -441,7 +472,7 @@ pub fn correlated_propagation(m: &Module, f: &mut Body) -> bool {
     let mut changed = remove_unreachable_blocks(f);
     let (cfg, dt) = f.analyse::<CfgDom>();
 
-    let mut edits: Vec<(BlockId, InstId, Value)> = Vec::new();
+    let mut edits: Vec<(InstId, Value)> = Vec::new();
     let mut subst: Vec<(Vec<BlockId>, Value, Value)> = Vec::new();
 
     for b in f.block_ids() {
@@ -484,9 +515,9 @@ pub fn correlated_propagation(m: &Module, f: &mut Body) -> bool {
                     {
                         if *l2 == lhs && *r2 == rhs {
                             if *p2 == pred {
-                                edits.push((rb, id, Value::bool(truth)));
+                                edits.push((id, Value::bool(truth)));
                             } else if *p2 == pred.negated() {
-                                edits.push((rb, id, Value::bool(!truth)));
+                                edits.push((id, Value::bool(!truth)));
                             }
                         }
                     }
@@ -500,11 +531,14 @@ pub fn correlated_propagation(m: &Module, f: &mut Body) -> bool {
         }
     }
 
-    for (b, id, v) in edits {
-        f.replace_all_uses(id, v);
-        f.remove_from_block(b, id);
-        changed = true;
+    // A compare folded in two regions keeps its first value.
+    let mut folded = Replacements::new(f);
+    for (id, v) in edits {
+        if !folded.is_replaced(id) {
+            folded.record(id, v);
+        }
     }
+    changed |= folded.apply(f);
     for (region, from, to) in subst {
         for b in region {
             for &id in &f.block(b).insts.clone() {
@@ -682,6 +716,40 @@ mod tests {
             .count();
         assert_eq!(calls, 0);
         assert_eq!(exec(&m, "f", &[RtVal::I(3)]), Some(RtVal::I(3)));
+    }
+
+    #[test]
+    fn ipsccp_changes_nothing_on_a_kept_call_whose_result_has_no_use() {
+        // five() writes a global and returns 5; main returns five() + 1.
+        let mut mb = ModuleBuilder::new("t");
+        let g = mb.add_global("g", 1);
+        let five = mb.declare("five", vec![], Type::I64);
+        mb.begin_existing(five);
+        {
+            let mut b = mb.body();
+            b.store(b.global_addr(g), b.const_i64(1));
+            b.ret(Some(b.const_i64(5)));
+        }
+        mb.finish_function();
+        mb.begin_function("main", vec![], Type::I64);
+        {
+            let mut b = mb.body();
+            let r = b.call(five, vec![], Type::I64);
+            let s = b.add(r, b.const_i64(1));
+            b.ret(Some(s));
+        }
+        mb.finish_function();
+        let mut session = crate::Sandbox::new(mb.build());
+        // The first run rewrites the call's result to 5 and the second
+        // folds main to `ret 6`; the call stays for its store, its result
+        // unused, so a third run changes nothing. Debug builds check each
+        // outcome against a comparison of the modules.
+        let outcomes: Vec<_> = (0..3)
+            .map(|_| session.run_phase("ipsccp", None, "ipsccp").unwrap())
+            .collect();
+        use crate::PhaseOutcome::{Changed, Unchanged};
+        assert_eq!(outcomes, [Changed, Changed, Unchanged]);
+        assert_eq!(exec(session.module(), "main", &[]), Some(RtVal::I(6)));
     }
 
     #[test]
@@ -973,5 +1041,227 @@ mod tests {
                 })
                 .collect()
         }
+    }
+}
+
+/// The replacement code this module had before uses were rewritten once
+/// per sweep, kept as a differential oracle: every replaced value is
+/// rewritten in the whole function at once, and a call's result counts as
+/// replaced whether or not it has a use.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{ipsccp_with, solve};
+    use crate::util::{remove_unreachable_blocks, trivial_dce};
+    use mlcomp_ir::analysis::{Body, CfgDom, ModuleBody};
+    use mlcomp_ir::{BlockId, Callee, CmpPred, InstId, InstKind, Module, Terminator, Value};
+
+    pub(crate) fn sccp(m: &Module, f: &mut Body) -> bool {
+        let pruned = remove_unreachable_blocks(f);
+        let solution = solve(f);
+        apply_solution(m, f, &solution) | pruned
+    }
+
+    pub(crate) fn ipsccp(m: &mut ModuleBody) -> bool {
+        ipsccp_with(m, (apply_solution, replace_call_results))
+    }
+
+    pub(crate) fn replace_call_results(f: &mut Body, const_returns: &[Option<Value>]) -> bool {
+        let mut changed = false;
+        for b in f.block_ids().collect::<Vec<_>>() {
+            for &id in &f.block(b).insts.clone() {
+                if let InstKind::Call {
+                    callee: Callee::Direct(c),
+                    ..
+                } = &f.inst(id).kind
+                {
+                    if let Some(v) = const_returns[c.index()] {
+                        if f.inst(id).ty == f.value_type(v) {
+                            f.replace_all_uses(id, v);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    pub(crate) fn apply_solution(m: &Module, f: &mut Body, solution: &[Option<Value>]) -> bool {
+        let mut changed = false;
+        for b in f.block_ids().collect::<Vec<_>>() {
+            for &id in &f.block(b).insts.clone() {
+                if let Some(v) = solution[id.index()] {
+                    if f.inst(id).kind.is_pure() || f.inst(id).kind.is_phi() {
+                        f.replace_all_uses(id, v);
+                        f.remove_from_block(b, id);
+                        changed = true;
+                    }
+                }
+            }
+            // Fold constant terminators.
+            let term = f.block(b).term.clone();
+            match term {
+                Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                    ..
+                } => {
+                    let c = match cond {
+                        Value::Inst(id) => solution[id.index()].and_then(|v| v.as_const_int()),
+                        v => v.as_const_int(),
+                    };
+                    if let Some(c) = c {
+                        let (taken, dropped) = if c != 0 {
+                            (then_bb, else_bb)
+                        } else {
+                            (else_bb, then_bb)
+                        };
+                        f.block_mut(b).term = Terminator::Br(taken);
+                        if dropped != taken {
+                            f.remove_phi_edges(dropped, b);
+                        }
+                        changed = true;
+                    }
+                }
+                Terminator::Switch {
+                    val,
+                    cases,
+                    default,
+                } => {
+                    let c = match val {
+                        Value::Inst(id) => solution[id.index()].and_then(|v| v.as_const_int()),
+                        v => v.as_const_int(),
+                    };
+                    if let Some(c) = c {
+                        let taken = cases
+                            .iter()
+                            .find(|(k, _)| *k == c)
+                            .map(|(_, t)| *t)
+                            .unwrap_or(default);
+                        let mut dropped: Vec<BlockId> = cases.iter().map(|(_, t)| *t).collect();
+                        dropped.push(default);
+                        dropped.sort();
+                        dropped.dedup();
+                        f.block_mut(b).term = Terminator::Br(taken);
+                        for d in dropped {
+                            if d != taken {
+                                f.remove_phi_edges(d, b);
+                            }
+                        }
+                        changed = true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        changed |= remove_unreachable_blocks(f);
+        changed |= trivial_dce(m, f, false);
+        changed
+    }
+
+    pub(crate) fn correlated_propagation(m: &Module, f: &mut Body) -> bool {
+        let mut changed = remove_unreachable_blocks(f);
+        let (cfg, dt) = f.analyse::<CfgDom>();
+
+        let mut edits: Vec<(BlockId, InstId, Value)> = Vec::new();
+        let mut subst: Vec<(Vec<BlockId>, Value, Value)> = Vec::new();
+
+        for b in f.block_ids() {
+            let Terminator::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+                ..
+            } = &f.block(b).term
+            else {
+                continue;
+            };
+            let Some(cmp_id) = cond.as_inst() else {
+                continue;
+            };
+            let InstKind::Cmp { pred, lhs, rhs } = f.inst(cmp_id).kind.clone() else {
+                continue;
+            };
+            if then_bb == else_bb {
+                continue;
+            }
+            for (arm, truth) in [(*then_bb, true), (*else_bb, false)] {
+                // The arm must be entered only through this edge.
+                if cfg.preds[arm.index()] != vec![b] {
+                    continue;
+                }
+                // Region: blocks dominated by the arm.
+                let region: Vec<BlockId> =
+                    f.block_ids().filter(|&x| dt.dominates(arm, x)).collect();
+                // Fold the controlling compare in the region.
+                for &rb in &region {
+                    for &id in &f.block(rb).insts {
+                        if id == cmp_id {
+                            continue;
+                        }
+                        if let InstKind::Cmp {
+                            pred: p2,
+                            lhs: l2,
+                            rhs: r2,
+                        } = &f.inst(id).kind
+                        {
+                            if *l2 == lhs && *r2 == rhs {
+                                if *p2 == pred {
+                                    edits.push((rb, id, Value::bool(truth)));
+                                } else if *p2 == pred.negated() {
+                                    edits.push((rb, id, Value::bool(!truth)));
+                                }
+                            }
+                        }
+                    }
+                }
+                // Equality: substitute the variable with the constant.
+                let eq_sub = (pred == CmpPred::Eq && truth) || (pred == CmpPred::Ne && !truth);
+                if eq_sub && rhs.is_const() && !lhs.is_const() {
+                    subst.push((region.clone(), lhs, rhs));
+                }
+            }
+        }
+
+        for (b, id, v) in edits {
+            f.replace_all_uses(id, v);
+            f.remove_from_block(b, id);
+            changed = true;
+        }
+        for (region, from, to) in subst {
+            for b in region {
+                for &id in &f.block(b).insts.clone() {
+                    // Do not rewrite inside phis: incoming values relate to
+                    // predecessor edges that may lie outside the region.
+                    if f.inst(id).kind.is_phi() {
+                        continue;
+                    }
+                    let mut uses = false;
+                    f.inst(id).kind.for_each_operand(|v| uses |= v == from);
+                    if uses {
+                        f.inst_mut(id)
+                            .kind
+                            .map_operands(|v| if v == from { to } else { v });
+                        changed = true;
+                    }
+                }
+                let mut term = f.block(b).term.clone();
+                let mut local = false;
+                term.map_operands(|v| {
+                    if v == from {
+                        local = true;
+                        to
+                    } else {
+                        v
+                    }
+                });
+                if local {
+                    f.block_mut(b).term = term;
+                    changed = true;
+                }
+            }
+        }
+        changed | trivial_dce(m, f, false)
     }
 }

@@ -553,11 +553,138 @@ pub fn ensure_preheader(f: &mut Function, header: BlockId, loop_blocks: &[BlockI
     pre
 }
 
-/// Replaces an instruction's every use with `val` and removes it from its
-/// block. Convenience used all over the scalar phases.
-pub fn replace_and_remove(f: &mut Function, block: BlockId, id: InstId, val: Value) {
-    f.replace_all_uses(id, val);
-    f.remove_from_block(block, id);
+/// Instruction results a phase replaces during one sweep over a function,
+/// rewritten into their uses in one pass at the end of the sweep.
+///
+/// [`Replacements::apply`] leaves the function that replacing each value
+/// in turn with [`Function::replace_all_uses`] and unplacing it would
+/// leave. A use follows its chain of replacements to the end, as long as
+/// each link was recorded after the one before it: a value that replaces
+/// another after being replaced itself was already gone from the uses
+/// when it arrived. A replaced instruction's arena slot keeps the operands
+/// it had when it was replaced, which are those the replacements recorded
+/// up to and including its own rewrite. Until the sweep applies, it reads
+/// operands through [`Replacements::resolve`].
+#[derive(Debug)]
+pub(crate) struct Replacements {
+    /// Per instruction, the value replacing it and its position in
+    /// `order`; empty until the first record, as most sweeps record none.
+    by: Vec<Option<(Value, usize)>>,
+    /// The size of the instruction arena.
+    arena: usize,
+    /// Replaced instructions, in the order they were recorded.
+    order: Vec<InstId>,
+    /// How many of `order` the last [`Replacements::apply`] saw.
+    applied: usize,
+}
+
+impl Replacements {
+    /// No replacements yet, for the instruction arena of `f`.
+    pub(crate) fn new(f: &Function) -> Replacements {
+        Replacements {
+            by: Vec::new(),
+            arena: f.insts.len(),
+            order: Vec::new(),
+            applied: 0,
+        }
+    }
+
+    /// Whether `id` has been replaced.
+    pub(crate) fn is_replaced(&self, id: InstId) -> bool {
+        self.by.get(id.index()).is_some_and(Option::is_some)
+    }
+
+    /// `v` after the replacements recorded so far: what a use of `v`
+    /// becomes when each is applied in turn.
+    pub(crate) fn resolve(&self, v: Value) -> Value {
+        self.resolve_through(v, usize::MAX)
+    }
+
+    /// `v` after the first `seen` replacements recorded, plus one, each
+    /// applied in turn: every link of the chain is recorded after the one
+    /// before it.
+    fn resolve_through(&self, mut v: Value, seen: usize) -> Value {
+        let mut last = None;
+        while let Value::Inst(id) = v {
+            match self.by.get(id.index()).copied().flatten() {
+                Some((next, at)) if at <= seen && last.is_none_or(|l| at > l) => {
+                    v = next;
+                    last = Some(at);
+                }
+                _ => break,
+            }
+        }
+        v
+    }
+
+    /// Whether an operand of `kind` is the result of a replaced
+    /// instruction.
+    pub(crate) fn touches(&self, kind: &InstKind) -> bool {
+        if self.order.is_empty() {
+            return false;
+        }
+        let mut hit = false;
+        kind.for_each_operand(|v| hit |= self.replaces(v));
+        hit
+    }
+
+    /// Whether `v` is the result of a replaced instruction.
+    fn replaces(&self, v: Value) -> bool {
+        matches!(v, Value::Inst(id) if self.is_replaced(id))
+    }
+
+    /// Records that `v` replaces `id`. Unless the caller has unplaced
+    /// `id`, the next [`Replacements::apply`] does. A `v` read from an
+    /// operand is passed through [`Replacements::resolve`] first, as a
+    /// placed operand would already have been rewritten.
+    pub(crate) fn record(&mut self, id: InstId, v: Value) {
+        debug_assert!(!self.is_replaced(id), "{id:?} is replaced twice");
+        if self.by.is_empty() {
+            self.by = vec![None; self.arena];
+        }
+        self.by[id.index()] = Some((v, self.order.len()));
+        self.order.push(id);
+    }
+
+    /// Gives each instruction replaced since the last call the operands it
+    /// had when it was replaced, unplaces it, then rewrites every use in
+    /// the placed instructions and terminators in one pass. Returns
+    /// whether anything was recorded since the last call.
+    pub(crate) fn apply(&mut self, f: &mut Body) -> bool {
+        if self.applied == self.order.len() {
+            return false;
+        }
+        for (at, &id) in self.order.iter().enumerate().skip(self.applied) {
+            if self.touches(&f.inst(id).kind) {
+                f.inst_mut(id)
+                    .kind
+                    .map_operands(|v| self.resolve_through(v, at));
+            }
+        }
+        self.applied = self.order.len();
+        for block in f.blocks.iter_mut().filter(|b| !b.deleted) {
+            block.insts.retain(|&id| !self.is_replaced(id));
+        }
+        f.map_uses(|v| self.resolve(v));
+        true
+    }
+
+    /// Rewrites the uses of replaced values in the placed instructions and
+    /// terminators, leaving every instruction placed, and returns whether
+    /// any use was rewritten. Writes `f` only if one is.
+    pub(crate) fn rewrite_uses(&self, f: &mut Body) -> bool {
+        let uses = |b: BlockId| {
+            let block = f.block(b);
+            let mut hit = block.insts.iter().any(|&id| self.touches(&f.inst(id).kind));
+            block.term.for_each_operand(|v| hit |= self.replaces(v));
+            hit
+        };
+        let hit = !self.order.is_empty() && f.block_ids().any(uses);
+        if hit {
+            f.map_uses(|v| self.resolve(v));
+        }
+        hit
+    }
 }
 
 /// Estimated static "size" of a function in abstract instruction units,

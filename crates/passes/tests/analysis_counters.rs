@@ -107,3 +107,31 @@ fn repeated_ipsccp_runs_in_a_session_build_nothing() {
         );
     }
 }
+
+/// `simplifycfg` merges the block chains `loop-unroll` leaves from one
+/// `Cfg`; a `Cfg` per merged block (about 290 on this state) would mean
+/// the merges restart after each one again.
+#[test]
+fn simplifycfg_on_an_unrolled_state_builds_few_cfgs() {
+    /// One run builds 9 in release builds, a few per round of the
+    /// phase's fixpoint; debug builds add one for their full verify.
+    const MAX_CFG_BUILDS: u64 = 10;
+    let mut module = mlcomp_suites::program("x264").unwrap().module;
+    // Unroll inside a sink scope too, so no other test's scope counts it.
+    analysis_counters(|| {
+        let outcome = PassManager::new()
+            .run_phase_sandboxed(&mut module, "loop-unroll", None, "")
+            .unwrap();
+        assert_eq!(outcome, PhaseOutcome::Changed);
+    });
+    let mut session = Sandbox::new(module);
+    let totals = analysis_counters(|| {
+        let outcome = session.run_phase("simplifycfg", None, "").unwrap();
+        assert_eq!(outcome, PhaseOutcome::Changed);
+    });
+    let builds = count(&totals, "build", "cfg");
+    assert!(
+        builds <= MAX_CFG_BUILDS,
+        "one simplifycfg run built {builds} Cfgs: {totals:?}"
+    );
+}
