@@ -3,7 +3,7 @@
 //! the in-situ group, on states that real phase prefixes reach.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcomp_ir::analysis::DefUse;
+use mlcomp_ir::analysis::{Cfg, DefUse, DomTree, LoopForest};
 use mlcomp_passes::{PassManager, PhaseOutcome, Sandbox};
 use std::hint::black_box;
 
@@ -50,7 +50,8 @@ fn bench(c: &mut Criterion) {
 /// without changing anything, so they measure the fixed cost of a phase
 /// run, as does building def-use chains for every function. `loop-load-elim`,
 /// `dse` and `adce` on unrolled `x264` time the phases that ask the shared
-/// memory-effect queries on every instruction. `simplifycfg`, `licm`,
+/// memory-effect queries on every instruction, and `mem2reg` there the
+/// per-alloca scans of promotion. `simplifycfg`, `licm`,
 /// `reassociate`, `sroa` and `loop-rotate` on unrolled `x264` time the
 /// phases whose cost grows fastest with the IR in RL training; the
 /// largest state, unrolled `matmult-int`, times `simplifycfg`, `licm`,
@@ -62,6 +63,10 @@ fn bench(c: &mut Criterion) {
 /// snapshot copies. `ipsccp in a session on x264` repeats `ipsccp` in one
 /// session that it no longer changes, against the one-shot `ipsccp on
 /// x264`: no copy, and every analysis served from the session's cache.
+/// `gvn` after `instcombine` and `early-cse-memssa` after that `gvn` on
+/// unrolled `x264` are the memory CSE runs RL training repeats most;
+/// `verify` and `LoopForest::new` on unrolled `x264` time the dominance
+/// queries every verified run and every loop phase ask.
 fn bench_in_situ(c: &mut Criterion) {
     /// Phases that leave `x264+loop-unroll` unchanged.
     const UNCHANGED: [&str; 8] = [
@@ -93,6 +98,7 @@ fn bench_in_situ(c: &mut Criterion) {
                 "ipsccp",
                 "instsimplify",
                 "loop-load-elim",
+                "mem2reg",
                 "dse",
                 "adce",
                 "simplifycfg",
@@ -101,6 +107,12 @@ fn bench_in_situ(c: &mut Criterion) {
                 "sroa",
                 "loop-rotate",
             ][..],
+        ),
+        ("x264", &["loop-unroll", "instcombine"][..], &["gvn"][..]),
+        (
+            "x264",
+            &["loop-unroll", "instcombine", "gvn"][..],
+            &["early-cse-memssa"][..],
         ),
         (
             "matmult-int",
@@ -140,6 +152,25 @@ fn bench_in_situ(c: &mut Criterion) {
                 b.iter(|| {
                     for f in &black_box(&state).functions {
                         black_box(DefUse::new(f));
+                    }
+                })
+            });
+            g.bench_function(format!("verify on {state_name}"), |b| {
+                b.iter(|| mlcomp_ir::verify(black_box(&state)).unwrap())
+            });
+            let analyses: Vec<(Cfg, DomTree)> = state
+                .functions
+                .iter()
+                .map(|f| {
+                    let cfg = Cfg::new(f);
+                    let dt = DomTree::new(&cfg);
+                    (cfg, dt)
+                })
+                .collect();
+            g.bench_function(format!("LoopForest::new on {state_name}"), |b| {
+                b.iter(|| {
+                    for (cfg, dt) in black_box(&analyses) {
+                        black_box(LoopForest::new(cfg, dt));
                     }
                 })
             });

@@ -1,4 +1,10 @@
 //! Dominator tree (Cooper–Harvey–Kennedy) and dominance frontiers.
+//!
+//! The tree is numbered once, by a depth-first walk that records each
+//! block's entry and exit times, so that [`DomTree::dominates`] answers
+//! with two comparisons instead of walking the idom chain. Children are
+//! kept as first-child / next-sibling links in one dense vector with the
+//! times, so the numbering allocates nothing per block.
 
 use super::cfg::Cfg;
 use crate::block::BlockId;
@@ -13,7 +19,26 @@ pub struct DomTree {
     /// clients that need a topological-ish order); `usize::MAX` when
     /// unreachable.
     pub rpo_index: Vec<usize>,
+    /// Per block, its place in the tree.
+    nodes: Vec<Node>,
 }
+
+/// A block's links in the dominator tree and its times in a depth-first
+/// walk of it: `a` dominates reachable `b` iff `a`'s `[entry, exit]`
+/// contains `b`'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    /// The block's first child, or [`NONE`]; each block's children are
+    /// linked in ascending order.
+    first_child: u32,
+    /// The next child of the block's immediate dominator, or [`NONE`].
+    next_sibling: u32,
+    entry: u32,
+    exit: u32,
+}
+
+/// No block, in the child links.
+const NONE: u32 = u32::MAX;
 
 impl DomTree {
     /// Computes dominators using the Cooper–Harvey–Kennedy iterative
@@ -26,7 +51,7 @@ impl DomTree {
         }
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if cfg.rpo.is_empty() {
-            return DomTree { idom, rpo_index };
+            return DomTree::numbered(idom, rpo_index, None);
         }
         let entry = cfg.rpo[0];
         idom[entry.index()] = Some(entry);
@@ -50,24 +75,88 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, rpo_index }
+        DomTree::numbered(idom, rpo_index, Some(entry))
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Links each block under its immediate dominator and numbers the
+    /// tree rooted at `entry` by one depth-first walk.
+    fn numbered(
+        idom: Vec<Option<BlockId>>,
+        rpo_index: Vec<usize>,
+        entry: Option<BlockId>,
+    ) -> DomTree {
+        let mut nodes = vec![
+            Node {
+                first_child: NONE,
+                next_sibling: NONE,
+                entry: 0,
+                exit: 0,
+            };
+            idom.len()
+        ];
+        // Prepending in descending order leaves each list ascending.
+        for (i, d) in idom.iter().enumerate().rev() {
+            if let Some(d) = d.filter(|d| d.index() != i) {
+                nodes[i].next_sibling = nodes[d.index()].first_child;
+                nodes[d.index()].first_child = i as u32;
+            }
+        }
+        if let Some(entry) = entry {
+            // Descend to first children; from a leaf, exit it and each
+            // ancestor it is the last child of, then enter the next
+            // sibling. The idom links stand in for a stack.
+            let mut clock = 0u32;
+            let mut tick = || {
+                clock += 1;
+                clock
+            };
+            let mut b = entry.index();
+            nodes[b].entry = tick();
+            'walk: loop {
+                if nodes[b].first_child != NONE {
+                    b = nodes[b].first_child as usize;
+                    nodes[b].entry = tick();
+                    continue;
+                }
+                loop {
+                    nodes[b].exit = tick();
+                    if b == entry.index() {
+                        break 'walk;
+                    }
+                    if nodes[b].next_sibling != NONE {
+                        b = nodes[b].next_sibling as usize;
+                        nodes[b].entry = tick();
+                        break;
+                    }
+                    b = idom[b].expect("a tree block has an idom").index();
+                }
+            }
+        }
+        DomTree {
+            idom,
+            rpo_index,
+            nodes,
+        }
+    }
+
+    /// Whether `a` dominates `b` (reflexive); `false` when either is
+    /// unreachable.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.rpo_index[b.index()] == usize::MAX {
+        if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.index()] {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
+        let (a, b) = (self.nodes[a.index()], self.nodes[b.index()]);
+        a.entry <= b.entry && b.exit <= a.exit
+    }
+
+    /// The children of `b` in the dominator tree, ascending.
+    pub fn children_of(&self, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        let mut next = self.nodes[b.index()].first_child;
+        std::iter::from_fn(move || {
+            let c = (next != NONE).then_some(BlockId(next))?;
+            next = self.nodes[c.index()].next_sibling;
+            Some(c)
+        })
     }
 
     /// Dominance frontier of every block — the classic ingredient of SSA
@@ -105,18 +194,11 @@ impl DomTree {
         df
     }
 
-    /// Children lists of the dominator tree.
+    /// Children lists of the dominator tree, each ascending.
     pub fn children(&self) -> Vec<Vec<BlockId>> {
-        let n = self.idom.len();
-        let mut ch = vec![Vec::new(); n];
-        for (i, d) in self.idom.iter().enumerate() {
-            if let Some(d) = d {
-                if d.index() != i {
-                    ch[d.index()].push(BlockId(i as u32));
-                }
-            }
-        }
-        ch
+        (0..self.idom.len() as u32)
+            .map(|b| self.children_of(BlockId(b)).collect())
+            .collect()
     }
 }
 
@@ -185,6 +267,21 @@ mod tests {
         assert!(df[a.index()].contains(&j));
         assert!(df[b.index()].contains(&j));
         assert!(df[BlockId::ENTRY.index()].is_empty());
+    }
+
+    #[test]
+    fn unreachable_blocks_dominate_and_are_dominated_by_nothing() {
+        let (mut f, a, _, j) = diamond();
+        let dead = f.add_block();
+        f.block_mut(dead).term = Terminator::Br(j);
+        let cfg = Cfg::new(&f);
+        let dt = DomTree::new(&cfg);
+        for b in [BlockId::ENTRY, a, j, dead] {
+            assert!(!dt.dominates(dead, b));
+            assert!(!dt.dominates(b, dead));
+        }
+        assert!(dt.children_of(dead).next().is_none());
+        assert_eq!(dt.children_of(BlockId::ENTRY).count(), 3);
     }
 
     #[test]

@@ -212,9 +212,9 @@ impl Function {
 
     /// Fixes phi nodes in `block` after the edge from `pred` was removed.
     pub fn remove_phi_edges(&mut self, block: BlockId, pred: BlockId) {
-        let ids: Vec<InstId> = self.blocks[block.index()].insts.clone();
-        for id in ids {
-            if let InstKind::Phi { incomings } = &mut self.insts[id.index()].kind {
+        let Function { blocks, insts, .. } = self;
+        for &id in &blocks[block.index()].insts {
+            if let InstKind::Phi { incomings } = &mut insts[id.index()].kind {
                 incomings.retain(|(b, _)| *b != pred);
             }
         }
@@ -223,9 +223,9 @@ impl Function {
     /// Renames `from` to `to` in phi incoming-block lists of `block`
     /// (after retargeting a CFG edge).
     pub fn rename_phi_pred(&mut self, block: BlockId, from: BlockId, to: BlockId) {
-        let ids: Vec<InstId> = self.blocks[block.index()].insts.clone();
-        for id in ids {
-            if let InstKind::Phi { incomings } = &mut self.insts[id.index()].kind {
+        let Function { blocks, insts, .. } = self;
+        for &id in &blocks[block.index()].insts {
+            if let InstKind::Phi { incomings } = &mut insts[id.index()].kind {
                 for (b, _) in incomings.iter_mut() {
                     if *b == from {
                         *b = to;

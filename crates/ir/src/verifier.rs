@@ -13,7 +13,6 @@ use crate::inst::{BinOp, InstId, InstKind};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A verification failure, with enough context to locate the offending IR.
@@ -141,23 +140,32 @@ fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<
 
     let (cfg, dt) = entry.dom_tree(f);
 
-    // Placement map + duplicate detection.
-    let mut placed: HashMap<InstId, (BlockId, usize)> = HashMap::new();
+    // Placement (block, position) by arena id + duplicate detection.
+    let mut placed = vec![UNPLACED; f.insts.len()];
     for b in f.block_ids() {
         for (pos, &id) in f.block(b).insts.iter().enumerate() {
-            if id.index() >= f.insts.len() {
+            let Some(slot) = placed.get_mut(id.index()) else {
                 return Err(err(Some(b), Some(id), "instruction id out of range".into()));
-            }
-            if placed.insert(id, (b, pos)).is_some() {
+            };
+            if *slot != UNPLACED {
                 return Err(err(Some(b), Some(id), "instruction placed twice".into()));
             }
+            *slot = (b, pos);
         }
     }
+    let placed = Placement(placed);
+
+    // Per-block marks for the phi checks, `[is_pred, seen]`: `is_pred` of
+    // `p` is `b + 1` while block `b` is checked and `p` is one of its
+    // predecessors, and `seen` of `p` is `k` while the `k`-th phi is
+    // checked and names `p`.
+    let mut marks = vec![[0u32; 2]; f.blocks.len()];
+    let mut phi_stamp = 0u32;
 
     for b in f.block_ids() {
         let blk = f.block(b);
         // Terminator targets must be live blocks.
-        for s in blk.term.successors() {
+        for &s in &cfg.succs[b.index()] {
             if s.index() >= f.blocks.len() || f.block(s).deleted {
                 return Err(err(
                     Some(b),
@@ -188,6 +196,16 @@ fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<
             continue;
         }
 
+        // Distinct predecessors of `b`, marked once for all its phis.
+        let preds = &cfg.preds[b.index()];
+        let mut distinct_preds = 0;
+        for &p in preds {
+            if marks[p.index()][0] != b.0 + 1 {
+                marks[p.index()][0] = b.0 + 1;
+                distinct_preds += 1;
+            }
+        }
+
         for (pos, &id) in blk.insts.iter().enumerate() {
             let inst = f.inst(id);
             check_inst_types(m, f, b, id, inst)?;
@@ -195,32 +213,39 @@ fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<
             let mut failure: Option<VerifyError> = None;
             if let InstKind::Phi { incomings } = &inst.kind {
                 // Phi incoming blocks must exactly match reachable preds.
-                let mut preds: Vec<BlockId> = cfg.preds[b.index()].clone();
-                let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
-                preds.sort();
-                preds.dedup();
-                inc.sort();
-                let inc_d = {
-                    let mut d = inc.clone();
-                    d.dedup();
-                    d
-                };
-                if inc_d.len() != inc.len() {
-                    return Err(err(Some(b), Some(id), "duplicate phi predecessor".into()));
+                phi_stamp += 1;
+                for (i, (p, _)) in incomings.iter().enumerate() {
+                    let repeated = match marks.get_mut(p.index()) {
+                        Some([_, seen]) => std::mem::replace(seen, phi_stamp) == phi_stamp,
+                        // A block out of range is never a predecessor.
+                        None => incomings[..i].iter().any(|(q, _)| q == p),
+                    };
+                    if repeated {
+                        return Err(err(Some(b), Some(id), "duplicate phi predecessor".into()));
+                    }
                 }
-                if inc_d != preds {
+                if incomings.len() != distinct_preds
+                    || incomings
+                        .iter()
+                        .any(|(p, _)| marks.get(p.index()).map(|m| m[0]) != Some(b.0 + 1))
+                {
+                    let mut preds = preds.clone();
+                    preds.sort();
+                    preds.dedup();
+                    let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
+                    inc.sort();
                     return Err(err(
                         Some(b),
                         Some(id),
                         format!(
                             "phi predecessors {:?} do not match CFG predecessors {:?}",
-                            inc_d, preds
+                            inc, preds
                         ),
                     ));
                 }
                 for (p, v) in incomings {
                     if let Value::Inst(d) = v {
-                        match placed.get(d) {
+                        match placed.get(*d) {
                             None => {
                                 failure = Some(err(
                                     Some(b),
@@ -229,7 +254,7 @@ fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<
                                 ));
                             }
                             Some((db, _)) => {
-                                if !dt.dominates(*db, *p) {
+                                if !dt.dominates(db, *p) {
                                     failure = Some(err(
                                         Some(b),
                                         Some(id),
@@ -301,11 +326,26 @@ fn check_function(m: &Module, f: &Function, entry: &FunctionAnalyses) -> Result<
     Ok(())
 }
 
+/// The placement of an unplaced instruction.
+const UNPLACED: (BlockId, usize) = (BlockId(u32::MAX), usize::MAX);
+
+/// Block and position of each placed instruction, by arena id.
+struct Placement(Vec<(BlockId, usize)>);
+
+impl Placement {
+    fn get(&self, id: InstId) -> Option<(BlockId, usize)> {
+        self.0
+            .get(id.index())
+            .copied()
+            .filter(|&slot| slot != UNPLACED)
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn check_use(
     m: &Module,
     f: &Function,
-    placed: &HashMap<InstId, (BlockId, usize)>,
+    placed: &Placement,
     dt: &DomTree,
     use_block: BlockId,
     use_pos: usize,
@@ -313,17 +353,17 @@ fn check_use(
     mk: impl Fn() -> VerifyError,
 ) -> Option<VerifyError> {
     match v {
-        Value::Inst(d) => match placed.get(&d) {
+        Value::Inst(d) => match placed.get(d) {
             None => {
                 let mut e = mk();
                 e.message = format!("use of unplaced value %{}", d.0);
                 Some(e)
             }
             Some((db, dp)) => {
-                let ok = if *db == use_block {
-                    *dp < use_pos
+                let ok = if db == use_block {
+                    dp < use_pos
                 } else {
-                    dt.dominates(*db, use_block)
+                    dt.dominates(db, use_block)
                 };
                 if ok {
                     None

@@ -14,12 +14,11 @@
 //! * `gvn` additionally canonicalizes commutative operands, catching
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
-use crate::util::{may_alias, may_write_memory, mem_root, trivial_dce, MemRoot, Replacements};
+use crate::util::{may_write_memory, mem_root, trivial_dce, FastMap, MemRoot, Replacements};
 use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
 use mlcomp_ir::{
     BinOp, BlockId, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
 };
-use std::collections::HashMap;
 
 /// A hash key identifying a pure expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,26 +83,32 @@ fn value_rank(v: Value) -> (u8, u64, u64) {
 /// Dominator-scoped CSE of pure expressions, plus block-local load reuse
 /// and store-to-load forwarding.
 pub fn early_cse(m: &Module, f: &mut Body) -> bool {
-    run_cse(m, f, false, false)
+    run_cse(m, f, false, None)
 }
 
 /// [`early_cse`] plus cross-block load reuse backed by the reachability
 /// clobber analysis (the MemorySSA-powered variant in LLVM).
 pub fn early_cse_memssa(m: &Module, f: &mut Body) -> bool {
-    run_cse(m, f, false, true)
+    run_cse(m, f, false, Some(eliminate_cross_block_loads))
 }
 
 /// Global value numbering: commutative-canonicalized scoped CSE plus
 /// cross-block load elimination.
 pub fn gvn(m: &Module, f: &mut Body) -> bool {
-    run_cse(m, f, true, true)
+    run_cse(m, f, true, Some(eliminate_cross_block_loads))
 }
 
-fn run_cse(m: &Module, f: &mut Body, canonicalize: bool, cross_block_loads: bool) -> bool {
+/// Scoped CSE, then `cross_block_loads` when given, then trivial DCE.
+fn run_cse(
+    m: &Module,
+    f: &mut Body,
+    canonicalize: bool,
+    cross_block_loads: Option<fn(&Module, &mut Body) -> bool>,
+) -> bool {
     let mut changed = crate::util::remove_unreachable_blocks(f);
     changed |= scoped_replacements(m, f, canonicalize).apply(f);
-    if cross_block_loads {
-        changed |= eliminate_cross_block_loads(m, f);
+    if let Some(eliminate_loads) = cross_block_loads {
+        changed |= eliminate_loads(m, f);
     }
     changed | trivial_dce(m, f, false)
 }
@@ -113,26 +118,28 @@ fn run_cse(m: &Module, f: &mut Body, canonicalize: bool, cross_block_loads: bool
 /// earlier records, so no replacement value is itself replaced.
 fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Replacements {
     let (_, dt) = f.analyse::<CfgDom>();
-    let children = dt.children();
     let mut replaced = Replacements::new(f);
 
-    // Scoped hash: one table plus the keys each open dom-tree scope
-    // inserted. A key is inserted only after a lookup misses, so closing a
+    // Scoped hash: one table plus the keys the open dom-tree scopes
+    // inserted, innermost last; a scope's exit removes those logged since
+    // its entry. A key is inserted only after a lookup misses, so closing a
     // scope never uncovers a shadowed binding.
-    let mut table: HashMap<ExprKey, Value> = HashMap::new();
-    let mut scope_keys: Vec<Vec<ExprKey>> = Vec::new();
+    let mut table: FastMap<ExprKey, Value> = FastMap::default();
+    let mut inserted: Vec<ExprKey> = Vec::new();
+    // Block-local loads, emptied for each block.
+    let mut avail_loads = Available::default();
 
     #[derive(Clone, Copy)]
     enum Ev {
         Enter(BlockId),
-        Exit,
+        Exit(usize),
     }
     let mut dfs = vec![Ev::Enter(BlockId::ENTRY)];
     while let Some(ev) = dfs.pop() {
         match ev {
             Ev::Enter(b) => {
-                let mut inserted = Vec::new();
-                let mut avail_loads = HashMap::new();
+                let mark = inserted.len();
+                avail_loads.clear();
                 for &id in &f.block(b).insts {
                     let inst = f.inst(id);
                     let reuse = match expr_key(&inst.kind, inst.ty, canonicalize) {
@@ -150,14 +157,11 @@ fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Replacements
                         replaced.record(id, replaced.resolve(v));
                     }
                 }
-                scope_keys.push(inserted);
-                dfs.push(Ev::Exit);
-                for &c in &children[b.index()] {
-                    dfs.push(Ev::Enter(c));
-                }
+                dfs.push(Ev::Exit(mark));
+                dfs.extend(dt.children_of(b).map(Ev::Enter));
             }
-            Ev::Exit => {
-                for key in scope_keys.pop().expect("exit follows its enter") {
+            Ev::Exit(mark) => {
+                for key in inserted.drain(mark..) {
                     table.remove(&key);
                 }
             }
@@ -166,32 +170,65 @@ fn scoped_replacements(m: &Module, f: &Body, canonicalize: bool) -> Replacements
     replaced
 }
 
+/// What a load of each pointer yields at one point of a block, for
+/// block-local load reuse and store-to-load forwarding.
+#[derive(Default)]
+pub(crate) struct Available {
+    /// The value a load of each pointer yields.
+    values: FastMap<Value, Value>,
+    /// The pointers of `values` by memory root, so that a store forgets
+    /// the pointers it may alias without visiting the others. A pointer
+    /// may be listed more than once, or after it left `values`.
+    by_root: FastMap<MemRoot, Vec<Value>>,
+}
+
+impl Available {
+    fn insert(&mut self, f: &Function, ptr: Value, v: Value) {
+        self.values.insert(ptr, v);
+        self.by_root.entry(mem_root(f, ptr)).or_default().push(ptr);
+    }
+
+    /// Forgets every pointer that may alias one of `root`.
+    fn forget_aliases(&mut self, root: MemRoot) {
+        if root == MemRoot::Unknown {
+            return self.clear();
+        }
+        for root in [root, MemRoot::Unknown] {
+            for p in self.by_root.remove(&root).into_iter().flatten() {
+                self.values.remove(&p);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.by_root.clear();
+    }
+}
+
 /// One step of block-local load reuse and store-to-load forwarding, shared
-/// by scoped CSE and `loop-load-elim`. `avail` maps each pointer to the
-/// value a load of it yields at this point of the block, starting empty.
-/// Returns the value that replaces `id` when it is a load whose pointer
-/// `avail` maps to a value of the load's type; otherwise updates `avail`
-/// for what `id` reads or writes. Callers record the result through
+/// by scoped CSE and `loop-load-elim`. `avail` tells what a load of each
+/// pointer yields at this point of the block, starting empty. Returns the
+/// value that replaces `id` when it is a load whose pointer `avail` maps
+/// to a value of the load's type; otherwise updates `avail` for what `id`
+/// reads or writes. Callers record the result through
 /// [`Replacements::resolve`], since a stored value may itself be a
 /// replaced load.
 pub(crate) fn forwarding_step(
     m: &Module,
     f: &Function,
-    avail: &mut HashMap<Value, Value>,
+    avail: &mut Available,
     id: InstId,
 ) -> Option<Value> {
     let inst = f.inst(id);
     match &inst.kind {
-        InstKind::Load { ptr, .. } => match avail.get(ptr) {
+        InstKind::Load { ptr, .. } => match avail.values.get(ptr) {
             Some(&v) if f.value_type(v) == inst.ty => return Some(v),
-            _ => {
-                avail.insert(*ptr, Value::Inst(id));
-            }
+            _ => avail.insert(f, *ptr, Value::Inst(id)),
         },
         InstKind::Store { ptr, value, .. } => {
-            let root = mem_root(f, *ptr);
-            avail.retain(|p, _| !may_alias(mem_root(f, *p), root));
-            avail.insert(*ptr, *value);
+            avail.forget_aliases(mem_root(f, *ptr));
+            avail.insert(f, *ptr, *value);
         }
         kind if may_write_memory(m, kind) => avail.clear(),
         _ => {}
@@ -199,25 +236,47 @@ pub(crate) fn forwarding_step(
     None
 }
 
-/// Block reachability in one or more edges, one bitset row per block.
+/// Block reachability in one or more edges, one bitset row per block,
+/// both ways.
 struct Reach {
     words: usize,
+    /// Row `a`: the blocks `a` reaches.
     bits: Vec<u64>,
+    /// Row `b`: the blocks that reach `b`.
+    reaching: Vec<u64>,
 }
 
 impl Reach {
     fn new(cfg: &Cfg) -> Reach {
         let n = cfg.succs.len();
         let words = n.div_ceil(64);
-        let mut bits = vec![0u64; n * words];
         // reach(b) = ∪ over successors s of {s} ∪ reach(s); iterating in
         // post-order reaches the fixpoint in about loop-depth sweeps.
+        // The reverse rows do the same over predecessors in reverse
+        // post-order.
+        let bits = Reach::closure(words, cfg.rpo.iter().rev(), &cfg.succs);
+        let reaching = Reach::closure(words, cfg.rpo.iter(), &cfg.preds);
+        Reach {
+            words,
+            bits,
+            reaching,
+        }
+    }
+
+    /// Rows of the blocks each block reaches over `edges` in one or more
+    /// steps, sweeping the blocks in `order` until nothing grows.
+    fn closure<'a>(
+        words: usize,
+        order: impl Iterator<Item = &'a BlockId> + Clone,
+        edges: &[Vec<BlockId>],
+    ) -> Vec<u64> {
+        let mut bits = vec![0u64; edges.len() * words];
         let mut grew = true;
         while grew {
             grew = false;
-            for &b in cfg.rpo.iter().rev() {
+            for &b in order.clone() {
                 let row = b.index() * words;
-                for &s in &cfg.succs[b.index()] {
+                for &s in &edges[b.index()] {
                     let own = &mut bits[row + s.index() / 64];
                     let bit = 1u64 << (s.index() % 64);
                     grew |= *own & bit == 0;
@@ -231,7 +290,7 @@ impl Reach {
                 }
             }
         }
-        Reach { words, bits }
+        bits
     }
 
     /// Whether a path of at least one edge leads from `a` to `b`.
@@ -242,38 +301,88 @@ impl Reach {
     fn row(&self, a: BlockId) -> &[u64] {
         &self.bits[a.index() * self.words..(a.index() + 1) * self.words]
     }
+
+    /// The blocks from which a path of at least one edge leads to `b`.
+    fn reaching(&self, b: BlockId) -> &[u64] {
+        &self.reaching[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+}
+
+/// Clobber positions of one class, for one function: the blocks holding
+/// any and, in layout order, where each sits.
+#[derive(Default)]
+struct Clobbers {
+    /// Bitset of the blocks holding a clobber of the class.
+    blocks: Vec<u64>,
+    /// `(block, position)` of each, in layout order, so sorted.
+    at: Vec<(u32, u32)>,
+}
+
+impl Clobbers {
+    fn push(&mut self, b: BlockId, pos: u32, words: usize) {
+        if self.blocks.is_empty() {
+            self.blocks = vec![0; words];
+        }
+        self.blocks[b.index() / 64] |= 1 << (b.index() % 64);
+        self.at.push((b.0, pos));
+    }
+
+    /// Whether one sits in block `b` at a position within `range`.
+    fn any_in(&self, b: BlockId, range: &std::ops::Range<u32>) -> bool {
+        let first = self.at.partition_point(|&at| at < (b.0, range.start));
+        self.at
+            .get(first)
+            .is_some_and(|&(ab, pos)| ab == b.0 && pos < range.end)
+    }
 }
 
 /// The memory instructions of one function, indexed for cross-block load
 /// elimination. Built from the current IR; an index stays valid while only
-/// non-pointer loads are removed, because removing a load reorders nothing
-/// and replacing a non-pointer value rewrites no address.
+/// non-pointer loads are replaced, because replacing a load reorders
+/// nothing and replacing a non-pointer value rewrites no address.
+///
+/// Clobbers, everything that may write memory, are summarised per class:
+/// all of them answer for a load of unknown provenance; for a load of a
+/// known root, calls and writes through unknown pointers plus the writes
+/// to that root. A class answers "is there one in this block, or in this
+/// part of it" from a bitset and a binary search.
 struct MemIndex {
     /// Block and position within it of each placed instruction, by id.
     place: Vec<(BlockId, u32)>,
     /// Loads in layout order (blocks in arena order, then position).
     loads: Vec<InstId>,
     /// Loads and stores by pointer operand, in layout order.
-    by_ptr: HashMap<Value, Vec<InstId>>,
-    /// Per block, in order: stores, memsets, memcpys and calls not known
-    /// `readnone` — everything that may write memory.
-    clobbers: Vec<Vec<InstId>>,
-    /// Bitset of the blocks whose clobber list is non-empty.
-    clobbered: Vec<u64>,
+    by_ptr: FastMap<Value, Vec<InstId>>,
+    /// Every clobber: stores, memsets, memcpys and calls not known
+    /// `readnone`.
+    any: Clobbers,
+    /// Clobbers that may write any memory: calls, and writes through a
+    /// pointer of unknown provenance.
+    universal: Clobbers,
+    /// Writes through a pointer of a known root, by root.
+    by_root: FastMap<MemRoot, Clobbers>,
+    /// The operands of memsets and memcpys, as the index found them. The
+    /// verifier types load, store and gep addresses as pointers, but not
+    /// theirs.
+    intrinsic_operands: Vec<Value>,
 }
 
 impl MemIndex {
     fn new(m: &Module, f: &Function) -> MemIndex {
+        let words = f.blocks.len().div_ceil(64);
         let mut index = MemIndex {
             place: vec![(BlockId::ENTRY, 0); f.insts.len()],
             loads: Vec::new(),
-            by_ptr: HashMap::new(),
-            clobbers: vec![Vec::new(); f.blocks.len()],
-            clobbered: vec![0; f.blocks.len().div_ceil(64)],
+            by_ptr: FastMap::default(),
+            any: Clobbers::default(),
+            universal: Clobbers::default(),
+            by_root: FastMap::default(),
+            intrinsic_operands: Vec::new(),
         };
         for b in f.block_ids() {
             for (pos, &id) in f.block(b).insts.iter().enumerate() {
-                index.place[id.index()] = (b, pos as u32);
+                let pos = pos as u32;
+                index.place[id.index()] = (b, pos);
                 let kind = &f.inst(id).kind;
                 match kind {
                     InstKind::Load { ptr, .. } => {
@@ -281,41 +390,59 @@ impl MemIndex {
                         index.by_ptr.entry(*ptr).or_default().push(id);
                     }
                     InstKind::Store { ptr, .. } => index.by_ptr.entry(*ptr).or_default().push(id),
+                    InstKind::Memset { .. } | InstKind::Memcpy { .. } => {
+                        kind.for_each_operand(|v| index.intrinsic_operands.push(v));
+                    }
                     _ => {}
                 }
                 if may_write_memory(m, kind) {
-                    index.clobbers[b.index()].push(id);
-                    index.clobbered[b.index() / 64] |= 1 << (b.index() % 64);
+                    index.any.push(b, pos, words);
+                    match kind.write_ptr().map(|p| mem_root(f, p)) {
+                        None | Some(MemRoot::Unknown) => index.universal.push(b, pos, words),
+                        Some(root) => index.by_root.entry(root).or_default().push(b, pos, words),
+                    }
                 }
             }
         }
         index
     }
 
+    /// The clobber classes that may write `root`'s memory.
+    fn classes(&self, root: MemRoot) -> [Option<&Clobbers>; 2] {
+        match root {
+            MemRoot::Unknown => [Some(&self.any), None],
+            root => [Some(&self.universal), self.by_root.get(&root)],
+        }
+    }
+
     /// The value a dominating load or store of the same pointer makes
     /// available to `load` with no clobber in between: the first such
-    /// candidate in layout order.
+    /// candidate in layout order. Stored values are read through
+    /// `replaced`, which holds the loads this sweep eliminated.
     fn available_value(
         &self,
         f: &Function,
         dt: &DomTree,
         reach: &Reach,
-        removed: &[bool],
+        replaced: &Replacements,
         load: InstId,
     ) -> Option<Value> {
         let InstKind::Load { ptr, .. } = f.inst(load).kind else {
             return None;
         };
         let ty = f.inst(load).ty;
-        let root = mem_root(f, ptr);
+        let classes = self.classes(mem_root(f, ptr));
         let (lb, lpos) = self.place[load.index()];
+        // Blocks that may clobber the load's memory whole and reach its
+        // block, which itself is checked by position.
+        let mut middle: Option<Vec<u64>> = None;
         self.by_ptr[&ptr].iter().find_map(|&o| {
-            if o == load || removed[o.index()] {
+            if o == load || replaced.is_replaced(o) {
                 return None;
             }
             let avail = match f.inst(o).kind {
                 InstKind::Load { .. } => Value::Inst(o),
-                InstKind::Store { value, .. } => value,
+                InstKind::Store { value, .. } => replaced.resolve(value),
                 _ => return None,
             };
             if f.value_type(avail) != ty {
@@ -327,43 +454,56 @@ impl MemIndex {
             } else {
                 dt.dominates(ob, lb)
             };
-            (dominates && self.no_clobbers_between(f, reach, (ob, opos), (lb, lpos), root))
+            if !dominates {
+                return None;
+            }
+            let middle = middle.get_or_insert_with(|| {
+                let mut mask = reach.reaching(lb).to_vec();
+                for (w, word) in mask.iter_mut().enumerate() {
+                    let mut clobbering = 0;
+                    for class in classes.iter().flatten() {
+                        clobbering |= class.blocks.get(w).copied().unwrap_or(0);
+                    }
+                    *word &= clobbering;
+                }
+                mask[lb.index() / 64] &= !(1 << (lb.index() % 64));
+                mask
+            });
+            self.no_clobbers_between(reach, middle, (ob, opos), (lb, lpos), classes)
                 .then_some(avail)
         })
     }
 
-    /// Returns `true` when no instruction that may write `root`'s memory
-    /// (or any call that might) can execute on any path from just after
-    /// `from` to just before `to`, both `(block, position)`. The blocks
-    /// scanned are those reachable from `from`'s block that reach `to`'s;
-    /// an endpoint block is scanned whole when a path can re-enter it.
+    /// Returns `true` when no clobber of `classes` can execute on any path
+    /// from just after `from` to just before `to`, both `(block,
+    /// position)`. `middle` holds the blocks other than `to`'s that reach
+    /// it and hold such a clobber; those `from`'s block reaches are on a
+    /// path. An endpoint block counts whole when a path can re-enter it.
     fn no_clobbers_between(
         &self,
-        f: &Function,
         reach: &Reach,
+        middle: &[u64],
         (fb, fpos): (BlockId, u32),
         (tb, tpos): (BlockId, u32),
-        root: MemRoot,
+        classes: [Option<&Clobbers>; 2],
     ) -> bool {
+        let clobbers_in = |b: BlockId, range: std::ops::Range<u32>| {
+            classes.iter().flatten().any(|c| c.any_in(b, &range))
+        };
         let from_in_cycle = reach.reaches(fb, fb);
         if fb == tb && !from_in_cycle {
             // Straight-line within one block.
-            return !self.clobbers_in(f, fb, fpos + 1..tpos, root);
+            return !clobbers_in(fb, fpos + 1..tpos);
         }
-        // Middle blocks: scanned whole.
-        for (w, (&r, &c)) in reach.row(fb).iter().zip(&self.clobbered).enumerate() {
-            let mut bits = r & c;
-            while bits != 0 {
-                let b = BlockId((w * 64) as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
-                if b != fb
-                    && b != tb
-                    && reach.reaches(b, tb)
-                    && self.clobbers_in(f, b, 0..u32::MAX, root)
-                {
-                    return false;
-                }
-            }
+        let own = (fb.index() / 64, 1u64 << (fb.index() % 64));
+        let on_a_path = reach
+            .row(fb)
+            .iter()
+            .zip(middle)
+            .enumerate()
+            .any(|(w, (&r, &c))| r & c & if w == own.0 { !own.1 } else { !0 } != 0);
+        if on_a_path {
+            return false;
         }
         // Endpoint: tail of `from`'s block (whole block if re-enterable).
         let from_lo = if from_in_cycle && reach.reaches(fb, tb) {
@@ -371,7 +511,7 @@ impl MemIndex {
         } else {
             fpos + 1
         };
-        if self.clobbers_in(f, fb, from_lo..u32::MAX, root) {
+        if clobbers_in(fb, from_lo..u32::MAX) {
             return false;
         }
         // Endpoint: head of `to`'s block.
@@ -380,72 +520,47 @@ impl MemIndex {
         } else {
             tpos
         };
-        fb == tb || !self.clobbers_in(f, tb, 0..to_hi, root)
+        fb == tb || !clobbers_in(tb, 0..to_hi)
     }
 
-    /// Whether a clobber of `root` sits in block `b` at a position within
-    /// `range`. Memory roots are read from the current IR.
-    fn clobbers_in(
-        &self,
-        f: &Function,
-        b: BlockId,
-        range: std::ops::Range<u32>,
-        root: MemRoot,
-    ) -> bool {
-        self.clobbers[b.index()].iter().any(|&c| {
-            range.contains(&self.place[c.index()].1)
-                && f.inst(c)
-                    .kind
-                    .write_ptr()
-                    .is_none_or(|p| may_alias(mem_root(f, p), root))
-        })
-    }
-
-    /// Whether `id` is an operand of a memset or memcpy. The verifier types
-    /// load, store and gep addresses as pointers, but not theirs.
-    fn feeds_memory_intrinsic(&self, f: &Function, id: InstId) -> bool {
-        self.clobbers.iter().flatten().any(|&c| {
-            let kind = &f.inst(c).kind;
-            let mut uses = false;
-            if matches!(kind, InstKind::Memset { .. } | InstKind::Memcpy { .. }) {
-                kind.for_each_operand(|v| uses |= v == Value::Inst(id));
-            }
-            uses
-        })
+    /// Whether `id`, after `replaced`, is an operand of a memset or memcpy.
+    fn feeds_memory_intrinsic(&self, replaced: &Replacements, id: InstId) -> bool {
+        self.intrinsic_operands
+            .iter()
+            .any(|&v| replaced.resolve(v) == Value::Inst(id))
     }
 }
 
 /// Replaces each load that a dominating load or store of the same pointer
 /// makes redundant, trying loads and then candidates in layout order.
 ///
-/// Removing a load never changes the CFG, so the CFG, dominator tree and
-/// reachability are computed once. The scan resumes after an elimination:
-/// a load that found no candidate cannot gain one, since its candidates,
-/// their dominance and the clobbers in between are unchanged. The one
-/// exception is a load whose value may be an address. Replacing it can
-/// change a pointer operand, a gep base or a memory root, so the scan
-/// rewinds to the first load with a fresh index.
+/// Replacing a load never changes the CFG, so the CFG, dominator tree and
+/// reachability are computed once. Eliminated loads are recorded in one
+/// [`Replacements`], applied when the sweep ends: a load that found no
+/// candidate cannot gain one, since its candidates, their dominance and
+/// the clobbers in between are unchanged. The one exception is a load
+/// whose value may be an address. Replacing it can change a pointer
+/// operand, a gep base or a memory root, so the sweep applies what it
+/// recorded and rewinds to the first load with a fresh index.
 fn eliminate_cross_block_loads(m: &Module, f: &mut Body) -> bool {
     let (cfg, dt) = f.analyse::<CfgDom>();
     let reach = Reach::new(&cfg);
+    let mut replaced = Replacements::new(f);
     let mut changed = false;
     loop {
         let index = MemIndex::new(m, f);
-        let mut removed = vec![false; f.insts.len()];
         let mut rewind = false;
         for &load in &index.loads {
-            let Some(avail) = index.available_value(f, &dt, &reach, &removed, load) else {
+            let Some(avail) = index.available_value(f, &dt, &reach, &replaced, load) else {
                 continue;
             };
-            rewind = f.inst(load).ty.is_ptr() || index.feeds_memory_intrinsic(f, load);
-            f.replace_all_uses(load, avail);
-            f.remove_from_block(index.place[load.index()].0, load);
-            removed[load.index()] = true;
-            changed = true;
+            rewind = f.inst(load).ty.is_ptr() || index.feeds_memory_intrinsic(&replaced, load);
+            replaced.record(load, avail);
             if rewind {
                 break;
             }
         }
+        changed |= replaced.apply(f);
         if !rewind {
             return changed;
         }
@@ -774,9 +889,9 @@ mod tests {
         let dt = DomTree::new(&cfg);
         let reach = Reach::new(&cfg);
         let index = MemIndex::new(&mc, f);
-        let removed = vec![false; f.insts.len()];
+        let replaced = Replacements::new(f);
         assert_eq!(
-            index.available_value(f, &dt, &reach, &removed, late_load),
+            index.available_value(f, &dt, &reach, &replaced, late_load),
             Some(Value::Param(0))
         );
         let mut old = m.clone();
@@ -1137,6 +1252,238 @@ mod tests {
                 }
             }
             changed
+        }
+    }
+}
+
+/// Cross-block load elimination as it was before eliminated loads were
+/// recorded in a `Replacements` and clobbers summarised per block: one
+/// `replace_all_uses` and one removal per eliminated load, and a scan of
+/// each clobber list a candidate's path crosses. Kept as the differential
+/// oracle of `gvn` and `early-cse-memssa`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{run_cse, Reach};
+    use crate::util::{may_alias, may_write_memory, mem_root, MemRoot};
+    use mlcomp_ir::analysis::{Body, CfgDom, DomTree};
+    use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Value};
+    use std::collections::HashMap;
+
+    pub(crate) fn early_cse_memssa(m: &Module, f: &mut Body) -> bool {
+        run_cse(m, f, false, Some(eliminate_cross_block_loads))
+    }
+
+    pub(crate) fn gvn(m: &Module, f: &mut Body) -> bool {
+        run_cse(m, f, true, Some(eliminate_cross_block_loads))
+    }
+
+    /// The memory instructions of one function, indexed for cross-block load
+    /// elimination. Built from the current IR; an index stays valid while only
+    /// non-pointer loads are removed, because removing a load reorders nothing
+    /// and replacing a non-pointer value rewrites no address.
+    struct MemIndex {
+        /// Block and position within it of each placed instruction, by id.
+        place: Vec<(BlockId, u32)>,
+        /// Loads in layout order (blocks in arena order, then position).
+        loads: Vec<InstId>,
+        /// Loads and stores by pointer operand, in layout order.
+        by_ptr: HashMap<Value, Vec<InstId>>,
+        /// Per block, in order: stores, memsets, memcpys and calls not known
+        /// `readnone` — everything that may write memory.
+        clobbers: Vec<Vec<InstId>>,
+        /// Bitset of the blocks whose clobber list is non-empty.
+        clobbered: Vec<u64>,
+    }
+
+    impl MemIndex {
+        fn new(m: &Module, f: &Function) -> MemIndex {
+            let mut index = MemIndex {
+                place: vec![(BlockId::ENTRY, 0); f.insts.len()],
+                loads: Vec::new(),
+                by_ptr: HashMap::new(),
+                clobbers: vec![Vec::new(); f.blocks.len()],
+                clobbered: vec![0; f.blocks.len().div_ceil(64)],
+            };
+            for b in f.block_ids() {
+                for (pos, &id) in f.block(b).insts.iter().enumerate() {
+                    index.place[id.index()] = (b, pos as u32);
+                    let kind = &f.inst(id).kind;
+                    match kind {
+                        InstKind::Load { ptr, .. } => {
+                            index.loads.push(id);
+                            index.by_ptr.entry(*ptr).or_default().push(id);
+                        }
+                        InstKind::Store { ptr, .. } => {
+                            index.by_ptr.entry(*ptr).or_default().push(id)
+                        }
+                        _ => {}
+                    }
+                    if may_write_memory(m, kind) {
+                        index.clobbers[b.index()].push(id);
+                        index.clobbered[b.index() / 64] |= 1 << (b.index() % 64);
+                    }
+                }
+            }
+            index
+        }
+
+        /// The value a dominating load or store of the same pointer makes
+        /// available to `load` with no clobber in between: the first such
+        /// candidate in layout order.
+        fn available_value(
+            &self,
+            f: &Function,
+            dt: &DomTree,
+            reach: &Reach,
+            removed: &[bool],
+            load: InstId,
+        ) -> Option<Value> {
+            let InstKind::Load { ptr, .. } = f.inst(load).kind else {
+                return None;
+            };
+            let ty = f.inst(load).ty;
+            let root = mem_root(f, ptr);
+            let (lb, lpos) = self.place[load.index()];
+            self.by_ptr[&ptr].iter().find_map(|&o| {
+                if o == load || removed[o.index()] {
+                    return None;
+                }
+                let avail = match f.inst(o).kind {
+                    InstKind::Load { .. } => Value::Inst(o),
+                    InstKind::Store { value, .. } => value,
+                    _ => return None,
+                };
+                if f.value_type(avail) != ty {
+                    return None;
+                }
+                let (ob, opos) = self.place[o.index()];
+                let dominates = if ob == lb {
+                    opos < lpos
+                } else {
+                    dt.dominates(ob, lb)
+                };
+                (dominates && self.no_clobbers_between(f, reach, (ob, opos), (lb, lpos), root))
+                    .then_some(avail)
+            })
+        }
+
+        /// Returns `true` when no instruction that may write `root`'s memory
+        /// (or any call that might) can execute on any path from just after
+        /// `from` to just before `to`, both `(block, position)`. The blocks
+        /// scanned are those reachable from `from`'s block that reach `to`'s;
+        /// an endpoint block is scanned whole when a path can re-enter it.
+        fn no_clobbers_between(
+            &self,
+            f: &Function,
+            reach: &Reach,
+            (fb, fpos): (BlockId, u32),
+            (tb, tpos): (BlockId, u32),
+            root: MemRoot,
+        ) -> bool {
+            let from_in_cycle = reach.reaches(fb, fb);
+            if fb == tb && !from_in_cycle {
+                // Straight-line within one block.
+                return !self.clobbers_in(f, fb, fpos + 1..tpos, root);
+            }
+            // Middle blocks: scanned whole.
+            for (w, (&r, &c)) in reach.row(fb).iter().zip(&self.clobbered).enumerate() {
+                let mut bits = r & c;
+                while bits != 0 {
+                    let b = BlockId((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                    if b != fb
+                        && b != tb
+                        && reach.reaches(b, tb)
+                        && self.clobbers_in(f, b, 0..u32::MAX, root)
+                    {
+                        return false;
+                    }
+                }
+            }
+            // Endpoint: tail of `from`'s block (whole block if re-enterable).
+            let from_lo = if from_in_cycle && reach.reaches(fb, tb) {
+                0
+            } else {
+                fpos + 1
+            };
+            if self.clobbers_in(f, fb, from_lo..u32::MAX, root) {
+                return false;
+            }
+            // Endpoint: head of `to`'s block.
+            let to_hi = if reach.reaches(fb, tb) && reach.reaches(tb, tb) {
+                u32::MAX
+            } else {
+                tpos
+            };
+            fb == tb || !self.clobbers_in(f, tb, 0..to_hi, root)
+        }
+
+        /// Whether a clobber of `root` sits in block `b` at a position within
+        /// `range`. Memory roots are read from the current IR.
+        fn clobbers_in(
+            &self,
+            f: &Function,
+            b: BlockId,
+            range: std::ops::Range<u32>,
+            root: MemRoot,
+        ) -> bool {
+            self.clobbers[b.index()].iter().any(|&c| {
+                range.contains(&self.place[c.index()].1)
+                    && f.inst(c)
+                        .kind
+                        .write_ptr()
+                        .is_none_or(|p| may_alias(mem_root(f, p), root))
+            })
+        }
+
+        /// Whether `id` is an operand of a memset or memcpy. The verifier types
+        /// load, store and gep addresses as pointers, but not theirs.
+        fn feeds_memory_intrinsic(&self, f: &Function, id: InstId) -> bool {
+            self.clobbers.iter().flatten().any(|&c| {
+                let kind = &f.inst(c).kind;
+                let mut uses = false;
+                if matches!(kind, InstKind::Memset { .. } | InstKind::Memcpy { .. }) {
+                    kind.for_each_operand(|v| uses |= v == Value::Inst(id));
+                }
+                uses
+            })
+        }
+    }
+
+    /// Replaces each load that a dominating load or store of the same pointer
+    /// makes redundant, trying loads and then candidates in layout order.
+    ///
+    /// Removing a load never changes the CFG, so the CFG, dominator tree and
+    /// reachability are computed once. The scan resumes after an elimination:
+    /// a load that found no candidate cannot gain one, since its candidates,
+    /// their dominance and the clobbers in between are unchanged. The one
+    /// exception is a load whose value may be an address. Replacing it can
+    /// change a pointer operand, a gep base or a memory root, so the scan
+    /// rewinds to the first load with a fresh index.
+    fn eliminate_cross_block_loads(m: &Module, f: &mut Body) -> bool {
+        let (cfg, dt) = f.analyse::<CfgDom>();
+        let reach = Reach::new(&cfg);
+        let mut changed = false;
+        loop {
+            let index = MemIndex::new(m, f);
+            let mut removed = vec![false; f.insts.len()];
+            let mut rewind = false;
+            for &load in &index.loads {
+                let Some(avail) = index.available_value(f, &dt, &reach, &removed, load) else {
+                    continue;
+                };
+                rewind = f.inst(load).ty.is_ptr() || index.feeds_memory_intrinsic(f, load);
+                f.replace_all_uses(load, avail);
+                f.remove_from_block(index.place[load.index()].0, load);
+                removed[load.index()] = true;
+                changed = true;
+                if rewind {
+                    break;
+                }
+            }
+            if !rewind {
+                return changed;
+            }
         }
     }
 }

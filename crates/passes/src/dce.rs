@@ -2,8 +2,8 @@
 //! elimination).
 
 use crate::util::{
-    all_insts, alloca_escapes, call_may_touch_memory, may_alias, may_write_memory, mem_root,
-    remove_unreachable_blocks,
+    all_insts, call_may_touch_memory, escaping_allocas, may_alias, may_write_memory, mem_root,
+    remove_unreachable_blocks, MemRoot,
 };
 use mlcomp_ir::analysis::Body;
 use mlcomp_ir::{InstId, InstKind, Module, Value};
@@ -64,27 +64,32 @@ pub fn adce(m: &Module, f: &mut Body) -> bool {
 pub fn dse(m: &Module, f: &mut Body) -> bool {
     let mut changed = false;
 
-    // Whole-function: stores into never-read, non-escaping allocas.
-    let mut write_only_allocas: HashSet<InstId> = HashSet::new();
-    for (_b, id) in all_insts(f) {
-        if matches!(f.inst(id).kind, InstKind::Alloca { .. }) && !alloca_escapes(f, id) {
-            let root = crate::util::MemRoot::Alloca(id);
-            let read = all_insts(f).into_iter().any(|(_, id2)| {
-                f.inst(id2)
-                    .kind
-                    .read_ptr()
-                    .is_some_and(|p| may_alias(mem_root(f, p), root))
-            });
-            if !read {
-                write_only_allocas.insert(id);
-            }
+    // Whole-function: stores into never-read, non-escaping allocas. One
+    // pass finds the roots read; a read of unknown provenance may read
+    // every alloca.
+    let insts = all_insts(f);
+    let mut write_only = escaping_allocas(f);
+    write_only
+        .iter_mut()
+        .for_each(|escapes| *escapes = !*escapes);
+    let mut any_write_only = false;
+    for &(_, id) in &insts {
+        match f.inst(id).kind.read_ptr().map(|p| mem_root(f, p)) {
+            Some(MemRoot::Alloca(a)) => write_only[a.index()] = false,
+            Some(MemRoot::Unknown) => return block_local_dse(m, f, false),
+            _ => {}
         }
     }
-    if !write_only_allocas.is_empty() {
-        for (b, id) in all_insts(f) {
+    for &(_, id) in &insts {
+        let is_alloca = matches!(f.inst(id).kind, InstKind::Alloca { .. });
+        write_only[id.index()] &= is_alloca;
+        any_write_only |= write_only[id.index()];
+    }
+    if any_write_only {
+        for (b, id) in insts {
             if let Some(p) = f.inst(id).kind.write_ptr() {
-                if let crate::util::MemRoot::Alloca(a) = mem_root(f, p) {
-                    if write_only_allocas.contains(&a) {
+                if let MemRoot::Alloca(a) = mem_root(f, p) {
+                    if write_only[a.index()] {
                         f.remove_from_block(b, id);
                         changed = true;
                     }
@@ -93,8 +98,13 @@ pub fn dse(m: &Module, f: &mut Body) -> bool {
         }
     }
 
-    // Block-local: store overwritten by a later store to the same pointer
-    // with no intervening reader or effectful call.
+    block_local_dse(m, f, changed)
+}
+
+/// The block-local part of [`dse`]: removes each store overwritten by a
+/// later store to the same pointer with no intervening reader or
+/// effectful call. Returns `changed` or whether it removed one.
+fn block_local_dse(m: &Module, f: &mut Body, mut changed: bool) -> bool {
     for b in f.block_ids().collect::<Vec<_>>() {
         let ids = f.block(b).insts.clone();
         let mut dead: Vec<InstId> = Vec::new();
@@ -330,5 +340,87 @@ mod tests {
         assert!(adce(&mc, &mut Body::from(&mut m.functions[0])));
         verify(&m).unwrap();
         assert_eq!(exec(&m, "f", &[RtVal::I(3)]), Some(RtVal::I(1)));
+    }
+}
+
+/// `dse` as it was before its write-only-alloca sweep became one pass:
+/// an escape analysis and a scan of every instruction per alloca. Kept as
+/// a differential oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::util::{all_insts, alloca_escapes, call_may_touch_memory, may_alias, mem_root};
+    use mlcomp_ir::analysis::Body;
+    use mlcomp_ir::{InstId, InstKind, Module};
+    use std::collections::HashSet;
+
+    /// `dse`: removes stores that are provably dead — overwritten before any
+    /// potential read within the same block, or targeting a non-escaping
+    /// alloca that is never loaded at all.
+    pub(crate) fn dse(m: &Module, f: &mut Body) -> bool {
+        let mut changed = false;
+
+        // Whole-function: stores into never-read, non-escaping allocas.
+        let mut write_only_allocas: HashSet<InstId> = HashSet::new();
+        for (_b, id) in all_insts(f) {
+            if matches!(f.inst(id).kind, InstKind::Alloca { .. }) && !alloca_escapes(f, id) {
+                let root = crate::util::MemRoot::Alloca(id);
+                let read = all_insts(f).into_iter().any(|(_, id2)| {
+                    f.inst(id2)
+                        .kind
+                        .read_ptr()
+                        .is_some_and(|p| may_alias(mem_root(f, p), root))
+                });
+                if !read {
+                    write_only_allocas.insert(id);
+                }
+            }
+        }
+        if !write_only_allocas.is_empty() {
+            for (b, id) in all_insts(f) {
+                if let Some(p) = f.inst(id).kind.write_ptr() {
+                    if let crate::util::MemRoot::Alloca(a) = mem_root(f, p) {
+                        if write_only_allocas.contains(&a) {
+                            f.remove_from_block(b, id);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Block-local: store overwritten by a later store to the same pointer
+        // with no intervening reader or effectful call.
+        for b in f.block_ids().collect::<Vec<_>>() {
+            let ids = f.block(b).insts.clone();
+            let mut dead: Vec<InstId> = Vec::new();
+            for (i, &sid) in ids.iter().enumerate() {
+                let InstKind::Store { ptr, .. } = f.inst(sid).kind else {
+                    continue;
+                };
+                let root = mem_root(f, ptr);
+                for &nid in ids.iter().skip(i + 1) {
+                    let reads = match &f.inst(nid).kind {
+                        InstKind::Store { ptr: p2, .. } if *p2 == ptr => {
+                            dead.push(sid);
+                            break;
+                        }
+                        InstKind::Call { callee, .. } => call_may_touch_memory(m, callee),
+                        // A different store, even a may-alias one, does not
+                        // read: keep scanning.
+                        kind => kind
+                            .read_ptr()
+                            .is_some_and(|p| may_alias(mem_root(f, p), root)),
+                    };
+                    if reads {
+                        break;
+                    }
+                }
+            }
+            for d in dead {
+                f.remove_from_block(b, d);
+                changed = true;
+            }
+        }
+        changed
     }
 }

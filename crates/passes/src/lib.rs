@@ -47,6 +47,8 @@ pub mod sccp;
 mod suite_states;
 pub mod util;
 pub mod vector;
+#[cfg(test)]
+mod verify_oracle;
 
 pub use manager::{
     PassManager, PhaseOutcome, PipelineLevel, Quarantine, QuarantineEntry, QuarantineReason,

@@ -13,10 +13,10 @@
 //! `header_phis`, `single_body`, ...), and the phases that rewrite one
 //! loop at a time re-analyse through `util::until_stable`.
 
-use crate::cse::forwarding_step;
+use crate::cse::{forwarding_step, Available};
 use crate::util::{
     clone_region, ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce,
-    until_stable, MemRoot, Replacements,
+    until_stable, MemRoot, Region, Replacements,
 };
 use mlcomp_ir::analysis::{Body, Cfg, CfgLoops, DefUse, Loop, UseSite};
 use mlcomp_ir::{
@@ -163,8 +163,13 @@ fn replace_uses_outside(f: &mut Function, l: &Loop, def: InstId, with: Value) ->
 
 /// Sends `from`, which enters loop `l` at its header, to the loop's `exit`
 /// instead (the exit's phis take their header incomings from `from`), and
-/// deletes the loop.
-fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
+/// deletes the loop, together with every block `reachable`, the step's
+/// reachability, leaves out.
+///
+/// That is all the blocks unreachable afterwards, and no phi of a
+/// reachable block names one of them: `exit` is the only block outside
+/// `l` that a block of `l` enters, and it is entered from `from` now.
+fn bypass_loop(f: &mut Function, l: &Loop, reachable: &[bool], from: BlockId, exit: BlockId) {
     f.block_mut(from)
         .term
         .map_targets(|t| if t == l.header { exit } else { t });
@@ -172,7 +177,11 @@ fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
     for &b in &l.blocks {
         f.delete_block(b);
     }
-    remove_unreachable_blocks(&mut Body::from(f));
+    for (b, &reachable) in reachable.iter().enumerate() {
+        if !reachable && !f.blocks[b].deleted {
+            f.delete_block(BlockId(b as u32));
+        }
+    }
 }
 
 /// `licm`: hoists loop-invariant pure computations to the preheader, and
@@ -507,12 +516,37 @@ pub fn indvars(m: &Module, f: &mut Body) -> bool {
 /// `loop-unroll`: fully unrolls canonical counted loops with small constant
 /// trip counts, substituting the induction variable with constants and
 /// threading accumulator phis through the copies.
+///
+/// The body is numbered once per loop and copied by [`Region::clone_into`];
+/// the header phis and the exit compare are replaced in one pass over the
+/// function once the last copy is made.
+///
+/// Loops are tried in forest order, and the first that qualifies is
+/// unrolled. Unrolling a loop with no inner loop replaces it by an
+/// acyclic chain of copies from its preheader to its only exit, so the
+/// other loops stay as a fresh analysis would find them: same headers,
+/// edges and order, and no new loop. The one difference is the body of
+/// each enclosing loop, where the copies take the loop's place, provided
+/// the exit lies inside its parent; the step then updates those bodies
+/// and tries the loops again from the first, against the current IR and
+/// fresh def-use chains, instead of rebuilding the CFG, dominator tree
+/// and loop forest. Any other unroll ends the step.
 pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
+    let mut unrolled_any = false;
     let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
-        // Built on the first candidate that needs it: `f` stays unchanged
-        // until an unroll, which ends the step.
+        // The forest, copied once a loop is unrolled within the step.
+        let mut forest: Cow<[Loop]> = Cow::Borrowed(&lf.loops);
+        let mut unrolled = vec![false; forest.len()];
+        // Built on the first candidate that needs it, and again after each
+        // unroll.
         let mut du: Option<Cow<DefUse>> = None;
-        for l in &lf.loops {
+        let mut i = 0;
+        while i < forest.len() {
+            i += 1;
+            let l = &forest[i - 1];
+            if unrolled[i - 1] {
+                continue;
+            }
             let Some(tc) = l.trip_count(f) else { continue };
             let Some(trips) = tc.const_trips else {
                 continue;
@@ -541,8 +575,8 @@ pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
             }
             // The exit compare must feed only the header terminator;
             // anything else would dangle after the header is deleted.
-            let du = du.get_or_insert_with(|| f.analyse());
-            if !du
+            let uses = du.get_or_insert_with(|| f.analyse());
+            if !uses
                 .uses_of(tc.cmp)
                 .iter()
                 .all(|u| matches!(u, UseSite::Term(b) if *b == l.header))
@@ -552,7 +586,7 @@ pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
             // No values from non-header loop blocks may be used outside
             // (header phis get their final values below).
             let body_blocks = l.blocks.iter().filter(|&&b| b != l.header);
-            if defines_live_out(f, du, l, body_blocks) {
+            if defines_live_out(f, uses, l, body_blocks) {
                 continue;
             }
 
@@ -560,7 +594,7 @@ pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
             // header's in-loop successor.
             let Terminator::CondBr {
                 then_bb, else_bb, ..
-            } = f.block(l.header).term.clone()
+            } = f.block(l.header).term
             else {
                 continue;
             };
@@ -572,89 +606,95 @@ pub fn loop_unroll(m: &Module, f: &mut Body) -> bool {
             if body_entry == l.header {
                 continue; // self-loop; nothing to unroll structurally
             }
-            let region: Vec<BlockId> = l
+            let blocks: Vec<BlockId> = l
                 .blocks
                 .iter()
                 .copied()
                 .filter(|&b| b != l.header)
                 .collect();
+            let region = Region::new(f, &blocks);
+            let first_copy = f.blocks.len() as u32;
 
-            // Per-phi current value, starting with the preheader incoming.
-            let mut cur: HashMap<InstId, Value> =
-                phis.iter().map(|&(p, init, _)| (p, init)).collect();
+            // Per-phi current value, starting with the preheader incoming,
+            // in the order of `phis`.
+            let mut cur: Vec<Value> = phis.iter().map(|&(_, init, _)| init).collect();
+            let phi_index = |v: Value| phis.iter().position(|&(p, ..)| v == Value::Inst(p));
+            let current = |cur: &[Value], v: Value| phi_index(v).map_or(v, |k| cur[k]);
 
             let mut link = pre; // block that branches into the next copy
-            for _k in 0..trips {
-                let (map, inst_map) = clone_region(f, &region);
-                // Substitute header-phi uses in the copy with current vals.
-                for (&_old, &new_b) in &map {
-                    for &nid in &f.block(new_b).insts.clone() {
-                        f.inst_mut(nid).kind.map_operands(|v| {
-                            if let Value::Inst(i) = v {
-                                if let Some(c) = cur.get(&i) {
-                                    return *c;
-                                }
-                            }
-                            v
-                        });
-                        // Phis in the copy that referenced the header as a
-                        // pred now come from `link`.
+            for _ in 0..trips {
+                let copy = region.clone_into(f);
+                // Header-phi uses in the copy take the current values, and
+                // its phis that named the header as a pred come from
+                // `link`.
+                for &b in &blocks {
+                    let nb = region.block(copy, b).expect("a region block");
+                    let Function {
+                        blocks: arena_blocks,
+                        insts,
+                        ..
+                    } = &mut **f;
+                    let block = &mut arena_blocks[nb.index()];
+                    for &nid in &block.insts {
+                        insts[nid.index()].kind.map_operands(|v| current(&cur, v));
                     }
-                    f.rename_phi_pred(new_b, l.header, link);
-                    let mut term = f.block(new_b).term.clone();
-                    term.map_operands(|v| {
-                        if let Value::Inst(i) = v {
-                            if let Some(c) = cur.get(&i) {
-                                return *c;
-                            }
-                        }
-                        v
-                    });
-                    f.block_mut(new_b).term = term;
+                    block.term.map_operands(|v| current(&cur, v));
+                    f.rename_phi_pred(nb, l.header, link);
                 }
                 // Link the previous block to this copy's entry.
-                let entry_copy = map[&body_entry];
-                let mut term = f.block(link).term.clone();
-                term.map_targets(|t| if t == l.header { entry_copy } else { t });
-                f.block_mut(link).term = term;
+                let entry_copy = region.block(copy, body_entry).expect("a region block");
+                f.block_mut(link)
+                    .term
+                    .map_targets(|t| if t == l.header { entry_copy } else { t });
                 // The copy's latch ends the iteration.
-                let latch_copy = map[&latch];
+                let latch_copy = region.block(copy, latch).expect("a region block");
                 f.block_mut(latch_copy).term = Terminator::Br(l.header); // placeholder; fixed next loop or at the end
                 link = latch_copy;
                 // Advance phi values to the latch incomings, remapped into
                 // this copy.
-                let mut next_cur = HashMap::new();
-                for &(p, _, nv) in &phis {
-                    let remapped = match nv {
-                        Value::Inst(i) => {
-                            if let Some(c) = cur.get(&i) {
-                                *c
-                            } else if let Some(&ni) = inst_map.get(&i) {
-                                Value::Inst(ni)
-                            } else {
-                                nv
-                            }
-                        }
-                        _ => nv,
-                    };
-                    next_cur.insert(p, remapped);
-                }
-                cur = next_cur;
+                cur = phis
+                    .iter()
+                    .map(|&(_, _, nv)| match (phi_index(nv), nv) {
+                        (Some(k), _) => cur[k],
+                        (None, Value::Inst(i)) => region.inst(copy, i).map_or(nv, Value::Inst),
+                        (None, _) => nv,
+                    })
+                    .collect();
             }
-            // Outside uses of header phis → final values; of the compare →
-            // false (loop exited).
-            for &(p, ..) in &phis {
-                let fv = cur[&p];
-                f.replace_all_uses(p, fv);
+            // Uses of header phis → final values; of the compare → false
+            // (loop exited): in order, as one replacement each in turn.
+            let mut finals = Replacements::new(f);
+            for (&(p, ..), &fv) in phis.iter().zip(&cur) {
+                finals.record(p, fv);
             }
-            f.replace_all_uses(tc.cmp, Value::bool(false));
+            finals.record(tc.cmp, Value::bool(false));
+            finals.apply(f);
             // The last copy leaves for the exit, and the old loop goes.
-            bypass_loop(f, l, link, exit);
-            return true;
+            bypass_loop(f, l, &cfg.reachable, link, exit);
+            unrolled_any = true;
+            let innermost = forest.iter().all(|o| o.parent != Some(i - 1));
+            let exit_inside = l.parent.is_none_or(|p| forest[p].contains(exit));
+            if !(innermost && exit_inside) {
+                return true;
+            }
+            // The copies replace the loop in the bodies around it.
+            let (gone, mut parent) = (l.blocks.clone(), l.parent);
+            let loops = forest.to_mut();
+            while let Some(p) = parent {
+                let around = &mut loops[p];
+                around.blocks.retain(|b| gone.binary_search(b).is_err());
+                around
+                    .blocks
+                    .extend((first_copy..f.blocks.len() as u32).map(BlockId));
+                parent = around.parent;
+            }
+            unrolled[i - 1] = true;
+            du = None;
+            i = 0;
         }
         false
     });
-    changed | trivial_dce(m, f, false)
+    changed | unrolled_any | trivial_dce(m, f, false)
 }
 
 /// `loop-deletion`: removes loops with no observable effects — no stores,
@@ -699,7 +739,7 @@ pub fn loop_deletion(m: &Module, f: &mut Body) -> bool {
             if !ok {
                 continue;
             }
-            bypass_loop(f, l, pre, exit);
+            bypass_loop(f, l, &cfg.reachable, pre, exit);
             return true;
         }
         false
@@ -853,7 +893,7 @@ pub fn loop_idiom(m: &Module, f: &mut Body) -> bool {
             let intr_id = f.add_inst(Inst::new(intr, Type::Void));
             f.block_mut(pre).insts.push(intr_id);
             // Bypass the loop.
-            bypass_loop(f, l, pre, exit);
+            bypass_loop(f, l, &cfg.reachable, pre, exit);
             return true;
         }
         false
@@ -907,18 +947,19 @@ pub fn loop_unswitch(m: &Module, f: &mut Body) -> bool {
             continue;
         };
         // Clone the loop; original becomes the cond-true version.
-        let (map, _) = clone_region(f, &l.blocks);
+        let (region, copy) = clone_region(f, &l.blocks);
+        let map = |b: BlockId| region.block(copy, b).expect("a loop block");
         // Original: branch always-then. Clone: always-else. The dropped
         // edges must disappear from the target phis too.
         f.block_mut(cb).term = Terminator::Br(then_bb);
         f.remove_phi_edges(else_bb, cb);
-        let cb_clone = map[&cb];
-        let else_clone = map[&else_bb];
-        let then_clone = map[&then_bb];
+        let cb_clone = map(cb);
+        let else_clone = map(else_bb);
+        let then_clone = map(then_bb);
         f.block_mut(cb_clone).term = Terminator::Br(else_clone);
         f.remove_phi_edges(then_clone, cb_clone);
         // Preheader dispatches on the invariant condition.
-        let header_clone = map[&l.header];
+        let header_clone = map(l.header);
         // Clone phis in header_clone still reference `pre` as pred — fine.
         f.block_mut(pre).term = Terminator::CondBr {
             cond,
@@ -995,7 +1036,7 @@ pub fn loop_load_elim(m: &Module, f: &mut Body) -> bool {
     let mut replaced = Replacements::new(f);
     let mut changed = false;
     for b in loop_blocks {
-        let mut avail = HashMap::new();
+        let mut avail = Available::default();
         let mut recorded = false;
         for &id in &f.block(b).insts {
             if let Some(v) = forwarding_step(m, f, &mut avail, id) {
@@ -1106,7 +1147,7 @@ pub fn loop_distribute(m: &Module, f: &mut Body) -> bool {
         // the real hazard; self-root loads are fine).
 
         // Clone the whole loop; original keeps slice 1, clone keeps 2.
-        let (map, inst_map) = clone_region(f, &l.blocks);
+        let (region, copy) = clone_region(f, &l.blocks);
         // Original body: drop slice-2 instructions.
         for &id in &ids {
             if s2.contains(&id) {
@@ -1114,16 +1155,16 @@ pub fn loop_distribute(m: &Module, f: &mut Body) -> bool {
             }
         }
         // Clone body: drop slice-1 clones.
-        let body_clone = map[&body];
+        let body_clone = region.block(copy, body).expect("a loop block");
         for &id in &ids {
             if s1.contains(&id) {
-                if let Some(&nid) = inst_map.get(&id) {
+                if let Some(nid) = region.inst(copy, id) {
                     f.remove_from_block(body_clone, nid);
                 }
             }
         }
         // Chain: original exit edge → clone header; clone keeps exit.
-        let header_clone = map[&l.header];
+        let header_clone = region.block(copy, l.header).expect("a loop block");
         let mut term = f.block(l.header).term.clone();
         term.map_targets(|t| if t == exit { header_clone } else { t });
         f.block_mut(l.header).term = term;
@@ -1280,6 +1321,55 @@ mod tests {
         let fid = m.find_function("f").unwrap();
         let out = Interpreter::new(&m).run(fid, &[RtVal::I(3)]).unwrap();
         assert_eq!(out.counts.branch, 0, "fully unrolled");
+    }
+
+    /// Two loops in a row, the second running up to the first's final
+    /// counter: it has a constant trip count only once the first, which
+    /// never runs, is unrolled and its counter replaced by its initial
+    /// value. The forest lists the second loop first (its latch comes
+    /// first in reverse post-order), so the step must try the forest again
+    /// from the start after an unroll, as a re-analysis would.
+    #[test]
+    fn unrolling_a_loop_can_qualify_one_before_it_in_the_forest() {
+        let mut mb = ModuleBuilder::new("t");
+        mb.begin_function("f", vec![], Type::I64);
+        {
+            let mut b = mb.body();
+            let acc = b.local(b.const_i64(0));
+            let mut counter = None;
+            b.for_loop(b.const_i64(0), b.const_i64(0), 1, |b, i| {
+                counter = Some(i);
+                let c = b.load(acc, Type::I64);
+                let n = b.add(c, i);
+                b.store(acc, n);
+            });
+            let bound = counter.expect("the first loop's counter");
+            b.for_loop(b.const_i64(0), bound, 1, |b, j| {
+                let c = b.load(acc, Type::I64);
+                let n = b.mul(c, j);
+                b.store(acc, n);
+            });
+            let r = b.load(acc, Type::I64);
+            b.ret(Some(r));
+        }
+        mb.finish_function();
+        let mut m = mb.build();
+        let mc = m.clone();
+        crate::memory::mem2reg(&mc, &mut Body::from(&mut m.functions[0]));
+        let expected = exec(&m, "f", &[]);
+        let mc = m.clone();
+        let mut old = m.clone();
+        assert!(loop_unroll(&mc, &mut Body::from(&mut m.functions[0])));
+        assert!(oracle::loop_unroll(
+            &mc,
+            &mut Body::from(&mut old.functions[0])
+        ));
+        assert!(m == old, "differs from re-analysing after every unroll");
+        verify(&m).unwrap();
+        assert_eq!(exec(&m, "f", &[]), expected);
+        let fid = m.find_function("f").unwrap();
+        let out = Interpreter::new(&m).run(fid, &[]).unwrap();
+        assert_eq!(out.counts.branch, 0, "both loops unrolled");
     }
 
     #[test]
@@ -1595,13 +1685,22 @@ mod tests {
 
 /// `licm` as it was before loop membership became one flag per
 /// instruction, kept as a differential oracle: each operand's invariance
-/// is decided by searching every block of the loop.
+/// is decided by searching every block of the loop. And `loop-unroll` as
+/// it was before the body was numbered once per loop: hash-map clones, one
+/// `replace_all_uses` per header phi, and a `Cfg` per bypassed loop.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{is_invariant, loop_effectful_roots};
-    use crate::util::{ensure_preheader, may_alias, mem_root, trivial_dce, until_stable};
-    use mlcomp_ir::analysis::{Body, CfgLoops};
-    use mlcomp_ir::{InstKind, Module};
+    use super::{
+        defines_live_out, header_phis, is_invariant, loop_effectful_roots, private_exit,
+        UNROLL_BUDGET, UNROLL_MAX_TRIPS,
+    };
+    use crate::util::{
+        ensure_preheader, may_alias, mem_root, remove_unreachable_blocks, trivial_dce, until_stable,
+    };
+    use mlcomp_ir::analysis::{Body, CfgLoops, DefUse, Loop, UseSite};
+    use mlcomp_ir::{BlockId, Function, InstId, InstKind, Module, Terminator, Value};
+    use std::borrow::Cow;
+    use std::collections::HashMap;
 
     pub(crate) fn licm(m: &Module, f: &mut Body) -> bool {
         let changed = until_stable::<CfgLoops>(f, |f, (_, dt, lf)| {
@@ -1651,5 +1750,228 @@ pub(crate) mod oracle {
             false
         });
         changed | trivial_dce(m, f, false)
+    }
+
+    /// `loop-unroll`: fully unrolls canonical counted loops with small constant
+    /// trip counts, substituting the induction variable with constants and
+    /// threading accumulator phis through the copies.
+    pub(crate) fn loop_unroll(m: &Module, f: &mut Body) -> bool {
+        let changed = until_stable::<CfgLoops>(f, |f, (cfg, _, lf)| {
+            // Built on the first candidate that needs it: `f` stays unchanged
+            // until an unroll, which ends the step.
+            let mut du: Option<Cow<DefUse>> = None;
+            for l in &lf.loops {
+                let Some(tc) = l.trip_count(f) else { continue };
+                let Some(trips) = tc.const_trips else {
+                    continue;
+                };
+                let size: usize = l.blocks.iter().map(|&b| f.block(b).insts.len()).sum();
+                if trips > UNROLL_MAX_TRIPS || trips as usize * size > UNROLL_BUDGET {
+                    continue;
+                }
+                let [latch] = l.latches[..] else { continue };
+                // The latch must fall through to the header unconditionally —
+                // in a nested loop the latch can simultaneously be an inner
+                // loop's header, whose conditional terminator must survive.
+                if !matches!(f.block(latch).term, Terminator::Br(t) if t == l.header) {
+                    continue;
+                }
+                let Some(pre) = l.preheader else { continue };
+                let Some(exit) = private_exit(cfg, l) else {
+                    continue;
+                };
+                // Header: phis + the exit compare only.
+                let Some(phis) = header_phis(f, l, pre, latch) else {
+                    continue;
+                };
+                if f.block(l.header).insts[phis.len()..] != [tc.cmp] {
+                    continue;
+                }
+                // The exit compare must feed only the header terminator;
+                // anything else would dangle after the header is deleted.
+                let du = du.get_or_insert_with(|| f.analyse());
+                if !du
+                    .uses_of(tc.cmp)
+                    .iter()
+                    .all(|u| matches!(u, UseSite::Term(b) if *b == l.header))
+                {
+                    continue;
+                }
+                // No values from non-header loop blocks may be used outside
+                // (header phis get their final values below).
+                let body_blocks = l.blocks.iter().filter(|&&b| b != l.header);
+                if defines_live_out(f, du, l, body_blocks) {
+                    continue;
+                }
+
+                // Body region: loop blocks minus header, entered at the
+                // header's in-loop successor.
+                let Terminator::CondBr {
+                    then_bb, else_bb, ..
+                } = f.block(l.header).term.clone()
+                else {
+                    continue;
+                };
+                let body_entry = if l.contains(then_bb) {
+                    then_bb
+                } else {
+                    else_bb
+                };
+                if body_entry == l.header {
+                    continue; // self-loop; nothing to unroll structurally
+                }
+                let region: Vec<BlockId> = l
+                    .blocks
+                    .iter()
+                    .copied()
+                    .filter(|&b| b != l.header)
+                    .collect();
+
+                // Per-phi current value, starting with the preheader incoming.
+                let mut cur: HashMap<InstId, Value> =
+                    phis.iter().map(|&(p, init, _)| (p, init)).collect();
+
+                let mut link = pre; // block that branches into the next copy
+                for _k in 0..trips {
+                    let (map, inst_map) = clone_region(f, &region);
+                    // Substitute header-phi uses in the copy with current vals.
+                    for (&_old, &new_b) in &map {
+                        for &nid in &f.block(new_b).insts.clone() {
+                            f.inst_mut(nid).kind.map_operands(|v| {
+                                if let Value::Inst(i) = v {
+                                    if let Some(c) = cur.get(&i) {
+                                        return *c;
+                                    }
+                                }
+                                v
+                            });
+                            // Phis in the copy that referenced the header as a
+                            // pred now come from `link`.
+                        }
+                        f.rename_phi_pred(new_b, l.header, link);
+                        let mut term = f.block(new_b).term.clone();
+                        term.map_operands(|v| {
+                            if let Value::Inst(i) = v {
+                                if let Some(c) = cur.get(&i) {
+                                    return *c;
+                                }
+                            }
+                            v
+                        });
+                        f.block_mut(new_b).term = term;
+                    }
+                    // Link the previous block to this copy's entry.
+                    let entry_copy = map[&body_entry];
+                    let mut term = f.block(link).term.clone();
+                    term.map_targets(|t| if t == l.header { entry_copy } else { t });
+                    f.block_mut(link).term = term;
+                    // The copy's latch ends the iteration.
+                    let latch_copy = map[&latch];
+                    f.block_mut(latch_copy).term = Terminator::Br(l.header); // placeholder; fixed next loop or at the end
+                    link = latch_copy;
+                    // Advance phi values to the latch incomings, remapped into
+                    // this copy.
+                    let mut next_cur = HashMap::new();
+                    for &(p, _, nv) in &phis {
+                        let remapped = match nv {
+                            Value::Inst(i) => {
+                                if let Some(c) = cur.get(&i) {
+                                    *c
+                                } else if let Some(&ni) = inst_map.get(&i) {
+                                    Value::Inst(ni)
+                                } else {
+                                    nv
+                                }
+                            }
+                            _ => nv,
+                        };
+                        next_cur.insert(p, remapped);
+                    }
+                    cur = next_cur;
+                }
+                // Outside uses of header phis → final values; of the compare →
+                // false (loop exited).
+                for &(p, ..) in &phis {
+                    let fv = cur[&p];
+                    f.replace_all_uses(p, fv);
+                }
+                f.replace_all_uses(tc.cmp, Value::bool(false));
+                // The last copy leaves for the exit, and the old loop goes.
+                bypass_loop(f, l, link, exit);
+                return true;
+            }
+            false
+        });
+        changed | trivial_dce(m, f, false)
+    }
+
+    /// Sends `from`, which enters loop `l` at its header, to the loop's `exit`
+    /// instead (the exit's phis take their header incomings from `from`), and
+    /// deletes the loop.
+    fn bypass_loop(f: &mut Function, l: &Loop, from: BlockId, exit: BlockId) {
+        f.block_mut(from)
+            .term
+            .map_targets(|t| if t == l.header { exit } else { t });
+        f.rename_phi_pred(exit, l.header, from);
+        for &b in &l.blocks {
+            f.delete_block(b);
+        }
+        remove_unreachable_blocks(&mut Body::from(f));
+    }
+
+    /// Clones a set of blocks inside `f`, remapping internal branch targets and
+    /// instruction references. Returns the old→new block and instruction maps.
+    /// Values defined outside the region are left untouched; phi edges from
+    /// outside the region are preserved as-is (callers fix them up).
+    fn clone_region(
+        f: &mut Function,
+        region: &[BlockId],
+    ) -> (HashMap<BlockId, BlockId>, HashMap<InstId, InstId>) {
+        let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+        let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+        for &b in region {
+            let nb = f.add_block();
+            block_map.insert(b, nb);
+        }
+        // First pass: clone instructions (so ids exist), collecting the map.
+        for &b in region {
+            let ids = f.block(b).insts.clone();
+            let nb = block_map[&b];
+            for id in ids {
+                let inst = f.inst(id).clone();
+                let nid = f.add_inst(inst);
+                inst_map.insert(id, nid);
+                f.block_mut(nb).insts.push(nid);
+            }
+            f.block_mut(nb).term = f.block(b).term.clone();
+        }
+        // Second pass: remap operands and targets in the clones.
+        let remap_val = |v: Value, inst_map: &HashMap<InstId, InstId>| -> Value {
+            match v {
+                Value::Inst(id) => inst_map.get(&id).map(|n| Value::Inst(*n)).unwrap_or(v),
+                _ => v,
+            }
+        };
+        for &b in region {
+            let nb = block_map[&b];
+            let ids = f.block(nb).insts.clone();
+            for id in ids {
+                let mut kind = f.inst(id).kind.clone();
+                kind.map_operands(|v| remap_val(v, &inst_map));
+                if let InstKind::Phi { incomings } = &mut kind {
+                    for (pb, _) in incomings.iter_mut() {
+                        if let Some(npb) = block_map.get(pb) {
+                            *pb = *npb;
+                        }
+                    }
+                }
+                f.inst_mut(id).kind = kind;
+            }
+            let mut term = f.block(nb).term.clone();
+            term.map_targets(|t| block_map.get(&t).copied().unwrap_or(t));
+            term.map_operands(|v| remap_val(v, &inst_map));
+            f.block_mut(nb).term = term;
+        }
+        (block_map, inst_map)
     }
 }

@@ -4,9 +4,10 @@
 //! SSA values, unlocking almost every scalar and loop optimization — the
 //! central phase-ordering dependency the MLComp policy has to learn.
 
-use crate::util::{alloca_escapes, remove_unreachable_blocks, Replacements};
-use mlcomp_ir::analysis::{Body, CfgDom};
+use crate::util::{escaping_allocas, remove_unreachable_blocks, Replacements};
+use mlcomp_ir::analysis::{Body, CfgDom, DefUse, UseSite};
 use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Type, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Promotes single-cell, non-escaping allocas accessed only via direct
@@ -31,13 +32,21 @@ pub fn mem2reg(_m: &Module, f: &mut Body) -> bool {
 pub fn sroa(_m: &Module, f: &mut Body) -> bool {
     let mut changed = remove_unreachable_blocks(f);
 
-    // Find splittable aggregates.
+    // Find splittable aggregates, from one escape analysis and the
+    // function's def-use chains.
     let mut split_targets: Vec<(BlockId, InstId, u32)> = Vec::new();
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for &id in &f.block(b).insts.clone() {
-            if let InstKind::Alloca { cells } = f.inst(id).kind {
-                if cells > 1 && cells <= 64 && is_splittable(f, id) {
-                    split_targets.push((b, id, cells));
+    {
+        let du = f.analyse::<Cow<DefUse>>();
+        let mut escapes: Option<Vec<bool>> = None;
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                if let InstKind::Alloca { cells } = f.inst(id).kind {
+                    if cells > 1 && cells <= 64 {
+                        let escapes = escapes.get_or_insert_with(|| escaping_allocas(f));
+                        if is_splittable(f, &du, escapes, id) {
+                            split_targets.push((b, id, cells));
+                        }
+                    }
                 }
             }
         }
@@ -119,69 +128,38 @@ fn rewrite_direct_accesses(f: &mut Function, alloca: InstId, part: InstId) {
     }
 }
 
-fn is_splittable(f: &Function, alloca: InstId) -> bool {
-    if alloca_escapes(f, alloca) {
+/// Whether the aggregate `alloca`, which `escapes` (from
+/// [`escaping_allocas`]) says does not escape, is only loaded, stored
+/// (not as a value) and offset by constant geps that feed only loads and
+/// store addresses. Reads the uses from `du` rather than scanning `f`.
+fn is_splittable(f: &Function, du: &DefUse, escapes: &[bool], alloca: InstId) -> bool {
+    if escapes[alloca.index()] {
         return false;
     }
     let av = Value::Inst(alloca);
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
-            let kind = &f.inst(id).kind;
-            match kind {
-                InstKind::Gep { base, offset } if *base == av => {
-                    if offset.as_const_int().is_none() {
-                        return false;
-                    }
-                    // The gep result must itself only feed loads/stores.
-                    let gv = Value::Inst(id);
-                    for b2 in f.block_ids() {
-                        for &id2 in &f.block(b2).insts {
-                            let k2 = &f.inst(id2).kind;
-                            let mut bad = false;
-                            k2.for_each_operand(|v| {
-                                if v == gv {
-                                    match k2 {
-                                        InstKind::Load { .. } => {}
-                                        InstKind::Store { ptr, value, .. } => {
-                                            if *ptr != gv || *value == gv {
-                                                bad = true;
-                                            }
-                                        }
-                                        _ => bad = true,
-                                    }
-                                }
-                            });
-                            if bad {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                InstKind::Load { ptr, .. } if *ptr == av => {}
-                InstKind::Store { ptr, value, .. } if *ptr == av => {
-                    if *value == av {
-                        return false;
-                    }
-                }
-                InstKind::Memset { ptr, .. } | InstKind::Memcpy { dst: ptr, .. } if *ptr == av => {
-                    return false;
-                }
-                InstKind::Memcpy { src, .. } if *src == av => return false,
-                _ => {
-                    let mut uses_it = false;
-                    kind.for_each_operand(|v| {
-                        if v == av {
-                            uses_it = true;
-                        }
-                    });
-                    if uses_it && !matches!(kind, InstKind::Load { .. } | InstKind::Gep { .. }) {
-                        return false;
-                    }
-                }
+    du.uses_of(alloca).iter().all(|site| {
+        let UseSite::Inst(_, id) = *site else {
+            return true; // an escape, caught above
+        };
+        match &f.inst(id).kind {
+            InstKind::Gep { base, offset } if *base == av => {
+                // The gep result must itself only feed loads/stores.
+                let gv = Value::Inst(id);
+                offset.as_const_int().is_some()
+                    && du.uses_of(id).iter().all(|site| match *site {
+                        UseSite::Inst(_, user) => match &f.inst(user).kind {
+                            InstKind::Load { .. } => true,
+                            InstKind::Store { ptr, value, .. } => *ptr == gv && *value != gv,
+                            _ => false,
+                        },
+                        UseSite::Term(_) => true,
+                    })
             }
+            InstKind::Load { .. } | InstKind::Gep { .. } => true,
+            InstKind::Store { value, .. } => *value != av,
+            _ => false,
         }
-    }
-    true
+    })
 }
 
 fn touched_offsets(f: &Function, alloca: InstId) -> Vec<i64> {
@@ -210,14 +188,31 @@ fn touched_offsets(f: &Function, alloca: InstId) -> Vec<i64> {
     v
 }
 
-/// Allocas eligible for promotion: one cell, non-escaping, only loaded and
-/// stored directly (no geps, no intrinsics).
+/// Allocas eligible for promotion, in layout order: one cell, used only as
+/// the address of loads and stores (no geps, no intrinsics, not stored as
+/// a value). One pass marks every value used any other way.
 fn promotable_allocas(f: &Function) -> Vec<InstId> {
+    let mut other_use = vec![false; f.insts.len()];
+    let mut mark = |v: Value| {
+        if let Value::Inst(d) = v {
+            other_use[d.index()] = true;
+        }
+    };
+    for b in f.block_ids() {
+        for &id in &f.block(b).insts {
+            match &f.inst(id).kind {
+                InstKind::Load { .. } => {}
+                InstKind::Store { value, .. } => mark(*value),
+                kind => kind.for_each_operand(&mut mark),
+            }
+        }
+        f.block(b).term.for_each_operand(&mut mark);
+    }
     let mut out = Vec::new();
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
             if let InstKind::Alloca { cells: 1 } = f.inst(id).kind {
-                if is_promotable(f, id) {
+                if !other_use[id.index()] {
                     out.push(id);
                 }
             }
@@ -226,72 +221,52 @@ fn promotable_allocas(f: &Function) -> Vec<InstId> {
     out
 }
 
-fn is_promotable(f: &Function, alloca: InstId) -> bool {
-    let av = Value::Inst(alloca);
+/// The value type each alloca holds, by its index in `slot` (needed for
+/// phi types): that of its first load or store in layout order, else
+/// `i64`.
+fn alloca_value_types(f: &Function, slot: &[u32], count: usize) -> Vec<Type> {
+    let mut types: Vec<Option<Type>> = vec![None; count];
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
-            let kind = &f.inst(id).kind;
-            let mut ok = true;
-            kind.for_each_operand(|v| {
-                if v != av {
-                    return;
+            let (ptr, ty) = match &f.inst(id).kind {
+                InstKind::Load { ptr, .. } => (*ptr, f.inst(id).ty),
+                InstKind::Store { ptr, value, .. } => (*ptr, f.value_type(*value)),
+                _ => continue,
+            };
+            if let Value::Inst(a) = ptr {
+                if let Some(&ai) = slot.get(a.index()).filter(|&&ai| ai != u32::MAX) {
+                    types[ai as usize].get_or_insert(ty);
                 }
-                match kind {
-                    InstKind::Load { ptr, .. } => ok &= *ptr == av,
-                    InstKind::Store { ptr, value, .. } => ok &= *ptr == av && *value != av,
-                    _ => ok = false,
-                }
-            });
-            if !ok {
-                return false;
-            }
-        }
-        let mut used_by_term = false;
-        f.block(b).term.for_each_operand(|v| {
-            if v == av {
-                used_by_term = true;
-            }
-        });
-        if used_by_term {
-            return false;
-        }
-    }
-    true
-}
-
-/// The value type stored in / loaded from an alloca (needed for phi types).
-fn alloca_value_type(f: &Function, alloca: InstId) -> Type {
-    let av = Value::Inst(alloca);
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
-            match &f.inst(id).kind {
-                InstKind::Load { ptr, .. } if *ptr == av => return f.inst(id).ty,
-                InstKind::Store { ptr, value, .. } if *ptr == av => return f.value_type(*value),
-                _ => {}
             }
         }
     }
-    Type::I64
+    types.into_iter().map(|t| t.unwrap_or(Type::I64)).collect()
 }
 
 fn promote(f: &mut Body, allocas: &[InstId]) {
     let (cfg, dt) = f.analyse::<CfgDom>();
     let df = dt.dominance_frontiers(&cfg);
-    let alloca_index: HashMap<InstId, usize> =
-        allocas.iter().enumerate().map(|(i, a)| (*a, i)).collect();
-    let types: Vec<Type> = allocas.iter().map(|a| alloca_value_type(f, *a)).collect();
+    // Index of each promoted alloca, by arena id.
+    let mut alloca_index = vec![u32::MAX; f.insts.len()];
+    for (i, a) in allocas.iter().enumerate() {
+        alloca_index[a.index()] = i as u32;
+    }
+    let index_of = |v: Value| match v {
+        Value::Inst(a) => alloca_index
+            .get(a.index())
+            .filter(|&&ai| ai != u32::MAX)
+            .map(|&ai| ai as usize),
+        _ => None,
+    };
+    let types = alloca_value_types(f, &alloca_index, allocas.len());
 
     // Blocks containing a store per alloca, ascending: blocks are visited
     // in order, so a repeat can only be the last entry.
     let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
-            if let InstKind::Store {
-                ptr: Value::Inst(a),
-                ..
-            } = &f.inst(id).kind
-            {
-                if let Some(&ai) = alloca_index.get(a) {
+            if let InstKind::Store { ptr, .. } = &f.inst(id).kind {
+                if let Some(ai) = index_of(*ptr) {
                     if def_blocks[ai].last() != Some(&b) {
                         def_blocks[ai].push(b);
                     }
@@ -300,9 +275,9 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
         }
     }
 
-    // Phi insertion at iterated dominance frontiers.
-    // phi_of[block][alloca] = phi inst id
-    let mut phi_of: HashMap<(BlockId, usize), InstId> = HashMap::new();
+    // Phi insertion at iterated dominance frontiers: each block's new
+    // phis with their alloca, in alloca order.
+    let mut phis_in: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); f.blocks.len()];
     for (ai, defs) in def_blocks.iter().enumerate() {
         // Sorted worklists and frontiers keep phi-creation order (and thus
         // instruction arena ids) deterministic across runs.
@@ -318,7 +293,7 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
                         types[ai],
                     ));
                     f.block_mut(frontier).insts.insert(0, phi);
-                    phi_of.insert((frontier, ai), phi);
+                    phis_in[frontier.index()].push((ai, phi));
                     if defs.binary_search(&frontier).is_err() {
                         work.push_back(frontier);
                     }
@@ -326,58 +301,56 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
             }
         }
     }
+    // The alloca each inserted phi stands for, by arena id.
+    let mut phi_owner = vec![u32::MAX; f.insts.len()];
+    for &(ai, phi) in phis_in.iter().flatten() {
+        phi_owner[phi.index()] = ai as u32;
+    }
 
     // Renaming pass: DFS over the dominator tree.
-    let children = dt.children();
     let n_allocas = allocas.len();
     let mut stacks: Vec<Vec<Value>> = vec![Vec::new(); n_allocas];
     let mut removed = vec![false; f.insts.len()];
     let mut loads = Replacements::new(f);
     let mut phi_incomings: HashMap<InstId, Vec<(BlockId, Value)>> = HashMap::new();
+    let current = |stacks: &[Vec<Value>], ai: usize| {
+        stacks[ai]
+            .last()
+            .copied()
+            .unwrap_or(Value::Undef(types[ai]))
+    };
 
     // Explicit DFS over the dominator tree with enter/exit events so the
-    // value stacks unwind correctly.
+    // value stacks unwind correctly: `pushed` logs the alloca of every
+    // push, and a block's exit pops what was logged since its entry.
     #[derive(Clone, Copy)]
     enum Ev {
         Enter(BlockId),
-        Exit(BlockId),
+        Exit(usize),
     }
-    // Track push counts per block to pop on exit.
-    let mut push_counts: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    let mut pushed: Vec<usize> = Vec::new();
     let mut dfs: Vec<Ev> = vec![Ev::Enter(BlockId::ENTRY)];
     while let Some(ev) = dfs.pop() {
         match ev {
             Ev::Enter(b) => {
-                let mut pushes = vec![0usize; n_allocas];
-                // Phis at block entry define new values.
-                for &id in &f.block(b).insts.clone() {
-                    if let Some(ai) = phi_owner(&phi_of, b, id, n_allocas) {
-                        stacks[ai].push(Value::Inst(id));
-                        pushes[ai] += 1;
-                    }
-                }
-                for &id in &f.block(b).insts.clone() {
-                    match f.inst(id).kind.clone() {
-                        InstKind::Load {
-                            ptr: Value::Inst(a),
-                            ..
-                        } => {
-                            if let Some(&ai) = alloca_index.get(&a) {
-                                let cur = stacks[ai]
-                                    .last()
-                                    .copied()
-                                    .unwrap_or(Value::Undef(types[ai]));
-                                loads.record(id, cur);
+                let mark = pushed.len();
+                for &id in &f.block(b).insts {
+                    match &f.inst(id).kind {
+                        // Phis at block entry define new values.
+                        InstKind::Phi { .. } if phi_owner[id.index()] != u32::MAX => {
+                            let ai = phi_owner[id.index()] as usize;
+                            stacks[ai].push(Value::Inst(id));
+                            pushed.push(ai);
+                        }
+                        InstKind::Load { ptr, .. } => {
+                            if let Some(ai) = index_of(*ptr) {
+                                loads.record(id, current(&stacks, ai));
                             }
                         }
-                        InstKind::Store {
-                            ptr: Value::Inst(a),
-                            value,
-                            ..
-                        } => {
-                            if let Some(&ai) = alloca_index.get(&a) {
-                                stacks[ai].push(value);
-                                pushes[ai] += 1;
+                        InstKind::Store { ptr, value, .. } => {
+                            if let Some(ai) = index_of(*ptr) {
+                                stacks[ai].push(*value);
+                                pushed.push(ai);
                                 removed[id.index()] = true;
                             }
                         }
@@ -390,29 +363,19 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
                 succs.sort();
                 succs.dedup();
                 for s in succs {
-                    for ai in 0..n_allocas {
-                        if let Some(&phi) = phi_of.get(&(s, ai)) {
-                            let cur = stacks[ai]
-                                .last()
-                                .copied()
-                                .unwrap_or(Value::Undef(types[ai]));
-                            phi_incomings.entry(phi).or_default().push((b, cur));
-                        }
+                    for &(ai, phi) in &phis_in[s.index()] {
+                        phi_incomings
+                            .entry(phi)
+                            .or_default()
+                            .push((b, current(&stacks, ai)));
                     }
                 }
-                push_counts.insert(b, pushes);
-                dfs.push(Ev::Exit(b));
-                for &c in &children[b.index()] {
-                    dfs.push(Ev::Enter(c));
-                }
+                dfs.push(Ev::Exit(mark));
+                dfs.extend(dt.children_of(b).map(Ev::Enter));
             }
-            Ev::Exit(b) => {
-                if let Some(pushes) = push_counts.remove(&b) {
-                    for (ai, n) in pushes.into_iter().enumerate() {
-                        for _ in 0..n {
-                            stacks[ai].pop();
-                        }
-                    }
+            Ev::Exit(mark) => {
+                for ai in pushed.drain(mark..) {
+                    stacks[ai].pop();
                 }
             }
         }
@@ -432,15 +395,6 @@ fn promote(f: &mut Body, allocas: &[InstId]) {
     }
     // Phis with all-identical incomings (single-pred joins) fold away.
     crate::util::trivial_dce(&Module::new("tmp"), f, false);
-}
-
-fn phi_owner(
-    phi_of: &HashMap<(BlockId, usize), InstId>,
-    b: BlockId,
-    id: InstId,
-    n: usize,
-) -> Option<usize> {
-    (0..n).find(|ai| phi_of.get(&(b, *ai)) == Some(&id))
 }
 
 #[cfg(test)]
@@ -627,13 +581,10 @@ mod tests {
 /// once, and every removed instruction is searched for in its block.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{
-        alloca_value_type, is_splittable, phi_owner, promotable_allocas, rewrite_direct_accesses,
-        touched_offsets,
-    };
-    use crate::util::remove_unreachable_blocks;
+    use super::{rewrite_direct_accesses, touched_offsets};
+    use crate::util::{alloca_escapes, remove_unreachable_blocks};
     use mlcomp_ir::analysis::{Body, CfgDom};
-    use mlcomp_ir::{BlockId, Inst, InstId, InstKind, Module, Type, Value};
+    use mlcomp_ir::{BlockId, Function, Inst, InstId, InstKind, Module, Type, Value};
     use std::collections::{HashMap, HashSet, VecDeque};
 
     pub(crate) fn mem2reg(_m: &Module, f: &mut Body) -> bool {
@@ -878,5 +829,148 @@ pub(crate) mod oracle {
         }
         // Phis with all-identical incomings (single-pred joins) fold away.
         crate::util::trivial_dce(&Module::new("tmp"), f, false);
+    }
+
+    fn is_splittable(f: &Function, alloca: InstId) -> bool {
+        if alloca_escapes(f, alloca) {
+            return false;
+        }
+        let av = Value::Inst(alloca);
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                let kind = &f.inst(id).kind;
+                match kind {
+                    InstKind::Gep { base, offset } if *base == av => {
+                        if offset.as_const_int().is_none() {
+                            return false;
+                        }
+                        // The gep result must itself only feed loads/stores.
+                        let gv = Value::Inst(id);
+                        for b2 in f.block_ids() {
+                            for &id2 in &f.block(b2).insts {
+                                let k2 = &f.inst(id2).kind;
+                                let mut bad = false;
+                                k2.for_each_operand(|v| {
+                                    if v == gv {
+                                        match k2 {
+                                            InstKind::Load { .. } => {}
+                                            InstKind::Store { ptr, value, .. } => {
+                                                if *ptr != gv || *value == gv {
+                                                    bad = true;
+                                                }
+                                            }
+                                            _ => bad = true,
+                                        }
+                                    }
+                                });
+                                if bad {
+                                    return false;
+                                }
+                            }
+                        }
+                    }
+                    InstKind::Load { ptr, .. } if *ptr == av => {}
+                    InstKind::Store { ptr, value, .. } if *ptr == av => {
+                        if *value == av {
+                            return false;
+                        }
+                    }
+                    InstKind::Memset { ptr, .. } | InstKind::Memcpy { dst: ptr, .. }
+                        if *ptr == av =>
+                    {
+                        return false;
+                    }
+                    InstKind::Memcpy { src, .. } if *src == av => return false,
+                    _ => {
+                        let mut uses_it = false;
+                        kind.for_each_operand(|v| {
+                            if v == av {
+                                uses_it = true;
+                            }
+                        });
+                        if uses_it && !matches!(kind, InstKind::Load { .. } | InstKind::Gep { .. })
+                        {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Allocas eligible for promotion: one cell, non-escaping, only loaded and
+    /// stored directly (no geps, no intrinsics).
+    fn promotable_allocas(f: &Function) -> Vec<InstId> {
+        let mut out = Vec::new();
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                if let InstKind::Alloca { cells: 1 } = f.inst(id).kind {
+                    if is_promotable(f, id) {
+                        out.push(id);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn is_promotable(f: &Function, alloca: InstId) -> bool {
+        let av = Value::Inst(alloca);
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                let kind = &f.inst(id).kind;
+                let mut ok = true;
+                kind.for_each_operand(|v| {
+                    if v != av {
+                        return;
+                    }
+                    match kind {
+                        InstKind::Load { ptr, .. } => ok &= *ptr == av,
+                        InstKind::Store { ptr, value, .. } => ok &= *ptr == av && *value != av,
+                        _ => ok = false,
+                    }
+                });
+                if !ok {
+                    return false;
+                }
+            }
+            let mut used_by_term = false;
+            f.block(b).term.for_each_operand(|v| {
+                if v == av {
+                    used_by_term = true;
+                }
+            });
+            if used_by_term {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The value type stored in / loaded from an alloca (needed for phi types).
+    fn alloca_value_type(f: &Function, alloca: InstId) -> Type {
+        let av = Value::Inst(alloca);
+        for b in f.block_ids() {
+            for &id in &f.block(b).insts {
+                match &f.inst(id).kind {
+                    InstKind::Load { ptr, .. } if *ptr == av => return f.inst(id).ty,
+                    InstKind::Store { ptr, value, .. } if *ptr == av => {
+                        return f.value_type(*value)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Type::I64
+    }
+
+    fn phi_owner(
+        phi_of: &HashMap<(BlockId, usize), InstId>,
+        b: BlockId,
+        id: InstId,
+        n: usize,
+    ) -> Option<usize> {
+        (0..n).find(|ai| phi_of.get(&(b, *ai)) == Some(&id))
     }
 }

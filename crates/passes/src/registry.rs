@@ -231,10 +231,11 @@ mod tests {
         assert!(!is_registered(""));
     }
 
-    /// The phases whose replacements, chain merges or loop membership were
-    /// rewritten to run in linear time, each with its implementation from
-    /// before as an oracle.
-    fn rewritten_phases() -> [(&'static str, Transform); 12] {
+    /// The phases whose replacements, chain merges, loop membership,
+    /// per-alloca scans, cross-block loads or loop copies were rewritten to
+    /// run in linear time, each with its implementation from before as an
+    /// oracle.
+    fn rewritten_phases() -> [(&'static str, Transform); 16] {
         use Transform::{Function as F, Module as M};
         [
             (
@@ -245,10 +246,14 @@ mod tests {
                 "correlated-propagation",
                 F(sccp::oracle::correlated_propagation),
             ),
+            ("dse", F(dce::oracle::dse)),
+            ("early-cse-memssa", F(cse::oracle::early_cse_memssa)),
+            ("gvn", F(cse::oracle::gvn)),
             ("instcombine", F(scalar::oracle::instcombine)),
             ("instsimplify", F(scalar::oracle::instsimplify)),
             ("ipsccp", M(sccp::oracle::ipsccp)),
             ("licm", F(loops::oracle::licm)),
+            ("loop-unroll", F(loops::oracle::loop_unroll)),
             ("lower-expect", F(scalar::oracle::lower_expect)),
             ("mem2reg", F(memory::oracle::mem2reg)),
             ("reassociate", F(scalar::oracle::reassociate)),

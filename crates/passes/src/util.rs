@@ -9,6 +9,7 @@ use mlcomp_ir::{
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Folds an operation whose operands are all constants into a constant
 /// value. Returns `None` when not fully constant or when folding would
@@ -430,60 +431,148 @@ pub fn alloca_escapes(f: &Function, alloca: InstId) -> bool {
     false
 }
 
-/// Clones a set of blocks inside `f`, remapping internal branch targets and
-/// instruction references. Returns the old→new block and instruction maps.
-/// Values defined outside the region are left untouched; phi edges from
-/// outside the region are preserved as-is (callers fix them up).
-pub fn clone_region(
-    f: &mut Function,
-    region: &[BlockId],
-) -> (HashMap<BlockId, BlockId>, HashMap<InstId, InstId>) {
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
-    for &b in region {
-        let nb = f.add_block();
-        block_map.insert(b, nb);
-    }
-    // First pass: clone instructions (so ids exist), collecting the map.
-    for &b in region {
-        let ids = f.block(b).insts.clone();
-        let nb = block_map[&b];
-        for id in ids {
-            let inst = f.inst(id).clone();
-            let nid = f.add_inst(inst);
-            inst_map.insert(id, nid);
-            f.block_mut(nb).insts.push(nid);
-        }
-        f.block_mut(nb).term = f.block(b).term.clone();
-    }
-    // Second pass: remap operands and targets in the clones.
-    let remap_val = |v: Value, inst_map: &HashMap<InstId, InstId>| -> Value {
-        match v {
-            Value::Inst(id) => inst_map.get(&id).map(|n| Value::Inst(*n)).unwrap_or(v),
-            _ => v,
+/// [`alloca_escapes`] for every alloca of `f` at once, in one pass: entry
+/// `a` of the result, indexed by arena id, tells whether alloca `a`
+/// escapes (entries of other instructions are `false`).
+///
+/// A value is derived from alloca `a` when [`mem_root`] reaches `a`
+/// through geps. In a verified function that is the set `alloca_escapes`
+/// grows, since every operand of a placed instruction is placed, so each
+/// use that lets a derived value escape marks its root.
+pub(crate) fn escaping_allocas(f: &Function) -> Vec<bool> {
+    let mut escapes = vec![false; f.insts.len()];
+    let mut mark = |v: Value| {
+        if let MemRoot::Alloca(a) = mem_root(f, v) {
+            escapes[a.index()] = true;
         }
     };
-    for &b in region {
-        let nb = block_map[&b];
-        let ids = f.block(nb).insts.clone();
-        for id in ids {
-            let mut kind = f.inst(id).kind.clone();
-            kind.map_operands(|v| remap_val(v, &inst_map));
-            if let InstKind::Phi { incomings } = &mut kind {
-                for (pb, _) in incomings.iter_mut() {
-                    if let Some(npb) = block_map.get(pb) {
-                        *pb = *npb;
+    for b in f.block_ids() {
+        for &id in &f.block(b).insts {
+            let kind = &f.inst(id).kind;
+            match kind {
+                // Stored as a value: the address reaches memory.
+                InstKind::Store { value, .. } => mark(*value),
+                // Deriving an address or accessing memory through it does
+                // not escape it, nor does comparing it.
+                InstKind::Load { .. }
+                | InstKind::Gep { .. }
+                | InstKind::Memset { .. }
+                | InstKind::Memcpy { .. }
+                | InstKind::Cmp { .. } => {}
+                InstKind::Call { args, callee } => {
+                    if let Callee::Indirect(v) = callee {
+                        mark(*v);
+                    }
+                    args.iter().for_each(|&a| mark(a));
+                }
+                _ => kind.for_each_operand(&mut mark),
+            }
+        }
+        f.block(b).term.for_each_operand(&mut mark);
+    }
+    escapes
+}
+
+/// A set of blocks of a function, numbered once so that it can be cloned
+/// any number of times: each clone's blocks and instructions are appended
+/// to the arenas in region order, so a clone's map is two offsets.
+pub struct Region {
+    /// The blocks, in clone order.
+    blocks: Vec<BlockId>,
+    /// Per block of the function, its index in `blocks`, or `u32::MAX`.
+    block_slot: Vec<u32>,
+    /// Per instruction of the arena, its index among the region's placed
+    /// instructions in clone order, or `u32::MAX`.
+    inst_slot: Vec<u32>,
+}
+
+/// Where one clone of a [`Region`] starts in the block and instruction
+/// arenas.
+#[derive(Debug, Clone, Copy)]
+pub struct RegionCopy {
+    first_block: u32,
+    first_inst: u32,
+}
+
+impl Region {
+    /// Numbers `blocks` of `f` and their instructions.
+    pub fn new(f: &Function, blocks: &[BlockId]) -> Region {
+        let mut block_slot = vec![u32::MAX; f.blocks.len()];
+        let mut inst_slot = vec![u32::MAX; f.insts.len()];
+        let mut next = 0;
+        for (i, &b) in blocks.iter().enumerate() {
+            block_slot[b.index()] = i as u32;
+            for &id in &f.block(b).insts {
+                inst_slot[id.index()] = next;
+                next += 1;
+            }
+        }
+        Region {
+            blocks: blocks.to_vec(),
+            block_slot,
+            inst_slot,
+        }
+    }
+
+    /// The clone of `b` in `copy`, when `b` is in the region.
+    pub fn block(&self, copy: RegionCopy, b: BlockId) -> Option<BlockId> {
+        let slot = *self.block_slot.get(b.index())?;
+        (slot != u32::MAX).then(|| BlockId(copy.first_block + slot))
+    }
+
+    /// The clone of `id` in `copy`, when `id` is placed in the region.
+    pub fn inst(&self, copy: RegionCopy, id: InstId) -> Option<InstId> {
+        let slot = *self.inst_slot.get(id.index())?;
+        (slot != u32::MAX).then(|| InstId(copy.first_inst + slot))
+    }
+
+    /// Clones the region inside `f`, remapping internal branch targets,
+    /// phi predecessors and instruction references. Values defined outside
+    /// the region are left untouched; phi edges from outside the region
+    /// are preserved as-is (callers fix them up).
+    pub fn clone_into(&self, f: &mut Function) -> RegionCopy {
+        let copy = RegionCopy {
+            first_block: f.blocks.len() as u32,
+            first_inst: f.insts.len() as u32,
+        };
+        for _ in &self.blocks {
+            f.add_block();
+        }
+        let remap = |v: Value| match v {
+            Value::Inst(id) => self.inst(copy, id).map_or(v, Value::Inst),
+            _ => v,
+        };
+        for (i, &b) in self.blocks.iter().enumerate() {
+            let nb = BlockId(copy.first_block + i as u32);
+            let count = f.block(b).insts.len();
+            let mut insts = Vec::with_capacity(count);
+            for k in 0..count {
+                let mut inst = f.inst(f.block(b).insts[k]).clone();
+                inst.kind.map_operands(remap);
+                if let InstKind::Phi { incomings } = &mut inst.kind {
+                    for (pb, _) in incomings.iter_mut() {
+                        *pb = self.block(copy, *pb).unwrap_or(*pb);
                     }
                 }
+                insts.push(f.add_inst(inst));
             }
-            f.inst_mut(id).kind = kind;
+            let mut term = f.block(b).term.clone();
+            term.map_targets(|t| self.block(copy, t).unwrap_or(t));
+            term.map_operands(remap);
+            let block = f.block_mut(nb);
+            block.insts = insts;
+            block.term = term;
         }
-        let mut term = f.block(nb).term.clone();
-        term.map_targets(|t| block_map.get(&t).copied().unwrap_or(t));
-        term.map_operands(|v| remap_val(v, &inst_map));
-        f.block_mut(nb).term = term;
+        copy
     }
-    (block_map, inst_map)
+}
+
+/// Clones a set of blocks inside `f` once (see [`Region::clone_into`]).
+/// Returns the region's numbering and where its clone starts.
+pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> (Region, RegionCopy) {
+    let region = Region::new(f, blocks);
+    let copy = region.clone_into(f);
+    (region, copy)
 }
 
 /// Splits `block` right after position `pos` (the instruction at `pos`
@@ -552,6 +641,49 @@ pub fn ensure_preheader(f: &mut Function, header: BlockId, loop_blocks: &[BlockI
     }
     pre
 }
+
+/// The multiplicative hash `rustc` uses, for hash maps in hot phase code
+/// whose keys are a few words of ids and values: std's SipHash costs
+/// several times as much there. Output never depends on such a map's
+/// iteration order, as it never does on a std map's, which is seeded per
+/// process.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`FastHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Instruction results a phase replaces during one sweep over a function,
 /// rewritten into their uses in one pass at the end of the sweep.
@@ -956,8 +1088,11 @@ mod tests {
         let f = &mut m.functions[0];
         let before_blocks = f.live_block_count();
         let region: Vec<BlockId> = f.block_ids().collect();
-        let (map, _) = clone_region(f, &region);
-        assert_eq!(map.len(), before_blocks);
+        let (numbered, copy) = clone_region(f, &region);
+        let clones: Vec<_> = region.iter().map(|&b| numbered.block(copy, b)).collect();
+        assert!(clones
+            .iter()
+            .all(|c| c.is_some_and(|c| !region.contains(&c))));
         assert_eq!(f.live_block_count(), before_blocks * 2);
     }
 
@@ -1067,6 +1202,72 @@ mod tests {
         assert!(checked >= 300, "only {checked} states checked");
     }
 
+    /// Asserts that `DomTree::dominates` and `children` agree with the idom
+    /// walk on every pair of blocks of every function of `state`, deleted
+    /// and unreachable blocks included.
+    fn assert_dominance_matches_oracle(state: &Module, label: &str) {
+        use mlcomp_ir::analysis::DomTree;
+        for f in &state.functions {
+            let dt = DomTree::new(&Cfg::new(f));
+            let blocks = (0..f.blocks.len() as u32).map(BlockId);
+            for a in blocks.clone() {
+                for b in blocks.clone() {
+                    assert_eq!(
+                        dt.dominates(a, b),
+                        oracle::dominates(&dt, a, b),
+                        "{label}: `{}`: does {a:?} dominate {b:?}",
+                        f.name
+                    );
+                }
+            }
+            assert_eq!(
+                dt.children(),
+                oracle::children(&dt),
+                "{label}: `{}`",
+                f.name
+            );
+        }
+    }
+
+    /// Asserts that `escaping_allocas` agrees with `alloca_escapes` on
+    /// every placed alloca of every function of `state`.
+    fn assert_escapes_match_oracle(state: &Module, label: &str) {
+        for f in &state.functions {
+            let escapes = escaping_allocas(f);
+            for (_, id) in all_insts(f) {
+                if matches!(f.inst(id).kind, InstKind::Alloca { .. }) {
+                    assert_eq!(
+                        escapes[id.index()],
+                        alloca_escapes(f, id),
+                        "{label}: `{}`: does {id:?} escape",
+                        f.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn escaping_allocas_match_the_per_alloca_scan_on_the_suites() {
+        let checked = crate::suite_states::for_each_suite_state(
+            ORACLE_MAX_INSTS,
+            assert_escapes_match_oracle,
+        );
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
+    #[test]
+    fn dominance_matches_the_idom_walk_on_the_suites() {
+        let checked = crate::suite_states::for_each_suite_state(
+            ORACLE_MAX_INSTS,
+            assert_dominance_matches_oracle,
+        );
+        assert!(checked >= 300, "only {checked} states checked");
+    }
+
+    /// Dominance as it was answered before the tree was numbered: a walk
+    /// up the idom chain per query, and one `Vec` of children per block.
+    ///
     /// Def-use chains and trivial DCE as they were before the dense
     /// rewrite, kept as differential oracles: one hash-map entry and one
     /// `Vec` per used instruction, and a DCE that rebuilds the chains and
@@ -1253,6 +1454,35 @@ mod tests {
                 loops[i].depth = d;
             }
             loops
+        }
+
+        pub(super) fn dominates(dt: &DomTree, a: BlockId, b: BlockId) -> bool {
+            if dt.rpo_index[b.index()] == usize::MAX {
+                return false;
+            }
+            let mut cur = b;
+            loop {
+                if cur == a {
+                    return true;
+                }
+                match dt.idom[cur.index()] {
+                    Some(d) if d != cur => cur = d,
+                    _ => return false,
+                }
+            }
+        }
+
+        pub(super) fn children(dt: &DomTree) -> Vec<Vec<BlockId>> {
+            let n = dt.idom.len();
+            let mut ch = vec![Vec::new(); n];
+            for (i, d) in dt.idom.iter().enumerate() {
+                if let Some(d) = d {
+                    if d.index() != i {
+                        ch[d.index()].push(BlockId(i as u32));
+                    }
+                }
+            }
+            ch
         }
 
         pub(super) fn dominance_frontiers(dt: &DomTree, cfg: &Cfg) -> Vec<HashSet<BlockId>> {

@@ -135,3 +135,26 @@ fn simplifycfg_on_an_unrolled_state_builds_few_cfgs() {
         "one simplifycfg run built {builds} Cfgs: {totals:?}"
     );
 }
+
+/// One `loop-unroll` run on `x264` unrolls nine loops: the middle loop of
+/// a three-deep nest, then the eight copies of the innermost loop it
+/// leaves, which need no `Cfg` between them. At a `Cfg` per step plus one
+/// per bypassed loop it built 20.
+#[test]
+fn loop_unroll_on_x264_builds_few_cfgs() {
+    /// One run builds 3 in release builds: one per step of the phase's
+    /// fixpoint and one to verify its output; debug builds add one for
+    /// their full verify.
+    const MAX_CFG_BUILDS: u64 = 4;
+    let module = mlcomp_suites::program("x264").unwrap().module;
+    let mut session = Sandbox::new(module);
+    let totals = analysis_counters(|| {
+        let outcome = session.run_phase("loop-unroll", None, "").unwrap();
+        assert_eq!(outcome, PhaseOutcome::Changed);
+    });
+    let builds = count(&totals, "build", "cfg");
+    assert!(
+        builds <= MAX_CFG_BUILDS,
+        "one loop-unroll run built {builds} Cfgs: {totals:?}"
+    );
+}
