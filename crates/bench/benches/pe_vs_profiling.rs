@@ -2,11 +2,14 @@
 //! training, 2 days vs 15–108): obtaining dynamic features from the PE is
 //! orders of magnitude cheaper than profiling an execution. This bench
 //! measures both paths on the same program, and the cost of training the
-//! PE (Algorithm 1's model search for all four metrics) on the dataset.
+//! PE (Algorithm 1's model search for all four metrics) and of its
+//! costliest single fit on the dataset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_core::{DataExtraction, PerfEstimator};
+use mlcomp_ml::models::RandomForest;
 use mlcomp_ml::search::ModelSearch;
+use mlcomp_ml::Regressor;
 use mlcomp_platform::{Profiler, Workload, X86Platform};
 use std::hint::black_box;
 
@@ -48,6 +51,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("pe-training");
     g.bench_function("PerfEstimator::train (quick zoo)", |b| {
         b.iter(|| black_box(PerfEstimator::train(black_box(&dataset), &search).unwrap()))
+    });
+    // The costliest fit of the quick zoo: 30 bagged trees.
+    let (x, y) = (dataset.features(), dataset.targets("exec_time_s"));
+    g.bench_function("RandomForest::fit (quick dataset)", |b| {
+        b.iter(|| {
+            let mut forest = RandomForest::default();
+            forest.fit(black_box(&x), black_box(&y)).unwrap();
+            black_box(forest)
+        })
     });
     g.finish();
 }

@@ -1,6 +1,7 @@
 //! Deployment-overhead benches: policy forward pass, one full PSS
-//! decision step, and a whole `optimize` run — the cost MLComp adds to a
-//! compilation.
+//! decision step, a served feature-only selection and a whole `optimize`
+//! run — the cost MLComp adds to a compilation — plus the policy math of
+//! one REINFORCE training step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcomp_core::{Mlcomp, MlcompConfig};
@@ -30,8 +31,30 @@ fn bench(c: &mut Criterion) {
     g.bench_function("ranked actions", |b| {
         b.iter(|| black_box(selector.policy.ranked_actions(black_box(&state))))
     });
+    g.bench_function("select_from_features", |b| {
+        b.iter(|| black_box(selector.select_from_features(black_box(&features.values))))
+    });
     g.bench_function("optimize (full sequence, dedup)", |b| {
         b.iter(|| black_box(selector.optimize(black_box(&apps[0].module))))
+    });
+    g.finish();
+
+    // One step of Algorithm 2's update: the fused policy-gradient and
+    // entropy-bonus backward pass on a cached forward pass.
+    let mut g = c.benchmark_group("pss-training");
+    let fwd = selector.policy.forward(&state);
+    let mut grads = vec![0.0; selector.policy.param_count()];
+    g.bench_function("REINFORCE step gradient", |b| {
+        b.iter(|| {
+            selector.policy.accumulate_step_gradient(
+                &fwd,
+                3,
+                black_box(0.25),
+                Some(0.01),
+                &mut grads,
+            );
+            black_box(&grads);
+        })
     });
     g.finish();
 }

@@ -61,7 +61,9 @@ impl PerfEstimator {
     /// Trains one pipeline per metric with Algorithm 1's model search.
     ///
     /// The four searches share one split and one fit of each preprocessor
-    /// ([`ModelSearch::prepare`]); only the models are fit per metric.
+    /// ([`ModelSearch::prepare`]), and run together on the worker pool
+    /// ([`ModelSearch::run_prepared_all`]); only the models are fit per
+    /// metric.
     ///
     /// # Errors
     ///
@@ -70,16 +72,20 @@ impl PerfEstimator {
     pub fn train(dataset: &Dataset, search: &ModelSearch) -> Result<PerfEstimator, TrainError> {
         let x = dataset.features();
         let prepared = search.prepare(&x)?;
+        let targets = METRIC_NAMES.map(|metric| dataset.targets(metric));
+        let columns = targets.each_ref().map(Vec::as_slice);
         let mut pipelines = Vec::with_capacity(METRIC_COUNT);
         let mut rows = Vec::with_capacity(METRIC_COUNT);
-        for metric in METRIC_NAMES {
-            let y = dataset.targets(metric);
+        for (metric, outcome) in METRIC_NAMES
+            .iter()
+            .zip(search.run_prepared_all(&prepared, &columns))
+        {
             let SearchOutcome {
                 best,
                 accuracy,
                 leaderboard,
                 ..
-            } = search.run_prepared(&prepared, &y)?;
+            } = outcome?;
             let winner = &leaderboard[0];
             rows.push((
                 metric.to_string(),
@@ -98,10 +104,11 @@ impl PerfEstimator {
 
     /// Predicts all four metrics for one feature vector.
     pub fn predict(&self, features: &FeatureVector) -> DynamicFeatures {
-        let x = Matrix::from_vec_rows(vec![features.values.clone()]);
+        // Room for a row and its projection, should a pipeline project.
+        let mut scratch = Vec::with_capacity(2 * features.values.len());
         let mut out = [0.0; METRIC_COUNT];
         for (i, p) in self.pipelines.iter().enumerate() {
-            out[i] = p.predict(&x)[0];
+            out[i] = p.predict_row(&features.values, &mut scratch);
         }
         DynamicFeatures::from_array(out)
     }

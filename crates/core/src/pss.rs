@@ -144,11 +144,12 @@ impl FeatureProjector {
 
     /// Projects one feature vector into the policy's state space.
     pub fn project(&self, values: &[f64]) -> Vec<f64> {
-        let x = mlcomp_linalg::Matrix::from_vec_rows(vec![values.to_vec()]);
-        self.pca
-            .transform(&self.scaler.transform(&x))
-            .row(0)
-            .to_vec()
+        // Room for the input and the projection: one allocation.
+        let mut state = Vec::with_capacity(values.len() + self.out_dim());
+        state.extend_from_slice(values);
+        self.scaler.transform_row(&mut state);
+        self.pca.transform_row(&mut state);
+        state
     }
 
     /// Output (state) dimensionality.
@@ -528,6 +529,32 @@ mod tests {
         let pe = PerfEstimator::train(&ds, &ModelSearch::quick()).unwrap();
         let projector = FeatureProjector::fit(&ds.features()).unwrap();
         (apps, pe, projector)
+    }
+
+    /// Single-row inference equals the one-row-matrix path it replaced,
+    /// bit for bit, on the features of every suite program: the state
+    /// projection and the four PE predictions.
+    #[test]
+    fn single_row_inference_matches_the_matrix_path_on_the_suites() {
+        use mlcomp_linalg::Matrix;
+        let (_, pe, projector) = setup();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let programs = mlcomp_suites::parsec_suite()
+            .into_iter()
+            .chain(mlcomp_suites::beebs_suite());
+        for prog in programs {
+            let feats = mlcomp_features::extract(&prog.module);
+            let x = Matrix::from_vec_rows(vec![feats.values.clone()]);
+            let want = projector.pca.transform(&projector.scaler.transform(&x));
+            let got = projector.project(&feats.values);
+            assert_eq!(bits(&got), bits(want.row(0)), "{}: state", prog.name);
+            let want: Vec<f64> = mlcomp_platform::METRIC_NAMES
+                .iter()
+                .map(|metric| pe.predict_metric(&x, metric)[0])
+                .collect();
+            let got = pe.predict(&feats).as_array();
+            assert_eq!(bits(&got), bits(&want), "{}: prediction", prog.name);
+        }
     }
 
     #[test]

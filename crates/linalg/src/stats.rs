@@ -31,7 +31,7 @@ pub fn median(xs: &[f64]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `[0, 100]`.
+/// Panics if `p` is outside `[0, 100]` or `xs` holds a NaN.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     if xs.is_empty() {

@@ -64,6 +64,12 @@ macro_rules! any_model {
                 }
             }
 
+            fn predict_row(&self, row: &[f64]) -> f64 {
+                match self {
+                    $( AnyModel::$variant(m) => m.predict_row(row), )+
+                }
+            }
+
             fn predict(&self, x: &Matrix) -> Vec<f64> {
                 match self {
                     $( AnyModel::$variant(m) => m.predict(x), )+
@@ -138,6 +144,12 @@ macro_rules! any_preprocessor {
                     $( AnyPreprocessor::$variant(p) => p.transform(x), )+
                 }
             }
+
+            fn transform_row(&self, row: &mut Vec<f64>) {
+                match self {
+                    $( AnyPreprocessor::$variant(p) => p.transform_row(row), )+
+                }
+            }
         }
     };
 }
@@ -187,6 +199,33 @@ mod tests {
             let a = m.predict(&x);
             let b = back.predict(&x);
             assert_eq!(a, b, "{name} predictions must be bit-identical");
+        }
+    }
+
+    /// Every zoo member's one-row path gives the bits of its matrix path,
+    /// with a constant column, which centers to zeros (PCA's skipped
+    /// terms).
+    #[test]
+    fn single_rows_match_the_matrix_path_bit_for_bit() {
+        let (x, y) = synthetic(60, 0.05, 6);
+        let x = Matrix::from_vec_rows((0..x.rows()).map(|i| [x.row(i), &[1.0]].concat()).collect());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for name in model_zoo() {
+            let mut m = AnyModel::from_name(name).unwrap();
+            m.fit(&x, &y).unwrap();
+            let rows: Vec<f64> = (0..x.rows()).map(|i| m.predict_row(x.row(i))).collect();
+            assert_eq!(bits(&rows), bits(&m.predict(&x)), "{name}");
+        }
+        for name in preprocessor_zoo() {
+            let mut p = AnyPreprocessor::from_name(name).unwrap();
+            let want = p.fit_transform(&x).unwrap();
+            let mut row = Vec::new();
+            for i in 0..x.rows() {
+                row.clear();
+                row.extend_from_slice(x.row(i));
+                p.transform_row(&mut row);
+                assert_eq!(bits(&row), bits(want.row(i)), "{name}, row {i}");
+            }
         }
     }
 

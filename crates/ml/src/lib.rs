@@ -72,13 +72,23 @@ pub trait Regressor {
     /// mismatch, singular systems that cannot be regularized away).
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError>;
 
-    /// Predicts one value per row of `x`.
+    /// Predicts the value of one feature row.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before a successful
     /// [`Regressor::fit`] or with a mismatched column count.
-    fn predict(&self, x: &Matrix) -> Vec<f64>;
+    fn predict_row(&self, row: &[f64]) -> f64;
+
+    /// Predicts one value per row of `x`: [`Regressor::predict_row`] of
+    /// each row, unless a model predicts whole matrices at once.
+    ///
+    /// # Panics
+    ///
+    /// As [`Regressor::predict_row`].
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        (0..x.rows()).map(|i| self.predict_row(x.row(i))).collect()
+    }
 }
 
 /// A feature-space transformation: fit on training rows, transform any
@@ -103,6 +113,15 @@ pub trait Preprocessor {
     /// Implementations may panic if called before a successful fit or
     /// with a mismatched column count.
     fn transform(&self, x: &Matrix) -> Matrix;
+
+    /// Transforms one row in place, bit for bit the row of
+    /// [`Preprocessor::transform`] on a one-row matrix, without building
+    /// matrices.
+    ///
+    /// # Panics
+    ///
+    /// As [`Preprocessor::transform`].
+    fn transform_row(&self, row: &mut Vec<f64>);
 
     /// Fits and transforms in one step.
     ///

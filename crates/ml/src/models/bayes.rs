@@ -85,8 +85,8 @@ impl Regressor for BayesianRidge {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -162,8 +162,8 @@ impl Regressor for Ard {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 

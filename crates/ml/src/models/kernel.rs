@@ -87,16 +87,12 @@ impl Regressor for KernelRidge {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
+    fn predict_row(&self, row: &[f64]) -> f64 {
         let tx = self.train_x.as_ref().expect("predict before fit");
-        (0..x.rows())
-            .map(|i| {
-                self.y_mean
-                    + (0..tx.rows())
-                        .map(|t| self.dual[t] * rbf(x.row(i), tx.row(t), self.gamma_fitted))
-                        .sum::<f64>()
-            })
-            .collect()
+        self.y_mean
+            + (0..tx.rows())
+                .map(|t| self.dual[t] * rbf(row, tx.row(t), self.gamma_fitted))
+                .sum::<f64>()
     }
 }
 
@@ -263,6 +259,10 @@ impl Regressor for Svr {
         self.fit_with_epsilon(x, y, eps)
     }
 
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        self.predict(&Matrix::from_rows(&[row]))[0]
+    }
+
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         let map = self.map.as_ref().expect("predict before fit");
         let xc = super::center(x, &self.means);
@@ -322,6 +322,10 @@ impl Regressor for NuSvr {
             .collect();
         let eps = mlcomp_linalg::percentile(&resid, (1.0 - self.nu).clamp(0.0, 1.0) * 100.0);
         self.base.fit_with_epsilon(x, y, eps.max(1e-12))
+    }
+
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        self.base.predict_row(row)
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -392,8 +396,8 @@ impl Regressor for LinearSvr {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        super::predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        super::predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 

@@ -40,8 +40,8 @@ impl Regressor for Linear {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -100,8 +100,8 @@ impl Regressor for Ridge {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -186,8 +186,8 @@ impl Regressor for Sgd {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -274,8 +274,8 @@ impl Regressor for PassiveAggressive {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 

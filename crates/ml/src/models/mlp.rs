@@ -179,23 +179,19 @@ impl Regressor for Mlp {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
+    fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.w2.is_empty(), "predict before fit");
         let d = self.means.len();
         let h = self.w2.len();
-        (0..x.rows())
-            .map(|i| {
-                let mut out = self.b2;
-                for k in 0..h {
-                    let mut s = self.b1[k];
-                    for j in 0..d {
-                        s += (x[(i, j)] - self.means[j]) / self.scales[j] * self.w1[(j, k)];
-                    }
-                    out += s.tanh() * self.w2[k];
-                }
-                out * self.y_scale + self.y_mean
-            })
-            .collect()
+        let mut out = self.b2;
+        for k in 0..h {
+            let mut s = self.b1[k];
+            for (j, v) in row[..d].iter().enumerate() {
+                s += (v - self.means[j]) / self.scales[j] * self.w1[(j, k)];
+            }
+            out += s.tanh() * self.w2[k];
+        }
+        out * self.y_scale + self.y_mean
     }
 }
 

@@ -47,20 +47,17 @@ pub(crate) fn center(x: &Matrix, means: &[f64]) -> Matrix {
     out
 }
 
-/// Shared linear predictor: `x·w + b` applied row-wise after centering.
-pub(crate) fn predict_linear(x: &Matrix, means: &[f64], w: &[f64], intercept: f64) -> Vec<f64> {
-    (0..x.rows())
-        .map(|i| {
-            let mut s = intercept;
-            for j in 0..x.cols() {
-                s += (x[(i, j)] - means[j]) * w[j];
-            }
-            s
-        })
-        .collect()
+/// Shared linear predictor: `x·w + b` on one row after centering.
+pub(crate) fn predict_linear(row: &[f64], means: &[f64], w: &[f64], intercept: f64) -> f64 {
+    let mut s = intercept;
+    for (j, v) in row.iter().enumerate() {
+        s += (v - means[j]) * w[j];
+    }
+    s
 }
 
-/// Validation shared by every `fit`: non-empty, consistent lengths.
+/// Validation shared by every `fit`: non-empty, consistent lengths,
+/// finite features and targets.
 pub(crate) fn check_xy(x: &Matrix, y: &[f64]) -> Result<(), crate::TrainError> {
     if x.rows() == 0 || x.cols() == 0 {
         return Err(crate::TrainError::new("empty design matrix"));
@@ -74,6 +71,9 @@ pub(crate) fn check_xy(x: &Matrix, y: &[f64]) -> Result<(), crate::TrainError> {
     }
     if y.iter().any(|v| !v.is_finite()) {
         return Err(crate::TrainError::new("non-finite target"));
+    }
+    if x.as_slice().iter().any(|v| !v.is_finite()) {
+        return Err(crate::TrainError::new("non-finite feature"));
     }
     Ok(())
 }

@@ -99,8 +99,8 @@ impl Regressor for Huber {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -184,8 +184,8 @@ impl Regressor for TheilSen {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 

@@ -108,8 +108,8 @@ impl Regressor for Lasso {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -169,8 +169,8 @@ impl Regressor for ElasticNet {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -264,8 +264,8 @@ impl Regressor for Lars {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -308,8 +308,8 @@ impl Regressor for LassoLars {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 
@@ -351,8 +351,8 @@ impl Regressor for Omp {
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        predict_linear(x, &self.means, &self.weights, self.intercept)
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        predict_linear(row, &self.means, &self.weights, self.intercept)
     }
 }
 

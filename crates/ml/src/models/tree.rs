@@ -64,77 +64,132 @@ fn sse(ys: &[f64]) -> f64 {
     ys.iter().map(|y| (y - m) * (y - m)).sum()
 }
 
+/// Buffers one fit reuses for every node and threshold (a forest, for
+/// every tree): a split search allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The node's targets, in row order.
+    ys: Vec<f64>,
+    /// The candidate features.
+    feats: Vec<usize>,
+    /// The candidate feature's value per row, in row order.
+    col: Vec<f64>,
+    /// The column's distinct values, ascending.
+    vals: Vec<f64>,
+    /// The targets left and right of a threshold, in row order.
+    left: Vec<f64>,
+    right: Vec<f64>,
+    /// The rows right of the chosen split while `rows` is partitioned.
+    spill: Vec<usize>,
+}
+
+/// Grows the subtree of `rows`, which it reorders: the rows left of the
+/// chosen split come first, each side in its original order.
+///
+/// Every sum runs over the same values in the same order as a search
+/// that collects each side into fresh vectors, and the random draws come
+/// at the same points of `rng`'s stream, so the tree is the same.
 fn build(
     x: &Matrix,
     y: &[f64],
-    rows: &[usize],
+    rows: &mut [usize],
     depth: usize,
     cfg: TreeCfg,
     rng: &mut rand::rngs::StdRng,
+    s: &mut Scratch,
 ) -> Node {
-    let ys: Vec<f64> = rows.iter().map(|&r| y[r]).collect();
-    let node_value = mlcomp_linalg::mean(&ys);
-    if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || sse(&ys) < 1e-12 {
+    s.ys.clear();
+    s.ys.extend(rows.iter().map(|&r| y[r]));
+    let node_value = mlcomp_linalg::mean(&s.ys);
+    if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split {
+        return Node::Leaf(node_value);
+    }
+    let parent_sse = sse(&s.ys);
+    if parent_sse < 1e-12 {
         return Node::Leaf(node_value);
     }
     let d = x.cols();
     // Candidate features.
-    let mut feats: Vec<usize> = (0..d).collect();
+    s.feats.clear();
+    s.feats.extend(0..d);
     if cfg.feature_subsample && d > 2 {
-        feats.shuffle(rng);
+        s.feats.shuffle(rng);
         let k = ((d as f64).sqrt().ceil() as usize).max(1);
-        feats.truncate(k);
+        s.feats.truncate(k);
     }
-    let parent_sse = sse(&ys);
+    let Scratch {
+        ys,
+        feats,
+        col,
+        vals,
+        left,
+        right,
+        spill,
+    } = s;
     let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for &f in &feats {
-        let mut vals: Vec<f64> = rows.iter().map(|&r| x[(r, f)]).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    for &f in feats.iter() {
+        col.clear();
+        col.extend(rows.iter().map(|&r| x[(r, f)]));
+        vals.clear();
+        vals.extend_from_slice(col);
+        // Fits reject non-finite features, so every pair compares.
+        vals.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
         vals.dedup();
         if vals.len() < 2 {
             continue;
         }
-        let thresholds: Vec<f64> = if cfg.random_thresholds {
-            let lo = vals[0];
-            let hi = vals[vals.len() - 1];
-            vec![rng.gen_range(lo..hi)]
-        } else {
-            vals.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
-        };
-        for t in thresholds {
-            let (mut ly, mut ry) = (Vec::new(), Vec::new());
-            for &r in rows {
-                if x[(r, f)] <= t {
-                    ly.push(y[r]);
+        let mut try_threshold = |t: f64| {
+            left.clear();
+            right.clear();
+            for (&v, &yv) in col.iter().zip(ys.iter()) {
+                if v <= t {
+                    left.push(yv);
                 } else {
-                    ry.push(y[r]);
+                    right.push(yv);
                 }
             }
-            if ly.is_empty() || ry.is_empty() {
-                continue;
+            if left.is_empty() || right.is_empty() {
+                return;
             }
-            let gain = parent_sse - sse(&ly) - sse(&ry);
+            let gain = parent_sse - sse(left) - sse(right);
             if best.map(|(_, _, g)| gain > g).unwrap_or(gain > 1e-12) {
                 best = Some((f, t, gain));
+            }
+        };
+        if cfg.random_thresholds {
+            let lo = vals[0];
+            let hi = vals[vals.len() - 1];
+            try_threshold(rng.gen_range(lo..hi));
+        } else {
+            for w in vals.windows(2) {
+                try_threshold((w[0] + w[1]) / 2.0);
             }
         }
     }
     let Some((f, t, _)) = best else {
         return Node::Leaf(node_value);
     };
-    let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
-    for &r in rows {
+    // Stable partition: left rows to the front, right rows after them.
+    spill.clear();
+    let mut n_left = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
         if x[(r, f)] <= t {
-            lrows.push(r);
+            rows[n_left] = r;
+            n_left += 1;
         } else {
-            rrows.push(r);
+            spill.push(r);
         }
     }
+    rows[n_left..].copy_from_slice(spill);
+    let (lrows, rrows) = rows.split_at_mut(n_left);
+    let left = Box::new(build(x, y, lrows, depth + 1, cfg, rng, s));
+    let right = Box::new(build(x, y, rrows, depth + 1, cfg, rng, s));
     Node::Split {
         feature: f,
         threshold: t,
-        left: Box::new(build(x, y, &lrows, depth + 1, cfg, rng)),
-        right: Box::new(build(x, y, &rrows, depth + 1, cfg, rng)),
+        left,
+        right,
     }
 }
 
@@ -182,7 +237,7 @@ impl Regressor for DecisionTree {
 
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
-        let rows: Vec<usize> = (0..x.rows()).collect();
+        let mut rows: Vec<usize> = (0..x.rows()).collect();
         let cfg = TreeCfg {
             max_depth: self.max_depth,
             min_samples_split: self.min_samples_split,
@@ -190,13 +245,13 @@ impl Regressor for DecisionTree {
             feature_subsample: false,
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        self.root = Some(build(x, y, &rows, 0, cfg, &mut rng));
+        let mut scratch = Scratch::default();
+        self.root = Some(build(x, y, &mut rows, 0, cfg, &mut rng, &mut scratch));
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let root = self.root.as_ref().expect("predict before fit");
-        (0..x.rows()).map(|i| root.predict(x.row(i))).collect()
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        self.root.as_ref().expect("predict before fit").predict(row)
     }
 }
 
@@ -231,7 +286,7 @@ impl Regressor for ExtraTree {
 
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
-        let rows: Vec<usize> = (0..x.rows()).collect();
+        let mut rows: Vec<usize> = (0..x.rows()).collect();
         let cfg = TreeCfg {
             max_depth: self.max_depth,
             min_samples_split: self.min_samples_split,
@@ -239,13 +294,13 @@ impl Regressor for ExtraTree {
             feature_subsample: false,
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        self.root = Some(build(x, y, &rows, 0, cfg, &mut rng));
+        let mut scratch = Scratch::default();
+        self.root = Some(build(x, y, &mut rows, 0, cfg, &mut rng, &mut scratch));
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let root = self.root.as_ref().expect("predict before fit");
-        (0..x.rows()).map(|i| root.predict(x.row(i))).collect()
+    fn predict_row(&self, row: &[f64]) -> f64 {
+        self.root.as_ref().expect("predict before fit").predict(row)
     }
 }
 
@@ -298,23 +353,21 @@ impl Regressor for RandomForest {
             feature_subsample: true,
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
+        let mut scratch = Scratch::default();
+        let mut rows = Vec::with_capacity(n);
         self.trees = (0..self.n_trees)
             .map(|_| {
-                let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                build(x, y, &rows, 0, cfg, &mut rng)
+                rows.clear();
+                rows.extend((0..n).map(|_| rng.gen_range(0..n)));
+                build(x, y, &mut rows, 0, cfg, &mut rng, &mut scratch)
             })
             .collect();
         Ok(())
     }
 
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
+    fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "predict before fit");
-        (0..x.rows())
-            .map(|i| {
-                self.trees.iter().map(|t| t.predict(x.row(i))).sum::<f64>()
-                    / self.trees.len() as f64
-            })
-            .collect()
+        self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64
     }
 }
 
@@ -380,6 +433,216 @@ mod tests {
             r_forest > r_tree,
             "forest {r_forest:.3} should generalize better than a deep tree {r_tree:.3}"
         );
+    }
+
+    /// Fits every tree model on `(x, y)` in a few configurations and
+    /// requires the trees of the oracle's split search, serialized.
+    fn assert_trees_match_the_oracle(x: &Matrix, y: &[f64], what: &str) {
+        let json = |n: &Node| serde_json::to_string(n).unwrap();
+        for mut m in [
+            DecisionTree::default(),
+            DecisionTree::with_depth(3),
+            DecisionTree {
+                max_depth: 12,
+                min_samples_split: 2,
+                ..DecisionTree::default()
+            },
+        ] {
+            m.fit(x, y).unwrap();
+            let want = oracle::decision_tree(&m, x, y);
+            assert_eq!(json(m.root.as_ref().unwrap()), json(&want), "{what}: {m:?}");
+        }
+        for mut m in [
+            ExtraTree::default(),
+            ExtraTree {
+                max_depth: 12,
+                min_samples_split: 2,
+                seed: 5,
+                ..ExtraTree::default()
+            },
+        ] {
+            m.fit(x, y).unwrap();
+            let want = oracle::extra_tree(&m, x, y);
+            assert_eq!(json(m.root.as_ref().unwrap()), json(&want), "{what}: extra");
+        }
+        for mut m in [RandomForest::default(), RandomForest::new(7, 4)] {
+            m.fit(x, y).unwrap();
+            let want = oracle::random_forest(&m, x, y);
+            assert_eq!(m.trees.len(), want.len());
+            for (got, want) in m.trees.iter().zip(&want) {
+                assert_eq!(json(got), json(want), "{what}: forest");
+            }
+        }
+    }
+
+    #[test]
+    fn split_search_matches_the_oracle_on_synthetic_data() {
+        for (n, noise, seed) in [(18, 0.0, 1), (60, 0.3, 2), (150, 1.5, 3)] {
+            let (x, y) = synthetic(n, noise, seed);
+            assert_trees_match_the_oracle(&x, &y, &format!("synthetic({n}, {noise}, {seed})"));
+        }
+        // Repeated values, a constant column and ties between targets.
+        let rows: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![(i % 4) as f64, 1.0, (i / 3) as f64])
+            .collect();
+        let y: Vec<f64> = (0..30).map(|i| ((i % 5) * (i % 3)) as f64).collect();
+        assert_trees_match_the_oracle(&Matrix::from_vec_rows(rows), &y, "ties");
+    }
+
+    /// The quick three-program PARSEC dataset of an MLComp run, through
+    /// each preprocessor of the quick zoo, with every metric as target.
+    #[test]
+    fn split_search_matches_the_oracle_on_the_parsec_dataset() {
+        use crate::any::AnyPreprocessor;
+        use crate::Preprocessor;
+        let apps: Vec<_> = mlcomp_suites::parsec_suite()
+            .into_iter()
+            .filter(|p| ["dedup", "vips", "x264"].contains(&p.name))
+            .collect();
+        let dataset = mlcomp_core::DataExtraction::quick()
+            .run(&mlcomp_platform::X86Platform::new(), &apps)
+            .unwrap();
+        let x = dataset.features();
+        for prep in crate::search::ModelSearch::quick().preprocessors {
+            let px = AnyPreprocessor::from_name(&prep)
+                .unwrap()
+                .fit_transform(&x)
+                .unwrap();
+            for metric in mlcomp_platform::METRIC_NAMES {
+                let y = dataset.targets(metric);
+                assert_trees_match_the_oracle(&px, &y, &format!("{prep}, {metric}"));
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_features_are_refused() {
+        let (mut x, y) = synthetic(24, 0.1, 9);
+        x[(5, 1)] = f64::NAN;
+        assert!(DecisionTree::default().fit(&x, &y).is_err());
+        assert!(ExtraTree::default().fit(&x, &y).is_err());
+        x[(5, 1)] = f64::INFINITY;
+        assert!(RandomForest::default().fit(&x, &y).is_err());
+    }
+
+    /// The split search before it reused buffers: fresh vectors per node
+    /// and per threshold.
+    mod oracle {
+        use super::super::*;
+
+        pub fn decision_tree(m: &DecisionTree, x: &Matrix, y: &[f64]) -> Node {
+            let rows: Vec<usize> = (0..x.rows()).collect();
+            let cfg = TreeCfg {
+                max_depth: m.max_depth,
+                min_samples_split: m.min_samples_split,
+                random_thresholds: false,
+                feature_subsample: false,
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+            build(x, y, &rows, 0, cfg, &mut rng)
+        }
+
+        pub fn extra_tree(m: &ExtraTree, x: &Matrix, y: &[f64]) -> Node {
+            let rows: Vec<usize> = (0..x.rows()).collect();
+            let cfg = TreeCfg {
+                max_depth: m.max_depth,
+                min_samples_split: m.min_samples_split,
+                random_thresholds: true,
+                feature_subsample: false,
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(m.seed);
+            build(x, y, &rows, 0, cfg, &mut rng)
+        }
+
+        pub fn random_forest(m: &RandomForest, x: &Matrix, y: &[f64]) -> Vec<Node> {
+            let n = x.rows();
+            let cfg = TreeCfg {
+                max_depth: m.max_depth,
+                min_samples_split: 4,
+                random_thresholds: false,
+                feature_subsample: true,
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(m.seed);
+            (0..m.n_trees)
+                .map(|_| {
+                    let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                    build(x, y, &rows, 0, cfg, &mut rng)
+                })
+                .collect()
+        }
+
+        fn build(
+            x: &Matrix,
+            y: &[f64],
+            rows: &[usize],
+            depth: usize,
+            cfg: TreeCfg,
+            rng: &mut rand::rngs::StdRng,
+        ) -> Node {
+            let ys: Vec<f64> = rows.iter().map(|&r| y[r]).collect();
+            let node_value = mlcomp_linalg::mean(&ys);
+            if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || sse(&ys) < 1e-12 {
+                return Node::Leaf(node_value);
+            }
+            let d = x.cols();
+            let mut feats: Vec<usize> = (0..d).collect();
+            if cfg.feature_subsample && d > 2 {
+                feats.shuffle(rng);
+                let k = ((d as f64).sqrt().ceil() as usize).max(1);
+                feats.truncate(k);
+            }
+            let parent_sse = sse(&ys);
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &f in &feats {
+                let mut vals: Vec<f64> = rows.iter().map(|&r| x[(r, f)]).collect();
+                vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                vals.dedup();
+                if vals.len() < 2 {
+                    continue;
+                }
+                let thresholds: Vec<f64> = if cfg.random_thresholds {
+                    let lo = vals[0];
+                    let hi = vals[vals.len() - 1];
+                    vec![rng.gen_range(lo..hi)]
+                } else {
+                    vals.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
+                };
+                for t in thresholds {
+                    let (mut ly, mut ry) = (Vec::new(), Vec::new());
+                    for &r in rows {
+                        if x[(r, f)] <= t {
+                            ly.push(y[r]);
+                        } else {
+                            ry.push(y[r]);
+                        }
+                    }
+                    if ly.is_empty() || ry.is_empty() {
+                        continue;
+                    }
+                    let gain = parent_sse - sse(&ly) - sse(&ry);
+                    if best.map(|(_, _, g)| gain > g).unwrap_or(gain > 1e-12) {
+                        best = Some((f, t, gain));
+                    }
+                }
+            }
+            let Some((f, t, _)) = best else {
+                return Node::Leaf(node_value);
+            };
+            let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
+            for &r in rows {
+                if x[(r, f)] <= t {
+                    lrows.push(r);
+                } else {
+                    rrows.push(r);
+                }
+            }
+            Node::Split {
+                feature: f,
+                threshold: t,
+                left: Box::new(build(x, y, &lrows, depth + 1, cfg, rng)),
+                right: Box::new(build(x, y, &rrows, depth + 1, cfg, rng)),
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ impl Preprocessor for Identity {
     fn transform(&self, x: &Matrix) -> Matrix {
         x.clone()
     }
+    fn transform_row(&self, _row: &mut Vec<f64>) {}
 }
 
 /// Mean–standard-deviation scaling (scikit-learn's `StandardScaler`).
@@ -37,9 +38,7 @@ impl Preprocessor for StandardScaler {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit scaler"));
-        }
+        check_fit_input(x, "scaler")?;
         self.mean = (0..x.cols())
             .map(|j| mlcomp_linalg::mean(&x.col(j)))
             .collect();
@@ -59,6 +58,10 @@ impl Preprocessor for StandardScaler {
     fn transform(&self, x: &Matrix) -> Matrix {
         elementwise(x, |v, j| (v - self.mean[j]) / self.std[j])
     }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| (v - self.mean[j]) / self.std[j]);
+    }
 }
 
 /// Min–max scaling to `[0, 1]`.
@@ -74,9 +77,7 @@ impl Preprocessor for MinMaxScaler {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit scaler"));
-        }
+        check_fit_input(x, "scaler")?;
         self.min = (0..x.cols())
             .map(|j| x.col(j).iter().copied().fold(f64::INFINITY, f64::min))
             .collect();
@@ -97,6 +98,10 @@ impl Preprocessor for MinMaxScaler {
     fn transform(&self, x: &Matrix) -> Matrix {
         elementwise(x, |v, j| (v - self.min[j]) / self.range[j])
     }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| (v - self.min[j]) / self.range[j]);
+    }
 }
 
 /// Max-absolute-value scaling to `[-1, 1]`.
@@ -111,9 +116,7 @@ impl Preprocessor for MaxAbsScaler {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit scaler"));
-        }
+        check_fit_input(x, "scaler")?;
         self.scale = (0..x.cols())
             .map(|j| {
                 let m = x.col(j).iter().fold(0.0f64, |a, v| a.max(v.abs()));
@@ -130,6 +133,10 @@ impl Preprocessor for MaxAbsScaler {
     fn transform(&self, x: &Matrix) -> Matrix {
         elementwise(x, |v, j| v / self.scale[j])
     }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| v / self.scale[j]);
+    }
 }
 
 /// Robust scaling by median and interquartile range.
@@ -145,9 +152,7 @@ impl Preprocessor for RobustScaler {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit scaler"));
-        }
+        check_fit_input(x, "scaler")?;
         self.median = (0..x.cols()).map(|j| percentile(&x.col(j), 50.0)).collect();
         self.iqr = (0..x.cols())
             .map(|j| {
@@ -165,6 +170,10 @@ impl Preprocessor for RobustScaler {
 
     fn transform(&self, x: &Matrix) -> Matrix {
         elementwise(x, |v, j| (v - self.median[j]) / self.iqr[j])
+    }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| (v - self.median[j]) / self.iqr[j]);
     }
 }
 
@@ -206,9 +215,7 @@ impl Preprocessor for PowerTransformer {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit transformer"));
-        }
+        check_fit_input(x, "transformer")?;
         const GRID: [f64; 7] = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
         self.lambda = (0..x.cols())
             .map(|j| {
@@ -222,7 +229,8 @@ impl Preprocessor for PowerTransformer {
                         let sb =
                             skewness(&col.iter().map(|&v| yeo_johnson(v, b)).collect::<Vec<_>>())
                                 .abs();
-                        sa.partial_cmp(&sb).unwrap()
+                        // An overflowing λ scores NaN and never wins.
+                        sa.total_cmp(&sb)
                     })
                     .unwrap()
             })
@@ -233,6 +241,11 @@ impl Preprocessor for PowerTransformer {
 
     fn transform(&self, x: &Matrix) -> Matrix {
         self.post.transform(&self.apply_power(x))
+    }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| yeo_johnson(v, self.lambda[j]));
+        self.post.transform_row(row);
     }
 }
 
@@ -255,9 +268,7 @@ impl Preprocessor for QuantileTransformer {
     }
 
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
-        if x.rows() == 0 {
-            return Err(TrainError::new("no rows to fit transformer"));
-        }
+        check_fit_input(x, "transformer")?;
         self.sorted_cols = (0..x.cols())
             .map(|j| {
                 let mut c = x.col(j);
@@ -269,12 +280,20 @@ impl Preprocessor for QuantileTransformer {
     }
 
     fn transform(&self, x: &Matrix) -> Matrix {
-        elementwise(x, |v, j| {
-            let col = &self.sorted_cols[j];
-            // Fraction of training values ≤ v (empirical CDF).
-            let pos = col.partition_point(|&c| c <= v);
-            pos as f64 / col.len() as f64
-        })
+        elementwise(x, |v, j| self.cdf(v, j))
+    }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        elementwise_row(row, |v, j| self.cdf(v, j));
+    }
+}
+
+impl QuantileTransformer {
+    /// Fraction of column `j`'s training values ≤ `v` (empirical CDF).
+    fn cdf(&self, v: f64, j: usize) -> f64 {
+        let col = &self.sorted_cols[j];
+        let pos = col.partition_point(|&c| c <= v);
+        pos as f64 / col.len() as f64
     }
 }
 
@@ -323,6 +342,7 @@ impl Preprocessor for Pca {
         if x.rows() < 2 {
             return Err(TrainError::new("PCA needs at least two rows"));
         }
+        check_fit_input(x, "PCA")?;
         let d = x.cols();
         self.mean = (0..d).map(|j| mlcomp_linalg::mean(&x.col(j))).collect();
         let centered = elementwise(x, |v, j| v - self.mean[j]);
@@ -342,6 +362,11 @@ impl Preprocessor for Pca {
         let comps = self.components.as_ref().expect("PCA transform before fit");
         let centered = elementwise(x, |v, j| v - self.mean[j]);
         centered.matmul(comps)
+    }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        let comps = self.components.as_ref().expect("PCA transform before fit");
+        project_row(row, &self.mean, comps);
     }
 }
 
@@ -411,14 +436,55 @@ impl Preprocessor for Nca {
         let centered = elementwise(x, |v, j| v - self.mean[j]);
         centered.matmul(proj)
     }
+
+    fn transform_row(&self, row: &mut Vec<f64>) {
+        let proj = self.projection.as_ref().expect("NCA transform before fit");
+        project_row(row, &self.mean, proj);
+    }
+}
+
+/// Validation shared by the fits: rows to fit on, all of them finite
+/// (sorting, percentiles and eigendecomposition need comparable values).
+fn check_fit_input(x: &Matrix, what: &str) -> Result<(), TrainError> {
+    if x.rows() == 0 {
+        return Err(TrainError::new(format!("no rows to fit {what}")));
+    }
+    if x.as_slice().iter().any(|v| !v.is_finite()) {
+        return Err(TrainError::new(format!("non-finite feature for {what}")));
+    }
+    Ok(())
+}
+
+/// `row` centered by `mean` times `proj` (d × k), in place: the row of
+/// `centered.matmul(proj)`, with its sums in the same order and its zero
+/// skip.
+fn project_row(row: &mut Vec<f64>, mean: &[f64], proj: &Matrix) {
+    let d = row.len();
+    assert_eq!(d, proj.rows(), "dimension mismatch");
+    row.resize(d + proj.cols(), 0.0);
+    let (input, out) = row.split_at_mut(d);
+    for (k, v) in input.iter().enumerate() {
+        let a = v - mean[k];
+        if a == 0.0 {
+            continue;
+        }
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += a * proj[(k, j)];
+        }
+    }
+    row.drain(..d);
+}
+
+fn elementwise_row(row: &mut [f64], f: impl Fn(f64, usize) -> f64) {
+    for (j, v) in row.iter_mut().enumerate() {
+        *v = f(*v, j);
+    }
 }
 
 fn elementwise(x: &Matrix, f: impl Fn(f64, usize) -> f64) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for i in 0..x.rows() {
-        for j in 0..x.cols() {
-            out[(i, j)] = f(x[(i, j)], j);
-        }
+    let mut out = x.clone();
+    for i in 0..out.rows() {
+        elementwise_row(out.row_mut(i), &f);
     }
     out
 }

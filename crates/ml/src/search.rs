@@ -86,6 +86,17 @@ impl FittedPipeline {
     pub fn predict(&self, x: &Matrix) -> Vec<f64> {
         self.model.predict(&self.preprocessor.transform(x))
     }
+
+    /// Predicts for one feature row, bit for bit the value
+    /// [`predict`](FittedPipeline::predict) gives that row, without
+    /// building matrices: the row is transformed in `scratch`, whose
+    /// contents are overwritten.
+    pub fn predict_row(&self, row: &[f64], scratch: &mut Vec<f64>) -> f64 {
+        scratch.clear();
+        scratch.extend_from_slice(row);
+        self.preprocessor.transform_row(scratch);
+        self.model.predict_row(scratch)
+    }
 }
 
 /// One leaderboard entry from the search.
@@ -261,6 +272,29 @@ impl ModelSearch {
         prepared: &PreparedSplit<'_>,
         y: &[f64],
     ) -> Result<SearchOutcome, TrainError> {
+        let mut outcomes = self.run_prepared_all(prepared, &[y]);
+        outcomes.pop().expect("one outcome per target")
+    }
+
+    /// Algorithm 1 for several target columns of one prepared split: the
+    /// outcome of [`run_prepared`](ModelSearch::run_prepared) for each
+    /// target, in order.
+    ///
+    /// The searches share the worker pool: chunk *k* of every target's
+    /// candidate list is evaluated in one fan-out, and the winners are
+    /// refit on the pool too. Each target still consumes its results in
+    /// the paper's order and stops at its own early exit, after which it
+    /// queues no more fits, so every outcome equals that target's
+    /// sequential sweep at any [`num_threads`](ModelSearch::num_threads).
+    ///
+    /// # Panics
+    ///
+    /// As [`run_prepared`](ModelSearch::run_prepared), for any target.
+    pub fn run_prepared_all(
+        &self,
+        prepared: &PreparedSplit<'_>,
+        targets: &[&[f64]],
+    ) -> Vec<Result<SearchOutcome, TrainError>> {
         assert!(
             prepared.split == (self.test_fraction.to_bits(), self.seed)
                 && prepared
@@ -270,8 +304,22 @@ impl ModelSearch {
                     .eq(&self.preprocessors),
             "the split was prepared by a search with another split or preprocessor list"
         );
-        let ytr: Vec<f64> = prepared.train.iter().map(|&i| y[i]).collect();
-        let yte: Vec<f64> = prepared.test.iter().map(|&i| y[i]).collect();
+        /// One target's search.
+        struct Sweep {
+            ytr: Vec<f64>,
+            yte: Vec<f64>,
+            leaderboard: Vec<SearchEntry>,
+            early_stopped: bool,
+        }
+        let mut sweeps: Vec<Sweep> = targets
+            .iter()
+            .map(|y| Sweep {
+                ytr: prepared.train.iter().map(|&i| y[i]).collect(),
+                yte: prepared.test.iter().map(|&i| y[i]).collect(),
+                leaderboard: Vec::new(),
+                early_stopped: false,
+            })
+            .collect();
 
         // Candidates in the paper's order: models outer, preprocessors
         // inner. Chunks are evaluated in parallel but consumed in order,
@@ -287,60 +335,81 @@ impl ModelSearch {
         let chunk_len = pool.num_threads().max(1) * 2;
         let mut search_span = trace::span("search");
         if search_span.is_recording() {
+            search_span.field("targets", targets.len());
             search_span.field("candidates", candidates.len());
             search_span.field("rows", prepared.x.rows());
             search_span.field("threads", pool.num_threads());
         }
-        let mut leaderboard: Vec<SearchEntry> = Vec::new();
-        let mut early_stopped = false;
-        'outer: for batch in candidates.chunks(chunk_len) {
-            let evaluated = pool.map(batch, |_, &(model_name, prep)| {
-                evaluate_candidate(model_name, prep, &ytr, &yte)
+        for batch in candidates.chunks(chunk_len) {
+            // The chunk's candidates for every target still searching.
+            let jobs: Vec<(usize, &(&String, &PreparedPreprocessor))> = sweeps
+                .iter()
+                .enumerate()
+                .filter(|(_, sweep)| !sweep.early_stopped)
+                .flat_map(|(t, _)| batch.iter().map(move |c| (t, c)))
+                .collect();
+            if jobs.is_empty() {
+                break;
+            }
+            let evaluated = pool.map(&jobs, |_, &(t, &(model_name, prep))| {
+                evaluate_candidate(model_name, prep, &sweeps[t].ytr, &sweeps[t].yte)
             });
-            for entry in evaluated.into_iter().flatten() {
-                let stop = entry.accuracy > self.accuracy_threshold;
-                leaderboard.push(entry);
-                if stop {
-                    early_stopped = true;
-                    break 'outer;
-                }
+            for (&(t, _), entry) in jobs.iter().zip(evaluated) {
+                let sweep = &mut sweeps[t];
+                // A target that stopped earlier in the chunk drops the rest.
+                let Some(entry) = entry.filter(|_| !sweep.early_stopped) else {
+                    continue;
+                };
+                sweep.early_stopped = entry.accuracy > self.accuracy_threshold;
+                sweep.leaderboard.push(entry);
             }
         }
-        leaderboard.sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).unwrap());
+        for sweep in &mut sweeps {
+            sweep
+                .leaderboard
+                .sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).unwrap());
+        }
         if search_span.is_recording() {
-            search_span.field("evaluated", leaderboard.len());
-            search_span.field("early_stopped", early_stopped);
-            if let Some(best) = leaderboard.first() {
-                search_span.field("best_model", best.model.as_str());
-                search_span.field("best_accuracy", best.accuracy);
-            }
+            let evaluated: usize = sweeps.iter().map(|s| s.leaderboard.len()).sum();
+            let stopped = sweeps.iter().filter(|s| s.early_stopped).count();
+            search_span.field("evaluated", evaluated);
+            search_span.field("early_stopped", stopped);
         }
-        let Some(winner) = leaderboard.first().cloned() else {
-            return Err(TrainError::new("no model/preprocessor combination trained"));
-        };
 
-        // Refit the winner on the full dataset. The preprocessor's refit
-        // is shared by every search of this preparation.
-        let prep = prepared
-            .preprocessors
-            .iter()
-            .find(|p| p.name == winner.preprocessor)
-            .expect("winner came from the prepared list");
-        let (preprocessor, px) = prep.refit(prepared.x)?;
-        let mut model = AnyModel::from_name(&winner.model).expect("winner came from the zoo");
-        model.fit(px, y)?;
-
-        Ok(SearchOutcome {
-            best: FittedPipeline {
+        // Refit each winner on the full dataset. A preprocessor's refit is
+        // shared by every search of this preparation.
+        let refits = pool.map(&sweeps, |t, sweep| {
+            let Some(winner) = sweep.leaderboard.first() else {
+                return Err(TrainError::new("no model/preprocessor combination trained"));
+            };
+            let prep = prepared
+                .preprocessors
+                .iter()
+                .find(|p| p.name == winner.preprocessor)
+                .expect("winner came from the prepared list");
+            let (preprocessor, px) = prep.refit(prepared.x)?;
+            let mut model = AnyModel::from_name(&winner.model).expect("winner came from the zoo");
+            model.fit(px, targets[t])?;
+            Ok(FittedPipeline {
                 preprocessor_name: winner.preprocessor.clone(),
                 model_name: winner.model.clone(),
                 preprocessor: preprocessor.clone(),
                 model,
-            },
-            accuracy: winner.accuracy,
-            leaderboard,
-            early_stopped,
-        })
+            })
+        });
+        sweeps
+            .into_iter()
+            .zip(refits)
+            .map(|(sweep, best)| {
+                let best = best?;
+                Ok(SearchOutcome {
+                    best,
+                    accuracy: sweep.leaderboard[0].accuracy,
+                    leaderboard: sweep.leaderboard,
+                    early_stopped: sweep.early_stopped,
+                })
+            })
+            .collect()
     }
 }
 
@@ -518,6 +587,35 @@ mod tests {
         assert!(ModelSearch::quick().prepare(&x).is_err());
     }
 
+    /// A non-finite feature fails the fits that read it, which skips
+    /// their candidates (Algorithm 1 must not panic on a poisoned row),
+    /// whether the row is a training or a test row.
+    #[test]
+    fn a_non_finite_feature_skips_candidates_instead_of_panicking() {
+        let (x, y) = crate::models::testutil::synthetic(24, 0.1, 83);
+        let (train, test) = train_test_split(24, 0.25, ModelSearch::quick().seed);
+        let zoos = if cfg!(debug_assertions) {
+            vec![ModelSearch::quick()]
+        } else {
+            vec![ModelSearch::quick(), ModelSearch::default()]
+        };
+        for search in zoos {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut x = x.clone();
+                x[(train[0], 1)] = bad;
+                let out = search.run(&x, &y);
+                assert!(out.is_err(), "no candidate trains on a {bad} feature");
+                let mut x_test = x.clone();
+                x_test[(train[0], 1)] = 1.0;
+                x_test[(test[0], 1)] = bad;
+                // Test-row poison reaches only predictions: candidates whose
+                // predictions stay finite are scored, and the winner's
+                // refit on all rows fails.
+                assert!(search.run(&x_test, &y).is_err(), "{bad} in a test row");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "another split or preprocessor list")]
     fn a_split_prepared_for_other_preprocessors_is_refused() {
@@ -687,6 +785,68 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0, "no target stops mid-chunk");
+
+        // One threshold for all four targets, under which they stop in
+        // different chunks (or not at all), searched together.
+        let ordered: Vec<Vec<Option<f64>>> = targets
+            .iter()
+            .map(|y| {
+                let full = oracle::run(&base, &x, y).unwrap();
+                order
+                    .iter()
+                    .map(|&(m, p)| {
+                        let e = full.leaderboard.iter();
+                        e.filter(|e| &e.model == m && &e.preprocessor == p)
+                            .map(|e| e.accuracy)
+                            .next()
+                    })
+                    .collect()
+            })
+            .collect();
+        // Where a target stops under `threshold`: the first candidate in
+        // search order above it.
+        let stop_at = |acc: &[Option<f64>], threshold: f64| {
+            acc.iter().position(|a| a.is_some_and(|a| a > threshold))
+        };
+        let mut levels: Vec<f64> = ordered.iter().flatten().flatten().copied().collect();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        // The midpoint whose stops fall in the most distinct chunks, with
+        // at least one stop inside a chunk.
+        let (threshold, chunks) = levels
+            .windows(2)
+            .map(|w| (w[0] + w[1]) / 2.0)
+            .filter_map(|threshold| {
+                let stops: Vec<Option<usize>> =
+                    ordered.iter().map(|acc| stop_at(acc, threshold)).collect();
+                let mid = stops.iter().flatten().any(|i| (i + 1) % chunk_len != 0);
+                let mut chunks: Vec<Option<usize>> =
+                    stops.iter().map(|i| i.map(|i| i / chunk_len)).collect();
+                chunks.sort_unstable();
+                chunks.dedup();
+                (mid && chunks.iter().flatten().count() >= 2).then_some((threshold, chunks))
+            })
+            .max_by_key(|(_, chunks)| chunks.len())
+            .expect("a threshold stops two targets in different chunks");
+        assert!(chunks.len() >= 2, "{chunks:?}");
+        for threads in [2, 4] {
+            let search = ModelSearch {
+                accuracy_threshold: threshold,
+                num_threads: threads,
+                ..base.clone()
+            };
+            let prepared = search.prepare(&x).unwrap();
+            let columns: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+            let got = search.run_prepared_all(&prepared, &columns);
+            assert_eq!(got.len(), targets.len());
+            for (i, (got, y)) in got.iter().zip(&targets).enumerate() {
+                let want = oracle::run(&search, &x, y).unwrap();
+                let stop = stop_at(&ordered[i], threshold);
+                assert_eq!(want.early_stopped, stop.is_some(), "target {i}");
+                let what = format!("target {i}, threshold {threshold}, threads {threads}");
+                assert_same_outcome(got.as_ref().unwrap(), &want, &what);
+            }
+        }
     }
 
     /// Today's search before [`ModelSearch::prepare`]: every candidate

@@ -54,15 +54,46 @@ pub struct PolicyNet {
     b3: Vec<f64>,
 }
 
-/// Intermediate activations kept for the backward pass.
+/// Intermediate activations kept for the backward pass, in one buffer:
+/// the probabilities, the input, then each hidden layer's output.
 #[derive(Debug, Clone)]
 pub struct Forward {
-    /// Input copy.
-    pub x: Vec<f64>,
-    h1: Vec<f64>,
-    h2: Vec<f64>,
+    buf: Vec<f64>,
+    input_dim: usize,
+    hidden: usize,
+}
+
+impl Forward {
     /// Softmax probabilities per action.
-    pub probs: Vec<f64>,
+    pub fn probs(&self) -> &[f64] {
+        &self.buf[..self.actions()]
+    }
+
+    /// The input state.
+    pub fn x(&self) -> &[f64] {
+        let a = self.actions();
+        &self.buf[a..a + self.input_dim]
+    }
+
+    /// The probabilities, keeping the buffer's allocation.
+    fn into_probs(mut self) -> Vec<f64> {
+        let a = self.actions();
+        self.buf.truncate(a);
+        self.buf
+    }
+
+    fn actions(&self) -> usize {
+        self.buf.len() - self.input_dim - 2 * self.hidden
+    }
+
+    fn h1(&self) -> &[f64] {
+        let o = self.actions() + self.input_dim;
+        &self.buf[o..o + self.hidden]
+    }
+
+    fn h2(&self) -> &[f64] {
+        &self.buf[self.buf.len() - self.hidden..]
+    }
 }
 
 impl PolicyNet {
@@ -94,53 +125,39 @@ impl PolicyNet {
     pub fn forward(&self, x: &[f64]) -> Forward {
         assert_eq!(x.len(), self.input_dim, "state dimension mismatch");
         let h = self.hidden;
-        let mut h1 = vec![0.0; h];
-        for (k, h1k) in h1.iter_mut().enumerate() {
-            let mut s = self.b1[k];
-            for (j, xv) in x.iter().enumerate() {
-                s += xv * self.w1[j * h + k];
-            }
-            *h1k = s.tanh();
-        }
-        let mut h2 = vec![0.0; h];
-        for (k, h2k) in h2.iter_mut().enumerate() {
-            let mut s = self.b2[k];
-            for (j, h1j) in h1.iter().enumerate() {
-                s += h1j * self.w2[j * h + k];
-            }
-            *h2k = s.tanh();
-        }
-        let mut logits = vec![0.0; self.actions];
-        for (a, l) in logits.iter_mut().enumerate() {
-            let mut s = self.b3[a];
-            for (j, h2j) in h2.iter().enumerate() {
-                s += h2j * self.w3[j * self.actions + a];
-            }
-            *l = s;
-        }
-        let probs = softmax(&logits);
+        let mut buf = vec![0.0; self.actions + x.len() + 2 * h];
+        let (probs, rest) = buf.split_at_mut(self.actions);
+        let (input, rest) = rest.split_at_mut(x.len());
+        let (h1, h2) = rest.split_at_mut(h);
+        input.copy_from_slice(x);
+        dense(input, &self.w1, &self.b1, h1);
+        h1.iter_mut().for_each(|v| *v = v.tanh());
+        dense(h1, &self.w2, &self.b2, h2);
+        h2.iter_mut().for_each(|v| *v = v.tanh());
+        dense(h2, &self.w3, &self.b3, probs);
+        softmax(probs);
         Forward {
-            x: x.to_vec(),
-            h1,
-            h2,
-            probs,
+            buf,
+            input_dim: x.len(),
+            hidden: h,
         }
     }
 
     /// Action probabilities for a state.
     pub fn probabilities(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(x).probs
+        self.forward(x).into_probs()
     }
 
     /// The most probable action.
     pub fn best_action(&self, x: &[f64]) -> usize {
-        argmax(&self.probabilities(x))
+        argmax(self.forward(x).probs())
     }
 
     /// Actions ordered from most to least probable — the deployment-time
     /// "second best, third best, …" fallback order of the paper's PSS.
     pub fn ranked_actions(&self, x: &[f64]) -> Vec<usize> {
-        let probs = self.probabilities(x);
+        let fwd = self.forward(x);
+        let probs = fwd.probs();
         let mut idx: Vec<usize> = (0..probs.len()).collect();
         idx.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
         idx
@@ -148,83 +165,68 @@ impl PolicyNet {
 
     /// Samples an action from the policy distribution.
     pub fn sample_action(&self, x: &[f64], rng: &mut rand::rngs::StdRng) -> usize {
-        let probs = self.probabilities(x);
-        sample_index(&probs, rng.gen_range(0.0..1.0))
+        sample_index(self.forward(x).probs(), rng.gen_range(0.0..1.0))
     }
 
-    /// Accumulates the REINFORCE gradient of `−advantage · log π(action|x)`
-    /// into `grads` (layout: `w1, b1, w2, b2, w3, b3`).
-    pub fn accumulate_gradient(
+    /// Accumulates one REINFORCE step's gradient into `grads` (layout:
+    /// `w1, b1, w2, b2, w3, b3`): that of `−advantage · log π(action|x)`
+    /// and, given `entropy_beta`, that of `−β·H(π(·|x))`
+    /// (negative-entropy loss: an entropy *bonus* that discourages
+    /// premature collapse of the action distribution).
+    ///
+    /// One backward pass carries both terms. Each gradient element adds
+    /// the policy term and then the entropy term, the additions of two
+    /// separate passes in their order, so the bits are theirs.
+    pub fn accumulate_step_gradient(
         &self,
         fwd: &Forward,
         action: usize,
         advantage: f64,
+        entropy_beta: Option<f64>,
         grads: &mut [f64],
     ) {
+        match entropy_beta {
+            Some(beta) => self.step_gradient::<2>(fwd, action, advantage, beta, grads),
+            None => self.step_gradient::<1>(fwd, action, advantage, 0.0, grads),
+        }
+    }
+
+    /// [`accumulate_step_gradient`](PolicyNet::accumulate_step_gradient)
+    /// with `T` terms: the policy gradient, then (`T == 2`) the entropy
+    /// bonus with coefficient `beta`.
+    fn step_gradient<const T: usize>(
+        &self,
+        fwd: &Forward,
+        action: usize,
+        advantage: f64,
+        beta: f64,
+        grads: &mut [f64],
+    ) {
+        let (h, a_n) = (self.hidden, self.actions);
+        // Per term: the gradient at the logits, at h2 and at h1.
+        let mut buf = vec![0.0; T * (a_n + 2 * h)];
+        let (dlogits, rest) = buf.split_at_mut(T * a_n);
+        let (dh2, dh1) = rest.split_at_mut(T * h);
         // dL/dlogit = (p − onehot) · advantage.
-        let mut dlogits = fwd.probs.clone();
+        let probs = fwd.probs();
+        dlogits[..a_n].copy_from_slice(probs);
         dlogits[action] -= 1.0;
-        for v in dlogits.iter_mut() {
+        for v in &mut dlogits[..a_n] {
             *v *= advantage;
         }
-        self.backprop_from_logits(fwd, &dlogits, grads);
-    }
-
-    /// Backpropagates a logit-space gradient through the network,
-    /// accumulating into `grads`.
-    fn backprop_from_logits(&self, fwd: &Forward, dlogits: &[f64], grads: &mut [f64]) {
-        let h = self.hidden;
-        let a_n = self.actions;
-        let d = self.input_dim;
-        // Layout: w1, b1, w2, b2, w3, b3.
-        let (o_w1, o_b1) = (0, d * h);
-        let (o_w2, o_b2) = (o_b1 + h, o_b1 + h + h * h);
-        let (o_w3, o_b3) = (o_b2 + h, o_b2 + h + h * a_n);
-
-        let mut dh2 = vec![0.0; h];
-        for a in 0..a_n {
-            let g = dlogits[a];
-            grads[o_b3 + a] += g;
-            for j in 0..h {
-                grads[o_w3 + j * a_n + a] += g * fwd.h2[j];
-                dh2[j] += g * self.w3[j * a_n + a];
-            }
+        if T == 2 {
+            entropy_logit_gradient(probs, beta, &mut dlogits[a_n..]);
         }
-        let mut dh1 = vec![0.0; h];
-        for k in 0..h {
-            let g = dh2[k] * (1.0 - fwd.h2[k] * fwd.h2[k]);
-            grads[o_b2 + k] += g;
-            for j in 0..h {
-                grads[o_w2 + j * h + k] += g * fwd.h1[j];
-                dh1[j] += g * self.w2[j * h + k];
-            }
-        }
-        for k in 0..h {
-            let g = dh1[k] * (1.0 - fwd.h1[k] * fwd.h1[k]);
-            grads[o_b1 + k] += g;
-            for (j, xv) in fwd.x.iter().enumerate() {
-                grads[o_w1 + j * h + k] += g * xv;
-            }
-        }
-    }
-
-    /// Accumulates the gradient of `−β·H(π(·|x))` (negative-entropy loss)
-    /// into `grads`: an entropy *bonus* that discourages premature
-    /// collapse of the action distribution.
-    pub fn accumulate_entropy_gradient(&self, fwd: &Forward, beta: f64, grads: &mut [f64]) {
-        // d(−H)/dlogit_j = p_j · (log p_j + H).
-        let entropy: f64 = -fwd
-            .probs
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| p * p.ln())
-            .sum::<f64>();
-        let dlogits: Vec<f64> = fwd
-            .probs
-            .iter()
-            .map(|&p| beta * p * (p.max(1e-300).ln() + entropy))
-            .collect();
-        self.backprop_from_logits(fwd, &dlogits, grads);
+        let (gw1, rest) = grads.split_at_mut(self.w1.len());
+        let (gb1, rest) = rest.split_at_mut(h);
+        let (gw2, rest) = rest.split_at_mut(self.w2.len());
+        let (gb2, rest) = rest.split_at_mut(h);
+        let (gw3, gb3) = rest.split_at_mut(self.w3.len());
+        backprop_dense::<T>(fwd.h2(), &self.w3, dlogits, gw3, gb3, Some(dh2));
+        tanh_backward::<T>(fwd.h2(), dh2);
+        backprop_dense::<T>(fwd.h1(), &self.w2, dh2, gw2, gb2, Some(dh1));
+        tanh_backward::<T>(fwd.h1(), dh1);
+        backprop_dense::<T>(fwd.x(), &self.w1, dh1, gw1, gb1, None);
     }
 
     /// Total parameter count (gradient buffer size).
@@ -255,25 +257,116 @@ impl PolicyNet {
     }
 }
 
-/// Numerically-guarded softmax: non-finite logits (overflowed weights,
-/// poisoned features) fall back to the uniform distribution instead of
-/// emitting NaN probabilities that would poison sampling and gradients.
-/// All-finite logits produce bit-identical results to the unguarded form.
-fn softmax(logits: &[f64]) -> Vec<f64> {
+/// `out = b + Σⱼ input[j] · w[j]`, with `w` row-major (`input.len()` rows
+/// of `out.len()`): rows are read whole, and each output adds its terms
+/// in row order.
+fn dense(input: &[f64], w: &[f64], b: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    out.copy_from_slice(b);
+    for (j, xj) in input.iter().enumerate() {
+        for (o, wjk) in out.iter_mut().zip(&w[j * n..(j + 1) * n]) {
+            *o += xj * wjk;
+        }
+    }
+}
+
+/// Backpropagates through `out = dense(input, w, b)` for the `T` terms
+/// whose output gradients `d_out` holds (one `out.len()` run per term):
+/// adds each weight and bias gradient term by term, in term order, and
+/// writes each term's gradient at the input into `d_in`.
+fn backprop_dense<const T: usize>(
+    input: &[f64],
+    w: &[f64],
+    d_out: &[f64],
+    grad_w: &mut [f64],
+    grad_b: &mut [f64],
+    d_in: Option<&mut [f64]>,
+) {
+    let n = grad_b.len();
+    let d: [&[f64]; T] = std::array::from_fn(|t| &d_out[t * n..(t + 1) * n]);
+    for (k, gb) in grad_b.iter_mut().enumerate() {
+        for dt in d {
+            *gb += dt[k];
+        }
+    }
+    for (j, xj) in input.iter().enumerate() {
+        for (k, g) in grad_w[j * n..(j + 1) * n].iter_mut().enumerate() {
+            for dt in d {
+                *g += dt[k] * xj;
+            }
+        }
+    }
+    if let Some(d_in) = d_in {
+        // Every input's sum is its own chain of additions in `k` order;
+        // running the chains side by side, `k` outer, keeps the adder busy.
+        let m = input.len();
+        for (t, dt) in d.iter().enumerate() {
+            let di = &mut d_in[t * m..(t + 1) * m];
+            di.fill(0.0);
+            for (k, dk) in dt.iter().enumerate() {
+                for (j, dij) in di.iter_mut().enumerate() {
+                    *dij += dk * w[j * n + k];
+                }
+            }
+        }
+    }
+}
+
+/// Turns each of the `T` terms' gradients at `tanh`'s output `out` into
+/// the gradient at its input.
+fn tanh_backward<const T: usize>(out: &[f64], d: &mut [f64]) {
+    let n = out.len();
+    for t in 0..T {
+        for (g, o) in d[t * n..(t + 1) * n].iter_mut().zip(out) {
+            *g *= 1.0 - o * o;
+        }
+    }
+}
+
+/// `β · d(−H)/dlogit_j = β · p_j · (ln p_j + H)` into `out`, taking each
+/// `ln p` once. `ln` reads `max(p, 1e-300)` here; the entropy sum skips
+/// `p = 0` and takes the true `ln p` below `1e-300`.
+fn entropy_logit_gradient(probs: &[f64], beta: f64, out: &mut [f64]) {
+    for (l, &p) in out.iter_mut().zip(probs) {
+        *l = p.max(1e-300).ln();
+    }
+    let entropy: f64 = -probs
+        .iter()
+        .zip(out.iter())
+        .filter(|(&p, _)| p > 0.0)
+        .map(|(&p, &l)| p * if p >= 1e-300 { l } else { p.ln() })
+        .sum::<f64>();
+    for (l, &p) in out.iter_mut().zip(probs) {
+        *l = beta * p * (*l + entropy);
+    }
+}
+
+/// Numerically-guarded softmax over `logits`, in place: non-finite
+/// logits (overflowed weights, poisoned features) fall back to the
+/// uniform distribution instead of emitting NaN probabilities that would
+/// poison sampling and gradients. All-finite logits produce bit-identical
+/// results to the unguarded form.
+fn softmax(logits: &mut [f64]) {
     let n = logits.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     if logits.iter().any(|l| !l.is_finite()) {
-        return vec![1.0 / n as f64; n];
+        logits.fill(1.0 / n as f64);
+        return;
     }
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    if !sum.is_finite() || sum <= 0.0 {
-        return vec![1.0 / n as f64; n];
+    for l in logits.iter_mut() {
+        *l = (*l - max).exp();
     }
-    exps.iter().map(|e| e / sum).collect()
+    let sum: f64 = logits.iter().sum();
+    if !sum.is_finite() || sum <= 0.0 {
+        logits.fill(1.0 / n as f64);
+        return;
+    }
+    for e in logits.iter_mut() {
+        *e /= sum;
+    }
 }
 
 /// Samples an index from `probs` given a uniform `roll` in `[0, 1)` by
@@ -348,9 +441,9 @@ mod tests {
         // Analytic gradient.
         let fwd = net.forward(&x);
         let mut grads = vec![0.0; net.param_count()];
-        net.accumulate_gradient(&fwd, action, adv, &mut grads);
+        net.accumulate_step_gradient(&fwd, action, adv, None, &mut grads);
         // Numeric gradient for a few parameters.
-        let loss = |n: &PolicyNet| -> f64 { -adv * n.forward(&x).probs[action].ln() };
+        let loss = |n: &PolicyNet| -> f64 { -adv * n.forward(&x).probs()[action].ln() };
         let eps = 1e-6;
         for idx in [0usize, 5, 30, 80] {
             let base = loss(&net);
@@ -365,6 +458,225 @@ mod tests {
                 "param {idx}: numeric {numeric} vs analytic {}",
                 grads[idx]
             );
+        }
+    }
+
+    /// A net with random weights and biases (the seeded constructor
+    /// leaves biases at zero).
+    fn random_net(d: usize, h: usize, a: usize, seed: u64) -> PolicyNet {
+        let mut net = PolicyNet::new(d, h, a, seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB1A5);
+        for b in [&mut net.b1, &mut net.b2, &mut net.b3] {
+            b.iter_mut().for_each(|v| *v = rng.gen_range(-0.5..0.5));
+        }
+        net
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward activations and the fused step's gradient against the
+    /// oracle's forward pass and its two backward passes, bit for bit.
+    fn assert_step_matches_the_oracle(net: &PolicyNet, x: &[f64], seed: u64, what: &str) {
+        let fwd = net.forward(x);
+        let want = oracle::forward(net, x);
+        assert_eq!(bits(fwd.probs()), bits(&want.probs), "{what}: probs");
+        assert_eq!(bits(fwd.x()), bits(&want.x), "{what}: x");
+        assert_eq!(bits(fwd.h1()), bits(&want.h1), "{what}: h1");
+        assert_eq!(bits(fwd.h2()), bits(&want.h2), "{what}: h2");
+        assert_eq!(bits(&net.probabilities(x)), bits(&want.probs));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Accumulate onto a gradient that already holds values.
+        let start: Vec<f64> = (0..net.param_count())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        for (action, advantage, beta) in [
+            (0, 0.7, Some(0.01)),
+            (net.actions - 1, -1.3, Some(0.002)),
+            (net.actions / 2, 0.25, None),
+        ] {
+            let mut got = start.clone();
+            net.accumulate_step_gradient(&fwd, action, advantage, beta, &mut got);
+            let mut want_grads = start.clone();
+            oracle::accumulate_gradient(net, &want, action, advantage, &mut want_grads);
+            if let Some(beta) = beta {
+                oracle::accumulate_entropy_gradient(net, &want, beta, &mut want_grads);
+            }
+            assert_eq!(
+                bits(&got),
+                bits(&want_grads),
+                "{what}: action {action}, beta {beta:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_the_two_pass_oracle_on_random_nets() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        for (i, &(d, h, a)) in [(1, 16, 2), (3, 8, 4), (7, 16, 48), (30, 16, 48), (5, 3, 1)]
+            .iter()
+            .enumerate()
+        {
+            let net = random_net(d, h, a, i as u64);
+            for s in 0..4 {
+                let x: Vec<f64> = (0..d).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                assert_step_matches_the_oracle(&net, &x, s, &format!("{d}x{h}x{a}, state {s}"));
+            }
+        }
+    }
+
+    /// A probability that underflows below `1e-300` (where the entropy
+    /// and the gradient read different `ln`s) and one that is exactly 0.
+    #[test]
+    fn fused_step_matches_the_oracle_on_vanishing_probabilities() {
+        let mut net = random_net(4, 8, 6, 11);
+        net.b3 = vec![0.0, -700.0, -800.0, 0.5, -1.0, -740.0];
+        let x = [0.3, -0.2, 1.1, 0.0];
+        let probs = net.probabilities(&x);
+        assert!(probs[1] > 0.0 && probs[1] < 1e-300, "{}", probs[1]);
+        assert_eq!(probs[2], 0.0);
+        assert_step_matches_the_oracle(&net, &x, 3, "vanishing");
+    }
+
+    /// The forward pass and the two backward passes before they walked
+    /// weight rows whole and shared one pass: one `Vec` per layer and
+    /// per buffer, columns read with a stride.
+    mod oracle {
+        use super::super::*;
+
+        pub struct Forward {
+            pub x: Vec<f64>,
+            pub h1: Vec<f64>,
+            pub h2: Vec<f64>,
+            pub probs: Vec<f64>,
+        }
+
+        pub fn forward(net: &PolicyNet, x: &[f64]) -> Forward {
+            let h = net.hidden;
+            let mut h1 = vec![0.0; h];
+            for (k, h1k) in h1.iter_mut().enumerate() {
+                let mut s = net.b1[k];
+                for (j, xv) in x.iter().enumerate() {
+                    s += xv * net.w1[j * h + k];
+                }
+                *h1k = s.tanh();
+            }
+            let mut h2 = vec![0.0; h];
+            for (k, h2k) in h2.iter_mut().enumerate() {
+                let mut s = net.b2[k];
+                for (j, h1j) in h1.iter().enumerate() {
+                    s += h1j * net.w2[j * h + k];
+                }
+                *h2k = s.tanh();
+            }
+            let mut logits = vec![0.0; net.actions];
+            for (a, l) in logits.iter_mut().enumerate() {
+                let mut s = net.b3[a];
+                for (j, h2j) in h2.iter().enumerate() {
+                    s += h2j * net.w3[j * net.actions + a];
+                }
+                *l = s;
+            }
+            let probs = softmax(&logits);
+            Forward {
+                x: x.to_vec(),
+                h1,
+                h2,
+                probs,
+            }
+        }
+
+        fn softmax(logits: &[f64]) -> Vec<f64> {
+            let n = logits.len();
+            if n == 0 {
+                return Vec::new();
+            }
+            if logits.iter().any(|l| !l.is_finite()) {
+                return vec![1.0 / n as f64; n];
+            }
+            let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+            let sum: f64 = exps.iter().sum();
+            if !sum.is_finite() || sum <= 0.0 {
+                return vec![1.0 / n as f64; n];
+            }
+            exps.iter().map(|e| e / sum).collect()
+        }
+
+        pub fn accumulate_gradient(
+            net: &PolicyNet,
+            fwd: &Forward,
+            action: usize,
+            advantage: f64,
+            grads: &mut [f64],
+        ) {
+            let mut dlogits = fwd.probs.clone();
+            dlogits[action] -= 1.0;
+            for v in dlogits.iter_mut() {
+                *v *= advantage;
+            }
+            backprop_from_logits(net, fwd, &dlogits, grads);
+        }
+
+        fn backprop_from_logits(
+            net: &PolicyNet,
+            fwd: &Forward,
+            dlogits: &[f64],
+            grads: &mut [f64],
+        ) {
+            let h = net.hidden;
+            let a_n = net.actions;
+            let d = net.input_dim;
+            let (o_w1, o_b1) = (0, d * h);
+            let (o_w2, o_b2) = (o_b1 + h, o_b1 + h + h * h);
+            let (o_w3, o_b3) = (o_b2 + h, o_b2 + h + h * a_n);
+
+            let mut dh2 = vec![0.0; h];
+            for a in 0..a_n {
+                let g = dlogits[a];
+                grads[o_b3 + a] += g;
+                for j in 0..h {
+                    grads[o_w3 + j * a_n + a] += g * fwd.h2[j];
+                    dh2[j] += g * net.w3[j * a_n + a];
+                }
+            }
+            let mut dh1 = vec![0.0; h];
+            for k in 0..h {
+                let g = dh2[k] * (1.0 - fwd.h2[k] * fwd.h2[k]);
+                grads[o_b2 + k] += g;
+                for j in 0..h {
+                    grads[o_w2 + j * h + k] += g * fwd.h1[j];
+                    dh1[j] += g * net.w2[j * h + k];
+                }
+            }
+            for k in 0..h {
+                let g = dh1[k] * (1.0 - fwd.h1[k] * fwd.h1[k]);
+                grads[o_b1 + k] += g;
+                for (j, xv) in fwd.x.iter().enumerate() {
+                    grads[o_w1 + j * h + k] += g * xv;
+                }
+            }
+        }
+
+        pub fn accumulate_entropy_gradient(
+            net: &PolicyNet,
+            fwd: &Forward,
+            beta: f64,
+            grads: &mut [f64],
+        ) {
+            let entropy: f64 = -fwd
+                .probs
+                .iter()
+                .filter(|&&p| p > 0.0)
+                .map(|&p| p * p.ln())
+                .sum::<f64>();
+            let dlogits: Vec<f64> = fwd
+                .probs
+                .iter()
+                .map(|&p| beta * p * (p.max(1e-300).ln() + entropy))
+                .collect();
+            backprop_from_logits(net, fwd, &dlogits, grads);
         }
     }
 
@@ -412,11 +724,13 @@ mod tests {
     #[test]
     fn softmax_falls_back_to_uniform_on_nonfinite_logits() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let probs = softmax(&[0.0, bad, 1.0]);
-            assert_eq!(probs, vec![1.0 / 3.0; 3], "logit {bad}");
+            let mut probs = [0.0, bad, 1.0];
+            softmax(&mut probs);
+            assert_eq!(probs, [1.0 / 3.0; 3], "logit {bad}");
         }
         // Extreme but finite logits still form a proper distribution.
-        let probs = softmax(&[1e308, -1e308, 0.0]);
+        let mut probs = [1e308, -1e308, 0.0];
+        softmax(&mut probs);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(probs.iter().all(|p| p.is_finite()));
         assert_eq!(probs[0], 1.0);

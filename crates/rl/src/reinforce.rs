@@ -169,7 +169,7 @@ impl ReinforceTrainer {
                     for _ in 0..self.max_steps {
                         let fwd = policy.forward(&state);
                         let (action, fallback) =
-                            sample_index_detailed(&fwd.probs, rng.gen_range(0.0..1.0));
+                            sample_index_detailed(fwd.probs(), rng.gen_range(0.0..1.0));
                         if fallback {
                             // The softmax degenerated (NaN / all-zero probs):
                             // the uniform fallback keeps sampling total, but
@@ -191,7 +191,7 @@ impl ReinforceTrainer {
                         }
                         if tracing {
                             entropy_sum += fwd
-                                .probs
+                                .probs()
                                 .iter()
                                 .filter(|p| **p > 0.0)
                                 .map(|p| -p * p.ln())
@@ -244,15 +244,15 @@ impl ReinforceTrainer {
                     all_steps.iter().map(|(_, _, g)| g).sum::<f64>() / all_steps.len() as f64;
                 let mut grads = vec![0.0; policy.param_count()];
                 let scale = 1.0 / all_steps.len() as f64;
+                let entropy_beta = (self.entropy_bonus > 0.0).then_some(self.entropy_bonus * scale);
                 for (fwd, action, g) in &all_steps {
-                    policy.accumulate_gradient(fwd, *action, (g - baseline) * scale, &mut grads);
-                    if self.entropy_bonus > 0.0 {
-                        policy.accumulate_entropy_gradient(
-                            fwd,
-                            self.entropy_bonus * scale,
-                            &mut grads,
-                        );
-                    }
+                    policy.accumulate_step_gradient(
+                        fwd,
+                        *action,
+                        (g - baseline) * scale,
+                        entropy_beta,
+                        &mut grads,
+                    );
                 }
                 if grads.iter().all(|g| g.is_finite()) {
                     if self.grad_clip > 0.0 {

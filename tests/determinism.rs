@@ -58,7 +58,7 @@ fn model_search_winner_is_identical_across_thread_counts() {
     }
     .run(&x, &y)
     .unwrap();
-    for threads in [4usize, 8] {
+    for threads in [2usize, 4, 8] {
         let out = ModelSearch {
             num_threads: threads,
             ..ModelSearch::quick()
@@ -106,6 +106,42 @@ fn fitted_estimator_bytes_are_identical_across_thread_counts() {
             train(threads),
             "fitted PerfEstimator JSON must be byte-identical at num_threads={threads}"
         );
+    }
+}
+
+/// The four metrics' searches run together on the pool (chunk *k* of
+/// every metric in one fan-out), yet each metric's pipeline and report row
+/// equal those of a search of that metric alone, at every thread count.
+#[test]
+fn estimator_equals_one_search_per_metric_at_every_thread_count() {
+    let platform = X86Platform::new();
+    let dataset = DataExtraction::quick()
+        .run(&platform, &small_suite())
+        .unwrap();
+    let x = dataset.features();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for threads in [1usize, 2, 4] {
+        let search = ModelSearch {
+            num_threads: threads,
+            ..ModelSearch::quick()
+        };
+        let estimator = PerfEstimator::train(&dataset, &search).unwrap();
+        for (metric, row) in METRIC_NAMES.iter().zip(&estimator.report().rows) {
+            let alone = search.run(&x, &dataset.targets(metric)).unwrap();
+            let want = (
+                metric.to_string(),
+                alone.best.preprocessor_name.clone(),
+                alone.best.model_name.clone(),
+                alone.accuracy,
+                alone.leaderboard[0].max_pct_error,
+            );
+            assert_eq!(row, &want, "{metric} at num_threads={threads}");
+            assert_eq!(
+                bits(estimator.predict_metric(&x, metric)),
+                bits(alone.best.predict(&x)),
+                "{metric} predictions at num_threads={threads}"
+            );
+        }
     }
 }
 
