@@ -1,7 +1,8 @@
 //! Workspace-local stand-in for [`criterion`](https://crates.io/crates/criterion).
 //!
 //! Provides the API surface the `mlcomp-bench` benches use — `Criterion`,
-//! `benchmark_group`/`bench_function`, `Bencher::iter`, [`black_box`] and
+//! `benchmark_group`/`bench_function`, `BenchmarkGroup::throughput` with
+//! [`Throughput::Elements`], `Bencher::iter`, [`black_box`] and
 //! the [`criterion_group!`]/[`criterion_main!`] macros — backed by a
 //! simple adaptive wall-clock timer instead of criterion's statistical
 //! machinery: each benchmark warms up briefly, scales its iteration count
@@ -23,7 +24,10 @@ impl Criterion {
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl std::fmt::Display) -> BenchmarkGroup<'_> {
         println!("\n== {name}");
-        BenchmarkGroup { _parent: self }
+        BenchmarkGroup {
+            _parent: self,
+            throughput: None,
+        }
     }
 
     /// Runs a standalone benchmark.
@@ -31,24 +35,39 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(&id.to_string(), f);
+        run_benchmark(&id.to_string(), None, f);
         self
     }
+}
+
+/// How much work one iteration does, for a per-element reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// One iteration processes this many elements.
+    Elements(u64),
 }
 
 /// A group of benchmarks sharing a heading.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
     _parent: &'a mut Criterion,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the work per iteration of the benchmarks that follow in this
+    /// group; each then also reports its median time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs one benchmark in the group.
     pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(&id.to_string(), f);
+        run_benchmark(&id.to_string(), self.throughput, f);
         self
     }
 
@@ -79,7 +98,7 @@ impl Bencher {
 /// Measurement windows per benchmark.
 const WINDOWS: usize = 5;
 
-fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
+fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, throughput: Option<Throughput>, mut f: F) {
     // Warm-up + calibration round.
     let mut b = Bencher {
         iters: 1,
@@ -102,8 +121,12 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, mut f: F) {
         .collect();
     per_iter_ns.sort_by(f64::total_cmp);
     let [q1, median, q3] = [0.25, 0.5, 0.75].map(|q| quantile(&per_iter_ns, q));
+    let per_element = match throughput {
+        Some(Throughput::Elements(n)) if n > 0 => format!("   {}/elem", fmt_ns(median / n as f64)),
+        _ => String::new(),
+    };
     println!(
-        "{id:<48} {:>11}/iter   [{} … {}]   ({WINDOWS} × {iters} iters)",
+        "{id:<48} {:>11}/iter   [{} … {}]   ({WINDOWS} × {iters} iters){per_element}",
         fmt_ns(median),
         fmt_ns(q1),
         fmt_ns(q3),

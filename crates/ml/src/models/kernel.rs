@@ -171,6 +171,26 @@ impl FourierMap {
         }
     }
 
+    /// [`FourierMap::transform`] of the one row `row - means`, in one
+    /// buffer: bit for bit the matrix path, summing `matmul`'s products in
+    /// its order and skipping the same zeros.
+    fn transform_row(&self, row: &[f64], means: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; self.proj.cols()];
+        for (k, (v, m)) in row.iter().zip(means).enumerate() {
+            let a = v - m;
+            if a == 0.0 {
+                continue;
+            }
+            for (zj, p) in z.iter_mut().zip(self.proj.row(k)) {
+                *zj += a * p;
+            }
+        }
+        for (zj, phase) in z.iter_mut().zip(&self.phase) {
+            *zj = self.scale * (*zj + phase).cos();
+        }
+        z
+    }
+
     fn transform(&self, x: &Matrix) -> Matrix {
         let z = x.matmul(&self.proj);
         let mut out = Matrix::zeros(z.rows(), z.cols());
@@ -260,7 +280,14 @@ impl Regressor for Svr {
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
-        self.predict(&Matrix::from_rows(&[row]))[0]
+        let map = self.map.as_ref().expect("predict before fit");
+        let feats = map.transform_row(row, &self.means);
+        self.intercept
+            + feats
+                .iter()
+                .zip(&self.weights)
+                .map(|(a, c)| a * c)
+                .sum::<f64>()
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -437,6 +464,48 @@ mod tests {
         a.fit(&x, &y).unwrap();
         b.fit(&x, &y).unwrap();
         assert_eq!(a.predict(&x), b.predict(&x));
+    }
+
+    /// `predict_row` against `predict`, bit for bit, for both RBF SVRs.
+    fn assert_rows_match(x: &Matrix, y: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let mut svr = Svr::default();
+        svr.fit(x, y).unwrap();
+        let mut nu = NuSvr::default();
+        nu.fit(x, y).unwrap();
+        let models: [&dyn Regressor; 2] = [&svr, &nu];
+        for m in models {
+            let rows: Vec<f64> = (0..x.rows()).map(|i| m.predict_row(x.row(i))).collect();
+            assert_eq!(bits(&rows), bits(&m.predict(x)), "{}, {what}", m.name());
+        }
+    }
+
+    #[test]
+    fn svr_rows_match_the_matrix_path_bit_for_bit() {
+        for (n, noise, seed) in [(30, 0.0, 1), (80, 0.2, 2)] {
+            let (x, y) = synthetic(n, noise, seed);
+            // A centered column is all zeros: the row path skips it too.
+            let x =
+                Matrix::from_vec_rows((0..x.rows()).map(|i| [x.row(i), &[1.0]].concat()).collect());
+            assert_rows_match(&x, &y, &format!("synthetic({n}, {noise}, {seed})"));
+        }
+    }
+
+    /// The quick three-program PARSEC dataset of an MLComp run, with every
+    /// metric as target.
+    #[test]
+    fn svr_rows_match_the_matrix_path_on_the_parsec_dataset() {
+        let apps: Vec<_> = mlcomp_suites::parsec_suite()
+            .into_iter()
+            .filter(|p| ["dedup", "vips", "x264"].contains(&p.name))
+            .collect();
+        let dataset = mlcomp_core::DataExtraction::quick()
+            .run(&mlcomp_platform::X86Platform::new(), &apps)
+            .unwrap();
+        let x = dataset.features();
+        for metric in mlcomp_platform::METRIC_NAMES {
+            assert_rows_match(&x, &dataset.targets(metric), metric);
+        }
     }
 
     #[test]

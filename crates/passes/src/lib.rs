@@ -35,6 +35,8 @@
 pub mod cfgopt;
 pub mod cse;
 pub mod dce;
+#[cfg(test)]
+mod interp_oracle;
 pub mod ipo;
 pub mod loops;
 pub mod manager;

@@ -5,7 +5,7 @@
 
 use crate::registry::PHASE_NAMES;
 use crate::PassManager;
-use mlcomp_ir::Module;
+use mlcomp_ir::{BlockId, Inst, InstKind, Module, Type, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,4 +66,69 @@ pub(crate) fn for_each_suite_state(
         }
     }
     visited
+}
+
+/// Copies of `state`, each with one fault: an operand pointed at an
+/// unplaced value, a phi incoming block swapped for another block, or a
+/// branch target deleted: about eight instruction sites and four
+/// blocks per function.
+pub(crate) fn mutants(state: &Module) -> Vec<Module> {
+    let mut out = Vec::new();
+    for (fi, f) in state.functions.iter().enumerate() {
+        let placed: Vec<_> = f
+            .block_ids()
+            .flat_map(|b| f.block(b).insts.iter().map(move |&id| (b, id)))
+            .collect();
+        for &(_, id) in placed.iter().step_by(placed.len() / 8 + 1) {
+            if matches!(f.inst(id).kind, InstKind::Phi { .. }) {
+                let mut m = state.clone();
+                let g = &mut m.functions[fi];
+                let blocks = g.blocks.len() as u32;
+                let InstKind::Phi { incomings } = &mut g.inst_mut(id).kind else {
+                    unreachable!()
+                };
+                // The last block, unless the phi names it already:
+                // a predecessor list out of order for the message.
+                let last = BlockId(blocks - 1);
+                let swap_in = if incomings.iter().any(|&(p, _)| p == last) {
+                    incomings.first().map(|&(p, _)| BlockId((p.0 + 1) % blocks))
+                } else {
+                    Some(last)
+                };
+                if let (Some(first), Some(swap_in)) = (incomings.first_mut(), swap_in) {
+                    first.0 = swap_in;
+                    out.push(m);
+                }
+                continue;
+            }
+            let mut has_inst_operand = false;
+            f.inst(id)
+                .kind
+                .for_each_operand(|v| has_inst_operand |= matches!(v, Value::Inst(_)));
+            if has_inst_operand {
+                let mut m = state.clone();
+                let g = &mut m.functions[fi];
+                let ghost = g.add_inst(Inst::new(InstKind::Alloca { cells: 1 }, Type::Ptr));
+                let mut done = false;
+                g.inst_mut(id).kind.map_operands(|v| match v {
+                    Value::Inst(_) if !done => {
+                        done = true;
+                        Value::Inst(ghost)
+                    }
+                    v => v,
+                });
+                out.push(m);
+            }
+        }
+        for b in f.block_ids().step_by(f.blocks.len() / 4 + 1) {
+            if let Some(&s) = f.block(b).term.successors().last() {
+                if s != BlockId::ENTRY {
+                    let mut m = state.clone();
+                    m.functions[fi].block_mut(s).deleted = true;
+                    out.push(m);
+                }
+            }
+        }
+    }
+    out
 }

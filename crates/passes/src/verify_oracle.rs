@@ -411,7 +411,8 @@ fn check_inst_types(
 
 mod tests {
     use super::verify as oracle;
-    use mlcomp_ir::{verify, BlockId, Inst, InstKind, Module, Type, Value};
+    use crate::suite_states::mutants;
+    use mlcomp_ir::verify;
 
     /// The largest state checked: debug builds stop at 1,600 instructions,
     /// as the other suite-state oracles do.
@@ -420,71 +421,6 @@ mod tests {
     } else {
         usize::MAX
     };
-
-    /// Copies of `state`, each with one fault: an operand pointed at an
-    /// unplaced value, a phi incoming block swapped for another block, or a
-    /// branch target deleted: about eight instruction sites and four
-    /// blocks per function.
-    fn mutants(state: &Module) -> Vec<Module> {
-        let mut out = Vec::new();
-        for (fi, f) in state.functions.iter().enumerate() {
-            let placed: Vec<_> = f
-                .block_ids()
-                .flat_map(|b| f.block(b).insts.iter().map(move |&id| (b, id)))
-                .collect();
-            for &(_, id) in placed.iter().step_by(placed.len() / 8 + 1) {
-                if matches!(f.inst(id).kind, InstKind::Phi { .. }) {
-                    let mut m = state.clone();
-                    let g = &mut m.functions[fi];
-                    let blocks = g.blocks.len() as u32;
-                    let InstKind::Phi { incomings } = &mut g.inst_mut(id).kind else {
-                        unreachable!()
-                    };
-                    // The last block, unless the phi names it already:
-                    // a predecessor list out of order for the message.
-                    let last = BlockId(blocks - 1);
-                    let swap_in = if incomings.iter().any(|&(p, _)| p == last) {
-                        incomings.first().map(|&(p, _)| BlockId((p.0 + 1) % blocks))
-                    } else {
-                        Some(last)
-                    };
-                    if let (Some(first), Some(swap_in)) = (incomings.first_mut(), swap_in) {
-                        first.0 = swap_in;
-                        out.push(m);
-                    }
-                    continue;
-                }
-                let mut has_inst_operand = false;
-                f.inst(id)
-                    .kind
-                    .for_each_operand(|v| has_inst_operand |= matches!(v, Value::Inst(_)));
-                if has_inst_operand {
-                    let mut m = state.clone();
-                    let g = &mut m.functions[fi];
-                    let ghost = g.add_inst(Inst::new(InstKind::Alloca { cells: 1 }, Type::Ptr));
-                    let mut done = false;
-                    g.inst_mut(id).kind.map_operands(|v| match v {
-                        Value::Inst(_) if !done => {
-                            done = true;
-                            Value::Inst(ghost)
-                        }
-                        v => v,
-                    });
-                    out.push(m);
-                }
-            }
-            for b in f.block_ids().step_by(f.blocks.len() / 4 + 1) {
-                if let Some(&s) = f.block(b).term.successors().last() {
-                    if s != BlockId::ENTRY {
-                        let mut m = state.clone();
-                        m.functions[fi].block_mut(s).deleted = true;
-                        out.push(m);
-                    }
-                }
-            }
-        }
-        out
-    }
 
     #[test]
     fn verify_matches_the_oracle_on_the_suite_states_and_their_mutants() {
