@@ -26,14 +26,13 @@
 
 use crate::block::{BlockId, Terminator};
 use crate::function::{FuncId, Function};
+use crate::hash::FastMap;
 use crate::inst::{BinOp, Callee, CastOp, CmpPred, InstId, InstKind, UnOp};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A runtime value: integer/pointer or float. Pointers are cell indices
 /// into the interpreter's flat memory.
@@ -212,8 +211,8 @@ impl DynCounts {
     /// Number of count fields.
     const FIELDS: usize = 24;
 
-    /// The counts as an array, in declaration order.
-    fn to_array(self) -> [u64; DynCounts::FIELDS] {
+    /// Every count, in declaration order, for access by field index.
+    fn fields_mut(&mut self) -> [&mut u64; DynCounts::FIELDS] {
         let DynCounts {
             int_alu,
             int_mul,
@@ -266,38 +265,6 @@ impl DynCounts {
             memcpy_cells,
             mem_intrinsic,
         ]
-    }
-
-    /// The inverse of [`DynCounts::to_array`].
-    fn from_array(a: [u64; DynCounts::FIELDS]) -> DynCounts {
-        let [int_alu, int_mul, int_div, fp_add, fp_mul, fp_div, fp_special, load, store, unaligned_mem, vector_ops, vector_lanes, branch, taken, jump, hinted_correct, hinted_wrong, call, ret, phi, alloca, memset_cells, memcpy_cells, mem_intrinsic] =
-            a;
-        DynCounts {
-            int_alu,
-            int_mul,
-            int_div,
-            fp_add,
-            fp_mul,
-            fp_div,
-            fp_special,
-            load,
-            store,
-            unaligned_mem,
-            vector_ops,
-            vector_lanes,
-            branch,
-            taken,
-            jump,
-            hinted_correct,
-            hinted_wrong,
-            call,
-            ret,
-            phi,
-            alloca,
-            memset_cells,
-            memcpy_cells,
-            mem_intrinsic,
-        }
     }
 
     /// Tallies an op covering `width` vector lanes (1 = scalar).
@@ -454,12 +421,12 @@ impl<'m> Interpreter<'m> {
     pub fn run(mut self, entry: FuncId, args: &[RtVal]) -> Result<Outcome, ExecError> {
         self.machine.args.extend_from_slice(args);
         let ret = self.execute(entry)?;
-        let mut counts = self.machine.counts.to_array();
+        let mut counts = self.machine.counts;
         let mut phi = 0;
+        let mut fields = counts.fields_mut();
         for f in self.lowered.iter().flatten() {
-            f.charge(&self.machine.hits, &mut counts, &mut phi);
+            f.charge(&self.machine.hits, &mut fields, &mut phi);
         }
-        let mut counts = DynCounts::from_array(counts);
         counts.phi += phi;
         Ok(Outcome { ret, counts })
     }
@@ -548,8 +515,11 @@ const NONE: u32 = u32::MAX;
 /// One lowered instruction or terminator, its operands resolved to slots.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// The commonest integer ops on `I64` and `Ptr`, each with its own
-    /// variant so that `eval` is inlined for one operator and one type.
+    /// The integer ops on `I64` and `Ptr` the profiled programs run most,
+    /// each with its own variant so that `eval` is inlined for one
+    /// operator and one type. DESIGN.md ("The lowered interpreter") has
+    /// the measured op shares and the ablation that kept these, `Jump`,
+    /// `Move` and `CmpBr`.
     Add {
         dst: Slot,
         lhs: Slot,
@@ -571,7 +541,7 @@ enum Op {
         rhs: Slot,
     },
     /// Any other integer op on `I64` and `Ptr`: `eval` inlined for the
-    /// type, the operator picked by one more match.
+    /// type.
     Wide {
         op: BinOp,
         dst: Slot,
@@ -749,9 +719,10 @@ struct Lowered {
     /// `(then, else)` edges of each `CmpBr`.
     branches: Vec<(u32, u32)>,
     /// The counts of each lowered block that do not depend on runtime
-    /// values, terminator included, as `(field, count)` pairs over
-    /// [`DynCounts::to_array`]: block `b`'s are
-    /// `deltas[block_deltas[b]..block_deltas[b + 1]]`.
+    /// values, terminator included, as `(field index, count)` pairs: block
+    /// `b`'s are `deltas[block_deltas[b]..block_deltas[b + 1]]`. Unrolled
+    /// code has many blocks that run once, and one whole [`DynCounts`] per
+    /// block read 15% slower on `x264` after `loop-unroll`.
     deltas: Vec<(u8, u32)>,
     block_deltas: Vec<u32>,
     /// Where `edges[0]`'s counter starts in [`Machine::hits`].
@@ -759,40 +730,20 @@ struct Lowered {
 }
 
 impl Lowered {
-    /// Adds to `counts` (a [`DynCounts::to_array`]) the static counts of
+    /// Adds to `counts` (a [`DynCounts::fields_mut`]) the static counts of
     /// every block entered, times the entries through each edge, and to
     /// `phi` the edges' phi moves.
-    fn charge(&self, hits: &[u64], counts: &mut [u64; DynCounts::FIELDS], phi: &mut u64) {
+    fn charge(&self, hits: &[u64], counts: &mut [&mut u64; DynCounts::FIELDS], phi: &mut u64) {
         for (edge, &n) in self.edges.iter().zip(&hits[self.hits..]) {
             if n > 0 {
                 let b = edge.block as usize;
                 let deltas = self.block_deltas[b] as usize..self.block_deltas[b + 1] as usize;
                 for &(field, k) in &self.deltas[deltas] {
-                    counts[usize::from(field)] += n * u64::from(k);
+                    *counts[usize::from(field)] += n * u64::from(k);
                 }
                 *phi += n * u64::from(edge.nmoves);
             }
         }
-    }
-}
-
-/// A hasher for the constant pool's keys: one multiply per word.
-#[derive(Default)]
-struct PoolHasher(u64);
-
-impl Hasher for PoolHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
@@ -804,7 +755,7 @@ struct Lowering<'a> {
     /// Slot of each arena instruction, [`NONE`] until first seen.
     inst_slots: Vec<Slot>,
     /// Constant slots by `(bits, is_float)`.
-    pool: HashMap<(u64, bool), Slot, BuildHasherDefault<PoolHasher>>,
+    pool: FastMap<(u64, bool), Slot>,
     /// A slot no op writes, for operands that can never be read.
     undefined: Slot,
     /// Lowered index of each arena block, [`NONE`] until reached.
@@ -835,7 +786,7 @@ impl<'a> Lowering<'a> {
                 hits,
             },
             inst_slots: vec![NONE; f.insts.len()],
-            pool: HashMap::default(),
+            pool: FastMap::default(),
             undefined: NONE,
             block_index: vec![NONE; f.blocks.len()],
             order: Vec::new(),
@@ -1255,10 +1206,10 @@ impl<'a> Lowering<'a> {
             Terminator::Unreachable => Op::Unreachable,
         };
         self.out.code.push(op);
-        for (field, &n) in counts.to_array().iter().enumerate() {
-            if n != 0 {
+        for (field, n) in counts.fields_mut().into_iter().enumerate() {
+            if *n != 0 {
                 // A block's own count of one kind fits in 32 bits.
-                self.out.deltas.push((field as u8, n as u32));
+                self.out.deltas.push((field as u8, *n as u32));
             }
         }
         self.out.block_deltas.push(self.out.deltas.len() as u32);
@@ -1521,19 +1472,7 @@ impl Machine {
                 Op::Sub { dst, lhs, rhs } => wide(BinOp::Sub, regs, dst, lhs, rhs)?,
                 Op::Mul { dst, lhs, rhs } => wide(BinOp::Mul, regs, dst, lhs, rhs)?,
                 Op::And { dst, lhs, rhs } => wide(BinOp::And, regs, dst, lhs, rhs)?,
-                Op::Wide { op, dst, lhs, rhs } => match op {
-                    BinOp::SDiv => wide(BinOp::SDiv, regs, dst, lhs, rhs)?,
-                    BinOp::UDiv => wide(BinOp::UDiv, regs, dst, lhs, rhs)?,
-                    BinOp::SRem => wide(BinOp::SRem, regs, dst, lhs, rhs)?,
-                    BinOp::URem => wide(BinOp::URem, regs, dst, lhs, rhs)?,
-                    BinOp::Or => wide(BinOp::Or, regs, dst, lhs, rhs)?,
-                    BinOp::Xor => wide(BinOp::Xor, regs, dst, lhs, rhs)?,
-                    BinOp::Shl => wide(BinOp::Shl, regs, dst, lhs, rhs)?,
-                    BinOp::AShr => wide(BinOp::AShr, regs, dst, lhs, rhs)?,
-                    BinOp::LShr => wide(BinOp::LShr, regs, dst, lhs, rhs)?,
-                    // `Add`, `Sub`, `Mul` and `And` have ops of their own.
-                    op => wide(op, regs, dst, lhs, rhs)?,
-                },
+                Op::Wide { op, dst, lhs, rhs } => wide(op, regs, dst, lhs, rhs)?,
                 Op::Bin {
                     op,
                     ty,

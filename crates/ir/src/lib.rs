@@ -19,7 +19,8 @@
 //!   def-use analyses shared by the optimization phases;
 //! * [`interp`] — a profiling interpreter that executes a module and returns
 //!   per-operation dynamic counts, the raw material for the platform cost
-//!   models.
+//!   models;
+//! * [`hash`] — a fast hasher for maps keyed by ids, shared with the phases.
 //!
 //! # Example
 //!
@@ -46,6 +47,7 @@ pub mod block;
 pub mod builder;
 pub mod display;
 pub mod function;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod module;

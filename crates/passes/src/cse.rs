@@ -14,8 +14,9 @@
 //! * `gvn` additionally canonicalizes commutative operands, catching
 //!   `a+b` vs `b+a` pairs the CSE passes miss.
 
-use crate::util::{may_write_memory, mem_root, trivial_dce, FastMap, MemRoot, Replacements};
+use crate::util::{may_write_memory, mem_root, trivial_dce, MemRoot, Replacements};
 use mlcomp_ir::analysis::{Body, Cfg, CfgDom, DomTree};
+use mlcomp_ir::hash::FastMap;
 use mlcomp_ir::{
     BinOp, BlockId, CastOp, CmpPred, Function, InstId, InstKind, Module, Type, UnOp, Value,
 };

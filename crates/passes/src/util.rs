@@ -8,8 +8,7 @@ use mlcomp_ir::{
     Value,
 };
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashSet;
 
 /// Folds an operation whose operands are all constants into a constant
 /// value. Returns `None` when not fully constant or when folding would
@@ -641,49 +640,6 @@ pub fn ensure_preheader(f: &mut Function, header: BlockId, loop_blocks: &[BlockI
     }
     pre
 }
-
-/// The multiplicative hash `rustc` uses, for hash maps in hot phase code
-/// whose keys are a few words of ids and values: std's SipHash costs
-/// several times as much there. Output never depends on such a map's
-/// iteration order, as it never does on a std map's, which is seeded per
-/// process.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FastHasher(u64);
-
-impl Hasher for FastHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` hashed by [`FastHasher`].
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Instruction results a phase replaces during one sweep over a function,
 /// rewritten into their uses in one pass at the end of the sweep.
