@@ -2,11 +2,12 @@
 //! training, 2 days vs 15–108): obtaining dynamic features from the PE is
 //! orders of magnitude cheaper than profiling an execution. This bench
 //! measures both paths on the same program, and the cost of training the
-//! PE (Algorithm 1's model search for all four metrics) and of its
-//! costliest single fit on the dataset.
+//! PE (Algorithm 1's model search for all four metrics), of its
+//! costliest single fit on the dataset and of fitting the PSS feature
+//! projection there.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcomp_core::{DataExtraction, PerfEstimator};
+use mlcomp_core::{DataExtraction, FeatureProjector, PerfEstimator};
 use mlcomp_ml::models::RandomForest;
 use mlcomp_ml::search::ModelSearch;
 use mlcomp_ml::Regressor;
@@ -60,6 +61,11 @@ fn bench(c: &mut Criterion) {
             forest.fit(black_box(&x), black_box(&y)).unwrap();
             black_box(forest)
         })
+    });
+    // Standardize + PCA(MLE): one eigendecomposition of the 63 × 63
+    // covariance of the standardized features.
+    g.bench_function("FeatureProjector::fit (quick dataset)", |b| {
+        b.iter(|| black_box(FeatureProjector::fit(black_box(&x)).unwrap()))
     });
     g.finish();
 }

@@ -1,10 +1,14 @@
 //! Deployment-overhead benches: policy forward pass, one full PSS
 //! decision step, a served feature-only selection and a whole `optimize`
 //! run — the cost MLComp adds to a compilation — plus the policy math of
-//! one REINFORCE training step.
+//! one REINFORCE training step and a whole quick PSS training.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcomp_core::{Mlcomp, MlcompConfig};
+use mlcomp_core::{
+    DataExtraction, Mlcomp, MlcompConfig, PerfEstimator, PhaseSequenceSelector, PssConfig,
+    RewardWeights,
+};
+use mlcomp_ml::search::ModelSearch;
 use mlcomp_platform::X86Platform;
 use std::hint::black_box;
 
@@ -39,8 +43,10 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // One step of Algorithm 2's update: the fused policy-gradient and
-    // entropy-bonus backward pass on a cached forward pass.
+    // One step of Algorithm 2's update on a cached forward pass: the
+    // entropy-bonus chain and the policy-gradient chain, both added into
+    // every weight. Training shares the entropy chain among the steps on
+    // one forward, so it pays less than this per step.
     let mut g = c.benchmark_group("pss-training");
     let fwd = selector.policy.forward(&state);
     let mut grads = vec![0.0; selector.policy.param_count()];
@@ -56,6 +62,33 @@ fn bench(c: &mut Criterion) {
             black_box(&grads);
         })
     });
+
+    // Algorithm 2 as the quickstart runs it: the trainer with its
+    // environment, through `PhaseSequenceSelector::train`, whose own work
+    // beside the trainer is setting both up.
+    let apps: Vec<_> = mlcomp_suites::parsec_suite()
+        .into_iter()
+        .filter(|p| ["dedup", "vips", "x264"].contains(&p.name))
+        .collect();
+    let dataset = DataExtraction::quick()
+        .run(&platform, &apps)
+        .expect("extraction runs");
+    let estimator = PerfEstimator::train(&dataset, &ModelSearch::quick()).expect("PE trains");
+    let projector = mlcomp_core::FeatureProjector::fit(&dataset.features()).expect("fits");
+    g.bench_function(
+        "ReinforceTrainer::train (quick PSS, dedup/vips/x264)",
+        |b| {
+            b.iter(|| {
+                black_box(PhaseSequenceSelector::train(
+                    &apps,
+                    &estimator,
+                    projector.clone(),
+                    PssConfig::quick(),
+                    RewardWeights::default(),
+                ))
+            })
+        },
+    );
     g.finish();
 }
 

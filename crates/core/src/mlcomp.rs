@@ -6,6 +6,7 @@ use crate::estimator::PerfEstimator;
 use crate::extraction::{DataExtraction, ExtractionError};
 use crate::pss::{PhaseSequenceSelector, PssConfig, RewardWeights};
 use mlcomp_ml::search::ModelSearch;
+use mlcomp_parallel::WorkerPool;
 use mlcomp_platform::TargetPlatform;
 use mlcomp_rl::TrainingStats;
 use mlcomp_suites::BenchProgram;
@@ -71,7 +72,8 @@ impl MlcompConfig {
     }
 
     /// Sets the worker-thread count for both parallel stages — data
-    /// extraction and Algorithm 1's candidate evaluation. `0` means host
+    /// extraction and Algorithm 1's candidate evaluation, beside which the
+    /// feature projector is fitted above one thread. `0` means host
     /// parallelism. Results are bit-identical at any value; see
     /// `DESIGN.md`.
     pub fn with_num_threads(mut self, num_threads: usize) -> MlcompConfig {
@@ -162,11 +164,15 @@ impl Mlcomp {
     ) -> Result<Artifacts, MlcompError> {
         // ① Data extraction.
         let dataset = self.config.extraction.run(platform, apps)?;
-        // ② Performance Estimator model training (Algorithm 1).
-        let estimator = PerfEstimator::train(&dataset, &self.config.search)?;
-        // ③ Phase Selection Policy training (Algorithm 2) with the paper's
-        //    standardize + PCA(MLE) feature projection.
-        let projector = crate::pss::FeatureProjector::fit(&dataset.features())?;
+        // ② Performance Estimator model training (Algorithm 1), with the
+        //    paper's standardize + PCA(MLE) feature projection for ③ fitted
+        //    beside it: the two read the dataset only.
+        let (estimator, projector) = WorkerPool::new(self.config.search.num_threads).join(
+            || PerfEstimator::train(&dataset, &self.config.search),
+            || crate::pss::FeatureProjector::fit(&dataset.features()),
+        );
+        let (estimator, projector) = (estimator?, projector?);
+        // ③ Phase Selection Policy training (Algorithm 2).
         let (selector, training_curve) = PhaseSequenceSelector::train(
             apps,
             &estimator,

@@ -135,6 +135,7 @@ impl FeatureProjector {
     ///
     /// Returns [`TrainError`] on degenerate input (fewer than two rows).
     pub fn fit(x: &mlcomp_linalg::Matrix) -> Result<FeatureProjector, TrainError> {
+        let _span = trace::span("pss.projector");
         let mut scaler = StandardScaler::default();
         let scaled = scaler.fit_transform(x)?;
         let mut pca = Pca::mle();

@@ -14,20 +14,32 @@ pub struct SymmetricEigen {
 /// Computes the eigendecomposition of a symmetric matrix using the cyclic
 /// Jacobi method.
 ///
+/// Each rotation updates two columns and two rows of the working matrix
+/// and two columns of `V`. `V` is kept transposed, so its columns are
+/// contiguous rows, and rows are rotated as slices; only the working
+/// matrix's column pass reads with a stride.
+///
 /// # Panics
 ///
 /// Panics if the matrix is not square.
 pub fn symmetric_eigen(a: &Matrix) -> SymmetricEigen {
     assert_eq!(a.rows(), a.cols(), "eigen needs a square matrix");
     let n = a.rows();
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    if n == 0 {
+        return SymmetricEigen {
+            values: Vec::new(),
+            vectors: Matrix::zeros(0, 0),
+        };
+    }
+    let mut m = a.as_slice().to_vec();
+    // Row k of `vt` is column k of V.
+    let mut vt = Matrix::identity(n).as_slice().to_vec();
 
     for _sweep in 0..64 {
         let mut off = 0.0;
-        for i in 0..n {
-            for j in i + 1..n {
-                off += m[(i, j)] * m[(i, j)];
+        for (i, row) in m.chunks_exact(n).enumerate() {
+            for x in &row[i + 1..] {
+                off += x * x;
             }
         }
         if off < 1e-22 {
@@ -35,42 +47,49 @@ pub fn symmetric_eigen(a: &Matrix) -> SymmetricEigen {
         }
         for p in 0..n {
             for q in p + 1..n {
-                if m[(p, q)].abs() < 1e-15 {
+                let mpq = m[p * n + q];
+                if mpq.abs() < 1e-15 {
                     continue;
                 }
-                let theta = (m[(q, q)] - m[(p, p)]) / (2.0 * m[(p, q)]);
+                let theta = (m[q * n + q] - m[p * n + p]) / (2.0 * mpq);
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
-                // Rotate rows/cols p and q.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
+                // Rotate columns p and q, then rows p and q.
+                for row in m.chunks_exact_mut(n) {
+                    let (mkp, mkq) = (row[p], row[q]);
+                    row[p] = c * mkp - s * mkq;
+                    row[q] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
+                rotate_rows(&mut m, n, p, q, c, s);
+                rotate_rows(&mut vt, n, p, q, c, s);
             }
         }
     }
 
     // Sort descending by eigenvalue.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| m[(j, j)].partial_cmp(&m[(i, i)]).unwrap());
-    let values: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
-    let vectors = v.select_columns(&order);
+    order.sort_by(|&i, &j| m[j * n + j].partial_cmp(&m[i * n + i]).unwrap());
+    let values: Vec<f64> = order.iter().map(|&i| m[i * n + i]).collect();
+    let mut vectors = Matrix::zeros(n, n);
+    for (col, &i) in order.iter().enumerate() {
+        for (k, &x) in vt[i * n..(i + 1) * n].iter().enumerate() {
+            vectors[(k, col)] = x;
+        }
+    }
     SymmetricEigen { values, vectors }
+}
+
+/// Rotates rows `p < q` of the row-major `n`-column `data` by the Jacobi
+/// rotation `(c, s)`.
+fn rotate_rows(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = data.split_at_mut(q * n);
+    let rp = &mut head[p * n..(p + 1) * n];
+    for (xp, xq) in rp.iter_mut().zip(&mut tail[..n]) {
+        let (a, b) = (*xp, *xq);
+        *xp = c * a - s * b;
+        *xq = s * a + c * b;
+    }
 }
 
 /// Thin singular value decomposition `A = U · diag(σ) · Vᵀ`, computed via
@@ -116,6 +135,171 @@ pub fn svd(a: &Matrix) -> Svd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod oracle {
+        use super::super::*;
+
+        /// The solver before it kept `V` transposed and rotated row slices:
+        /// every element read and written through `(i, j)` indexing.
+        pub fn symmetric_eigen(a: &Matrix) -> SymmetricEigen {
+            assert_eq!(a.rows(), a.cols(), "eigen needs a square matrix");
+            let n = a.rows();
+            let mut m = a.clone();
+            let mut v = Matrix::identity(n);
+
+            for _sweep in 0..64 {
+                let mut off = 0.0;
+                for i in 0..n {
+                    for j in i + 1..n {
+                        off += m[(i, j)] * m[(i, j)];
+                    }
+                }
+                if off < 1e-22 {
+                    break;
+                }
+                for p in 0..n {
+                    for q in p + 1..n {
+                        if m[(p, q)].abs() < 1e-15 {
+                            continue;
+                        }
+                        let theta = (m[(q, q)] - m[(p, p)]) / (2.0 * m[(p, q)]);
+                        let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                        let c = 1.0 / (t * t + 1.0).sqrt();
+                        let s = t * c;
+                        // Rotate rows/cols p and q.
+                        for k in 0..n {
+                            let mkp = m[(k, p)];
+                            let mkq = m[(k, q)];
+                            m[(k, p)] = c * mkp - s * mkq;
+                            m[(k, q)] = s * mkp + c * mkq;
+                        }
+                        for k in 0..n {
+                            let mpk = m[(p, k)];
+                            let mqk = m[(q, k)];
+                            m[(p, k)] = c * mpk - s * mqk;
+                            m[(q, k)] = s * mpk + c * mqk;
+                        }
+                        for k in 0..n {
+                            let vkp = v[(k, p)];
+                            let vkq = v[(k, q)];
+                            v[(k, p)] = c * vkp - s * vkq;
+                            v[(k, q)] = s * vkp + c * vkq;
+                        }
+                    }
+                }
+            }
+
+            // Sort descending by eigenvalue.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&i, &j| m[(j, j)].partial_cmp(&m[(i, i)]).unwrap());
+            let values: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
+            let vectors = v.select_columns(&order);
+            SymmetricEigen { values, vectors }
+        }
+    }
+
+    fn assert_matches_the_oracle(a: &Matrix, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let got = symmetric_eigen(a);
+        let want = oracle::symmetric_eigen(a);
+        assert_eq!(bits(&got.values), bits(&want.values), "{what}: values");
+        assert_eq!(
+            (got.vectors.rows(), got.vectors.cols()),
+            (want.vectors.rows(), want.vectors.cols()),
+            "{what}: shape"
+        );
+        assert_eq!(
+            bits(got.vectors.as_slice()),
+            bits(want.vectors.as_slice()),
+            "{what}: vectors"
+        );
+    }
+
+    /// A seeded generator of values in `[-1, 1)` (splitmix64).
+    fn values(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    #[test]
+    fn eigen_matches_the_oracle_on_random_symmetric_matrices() {
+        assert_matches_the_oracle(&Matrix::zeros(0, 0), "empty");
+        for n in 1..=70 {
+            let mut next = values(n as u64);
+            // Symmetric with independent entries.
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in i..n {
+                    let x = next() * 10.0;
+                    a[(i, j)] = x;
+                    a[(j, i)] = x;
+                }
+            }
+            assert_matches_the_oracle(&a, &format!("random {n}"));
+            // A Gram matrix of rank about n / 3, with one zero row and
+            // column (a constant feature).
+            let rows = (n / 3).max(1);
+            let mut x = Matrix::zeros(rows, n);
+            for r in 0..rows {
+                for c in 1..n {
+                    x[(r, c)] = next();
+                }
+            }
+            assert_matches_the_oracle(&x.gram(), &format!("rank-deficient {n}"));
+            // Repeated eigenvalues: a block of equal diagonal entries
+            // rotated by an orthogonal-ish mixing, and the identity.
+            let mut d = Matrix::identity(n);
+            for i in 0..n {
+                d[(i, i)] = if i < n / 2 { 2.0 } else { 0.5 };
+            }
+            let mix = Matrix::from_flat(n, n, (0..n * n).map(|_| next()).collect());
+            assert_matches_the_oracle(
+                &mix.matmul(&d).matmul(&mix.transpose()),
+                &format!("repeated {n}"),
+            );
+            assert_matches_the_oracle(&Matrix::identity(n), &format!("identity {n}"));
+        }
+    }
+
+    /// The covariances that PCA decomposes in the pipeline: of the quick
+    /// `dedup`/`vips`/`x264` extraction dataset's features, raw and
+    /// standardized.
+    #[test]
+    fn eigen_matches_the_oracle_on_the_quick_dataset_covariances() {
+        use mlcomp::ml::Preprocessor;
+        let apps: Vec<_> = mlcomp::suites::parsec_suite()
+            .into_iter()
+            .filter(|p| ["dedup", "vips", "x264"].contains(&p.name))
+            .collect();
+        let dataset = mlcomp::core::DataExtraction::quick()
+            .run(&mlcomp::platform::X86Platform::new(), &apps)
+            .unwrap();
+        let raw = dataset.features();
+        let scaled = mlcomp::ml::preprocess::StandardScaler::default()
+            .fit_transform(&raw)
+            .unwrap();
+        for (what, x) in [("raw", raw), ("standardized", scaled)] {
+            // The library build's matrix, copied into this build's.
+            let x = Matrix::from_flat(x.rows(), x.cols(), x.as_slice().to_vec());
+            let (n, d) = (x.rows(), x.cols());
+            let mut centered = x.clone();
+            for j in 0..d {
+                let mean = crate::mean(&x.col(j));
+                for i in 0..n {
+                    centered[(i, j)] -= mean;
+                }
+            }
+            let cov = centered.gram().scale(1.0 / (n as f64 - 1.0));
+            assert_matches_the_oracle(&cov, what);
+        }
+    }
 
     #[test]
     fn eigen_of_diagonal() {

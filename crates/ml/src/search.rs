@@ -192,7 +192,7 @@ impl Default for ModelSearch {
 
 impl ModelSearch {
     /// A faster search over a representative subset of the zoo (used by
-    /// tests and the RL training loop, where the PE is retrained often).
+    /// tests, demos and `MlcompConfig::quick`).
     pub fn quick() -> ModelSearch {
         ModelSearch {
             models: ["ridge", "linear", "lasso", "decision-tree", "random-forest"]

@@ -168,6 +168,43 @@ impl WorkerPool {
         tagged.into_iter().map(|(_, r)| r).collect()
     }
 
+    /// Runs `a` and `b` side by side and returns both results: `b` on a
+    /// thread of its own, `a` on the calling thread. With `num_threads`
+    /// of 1 (or 0 resolving to 1) both run inline, `a` first. Each closure
+    /// runs once either way, so results do not depend on the thread count
+    /// as long as the two share no state. A panic in either reaches the
+    /// caller after both have finished.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mlcomp_parallel::WorkerPool;
+    ///
+    /// let (sum, max) = WorkerPool::new(2).join(|| 1 + 2, || 3.max(4));
+    /// assert_eq!((sum, max), (3, 4));
+    /// assert_eq!(WorkerPool::new(1).join(|| 1 + 2, || 3.max(4)), (3, 4));
+    /// ```
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        if self.num_threads <= 1 {
+            let ra = a();
+            return (ra, b());
+        }
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(b);
+            let ra = catch_unwind(AssertUnwindSafe(a));
+            let rb = handle.join();
+            match (ra, rb) {
+                (Ok(ra), Ok(rb)) => (ra, rb),
+                (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
+
     /// Like [`WorkerPool::map`], but *supervised*: a panic in `f` fails only
     /// its own item instead of tearing down the whole map. It runs through
     /// `map` itself, so both share one spawn loop and its telemetry.
@@ -382,5 +419,30 @@ mod tests {
             x
         });
         assert_eq!(out, vec![Ok(1), Ok(2)]);
+    }
+
+    #[test]
+    fn join_runs_both_closures_at_every_thread_count() {
+        for threads in [1, 2, 4] {
+            let items: Vec<u64> = (0..100).collect();
+            let (sum, squares) = WorkerPool::new(threads).join(
+                || items.iter().sum::<u64>(),
+                || items.iter().map(|x| x * x).sum::<u64>(),
+            );
+            assert_eq!((sum, squares), (4950, 328_350), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        for threads in [1, 2] {
+            let pool = WorkerPool::new(threads);
+            let caught = catch_unwind(|| pool.join(|| panic!("left dies"), || 1))
+                .expect_err("the panic must reach the caller");
+            assert!(panic_reason(caught.as_ref()).contains("left dies"));
+            let caught = catch_unwind(|| pool.join(|| 1, || panic!("right dies")))
+                .expect_err("the panic must reach the caller");
+            assert!(panic_reason(caught.as_ref()).contains("right dies"));
+        }
     }
 }

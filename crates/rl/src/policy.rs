@@ -96,6 +96,15 @@ impl Forward {
     }
 }
 
+/// The entropy bonus's gradients at the logits, at `h2` and at `h1` (in
+/// that order, in one buffer) for one forward pass and coefficient, from
+/// [`PolicyNet::entropy_term`].
+#[derive(Debug, Clone)]
+pub(crate) struct EntropyTerm {
+    buf: Vec<f64>,
+    hidden: usize,
+}
+
 impl PolicyNet {
     /// Creates a randomly initialized policy (Xavier-ish, seeded).
     pub fn new(input_dim: usize, hidden: usize, actions: usize, seed: u64) -> PolicyNet {
@@ -174,9 +183,10 @@ impl PolicyNet {
     /// (negative-entropy loss: an entropy *bonus* that discourages
     /// premature collapse of the action distribution).
     ///
-    /// One backward pass carries both terms. Each gradient element adds
-    /// the policy term and then the entropy term, the additions of two
-    /// separate passes in their order, so the bits are theirs.
+    /// Each gradient element adds the policy term and then the entropy
+    /// term, the additions of two separate backward passes in their order,
+    /// so the bits are theirs. This computes the entropy term for this
+    /// step alone; training shares it among the steps on one forward.
     pub fn accumulate_step_gradient(
         &self,
         fwd: &Forward,
@@ -185,48 +195,71 @@ impl PolicyNet {
         entropy_beta: Option<f64>,
         grads: &mut [f64],
     ) {
-        match entropy_beta {
-            Some(beta) => self.step_gradient::<2>(fwd, action, advantage, beta, grads),
-            None => self.step_gradient::<1>(fwd, action, advantage, 0.0, grads),
-        }
+        let entropy = entropy_beta.map(|beta| self.entropy_term(fwd, beta));
+        self.accumulate_cached_step_gradient(fwd, action, advantage, entropy.as_ref(), grads);
+    }
+
+    /// The entropy bonus's part of the backward pass on `fwd` with
+    /// coefficient `beta`: its gradients at the logits, at `h2` and at
+    /// `h1`. It depends on nothing else, so every step that shares the
+    /// forward and β can share it.
+    pub(crate) fn entropy_term(&self, fwd: &Forward, beta: f64) -> EntropyTerm {
+        let (h, a_n) = (self.hidden, self.actions);
+        let mut buf = vec![0.0; a_n + 2 * h];
+        let (dlogits, rest) = buf.split_at_mut(a_n);
+        let (dh2, dh1) = rest.split_at_mut(h);
+        entropy_logit_gradient(fwd.probs(), beta, dlogits);
+        input_gradient(&self.w3, dlogits, dh2);
+        tanh_backward(fwd.h2(), dh2);
+        input_gradient(&self.w2, dh2, dh1);
+        tanh_backward(fwd.h1(), dh1);
+        EntropyTerm { buf, hidden: h }
     }
 
     /// [`accumulate_step_gradient`](PolicyNet::accumulate_step_gradient)
-    /// with `T` terms: the policy gradient, then (`T == 2`) the entropy
-    /// bonus with coefficient `beta`.
-    fn step_gradient<const T: usize>(
+    /// with the entropy term already computed (by
+    /// [`entropy_term`](PolicyNet::entropy_term) on the same forward):
+    /// only the policy term's chain runs here.
+    ///
+    /// Each term's chain is that of its own backward pass, so the bits
+    /// are those of the one-shot form.
+    pub(crate) fn accumulate_cached_step_gradient(
         &self,
         fwd: &Forward,
         action: usize,
         advantage: f64,
-        beta: f64,
+        entropy: Option<&EntropyTerm>,
         grads: &mut [f64],
     ) {
         let (h, a_n) = (self.hidden, self.actions);
-        // Per term: the gradient at the logits, at h2 and at h1.
-        let mut buf = vec![0.0; T * (a_n + 2 * h)];
-        let (dlogits, rest) = buf.split_at_mut(T * a_n);
-        let (dh2, dh1) = rest.split_at_mut(T * h);
+        // The policy term's gradient at the logits, at h2 and at h1.
+        let mut buf = vec![0.0; a_n + 2 * h];
+        let (dlogits, rest) = buf.split_at_mut(a_n);
+        let (dh2, dh1) = rest.split_at_mut(h);
         // dL/dlogit = (p − onehot) · advantage.
-        let probs = fwd.probs();
-        dlogits[..a_n].copy_from_slice(probs);
+        dlogits.copy_from_slice(fwd.probs());
         dlogits[action] -= 1.0;
-        for v in &mut dlogits[..a_n] {
+        for v in dlogits.iter_mut() {
             *v *= advantage;
-        }
-        if T == 2 {
-            entropy_logit_gradient(probs, beta, &mut dlogits[a_n..]);
         }
         let (gw1, rest) = grads.split_at_mut(self.w1.len());
         let (gb1, rest) = rest.split_at_mut(h);
         let (gw2, rest) = rest.split_at_mut(self.w2.len());
         let (gb2, rest) = rest.split_at_mut(h);
         let (gw3, gb3) = rest.split_at_mut(self.w3.len());
-        backprop_dense::<T>(fwd.h2(), &self.w3, dlogits, gw3, gb3, Some(dh2));
-        tanh_backward::<T>(fwd.h2(), dh2);
-        backprop_dense::<T>(fwd.h1(), &self.w2, dh2, gw2, gb2, Some(dh1));
-        tanh_backward::<T>(fwd.h1(), dh1);
-        backprop_dense::<T>(fwd.x(), &self.w1, dh1, gw1, gb1, None);
+        let [e_logits, e_h2, e_h1] = match entropy {
+            Some(e) => {
+                let (l, rest) = e.buf.split_at(e.buf.len() - 2 * e.hidden);
+                let (h2, h1) = rest.split_at(e.hidden);
+                [Some(l), Some(h2), Some(h1)]
+            }
+            None => [None; 3],
+        };
+        backprop_dense(fwd.h2(), &self.w3, dlogits, e_logits, gw3, gb3, Some(dh2));
+        tanh_backward(fwd.h2(), dh2);
+        backprop_dense(fwd.h1(), &self.w2, dh2, e_h2, gw2, gb2, Some(dh1));
+        tanh_backward(fwd.h1(), dh1);
+        backprop_dense(fwd.x(), &self.w1, dh1, e_h1, gw1, gb1, None);
     }
 
     /// Total parameter count (gradient buffer size).
@@ -270,56 +303,71 @@ fn dense(input: &[f64], w: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Backpropagates through `out = dense(input, w, b)` for the `T` terms
-/// whose output gradients `d_out` holds (one `out.len()` run per term):
-/// adds each weight and bias gradient term by term, in term order, and
-/// writes each term's gradient at the input into `d_in`.
-fn backprop_dense<const T: usize>(
+/// Backpropagates through `out = dense(input, w, b)`: adds the weight and
+/// bias gradients of `d_out` and then, per element, those of `entropy`
+/// when given, and writes `d_out`'s gradient at the input into `d_in`.
+fn backprop_dense(
     input: &[f64],
     w: &[f64],
     d_out: &[f64],
+    entropy: Option<&[f64]>,
     grad_w: &mut [f64],
     grad_b: &mut [f64],
     d_in: Option<&mut [f64]>,
 ) {
+    match entropy {
+        Some(e) => accumulate_dense::<2>(input, [d_out, e], grad_w, grad_b),
+        None => accumulate_dense::<1>(input, [d_out], grad_w, grad_b),
+    }
+    if let Some(d_in) = d_in {
+        input_gradient(w, d_out, d_in);
+    }
+}
+
+/// Adds the weight and bias gradients of the `T` terms `d` to `grad_w`
+/// and `grad_b`, term by term, in term order.
+fn accumulate_dense<const T: usize>(
+    input: &[f64],
+    d: [&[f64]; T],
+    grad_w: &mut [f64],
+    grad_b: &mut [f64],
+) {
     let n = grad_b.len();
-    let d: [&[f64]; T] = std::array::from_fn(|t| &d_out[t * n..(t + 1) * n]);
+    // Slices of length `n` let every `dt[k]` below go unchecked.
+    let d = d.map(|dt| &dt[..n]);
     for (k, gb) in grad_b.iter_mut().enumerate() {
         for dt in d {
             *gb += dt[k];
         }
     }
-    for (j, xj) in input.iter().enumerate() {
-        for (k, g) in grad_w[j * n..(j + 1) * n].iter_mut().enumerate() {
+    for (row, xj) in grad_w.chunks_exact_mut(n).zip(input) {
+        for (k, g) in row.iter_mut().enumerate() {
             for dt in d {
                 *g += dt[k] * xj;
             }
         }
     }
-    if let Some(d_in) = d_in {
-        // Every input's sum is its own chain of additions in `k` order;
-        // running the chains side by side, `k` outer, keeps the adder busy.
-        let m = input.len();
-        for (t, dt) in d.iter().enumerate() {
-            let di = &mut d_in[t * m..(t + 1) * m];
-            di.fill(0.0);
-            for (k, dk) in dt.iter().enumerate() {
-                for (j, dij) in di.iter_mut().enumerate() {
-                    *dij += dk * w[j * n + k];
-                }
-            }
+}
+
+/// The gradient at the input of `dense` with weights `w`, given the one
+/// at its output, into `d_in`. Every input's sum is its own chain of
+/// additions in `k` order; running the chains side by side, `k` outer,
+/// keeps the adder busy.
+fn input_gradient(w: &[f64], d_out: &[f64], d_in: &mut [f64]) {
+    let n = d_out.len();
+    d_in.fill(0.0);
+    for (k, dk) in d_out.iter().enumerate() {
+        for (j, dij) in d_in.iter_mut().enumerate() {
+            *dij += dk * w[j * n + k];
         }
     }
 }
 
-/// Turns each of the `T` terms' gradients at `tanh`'s output `out` into
-/// the gradient at its input.
-fn tanh_backward<const T: usize>(out: &[f64], d: &mut [f64]) {
-    let n = out.len();
-    for t in 0..T {
-        for (g, o) in d[t * n..(t + 1) * n].iter_mut().zip(out) {
-            *g *= 1.0 - o * o;
-        }
+/// Turns a gradient at `tanh`'s output `out` into the gradient at its
+/// input.
+fn tanh_backward(out: &[f64], d: &mut [f64]) {
+    for (g, o) in d.iter_mut().zip(out) {
+        *g *= 1.0 - o * o;
     }
 }
 
@@ -537,6 +585,45 @@ mod tests {
         assert!(probs[1] > 0.0 && probs[1] < 1e-300, "{}", probs[1]);
         assert_eq!(probs[2], 0.0);
         assert_step_matches_the_oracle(&net, &x, 3, "vanishing");
+    }
+
+    /// One entropy term serves every step on its forward: steps that
+    /// share it equal the oracle's two backward passes per step, bit for
+    /// bit, on random forwards, actions, advantages and β, accumulating
+    /// onto a gradient that already holds values.
+    #[test]
+    fn a_shared_entropy_term_matches_the_two_pass_oracle() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for (i, &(d, h, a)) in [(1, 16, 2), (7, 16, 48), (30, 16, 48), (5, 3, 1)]
+            .iter()
+            .enumerate()
+        {
+            let net = random_net(d, h, a, 40 + i as u64);
+            for _ in 0..3 {
+                let x: Vec<f64> = (0..d).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let (fwd, want_fwd) = (net.forward(&x), oracle::forward(&net, &x));
+                let beta = rng.gen_range(1e-4..0.1);
+                let term = net.entropy_term(&fwd, beta);
+                let mut got: Vec<f64> = (0..net.param_count())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                let mut want = got.clone();
+                for _ in 0..5 {
+                    let action = rng.gen_range(0..a);
+                    let advantage = rng.gen_range(-2.0..2.0);
+                    net.accumulate_cached_step_gradient(
+                        &fwd,
+                        action,
+                        advantage,
+                        Some(&term),
+                        &mut got,
+                    );
+                    oracle::accumulate_gradient(&net, &want_fwd, action, advantage, &mut want);
+                    oracle::accumulate_entropy_gradient(&net, &want_fwd, beta, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{d}x{h}x{a}: action {action}");
+                }
+            }
+        }
     }
 
     /// The forward pass and the two backward passes before they walked

@@ -9,10 +9,11 @@
 //! cannot blow up the policy weights. Healthy runs are unaffected: the
 //! guards only reject values that would already have poisoned the policy.
 
-use crate::policy::{sample_index_detailed, PolicyNet};
+use crate::policy::{sample_index_detailed, EntropyTerm, Forward, PolicyNet};
 use mlcomp_trace as trace;
 use rand::Rng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// An episodic environment with a fixed-dimensional observation and a
 /// discrete action set.
@@ -146,10 +147,14 @@ impl ReinforceTrainer {
         }
         let mut stats = Vec::new();
         let mut episode_count = 0usize;
+        let mut table = ForwardTable::default();
         while episode_count < self.episodes {
             let batch = self.batch_size.min(self.episodes - episode_count);
-            // Collect a batch of episodes.
-            let mut all_steps: Vec<(crate::policy::Forward, usize, f64)> = Vec::new();
+            // The policy changes only between batches.
+            table.clear();
+            // Collect a batch of episodes: each step as (forward in the
+            // table, action, return).
+            let mut all_steps: Vec<(usize, usize, f64)> = Vec::new();
             let mut batch_return = 0.0;
             let mut batch_len = 0.0;
             let mut completed = 0usize;
@@ -158,7 +163,7 @@ impl ReinforceTrainer {
                 let episode_idx = episode_count + ep_in_batch;
                 let mut state = env.reset();
                 let mut rewards: Vec<f64> = Vec::new();
-                let mut steps: Vec<(crate::policy::Forward, usize)> = Vec::new();
+                let mut steps: Vec<(usize, usize)> = Vec::new();
                 let mut entropy_sum = 0.0;
                 let mut abort_reason = if state.iter().all(|v| v.is_finite()) {
                     None
@@ -167,9 +172,10 @@ impl ReinforceTrainer {
                 };
                 if abort_reason.is_none() {
                     for _ in 0..self.max_steps {
-                        let fwd = policy.forward(&state);
+                        let f = table.forward(policy, &state);
+                        let probs = table.forwards[f].probs();
                         let (action, fallback) =
-                            sample_index_detailed(fwd.probs(), rng.gen_range(0.0..1.0));
+                            sample_index_detailed(probs, rng.gen_range(0.0..1.0));
                         if fallback {
                             // The softmax degenerated (NaN / all-zero probs):
                             // the uniform fallback keeps sampling total, but
@@ -190,14 +196,13 @@ impl ReinforceTrainer {
                             break;
                         }
                         if tracing {
-                            entropy_sum += fwd
-                                .probs()
+                            entropy_sum += probs
                                 .iter()
                                 .filter(|p| **p > 0.0)
                                 .map(|p| -p * p.ln())
                                 .sum::<f64>();
                         }
-                        steps.push((fwd, action));
+                        steps.push((f, action));
                         rewards.push(reward);
                         state = next;
                         if done {
@@ -233,8 +238,8 @@ impl ReinforceTrainer {
                     g = rewards[t] + self.gamma * g;
                     returns[t] = g;
                 }
-                for ((fwd, action), ret) in steps.into_iter().zip(returns) {
-                    all_steps.push((fwd, action, ret));
+                for ((f, action), ret) in steps.into_iter().zip(returns) {
+                    all_steps.push((f, action, ret));
                 }
             }
             episode_count += batch;
@@ -245,12 +250,13 @@ impl ReinforceTrainer {
                 let mut grads = vec![0.0; policy.param_count()];
                 let scale = 1.0 / all_steps.len() as f64;
                 let entropy_beta = (self.entropy_bonus > 0.0).then_some(self.entropy_bonus * scale);
-                for (fwd, action, g) in &all_steps {
-                    policy.accumulate_step_gradient(
+                for &(f, action, g) in &all_steps {
+                    let (fwd, entropy) = table.step_terms(policy, f, entropy_beta);
+                    policy.accumulate_cached_step_gradient(
                         fwd,
-                        *action,
+                        action,
                         (g - baseline) * scale,
-                        entropy_beta,
+                        entropy,
                         &mut grads,
                     );
                 }
@@ -288,13 +294,254 @@ impl ReinforceTrainer {
             }
             stats.push(s);
         }
+        if train_span.is_recording() {
+            train_span.field("forwards", table.computed);
+        }
         stats
+    }
+}
+
+/// One batch's distinct forward passes, keyed by the bits of their state,
+/// and the entropy term of each, computed when a step first needs it.
+///
+/// The policy is fixed within a batch, so bit-equal states give bit-equal
+/// forwards, and β is fixed too, so one entropy term serves every step on
+/// a forward: reusing them changes no bit of the gradient. Episodes
+/// revisit states often (an inactive phase leaves the module as it was).
+#[derive(Default)]
+struct ForwardTable {
+    index: HashMap<Box<[u64]>, usize>,
+    forwards: Vec<Forward>,
+    entropy: Vec<Option<EntropyTerm>>,
+    /// The key of the latest lookup, kept to avoid an allocation per step.
+    key: Vec<u64>,
+    /// Forward passes computed, over all batches.
+    computed: usize,
+}
+
+impl ForwardTable {
+    /// The index of `state`'s forward pass, run on a state not seen yet.
+    fn forward(&mut self, policy: &PolicyNet, state: &[f64]) -> usize {
+        self.key.clear();
+        self.key.extend(state.iter().map(|v| v.to_bits()));
+        if let Some(&f) = self.index.get(self.key.as_slice()) {
+            return f;
+        }
+        let f = self.forwards.len();
+        self.computed += 1;
+        self.forwards.push(policy.forward(state));
+        self.entropy.push(None);
+        self.index.insert(self.key.as_slice().into(), f);
+        f
+    }
+
+    /// Forward `f` and, given β, its entropy term. β must be the same on
+    /// every call between two [`clear`](Self::clear)s.
+    fn step_terms(
+        &mut self,
+        policy: &PolicyNet,
+        f: usize,
+        entropy_beta: Option<f64>,
+    ) -> (&Forward, Option<&EntropyTerm>) {
+        let fwd = &self.forwards[f];
+        let entropy = match entropy_beta {
+            Some(beta) => {
+                Some(&*self.entropy[f].get_or_insert_with(|| policy.entropy_term(fwd, beta)))
+            }
+            None => None,
+        };
+        (fwd, entropy)
+    }
+
+    /// Forgets the batch's forwards, for a changed policy.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.forwards.clear();
+        self.entropy.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The trainer before it shared forwards and entropy terms within a
+    /// batch.
+    mod oracle {
+        use super::super::*;
+
+        /// The training loop before it shared forwards and entropy terms:
+        /// one forward pass and one one-shot step gradient per step.
+        pub fn train(
+            trainer: &ReinforceTrainer,
+            policy: &mut PolicyNet,
+            env: &mut dyn Env,
+        ) -> Vec<TrainingStats> {
+            assert_eq!(
+                policy.input_dim,
+                env.state_dim(),
+                "policy/env state mismatch"
+            );
+            assert_eq!(
+                policy.actions,
+                env.action_count(),
+                "policy/env action mismatch"
+            );
+            let mut rng = rand::rngs::StdRng::seed_from_u64(trainer.seed);
+            let tracing = trace::enabled();
+            let mut train_span = trace::span("rl.train");
+            if train_span.is_recording() {
+                train_span.field("episodes", trainer.episodes);
+                train_span.field("batch_size", trainer.batch_size);
+            }
+            let mut stats = Vec::new();
+            let mut episode_count = 0usize;
+            while episode_count < trainer.episodes {
+                let batch = trainer.batch_size.min(trainer.episodes - episode_count);
+                // Collect a batch of episodes.
+                let mut all_steps: Vec<(crate::policy::Forward, usize, f64)> = Vec::new();
+                let mut batch_return = 0.0;
+                let mut batch_len = 0.0;
+                let mut completed = 0usize;
+                let mut aborts = AbortCounts::default();
+                for ep_in_batch in 0..batch {
+                    let episode_idx = episode_count + ep_in_batch;
+                    let mut state = env.reset();
+                    let mut rewards: Vec<f64> = Vec::new();
+                    let mut steps: Vec<(crate::policy::Forward, usize)> = Vec::new();
+                    let mut entropy_sum = 0.0;
+                    let mut abort_reason = if state.iter().all(|v| v.is_finite()) {
+                        None
+                    } else {
+                        Some(AbortCause::NonFiniteState)
+                    };
+                    if abort_reason.is_none() {
+                        for _ in 0..trainer.max_steps {
+                            let fwd = policy.forward(&state);
+                            let (action, fallback) =
+                                sample_index_detailed(fwd.probs(), rng.gen_range(0.0..1.0));
+                            if fallback {
+                                // The softmax degenerated (NaN / all-zero probs):
+                                // the uniform fallback keeps sampling total, but
+                                // the episode's actions no longer reflect the
+                                // policy, so it is not trained on.
+                                abort_reason = Some(AbortCause::SamplingFallback);
+                                break;
+                            }
+                            let (next, reward, done) = env.step(action);
+                            if !reward.is_finite() {
+                                // A NaN/inf reward or state would poison every
+                                // return of the episode; abort it and move on.
+                                abort_reason = Some(AbortCause::NonFiniteReward);
+                                break;
+                            }
+                            if !next.iter().all(|v| v.is_finite()) {
+                                abort_reason = Some(AbortCause::NonFiniteState);
+                                break;
+                            }
+                            if tracing {
+                                entropy_sum += fwd
+                                    .probs()
+                                    .iter()
+                                    .filter(|p| **p > 0.0)
+                                    .map(|p| -p * p.ln())
+                                    .sum::<f64>();
+                            }
+                            steps.push((fwd, action));
+                            rewards.push(reward);
+                            state = next;
+                            if done {
+                                break;
+                            }
+                        }
+                    }
+                    if let Some(cause) = abort_reason {
+                        aborts.record(cause);
+                        if tracing {
+                            trace::counter(cause.counter(), 1);
+                        }
+                        continue;
+                    }
+                    completed += 1;
+                    let ep_return = rewards.iter().sum::<f64>();
+                    if tracing {
+                        trace::point("rl.return", episode_idx as f64, ep_return);
+                        if !steps.is_empty() {
+                            trace::point(
+                                "rl.entropy",
+                                episode_idx as f64,
+                                entropy_sum / steps.len() as f64,
+                            );
+                        }
+                    }
+                    batch_return += ep_return;
+                    batch_len += rewards.len() as f64;
+                    // Discounted returns G_t.
+                    let mut g = 0.0;
+                    let mut returns = vec![0.0; rewards.len()];
+                    for t in (0..rewards.len()).rev() {
+                        g = rewards[t] + trainer.gamma * g;
+                        returns[t] = g;
+                    }
+                    for ((fwd, action), ret) in steps.into_iter().zip(returns) {
+                        all_steps.push((fwd, action, ret));
+                    }
+                }
+                episode_count += batch;
+                if !all_steps.is_empty() {
+                    // Baseline: batch-mean return (variance reduction).
+                    let baseline =
+                        all_steps.iter().map(|(_, _, g)| g).sum::<f64>() / all_steps.len() as f64;
+                    let mut grads = vec![0.0; policy.param_count()];
+                    let scale = 1.0 / all_steps.len() as f64;
+                    let entropy_beta =
+                        (trainer.entropy_bonus > 0.0).then_some(trainer.entropy_bonus * scale);
+                    for (fwd, action, g) in &all_steps {
+                        policy.accumulate_step_gradient(
+                            fwd,
+                            *action,
+                            (g - baseline) * scale,
+                            entropy_beta,
+                            &mut grads,
+                        );
+                    }
+                    if grads.iter().all(|g| g.is_finite()) {
+                        if trainer.grad_clip > 0.0 {
+                            let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
+                            if norm > trainer.grad_clip {
+                                let shrink = trainer.grad_clip / norm;
+                                for g in grads.iter_mut() {
+                                    *g *= shrink;
+                                }
+                            }
+                        }
+                        policy.apply_gradients(&grads, trainer.learning_rate);
+                    }
+                    // Non-finite gradients are dropped whole: losing one update
+                    // is recoverable, poisoned weights are not.
+                }
+                let s = TrainingStats {
+                    episodes: episode_count,
+                    mean_return: if completed > 0 {
+                        batch_return / completed as f64
+                    } else {
+                        0.0
+                    },
+                    mean_length: if completed > 0 {
+                        batch_len / completed as f64
+                    } else {
+                        0.0
+                    },
+                    aborts,
+                };
+                if tracing {
+                    trace::point("rl.mean_return", s.episodes as f64, s.mean_return);
+                }
+                stats.push(s);
+            }
+            stats
+        }
+    }
 
     /// A contextual bandit: the best arm depends on the (binary) state.
     struct ContextBandit {
@@ -569,5 +816,174 @@ mod tests {
             pi.iter().zip(&pt).any(|(a, b)| (a - b).abs() > 1e-6),
             "unclipped training must move the policy"
         );
+    }
+
+    /// A walk on a line from 0: action 0 stays (the state repeats), 1
+    /// steps right, 2 steps left; the reward grows near position 2. The
+    /// last component alternates between 0.0 and −0.0, equal values of
+    /// different bits.
+    struct Walk {
+        pos: f64,
+        steps: u32,
+    }
+
+    impl Env for Walk {
+        fn state_dim(&self) -> usize {
+            3
+        }
+        fn action_count(&self) -> usize {
+            3
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            self.pos = 0.0;
+            self.steps = 0;
+            self.state()
+        }
+        fn step(&mut self, action: usize) -> (Vec<f64>, f64, bool) {
+            self.steps += 1;
+            self.pos += [0.0, 1.0, -1.0][action];
+            (self.state(), -(self.pos - 2.0).abs(), self.steps >= 6)
+        }
+    }
+
+    impl Walk {
+        fn state(&self) -> Vec<f64> {
+            let sign = if self.steps.is_multiple_of(2) {
+                0.0
+            } else {
+                -0.0
+            };
+            vec![self.pos, self.pos * self.pos / 4.0, sign]
+        }
+    }
+
+    /// Trains a fresh policy with the trainer and with the oracle, each on
+    /// its own `make()`, and requires bit-equal policies and statistics.
+    fn assert_matches_the_oracle<'a>(
+        what: &str,
+        trainer: &ReinforceTrainer,
+        make: impl Fn() -> Box<dyn Env + 'a>,
+    ) {
+        let env = make();
+        let mut policy = PolicyNet::new(env.state_dim(), 16, env.action_count(), 5);
+        let mut want_policy = policy.clone();
+        let stats = trainer.train(&mut policy, &mut *make());
+        let want = oracle::train(trainer, &mut want_policy, &mut *make());
+        assert_eq!(format!("{stats:?}"), format!("{want:?}"), "{what}: stats");
+        assert_eq!(
+            serde_json::to_string(&policy).unwrap(),
+            serde_json::to_string(&want_policy).unwrap(),
+            "{what}: policy"
+        );
+    }
+
+    #[test]
+    fn training_matches_the_oracle_on_the_bandits() {
+        struct NanEnv;
+        impl Env for NanEnv {
+            fn state_dim(&self) -> usize {
+                1
+            }
+            fn action_count(&self) -> usize {
+                2
+            }
+            fn reset(&mut self) -> Vec<f64> {
+                vec![0.0]
+            }
+            fn step(&mut self, _action: usize) -> (Vec<f64>, f64, bool) {
+                (vec![0.0], f64::NAN, false)
+            }
+        }
+        let bandit = || ContextBandit {
+            state: 1.0,
+            pulls: 0,
+            flip: false,
+        };
+        let trainer = |episodes, entropy_bonus, grad_clip| ReinforceTrainer {
+            episodes,
+            entropy_bonus,
+            grad_clip,
+            ..Default::default()
+        };
+        let on = ReinforceTrainer::default().entropy_bonus;
+        for (what, entropy) in [("entropy on", on), ("entropy off", 0.0)] {
+            assert_matches_the_oracle(what, &trainer(120, entropy, 100.0), || Box::new(bandit()));
+            assert_matches_the_oracle(what, &trainer(120, entropy, 100.0), || {
+                Box::new(Walk { pos: 0.0, steps: 0 })
+            });
+            assert_matches_the_oracle(what, &trainer(120, entropy, 100.0), || {
+                Box::new(FlakyBandit {
+                    inner: bandit(),
+                    episode: 0,
+                    poison_every: 5,
+                })
+            });
+            assert_matches_the_oracle(what, &trainer(12, entropy, 100.0), || Box::new(NanEnv));
+            for clip in [1e-12, 0.0, 0.05] {
+                assert_matches_the_oracle(what, &trainer(36, entropy, clip), || Box::new(bandit()));
+            }
+        }
+    }
+
+    /// Quick PSS training over `dedup`/`vips`/`blackscholes`, set up as
+    /// `PhaseSequenceSelector::train` sets it up, against the oracle.
+    #[test]
+    fn training_matches_the_oracle_on_quick_pss() {
+        use mlcomp::core::{
+            CompilerEnv, DataExtraction, FeatureProjector, PerfEstimator, PssConfig, RewardWeights,
+        };
+        /// The facade's `CompilerEnv` implements the `Env` of the library
+        /// build of this crate, a trait apart from this test build's.
+        struct Compiler<'a>(CompilerEnv<'a>);
+        impl Env for Compiler<'_> {
+            fn state_dim(&self) -> usize {
+                mlcomp::rl::Env::state_dim(&self.0)
+            }
+            fn action_count(&self) -> usize {
+                mlcomp::rl::Env::action_count(&self.0)
+            }
+            fn reset(&mut self) -> Vec<f64> {
+                mlcomp::rl::Env::reset(&mut self.0)
+            }
+            fn step(&mut self, action: usize) -> (Vec<f64>, f64, bool) {
+                mlcomp::rl::Env::step(&mut self.0, action)
+            }
+        }
+        let apps: Vec<_> = mlcomp::suites::parsec_suite()
+            .into_iter()
+            .filter(|p| ["dedup", "vips", "blackscholes"].contains(&p.name))
+            .collect();
+        let dataset = DataExtraction::quick()
+            .run(&mlcomp::platform::X86Platform::new(), &apps)
+            .unwrap();
+        let estimator =
+            PerfEstimator::train(&dataset, &mlcomp::ml::search::ModelSearch::quick()).unwrap();
+        let projector = FeatureProjector::fit(&dataset.features()).unwrap();
+        let config = PssConfig::quick();
+        let trainer = ReinforceTrainer {
+            episodes: config.episodes,
+            batch_size: config.batch_size,
+            learning_rate: config.learning_rate,
+            gamma: config.gamma,
+            max_steps: config.max_seq_len,
+            seed: config.seed ^ 0xF00D,
+            ..ReinforceTrainer::default()
+        };
+        for entropy_bonus in [trainer.entropy_bonus, 0.0] {
+            let trainer = ReinforceTrainer {
+                entropy_bonus,
+                ..trainer.clone()
+            };
+            assert_matches_the_oracle(&format!("entropy {entropy_bonus}"), &trainer, || {
+                Box::new(Compiler(CompilerEnv::new(
+                    &apps,
+                    &estimator,
+                    &projector,
+                    RewardWeights::default(),
+                    config.max_inactive,
+                    config.seed ^ 0x5EED,
+                )))
+            });
+        }
     }
 }

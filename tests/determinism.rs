@@ -215,3 +215,103 @@ fn extraction_is_repeatable_within_one_thread_count() {
         serde_json::to_string(&b).unwrap()
     );
 }
+
+/// The whole pipeline at 1, 2 and 4 threads: the dataset, the estimator,
+/// the selector and the training curve must be byte-identical. Above one
+/// thread the feature projector is fitted beside Algorithm 1.
+#[test]
+fn pipeline_is_identical_across_thread_counts() {
+    use mlcomp::core::{Mlcomp, MlcompConfig};
+    let platform = X86Platform::new();
+    let apps = small_suite();
+    let run = |threads: usize| {
+        let artifacts = Mlcomp::new(MlcompConfig::quick().with_num_threads(threads))
+            .run(&platform, &apps)
+            .unwrap();
+        [
+            serde_json::to_string(&artifacts.dataset).unwrap(),
+            serde_json::to_string(&artifacts.estimator).unwrap(),
+            serde_json::to_string(&artifacts.selector).unwrap(),
+            format!("{:?}", artifacts.training_curve),
+        ]
+    };
+    let reference = run(1);
+    for threads in [2usize, 4] {
+        let out = run(threads);
+        for (what, (a, b)) in ["dataset", "estimator", "selector", "training curve"]
+            .iter()
+            .zip(reference.iter().zip(&out))
+        {
+            assert!(a == b, "{what} differs at num_threads={threads}");
+        }
+    }
+}
+
+/// PSS training reads trace state only to emit events: under a
+/// `RingSink` it yields the selector and statistics of an untraced run.
+/// The `rl.train` span reports the distinct forwards it computed, fewer
+/// than its environment steps.
+#[test]
+fn tracing_does_not_change_pss_training() {
+    use mlcomp::core::{FeatureProjector, PhaseSequenceSelector, PssConfig, RewardWeights};
+    use mlcomp::trace::{FieldValue, TraceEvent};
+    use std::sync::Arc;
+
+    let platform = X86Platform::new();
+    let apps = small_suite();
+    let dataset = DataExtraction::quick().run(&platform, &apps).unwrap();
+    let estimator = PerfEstimator::train(&dataset, &ModelSearch::quick()).unwrap();
+    let projector = FeatureProjector::fit(&dataset.features()).unwrap();
+    let train = || {
+        let (selector, stats) = PhaseSequenceSelector::train(
+            &apps,
+            &estimator,
+            projector.clone(),
+            PssConfig::quick(),
+            RewardWeights::default(),
+        );
+        (
+            serde_json::to_string(&selector).unwrap(),
+            format!("{stats:?}"),
+        )
+    };
+    let untraced = train();
+    let ring = Arc::new(mlcomp::trace::RingSink::new(1 << 18));
+    let traced = mlcomp::trace::with_sink(ring.clone(), train);
+    assert!(untraced.0 == traced.0, "a RingSink changed the selector");
+    assert_eq!(untraced.1, traced.1, "a RingSink changed the statistics");
+
+    // Other tests may trace concurrently: match the `phase` spans of the
+    // training by thread and time.
+    let events = ring.take();
+    let (thread, start, end, forwards) = events
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Span {
+                name: "rl.train",
+                thread,
+                start_ns,
+                dur_ns,
+                fields,
+                ..
+            } => fields.iter().find(|f| f.key == "forwards").map(|f| {
+                let FieldValue::U64(n) = f.value else {
+                    panic!("forwards is a count: {:?}", f.value)
+                };
+                (*thread, *start_ns, start_ns + dur_ns, n)
+            }),
+            _ => None,
+        })
+        .expect("an rl.train span with a forwards field");
+    let steps = events
+        .iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::Span { name: "phase", path, thread: t, start_ns, .. }
+                if *t == thread && (start..end).contains(start_ns) && path.contains("pss.train/"))
+        })
+        .count() as u64;
+    assert!(
+        0 < forwards && forwards < steps,
+        "{forwards} forwards over {steps} steps"
+    );
+}
