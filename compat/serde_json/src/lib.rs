@@ -287,13 +287,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
+                    // Copy the run up to the next quote or escape at once:
+                    // both are ASCII, so the run ends on a character
+                    // boundary. Validating only the run keeps parsing
+                    // linear in the input.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let run = std::str::from_utf8(&self.bytes[start..start + len])
                         .map_err(|_| Error::at("invalid UTF-8", start))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -351,6 +357,18 @@ mod tests {
         let f: Vec<f64> = vec![1.0, -0.5, 1e-300, std::f64::consts::PI];
         let back: Vec<f64> = from_str(&to_string(&f).unwrap()).unwrap();
         assert_eq!(f, back);
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_around_escapes() {
+        for s in ["", "é", "→ τ\"ü\\", "a\u{1F600}b\n", "x\u{7}"] {
+            let back: String = from_str(&to_string(s).unwrap()).unwrap();
+            assert_eq!(back, s);
+        }
+        let back: String = from_str(r#""\u00e9 ü""#).unwrap();
+        assert_eq!(back, "é ü");
+        let err = from_str::<String>("\"abc").unwrap_err();
+        assert_eq!(err.to_string(), "unterminated string at byte 4");
     }
 
     #[test]

@@ -125,9 +125,6 @@ impl Report {
                     .ok_or_else(|| format!("line {line_no}: counter without value"))?;
                 *self.counters.entry(name.to_string()).or_insert(0) += value as u64;
             }
-            "gauge" => {
-                get_str(&v, "name").ok_or_else(|| format!("line {line_no}: gauge without name"))?;
-            }
             "hist" => {
                 let name = get_str(&v, "name")
                     .ok_or_else(|| format!("line {line_no}: hist without name"))?;
@@ -378,14 +375,13 @@ mod tests {
             r#"{"t":"span","name":"phase","path":"extraction/phase","start_ns":1,"dur_ns":500,"tid":0,"fields":{"phase":"adce","insts_before":6,"insts_after":5,"rollback":false,"verify_ns":10}}"#,
             r#"{"t":"span","name":"passes.snapshot","path":"extraction/passes.snapshot","start_ns":0,"dur_ns":40,"tid":0,"fields":{}}"#,
             r#"{"t":"counter","name":"extraction.fault.fuel_exhaustion","value":3}"#,
-            r#"{"t":"gauge","name":"pool.queue_depth","value":4.0}"#,
             r#"{"t":"hist","name":"search.accuracy","count":4,"min":0.1,"max":0.9,"mean":0.5,"p50":0.5,"p90":0.8,"p99":0.9}"#,
             r#"{"t":"point","series":"rl.mean_return","x":6.0,"y":1.5}"#,
         ];
         for (i, l) in lines.iter().enumerate() {
             r.ingest(i + 1, l).unwrap();
         }
-        assert_eq!(r.events, 7);
+        assert_eq!(r.events, 6);
         assert_eq!(r.spans["extraction"].count, 1);
         assert_eq!(r.phases["adce"].insts_removed, 1);
         let snapshot = &r.phases[SNAPSHOT_ROW];
@@ -395,6 +391,9 @@ mod tests {
         assert!(r.extraction.is_some());
         assert!(r.ingest(8, "not json").is_err());
         assert!(r.ingest(9, r#"{"t":"mystery"}"#).is_err());
+        assert!(r
+            .ingest(10, r#"{"t":"gauge","name":"pool.queue_depth","value":4.0}"#)
+            .is_err());
     }
 
     #[test]

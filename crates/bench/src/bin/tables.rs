@@ -10,7 +10,8 @@
 //! ```
 
 use mlcomp_core::PssConfig;
-use mlcomp_ml::search::{create_model, create_preprocessor, model_zoo, preprocessor_zoo};
+use mlcomp_ml::search::{model_zoo, preprocessor_zoo};
+use mlcomp_ml::{AnyModel, AnyPreprocessor};
 use mlcomp_passes::registry;
 
 fn main() {
@@ -63,7 +64,7 @@ fn main() {
     if show(3) {
         println!("\n== Table III — preprocessing algorithms (all constructible) ==");
         for name in preprocessor_zoo() {
-            let p = create_preprocessor(name).expect("zoo entry constructs");
+            let p = AnyPreprocessor::from_name(name).expect("zoo entry constructs");
             println!("  {:<10} ({})", name, p.name());
         }
     }
@@ -71,7 +72,7 @@ fn main() {
     if show(4) {
         println!("\n== Table IV — ML regression models (all constructible) ==");
         for name in model_zoo() {
-            let m = create_model(name).expect("zoo entry constructs");
+            let m = AnyModel::from_name(name).expect("zoo entry constructs");
             println!("  {:<20} ({})", name, m.name());
         }
     }

@@ -60,32 +60,27 @@ impl std::fmt::Debug for PerfEstimator {
 impl PerfEstimator {
     /// Trains one pipeline per metric with Algorithm 1's model search.
     ///
-    /// The four searches share one split and one fit of each preprocessor
-    /// ([`ModelSearch::prepare`]), and run together on the worker pool
-    /// ([`ModelSearch::run_prepared_all`]); only the models are fit per
-    /// metric.
+    /// The four searches run together ([`ModelSearch::run_all`]): they
+    /// share one split, one fit of each preprocessor and the worker pool,
+    /// and only the models are fit per metric.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError`] when the dataset is too small or no pipeline
     /// can be fit for some metric.
     pub fn train(dataset: &Dataset, search: &ModelSearch) -> Result<PerfEstimator, TrainError> {
-        let x = dataset.features();
-        let prepared = search.prepare(&x)?;
         let targets = METRIC_NAMES.map(|metric| dataset.targets(metric));
         let columns = targets.each_ref().map(Vec::as_slice);
+        let outcomes = search.run_all(&dataset.features(), &columns)?;
         let mut pipelines = Vec::with_capacity(METRIC_COUNT);
         let mut rows = Vec::with_capacity(METRIC_COUNT);
-        for (metric, outcome) in METRIC_NAMES
-            .iter()
-            .zip(search.run_prepared_all(&prepared, &columns))
-        {
+        for (metric, outcome) in METRIC_NAMES.iter().zip(outcomes) {
             let SearchOutcome {
                 best,
                 accuracy,
                 leaderboard,
                 ..
-            } = outcome?;
+            } = outcome;
             let winner = &leaderboard[0];
             rows.push((
                 metric.to_string(),

@@ -1,9 +1,14 @@
-//! Closed, serializable sums over the model and preprocessor zoos.
+//! Closed, serializable sums over the model and preprocessor zoos, and
+//! the one table of each zoo.
 //!
-//! The model search works with `Box<dyn Regressor>` / `Box<dyn
-//! Preprocessor>` internally, but a trained Performance Estimator has to
-//! leave the process inside an artifact bundle (DESIGN.md §12). Trait
-//! objects cannot round-trip through serde, so [`AnyModel`] and
+//! A zoo member is named and built only in the `any_model!` and
+//! `any_preprocessor!` tables below: they generate the name lists of
+//! [`model_zoo`](crate::model_zoo) and
+//! [`preprocessor_zoo`](crate::preprocessor_zoo), in the paper's order,
+//! which is Algorithm 1's candidate order, and each member's name.
+//!
+//! A trained Performance Estimator has to leave the process inside an
+//! artifact bundle (DESIGN.md §12), so [`AnyModel`] and
 //! [`AnyPreprocessor`] enumerate the zoos of the paper's Tables III/IV as
 //! concrete variants; each variant serializes with its fitted parameters
 //! using the externally-tagged layout (`{"Ridge": {…}}`).
@@ -26,10 +31,10 @@ macro_rules! any_model {
         ///
         /// ```
         /// use mlcomp_ml::any::AnyModel;
-        /// use mlcomp_ml::Regressor;
         ///
-        /// let model = AnyModel::from_name("ridge").unwrap();
-        /// assert_eq!(model.name(), "ridge");
+        /// for &name in AnyModel::NAMES {
+        ///     assert_eq!(AnyModel::from_name(name).unwrap().name(), name);
+        /// }
         /// assert!(AnyModel::from_name("gpt").is_none());
         /// ```
         #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,7 +45,17 @@ macro_rules! any_model {
             )+
         }
 
+        $(
+            impl $variant {
+                #[doc = concat!("The zoo name of [`", stringify!($variant), "`].")]
+                pub(crate) const NAME: &'static str = $name;
+            }
+        )+
+
         impl AnyModel {
+            /// Every Table IV model's name, in the paper's row order.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
+
             /// Instantiates a default-configured model by zoo name
             /// (`None` for names outside Table IV).
             pub fn from_name(name: &str) -> Option<AnyModel> {
@@ -49,15 +64,16 @@ macro_rules! any_model {
                     _ => return None,
                 })
             }
+
+            /// The model's zoo name (Table IV's row).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( AnyModel::$variant(_) => $variant::NAME, )+
+                }
+            }
         }
 
         impl Regressor for AnyModel {
-            fn name(&self) -> &'static str {
-                match self {
-                    $( AnyModel::$variant(m) => m.name(), )+
-                }
-            }
-
             fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
                 match self {
                     $( AnyModel::$variant(m) => m.fit(x, y), )+
@@ -115,7 +131,18 @@ macro_rules! any_preprocessor {
             )+
         }
 
+        $(
+            impl $variant {
+                #[doc = concat!("The zoo name of [`", stringify!($variant), "`].")]
+                pub(crate) const NAME: &'static str = $name;
+            }
+        )+
+
         impl AnyPreprocessor {
+            /// Every Table III preprocessor's name (plus the identity
+            /// baseline), in the paper's order.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
+
             /// Instantiates a default-configured preprocessor by zoo name
             /// (`None` for names outside Table III).
             pub fn from_name(name: &str) -> Option<AnyPreprocessor> {
@@ -124,15 +151,16 @@ macro_rules! any_preprocessor {
                     _ => return None,
                 })
             }
+
+            /// The preprocessor's zoo name (Table III's entry).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( AnyPreprocessor::$variant(_) => $variant::NAME, )+
+                }
+            }
         }
 
         impl Preprocessor for AnyPreprocessor {
-            fn name(&self) -> &'static str {
-                match self {
-                    $( AnyPreprocessor::$variant(p) => p.name(), )+
-                }
-            }
-
             fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
                 match self {
                     $( AnyPreprocessor::$variant(p) => p.fit(x), )+

@@ -59,11 +59,8 @@ impl std::error::Error for TrainError {}
 /// A regression model: fit on `(X, y)`, predict on new rows.
 ///
 /// All the paper's Table IV models implement this trait; the model search
-/// treats them uniformly as boxed objects.
+/// reaches them through [`AnyModel`], which names each one (Table IV's row).
 pub trait Regressor {
-    /// Human-readable model name (matches Table IV's row).
-    fn name(&self) -> &'static str;
-
     /// Fits the model.
     ///
     /// # Errors
@@ -95,9 +92,6 @@ pub trait Regressor {
 /// rows. All the paper's Table III preprocessing algorithms implement
 /// this.
 pub trait Preprocessor {
-    /// Human-readable name (matches Table III's entry).
-    fn name(&self) -> &'static str;
-
     /// Learns the transformation parameters.
     ///
     /// # Errors

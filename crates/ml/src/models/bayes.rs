@@ -35,10 +35,6 @@ impl Default for BayesianRidge {
 }
 
 impl Regressor for BayesianRidge {
-    fn name(&self) -> &'static str {
-        "bayesian-ridge"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -117,10 +113,6 @@ impl Default for Ard {
 }
 
 impl Regressor for Ard {
-    fn name(&self) -> &'static str {
-        "ard"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);

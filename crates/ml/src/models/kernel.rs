@@ -61,10 +61,6 @@ fn gamma_heuristic(x: &Matrix) -> f64 {
 }
 
 impl Regressor for KernelRidge {
-    fn name(&self) -> &'static str {
-        "kernel-ridge"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         let n = x.rows();
@@ -270,10 +266,6 @@ impl Svr {
 }
 
 impl Regressor for Svr {
-    fn name(&self) -> &'static str {
-        "svr"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         let eps = self.epsilon * mlcomp_linalg::std_dev(y).max(1e-9);
         self.fit_with_epsilon(x, y, eps)
@@ -332,10 +324,6 @@ impl Default for NuSvr {
 }
 
 impl Regressor for NuSvr {
-    fn name(&self) -> &'static str {
-        "nu-svr"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         // Pilot fit with a wide tube, then set ε from residual quantiles.
         let pilot_eps = mlcomp_linalg::std_dev(y).max(1e-9) * 0.1;
@@ -393,10 +381,6 @@ impl Default for LinearSvr {
 }
 
 impl Regressor for LinearSvr {
-    fn name(&self) -> &'static str {
-        "linear-svr"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -473,10 +457,10 @@ mod tests {
         svr.fit(x, y).unwrap();
         let mut nu = NuSvr::default();
         nu.fit(x, y).unwrap();
-        let models: [&dyn Regressor; 2] = [&svr, &nu];
-        for m in models {
+        let models: [(&dyn Regressor, &str); 2] = [(&svr, "svr"), (&nu, "nu-svr")];
+        for (m, name) in models {
             let rows: Vec<f64> = (0..x.rows()).map(|i| m.predict_row(x.row(i))).collect();
-            assert_eq!(bits(&rows), bits(&m.predict(x)), "{}, {what}", m.name());
+            assert_eq!(bits(&rows), bits(&m.predict(x)), "{name}, {what}");
         }
     }
 

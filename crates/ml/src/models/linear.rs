@@ -18,10 +18,6 @@ pub struct Linear {
 }
 
 impl Regressor for Linear {
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -85,10 +81,6 @@ pub(crate) fn ridge_solve(xc: &Matrix, yc: &[f64], alpha: f64) -> Result<Vec<f64
 }
 
 impl Regressor for Ridge {
-    fn name(&self) -> &'static str {
-        "ridge"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -139,10 +131,6 @@ impl Default for Sgd {
 }
 
 impl Regressor for Sgd {
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         // SGD needs standardized features to converge.
@@ -225,10 +213,6 @@ impl Default for PassiveAggressive {
 }
 
 impl Regressor for PassiveAggressive {
-    fn name(&self) -> &'static str {
-        "passive-aggressive"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);

@@ -90,10 +90,6 @@ impl Adam {
 }
 
 impl Regressor for Mlp {
-    fn name(&self) -> &'static str {
-        "mlp"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         let (n, d) = (x.rows(), x.cols());

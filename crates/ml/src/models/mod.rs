@@ -106,7 +106,7 @@ pub(crate) mod testutil {
 
     /// Fits the model on clean synthetic data and asserts the held-out R²
     /// exceeds `min_r2`.
-    pub fn assert_learns(model: &mut dyn Regressor, min_r2: f64) {
+    pub fn assert_learns<R: Regressor>(model: &mut R, min_r2: f64) {
         let (x, y) = synthetic(120, 0.05, 11);
         let (tr, te) = crate::train_test_split(x.rows(), 0.25, 3);
         let (xtr, ytr) = crate::take_rows(&x, &y, &tr);
@@ -117,7 +117,7 @@ pub(crate) mod testutil {
         assert!(
             r2 > min_r2,
             "{} reached R²={r2:.3}, needed {min_r2}",
-            model.name()
+            std::any::type_name::<R>()
         );
     }
 }

@@ -35,10 +35,6 @@ impl Default for Huber {
 }
 
 impl Regressor for Huber {
-    fn name(&self) -> &'static str {
-        "huber"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -132,10 +128,6 @@ impl Default for TheilSen {
 }
 
 impl Regressor for TheilSen {
-    fn name(&self) -> &'static str {
-        "theil-sen"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);

@@ -93,10 +93,6 @@ impl Default for Lasso {
 }
 
 impl Regressor for Lasso {
-    fn name(&self) -> &'static str {
-        "lasso"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -152,10 +148,6 @@ impl ElasticNet {
 }
 
 impl Regressor for ElasticNet {
-    fn name(&self) -> &'static str {
-        "elastic-net"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -249,10 +241,6 @@ fn forward_select(
 }
 
 impl Regressor for Lars {
-    fn name(&self) -> &'static str {
-        "lars"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -293,10 +281,6 @@ impl Default for LassoLars {
 }
 
 impl Regressor for LassoLars {
-    fn name(&self) -> &'static str {
-        "lasso-lars"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);
@@ -336,10 +320,6 @@ impl Default for Omp {
 }
 
 impl Regressor for Omp {
-    fn name(&self) -> &'static str {
-        "omp"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         self.means = column_means(x);

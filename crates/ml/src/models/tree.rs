@@ -231,10 +231,6 @@ impl DecisionTree {
 }
 
 impl Regressor for DecisionTree {
-    fn name(&self) -> &'static str {
-        "decision-tree"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         let mut rows: Vec<usize> = (0..x.rows()).collect();
@@ -280,10 +276,6 @@ impl Default for ExtraTree {
 }
 
 impl Regressor for ExtraTree {
-    fn name(&self) -> &'static str {
-        "extra-tree"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         let mut rows: Vec<usize> = (0..x.rows()).collect();
@@ -339,10 +331,6 @@ impl RandomForest {
 }
 
 impl Regressor for RandomForest {
-    fn name(&self) -> &'static str {
-        "random-forest"
-    }
-
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), TrainError> {
         check_xy(x, y)?;
         let n = x.rows();

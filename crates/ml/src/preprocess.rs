@@ -11,9 +11,6 @@ use serde::{Deserialize, Serialize};
 pub struct Identity;
 
 impl Preprocessor for Identity {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
     fn fit(&mut self, _x: &Matrix) -> Result<(), TrainError> {
         Ok(())
     }
@@ -33,10 +30,6 @@ pub struct StandardScaler {
 }
 
 impl Preprocessor for StandardScaler {
-    fn name(&self) -> &'static str {
-        "mean-std"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "scaler")?;
         self.mean = (0..x.cols())
@@ -72,10 +65,6 @@ pub struct MinMaxScaler {
 }
 
 impl Preprocessor for MinMaxScaler {
-    fn name(&self) -> &'static str {
-        "min-max"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "scaler")?;
         self.min = (0..x.cols())
@@ -111,10 +100,6 @@ pub struct MaxAbsScaler {
 }
 
 impl Preprocessor for MaxAbsScaler {
-    fn name(&self) -> &'static str {
-        "max-abs"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "scaler")?;
         self.scale = (0..x.cols())
@@ -147,10 +132,6 @@ pub struct RobustScaler {
 }
 
 impl Preprocessor for RobustScaler {
-    fn name(&self) -> &'static str {
-        "robust"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "scaler")?;
         self.median = (0..x.cols()).map(|j| percentile(&x.col(j), 50.0)).collect();
@@ -210,10 +191,6 @@ fn skewness(xs: &[f64]) -> f64 {
 }
 
 impl Preprocessor for PowerTransformer {
-    fn name(&self) -> &'static str {
-        "power"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "transformer")?;
         const GRID: [f64; 7] = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
@@ -263,10 +240,6 @@ pub struct QuantileTransformer {
 }
 
 impl Preprocessor for QuantileTransformer {
-    fn name(&self) -> &'static str {
-        "quantile"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         check_fit_input(x, "transformer")?;
         self.sorted_cols = (0..x.cols())
@@ -334,10 +307,6 @@ impl Pca {
 }
 
 impl Preprocessor for Pca {
-    fn name(&self) -> &'static str {
-        "pca"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         if x.rows() < 2 {
             return Err(TrainError::new("PCA needs at least two rows"));
@@ -418,10 +387,6 @@ impl Nca {
 }
 
 impl Preprocessor for Nca {
-    fn name(&self) -> &'static str {
-        "nca"
-    }
-
     fn fit(&mut self, x: &Matrix) -> Result<(), TrainError> {
         let mut pca = Pca::fixed(self.dim);
         pca.fit(x)?;

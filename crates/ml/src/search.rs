@@ -3,6 +3,8 @@
 //! Performance Estimator pipeline.
 
 use crate::any::{AnyModel, AnyPreprocessor};
+use crate::models::{DecisionTree, Lasso, Linear, RandomForest, Ridge};
+use crate::preprocess::{Identity, Pca, StandardScaler};
 use crate::{metrics, train_test_split, Preprocessor, Regressor, TrainError};
 use mlcomp_linalg::Matrix;
 use mlcomp_parallel::WorkerPool;
@@ -12,47 +14,13 @@ use std::sync::OnceLock;
 
 /// Names of all Table IV models, in the paper's row order.
 pub fn model_zoo() -> Vec<&'static str> {
-    vec![
-        "ridge",
-        "kernel-ridge",
-        "bayesian-ridge",
-        "linear",
-        "sgd",
-        "passive-aggressive",
-        "ard",
-        "huber",
-        "theil-sen",
-        "lars",
-        "lasso",
-        "lasso-lars",
-        "svr",
-        "nu-svr",
-        "linear-svr",
-        "elastic-net",
-        "omp",
-        "mlp",
-        "decision-tree",
-        "extra-tree",
-        "random-forest",
-    ]
+    AnyModel::NAMES.to_vec()
 }
 
 /// Names of all Table III preprocessing algorithms (plus the identity
 /// baseline).
 pub fn preprocessor_zoo() -> Vec<&'static str> {
-    vec![
-        "identity", "pca", "nca", "mean-std", "min-max", "max-abs", "robust", "power", "quantile",
-    ]
-}
-
-/// Instantiates a model by zoo name.
-pub fn create_model(name: &str) -> Option<Box<dyn Regressor>> {
-    AnyModel::from_name(name).map(|m| Box::new(m) as Box<dyn Regressor>)
-}
-
-/// Instantiates a preprocessor by zoo name.
-pub fn create_preprocessor(name: &str) -> Option<Box<dyn Preprocessor>> {
-    AnyPreprocessor::from_name(name).map(|p| Box::new(p) as Box<dyn Preprocessor>)
+    AnyPreprocessor::NAMES.to_vec()
 }
 
 /// A fitted preprocessing + regression pipeline — the trained Performance
@@ -195,115 +163,87 @@ impl ModelSearch {
     /// tests, demos and `MlcompConfig::quick`).
     pub fn quick() -> ModelSearch {
         ModelSearch {
-            models: ["ridge", "linear", "lasso", "decision-tree", "random-forest"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            preprocessors: ["identity", "mean-std", "pca"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            models: [
+                Ridge::NAME,
+                Linear::NAME,
+                Lasso::NAME,
+                DecisionTree::NAME,
+                RandomForest::NAME,
+            ]
+            .map(String::from)
+            .to_vec(),
+            preprocessors: [Identity::NAME, StandardScaler::NAME, Pca::NAME]
+                .map(String::from)
+                .to_vec(),
             ..ModelSearch::default()
         }
     }
 
-    /// Runs the search: [`prepare`](ModelSearch::prepare) followed by
-    /// [`run_prepared`](ModelSearch::run_prepared).
+    /// Algorithm 1 on one target column: fits each (model, preprocessor)
+    /// candidate on the training rows, scores it on the test rows, and
+    /// refits the winner on all rows.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError`] when `x` has fewer than 8 rows or no
     /// combination could be trained at all (degenerate dataset).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y` has fewer entries than `x` has rows.
     pub fn run(&self, x: &Matrix, y: &[f64]) -> Result<SearchOutcome, TrainError> {
-        self.run_prepared(&self.prepare(x)?, y)
+        let mut outcomes = self.run_all(x, &[y])?;
+        Ok(outcomes.pop().expect("one outcome per target"))
     }
 
-    /// Splits `x` into training and test rows and fits every listed
-    /// preprocessor once on the training rows, on the worker pool.
+    /// Algorithm 1 for several target columns measured on the same rows
+    /// (the four metrics of a Performance Estimator): the outcome of
+    /// [`run`](ModelSearch::run) for each target, in order.
     ///
-    /// Neither the split nor a preprocessor's fit reads the targets, so
-    /// one preparation serves [`run_prepared`](ModelSearch::run_prepared)
-    /// for every target column measured on the same rows (the four
-    /// metrics of a Performance Estimator).
+    /// Neither the train/test split nor a preprocessor's fit reads the
+    /// targets, so the split is drawn once and every listed preprocessor
+    /// is fitted once on its training rows, and once more on all rows if
+    /// it wins for some target. The searches share the worker pool: chunk
+    /// *k* of every target's candidate list is evaluated in one fan-out,
+    /// and the winners are refit on the pool too. Each target still
+    /// consumes its results in the paper's order and stops at its own
+    /// early exit, after which it queues no more fits, so every outcome
+    /// equals that target's sequential sweep at any
+    /// [`num_threads`](ModelSearch::num_threads).
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError`] when `x` has fewer than 8 rows.
-    pub fn prepare<'x>(&self, x: &'x Matrix) -> Result<PreparedSplit<'x>, TrainError> {
+    /// Returns [`TrainError`] when `x` has fewer than 8 rows, or the first
+    /// error in target order of a target for which no combination could
+    /// be trained at all (degenerate dataset).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a target has fewer entries than `x` has rows.
+    pub fn run_all(
+        &self,
+        x: &Matrix,
+        targets: &[&[f64]],
+    ) -> Result<Vec<SearchOutcome>, TrainError> {
         if x.rows() < 8 {
             return Err(TrainError::new("need at least 8 samples for model search"));
         }
-        let mut span = trace::span("search.prepare");
-        if span.is_recording() {
-            span.field("preprocessors", self.preprocessors.len());
-            span.field("rows", x.rows());
-        }
-        let (train, test) = train_test_split(x.rows(), self.test_fraction, self.seed);
-        let (xtr, xte) = (x.select_rows(&train), x.select_rows(&test));
-        let preprocessors = WorkerPool::new(self.num_threads)
-            .map(&self.preprocessors, |_, name| {
+        let pool = WorkerPool::new(self.num_threads);
+        // Split `x`, and fit every listed preprocessor once on the
+        // training rows.
+        let (train, test, preprocessors) = {
+            let mut span = trace::span("search.prepare");
+            if span.is_recording() {
+                span.field("preprocessors", self.preprocessors.len());
+                span.field("rows", x.rows());
+            }
+            let (train, test) = train_test_split(x.rows(), self.test_fraction, self.seed);
+            let (xtr, xte) = (x.select_rows(&train), x.select_rows(&test));
+            let preprocessors = pool.map(&self.preprocessors, |_, name| {
                 PreparedPreprocessor::fit(name, &xtr, &xte)
             });
-        Ok(PreparedSplit {
-            x,
-            train,
-            test,
-            split: (self.test_fraction.to_bits(), self.seed),
-            preprocessors,
-        })
-    }
-
-    /// Algorithm 1 on a prepared split: fits each (model, preprocessor)
-    /// candidate's model on the preprocessed training rows, scores it on
-    /// the test rows, and refits the winner on all rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError`] when no combination could be trained at all
-    /// (degenerate dataset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `prepared` comes from a search with another
-    /// `test_fraction`, `seed` or preprocessor list, or when `y` has fewer
-    /// entries than the prepared matrix has rows.
-    pub fn run_prepared(
-        &self,
-        prepared: &PreparedSplit<'_>,
-        y: &[f64],
-    ) -> Result<SearchOutcome, TrainError> {
-        let mut outcomes = self.run_prepared_all(prepared, &[y]);
-        outcomes.pop().expect("one outcome per target")
-    }
-
-    /// Algorithm 1 for several target columns of one prepared split: the
-    /// outcome of [`run_prepared`](ModelSearch::run_prepared) for each
-    /// target, in order.
-    ///
-    /// The searches share the worker pool: chunk *k* of every target's
-    /// candidate list is evaluated in one fan-out, and the winners are
-    /// refit on the pool too. Each target still consumes its results in
-    /// the paper's order and stops at its own early exit, after which it
-    /// queues no more fits, so every outcome equals that target's
-    /// sequential sweep at any [`num_threads`](ModelSearch::num_threads).
-    ///
-    /// # Panics
-    ///
-    /// As [`run_prepared`](ModelSearch::run_prepared), for any target.
-    pub fn run_prepared_all(
-        &self,
-        prepared: &PreparedSplit<'_>,
-        targets: &[&[f64]],
-    ) -> Vec<Result<SearchOutcome, TrainError>> {
-        assert!(
-            prepared.split == (self.test_fraction.to_bits(), self.seed)
-                && prepared
-                    .preprocessors
-                    .iter()
-                    .map(|p| &p.name)
-                    .eq(&self.preprocessors),
-            "the split was prepared by a search with another split or preprocessor list"
-        );
+            (train, test, preprocessors)
+        };
         /// One target's search.
         struct Sweep {
             ytr: Vec<f64>,
@@ -314,8 +254,8 @@ impl ModelSearch {
         let mut sweeps: Vec<Sweep> = targets
             .iter()
             .map(|y| Sweep {
-                ytr: prepared.train.iter().map(|&i| y[i]).collect(),
-                yte: prepared.test.iter().map(|&i| y[i]).collect(),
+                ytr: train.iter().map(|&i| y[i]).collect(),
+                yte: test.iter().map(|&i| y[i]).collect(),
                 leaderboard: Vec::new(),
                 early_stopped: false,
             })
@@ -329,15 +269,14 @@ impl ModelSearch {
         let candidates: Vec<(&String, &PreparedPreprocessor)> = self
             .models
             .iter()
-            .flat_map(|m| prepared.preprocessors.iter().map(move |p| (m, p)))
+            .flat_map(|m| preprocessors.iter().map(move |p| (m, p)))
             .collect();
-        let pool = WorkerPool::new(self.num_threads);
         let chunk_len = pool.num_threads().max(1) * 2;
         let mut search_span = trace::span("search");
         if search_span.is_recording() {
             search_span.field("targets", targets.len());
             search_span.field("candidates", candidates.len());
-            search_span.field("rows", prepared.x.rows());
+            search_span.field("rows", x.rows());
             search_span.field("threads", pool.num_threads());
         }
         for batch in candidates.chunks(chunk_len) {
@@ -377,17 +316,16 @@ impl ModelSearch {
         }
 
         // Refit each winner on the full dataset. A preprocessor's refit is
-        // shared by every search of this preparation.
+        // shared by every target it wins for.
         let refits = pool.map(&sweeps, |t, sweep| {
             let Some(winner) = sweep.leaderboard.first() else {
                 return Err(TrainError::new("no model/preprocessor combination trained"));
             };
-            let prep = prepared
-                .preprocessors
+            let prep = preprocessors
                 .iter()
                 .find(|p| p.name == winner.preprocessor)
-                .expect("winner came from the prepared list");
-            let (preprocessor, px) = prep.refit(prepared.x)?;
+                .expect("winner came from the listed preprocessors");
+            let (preprocessor, px) = prep.refit(x)?;
             let mut model = AnyModel::from_name(&winner.model).expect("winner came from the zoo");
             model.fit(px, targets[t])?;
             Ok(FittedPipeline {
@@ -413,25 +351,9 @@ impl ModelSearch {
     }
 }
 
-/// The train/test split of one feature matrix, with every listed
-/// preprocessor fitted once on its training rows: what
-/// [`ModelSearch::prepare`] returns and [`ModelSearch::run_prepared`]
-/// reads.
-///
-/// A winner's refit on all rows is kept too, built by the first search
-/// that needs it, so the searches of several metrics fit each
-/// preprocessor at most twice in all.
-#[derive(Debug)]
-pub struct PreparedSplit<'x> {
-    x: &'x Matrix,
-    train: Vec<usize>,
-    test: Vec<usize>,
-    /// The bits of the `test_fraction` and the `seed` of the split.
-    split: (u64, u64),
-    preprocessors: Vec<PreparedPreprocessor>,
-}
-
-/// One listed preprocessor of a [`PreparedSplit`].
+/// One listed preprocessor of a search, fitted on the training rows; its
+/// refit on all rows is built by the first target it wins for, so the
+/// searches of several targets fit each preprocessor at most twice in all.
 #[derive(Debug)]
 struct PreparedPreprocessor {
     name: String,
@@ -508,22 +430,51 @@ fn evaluate_candidate(
 mod tests {
     use super::*;
 
+    /// The zoo order is Algorithm 1's candidate order, and it lives only in
+    /// the `any_model!`/`any_preprocessor!` tables.
     #[test]
     fn zoos_match_the_paper_tables() {
-        assert_eq!(model_zoo().len(), 21, "Table IV lists 21 models");
         assert_eq!(
-            preprocessor_zoo().len(),
-            9,
-            "Table III lists 8 algorithms + identity baseline"
+            model_zoo(),
+            [
+                "ridge",
+                "kernel-ridge",
+                "bayesian-ridge",
+                "linear",
+                "sgd",
+                "passive-aggressive",
+                "ard",
+                "huber",
+                "theil-sen",
+                "lars",
+                "lasso",
+                "lasso-lars",
+                "svr",
+                "nu-svr",
+                "linear-svr",
+                "elastic-net",
+                "omp",
+                "mlp",
+                "decision-tree",
+                "extra-tree",
+                "random-forest",
+            ],
+            "Table IV's 21 models in row order"
         );
-        for m in model_zoo() {
-            assert!(create_model(m).is_some(), "{m} must construct");
-        }
-        for p in preprocessor_zoo() {
-            assert!(create_preprocessor(p).is_some(), "{p} must construct");
-        }
-        assert!(create_model("gpt").is_none());
-        assert!(create_preprocessor("umap").is_none());
+        assert_eq!(
+            preprocessor_zoo(),
+            [
+                "identity", "pca", "nca", "mean-std", "min-max", "max-abs", "robust", "power",
+                "quantile",
+            ],
+            "Table III's 8 algorithms after the identity baseline"
+        );
+        let quick = ModelSearch::quick();
+        assert_eq!(
+            quick.models,
+            ["ridge", "linear", "lasso", "decision-tree", "random-forest"]
+        );
+        assert_eq!(quick.preprocessors, ["identity", "mean-std", "pca"]);
     }
 
     #[test]
@@ -584,7 +535,7 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let y = [1.0, 2.0];
         assert!(ModelSearch::quick().run(&x, &y).is_err());
-        assert!(ModelSearch::quick().prepare(&x).is_err());
+        assert!(ModelSearch::quick().run_all(&x, &[&y, &y]).is_err());
     }
 
     /// A non-finite feature fails the fits that read it, which skips
@@ -614,14 +565,6 @@ mod tests {
                 assert!(search.run(&x_test, &y).is_err(), "{bad} in a test row");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "another split or preprocessor list")]
-    fn a_split_prepared_for_other_preprocessors_is_refused() {
-        let (x, y) = crate::models::testutil::synthetic(40, 0.02, 80);
-        let prepared = ModelSearch::quick().prepare(&x).unwrap();
-        let _ = ModelSearch::default().run_prepared(&prepared, &y);
     }
 
     /// Rows of 12 features driven by three latent values (with a constant
@@ -684,15 +627,16 @@ mod tests {
         );
     }
 
-    /// One preparation serves every target column, and each search equals
-    /// the per-candidate oracle on that column.
+    /// One `run_all` searches every target column, and each outcome, and
+    /// `run` on that column alone, equals the per-candidate oracle.
     fn check_against_the_oracle(search: &ModelSearch, rows: usize) {
         let (x, targets) = wide_dataset(rows, 81);
-        let prepared = search.prepare(&x).unwrap();
-        for (i, y) in targets.iter().enumerate() {
+        let columns: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+        let all = search.run_all(&x, &columns).unwrap();
+        assert_eq!(all.len(), targets.len());
+        for (i, (y, got)) in targets.iter().zip(&all).enumerate() {
             let want = oracle::run(search, &x, y).unwrap();
-            let got = search.run_prepared(&prepared, y).unwrap();
-            assert_same_outcome(&got, &want, &format!("target {i}"));
+            assert_same_outcome(got, &want, &format!("target {i}"));
             assert_same_outcome(
                 &search.run(&x, y).unwrap(),
                 &want,
@@ -702,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_search_matches_the_oracle_on_the_quick_zoo() {
+    fn search_matches_the_oracle_on_the_quick_zoo() {
         // In the zoo's order `identity` wins every target; reversed,
         // `mean-std` wins three, so refitting the wrong preprocessor shows.
         let mut reversed = ModelSearch::quick().preprocessors;
@@ -722,7 +666,7 @@ mod tests {
     // The full zoo: ≈1 s in release, ≈10 s in debug.
     #[cfg(not(debug_assertions))]
     #[test]
-    fn prepared_search_matches_the_oracle_on_the_paper_zoo() {
+    fn search_matches_the_oracle_on_the_paper_zoo() {
         let search = ModelSearch {
             num_threads: 2,
             ..ModelSearch::default()
@@ -731,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_search_matches_the_oracle_when_the_early_exit_fires_mid_chunk() {
+    fn search_matches_the_oracle_when_the_early_exit_fires_mid_chunk() {
         let (x, targets) = wide_dataset(32, 82);
         // Two threads evaluate chunks of four candidates.
         let base = ModelSearch {
@@ -745,7 +689,6 @@ mod tests {
             .iter()
             .flat_map(|m| base.preprocessors.iter().map(move |p| (m, p)))
             .collect();
-        let prepared = base.prepare(&x).unwrap();
         let mut checked = 0;
         for y in &targets {
             let full = oracle::run(&base, &x, y).unwrap();
@@ -780,7 +723,7 @@ mod tests {
             assert!(want.early_stopped, "the threshold must fire");
             let evaluated = acc[..=i].iter().flatten().count();
             assert_eq!(want.leaderboard.len(), evaluated, "stops at candidate {i}");
-            let got = search.run_prepared(&prepared, y).unwrap();
+            let got = search.run(&x, y).unwrap();
             assert_same_outcome(&got, &want, &format!("threshold {threshold}"));
             checked += 1;
         }
@@ -835,21 +778,20 @@ mod tests {
                 num_threads: threads,
                 ..base.clone()
             };
-            let prepared = search.prepare(&x).unwrap();
             let columns: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
-            let got = search.run_prepared_all(&prepared, &columns);
+            let got = search.run_all(&x, &columns).unwrap();
             assert_eq!(got.len(), targets.len());
             for (i, (got, y)) in got.iter().zip(&targets).enumerate() {
                 let want = oracle::run(&search, &x, y).unwrap();
                 let stop = stop_at(&ordered[i], threshold);
                 assert_eq!(want.early_stopped, stop.is_some(), "target {i}");
                 let what = format!("target {i}, threshold {threshold}, threads {threads}");
-                assert_same_outcome(got.as_ref().unwrap(), &want, &what);
+                assert_same_outcome(got, &want, &what);
             }
         }
     }
 
-    /// Today's search before [`ModelSearch::prepare`]: every candidate
+    /// The search before preprocessor fits were shared: every candidate
     /// fits its own preprocessor on the training rows, and the winner's
     /// preprocessor is refit on all rows for each search.
     mod oracle {
@@ -919,8 +861,8 @@ mod tests {
             xte: &Matrix,
             yte: &[f64],
         ) -> Option<SearchEntry> {
-            let mut prep = create_preprocessor(prep_name)?;
-            let mut model = create_model(model_name)?;
+            let mut prep = AnyPreprocessor::from_name(prep_name)?;
+            let mut model = AnyModel::from_name(model_name)?;
             let ptr = prep.fit_transform(xtr).ok()?;
             model.fit(&ptr, ytr).ok()?;
             let pred = model.predict(&prep.transform(xte));

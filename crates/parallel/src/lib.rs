@@ -136,12 +136,6 @@ impl WorkerPool {
                         loop {
                             let idx = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(item) = items.get(idx) else { break };
-                            if tracing {
-                                trace::gauge(
-                                    "pool.queue_depth",
-                                    items.len().saturating_sub(idx + 1) as f64,
-                                );
-                            }
                             let started = tracing.then(Instant::now);
                             local.push((idx, f(idx, item)));
                             if let Some(started) = started {

@@ -2,7 +2,7 @@
 
 use crate::bundle::ArtifactBundle;
 use crate::cache::{CacheConfig, SequenceCache};
-use mlcomp_core::{DeployError, PhaseSequenceSelector};
+use mlcomp_core::PhaseSequenceSelector;
 use mlcomp_trace as trace;
 
 /// One answered selection: the phase sequence plus whether it came from
@@ -21,8 +21,9 @@ pub struct Selection {
 /// Answers "static features → phase sequence" through a deployed policy,
 /// fronted by a sharded LRU cache.
 ///
-/// Construction validates the selector against this build's phase
-/// registry, so an engine can never index out of bounds at request time.
+/// An engine is built from an [`ArtifactBundle`], whose selector was
+/// validated against this build's phase registry, so an engine can never
+/// index out of bounds at request time.
 /// All methods take `&self` and the engine is `Sync`; one engine serves
 /// a whole worker pool.
 pub struct SelectionEngine {
@@ -31,23 +32,6 @@ pub struct SelectionEngine {
 }
 
 impl SelectionEngine {
-    /// Wraps a selector after deployment validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] when the selector's trained shapes do not
-    /// match this build.
-    pub fn new(
-        selector: PhaseSequenceSelector,
-        cache: CacheConfig,
-    ) -> Result<SelectionEngine, DeployError> {
-        selector.validate_deployment()?;
-        Ok(SelectionEngine {
-            selector,
-            cache: SequenceCache::new(cache),
-        })
-    }
-
     /// Builds an engine from an already-validated bundle. Infallible:
     /// [`ArtifactBundle`] values are deployable by construction.
     pub fn from_bundle(bundle: ArtifactBundle, cache: CacheConfig) -> SelectionEngine {

@@ -101,9 +101,8 @@ impl BatchServer {
 
     /// Serves one batch. Responses are in submission order.
     ///
-    /// Emits a `serve.batch` span, a `serve.queue_depth` gauge, a
-    /// per-request `serve.request` span and a `serve.latency_us`
-    /// histogram observation.
+    /// Emits a `serve.batch` span, a per-request `serve.request` span and
+    /// a `serve.latency_us` histogram observation.
     ///
     /// # Errors
     ///
@@ -120,7 +119,6 @@ impl BatchServer {
                 queue_capacity: self.config.queue_capacity,
             });
         }
-        trace::gauge("serve.queue_depth", requests.len() as f64);
         let mut batch_span = trace::span("serve.batch");
         let responses = self.pool.map(requests, |_, req| {
             let mut span = trace::span("serve.request");

@@ -6,9 +6,9 @@
 //! * **Spans** ([`span`]) — hierarchical timed regions with key/value
 //!   fields. Each thread keeps its own span-path stack; a span's `path` is
 //!   the slash-joined chain of enclosing span names on that thread.
-//! * **Counters / gauges / histograms** ([`counter`], [`gauge`],
-//!   [`observe`]) — lock-sharded accumulators merged deterministically when
-//!   [`flush`] drains them into the sink.
+//! * **Counters / histograms** ([`counter`], [`observe`]) — lock-sharded
+//!   accumulators merged deterministically when [`flush`] drains them into
+//!   the sink.
 //! * **Event sink** ([`TraceSink`]) — pluggable destination:
 //!   [`RingSink`] (in-memory, for tests), [`JsonlSink`] (one JSON object
 //!   per line, for runs), and [`NullSink`] (the default: drops everything
@@ -122,19 +122,16 @@ pub fn uninstall() {
     *slot = None;
 }
 
-/// Drain the sharded metric registries into the sink as `Counter`,
-/// `Gauge`, and `Hist` events, then flush the sink itself.
+/// Drain the sharded metric registries into the sink as `Counter` and
+/// `Hist` events, then flush the sink itself.
 ///
-/// Counters/gauges/histograms are cumulative between flushes; the drain
+/// Counters/histograms are cumulative between flushes; the drain
 /// order is deterministic (sorted by name) and histogram values are sorted
 /// before any float accumulation.
 pub fn flush() {
     let snapshot = metrics::drain();
     for (name, value) in snapshot.counters {
         emit(TraceEvent::Counter { name, value });
-    }
-    for (name, value) in snapshot.gauges {
-        emit(TraceEvent::Gauge { name, value });
     }
     for (name, values) in snapshot.hists {
         let (min, max, mean, p50, p90, p99) = metrics::summarize(&values);
@@ -216,14 +213,6 @@ pub fn init_from_env() -> Option<FlushGuard> {
 pub fn counter(name: &str, delta: u64) {
     if enabled() {
         metrics::add_counter(name, delta);
-    }
-}
-
-/// Set a named last-value-wins gauge (no-op while disabled).
-#[inline]
-pub fn gauge(name: &str, value: f64) {
-    if enabled() {
-        metrics::set_gauge(name, value);
     }
 }
 
@@ -399,13 +388,11 @@ mod tests {
                     });
                 }
             });
-            gauge("m.gauge", 7.5);
             flush();
             ring.take()
         });
         let mut saw_counter = false;
         let mut saw_hist = false;
-        let mut saw_gauge = false;
         for e in &events {
             match e {
                 TraceEvent::Counter { name, value } if name == "m.count" => {
@@ -424,14 +411,10 @@ mod tests {
                     assert_eq!(*max, 99.0);
                     saw_hist = true;
                 }
-                TraceEvent::Gauge { name, value } if name == "m.gauge" => {
-                    assert_eq!(*value, 7.5);
-                    saw_gauge = true;
-                }
                 _ => {}
             }
         }
-        assert!(saw_counter && saw_hist && saw_gauge);
+        assert!(saw_counter && saw_hist);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Lock-sharded counter/gauge/histogram registry.
+//! Lock-sharded counter/histogram registry.
 //!
 //! Writers hash their thread onto one of a fixed number of shards so hot
 //! loops on different worker threads rarely contend on the same mutex.
 //! [`drain`] merges all shards into deterministically ordered `BTreeMap`s:
-//! counters sum, gauges keep the globally most recent write (a process-wide
-//! sequence number breaks ties across shards), histogram observations are
-//! concatenated and sorted before any float accumulation so summary
-//! statistics do not depend on thread interleaving.
+//! counters sum, histogram observations are concatenated and sorted before
+//! any float accumulation so summary statistics do not depend on thread
+//! interleaving.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +16,6 @@ const SHARDS: usize = 16;
 #[derive(Default)]
 struct Shard {
     counters: Mutex<HashMap<String, u64>>,
-    gauges: Mutex<HashMap<String, (u64, f64)>>,
     hists: Mutex<HashMap<String, Vec<f64>>>,
 }
 
@@ -26,7 +24,6 @@ struct Registry {
 }
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
-static GAUGE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
@@ -58,13 +55,6 @@ pub(crate) fn add_counter(name: &str, delta: u64) {
     }
 }
 
-/// Set the named gauge to `value` (last global write wins at drain time).
-pub(crate) fn set_gauge(name: &str, value: f64) {
-    let seq = GAUGE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut map = shard().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    map.insert(name.to_string(), (seq, value));
-}
-
 /// Record one observation in the named histogram.
 pub(crate) fn observe_hist(name: &str, value: f64) {
     let mut map = shard().hists.lock().unwrap_or_else(|e| e.into_inner());
@@ -79,28 +69,16 @@ pub(crate) fn observe_hist(name: &str, value: f64) {
 /// Snapshot of all metric families, deterministically ordered.
 pub(crate) struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
     pub hists: BTreeMap<String, Vec<f64>>,
 }
 
 /// Drain every shard, resetting the registry to empty.
 pub(crate) fn drain() -> MetricsSnapshot {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, (u64, f64)> = BTreeMap::new();
     let mut hists: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for sh in &registry().shards {
         for (k, v) in std::mem::take(&mut *sh.counters.lock().unwrap_or_else(|e| e.into_inner())) {
             *counters.entry(k).or_insert(0) += v;
-        }
-        for (k, (seq, v)) in
-            std::mem::take(&mut *sh.gauges.lock().unwrap_or_else(|e| e.into_inner()))
-        {
-            match gauges.get(&k) {
-                Some((prev_seq, _)) if *prev_seq > seq => {}
-                _ => {
-                    gauges.insert(k, (seq, v));
-                }
-            }
         }
         for (k, mut v) in std::mem::take(&mut *sh.hists.lock().unwrap_or_else(|e| e.into_inner())) {
             hists.entry(k).or_default().append(&mut v);
@@ -109,11 +87,7 @@ pub(crate) fn drain() -> MetricsSnapshot {
     for values in hists.values_mut() {
         values.sort_by(f64::total_cmp);
     }
-    MetricsSnapshot {
-        counters,
-        gauges: gauges.into_iter().map(|(k, (_, v))| (k, v)).collect(),
-        hists,
-    }
+    MetricsSnapshot { counters, hists }
 }
 
 /// Summary statistics of a *sorted* slice of observations.

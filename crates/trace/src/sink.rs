@@ -112,13 +112,6 @@ pub enum TraceEvent {
         /// Total accumulated value.
         value: u64,
     },
-    /// A last-value-wins gauge, reported at drain time.
-    Gauge {
-        /// Gauge name (e.g. `"pool.queue_depth"`).
-        name: String,
-        /// Most recently set value.
-        value: f64,
-    },
     /// Summary statistics of a histogram, reported at drain time.
     Hist {
         /// Histogram name (e.g. `"search.accuracy"`).
@@ -220,11 +213,6 @@ impl TraceEvent {
                 out.push_str("{\"t\":\"counter\",\"name\":");
                 escape_json_into(&mut out, name);
                 out.push_str(&format!(",\"value\":{value}}}"));
-            }
-            TraceEvent::Gauge { name, value } => {
-                out.push_str("{\"t\":\"gauge\",\"name\":");
-                escape_json_into(&mut out, name);
-                out.push_str(&format!(",\"value\":{}}}", f64_json(*value)));
             }
             TraceEvent::Hist {
                 name,

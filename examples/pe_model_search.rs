@@ -47,13 +47,14 @@ fn main() {
         ..ModelSearch::default()
     };
 
-    // The split and the preprocessor fits do not read the targets: fit
-    // them once and share them across the four metrics' searches.
-    let x = dataset.features();
-    let prepared = search.prepare(&x).expect("enough samples");
-    for metric in METRIC_NAMES {
-        let y = dataset.targets(metric);
-        let outcome = search.run_prepared(&prepared, &y).expect("search runs");
+    // The split and the preprocessor fits do not read the targets: one
+    // `run_all` shares them across the four metrics' searches.
+    let targets = METRIC_NAMES.map(|metric| dataset.targets(metric));
+    let columns = targets.each_ref().map(Vec::as_slice);
+    let outcomes = search
+        .run_all(&dataset.features(), &columns)
+        .expect("search runs");
+    for (metric, outcome) in METRIC_NAMES.iter().zip(outcomes) {
         println!(
             "metric `{metric}` — winner: {} → {} (accuracy {:.2}%, early stop: {})",
             outcome.best.preprocessor_name,
