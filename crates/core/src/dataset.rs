@@ -24,9 +24,9 @@ pub struct Sample {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FailureCause {
     /// Profiling the variant failed: an interpreter trap or fuel
-    /// exhaustion. Deterministic, so never retried.
+    /// exhaustion.
     Exec(ExecError),
-    /// Every worker attempt panicked; the final panic message.
+    /// The worker panicked on the item; the panic message.
     WorkerPanic(String),
 }
 
@@ -48,9 +48,6 @@ pub struct FailedPoint {
     pub variant: usize,
     /// Why the point failed.
     pub reason: FailureCause,
-    /// Worker attempts spent on the item (1 for deterministic,
-    /// non-retried failures like interpreter traps).
-    pub attempts: u32,
 }
 
 /// One phase occurrence the pass sandbox rolled back while compiling a
@@ -71,7 +68,7 @@ pub struct QuarantinedPhase {
 
 /// Everything that went wrong during one extraction run, carried on the
 /// [`Dataset`] so downstream consumers can weigh coverage, and serialized
-/// with it so checkpoint-resumed runs reproduce the full report.
+/// with it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FailureReport {
     /// Datapoints that produced no sample.
@@ -185,19 +182,16 @@ mod tests {
                         app: "a".into(),
                         variant: 3,
                         reason: FailureCause::Exec(ExecError::DivByZero),
-                        attempts: 1,
                     },
                     FailedPoint {
                         app: "a".into(),
                         variant: 4,
                         reason: FailureCause::Exec(ExecError::MemoryOutOfBounds { addr: -2 }),
-                        attempts: 1,
                     },
                     FailedPoint {
                         app: "b".into(),
                         variant: 5,
                         reason: FailureCause::WorkerPanic("worker died".into()),
-                        attempts: 2,
                     },
                 ],
                 quarantined: vec![

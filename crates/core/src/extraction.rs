@@ -11,10 +11,7 @@
 //! | [`seed`](DataExtraction::seed) | §IV-B | Root of *all* extraction randomness. Every `(app, variant)` work item derives its own RNG stream from `(seed, app name, variant index)`, so the dataset is a pure function of this value — independent of thread count and scheduling. |
 //! | [`noise`](DataExtraction::noise) | §IV-A (RAPL / hardware counters) | Relative jitter applied to the measured time/energy, emulating real profiling variance. Seeded per `(app, sequence)`, so repeated measurements of the same variant agree. |
 //! | [`num_threads`](DataExtraction::num_threads) | — (this reproduction) | Fan-out width of the worker pool; `0` = host parallelism. Results are bit-identical at any value. |
-//! | [`retry_attempts`](DataExtraction::retry_attempts) | — (robustness) | Bounded per-item retry budget for worker attempts that panic. |
 //! | [`min_success_fraction`](DataExtraction::min_success_fraction) | — (robustness) | Fraction of datapoints that must survive for the run to succeed; losses below that are reported, not fatal. |
-//! | [`checkpoint_every`](DataExtraction::checkpoint_every) | — (robustness) | Items between checkpoint writes when a checkpoint path is given to [`run_with_checkpoint`](DataExtraction::run_with_checkpoint). |
-//! | [`interp_fuel`](DataExtraction::interp_fuel) | §IV-A | Override of the profiling interpreter's step budget; exhaustion surfaces in the [`FailureReport`], not as a crash. |
 //! | [`fault_plan`](DataExtraction::fault_plan) | — (testing) | Deterministic fault injection ([`mlcomp_faults::FaultPlan`]); `None` leaves the pipeline bit-identical to the fault-free build. |
 //!
 //! The first three variants of every application are fixed anchors —
@@ -23,32 +20,33 @@
 //!
 //! # Parallel execution
 //!
-//! Extraction fans out at `(app, variant)` granularity on a
-//! [`mlcomp_parallel::WorkerPool`]; each item compiles and profiles its
-//! variant exactly once. See `DESIGN.md` for why per-variant seed
-//! derivation keeps the output byte-identical to a sequential run.
+//! Extraction fans out at `(app, variant)` granularity in one
+//! [`mlcomp_parallel::WorkerPool::map`] pass; each item compiles and
+//! profiles its variant exactly once. See `DESIGN.md` for why per-variant
+//! seed derivation keeps the output byte-identical to a sequential run.
 //!
 //! # Failure handling
 //!
 //! The pipeline is supervised end to end. Phases run inside the pass
 //! sandbox ([`mlcomp_passes::Sandbox::run_sequence`]), so a panicking or
 //! IR-corrupting phase is rolled back and quarantined instead of sinking
-//! the variant. Worker attempts that panic are retried up to
-//! [`retry_attempts`](DataExtraction::retry_attempts) times by
-//! [`mlcomp_parallel::WorkerPool::map_supervised`]. Datapoints that still
-//! fail land in the [`FailureReport`] carried on the [`Dataset`], each with
-//! its cause as a value: a [`FailureCause`] (the profiler's
-//! [`ExecError`] — a trap or fuel exhaustion — or the last panic of a
-//! worker that exhausted its retries) for a lost point, the sandbox's
-//! [`QuarantineReason`] for a rolled-back phase. The `extraction.fault.*`
-//! trace counters are one exhaustive `match` over those causes, bumped as
-//! each item's result arrives. The run as a whole only fails when fewer
-//! than [`min_success_fraction`](DataExtraction::min_success_fraction) of
-//! the points survive. With a checkpoint path, finished items are persisted
-//! periodically and a killed run resumes without recomputing them.
+//! the variant. Each item runs once under [`std::panic::catch_unwind`]:
+//! an item is a pure function of `(seed, app, variant)`, so a panic would
+//! only recur on a second try, and it costs that item's datapoint alone.
+//! Lost datapoints land in the [`FailureReport`] carried on the
+//! [`Dataset`], each with its cause as a value: a [`FailureCause`] (the
+//! profiler's [`ExecError`] — a trap or fuel exhaustion — or the worker's
+//! panic message) for a lost point, the sandbox's [`QuarantineReason`] for
+//! a rolled-back phase. The `extraction.fault.*` trace counters are one
+//! exhaustive `match` over those causes, bumped as each item's result is
+//! collected. The run as a whole only fails when fewer than
+//! [`min_success_fraction`](DataExtraction::min_success_fraction) of the
+//! points survive.
 
 use crate::dataset::{Dataset, FailedPoint, FailureCause, FailureReport, QuarantinedPhase, Sample};
-use mlcomp_faults::{quiet_injected_panics, FaultKind, FaultPlan, INJECTED_PANIC_PREFIX};
+use mlcomp_faults::{
+    panic_reason, quiet_injected_panics, FaultKind, FaultPlan, INJECTED_PANIC_PREFIX,
+};
 use mlcomp_ir::{ExecError, InterpConfig};
 use mlcomp_parallel::{seed, WorkerPool};
 use mlcomp_passes::{registry, QuarantineEntry, QuarantineReason, Sandbox};
@@ -58,9 +56,8 @@ use mlcomp_trace as trace;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Fuel budget substituted when [`FaultKind::FuelExhaustion`] fires: small
 /// enough that no real workload completes.
@@ -85,21 +82,6 @@ pub enum ExtractionError {
         /// The configured survival threshold.
         min_success_fraction: f64,
     },
-    /// The run stopped early ([`DataExtraction::max_items_per_run`]);
-    /// finished items are in the checkpoint, rerun to resume.
-    Interrupted {
-        /// Items finished so far (including resumed ones).
-        completed: usize,
-        /// Total items in the run.
-        total: usize,
-    },
-    /// Reading or writing the checkpoint file failed.
-    Checkpoint {
-        /// The checkpoint path.
-        path: String,
-        /// The underlying I/O or serialization error.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ExtractionError {
@@ -121,22 +103,14 @@ impl fmt::Display for ExtractionError {
                 "extraction kept only {survived}/{total} datapoints, below the \
                  required fraction {min_success_fraction}"
             ),
-            ExtractionError::Interrupted { completed, total } => write!(
-                f,
-                "extraction interrupted after {completed}/{total} datapoints; \
-                 rerun with the same checkpoint to resume"
-            ),
-            ExtractionError::Checkpoint { path, reason } => {
-                write!(f, "extraction checkpoint `{path}` failed: {reason}")
-            }
         }
     }
 }
 
 impl std::error::Error for ExtractionError {}
 
-/// The fate of one `(app, variant)` work item — what checkpoints persist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The fate of one `(app, variant)` work item.
+#[derive(Debug)]
 enum ItemOutcome {
     /// The variant produced a sample (possibly with quarantined phases).
     Sample {
@@ -147,27 +121,6 @@ enum ItemOutcome {
     },
     /// The variant failed for good.
     Failed(FailedPoint),
-}
-
-/// One persisted item outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointEntry {
-    /// Index into the run's `(app, variant)` item list.
-    index: usize,
-    /// What happened to the item.
-    outcome: ItemOutcome,
-}
-
-/// The checkpoint file: a fingerprint guarding against stale resumes plus
-/// every finished item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointFile {
-    /// Hash of the extraction config, platform and application list.
-    fingerprint: u64,
-    /// Total items in the run the checkpoint belongs to.
-    total: usize,
-    /// Finished items.
-    entries: Vec<CheckpointEntry>,
 }
 
 /// Configuration for the permutation exploration.
@@ -192,23 +145,9 @@ pub struct DataExtraction {
     /// Worker threads for the `(app, variant)` fan-out; 0 = host
     /// parallelism. The produced [`Dataset`] is identical at any value.
     pub num_threads: usize,
-    /// Worker attempts per item before it is declared failed (panicking
-    /// attempts are caught and retried; deterministic failures like
-    /// interpreter traps are never retried). Minimum 1.
-    pub retry_attempts: u32,
     /// Fraction of datapoints that must survive for the run to succeed;
     /// below it the run fails with [`ExtractionError::TooManyFailures`].
     pub min_success_fraction: f64,
-    /// Fresh items between checkpoint writes (only used when a checkpoint
-    /// path is passed to [`run_with_checkpoint`](DataExtraction::run_with_checkpoint)).
-    pub checkpoint_every: usize,
-    /// Stop after this many fresh items and return
-    /// [`ExtractionError::Interrupted`]; `0` = no limit. Exists to test
-    /// (and script) graceful shutdown + resume.
-    pub max_items_per_run: usize,
-    /// Override of the profiling interpreter's fuel budget; `None` keeps
-    /// the [`InterpConfig`] default. Exhaustion is reported per datapoint.
-    pub interp_fuel: Option<u64>,
     /// Deterministic fault injection for robustness testing; `None` (the
     /// default) leaves the pipeline bit-identical to the fault-free path.
     pub fault_plan: Option<FaultPlan>,
@@ -223,11 +162,7 @@ impl Default for DataExtraction {
             seed: 0xDA7A,
             noise: 0.0,
             num_threads: 0,
-            retry_attempts: 2,
             min_success_fraction: 0.5,
-            checkpoint_every: 32,
-            max_items_per_run: 0,
-            interp_fuel: None,
             fault_plan: None,
         }
     }
@@ -256,9 +191,9 @@ impl DataExtraction {
     /// Per app, the first three variants are fixed anchors — unoptimized,
     /// `-O2` and `-O3` — and the rest are random permutations of the
     /// Table VI phases. Variants that fail to execute (e.g. pathological
-    /// sequences hitting interpreter limits) are recorded in the
-    /// dataset's [`FailureReport`]; the run fails only when the dataset
-    /// would be empty or fewer than
+    /// sequences hitting interpreter limits) or whose worker panics are
+    /// recorded in the dataset's [`FailureReport`]; the run fails only
+    /// when the dataset would be empty or fewer than
     /// [`min_success_fraction`](DataExtraction::min_success_fraction) of
     /// the datapoints survive.
     ///
@@ -296,32 +231,6 @@ impl DataExtraction {
         platform: &P,
         apps: &[BenchProgram],
     ) -> Result<Dataset, ExtractionError> {
-        self.run_with_checkpoint(platform, apps, None)
-    }
-
-    /// Like [`run`](DataExtraction::run), but with crash recovery: after
-    /// every [`checkpoint_every`](DataExtraction::checkpoint_every) fresh
-    /// items the finished outcomes are written to `checkpoint` (atomically,
-    /// via a temp file + rename). A rerun with the same configuration,
-    /// platform and application list resumes from the file instead of
-    /// recomputing — and produces the same dataset a single uninterrupted
-    /// run would have. The file is removed when the run completes.
-    ///
-    /// A checkpoint whose fingerprint does not match the current
-    /// configuration is ignored, so a stale file can never corrupt a run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExtractionError`] when the dataset would be empty, too
-    /// few datapoints survived, the checkpoint file cannot be written, or
-    /// the run was stopped early by
-    /// [`max_items_per_run`](DataExtraction::max_items_per_run).
-    pub fn run_with_checkpoint<P: TargetPlatform + Sync + ?Sized>(
-        &self,
-        platform: &P,
-        apps: &[BenchProgram],
-        checkpoint: Option<&Path>,
-    ) -> Result<Dataset, ExtractionError> {
         if self.fault_plan.is_some() {
             // Injected panics are expected; keep them off stderr.
             quiet_injected_panics();
@@ -333,125 +242,24 @@ impl DataExtraction {
         let items: Vec<(usize, usize)> = (0..apps.len())
             .flat_map(|a| (0..self.variants_per_app).map(move |v| (a, v)))
             .collect();
-        let fingerprint = self.fingerprint(platform.name(), apps);
-
-        let mut outcomes: Vec<Option<ItemOutcome>> = vec![None; items.len()];
-        if let Some(path) = checkpoint {
-            for entry in load_checkpoint(path, fingerprint, items.len()) {
-                if entry.index < outcomes.len() {
-                    outcomes[entry.index] = Some(entry.outcome);
-                }
-            }
-            trace::counter(
-                "extraction.resumed_items",
-                outcomes.iter().filter(|o| o.is_some()).count() as u64,
-            );
-        }
         if run_span.is_recording() {
             run_span.field("apps", apps.len());
             run_span.field("items", items.len());
             run_span.field("threads", pool.num_threads());
         }
 
-        let pending: Vec<usize> = (0..items.len())
-            .filter(|&i| outcomes[i].is_none())
-            .collect();
-        let budget = if self.max_items_per_run == 0 {
-            pending.len()
-        } else {
-            self.max_items_per_run.min(pending.len())
-        };
-        let chunk_len = if checkpoint.is_some() {
-            self.checkpoint_every.max(1)
-        } else {
-            budget.max(1)
-        };
-
-        for chunk in pending[..budget].chunks(chunk_len) {
-            let chunk_items: Vec<(usize, usize)> = chunk.iter().map(|&i| items[i]).collect();
-            let results =
-                pool.map_supervised(&chunk_items, self.retry_attempts, |_, attempt, &(a, v)| {
-                    let app = &apps[a];
-                    let mut item_span = trace::span("extract.item");
-                    if item_span.is_recording() {
-                        item_span.field("app", app.name);
-                        item_span.field("variant", v);
-                        item_span.field("attempt", attempt as u64);
-                    }
-                    if attempt > 0 {
-                        trace::counter("extraction.retries", 1);
-                    }
-                    if let Some(plan) = &self.fault_plan {
-                        // Transient worker failure: keyed by item identity and
-                        // attempt number, so retries re-roll the dice and the
-                        // decision is independent of worker scheduling.
-                        if plan.transient_fires(&format!("{}|{v}", app.name), attempt) {
-                            panic!(
-                                "{INJECTED_PANIC_PREFIX} transient worker failure at `{}|{v}`",
-                                app.name
-                            );
-                        }
-                    }
-                    let sequence = self.variant_sequence(app, v);
-                    let outcome = self.compile_and_profile(platform, app, &sequence);
-                    if item_span.is_recording() {
-                        item_span.field("outcome", if outcome.is_ok() { "ok" } else { "failed" });
-                    }
-                    match outcome {
-                        Ok((features, metrics, quarantined)) => ItemOutcome::Sample {
-                            sample: Sample {
-                                app: app.name.to_string(),
-                                sequence,
-                                features,
-                                metrics,
-                            },
-                            quarantined: quarantined
-                                .into_iter()
-                                .map(|q| QuarantinedPhase {
-                                    app: app.name.to_string(),
-                                    variant: v,
-                                    index: q.index,
-                                    phase: q.phase,
-                                    reason: q.reason,
-                                })
-                                .collect(),
-                        },
-                        Err(e) => ItemOutcome::Failed(FailedPoint {
-                            app: app.name.to_string(),
-                            variant: v,
-                            reason: FailureCause::Exec(e),
-                            attempts: attempt + 1,
-                        }),
-                    }
-                });
-            for (&i, result) in chunk.iter().zip(results) {
-                let outcome = result.unwrap_or_else(|failure| {
-                    let (a, v) = items[i];
+        let outcomes = pool.map(&items, |_, &(a, v)| {
+            let app = &apps[a];
+            catch_unwind(AssertUnwindSafe(|| self.extract_item(platform, app, v))).unwrap_or_else(
+                |payload| {
                     ItemOutcome::Failed(FailedPoint {
-                        app: apps[a].name.to_string(),
+                        app: app.name.to_string(),
                         variant: v,
-                        reason: FailureCause::WorkerPanic(failure.reason),
-                        attempts: failure.attempts,
+                        reason: FailureCause::WorkerPanic(panic_reason(payload.as_ref())),
                     })
-                });
-                if trace::enabled() {
-                    count_outcome(&outcome);
-                }
-                outcomes[i] = Some(outcome);
-            }
-            if let Some(path) = checkpoint {
-                write_checkpoint(path, fingerprint, items.len(), &outcomes)?;
-                trace::counter("extraction.checkpoint_writes", 1);
-            }
-        }
-
-        if budget < pending.len() {
-            let completed = outcomes.iter().filter(|o| o.is_some()).count();
-            return Err(ExtractionError::Interrupted {
-                completed,
-                total: items.len(),
-            });
-        }
+                },
+            )
+        });
 
         let mut dataset = Dataset {
             platform: platform.name().to_string(),
@@ -459,7 +267,10 @@ impl DataExtraction {
             failures: FailureReport::default(),
         };
         for outcome in outcomes {
-            match outcome.expect("every item was processed or resumed") {
+            if trace::enabled() {
+                count_outcome(&outcome);
+            }
+            match outcome {
                 ItemOutcome::Sample {
                     sample,
                     quarantined,
@@ -486,11 +297,6 @@ impl DataExtraction {
                 });
             }
         }
-        if let Some(path) = checkpoint {
-            // Best-effort cleanup: a leftover file would be ignored anyway
-            // if the next run's fingerprint differs.
-            let _ = std::fs::remove_file(path);
-        }
         if run_span.is_recording() {
             run_span.field("samples", dataset.len());
             run_span.field("failed", dataset.failures.failed.len());
@@ -499,33 +305,56 @@ impl DataExtraction {
         Ok(dataset)
     }
 
-    /// Hash of everything that determines item outcomes — config, platform
-    /// and application list — used to reject stale checkpoints. Thread
-    /// count and chunking knobs are deliberately excluded: a resume may
-    /// use different parallelism or interruption limits.
-    fn fingerprint(&self, platform: &str, apps: &[BenchProgram]) -> u64 {
-        let mut h = seed::combine(seed::hash_str("mlcomp-extraction-checkpoint-v1"), self.seed);
-        h = seed::combine(h, seed::hash_str(platform));
-        for app in apps {
-            h = seed::combine(h, seed::hash_str(app.name));
+    /// Compiles and profiles variant `v` of `app` in an `extract.item`
+    /// span. A [`FaultKind::WorkerPanic`] fault keyed `app|v` panics here,
+    /// inside the caller's `catch_unwind`.
+    fn extract_item<P: TargetPlatform + ?Sized>(
+        &self,
+        platform: &P,
+        app: &BenchProgram,
+        v: usize,
+    ) -> ItemOutcome {
+        let mut item_span = trace::span("extract.item");
+        if item_span.is_recording() {
+            item_span.field("app", app.name);
+            item_span.field("variant", v);
         }
-        for k in [
-            self.variants_per_app as u64,
-            self.min_phases as u64,
-            self.max_phases as u64,
-            u64::from(self.retry_attempts),
-        ] {
-            h = seed::combine(h, k);
-        }
-        h = seed::combine(h, self.noise.to_bits());
-        h = seed::combine(h, self.interp_fuel.unwrap_or(u64::MAX));
         if let Some(plan) = &self.fault_plan {
-            h = seed::combine(h, plan.seed);
-            for kind in FaultKind::ALL {
-                h = seed::combine(h, plan.rate(kind).to_bits());
+            let key = format!("{}|{v}", app.name);
+            if plan.fires(FaultKind::WorkerPanic, &key) {
+                panic!("{INJECTED_PANIC_PREFIX} worker panic at `{key}`");
             }
         }
-        h
+        let sequence = self.variant_sequence(app, v);
+        let outcome = self.compile_and_profile(platform, app, &sequence);
+        if item_span.is_recording() {
+            item_span.field("outcome", if outcome.is_ok() { "ok" } else { "failed" });
+        }
+        match outcome {
+            Ok((features, metrics, quarantined)) => ItemOutcome::Sample {
+                sample: Sample {
+                    app: app.name.to_string(),
+                    sequence,
+                    features,
+                    metrics,
+                },
+                quarantined: quarantined
+                    .into_iter()
+                    .map(|q| QuarantinedPhase {
+                        app: app.name.to_string(),
+                        variant: v,
+                        index: q.index,
+                        phase: q.phase,
+                        reason: q.reason,
+                    })
+                    .collect(),
+            },
+            Err(e) => ItemOutcome::Failed(FailedPoint {
+                app: app.name.to_string(),
+                variant: v,
+                reason: FailureCause::Exec(e),
+            }),
+        }
     }
 
     /// The phase sequence of one variant: anchors for `v < 3`, then random
@@ -585,12 +414,9 @@ impl DataExtraction {
         let (module, cache) = session.analysed();
         let features = mlcomp_features::extract_cached(module, cache);
         let mut interp = InterpConfig::default();
-        if let Some(fuel) = self.interp_fuel {
-            interp.fuel = fuel;
-        }
         if let Some(plan) = &self.fault_plan {
             if plan.fires(FaultKind::FuelExhaustion, &site_prefix) {
-                interp.fuel = interp.fuel.min(STARVATION_FUEL);
+                interp.fuel = STARVATION_FUEL;
             }
         }
         let profiler = if self.noise > 0.0 {
@@ -644,59 +470,6 @@ fn count_outcome(outcome: &ItemOutcome) {
             };
             trace::counter(counter, 1);
         }
-    }
-}
-
-/// Reads a checkpoint, returning its entries only when the file exists,
-/// parses, and matches the current run's fingerprint and item count —
-/// anything else means "start fresh", never an error.
-fn load_checkpoint(path: &Path, fingerprint: u64, total: usize) -> Vec<CheckpointEntry> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(file) = serde_json::from_str::<CheckpointFile>(&text) else {
-        return Vec::new();
-    };
-    if file.fingerprint != fingerprint || file.total != total {
-        return Vec::new();
-    }
-    file.entries
-}
-
-/// Writes all finished outcomes atomically (temp file + rename), so a kill
-/// mid-write leaves the previous checkpoint intact.
-fn write_checkpoint(
-    path: &Path,
-    fingerprint: u64,
-    total: usize,
-    outcomes: &[Option<ItemOutcome>],
-) -> Result<(), ExtractionError> {
-    let entries: Vec<CheckpointEntry> = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(index, o)| {
-            o.as_ref().map(|outcome| CheckpointEntry {
-                index,
-                outcome: outcome.clone(),
-            })
-        })
-        .collect();
-    let file = CheckpointFile {
-        fingerprint,
-        total,
-        entries,
-    };
-    let json = serde_json::to_string(&file).map_err(|e| checkpoint_err(path, e))?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).map_err(|e| checkpoint_err(path, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| checkpoint_err(path, e))?;
-    Ok(())
-}
-
-fn checkpoint_err(path: &Path, e: impl fmt::Display) -> ExtractionError {
-    ExtractionError::Checkpoint {
-        path: path.display().to_string(),
-        reason: e.to_string(),
     }
 }
 
@@ -813,18 +586,18 @@ mod tests {
         }
     }
 
+    /// A plan that starves the profiler of the items whose fuel fault
+    /// fires, and injects nothing else.
+    fn starvation(seed: u64, rate: f64) -> Option<FaultPlan> {
+        Some(FaultPlan::from_seed(seed).with_rate(FaultKind::FuelExhaustion, rate))
+    }
+
     #[test]
     fn fuel_exhaustion_is_reported_not_fatal() {
         let platform = X86Platform::new();
         let apps = two_apps();
-        let clean = DataExtraction::quick().run(&platform, &apps).unwrap();
-        // Pick a budget between the cheapest and most expensive variant so
-        // some datapoints starve and some survive.
-        let mut counts = clean.targets("instructions");
-        counts.sort_by(f64::total_cmp);
-        let budget = counts[counts.len() / 2] as u64;
         let ds = DataExtraction {
-            interp_fuel: Some(budget),
+            fault_plan: starvation(5, 0.5),
             min_success_fraction: 0.0,
             ..DataExtraction::quick()
         }
@@ -844,16 +617,16 @@ mod tests {
     }
 
     #[test]
-    fn too_many_failures_is_an_error() {
+    fn starving_every_variant_is_no_samples() {
         let platform = X86Platform::new();
         let apps = two_apps();
         let err = DataExtraction {
-            interp_fuel: Some(1),
+            fault_plan: starvation(5, 1.0),
             ..DataExtraction::quick()
         }
         .run(&platform, &apps)
         .unwrap_err();
-        // With fuel 1 every variant starves: the dataset would be empty.
+        // Every variant starves: the dataset would be empty.
         let ExtractionError::NoSamples { last } = &err else {
             panic!("expected NoSamples, got {err}");
         };
@@ -866,51 +639,50 @@ mod tests {
     }
 
     #[test]
-    fn killed_run_resumes_from_checkpoint() {
+    fn too_few_survivors_is_too_many_failures() {
         let platform = X86Platform::new();
         let apps = two_apps();
-        let config = DataExtraction {
-            checkpoint_every: 3,
+        let err = DataExtraction {
+            fault_plan: starvation(5, 0.9),
             ..DataExtraction::quick()
-        };
-        let full = config.run(&platform, &apps).unwrap();
-
-        let path = std::env::temp_dir().join("mlcomp_extraction_ckpt_test.json");
-        let _ = std::fs::remove_file(&path);
-        // "Kill" the first run after 5 of the 16 items.
-        let partial = DataExtraction {
-            max_items_per_run: 5,
-            ..config.clone()
         }
-        .run_with_checkpoint(&platform, &apps, Some(&path));
-        match partial {
-            Err(ExtractionError::Interrupted { completed, total }) => {
-                assert_eq!(completed, 5);
-                assert_eq!(total, 16);
+        .run(&platform, &apps)
+        .unwrap_err();
+        // 14 of the 16 variants starve; 8 must survive at the default 0.5.
+        assert_eq!(
+            err,
+            ExtractionError::TooManyFailures {
+                survived: 2,
+                total: 16,
+                min_success_fraction: 0.5,
             }
-            other => panic!("expected Interrupted, got {other:?}"),
-        }
-        assert!(path.exists(), "checkpoint persisted");
-
-        // The resumed run completes and matches the uninterrupted one.
-        let resumed = config
-            .run_with_checkpoint(&platform, &apps, Some(&path))
-            .unwrap();
-        assert_eq!(full, resumed);
-        assert!(!path.exists(), "checkpoint removed on success");
+        );
+        assert_eq!(
+            err.to_string(),
+            "extraction kept only 2/16 datapoints, below the required fraction 0.5"
+        );
     }
 
     #[test]
-    fn stale_checkpoint_is_ignored() {
+    fn a_worker_panic_costs_only_its_own_datapoint() {
         let platform = X86Platform::new();
         let apps = two_apps();
-        let path = std::env::temp_dir().join("mlcomp_extraction_stale_ckpt_test.json");
-        std::fs::write(&path, "{\"fingerprint\":1,\"total\":16,\"entries\":[]}").unwrap();
-        let config = DataExtraction::quick();
-        let ds = config
-            .run_with_checkpoint(&platform, &apps, Some(&path))
-            .unwrap();
-        assert_eq!(ds, config.run(&platform, &apps).unwrap());
-        let _ = std::fs::remove_file(&path);
+        let config = |num_threads| DataExtraction {
+            num_threads,
+            fault_plan: Some(FaultPlan::from_seed(5).with_rate(FaultKind::WorkerPanic, 0.5)),
+            min_success_fraction: 0.0,
+            ..DataExtraction::quick()
+        };
+        let ds = config(1).run(&platform, &apps).unwrap();
+        assert!(!ds.failures.failed.is_empty(), "some workers must panic");
+        assert!(!ds.is_empty(), "some variants must survive");
+        for point in &ds.failures.failed {
+            let FailureCause::WorkerPanic(msg) = &point.reason else {
+                panic!("expected a worker panic, got {point:?}");
+            };
+            assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "{msg}");
+        }
+        assert_eq!(ds.len() + ds.failures.failed.len(), 16);
+        assert_eq!(ds, config(4).run(&platform, &apps).unwrap());
     }
 }

@@ -4,10 +4,9 @@
 //! an optimization phase can panic on an unusual CFG, the profiling
 //! interpreter can exhaust its fuel on a pathological sequence, a worker
 //! can die mid-item. The supervision layers built on top of this crate
-//! (the pass sandbox in `mlcomp-passes`, `map_supervised` in
-//! `mlcomp-parallel`, graceful degradation in `mlcomp-core`) only earn
-//! trust if those failures can be *reproduced on demand* — which is what a
-//! [`FaultPlan`] provides.
+//! (the pass sandbox in `mlcomp-passes`, graceful degradation in
+//! `mlcomp-core`'s extraction) only earn trust if those failures can be
+//! *reproduced on demand* — which is what a [`FaultPlan`] provides.
 //!
 //! A plan is a pure function: whether a fault fires at a given *site* is
 //! decided by hashing `(plan seed, fault kind, site key)` against the
@@ -47,19 +46,12 @@ pub enum FaultKind {
     /// The profiling interpreter runs with a starvation fuel budget
     /// (surfaces as `ExecError::OutOfFuel` in extraction).
     FuelExhaustion,
-    /// A worker attempt dies (caught and retried by `map_supervised`).
-    WorkerTransient,
+    /// An extraction worker panics on its `(app, variant)` item (caught
+    /// by extraction, which loses that one datapoint).
+    WorkerPanic,
 }
 
 impl FaultKind {
-    /// All kinds, for sweeps and rate tables.
-    pub const ALL: [FaultKind; 4] = [
-        FaultKind::PhasePanic,
-        FaultKind::VerifierCorrupt,
-        FaultKind::FuelExhaustion,
-        FaultKind::WorkerTransient,
-    ];
-
     /// Per-kind salt so the same site key lands in independent streams for
     /// different fault kinds.
     fn salt(self) -> u64 {
@@ -67,7 +59,7 @@ impl FaultKind {
             FaultKind::PhasePanic => 0x9A51_C0DE_0000_0001,
             FaultKind::VerifierCorrupt => 0x9A51_C0DE_0000_0002,
             FaultKind::FuelExhaustion => 0x9A51_C0DE_0000_0003,
-            FaultKind::WorkerTransient => 0x9A51_C0DE_0000_0004,
+            FaultKind::WorkerPanic => 0x9A51_C0DE_0000_0004,
         }
     }
 
@@ -76,7 +68,7 @@ impl FaultKind {
             FaultKind::PhasePanic => 0,
             FaultKind::VerifierCorrupt => 1,
             FaultKind::FuelExhaustion => 2,
-            FaultKind::WorkerTransient => 3,
+            FaultKind::WorkerPanic => 3,
         }
     }
 }
@@ -87,7 +79,7 @@ impl fmt::Display for FaultKind {
             FaultKind::PhasePanic => "phase-panic",
             FaultKind::VerifierCorrupt => "verifier-corrupt",
             FaultKind::FuelExhaustion => "fuel-exhaustion",
-            FaultKind::WorkerTransient => "worker-transient",
+            FaultKind::WorkerPanic => "worker-panic",
         })
     }
 }
@@ -120,13 +112,13 @@ impl FaultPlan {
 
     /// The standard chaos profile used by the fault-injection CI job:
     /// 10% phase panics, 5% verifier corruption, 5% fuel exhaustion,
-    /// 10% transient worker failures.
+    /// 10% worker panics.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan::from_seed(seed)
             .with_rate(FaultKind::PhasePanic, 0.10)
             .with_rate(FaultKind::VerifierCorrupt, 0.05)
             .with_rate(FaultKind::FuelExhaustion, 0.05)
-            .with_rate(FaultKind::WorkerTransient, 0.10)
+            .with_rate(FaultKind::WorkerPanic, 0.10)
     }
 
     /// Builds the chaos plan from the `MLCOMP_FAULT_SEED` environment
@@ -164,19 +156,6 @@ impl FaultPlan {
         // Top 53 bits → uniform f64 in [0, 1).
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < rate
-    }
-
-    /// Whether a *transient* worker fault fires on a given retry attempt.
-    ///
-    /// Each attempt re-rolls independently (the attempt number is folded
-    /// into the key), so a failed first attempt usually succeeds on retry —
-    /// the behaviour of real flaky infrastructure, and the property the
-    /// supervised worker pool's bounded-retry logic is tested against.
-    pub fn transient_fires(&self, key: &str, attempt: u32) -> bool {
-        self.fires(
-            FaultKind::WorkerTransient,
-            &format!("{key}#attempt{attempt}"),
-        )
     }
 
     /// Panics with an identifiable message if a [`FaultKind::PhasePanic`]
@@ -261,11 +240,11 @@ mod tests {
     #[test]
     fn zero_rate_never_fires_and_one_always_fires() {
         let zero = FaultPlan::from_seed(1);
-        let one = FaultPlan::from_seed(1).with_rate(FaultKind::WorkerTransient, 1.0);
+        let one = FaultPlan::from_seed(1).with_rate(FaultKind::WorkerPanic, 1.0);
         for i in 0..1000 {
             let key = format!("k{i}");
-            assert!(!zero.fires(FaultKind::WorkerTransient, &key));
-            assert!(one.fires(FaultKind::WorkerTransient, &key));
+            assert!(!zero.fires(FaultKind::WorkerPanic, &key));
+            assert!(one.fires(FaultKind::WorkerPanic, &key));
         }
     }
 
@@ -286,18 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_reroll_per_attempt() {
-        let plan = FaultPlan::from_seed(3).with_rate(FaultKind::WorkerTransient, 0.5);
-        // Over many sites, attempt 0 and attempt 1 decisions must differ
-        // somewhere — that's what makes the failures transient.
-        let differs = (0..512).any(|i| {
-            let key = format!("item{i}");
-            plan.transient_fires(&key, 0) != plan.transient_fires(&key, 1)
-        });
-        assert!(differs);
-    }
-
-    #[test]
     fn maybe_panic_fires_and_is_catchable() {
         let plan = FaultPlan::from_seed(9).with_rate(FaultKind::PhasePanic, 1.0);
         let err = std::panic::catch_unwind(|| plan.maybe_panic("always")).unwrap_err();
@@ -313,7 +280,7 @@ mod tests {
         assert_eq!(plan.rate(FaultKind::PhasePanic), 0.10);
         assert_eq!(plan.rate(FaultKind::VerifierCorrupt), 0.05);
         assert_eq!(plan.rate(FaultKind::FuelExhaustion), 0.05);
-        assert_eq!(plan.rate(FaultKind::WorkerTransient), 0.10);
+        assert_eq!(plan.rate(FaultKind::WorkerPanic), 0.10);
     }
 
     #[test]

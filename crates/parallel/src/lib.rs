@@ -10,10 +10,9 @@
 //!
 //! * [`WorkerPool`] — a [`std::thread::scope`]-based fork/join pool whose
 //!   [`WorkerPool::map`] returns results in *input order*, no matter which
-//!   worker ran which item or in what order items finished. Its supervised
-//!   sibling [`WorkerPool::map_supervised`] adds bounded per-item retry and
-//!   returns `Result`s instead of letting one panicking item take down the
-//!   whole map.
+//!   worker ran which item or in what order items finished. A panic in an
+//!   item reaches the caller; callers that must survive one (extraction)
+//!   catch it inside their closure.
 //! * [`seed`] — stateless seed-derivation helpers so each work item owns an
 //!   independent RNG stream derived from `(base_seed, item identity)`
 //!   rather than a position in a shared sequential stream.
@@ -23,36 +22,11 @@
 //! by item index after the scope joins.
 
 use mlcomp_trace as trace;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub mod seed;
-
-/// One work item that kept failing after every allowed attempt of
-/// [`WorkerPool::map_supervised`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ItemFailure {
-    /// Index of the item in the input slice.
-    pub index: usize,
-    /// How many attempts were made (all of them panicked).
-    pub attempts: u32,
-    /// The final attempt's panic message.
-    pub reason: String,
-}
-
-impl fmt::Display for ItemFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "item {} failed after {} attempt(s): {}",
-            self.index, self.attempts, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ItemFailure {}
 
 /// A fork/join worker pool with deterministic, input-ordered results.
 ///
@@ -198,80 +172,12 @@ impl WorkerPool {
             }
         })
     }
-
-    /// Like [`WorkerPool::map`], but *supervised*: a panic in `f` fails only
-    /// its own item instead of tearing down the whole map. It runs through
-    /// `map` itself, so both share one spawn loop and its telemetry.
-    ///
-    /// Each item gets up to `attempts` tries (values below 1 are treated as
-    /// 1); every try runs under [`std::panic::catch_unwind`], and the first
-    /// success wins. An item whose every attempt panicked yields
-    /// `Err(`[`ItemFailure`]`)` carrying the final panic message, in place,
-    /// so the output still has exactly one entry per input item, in input
-    /// order.
-    ///
-    /// `f` receives `(item index, attempt number, item)`. Deriving per-item
-    /// state from the index (and, for deliberately transient behaviour,
-    /// the attempt number) keeps results bit-identical at any thread
-    /// count — the same contract as [`WorkerPool::map`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mlcomp_parallel::WorkerPool;
-    ///
-    /// let pool = WorkerPool::new(4);
-    /// // Item 2 fails on its first attempt only: the retry rescues it.
-    /// let out = pool.map_supervised(&[10u64, 20, 30], 2, |i, attempt, &x| {
-    ///     if i == 2 && attempt == 0 {
-    ///         panic!("transient glitch");
-    ///     }
-    ///     x + 1
-    /// });
-    /// assert_eq!(out, vec![Ok(11), Ok(21), Ok(31)]);
-    /// ```
-    pub fn map_supervised<T, R, F>(
-        &self,
-        items: &[T],
-        attempts: u32,
-        f: F,
-    ) -> Vec<Result<R, ItemFailure>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, u32, &T) -> R + Sync,
-    {
-        let attempts = attempts.max(1);
-        let run_item = |idx: usize, item: &T| -> Result<R, ItemFailure> {
-            let mut reason = String::new();
-            for attempt in 0..attempts {
-                if attempt > 0 {
-                    trace::counter("pool.retries", 1);
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(idx, attempt, item))) {
-                    Ok(r) => return Ok(r),
-                    Err(payload) => {
-                        trace::counter("pool.attempt_failures", 1);
-                        reason = panic_reason(payload.as_ref());
-                    }
-                }
-            }
-            trace::counter("pool.item_failures", 1);
-            Err(ItemFailure {
-                index: idx,
-                attempts,
-                reason,
-            })
-        };
-        self.map(items, run_item)
-    }
 }
 
 /// Extracts a human-readable reason from a caught panic payload.
 ///
-/// Shared by the supervised worker pool ([`ItemFailure::reason`]) and,
-/// through its re-export from `mlcomp-faults`, the pass sandbox, so
-/// failure and quarantine reports print the actual `panic!` message
+/// Re-exported from `mlcomp-faults` for the pass sandbox and extraction,
+/// so failure and quarantine reports print the actual `panic!` message
 /// instead of `Box<dyn Any>`.
 pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
@@ -343,76 +249,6 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_host_parallelism() {
         assert!(WorkerPool::new(0).num_threads() >= 1);
-    }
-
-    #[test]
-    fn supervised_map_retries_transient_failures() {
-        // Items where idx % 3 == 0 fail on attempt 0 only: with 2 attempts
-        // everything succeeds, and results match the unsupervised map.
-        let items: Vec<u64> = (0..64).collect();
-        let expect: Vec<Result<u64, ItemFailure>> = items.iter().map(|&x| Ok(x * 7)).collect();
-        for threads in [1, 4] {
-            let out = WorkerPool::new(threads).map_supervised(&items, 2, |i, attempt, &x| {
-                if i % 3 == 0 && attempt == 0 {
-                    panic!("transient");
-                }
-                x * 7
-            });
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn supervised_map_reports_permanent_failures_in_place() {
-        let items: Vec<u32> = (0..10).collect();
-        let out = WorkerPool::new(4).map_supervised(&items, 2, |i, _, &x| {
-            assert!(i != 4, "item 4 always dies");
-            x
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 4 {
-                let failure = r.as_ref().unwrap_err();
-                assert_eq!(failure.index, 4);
-                assert_eq!(failure.attempts, 2);
-                assert!(failure.reason.contains("item 4 always dies"), "{failure}");
-            } else {
-                assert_eq!(*r, Ok(i as u32));
-            }
-        }
-    }
-
-    #[test]
-    fn supervised_map_is_deterministic_across_thread_counts() {
-        let items: Vec<u64> = (0..97).collect();
-        let run = |threads| {
-            WorkerPool::new(threads).map_supervised(&items, 3, |i, attempt, &x| {
-                // Deterministic pseudo-random transient failures derived
-                // from (identity, attempt) — the contract callers follow.
-                if crate::seed::item_seed(42, "t", (i as u64) << 8 | attempt as u64)
-                    .is_multiple_of(5)
-                {
-                    panic!("injected {i}/{attempt}");
-                }
-                x * 3
-            })
-        };
-        let reference = run(1);
-        assert!(
-            reference.iter().any(|r| r.is_err()) && reference.iter().any(|r| r.is_ok()),
-            "fixture should mix successes and failures"
-        );
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn supervised_map_treats_zero_attempts_as_one() {
-        let out = WorkerPool::new(1).map_supervised(&[1u8, 2], 0, |_, attempt, &x| {
-            assert_eq!(attempt, 0);
-            x
-        });
-        assert_eq!(out, vec![Ok(1), Ok(2)]);
     }
 
     #[test]

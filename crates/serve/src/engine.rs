@@ -22,8 +22,11 @@ pub struct Selection {
 /// fronted by a sharded LRU cache.
 ///
 /// An engine is built from an [`ArtifactBundle`], whose selector was
-/// validated against this build's phase registry, so an engine can never
-/// index out of bounds at request time.
+/// validated against this build's phase registry, so every phase index the
+/// policy returns names a phase of this build. The feature vector is the
+/// caller's to check: [`select`](SelectionEngine::select) panics on one of
+/// the wrong length, and [`crate::BatchServer`] rejects such requests
+/// before selecting.
 /// All methods take `&self` and the engine is `Sync`; one engine serves
 /// a whole worker pool.
 pub struct SelectionEngine {
@@ -49,6 +52,12 @@ impl SelectionEngine {
     /// (the determinism test in `tests/serve_roundtrip.rs` enforces this
     /// bit-for-bit). Emits `serve.cache.hit` / `serve.cache.miss`
     /// counters and a `serve.select` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `features` does not hold exactly
+    /// [`mlcomp_features::FEATURE_COUNT`] values: the selector's projector
+    /// reads that many.
     pub fn select(&self, features: &[f64]) -> Selection {
         let mut span = trace::span("serve.select");
         let key = self.cache.key(features);

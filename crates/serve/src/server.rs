@@ -2,6 +2,7 @@
 //! the deterministic worker pool, per-request latency metrics.
 
 use crate::engine::SelectionEngine;
+use mlcomp_features::FEATURE_COUNT;
 use mlcomp_parallel::WorkerPool;
 use mlcomp_trace as trace;
 use serde::{Deserialize, Serialize};
@@ -38,6 +39,17 @@ pub enum ServeError {
         /// The server's admission limit.
         queue_capacity: usize,
     },
+    /// A request's feature vector does not have the
+    /// [`FEATURE_COUNT`] static features the policy reads. Nothing was
+    /// processed; the submission is rejected atomically.
+    FeatureCount {
+        /// The first offending request's id.
+        id: u64,
+        /// Features the request carried.
+        got: usize,
+        /// Features every request must carry ([`FEATURE_COUNT`]).
+        expected: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -51,6 +63,9 @@ impl std::fmt::Display for ServeError {
                 "overloaded: batch of {submitted} requests exceeds queue capacity \
                  {queue_capacity}"
             ),
+            ServeError::FeatureCount { id, got, expected } => {
+                write!(f, "request {id} has {got} features, expected {expected}")
+            }
         }
     }
 }
@@ -106,8 +121,10 @@ impl BatchServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Overloaded`] — processing nothing — when the
-    /// batch exceeds the queue capacity.
+    /// Returns [`ServeError::Overloaded`] when the batch exceeds the queue
+    /// capacity, and [`ServeError::FeatureCount`] when a request does not
+    /// carry exactly [`FEATURE_COUNT`] features. Either way nothing is
+    /// processed.
     pub fn submit_batch(
         &self,
         requests: &[SelectionRequest],
@@ -117,6 +134,14 @@ impl BatchServer {
             return Err(ServeError::Overloaded {
                 submitted: requests.len(),
                 queue_capacity: self.config.queue_capacity,
+            });
+        }
+        if let Some(req) = requests.iter().find(|r| r.features.len() != FEATURE_COUNT) {
+            trace::counter("serve.rejected", 1);
+            return Err(ServeError::FeatureCount {
+                id: req.id,
+                got: req.features.len(),
+                expected: FEATURE_COUNT,
             });
         }
         let mut batch_span = trace::span("serve.batch");

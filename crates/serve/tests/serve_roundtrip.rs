@@ -253,3 +253,41 @@ fn oversized_batches_are_rejected_whole() {
     // A conforming retry succeeds.
     assert!(server.submit_batch(&batch[..1]).is_ok());
 }
+
+#[test]
+fn a_request_with_the_wrong_feature_count_is_rejected_whole() {
+    let (apps, bundle) = fixture();
+    let engine = SelectionEngine::from_bundle(bundle.clone(), CacheConfig::default());
+    let server = BatchServer::new(engine, ServerConfig::default());
+    let features = mlcomp_features::extract(&apps[0].module).values;
+    for got in [2, FEATURE_COUNT + 7] {
+        let batch = vec![
+            SelectionRequest {
+                id: 0,
+                features: features.clone(),
+            },
+            SelectionRequest {
+                id: 1,
+                features: vec![1.0; got],
+            },
+        ];
+        let err = server.submit_batch(&batch).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::FeatureCount {
+                id: 1,
+                got,
+                expected: FEATURE_COUNT,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("request 1 has {got} features, expected {FEATURE_COUNT}")
+        );
+        // The rejection is atomic: the valid request was not served either.
+        assert_eq!(server.engine().cache_len(), 0);
+    }
+    assert!(server
+        .submit_batch(&[SelectionRequest { id: 0, features }])
+        .is_ok());
+}

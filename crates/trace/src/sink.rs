@@ -107,7 +107,7 @@ pub enum TraceEvent {
     },
     /// A monotonically accumulated counter, reported at drain time.
     Counter {
-        /// Counter name (e.g. `"extraction.retries"`).
+        /// Counter name (e.g. `"extraction.items_ok"`).
         name: String,
         /// Total accumulated value.
         value: u64,

@@ -6,7 +6,7 @@
 //! via `MLCOMP_FAULT_SEED`; with the variable unset a fixed seed is used,
 //! so a plain `cargo test` is reproducible.
 
-use mlcomp::core::{DataExtraction, ExtractionError, FailureCause};
+use mlcomp::core::{DataExtraction, FailureCause};
 use mlcomp::faults::{quiet_injected_panics, FaultPlan};
 use mlcomp::ir::ExecError;
 use mlcomp::passes::{registry, PassManager, QuarantineReason};
@@ -28,7 +28,7 @@ fn chaos_lock() -> MutexGuard<'static, ()> {
 
 /// The plan under test: `MLCOMP_FAULT_SEED` if set (the CI seed matrix),
 /// otherwise a fixed chaos plan (~10% phase panics, 5% verifier
-/// corruption, 5% fuel starvation, 10% transient worker deaths).
+/// corruption, 5% fuel starvation, 10% worker panics).
 fn fault_plan() -> FaultPlan {
     FaultPlan::from_env().unwrap_or_else(|| FaultPlan::chaos(20210))
 }
@@ -89,7 +89,6 @@ fn chaos_run_completes_and_accounts_for_every_datapoint() {
         assert!(!q.reason.to_string().is_empty());
     }
     for f in &ds.failures.failed {
-        assert!(f.attempts >= 1, "attempts recorded: {f:?}");
         assert!(!f.reason.to_string().is_empty());
     }
 }
@@ -182,44 +181,6 @@ fn faulty_extraction_is_bit_identical_across_thread_counts() {
             "chaos dataset must be byte-identical at num_threads={threads}"
         );
     }
-}
-
-#[test]
-fn killed_faulty_run_resumes_identically() {
-    let _chaos = chaos_lock();
-    let platform = X86Platform::new();
-    let apps = small_suite();
-    let plan = fault_plan();
-    let config = DataExtraction {
-        fault_plan: Some(plan),
-        min_success_fraction: 0.0,
-        checkpoint_every: 4,
-        ..DataExtraction::quick()
-    };
-    let full = config.run(&platform, &apps).unwrap();
-
-    let path = std::env::temp_dir().join(format!("mlcomp_fault_ckpt_{}.json", plan.seed));
-    let _ = std::fs::remove_file(&path);
-    let partial = DataExtraction {
-        max_items_per_run: 7,
-        ..config.clone()
-    }
-    .run_with_checkpoint(&platform, &apps, Some(&path));
-    assert!(
-        matches!(partial, Err(ExtractionError::Interrupted { .. })),
-        "{partial:?}"
-    );
-    assert!(path.exists(), "checkpoint persisted at the kill point");
-
-    let resumed = config
-        .run_with_checkpoint(&platform, &apps, Some(&path))
-        .unwrap();
-    assert_eq!(
-        serde_json::to_string(&full).unwrap(),
-        serde_json::to_string(&resumed).unwrap(),
-        "resumed run must equal the uninterrupted one byte for byte"
-    );
-    assert!(!path.exists(), "checkpoint removed after success");
 }
 
 proptest! {
